@@ -7,14 +7,7 @@ degenerations, and the little Weyl group with its spherical root system.
 """
 
 from .catalog import CatalogEntry, expected_results, get_entry, list_entries
-from .cones import (
-    ChamberSet,
-    Cone,
-    cone_from_inequalities,
-    dual_cone,
-    enumerate_chambers,
-    faces_walls_edge,
-)
+from .cones import ChamberSet, Cone, enumerate_chambers
 from .lie import (
     LieAlgebraData,
     LieAlgebraError,
@@ -45,7 +38,6 @@ from .spherical import (
     boundary_degeneration,
     compression_cone,
     compression_cone_of_point,
-    compute_t,
     find_admissible,
     has_open_p_orbit,
     is_adapted,

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 parse or input errors (and failed verification),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from . import catalog as catalog_mod
 from .cones import Cone
 from .lie import LieAlgebraData, LieAlgebraError
 from .limits import limit_subspace
-from .linalg import Subspace, vec
+from .linalg import Subspace
 from .serialize import (
     SpaceFileError,
     catalog_entry_to_space_json,
@@ -33,23 +32,20 @@ from .spherical import (
     BasePoint,
     ContractViolation,
     NotAdaptedError,
-    SphericalAnalysis,
     analyze,
     boundary_degeneration,
     compression_cone,
     find_admissible,
-    is_adapted,
     is_admissible,
 )
 from .verify import (
     CheckResult,
     check_claims,
-    check_entry,
     structural_invariants,
     verify_space,
 )
 from .weyl import (
-    QuotientSpace,
+    _twisted_conjugates,
     limits_agree_with_walls,
     little_weyl_group,
     spherical_roots,
@@ -64,8 +60,7 @@ def _load_space(source: str) -> tuple[LieAlgebraData, BasePoint, dict]:
         entry = catalog_mod.get_entry(source)
     except KeyError:
         return load_space_file(source)
-    lie = entry.lie()
-    return lie, entry.base_point(), {"name": entry.name}
+    return entry.lie(), entry.base_point(), entry.expected
 
 
 def _fmt_vec(v) -> str:
@@ -155,7 +150,7 @@ def build_report(
             "edge": subspace_to_json_a(cone.edge()),
             "edge_dim": cone.edge().dim,
             "is_all_of_a": cone == Cone.full_space(lie.dim_a),
-            "walls": [cone_to_json(w) for w in cone.walls()],
+            "walls": [cone_to_json(g.wall) for g in group.generators],
         },
         "admissibility": {
             "admissible": admissible,
@@ -313,19 +308,9 @@ def _match_coset(lie, bp: BasePoint, lim: Subspace, m_lattice: str) -> str | Non
         an = analyze(lie, bp.h_z)
     except NotAdaptedError:
         return None
-    from .weyl import _WeylAmbient
-
-    amb = _WeylAmbient.of(an)
-    chars = lie.m_sign_characters(m_lattice)
-    for word, m in amb.elements:
-        if not amb.in_normalizer(an, m):
-            continue
-        lift = lie.weyl_lift(word)
-        conj = an.h_empty.transform(lift.adjoint_lift)
-        for chi in chars.elements:
-            if conj.transform(lie.sign_character_ad(chi)) == lim:
-                return amb.coset_label(m)
-    return None
+    amb, targets = _twisted_conjugates(an, m_lattice)
+    m = targets.get(lim)
+    return None if m is None else amb.coset_label(m)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +321,7 @@ def _match_coset(lie, bp: BasePoint, lim: Subspace, m_lattice: str) -> str | Non
 def cmd_degenerate(args) -> int:
     lie, bp, _ = _load_space(args.space)
     an = analyze(lie, bp.h_z)
-    cone = compression_cone(an)
-    faces = cone.faces()
+    faces = an._stage("faces", compression_cone(an).faces)
     if args.face is None:
         rows = [
             {
@@ -423,21 +407,14 @@ def cmd_verify(args) -> int:
         raise SpaceFileError("verify needs a space, a catalog name, or --all")
     rows = []
     for source in targets:
-        is_catalog = True
+        lie, bp, claims = _load_space(source)
         try:
-            entry = catalog_mod.get_entry(source)
-        except KeyError:
-            is_catalog = False
-        if is_catalog:
-            rows += [(source, r) for r in check_entry(entry)]
-            lie = entry.lie()
-            h_z = entry.base_point().h_z
-        else:
-            lie, bp, claims = _load_space(source)
-            h_z = bp.h_z
-            if claims:
-                rows += [(source, r) for r in check_claims(lie, h_z, claims, source)]
-        rows += [(source, r) for r in verify_space(lie, h_z, seed=args.seed)]
+            an = analyze(lie, bp.h_z)
+        except NotAdaptedError as err:
+            an = err
+        if claims:
+            rows += [(source, r) for r in check_claims(an, claims, source)]
+        rows += [(source, r) for r in verify_space(lie, an, seed=args.seed)]
     failures = [(s, r) for s, r in rows if not r.ok]
     if args.json:
         sys.stdout.write(

@@ -208,8 +208,23 @@ class Cone:
         return sorted(out, key=lambda c: (c.dim, c.rays))
 
     def walls(self) -> list["Cone"]:
-        """Faces whose span has codimension one in the ambient space."""
-        return [f for f in self.faces() if f.span().dim == self.ambient_dim - 1]
+        """Faces whose span has codimension one in the ambient space.
+
+        A full-dimensional cone has one per facet inequality, a cone spanning
+        a hyperplane has itself, and a smaller cone has none.
+        """
+        cone_dim = self.dim
+        if cone_dim == self.ambient_dim - 1:
+            return [self]
+        if cone_dim < self.ambient_dim:
+            return []
+        walls = [
+            Cone.from_inequalities(
+                self.ambient_dim, list(self.inequalities) + [g, vec_scale(-1, g)]
+            )
+            for g in self._facet_inequalities()
+        ]
+        return sorted(walls, key=lambda c: c.rays)
 
     def span(self) -> Subspace:
         return Subspace.from_spanning(
@@ -254,21 +269,6 @@ class Cone:
             if rank(tight) == cone_dim - 1:
                 out.append(g)
         return out
-
-
-def cone_from_inequalities(dim: int, gammas: Iterable[Sequence]) -> Cone:
-    """Closure of {x : g(x) < 0 for all g}, with its double description."""
-    return Cone.from_inequalities(dim, gammas)
-
-
-def dual_cone(c: Cone) -> Cone:
-    """{lambda : lambda(x) >= 0 on the cone}; the double dual returns c."""
-    return c.dual()
-
-
-def faces_walls_edge(c: Cone) -> tuple[list[Cone], list[Cone], Subspace]:
-    """All faces, the codimension-one faces, and the edge of a closed cone."""
-    return c.faces(), c.walls(), c.edge()
 
 
 def _minimal_inequalities(

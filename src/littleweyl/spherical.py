@@ -10,9 +10,9 @@ the cone, and the admissibility test through limit subalgebras.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .cones import ChamberSet, Cone, enumerate_chambers
 from .lie import LieAlgebraData, LieAlgebraError
@@ -26,13 +26,14 @@ from .linalg import (
     mat_mul,
     mat_vec,
     primitive,
-    rank,
     solve,
     vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
+
+_T = TypeVar("_T")
 
 
 class NotAdaptedError(ValueError):
@@ -257,6 +258,17 @@ class SphericalAnalysis:
     s_z: tuple[SWeight, ...]
     indecomposables: tuple[SWeight, ...]
     h_empty: Subspace
+    # derived stages (cone, faces, chamber limits, groups), filled on first use
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _stage(self, key, compute: Callable[[], _T]) -> _T:
+        """The stage stored under ``key``, computed by ``compute()`` on first use.
+
+        Every consumer of the analysis shares the one stored result.
+        """
+        if key not in self._stages:
+            self._stages[key] = compute()
+        return self._stages[key]
 
     def t_of(self, p: int) -> Vec:
         for q, img in self.t_map:
@@ -408,9 +420,6 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     )
 
 
-compute_t = analyze
-
-
 def monoid_contains(
     generators: Sequence[tuple[int, ...]], target: tuple[int, ...]
 ) -> bool:
@@ -463,8 +472,11 @@ def _indecomposables(s_z: Sequence[SWeight]) -> tuple[SWeight, ...]:
 
 def compression_cone(analysis: SphericalAnalysis) -> Cone:
     """Closure of {X in a : gamma(X) < 0 for all gamma in S_z}."""
-    return Cone.from_inequalities(
-        analysis.lie.dim_a, [s.functional for s in analysis.s_z]
+    return analysis._stage(
+        "cone",
+        lambda: Cone.from_inequalities(
+            analysis.lie.dim_a, [s.functional for s in analysis.s_z]
+        ),
     )
 
 
@@ -563,8 +575,7 @@ class DegenerationData:
 def boundary_degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
     """Common limit of h_z along the relative interior of a face of the cone."""
     lie = analysis.lie
-    cone = compression_cone(analysis)
-    if face not in cone.faces():
+    if face not in analysis._stage("faces", compression_cone(analysis).faces):
         raise ValueError("not a face of the compression cone")
     span_rows = face.span().basis_matrix
     gens = [
@@ -654,20 +665,23 @@ def is_admissible(analysis: SphericalAnalysis) -> tuple[bool, tuple[ChamberLimit
 
     One rational representative per order-regular chamber is flowed to its
     limit; the point is admissible iff every chamber passes the dimension
-    test dim(limit cap a) = dim a_h.
+    test dim(limit cap a) = dim a_h.  The rows are the chamber -> limit table
+    of the analysis, which weyl_from_limits reads as well.
     """
-    lie = analysis.lie
-    rows = []
-    ok_all = True
-    for ch in order_regular_chambers(lie).chambers:
-        lim = limit_subspace(lie, analysis.h_z, ch.representative)
-        cap = lim.intersect(lie.a_subspace())
-        ok = cap.dim == analysis.a_h.dim
-        ok_all = ok_all and ok
-        rows.append(
-            ChamberLimitRow(ch.signs, ch.representative, lim, cap.dim, ok)
-        )
-    return ok_all, tuple(rows)
+
+    def table() -> tuple[bool, tuple[ChamberLimitRow, ...]]:
+        lie = analysis.lie
+        rows = []
+        for ch in order_regular_chambers(lie).chambers:
+            lim = limit_subspace(lie, analysis.h_z, ch.representative)
+            cap = lim.intersect(lie.a_subspace())
+            ok = cap.dim == analysis.a_h.dim
+            rows.append(
+                ChamberLimitRow(ch.signs, ch.representative, lim, cap.dim, ok)
+            )
+        return all(r.ok for r in rows), tuple(rows)
+
+    return analysis._stage("chamber_limits", table)
 
 
 @dataclass(frozen=True)
@@ -773,17 +787,19 @@ def _alpha_components(lie: LieAlgebraData, tp: Vec, p_alpha: int, p_2alpha: int 
     return tuple(out)
 
 
+_MAX_T = 8
+
+
 def find_admissible(
     analysis: SphericalAnalysis,
     max_iters: int = 10,
     seed: int = 0,
-    max_t: int = 8,
 ) -> AdmissibleSearchResult:
     """Search for an admissible point in the orbit of the base point.
 
     Tries the point itself, then randomized corrections exp(Phi(Y)) for
     regular rational Y, then (for half-space cones) the explicit unipotent
-    family with increasing integer parameter.
+    family with integer parameter t = 1 .. _MAX_T.
     """
     ok, report = is_admissible(analysis)
     if ok:
@@ -805,7 +821,7 @@ def find_admissible(
         if ok:
             return AdmissibleSearchResult(bp, cand, "phi-sample", attempt)
     if half_space_direction(analysis) is not None:
-        for t in range(1, max_t + 1):
+        for t in range(1, _MAX_T + 1):
             n = half_space_candidate(analysis, t)
             bp = translate(lie, analysis.h_z, [WordEntry.exp(n)])
             try:

@@ -19,6 +19,7 @@ from .limits import float_flow_oracle, is_order_regular, limit_subspace
 from .linalg import Subspace, dot, identity, vec, vec_add, vec_scale, zero_vec
 from .serialize import word_entry_from_json
 from .spherical import (
+    NotAdaptedError,
     SphericalAnalysis,
     WordEntry,
     analyze,
@@ -129,6 +130,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     lie = analysis.lie
     out = []
     cone = compression_cone(analysis)
+    faces = analysis._stage("faces", cone.faces)
 
     def brion() -> CheckResult:
         f_basis = [
@@ -193,7 +195,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     out.append(_guarded("edge_equals_normalizer", edge_norm))
 
     def faces_suite() -> CheckResult:
-        for face in cone.faces():
+        for face in faces:
             deg = boundary_degeneration(analysis, face)
             a_cap = lie.a_subspace().intersect(deg.h_zf)
             a_cap_a = Subspace.from_spanning(
@@ -260,7 +262,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
 
     def degeneration_cones() -> CheckResult:
         # the compression cone of a boundary degeneration is C + span(F)
-        for face in cone.faces():
+        for face in faces:
             deg = boundary_degeneration(analysis, face)
             deg_an = analyze(lie, deg.h_zf)
             got = compression_cone(deg_an)
@@ -316,7 +318,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
 
     def phi_degeneration() -> CheckResult:
         rng = random.Random(11)
-        for face in cone.faces():
+        for face in faces:
             deg = boundary_degeneration(analysis, face)
             try:
                 deg_an = analyze(lie, deg.h_zf)
@@ -379,9 +381,8 @@ def weyl_invariants(
     )
 
     def degeneration_groups() -> CheckResult:
-        cone = compression_cone(analysis)
-        for wall, gen in zip(cone.walls(), group.generators):
-            deg = boundary_degeneration(analysis, wall)
+        for gen in group.generators:
+            deg = boundary_degeneration(analysis, gen.wall)
             deg_an = analyze(analysis.lie, deg.h_zf)
             wg = little_weyl_group(deg_an)
             if wg.order != 2:
@@ -439,15 +440,14 @@ def random_order_regular(lie: LieAlgebraData, rng: random.Random) -> tuple:
             return x
 
 
-def limit_oracle_suite(
-    lie: LieAlgebraData,
-    count: int,
-    seed: int = 0,
-    t_max: float = 40.0,
-    tolerance: float = 1e-6,
-) -> list[CheckResult]:
+_FLOW_T_MAX = 40.0
+_FLOW_TOLERANCE = 1e-6
+
+
+def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[CheckResult]:
     """Seeded random (E, X) instances: float-flow agreement on well-conditioned
-    instances (at least ``count`` of them) plus the exact dimension, closure,
+    instances (at least ``count`` of them, flowed to t = _FLOW_T_MAX and
+    compared within _FLOW_TOLERANCE) plus the exact dimension, closure,
     a-stability and chamber-constancy identities on every instance drawn.
 
     Filtration-degenerate instances are points of discontinuity of the limit
@@ -482,13 +482,13 @@ def limit_oracle_suite(
         if limit_subspace(lie, e, ch.representative) != lim:
             out.append(_check("limit_chamber_constancy", False, f"instance {i}"))
             return out
-        report = float_flow_oracle(lie, e, x, t_max=t_max)
+        report = float_flow_oracle(lie, e, x, t_max=_FLOW_T_MAX)
         if not report.converged:
             degenerate += 1
             continue
         converged += 1
         worst = max(worst, report.distance)
-        if report.distance > tolerance:
+        if report.distance > _FLOW_TOLERANCE:
             out.append(
                 _check(
                     "limit_float_flow_agreement",
@@ -536,50 +536,30 @@ def limit_oracle_suite(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntryRun:
-    analysis: SphericalAnalysis
-    cone: Cone
-    group: LittleWeylGroup
-    limit_labels: tuple[str, ...]
-    sigma_z: tuple[tuple[int, ...], ...]
-    admissible: bool
-
-
-def run_entry(entry: CatalogEntry) -> EntryRun:
-    lie = entry.lie()
-    bp = entry.base_point()
-    an = analyze(lie, bp.h_z)
-    cone = compression_cone(an)
-    group = little_weyl_group(an)
-    report = weyl_from_limits(an)
-    sr = spherical_roots(an, group)
-    ok, _ = is_admissible(an)
-    return EntryRun(an, cone, group, report.labels, sr.roots, ok)
-
-
 def check_claims(
-    lie: LieAlgebraData, h_z: Subspace, claims: dict, label: str
+    an: SphericalAnalysis | NotAdaptedError, claims: dict, label: str
 ) -> list[CheckResult]:
     """Compare the pipeline output with a claims record, field by field.
 
-    Recognized fields: adapted, s_z, indecomposables, cone_ineqs, a_h_dim,
-    a_e_dim, w_order, coxeter_type, sigma_z, admissible, coset_labels,
-    pair_witness, non_adapted_witness.  Unknown fields are ignored.
+    ``an`` is the analysis of the space, or the NotAdaptedError that analyze
+    raised for it.  Recognized fields: adapted, s_z, indecomposables,
+    cone_ineqs, a_h_dim, a_e_dim, w_order, coxeter_type, sigma_z, admissible,
+    coset_labels, pair_witness, non_adapted_witness.  Unknown fields are
+    ignored.
     """
     out = []
-    chk = is_adapted(lie, h_z)
+    adapted = isinstance(an, SphericalAnalysis)
     if "adapted" in claims:
         out.append(
             _check(
                 f"{label}.adapted",
-                chk.adapted == claims["adapted"],
-                f"got {chk.adapted} want {claims['adapted']}",
+                adapted == claims["adapted"],
+                f"got {adapted} want {claims['adapted']}",
             )
         )
-    if not chk.adapted:
+    if not adapted:
         return out
-    an = analyze(lie, h_z)
+    lie = an.lie
     cone = compression_cone(an)
     group = little_weyl_group(an)
     report = weyl_from_limits(an)
@@ -642,7 +622,7 @@ def check_claims(
     if "non_adapted_witness" in claims:
         wit = claims["non_adapted_witness"]
         word = [word_entry_from_json(w, "witness") for w in wit["word"]]
-        bp2 = translate(lie, h_z, word)
+        bp2 = translate(lie, an.h_z, word)
         chk2 = is_adapted(lie, bp2.h_z)
         out.append(
             _check(
@@ -675,12 +655,15 @@ def check_claims(
 def check_entry(entry: CatalogEntry) -> list[CheckResult]:
     """Field-by-field comparison of the pipeline output with the expected
     record; a mismatch reports got vs want."""
-    lie = entry.lie()
     try:
         bp = entry.base_point()
     except Exception as err:  # noqa: BLE001
         return [_check(f"{entry.name}.base_point", False, str(err))]
-    return check_claims(lie, bp.h_z, entry.expected, entry.name)
+    try:
+        an = analyze(entry.lie(), bp.h_z)
+    except NotAdaptedError as err:
+        an = err
+    return check_claims(an, entry.expected, entry.name)
 
 
 def _expected_cone_ineqs(lie: LieAlgebraData, ineqs: Sequence[Sequence[int]]):
@@ -697,22 +680,25 @@ def _expected_cone_ineqs(lie: LieAlgebraData, ineqs: Sequence[Sequence[int]]):
     return out
 
 
+_ORACLE_COUNT = 25
+
+
 def verify_space(
     lie: LieAlgebraData,
-    h_z: Subspace,
+    an: SphericalAnalysis | NotAdaptedError,
     seed: int = 0,
     m_lattice: str = "coroot",
-    oracle_count: int = 25,
 ) -> list[CheckResult]:
     """The full per-space verification: structural, Weyl, admissibility and
-    the randomized limit oracle on the ambient algebra."""
+    the randomized limit oracle on the ambient algebra.  ``an`` is the
+    analysis of the space, or the NotAdaptedError that analyze raised for it.
+    """
     out = []
     out.extend(lie_invariants(lie))
-    chk = is_adapted(lie, h_z)
-    out.append(_check("adapted", chk.adapted, chk.reason))
-    if not chk.adapted:
+    if isinstance(an, NotAdaptedError):
+        out.append(_check("adapted", False, an.reason))
         return out
-    an = analyze(lie, h_z)
+    out.append(_check("adapted", True))
     out.extend(structural_invariants(an))
     w_checks, _ = weyl_invariants(an, m_lattice)
     out.extend(w_checks)
@@ -722,5 +708,5 @@ def verify_space(
         return _check("admissible_point_found", True, res.strategy)
 
     out.append(_guarded("admissible_point_found", admissible_search))
-    out.extend(limit_oracle_suite(lie, oracle_count, seed=seed))
+    out.extend(limit_oracle_suite(lie, _ORACLE_COUNT, seed=seed))
     return out

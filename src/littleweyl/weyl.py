@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .cones import Cone, enumerate_chambers
 from .lie import LieAlgebraData
-from .limits import limit_subspace
 from .linalg import (
     Mat,
     Subspace,
@@ -28,6 +28,7 @@ from .linalg import (
     kernel,
     mat_inverse,
     mat_mul,
+    mat_transpose,
     mat_vec,
     primitive,
     primitive_signed,
@@ -45,7 +46,6 @@ from .spherical import (
     SphericalAnalysis,
     compression_cone,
     is_admissible,
-    order_regular_chambers,
 )
 
 
@@ -267,21 +267,26 @@ class LittleWeylGroup:
         return self.element_words[self.elements.index(m)]
 
 
-def little_weyl_group(
-    analysis: SphericalAnalysis, closure_bound: int = 1152, verify: bool = True
-) -> LittleWeylGroup:
+_CLOSURE_BOUND = 1152
+_ORDER_BOUND = 13
+
+
+def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     """Closure of the wall reflections, with tiling verification.
 
     Checks that the element set is a finite group of quotient isometries,
     that it fixes a_E/a_h pointwise acting trivially there, and that the
     translates of the projected cone tile a/a_h with disjoint interiors.
+    Computed once per analysis.
     """
+    return analysis._stage("little_weyl_group", lambda: _little_weyl_group(analysis))
+
+
+def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     lie = analysis.lie
     quot = QuotientSpace.of(analysis.a_h)
     cone = compression_cone(analysis)
-    edge_quot = QuotientSpace.of(
-        Subspace.from_spanning(lie.dim_a, cone.edge().basis_matrix)
-    )
+    edge_quot = QuotientSpace.of(cone.edge())
     gens = [wall_reflection(analysis, w, quot) for w in cone.walls()]
 
     ident = identity(quot.dim)
@@ -295,7 +300,7 @@ def little_weyl_group(
                 if m2 not in words:
                     words[m2] = words[m] + (gi,)
                     nxt.append(m2)
-        if len(words) > closure_bound:
+        if len(words) > _CLOSURE_BOUND:
             raise ContractViolation("wall reflection closure exceeds the bound")
         frontier = sorted(nxt)
     elements = tuple(sorted(words, key=lambda m: (m != ident, m)))
@@ -311,8 +316,7 @@ def little_weyl_group(
         orders.append(tuple(row))
     coxeter_orders = tuple(orders)
 
-    if verify:
-        _verify_group(lie, analysis, quot, elements, gens, cone)
+    _verify_group(lie, analysis, quot, elements, cone)
 
     labels = _coset_labels(analysis, quot, elements)
     return LittleWeylGroup(
@@ -327,25 +331,24 @@ def little_weyl_group(
     )
 
 
-def _element_order(m: Mat, dim: int, bound: int = 13) -> int:
+def _element_order(m: Mat, dim: int) -> int:
     ident = identity(dim)
     p = m
-    for k in range(1, bound + 1):
+    for k in range(1, _ORDER_BOUND + 1):
         if p == ident:
             return k
         p = mat_mul(p, m)
     raise ContractViolation("generator product order exceeds the bound")
 
 
-def _verify_group(lie, analysis, quot, elements, gens, cone) -> None:
-    ident = identity(quot.dim)
+def _verify_group(lie, analysis, quot, elements, cone) -> None:
     elems = set(elements)
     for m in elements:
         if mat_inverse(m) not in elems:
             raise ContractViolation("element set is not closed under inverses")
     gq = induced_form(lie, quot)
     for m in elements:
-        if mat_mul(mat_mul(_transpose(m), gq), m) != gq:
+        if mat_mul(mat_mul(mat_transpose(m), gq), m) != gq:
             raise ContractViolation("element does not preserve the induced form")
     # trivial action on a_E/a_h
     for row in cone.edge().basis_matrix:
@@ -354,10 +357,6 @@ def _verify_group(lie, analysis, quot, elements, gens, cone) -> None:
             if mat_vec(m, pr) != pr:
                 raise ContractViolation("element moves a point of a_E/a_h")
     _verify_tiling(analysis, quot, elements, cone)
-
-
-def _transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
 
 
 def projected_cone(analysis: SphericalAnalysis, quot: QuotientSpace) -> Cone:
@@ -513,26 +512,16 @@ class LimitWeylReport:
         return tuple(sorted(c.label for c in self.cosets))
 
 
-def weyl_from_limits(
-    analysis: SphericalAnalysis, m_lattice: str = "coroot"
-) -> LimitWeylReport:
-    """Coset set realized by the order-regular limits of h_z.
-
-    For each chamber the limit subalgebra is matched against sign-character
-    twists of Weyl conjugates of the horospherical algebra; every chamber
-    must land in exactly one coset of the Levi Weyl group.
-    """
+def _twisted_conjugates(
+    analysis: SphericalAnalysis, m_lattice: str
+) -> tuple[_WeylAmbient, dict[Subspace, Mat]]:
+    """The table chi . Ad(n_w) . h_empty -> w over the admissible Weyl
+    elements w and the sign characters chi; each subspace keeps the first w
+    that produces it, in Weyl-element then character order."""
     lie = analysis.lie
-    ok, _ = is_admissible(analysis)
-    if not ok:
-        raise ValueError("weyl_from_limits requires an admissible base point")
     amb = _WeylAmbient.of(analysis)
-    quot = QuotientSpace.of(analysis.a_h)
     chars = lie.m_sign_characters(m_lattice)
-
-    # precompute chi . Ad(n_w) . h_empty for the admissible candidates
     targets: dict[Subspace, Mat] = {}
-    candidates = []
     for word, m in amb.elements:
         if not amb.in_normalizer(analysis, m):
             continue
@@ -540,19 +529,42 @@ def weyl_from_limits(
         if lift.action_on_a != m:
             raise ContractViolation("Weyl lift does not restrict to the word action")
         conj = analysis.h_empty.transform(lift.adjoint_lift)
-        candidates.append((word, m))
         for chi in chars.elements:
             tw = conj.transform(lie.sign_character_ad(chi))
             targets.setdefault(tw, m)
+    return amb, targets
+
+
+def weyl_from_limits(
+    analysis: SphericalAnalysis, m_lattice: str = "coroot"
+) -> LimitWeylReport:
+    """Coset set realized by the order-regular limits of h_z.
+
+    For each chamber the limit subalgebra is matched against sign-character
+    twists of Weyl conjugates of the horospherical algebra; every chamber
+    must land in exactly one coset of the Levi Weyl group.  The limits are
+    read from the chamber table of is_admissible; the report is computed
+    once per analysis and lattice.
+    """
+    return analysis._stage(
+        ("weyl_from_limits", m_lattice), lambda: _weyl_from_limits(analysis, m_lattice)
+    )
+
+
+def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylReport:
+    ok, chamber_rows = is_admissible(analysis)
+    if not ok:
+        raise ValueError("weyl_from_limits requires an admissible base point")
+    amb, targets = _twisted_conjugates(analysis, m_lattice)
+    quot = QuotientSpace.of(analysis.a_h)
 
     coset_of: dict[frozenset, LimitCoset] = {}
     rows = []
-    for ch in order_regular_chambers(lie).chambers:
-        lim = limit_subspace(lie, analysis.h_z, ch.representative)
+    for ch in chamber_rows:
         matches = {
             m
             for tw, m in targets.items()
-            if tw == lim
+            if tw == ch.limit
         }
         if not matches:
             raise ContractViolation(
@@ -608,15 +620,12 @@ def spherical_roots(
     the primitive pair of its -1 eigenspace in Lambda.
     """
     lie = analysis.lie
-    cone = compression_cone(analysis)
-    edge = cone.edge()
+    edge = group.edge_quotient.subspace
     # Lambda = {c in Z^rank : (sum c_i alpha_i)(edge) = 0}
     rows = []
     for b in edge.basis_matrix:
         row = [dot(lie.root_functional(tuple(1 if j == i else 0 for j in range(lie.rank))), b) for i in range(lie.rank)]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in row))
         rows.append([int(x * denom) for x in row])
     lam_basis = (
         integer_kernel(rows, lie.rank)
@@ -726,12 +735,6 @@ def spherical_roots(
     return SphericalRootData(
         tuple(lam_basis), ordered, group.coxeter_orders, group.type_label
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littleweyl.cones import Cone, ConeError, enumerate_chambers
 from littleweyl.limits import order_regular_hyperplanes
@@ -56,6 +58,22 @@ def test_faces_walls_edge_half_line():
     assert sorted(f.dim for f in faces) == [0, 1]
     assert len(c.walls()) == 1 and c.walls()[0].dim == 0
     assert c.edge().dim == 0
+
+
+@st.composite
+def _cones(draw):
+    """Cones of ambient dimension 1-4; equality pairs make lower-dimensional ones."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(row, max_size=4))
+    eqs = draw(st.lists(row, max_size=2))
+    return Cone.from_inequalities(dim, ineqs + eqs + [[-c for c in g] for g in eqs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cones())
+def test_walls_are_the_codimension_one_faces(c):
+    assert c.walls() == [f for f in c.faces() if f.span().dim == c.ambient_dim - 1]
 
 
 def test_faces_whole_space():
