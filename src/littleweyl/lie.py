@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -272,11 +272,45 @@ class _ChevalleyConstants:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Element of N_G(a) given by a word in the simple reflections."""
+    """Element n_w of N_G(a) given by a word in the simple reflections.
+
+    Ad(n_w) maps a to itself by ``action_on_a`` and permutes the root
+    vectors up to sign: root coordinate r (basis index dim_a + r) goes to
+    ``signs[r]`` times root coordinate ``perm[r]``.
+    """
 
     word: tuple[int, ...]
     action_on_a: Mat
-    adjoint_lift: Mat
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def apply(self, v: Sequence) -> Vec:
+        """Ad(n_w) v."""
+        d = len(self.action_on_a)
+        out = list(mat_vec(self.action_on_a, v[:d])) + [Fraction(0)] * len(self.perm)
+        for r, (t, s) in enumerate(zip(self.perm, self.signs)):
+            out[d + t] = v[d + r] if s > 0 else -v[d + r]
+        return tuple(out)
+
+    def compose(self, other: "WeylElement") -> "WeylElement":
+        """The product self . other, for the concatenated word."""
+        return WeylElement(
+            self.word + other.word,
+            mat_mul(self.action_on_a, other.action_on_a),
+            tuple(self.perm[t] for t in other.perm),
+            tuple(s * self.signs[t] for t, s in zip(other.perm, other.signs)),
+        )
+
+    @property
+    def adjoint_lift(self) -> Mat:
+        """Ad(n_w) as a dense matrix; columns are input coordinates."""
+        d = len(self.action_on_a)
+        n = d + len(self.perm)
+        rows = [list(row) + [Fraction(0)] * (n - d) for row in self.action_on_a]
+        rows += [[Fraction(0)] * n for _ in self.perm]
+        for r, (t, s) in enumerate(zip(self.perm, self.signs)):
+            rows[d + t][d + r] = Fraction(s)
+        return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -403,8 +437,23 @@ class LieAlgebraData:
                     out[k] += xi * yj * c
         return tuple(out)
 
+    @cached_property
+    def _form_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Nonzero (column, entry) pairs of each row of the form matrix: the
+        a-block and the e_p <-> f_p pairing."""
+        return tuple(
+            tuple((j, c) for j, c in enumerate(row) if c != 0) for row in self.form_matrix
+        )
+
     def invariant_form(self, x: Sequence, y: Sequence) -> Fraction:
-        return dot(mat_vec(self.form_matrix, vec(y)), vec(x))
+        x, y = vec(x), vec(y)
+        total = Fraction(0)
+        for xi, row in zip(x, self._form_rows, strict=True):
+            if xi != 0:
+                for j, c in row:
+                    if y[j] != 0:
+                        total += xi * c * y[j]
+        return total
 
     def theta(self, x: Sequence) -> Vec:
         return mat_vec(self.theta_matrix, vec(x))
@@ -414,25 +463,26 @@ class LieAlgebraData:
         return tuple(zip(*cols))
 
     def exp_ad(self, x: Sequence) -> Mat:
-        """exp(ad x) for ad-nilpotent x, as an exact finite sum."""
-        a = self.ad(x)
-        out = identity(self.dim)
-        term = identity(self.dim)
+        """exp(ad x) for ad-nilpotent x, column by column from exp_ad_apply."""
+        return tuple(zip(*(self.exp_ad_apply(x, e) for e in identity(self.dim))))
+
+    def exp_ad_apply(self, x: Sequence, v: Sequence) -> Vec:
+        """exp(ad x) v = sum_k ad(x)^k v / k! as a bracket series, without
+        forming exp(ad x); raises unless the series ends within dim + 1 terms."""
+        x = vec(x)
+        out = term = vec(v)
         k = 0
-        while any(any(c != 0 for c in row) for row in term):
+        while any(c != 0 for c in term):
             k += 1
             if k > self.dim + 1:
                 raise LieAlgebraError("exp_ad requires an ad-nilpotent argument")
-            term = mat_mul(term, a)
-            term = tuple(tuple(c / k for c in row) for row in term)
-            out = tuple(
-                tuple(o + t for o, t in zip(orow, trow))
-                for orow, trow in zip(out, term)
-            )
+            term = tuple(c / k for c in self.bracket(x, term))
+            out = vec_add(out, term)
         return out
 
-    def torus_ad(self, coweight: Sequence, scale) -> Mat:
-        """Ad of the torus element scale^coweight; exact for rational scale.
+    def torus_scaling(self, coweight: Sequence, scale) -> Vec:
+        """Ad of the torus element scale^coweight, which scales each basis
+        vector, as the tuple of factors.  Exact for rational scale.
 
         The coweight must pair integrally with every root.
         """
@@ -442,26 +492,26 @@ class LieAlgebraData:
         scale = frac(scale)
         if scale == 0:
             raise LieAlgebraError("torus scale must be nonzero")
-        diag = []
+        out = []
         for w in self.weights:
             k = dot(w, coweight)
             if k.denominator != 1:
                 raise LieAlgebraError("coweight does not pair integrally with the roots")
-            diag.append(scale ** int(k))
+            out.append(scale ** int(k))
+        return tuple(out)
+
+    def torus_ad(self, coweight: Sequence, scale) -> Mat:
+        """torus_scaling as a dense diagonal matrix."""
+        factors = self.torus_scaling(coweight, scale)
         return tuple(
-            tuple(diag[i] if i == j else Fraction(0) for j in range(self.dim))
-            for i in range(self.dim)
+            tuple(f if i == j else Fraction(0) for j in range(self.dim))
+            for i, f in enumerate(factors)
         )
 
-    def sign_character_ad(self, chi: SignCharacter) -> Mat:
-        diag = [Fraction(1)] * self.dim
-        for p in range(self.num_pos):
-            diag[self.e_index(p)] = Fraction(chi.value(p))
-            diag[self.f_index(p)] = Fraction(chi.value(p))
-        return tuple(
-            tuple(diag[i] if i == j else Fraction(0) for j in range(self.dim))
-            for i in range(self.dim)
-        )
+    def sign_scaling(self, chi: SignCharacter) -> Vec:
+        """The sign character chi on g, which scales each basis vector by
+        +-1, as the tuple of factors (1 on a)."""
+        return (Fraction(1),) * self.dim_a + 2 * tuple(Fraction(v) for v in chi.values)
 
     # -- distinguished subspaces ---------------------------------------------
 
@@ -536,25 +586,46 @@ class LieAlgebraData:
             cols.append(vec_add(ek, vec_scale(-dot(alpha_i, ek), cor)))
         return tuple(zip(*cols))
 
-    def weyl_lift(self, word: Sequence[int]) -> WeylElement:
-        """Lift of a Weyl word through products exp(ad e) exp(-ad f) exp(ad e)."""
-        act = identity(self.dim_a)
-        lift = identity(self.dim)
-        for i in word:
+    @cached_property
+    def _simple_lifts(self) -> tuple[WeylElement, ...]:
+        """Ad(n_i) for n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i), one per
+        simple root, read off the dense product.  The product must preserve
+        a and permute the root vectors up to sign."""
+        d, dim = self.dim_a, self.dim
+        out = []
+        for i in range(self.rank):
             p = self.root_index(tuple(1 if j == i else 0 for j in range(self.rank)))
-            e_vec = tuple(
-                Fraction(1 if k == self.e_index(p) else 0) for k in range(self.dim)
-            )
-            f_vec = tuple(
-                Fraction(1 if k == self.f_index(p) else 0) for k in range(self.dim)
-            )
+            e_vec = tuple(Fraction(1 if k == self.e_index(p) else 0) for k in range(dim))
+            f_vec = tuple(Fraction(1 if k == self.f_index(p) else 0) for k in range(dim))
             n_i = mat_mul(
                 mat_mul(self.exp_ad(e_vec), self.exp_ad(vec_scale(-1, f_vec))),
                 self.exp_ad(e_vec),
             )
-            act = mat_mul(act, self.simple_reflection_on_a(i))
-            lift = mat_mul(lift, n_i)
-        return WeylElement(tuple(word), act, lift)
+            if any(n_i[r][k] != 0 for r in range(d, dim) for k in range(d)):
+                raise LieAlgebraError(f"the lift of s{i + 1} does not preserve a")
+            perm, signs = [], []
+            for k in range(d, dim):
+                col = [(r, n_i[r][k]) for r in range(dim) if n_i[r][k] != 0]
+                if len(col) != 1 or col[0][0] < d or abs(col[0][1]) != 1:
+                    raise LieAlgebraError(
+                        f"the lift of s{i + 1} is not a signed permutation of the root vectors"
+                    )
+                perm.append(col[0][0] - d)
+                signs.append(int(col[0][1]))
+            a_block = tuple(row[:d] for row in n_i[:d])
+            out.append(WeylElement((i,), a_block, tuple(perm), tuple(signs)))
+        return tuple(out)
+
+    def weyl_lift(self, word: Sequence[int]) -> WeylElement:
+        """Lift of a Weyl word: the product of the simple-root lifts, composed
+        as signed permutations of the root vectors."""
+        m2 = 2 * self.num_pos
+        out = WeylElement((), identity(self.dim_a), tuple(range(m2)), (1,) * m2)
+        for i in word:
+            if not 0 <= i < self.rank:
+                raise LieAlgebraError(f"Weyl letter {i} is not a simple root index")
+            out = out.compose(self._simple_lifts[i])
+        return out
 
     def weyl_group_on_a(self) -> list[tuple[tuple[int, ...], Mat]]:
         """All Weyl group elements as (shortest word, matrix on a), BFS order."""
@@ -661,8 +732,9 @@ class LieAlgebraData:
         th = self.theta_matrix
         if mat_mul(th, th) != identity(dim):
             raise LieAlgebraError("theta is not an involution")
+        theta_basis = [self.theta(b) for b in basis]
         gram = [
-            [-self.invariant_form(basis[i], self.theta(basis[j])) for j in range(dim)]
+            [-self.invariant_form(basis[i], theta_basis[j]) for j in range(dim)]
             for i in range(dim)
         ]
         for k in range(1, dim + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -317,8 +317,28 @@ class Subspace:
 
     def transform(self, m: Mat) -> "Subspace":
         """Image under the linear map given by the matrix (columns = input coords)."""
-        rows = [mat_vec(m, row) for row in self.basis_matrix]
-        return Subspace.from_spanning(len(m), rows)
+        return self.image(lambda row: mat_vec(m, row), len(m))
+
+    def image(self, fn: Callable[[Vec], Vec], ambient_dim: int | None = None) -> "Subspace":
+        """Image under a linear map given as a function on vectors, in a space
+        of dimension ambient_dim (by default the same space)."""
+        dim = self.ambient_dim if ambient_dim is None else ambient_dim
+        return Subspace.from_spanning(dim, [fn(row) for row in self.basis_matrix])
+
+    def scale_coordinates(self, factors: Sequence) -> "Subspace":
+        """Image under the diagonal map x_i -> factors[i] x_i (factors nonzero).
+
+        Dividing each scaled row by the factor at its pivot keeps the reduced
+        row echelon form, so no row reduction is needed.
+        """
+        factors = vec(factors)
+        if len(factors) != self.ambient_dim or any(f == 0 for f in factors):
+            raise ValueError("coordinate scaling needs one nonzero factor per coordinate")
+        rows = []
+        for row in self.basis_matrix:
+            pivot = next(c for c, x in enumerate(row) if x != 0)
+            rows.append(tuple(x * f / factors[pivot] for x, f in zip(row, factors)))
+        return Subspace(self.ambient_dim, tuple(rows))
 
     def reduce_vector(self, v: Sequence) -> Vec:
         """Canonical representative of v modulo the subspace."""

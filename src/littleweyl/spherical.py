@@ -22,8 +22,8 @@ from .linalg import (
     Subspace,
     Vec,
     dot,
+    identity,
     kernel,
-    mat_mul,
     mat_vec,
     primitive,
     solve,
@@ -87,25 +87,38 @@ class BasePoint:
     h_z: Subspace
 
 
-def word_entry_ad(lie: LieAlgebraData, entry: WordEntry) -> Mat:
+def _word_entry_action(lie: LieAlgebraData, entry: WordEntry) -> Callable[[Vec], Vec]:
+    """Ad(g) for one word entry, applied through its structure: a coordinate
+    scaling or a signed permutation.  A nilpotent entry applies exp(ad x),
+    which raises unless x is ad-nilpotent."""
     if entry.kind == "nilpotent":
-        return lie.exp_ad(entry.nilpotent)
-    if entry.kind == "torus":
-        return lie.torus_ad(entry.coweight, entry.scale)
-    if entry.kind == "sign":
-        return lie.torus_ad(entry.coweight, Fraction(-1))
+        m = lie.exp_ad(entry.nilpotent)
+        return lambda v: mat_vec(m, v)
+    if entry.kind in ("torus", "sign"):
+        scale = entry.scale if entry.kind == "torus" else Fraction(-1)
+        factors = lie.torus_scaling(entry.coweight, scale)
+        return lambda v: tuple(f * c for f, c in zip(factors, v, strict=True))
     if entry.kind == "weyl":
-        return lie.weyl_lift(entry.weyl_word).adjoint_lift
+        return lie.weyl_lift(entry.weyl_word).apply
     raise ValueError(f"unknown word entry kind {entry.kind!r}")
 
 
+def word_entry_ad(lie: LieAlgebraData, entry: WordEntry) -> Mat:
+    """Ad(g) for one word entry, as a dense matrix."""
+    act = _word_entry_action(lie, entry)
+    return tuple(zip(*(act(e) for e in identity(lie.dim))))
+
+
 def translate(lie: LieAlgebraData, h: Subspace, word: Sequence[WordEntry]) -> BasePoint:
-    """Base point h_z = Ad(g_1) ... Ad(g_k) h, exactly."""
-    m = None
-    for entry in word:
-        a = word_entry_ad(lie, entry)
-        m = a if m is None else mat_mul(m, a)
-    h_z = h if m is None else h.transform(m)
+    """Base point h_z = Ad(g_1) ... Ad(g_k) h, exactly.
+
+    The entries act on the rows of h, the last entry first.
+    """
+    actions = [_word_entry_action(lie, entry) for entry in word]
+    rows = h.basis_matrix
+    for act in reversed(actions):
+        rows = [act(row) for row in rows]
+    h_z = Subspace.from_spanning(h.ambient_dim, rows) if actions else h
     if not lie.is_subalgebra(h_z):
         raise LieAlgebraError("translated subspace is not a subalgebra")
     return BasePoint(tuple(word), h_z)
@@ -508,7 +521,7 @@ def compression_cone_of_point(
         raise NotAdaptedError("no open P-orbit")
     chars = lie.m_sign_characters(m_lattice)
     targets = [
-        analysis.h_empty.transform(lie.sign_character_ad(chi)) for chi in chars.elements
+        analysis.h_empty.scale_coordinates(lie.sign_scaling(chi)) for chi in chars.elements
     ]
     rays: list[Vec] = []
     lin_rows: list[Vec] = []
@@ -547,14 +560,14 @@ def phi(analysis: SphericalAnalysis, x_a: Sequence) -> Vec:
     out = zero_vec(lie.dim)
     heights = sorted({sum(lie.positive_roots[p]) for p in analysis.sigma_q})
     for h in heights:
-        cur = mat_vec(lie.exp_ad(vec_scale(-1, out)), x_g)
+        cur = lie.exp_ad_apply(vec_scale(-1, out), x_g)
         residual = tuple(t - c for t, c in zip(target, cur))
         upd = list(out)
         for p in analysis.sigma_q:
             if sum(lie.positive_roots[p]) == h:
                 upd[lie.e_index(p)] += residual[lie.e_index(p)] / alpha_vals[p]
         out = tuple(upd)
-    final = mat_vec(lie.exp_ad(vec_scale(-1, out)), x_g)
+    final = lie.exp_ad_apply(vec_scale(-1, out), x_g)
     if final != target:
         raise ContractViolation("Phi does not satisfy its defining identity")
     return out

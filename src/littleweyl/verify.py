@@ -522,7 +522,7 @@ def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[C
             Fraction(rng.randint(-2, 2)) if k >= lie.dim_a + lie.num_pos else Fraction(0)
             for k in range(lie.dim)
         )
-        e = lie.nbar_subspace().add(lie.a_subspace()).transform(lie.exp_ad(n))
+        e = lie.nbar_subspace().add(lie.a_subspace()).image(lambda v: lie.exp_ad_apply(n, v))
         lim = limit_subspace(lie, e, x)
         if not lie.is_subalgebra(lim):
             closure_ok = False

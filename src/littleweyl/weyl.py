@@ -463,8 +463,13 @@ class _WeylAmbient:
         return "e" if not best else "*".join(f"s{i + 1}" for i in best)
 
 
+def _weyl_ambient(analysis: SphericalAnalysis) -> _WeylAmbient:
+    """The W(Sigma) data of the analysis, computed once per analysis."""
+    return analysis._stage("weyl_ambient", lambda: _WeylAmbient.of(analysis))
+
+
 def _coset_labels(analysis, quot, elements) -> tuple[str, ...]:
-    amb = _WeylAmbient.of(analysis)
+    amb = _weyl_ambient(analysis)
     labels = []
     for m in elements:
         found = None
@@ -519,8 +524,8 @@ def _twisted_conjugates(
     elements w and the sign characters chi; each subspace keeps the first w
     that produces it, in Weyl-element then character order."""
     lie = analysis.lie
-    amb = _WeylAmbient.of(analysis)
-    chars = lie.m_sign_characters(m_lattice)
+    amb = _weyl_ambient(analysis)
+    scalings = [lie.sign_scaling(chi) for chi in lie.m_sign_characters(m_lattice).elements]
     targets: dict[Subspace, Mat] = {}
     for word, m in amb.elements:
         if not amb.in_normalizer(analysis, m):
@@ -528,10 +533,9 @@ def _twisted_conjugates(
         lift = lie.weyl_lift(word)
         if lift.action_on_a != m:
             raise ContractViolation("Weyl lift does not restrict to the word action")
-        conj = analysis.h_empty.transform(lift.adjoint_lift)
-        for chi in chars.elements:
-            tw = conj.transform(lie.sign_character_ad(chi))
-            targets.setdefault(tw, m)
+        conj = analysis.h_empty.image(lift.apply)
+        for factors in scalings:
+            targets.setdefault(conj.scale_coordinates(factors), m)
     return amb, targets
 
 
@@ -771,23 +775,35 @@ def coxeter_type_label(orders: Sequence[Sequence[int]]) -> str:
 
 
 def _component_label(comp, orders, adj) -> str:
+    """Type of one connected Coxeter diagram of at most four nodes.
+
+    Raises ContractViolation for any other diagram, so that no group is
+    reported with an unknown type.
+    """
     k = len(comp)
+    edges = {(i, j): orders[i][j] for i in comp for j in comp if i < j and orders[i][j] >= 3}
+    ms = sorted(edges.values())
+    ends = [i for i in comp if len(adj[i]) == 1]
     if k == 1:
         return "A1"
     if k == 2:
         m = orders[comp[0]][comp[1]]
         return {3: "A2", 4: "B2", 6: "G2"}.get(m, f"I2({m})")
-    if k == 3:
-        ends = [i for i in comp if len(adj[i]) == 1]
-        if len(ends) == 2:
-            ms = sorted(
-                orders[i][j]
-                for i in comp
-                for j in comp
-                if i < j and orders[i][j] >= 3
-            )
-            if ms == [3, 3]:
-                return "A3"
-            if ms == [3, 4]:
-                return "B3"
-    return "unknown"
+    if k == 3 and len(ends) == 2:
+        if ms == [3, 3]:
+            return "A3"
+        if ms == [3, 4]:
+            return "B3"
+    if k == 4 and len(edges) == 3:
+        if len(ends) == 3 and ms == [3, 3, 3]:
+            return "D4"
+        if len(ends) == 2 and ms == [3, 3, 3]:
+            return "A4"
+        if len(ends) == 2 and ms == [3, 3, 4]:
+            # the order-4 bond sits at an end of the chain in B4, in the middle in F4
+            i, j = next(e for e, m in edges.items() if m == 4)
+            return "B4" if i in ends or j in ends else "F4"
+    raise ContractViolation(
+        f"coxeter_type_label: unsupported Coxeter diagram with orders "
+        f"{[[orders[i][j] for j in comp] for i in comp]}"
+    )

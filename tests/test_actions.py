@@ -1,0 +1,150 @@
+"""Structured actions against dense references built here.
+
+Weyl lifts are signed permutations of the root vectors, sign characters and
+torus elements are coordinate scalings, exp(ad x) v is a bracket series and
+the invariant form is sparse.  Each is compared with the dense matrix it
+replaces.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.linalg import Subspace, dot, identity, mat_mul, mat_vec, vec
+
+
+def _lie(name):
+    return build_from_cartan(cartan_matrix_of_type(name))
+
+
+def _unit(dim, k):
+    return tuple(Fraction(1 if i == k else 0) for i in range(dim))
+
+
+def _dense_lifts(lie):
+    """word -> (dense lift, matrix on a), through the products
+    exp(ad e_i) exp(-ad f_i) exp(ad e_i) and the simple reflections."""
+    letters = []
+    for i in range(lie.rank):
+        p = lie.root_index(tuple(1 if j == i else 0 for j in range(lie.rank)))
+        e = _unit(lie.dim, lie.e_index(p))
+        minus_f = tuple(-c for c in _unit(lie.dim, lie.f_index(p)))
+        n_i = mat_mul(mat_mul(lie.exp_ad(e), lie.exp_ad(minus_f)), lie.exp_ad(e))
+        letters.append((n_i, lie.simple_reflection_on_a(i)))
+
+    def lift(word):
+        dense, on_a = identity(lie.dim), identity(lie.dim_a)
+        for i in word:
+            dense = mat_mul(dense, letters[i][0])
+            on_a = mat_mul(on_a, letters[i][1])
+        return dense, on_a
+
+    return lift
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+def test_lifts_match_dense_products_on_all_of_w(name):
+    lie = _lie(name)
+    dense = _dense_lifts(lie)
+    for word, m in lie.weyl_group_on_a():
+        lift = lie.weyl_lift(word)
+        want, on_a = dense(word)
+        assert lift.action_on_a == on_a == m
+        assert lift.adjoint_lift == want
+        v = tuple(Fraction(k + 1, 3) for k in range(lie.dim))
+        assert lift.apply(v) == mat_vec(want, v)
+
+
+@pytest.mark.parametrize("name", ["G2", "A3"])
+def test_lifts_match_dense_products_on_generators_and_longest(name):
+    lie = _lie(name)
+    dense = _dense_lifts(lie)
+    longest = max(lie.weyl_group_on_a(), key=lambda t: len(t[0]))[0]
+    for word in [(i,) for i in range(lie.rank)] + [longest]:
+        lift = lie.weyl_lift(word)
+        want, on_a = dense(word)
+        assert lift.action_on_a == on_a
+        assert lift.adjoint_lift == want
+
+
+def test_lift_rejects_letters_outside_the_rank():
+    lie = _lie("A2")
+    with pytest.raises(ValueError):
+        lie.weyl_lift([2])
+    with pytest.raises(ValueError):
+        lie.weyl_lift([-1])
+
+
+_ALGEBRAS = {name: _lie(name) for name in ("A2", "B2", "G2")}
+_small = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def _algebra_and_vectors(draw, in_n: bool):
+    lie = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]
+    v = tuple(draw(st.lists(_small, min_size=lie.dim, max_size=lie.dim)))
+    x = list(draw(st.lists(_small, min_size=lie.dim, max_size=lie.dim)))
+    if in_n:
+        n_coords = {lie.e_index(p) for p in range(lie.num_pos)}
+        x = [c if k in n_coords else Fraction(0) for k, c in enumerate(x)]
+    return lie, tuple(x), v
+
+
+def _dense_exp_ad(lie, x):
+    """exp(ad x) as the finite sum of the matrix powers of ad x."""
+    a = lie.ad(x)
+    out = term = identity(lie.dim)
+    for k in range(1, lie.dim + 1):
+        term = tuple(tuple(c / k for c in row) for row in mat_mul(term, a))
+        out = tuple(tuple(o + t for o, t in zip(r, s)) for r, s in zip(out, term))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(_algebra_and_vectors(in_n=True))
+def test_exp_ad_apply_matches_dense_exp_ad(case):
+    lie, x, v = case
+    dense = _dense_exp_ad(lie, x)
+    assert lie.exp_ad_apply(x, v) == mat_vec(dense, v)
+    assert lie.exp_ad(x) == dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebra_and_vectors(in_n=False))
+def test_sparse_invariant_form_matches_form_matrix(case):
+    lie, x, y = case
+    assert lie.invariant_form(x, y) == dot(vec(x), mat_vec(lie.form_matrix, vec(y)))
+
+
+@st.composite
+def _subspace_and_scaling(draw):
+    lie = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]
+    rows = draw(
+        st.lists(st.lists(_small, min_size=lie.dim, max_size=lie.dim), max_size=4)
+    )
+    sub = Subspace.from_spanning(lie.dim, rows)
+    if draw(st.booleans()):
+        group = lie.m_sign_characters(draw(st.sampled_from(["coroot", "coweight"])))
+        chi = group.elements[draw(st.integers(0, group.order - 1))]
+        old = [1] * lie.dim_a + [chi.value(p) for p in range(lie.num_pos)] * 2
+        return sub, lie.sign_scaling(chi), old
+    coweight = tuple(draw(st.lists(st.integers(-2, 2), min_size=lie.rank, max_size=lie.rank)))
+    scale = draw(st.sampled_from([Fraction(-1), Fraction(2, 3), Fraction(5)]))
+    old = [scale ** int(dot(w, vec(coweight))) for w in lie.weights]
+    return sub, lie.torus_scaling(coweight, scale), old
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subspace_and_scaling())
+def test_diagonal_actions_match_dense_diagonals(case):
+    sub, factors, old_diagonal = case
+    n = len(old_diagonal)
+    dense = tuple(
+        tuple(Fraction(old_diagonal[i]) if i == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+    assert factors == vec(old_diagonal)
+    assert sub.scale_coordinates(factors) == sub.transform(dense)

@@ -1,12 +1,14 @@
 """Each derived stage is computed once per analysis and shared by its consumers."""
 
+import dataclasses
 import json
 import sys
 from collections import Counter
 
 from littleweyl import cli, limits
+from littleweyl.lie import LieAlgebraData
 from littleweyl.spherical import analyze, compression_cone, is_admissible
-from littleweyl.weyl import weyl_from_limits
+from littleweyl.weyl import _WeylAmbient, little_weyl_group, weyl_from_limits
 
 
 def _record_limit_calls(monkeypatch) -> list:
@@ -48,3 +50,36 @@ def test_admissible_cli_flows_each_chamber_once(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["strategy"] == "self"
     assert sorted(Counter(calls).values()) == [1] * len(report["chambers"])
+
+
+def test_dense_exp_ad_runs_only_for_the_simple_lifts(monkeypatch, b2):
+    lie = dataclasses.replace(b2)  # same algebra, no lifts computed yet
+    calls = []
+    original = LieAlgebraData.exp_ad
+
+    def recording(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(LieAlgebraData, "exp_ad", recording)
+    words = [word for word, _ in lie.weyl_group_on_a()]
+    first = [lie.weyl_lift(word) for word in words]
+    assert len(calls) == 3 * lie.rank
+    assert [lie.weyl_lift(word) for word in words] == first
+    assert len(calls) == 3 * lie.rank
+
+
+def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):
+    an = analyze(a2, so3_subalgebra)
+    calls = []
+    original = _WeylAmbient.of
+
+    def recording(analysis):
+        calls.append(analysis)
+        return original(analysis)
+
+    monkeypatch.setattr(_WeylAmbient, "of", staticmethod(recording))
+    little_weyl_group(an)
+    weyl_from_limits(an, "coroot")
+    weyl_from_limits(an, "coweight")
+    assert calls == [an]

@@ -1,7 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
+from littleweyl.lie import cartan_matrix_of_type
 from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
-from littleweyl.spherical import analyze, boundary_degeneration, compression_cone
+from littleweyl.spherical import (
+    ContractViolation,
+    analyze,
+    boundary_degeneration,
+    compression_cone,
+)
 from littleweyl.weyl import (
     QuotientSpace,
     coxeter_type_label,
@@ -234,6 +242,54 @@ def test_coxeter_type_labels():
     assert (
         coxeter_type_label(((1, 3, 2), (3, 1, 3), (2, 3, 1))) == "A3"
     )
+
+
+def _coxeter_orders(cartan_type, order=None):
+    """Coxeter orders m_ij of a Cartan type, nodes optionally permuted."""
+    a = cartan_matrix_of_type(cartan_type)
+    n = len(a)
+    order = order or list(range(n))
+    m = {0: 2, 1: 3, 2: 4, 3: 6}
+    return tuple(
+        tuple(1 if i == j else m[a[i][j] * a[j][i]] for j in order) for i in order
+    )
+
+
+@pytest.mark.parametrize(
+    "cartan_type, order, label",
+    [
+        ("A4", None, "A4"),
+        ("A4", [2, 0, 3, 1], "A4"),
+        ("B4", None, "B4"),
+        ("B4", [3, 1, 0, 2], "B4"),
+        ("C4", None, "B4"),
+        ("D4", None, "D4"),
+        ("D4", [1, 3, 0, 2], "D4"),
+        ("F4", None, "F4"),
+        ("F4", [2, 0, 3, 1], "F4"),
+        ("B3", None, "B3"),
+        ("A2xB2", None, "A2 x B2"),
+        ("A1xD4", None, "A1 x D4"),
+    ],
+)
+def test_coxeter_type_labels_up_to_rank_four(cartan_type, order, label):
+    assert coxeter_type_label(_coxeter_orders(cartan_type, order)) == label
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        _coxeter_orders("A5"),
+        _coxeter_orders("D5"),
+        ((1, 3, 2), (3, 1, 5), (2, 5, 1)),  # H3
+        ((1, 3, 3), (3, 1, 3), (3, 3, 1)),  # triangle
+        ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1)),  # H4
+        ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1)),  # square
+    ],
+)
+def test_coxeter_type_label_raises_on_unsupported_diagrams(orders):
+    with pytest.raises(ContractViolation):
+        coxeter_type_label(orders)
 
 
 def test_quotient_space_roundtrip(a1xa1, twisted_diagonal):
