@@ -145,9 +145,6 @@ class Cone:
         """Dimension of the cone as a set."""
         return rank(list(self.rays) + list(self.lineality.basis_matrix))
 
-    def is_full_dimensional(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def contains(self, x: Sequence) -> bool:
         x = vec(x)
         return all(dot(g, x) <= 0 for g in self.inequalities)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import (
     Mat,
@@ -31,11 +31,9 @@ from .linalg import (
     dot,
     frac,
     identity,
-    mat,
     mat_mul,
     mat_vec,
     rank,
-    rref,
     solve,
     vec,
     vec_add,
@@ -101,34 +99,34 @@ def validate_cartan_matrix(a: Sequence[Sequence[int]]) -> list[int]:
     ints = [x // g for x in ints]
     # finite type iff the symmetrization is positive definite
     s = [[Fraction(ints[i] * a[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if _leading_minor(s, k) <= 0:
-            raise LieAlgebraError(
-                "Cartan matrix is not of finite type "
-                f"(leading principal minor {k} is not positive)"
-            )
+    k = _first_nonpositive_minor(s)
+    if k is not None:
+        raise LieAlgebraError(
+            "Cartan matrix is not of finite type "
+            f"(leading principal minor {k} is not positive)"
+        )
     return ints
 
 
-def _leading_minor(s: list[list[Fraction]], k: int) -> Fraction:
-    m = [row[:k] for row in s[:k]]
-    det = Fraction(1)
-    for c in range(k):
-        piv = None
-        for r in range(c, k):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, k):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+def _first_nonpositive_minor(s: Sequence[Sequence[Fraction]]) -> int | None:
+    """The index k of the first leading principal minor of s that is <= 0,
+    or None when all are positive (s is positive definite if symmetric).
+
+    One elimination without row swaps: while minors 1..c are positive, the
+    pivot in column c is the ratio of minors c + 1 and c, so the first pivot
+    <= 0 marks the first minor <= 0.
+    """
+    m = [list(row) for row in s]
+    n = len(m)
+    for c in range(n):
+        pv = m[c][c]
+        if pv <= 0:
+            return c + 1
+        for r in range(c + 1, n):
+            f = m[r][c] / pv
+            if f != 0:
+                m[r][c:] = [x - f * y for x, y in zip(m[r][c:], m[c][c:])]
+    return None
 
 
 def positive_roots_of(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -521,11 +519,6 @@ class LieAlgebraData:
     def a_subspace(self) -> Subspace:
         return Subspace.from_coordinates(self.dim, self.a_indices())
 
-    def n_subspace(self) -> Subspace:
-        return Subspace.from_coordinates(
-            self.dim, [self.e_index(p) for p in range(self.num_pos)]
-        )
-
     def nbar_subspace(self) -> Subspace:
         return Subspace.from_coordinates(
             self.dim, [self.f_index(p) for p in range(self.num_pos)]
@@ -577,14 +570,14 @@ class LieAlgebraData:
 
     # -- Weyl group ----------------------------------------------------------
 
-    def simple_reflection_on_a(self, i: int) -> Mat:
-        cols = []
-        cor = self.coroot(tuple(1 if j == i else 0 for j in range(self.rank)))
-        alpha_i = self.root_functional(tuple(1 if j == i else 0 for j in range(self.rank)))
-        for k in range(self.dim_a):
-            ek = tuple(Fraction(1 if c == k else 0) for c in range(self.dim_a))
-            cols.append(vec_add(ek, vec_scale(-dot(alpha_i, ek), cor)))
-        return tuple(zip(*cols))
+    def reflection_on_a(self, root: Sequence[int]) -> Mat:
+        """The reflection X -> X - root(X) coroot of a, as a matrix."""
+        f = self.root_functional(root)
+        cor = self.coroot(root)
+        return tuple(
+            tuple(Fraction(int(r == k)) - cor[r] * f[k] for k in range(self.dim_a))
+            for r in range(self.dim_a)
+        )
 
     @cached_property
     def _simple_lifts(self) -> tuple[WeylElement, ...]:
@@ -629,7 +622,10 @@ class LieAlgebraData:
 
     def weyl_group_on_a(self) -> list[tuple[tuple[int, ...], Mat]]:
         """All Weyl group elements as (shortest word, matrix on a), BFS order."""
-        gens = [self.simple_reflection_on_a(i) for i in range(self.rank)]
+        gens = [
+            self.reflection_on_a(tuple(1 if j == i else 0 for j in range(self.rank)))
+            for i in range(self.rank)
+        ]
         seen = {identity(self.dim_a): ()}
         frontier = [((), identity(self.dim_a))]
         out = [((), identity(self.dim_a))]
@@ -701,13 +697,6 @@ class LieAlgebraData:
             out.append(sol)
         return out
 
-    def rho_q(self, sigma_q: Iterable[int]) -> Vec:
-        """Half sum of the given positive roots, as an a-functional."""
-        out = zero_vec(self.dim_a)
-        for p in sigma_q:
-            out = vec_add(out, self.root_functional(self.positive_roots[p]))
-        return vec_scale(Fraction(1, 2), out)
-
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
@@ -737,9 +726,8 @@ class LieAlgebraData:
             [-self.invariant_form(basis[i], theta_basis[j]) for j in range(dim)]
             for i in range(dim)
         ]
-        for k in range(1, dim + 1):
-            if _leading_minor([row[:] for row in gram], k) <= 0:
-                raise LieAlgebraError("-B(., theta .) is not positive definite")
+        if _first_nonpositive_minor(gram) is not None:
+            raise LieAlgebraError("-B(., theta .) is not positive definite")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 For X in a the operator ad(X) is diagonal in the Chevalley basis, with the
 root values as eigenvalues.  The limit of Ad(exp(tX))E for t -> infinity is
-computed exactly by the filtered intersection formula
+the filtered intersection
 
-    E_X = sum over eigenvalues (ascending) of p_i( E cap V_{<= lambda_i} ),
+    E_X = sum over eigenvalues lambda_i of p_i( E cap V_{<= lambda_i} ),
 
-and a floating-point flow with re-orthonormalization serves as an independent
-numerical check.
+with V_{<= lambda_i} the sum of the eigenspaces up to lambda_i and p_i the
+projection onto the i-th one.  It is read off one row reduction of E on its
+coordinates in descending eigenvalue order.  The echelon rows with pivot
+level <= i span E cap V_{<= lambda_i}, and p_i kills those with pivot level
+below i, so p_i( E cap V_{<= lambda_i} ) is spanned by the level-i parts of
+the rows with pivot level i, and the sum by the pivot-level parts of all
+rows.  The same echelon form gives the filtration test.  A floating-point
+flow with re-orthonormalization serves as an independent numerical check.
 """
 
 from __future__ import annotations
@@ -19,14 +25,15 @@ from typing import Sequence
 import numpy as np
 
 from .lie import LieAlgebraData
-from .linalg import Subspace, Vec, dot, rank, vec
+from .linalg import Subspace, Vec, dot, rref, vec
 
 
 @dataclass(frozen=True)
 class GradedDirection:
-    """Eigenvalue data of ad(X) for X in a: sorted eigenvalues and the basis
-    indices of the corresponding eigenspaces.  The eigenspace projections are
-    coordinate projections; ad(X) = sum of eigenvalue * projection."""
+    """Eigenvalue data of ad(X) for X in a: the eigenvalues in ascending order
+    (the levels) and the basis indices of each eigenspace.  The eigenspaces
+    are coordinate subspaces, so reversing the levels orders the coordinates
+    for the echelon form behind limit_subspace."""
 
     x: Vec
     eigenvalues: tuple[Fraction, ...]
@@ -35,17 +42,6 @@ class GradedDirection:
     @property
     def levels(self) -> int:
         return len(self.eigenvalues)
-
-    def projection(self, i: int):
-        n = sum(len(idx) for idx in self.eigenspace_indices)
-        level = set(self.eigenspace_indices[i])
-        return tuple(
-            tuple(
-                Fraction(1) if r == c and r in level else Fraction(0)
-                for c in range(n)
-            )
-            for r in range(n)
-        )
 
 
 def graded_direction(lie: LieAlgebraData, x: Sequence) -> GradedDirection:
@@ -60,19 +56,37 @@ def graded_direction(lie: LieAlgebraData, x: Sequence) -> GradedDirection:
     return GradedDirection(x, eigenvalues, indices)
 
 
+def _pivot_parts(
+    lie: LieAlgebraData, e: Subspace, gd: GradedDirection
+) -> list[tuple[int, Vec]]:
+    """Row-reduce E once on its coordinates in descending eigenvalue order.
+
+    Returns, per echelon row, its pivot level and its part at that level (in
+    the original coordinates).  The rows with pivot level <= i span
+    E cap V_{<= lambda_i}, and each row is zero on every level above its
+    pivot.
+    """
+    order = [k for idx in reversed(gd.eigenspace_indices) for k in idx]
+    level = [0] * lie.dim
+    for i, idx in enumerate(gd.eigenspace_indices):
+        for k in idx:
+            level[k] = i
+    red, pivots = rref([[row[k] for k in order] for row in e.basis_matrix])
+    out = []
+    for row, p in zip(red, pivots):
+        lvl = level[order[p]]
+        part = [Fraction(0)] * lie.dim
+        for c, k in enumerate(order):
+            if level[k] == lvl:
+                part[k] = row[c]
+        out.append((lvl, tuple(part)))
+    return out
+
+
 def limit_subspace(lie: LieAlgebraData, e: Subspace, x: Sequence) -> Subspace:
     """lim_{t->oo} Ad(exp(tX)) E in the Grassmannian, exactly."""
-    gd = graded_direction(lie, x)
-    rows: list[Vec] = []
-    allowed: list[int] = []
-    for i in range(gd.levels):
-        allowed += list(gd.eigenspace_indices[i])
-        w = e.restrict_to_coordinates(allowed)
-        level = set(gd.eigenspace_indices[i])
-        for row in w.basis_matrix:
-            proj = tuple(c if k in level else Fraction(0) for k, c in enumerate(row))
-            rows.append(proj)
-    out = Subspace.from_spanning(lie.dim, rows)
+    parts = _pivot_parts(lie, e, graded_direction(lie, x))
+    out = Subspace.from_spanning(lie.dim, [part for _, part in parts])
     assert out.dim == e.dim, "limit changed the dimension"
     return out
 
@@ -116,19 +130,18 @@ def filtration_degenerate(lie: LieAlgebraData, e: Subspace, x: Sequence) -> bool
     keep the limit, and any rounding of that cancellation gets amplified
     toward the generic limit instead.  A single row is never affected: the
     flow only rescales its coordinates, so the zero pattern survives exactly.
-    The test only inspects ranks of E against the filtration coordinates.
+    The test counts, per level, the echelon rows of E that lie in the
+    filtration step up to that level.
     """
     if e.dim <= 1:
         return False
     gd = graded_direction(lie, x)
-    allowed: list[int] = []
+    pivot_levels = [lvl for lvl, _ in _pivot_parts(lie, e, gd)]
+    above = lie.dim
     for i in range(gd.levels - 1):
-        allowed += list(gd.eigenspace_indices[i])
-        complement = [k for k in range(lie.dim) if k not in set(allowed)]
-        outside = rank([tuple(row[k] for k in complement) for row in e.basis_matrix])
-        meet = e.dim - outside
-        generic = max(0, e.dim - len(complement))
-        if meet > generic:
+        above -= len(gd.eigenspace_indices[i])
+        meet = sum(1 for lvl in pivot_levels if lvl <= i)
+        if meet > max(0, e.dim - above):
             return True
     return False
 

@@ -300,21 +300,6 @@ class Subspace:
         """Canonical basis of functionals vanishing on the subspace."""
         return kernel(self.basis_matrix, self.ambient_dim)
 
-    def restrict_to_coordinates(self, indices: Sequence[int]) -> "Subspace":
-        """Vectors of the subspace supported on the given coordinates."""
-        comp = [c for c in range(self.ambient_dim) if c not in set(indices)]
-        if not comp or self.dim == 0:
-            return self
-        eq_rows = [tuple(self.basis_matrix[i][c] for i in range(self.dim)) for c in comp]
-        ker = kernel(eq_rows, self.dim)
-        rows = []
-        for coeffs in ker:
-            v = zero_vec(self.ambient_dim)
-            for i in range(self.dim):
-                v = vec_add(v, vec_scale(coeffs[i], self.basis_matrix[i]))
-            rows.append(v)
-        return Subspace.from_spanning(self.ambient_dim, rows)
-
     def transform(self, m: Mat) -> "Subspace":
         """Image under the linear map given by the matrix (columns = input coords)."""
         return self.image(lambda row: mat_vec(m, row), len(m))

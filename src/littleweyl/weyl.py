@@ -142,15 +142,6 @@ class WallGenerator:
     matrix_on_quotient: Mat
 
 
-def _reflection_on_a(lie: LieAlgebraData, root: Sequence[int]) -> Mat:
-    f = lie.root_functional(root)
-    cor = lie.coroot(root)
-    cols = []
-    for e in identity(lie.dim_a):
-        cols.append(vec_add(e, vec_scale(-dot(f, e), cor)))
-    return tuple(zip(*cols))
-
-
 def _root_pairing(lie: LieAlgebraData, r1: Sequence[int], r2: Sequence[int]) -> Fraction:
     return sum(
         Fraction(lie.symmetrizer[i] * lie.cartan_matrix[i][j]) * r1[i] * r2[j]
@@ -192,7 +183,7 @@ def wall_reflection(
             break
 
     if root_like is not None:
-        m = _reflection_on_a(lie, root_like)
+        m = lie.reflection_on_a(root_like)
         half = tuple(Fraction(c, 2) for c in weight.coords)
         in_sigma_or_twice = weight.coords in lie.positive_roots or (
             all(x.denominator == 1 for x in half)
@@ -221,7 +212,7 @@ def wall_reflection(
             meet = span.intersect(analysis.a_h)
             if meet.dim == 0:
                 continue
-            m = mat_mul(_reflection_on_a(lie, beta), _reflection_on_a(lie, gamma))
+            m = mat_mul(lie.reflection_on_a(beta), lie.reflection_on_a(gamma))
             witness = ("pair", beta, gamma, meet.basis_matrix[0])
             break
         if m is None:
@@ -431,7 +422,7 @@ class _WeylAmbient:
                 perm[r] = fn_to_root[f2]
             images[m] = perm
         levi_roots = [analysis.lie.positive_roots[p] for p in analysis.sigma0]
-        levi_gens = [_reflection_on_a(lie, r) for r in levi_roots]
+        levi_gens = [lie.reflection_on_a(r) for r in levi_roots]
         levi = {identity(lie.dim_a)}
         frontier = [identity(lie.dim_a)]
         while frontier:

@@ -33,7 +33,7 @@ def _dense_lifts(lie):
         e = _unit(lie.dim, lie.e_index(p))
         minus_f = tuple(-c for c in _unit(lie.dim, lie.f_index(p)))
         n_i = mat_mul(mat_mul(lie.exp_ad(e), lie.exp_ad(minus_f)), lie.exp_ad(e))
-        letters.append((n_i, lie.simple_reflection_on_a(i)))
+        letters.append((n_i, lie.reflection_on_a(lie.positive_roots[p])))
 
     def lift(word):
         dense, on_a = identity(lie.dim), identity(lie.dim_a)

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littleweyl.lie import (
     LieAlgebraError,
+    _first_nonpositive_minor,
     build_from_cartan,
     cartan_matrix_of_type,
+    validate_cartan_matrix,
 )
 from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
 
@@ -273,3 +278,35 @@ def test_torus_ad_exactness(a1):
 def test_exp_ad_requires_nilpotent(a1):
     with pytest.raises(LieAlgebraError):
         a1.exp_ad(H)
+
+
+@pytest.mark.parametrize(
+    "matrix,minor",
+    [
+        ([[2, -2], [-2, 2]], 2),  # affine A1~
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 3),  # affine A2~, the 3-cycle
+    ],
+)
+def test_affine_cartan_matrices_name_the_first_nonpositive_minor(matrix, minor):
+    with pytest.raises(LieAlgebraError, match=f"leading principal minor {minor} is not positive"):
+        validate_cartan_matrix(matrix)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    upper = {
+        (i, j): draw(st.integers(-1, 6) if i == j else st.integers(-3, 3))
+        for i in range(n)
+        for j in range(i, n)
+    }
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_matrices())
+def test_first_nonpositive_minor_matches_sympy_determinants(m):
+    n = len(m)
+    dets = [sympy.Matrix(m).extract(list(range(k)), list(range(k))).det() for k in range(1, n + 1)]
+    expected = next((k + 1 for k, d in enumerate(dets) if d <= 0), None)
+    assert _first_nonpositive_minor([[Fraction(x) for x in row] for row in m]) == expected

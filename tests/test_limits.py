@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
+    filtration_degenerate,
     float_flow_oracle,
     graded_direction,
     is_order_regular,
@@ -183,3 +188,65 @@ def test_order_regular_hyperplane_count(a2):
 def test_oracle_suite_rank_two(a2):
     results = limit_oracle_suite(a2, count=30, seed=1)
     assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def _reference_levels(lie, e, x):
+    """Per ascending ad(X) level i: E cap V_{<= lambda_i} (by intersecting with
+    the coordinate subspace of levels <= i), the level's indices, and
+    dim V_{<= lambda_i}."""
+    allowed = []
+    for idx in graded_direction(lie, x).eigenspace_indices:
+        allowed += idx
+        yield e.intersect(Subspace.from_coordinates(lie.dim, allowed)), idx, len(allowed)
+
+
+def _reference_limit(lie, e, x):
+    """The level-by-level formula sum_i p_i(E cap V_{<= lambda_i})."""
+    rows = []
+    for meet, idx, _ in _reference_levels(lie, e, x):
+        rows += [
+            tuple(c if k in idx else 0 for k, c in enumerate(row)) for row in meet.basis_matrix
+        ]
+    return Subspace.from_spanning(lie.dim, rows)
+
+
+def _reference_degenerate(lie, e, x):
+    """dim(E cap V_{<= lambda_i}) above its generic value at some proper step."""
+    if e.dim <= 1:
+        return False
+    steps = list(_reference_levels(lie, e, x))[:-1]
+    return any(meet.dim > max(0, e.dim - (lie.dim - below)) for meet, _, below in steps)
+
+
+@st.composite
+def _limit_instances(draw):
+    """(lie, E, X) on A2, B2, G2 or A3: E spanned by 1-6 sparse integer rows,
+    X order-regular, arbitrary, zero, or on a hyperplane alpha - beta = 0."""
+    lie = build_from_cartan(cartan_matrix_of_type(draw(st.sampled_from(["A2", "B2", "G2", "A3"]))))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    rows = draw(
+        st.lists(st.lists(entry, min_size=lie.dim, max_size=lie.dim), min_size=1, max_size=6)
+    )
+    e = Subspace.from_spanning(lie.dim, rows)
+    free = st.lists(st.integers(-3, 3), min_size=lie.dim_a, max_size=lie.dim_a)
+    kind = draw(st.sampled_from(["order_regular", "arbitrary", "zero", "wall"]))
+    if kind == "order_regular":
+        x = random_order_regular(lie, random.Random(draw(st.integers(0, 10**6))))
+    elif kind == "zero":
+        x = (0,) * lie.dim_a
+    else:
+        x = tuple(draw(free))
+        if kind == "wall":
+            h = draw(st.sampled_from(order_regular_hyperplanes(lie)))
+            hh = sum(c * c for c in h)
+            hx = sum(c * d for c, d in zip(h, x))
+            x = tuple(hh * d - hx * c for c, d in zip(h, x))
+    return lie, e, vec(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_limit_instances())
+def test_limit_and_filtration_test_match_the_level_by_level_formula(instance):
+    lie, e, x = instance
+    assert limit_subspace(lie, e, x) == _reference_limit(lie, e, x)
+    assert filtration_degenerate(lie, e, x) == _reference_degenerate(lie, e, x)

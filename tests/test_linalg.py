@@ -65,12 +65,6 @@ def test_intersection_random_dimension_formula():
         assert u.contains(u.intersect(v))
 
 
-def test_restrict_to_coordinates():
-    s = Subspace.from_spanning(3, [(1, 1, 0), (0, 0, 1)])
-    r = s.restrict_to_coordinates([2])
-    assert r.basis_matrix == ((Fraction(0), Fraction(0), Fraction(1)),)
-
-
 def test_reduce_vector_canonical_mod_subspace():
     s = Subspace.from_spanning(3, [(1, 0, 1)])
     assert s.reduce_vector((2, 3, 2)) == vec((0, 3, 0))

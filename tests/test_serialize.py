@@ -117,32 +117,3 @@ def test_catalog_export_schema():
     assert data["claims"]["w_order"] == 2
     lie, bp, claims = space_from_json(json.loads(json.dumps(data)))
     assert bp.h_z.dim == 3
-
-
-def test_graded_direction_projections(a1):
-    from littleweyl.limits import graded_direction
-    from littleweyl.linalg import identity, mat_mul
-
-    gd = graded_direction(a1, (1,))
-    total = None
-    for i in range(gd.levels):
-        p = gd.projection(i)
-        total = p if total is None else tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(total, p)
-        )
-        for j in range(gd.levels):
-            if i != j:
-                prod = mat_mul(p, gd.projection(j))
-                assert all(c == 0 for row in prod for c in row)
-    assert total == identity(3)
-    # ad(X) = sum lambda_i p_i
-    adx = a1.ad(a1.a_vector_to_g((1,)))
-    recon = None
-    for i in range(gd.levels):
-        term = tuple(
-            tuple(gd.eigenvalues[i] * c for c in row) for row in gd.projection(i)
-        )
-        recon = term if recon is None else tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(recon, term)
-        )
-    assert recon == adx

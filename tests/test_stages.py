@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import random
 import sys
 from collections import Counter
 
-from littleweyl import cli, limits
-from littleweyl.lie import LieAlgebraData
+from littleweyl import cli, limits, linalg
+from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.spherical import analyze, compression_cone, is_admissible
+from littleweyl.verify import random_order_regular, random_subspace
 from littleweyl.weyl import _WeylAmbient, little_weyl_group, weyl_from_limits
 
 
@@ -83,3 +85,24 @@ def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):
     weyl_from_limits(an, "coroot")
     weyl_from_limits(an, "coweight")
     assert calls == [an]
+
+
+def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
+    a3 = build_from_cartan(cartan_matrix_of_type("A3"))
+    rng = random.Random(3)
+    x = random_order_regular(a3, rng)
+    e = random_subspace(a3, rng, 6)
+    assert limits.graded_direction(a3, x).levels == 13
+    calls = []
+    original = linalg.rref
+
+    def recording(rows):
+        calls.append(rows)
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name == "littleweyl" or name.startswith("littleweyl."):
+            if getattr(module, "rref", None) is original:
+                monkeypatch.setattr(module, "rref", recording)
+    assert limits.limit_subspace(a3, e, x).dim == 6
+    assert len(calls) <= 2
