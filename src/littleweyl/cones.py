@@ -4,101 +4,128 @@ Cones are stored closed, as {X : g(X) <= 0 for all g in inequalities}, with a
 double description kept consistent: primitive integer extreme rays modulo the
 lineality space, and the lineality space itself in canonical echelon form.
 Strict membership is a separate predicate.
+
+Inequalities and generators are half-spaces and rays, which a positive
+rescaling does not change, so the double description, the rank tests and the
+facet tests all run on primitive integer vectors; only the stored cone holds
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import (
+    IntEchelon,
     Mat,
     Subspace,
     Vec,
     dot,
+    int_dot,
+    integer_echelon,
+    integer_rank,
+    integer_reduce,
     mat_vec,
-    primitive,
+    primitive_ints,
     primitive_signed,
-    rank,
     vec,
-    vec_add,
     vec_scale,
     zero_vec,
 )
+
+IntVec = tuple[int, ...]
 
 
 class ConeError(ValueError):
     pass
 
 
-def _dd(inequalities: Sequence[Vec], dim: int) -> tuple[list[Vec], Subspace]:
-    """Double description of {x : g(x) <= 0}: extreme rays and lineality."""
-    lin: list[Vec] = [
-        tuple(Fraction(1 if j == i else 0) for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
+def _dd(inequalities: Sequence[IntVec], dim: int) -> tuple[list[IntVec], IntEchelon]:
+    """Double description of {x : g(x) <= 0}: extreme rays and lineality.
 
-    def reduce_mod_lin(r: Vec) -> Vec:
-        red = Subspace.from_spanning(dim, lin).reduce_vector(r) if lin else r
-        if all(c == 0 for c in red):
-            return zero_vec(dim)
-        return primitive(red)
-
+    The rays are primitive, reduced modulo the lineality and sorted; the
+    lineality is returned as its integer echelon form.
+    """
+    lin: list[IntVec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    echelon = integer_echelon(lin)
+    rays: list[IntVec] = []
+    processed: list[IntVec] = []
     for g in inequalities:
-        g = vec(g)
-        split = next((l for l in lin if dot(g, l) != 0), None)
+        g_lin = [int_dot(g, l) for l in lin]
+        split = next((i for i, x in enumerate(g_lin) if x), None)
         if split is not None:
-            l0 = split if dot(g, split) > 0 else vec_scale(-1, split)
-            gl0 = dot(g, l0)
+            l0, gl0 = lin[split], g_lin[split]
+            if gl0 < 0:
+                l0, gl0 = _neg(l0), -gl0
+            # x -> gl0·x - g(x)·l0: a positive multiple of the projection of x
+            # along l0 onto the hyperplane g = 0
             lin = [
-                vec_sub_scaled(l, dot(g, l) / gl0, l0) for l in lin if l is not split
+                primitive_ints(_combine(gl0, l, -gl, l0))
+                for i, (l, gl) in enumerate(zip(lin, g_lin))
+                if i != split
             ]
-            rays = [vec_sub_scaled(r, dot(g, r) / gl0, l0) for r in rays]
-            rays.append(vec_scale(-1, l0))
+            rays = [_combine(gl0, r, -int_dot(g, r), l0) for r in rays]
+            rays.append(_neg(l0))
+            echelon = integer_echelon(lin)
         else:
-            neg = [r for r in rays if dot(g, r) < 0]
-            zero = [r for r in rays if dot(g, r) == 0]
-            pos = [r for r in rays if dot(g, r) > 0]
-            combos = []
-            for rp in pos:
-                for rn in neg:
-                    combos.append(
-                        vec_add(vec_scale(dot(g, rp), rn), vec_scale(-dot(g, rn), rp))
-                    )
-            rays = neg + zero + combos
+            neg, zero, pos = [], [], []
+            for r in rays:
+                gr = int_dot(g, r)
+                if gr < 0:
+                    neg.append((gr, r))
+                elif gr == 0:
+                    zero.append(r)
+                else:
+                    pos.append((gr, r))
+            combos = [_combine(gp, rn, -gn, rp) for gp, rp in pos for gn, rn in neg]
+            rays = [r for _, r in neg] + zero + combos
         processed.append(g)
-        # canonicalize and keep extreme rays only
-        lin_dim = len(lin)
-        seen: dict[Vec, None] = {}
-        kept: list[Vec] = []
+        # canonicalize and keep extreme rays only: r is extreme iff the tight
+        # system cuts the cone down to lin + one ray
+        target = dim - len(echelon) - 1
+        seen: dict[IntVec, None] = {}
         for r in rays:
-            r = reduce_mod_lin(r)
-            if all(c == 0 for c in r) or r in seen:
-                continue
-            seen[r] = None
-            kept.append(r)
-        rays = [
-            r
-            for r in kept
-            if _is_extreme(r, processed, lin, lin_dim, dim)
-        ]
-    lin_sub = Subspace.from_spanning(dim, lin)
-    rays = sorted(rays)
-    return rays, lin_sub
+            r = primitive_ints(integer_reduce(r, echelon))
+            if any(r):
+                seen[r] = None
+        rays = []
+        for r in seen:
+            tight = [h for h in processed if int_dot(h, r) == 0]
+            if len(tight) >= target and integer_rank(tight) == target:
+                rays.append(r)
+    return sorted(rays), echelon
 
 
-def vec_sub_scaled(a: Vec, c: Fraction, b: Vec) -> Vec:
-    return tuple(x - c * y for x, y in zip(a, b))
+def _combine(a: int, x: IntVec, b: int, y: IntVec) -> IntVec:
+    return tuple(a * xi + b * yi for xi, yi in zip(x, y))
 
 
-def _is_extreme(
-    r: Vec, processed: Sequence[Vec], lin: Sequence[Vec], lin_dim: int, dim: int
-) -> bool:
-    tight = [g for g in processed if dot(g, r) == 0]
-    # r is extreme iff the tight system cuts the cone down to lin + one ray
-    return rank(tight) == dim - lin_dim - 1
+def _neg(x: IntVec) -> IntVec:
+    return tuple(-c for c in x)
+
+
+def _fractions(x: IntVec) -> Vec:
+    return tuple(Fraction(c) for c in x)
+
+
+def _subspace(dim: int, echelon: IntEchelon) -> Subspace:
+    """The canonical Subspace spanned by an integer echelon form."""
+    return Subspace(
+        dim,
+        tuple(
+            tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(echelon)
+        ),
+    )
+
+
+def _int_rows(dim: int, rows: Iterable[Sequence]) -> list[IntVec]:
+    out = [primitive_ints(r) for r in rows]
+    if any(len(r) != dim for r in out):
+        raise ConeError(f"expected vectors of length {dim}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,36 +141,56 @@ class Cone:
 
     @staticmethod
     def from_inequalities(dim: int, gammas: Iterable[Sequence]) -> "Cone":
-        gams = [vec(g) for g in gammas]
+        gams = _int_rows(dim, gammas)
         rays, lin = _dd(gams, dim)
         ineqs = _minimal_inequalities(gams, rays, lin, dim)
-        return Cone(dim, ineqs, tuple(rays), lin)
+        return Cone(
+            dim,
+            tuple(map(_fractions, ineqs)),
+            tuple(map(_fractions, rays)),
+            _subspace(dim, lin),
+        )
 
     @staticmethod
     def from_rays(dim: int, rays: Iterable[Sequence], lineality: Subspace | None = None) -> "Cone":
-        gens = [vec(r) for r in rays]
+        gens = _int_rows(dim, rays)
         if lineality is not None:
-            for l in lineality.basis_matrix:
+            for l in _int_rows(dim, lineality.basis_matrix):
                 gens.append(l)
-                gens.append(vec_scale(-1, l))
+                gens.append(_neg(l))
         # polar cone {g : g(r) <= 0 for all generators}, described by its rays
         polar_rays, polar_lin = _dd(gens, dim)
         ineqs = list(polar_rays)
-        for l in polar_lin.basis_matrix:
+        for _, l in polar_lin:
             ineqs.append(l)
-            ineqs.append(vec_scale(-1, l))
+            ineqs.append(_neg(l))
         return Cone.from_inequalities(dim, ineqs)
 
     @staticmethod
     def full_space(dim: int) -> "Cone":
         return Cone.from_inequalities(dim, [])
 
+    # -- integer views of the stored description -------------------------------
+
+    @cached_property
+    def _int_inequalities(self) -> list[IntVec]:
+        return [primitive_ints(g) for g in self.inequalities]
+
+    @cached_property
+    def _int_generators(self) -> tuple[list[IntVec], list[IntVec]]:
+        """The rays and the lineality basis as primitive integer vectors."""
+        return (
+            [primitive_ints(r) for r in self.rays],
+            [primitive_ints(l) for l in self.lineality.basis_matrix],
+        )
+
     # -- basic structure -------------------------------------------------------
 
     @property
     def dim(self) -> int:
         """Dimension of the cone as a set."""
-        return rank(list(self.rays) + list(self.lineality.basis_matrix))
+        rays, lin = self._int_generators
+        return integer_rank(rays + lin)
 
     def contains(self, x: Sequence) -> bool:
         x = vec(x)
@@ -181,7 +228,7 @@ class Cone:
 
     def intersect(self, other: "Cone") -> "Cone":
         return Cone.from_inequalities(
-            self.ambient_dim, list(self.inequalities) + list(other.inequalities)
+            self.ambient_dim, self._int_inequalities + other._int_inequalities
         )
 
     def edge(self) -> Subspace:
@@ -190,16 +237,16 @@ class Cone:
 
     def faces(self) -> list["Cone"]:
         """All faces, via subsets of the minimal facet inequalities."""
-        facets = self._facet_inequalities()
+        facets = self._int_facets()
         out: dict[Cone, None] = {}
         for mask in range(1 << len(facets)):
             extra = []
             for i, g in enumerate(facets):
                 if (mask >> i) & 1:
                     extra.append(g)
-                    extra.append(vec_scale(-1, g))
+                    extra.append(_neg(g))
             face = Cone.from_inequalities(
-                self.ambient_dim, list(self.inequalities) + extra
+                self.ambient_dim, self._int_inequalities + extra
             )
             out[face] = None
         return sorted(out, key=lambda c: (c.dim, c.rays))
@@ -217,16 +264,15 @@ class Cone:
             return []
         walls = [
             Cone.from_inequalities(
-                self.ambient_dim, list(self.inequalities) + [g, vec_scale(-1, g)]
+                self.ambient_dim, self._int_inequalities + [g, _neg(g)]
             )
-            for g in self._facet_inequalities()
+            for g in self._int_facets()
         ]
         return sorted(walls, key=lambda c: c.rays)
 
     def span(self) -> Subspace:
-        return Subspace.from_spanning(
-            self.ambient_dim, list(self.rays) + list(self.lineality.basis_matrix)
-        )
+        rays, lin = self._int_generators
+        return _subspace(self.ambient_dim, integer_echelon(rays + lin))
 
     def transform(self, m: Mat) -> "Cone":
         """Image under an invertible linear map."""
@@ -238,52 +284,57 @@ class Cone:
 
     def relative_interior_point(self) -> Vec:
         """A rational point in the relative interior, deterministically."""
-        if not self.rays:
+        rays, _ = self._int_generators
+        if not rays:
             return zero_vec(self.ambient_dim)
         strict = [
-            g
-            for g in self.inequalities
-            if any(dot(g, r) != 0 for r in self.rays)
+            g for g in self._int_inequalities if any(int_dot(g, r) for r in rays)
         ]
         t = 1
         while True:
             t += 1
-            p = zero_vec(self.ambient_dim)
-            for k, r in enumerate(self.rays):
-                p = vec_add(p, vec_scale(Fraction(t) ** k, r))
-            if all(dot(g, p) < 0 for g in strict):
-                return p
-            if t > 4 * (len(self.rays) + 1) * (len(strict) + 1):
+            p = [0] * self.ambient_dim
+            for k, r in enumerate(rays):
+                p = _combine(1, p, t**k, r)
+            if all(int_dot(g, p) < 0 for g in strict):
+                return _fractions(p)
+            if t > 4 * (len(rays) + 1) * (len(strict) + 1):
                 raise ConeError("no relative interior point found")
 
     def _facet_inequalities(self) -> list[Vec]:
+        return [_fractions(g) for g in self._int_facets()]
+
+    def _int_facets(self) -> list[IntVec]:
         cone_dim = self.dim
-        out = []
-        for g in self.inequalities:
-            tight = [r for r in self.rays if dot(g, r) == 0] + list(
-                self.lineality.basis_matrix
-            )
-            if rank(tight) == cone_dim - 1:
-                out.append(g)
-        return out
+        return [
+            g
+            for g in self._int_inequalities
+            if _is_facet(g, *self._int_generators, cone_dim)
+        ]
+
+
+def _is_facet(g: IntVec, rays: list[IntVec], lin: list[IntVec], cone_dim: int) -> bool:
+    """Whether the valid inequality g <= 0 cuts out a facet of the cone."""
+    tight = [r for r in rays if int_dot(g, r) == 0] + lin
+    return integer_rank(tight) == cone_dim - 1
 
 
 def _minimal_inequalities(
-    gams: Sequence[Vec], rays: Sequence[Vec], lin: Subspace, dim: int
-) -> tuple[Vec, ...]:
+    gams: Sequence[IntVec], rays: list[IntVec], lin: IntEchelon, dim: int
+) -> list[IntVec]:
     """Facet inequalities plus +-pairs spanning the annihilator of the cone."""
-    cone_dim = rank(list(rays) + list(lin.basis_matrix))
-    span = Subspace.from_spanning(dim, list(rays) + list(lin.basis_matrix))
-    ineqs: dict[Vec, None] = {}
-    for g in span.annihilator():
-        g = primitive(g)
-        ineqs[g] = None
-        ineqs[vec_scale(-1, g)] = None
+    lin_rows = [row for _, row in lin]
+    span = integer_echelon(rays + lin_rows)
+    ineqs: dict[IntVec, None] = {}
+    if len(span) < dim:
+        for g in _subspace(dim, span).annihilator():
+            g = primitive_ints(g)
+            ineqs[g] = None
+            ineqs[_neg(g)] = None
     for g in gams:
-        tight = [r for r in rays if dot(g, r) == 0] + list(lin.basis_matrix)
-        if rank(tight) == cone_dim - 1 and all(dot(g, r) <= 0 for r in rays):
-            ineqs[primitive(g)] = None
-    return tuple(sorted(ineqs))
+        if _is_facet(g, rays, lin_rows, len(span)):
+            ineqs[g] = None
+    return sorted(ineqs)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +395,12 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
 
     seed = _generic_point(dim, hyperplanes)
     seed_signs = tuple(_sign(dot(h, seed)) for h in hyperplanes)
+    int_hyps = [primitive_ints(h) for h in hyperplanes]
+    index = {h: i for i, h in enumerate(int_hyps)}
 
     def build(signs: tuple[int, ...]) -> Chamber:
         cone = Cone.from_inequalities(
-            dim, [vec_scale(-s, h) for s, h in zip(signs, hyperplanes)]
+            dim, [tuple(-s * c for c in h) for s, h in zip(signs, int_hyps)]
         )
         return Chamber(signs, cone.relative_interior_point(), cone)
 
@@ -357,9 +410,10 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
     while frontier:
         nxt = []
         for ch in sorted(frontier, key=lambda c: c.signs):
-            for g in ch.cone._facet_inequalities():
-                pg = primitive_signed(g)
-                i = hyperplanes.index(pg)
+            for g in ch.cone._int_facets():
+                i = index.get(g)
+                if i is None:
+                    i = index[_neg(g)]
                 flipped = tuple(
                     -s if j == i else s for j, s in enumerate(ch.signs)
                 )

@@ -848,13 +848,24 @@ def _build_cached(key) -> LieAlgebraData:
         components=_components(a),
     )
 
-    # Killing form on the semisimple part, identity pairing on the center
-    ads = [data.ad(e) for e in identity(dim)]
+    # Killing form B(x_i, x_j) = tr(ad x_i ad x_j) = sum_{k,l} c_il^k c_jk^l on
+    # the semisimple part, read off the structure constants. B pairs weight
+    # spaces of opposite weight only, so the nonzero entries lie in the (h, h)
+    # block and at the (e_p, f_p) pairs; the center pairs by the identity.
+    def killing(i: int, j: int) -> Fraction:
+        t = Fraction(0)
+        for l in range(dim):
+            for k, c in data.bracket_basis(i, l).items():
+                c2 = data.bracket_basis(j, k).get(l)
+                if c2:
+                    t += c * c2
+        return t
+
     form = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            t = sum((dot(ads[i][r], tuple(row[r] for row in ads[j])) for r in range(dim)), Fraction(0))
-            form[i][j] = form[j][i] = t
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs += [(e_idx(p), f_idx(p)) for p in range(m)]
+    for i, j in pairs:
+        form[i][j] = form[j][i] = killing(i, j)
     for z in range(abelian_center_dim):
         form[n + z][n + z] = Fraction(1)
 

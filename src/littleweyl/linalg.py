@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -155,20 +156,21 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     return tuple(x)
 
 
+def primitive_ints(v: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector; 0 stays 0."""
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        v = vec(v)
+        l = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (l // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
 def primitive(v: Sequence) -> Vec:
     """Scale a rational vector to a primitive integer vector, keeping direction."""
-    v = vec(v)
-    denoms = [x.denominator for x in v]
-    l = 1
-    for d in denoms:
-        l = l * d // gcd(l, d)
-    ints = [int(x * l) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return v
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(Fraction(x) for x in primitive_ints(v))
 
 
 def primitive_signed(v: Sequence) -> Vec:
@@ -210,6 +212,55 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
         if nz:
             active.remove(nz[0])
     return [tuple(u[r][c] for r in range(ncols)) for c in active]
+
+
+IntEchelon = list[tuple[int, tuple[int, ...]]]
+
+
+def integer_reduce(v: Sequence[int], echelon: IntEchelon) -> tuple[int, ...]:
+    """A positive multiple of v, reduced to zero on the pivots of ``echelon``.
+
+    Each step is v -> row[p]·v - v[p]·row with row[p] > 0, so the direction of
+    v modulo the span of the rows is kept and no division is needed."""
+    for p, row in echelon:
+        f = v[p]
+        if f:
+            d = row[p]
+            v = [d * x - f * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def integer_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
+    """Fraction-free reduced echelon form of an integer matrix.
+
+    Returns (pivot, row) pairs: each row is primitive, its first nonzero entry
+    is positive and sits at its pivot, and every other row is zero there.
+    Dividing each row by its pivot entry and sorting by pivot gives the
+    reduced row echelon form of ``rref``.
+    """
+    out: IntEchelon = []
+    for v in rows:
+        v = integer_reduce(v, out)
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        v = primitive_ints(v if v[p] > 0 else [-x for x in v])
+        d = v[p]
+        out = [
+            (q, primitive_ints([d * x - b[p] * y for x, y in zip(b, v)]) if b[p] else b)
+            for q, b in out
+        ]
+        out.append((p, v))
+    return out
+
+
+def integer_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(integer_echelon(rows))
+
+
+def int_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

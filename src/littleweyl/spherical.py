@@ -586,7 +586,14 @@ class DegenerationData:
 
 
 def boundary_degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
-    """Common limit of h_z along the relative interior of a face of the cone."""
+    """Common limit of h_z along the relative interior of a face of the cone,
+    computed once per face and analysis."""
+    return analysis._stage(
+        ("boundary_degeneration", face), lambda: _degeneration(analysis, face)
+    )
+
+
+def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
     lie = analysis.lie
     if face not in analysis._stage("faces", compression_cone(analysis).faces):
         raise ValueError("not a face of the compression cone")

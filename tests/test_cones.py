@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from littleweyl.cones import Cone, ConeError, enumerate_chambers
 from littleweyl.limits import order_regular_hyperplanes
-from littleweyl.linalg import Subspace, dot, vec
+from littleweyl.linalg import (
+    Subspace,
+    dot,
+    integer_echelon,
+    integer_rank,
+    primitive,
+    rank,
+    rref,
+    vec,
+)
 
 
 def test_single_inequality_rank_one():
@@ -231,3 +240,62 @@ def test_double_description_matches_brute_force():
         for _ in range(20):
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
             assert cone.contains(x) == all(dot(vec(g), x) <= 0 for g in ineqs)
+
+
+_ENTRIES = st.sampled_from(
+    [0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+)
+
+
+@st.composite
+def _rational_systems(draw):
+    """Inequality systems in dimension 1-4 with rational entries, plus
+    duplicates, positive rescalings, redundant sums and equality pairs."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(_ENTRIES, min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(row, min_size=1, max_size=4))
+    pick = st.integers(0, len(ineqs) - 1)
+    for i, c in draw(
+        st.lists(st.tuples(pick, st.sampled_from([1, 2, Fraction(1, 3)])), max_size=2)
+    ):
+        ineqs.append([c * x for x in ineqs[i]])
+    for i, j in draw(st.lists(st.tuples(pick, pick), max_size=1)):
+        ineqs.append([x + y for x, y in zip(ineqs[i], ineqs[j])])
+    for i in draw(st.lists(pick, max_size=1)):
+        ineqs.append([-x for x in ineqs[i]])
+    order = draw(st.permutations(range(len(ineqs))))
+    return dim, [tuple(Fraction(x) for x in ineqs[i]) for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_systems(), st.data())
+def test_double_description_matches_brute_force_on_rational_systems(system, data):
+    dim, ineqs = system
+    cone = Cone.from_inequalities(dim, ineqs)
+    lin, rays = _brute_force_rays(dim, ineqs)
+    assert cone.lineality == lin
+    assert set(cone.rays) == rays
+    assert list(cone.rays) == sorted(cone.rays)
+    assert all(g == primitive(g) for g in cone.inequalities)
+    point = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    for x in data.draw(st.lists(point, min_size=1, max_size=10)):
+        x = vec(x)
+        assert cone.contains(x) == all(dot(g, x) <= 0 for g in ineqs)
+
+
+@st.composite
+def _integer_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3) | st.integers(-60, 60)
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_matrices())
+def test_integer_echelon_matches_rref(rows):
+    echelon = integer_echelon(rows)
+    assert integer_rank(rows) == len(echelon) == rank(rows)
+    normalized = tuple(
+        tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(echelon)
+    )
+    assert normalized == rref(rows)[0]

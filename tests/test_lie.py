@@ -57,6 +57,24 @@ def test_sl2_killing_form_values(a1):
     assert a1.invariant_form(E, F) == tr(1, 2) == 4
 
 
+@pytest.mark.parametrize(
+    "name, center", [("A1", 0), ("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("A2", 1)]
+)
+def test_killing_form_matches_the_dense_trace_formula(name, center):
+    # oracle: tr(ad x_i ad x_j) over dense ad matrices, identity on the center
+    lie = build_from_cartan(cartan_matrix_of_type(name), abelian_center_dim=center)
+    basis = identity(lie.dim)
+    ads = [tuple(zip(*[lie.bracket(b, e) for e in basis])) for b in basis]
+    n = range(lie.dim)
+    want = [
+        [sum((ads[i][r][s] * ads[j][s][r] for r in n for s in n), Fraction(0)) for j in n]
+        for i in n
+    ]
+    for z in range(center):
+        want[lie.rank + z][lie.rank + z] = Fraction(1)
+    assert lie.form_matrix == tuple(tuple(row) for row in want)
+
+
 def test_jacobi_and_invariance_hold_at_build():
     # validate() runs at construction; G2 exercises constants up to +-3
     build_from_cartan(cartan_matrix_of_type("G2")).validate()

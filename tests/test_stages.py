@@ -6,11 +6,28 @@ import random
 import sys
 from collections import Counter
 
-from littleweyl import cli, limits, linalg
+from littleweyl import cli, cones, limits, linalg, spherical
+from littleweyl.catalog import get_entry
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.spherical import analyze, compression_cone, is_admissible
-from littleweyl.verify import random_order_regular, random_subspace
+from littleweyl.verify import random_order_regular, random_subspace, structural_invariants
 from littleweyl.weyl import _WeylAmbient, little_weyl_group, weyl_from_limits
+
+
+def _record_rref_calls(monkeypatch) -> list:
+    """Route every littleweyl name bound to linalg.rref through a recorder."""
+    calls = []
+    original = linalg.rref
+
+    def recording(rows):
+        calls.append(rows)
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name == "littleweyl" or name.startswith("littleweyl."):
+            if getattr(module, "rref", None) is original:
+                monkeypatch.setattr(module, "rref", recording)
+    return calls
 
 
 def _record_limit_calls(monkeypatch) -> list:
@@ -93,16 +110,33 @@ def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
     x = random_order_regular(a3, rng)
     e = random_subspace(a3, rng, 6)
     assert limits.graded_direction(a3, x).levels == 13
-    calls = []
-    original = linalg.rref
-
-    def recording(rows):
-        calls.append(rows)
-        return original(rows)
-
-    for name, module in list(sys.modules.items()):
-        if name == "littleweyl" or name.startswith("littleweyl."):
-            if getattr(module, "rref", None) is original:
-                monkeypatch.setattr(module, "rref", recording)
+    calls = _record_rref_calls(monkeypatch)
     assert limits.limit_subspace(a3, e, x).dim == 6
     assert len(calls) <= 2
+
+
+def test_a3_chambers_take_few_row_reductions(monkeypatch):
+    a3 = build_from_cartan(cartan_matrix_of_type("A3"))
+    hyperplanes = limits.order_regular_hyperplanes(a3)
+    calls = _record_rref_calls(monkeypatch)
+    chambers = cones.enumerate_chambers(a3.dim_a, hyperplanes)
+    assert chambers.count == 240
+    assert len(calls) <= 12 * chambers.count
+
+
+def test_structural_invariants_degenerate_each_face_once(monkeypatch):
+    entry = get_entry("A2_so3")
+    an = analyze(entry.lie(), entry.base_point().h_z)
+    calls = []
+    original = spherical._degeneration
+
+    def recording(analysis, face):
+        calls.append(face)
+        return original(analysis, face)
+
+    monkeypatch.setattr(spherical, "_degeneration", recording)
+    results = structural_invariants(an)
+    assert results and all(r.ok for r in results)
+    faces = compression_cone(an).faces()
+    assert len(faces) > 1
+    assert sorted(Counter(calls).values()) == [1] * len(faces)
