@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -28,7 +29,7 @@ from .linalg import (
     integer_echelon,
     integer_rank,
     integer_reduce,
-    mat_vec,
+    mat_inverse,
     primitive_ints,
     primitive_signed,
     vec,
@@ -37,6 +38,7 @@ from .linalg import (
 )
 
 IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 
 class ConeError(ValueError):
@@ -105,6 +107,21 @@ def _combine(a: int, x: IntVec, b: int, y: IntVec) -> IntVec:
 
 def _neg(x: IntVec) -> IntVec:
     return tuple(-c for c in x)
+
+
+def _integer_map(m: Mat) -> tuple[IntMat, IntMat]:
+    """Positive integer multiples of an invertible rational matrix and of its
+    inverse; both act on rays and half-spaces as the matrices do."""
+    return _int_matrix(m), _int_matrix(mat_inverse(m))
+
+
+def _int_matrix(m: Mat) -> IntMat:
+    l = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (l // x.denominator) for x in row) for row in m)
+
+
+def _int_mat_vec(m: IntMat, x: IntVec) -> IntVec:
+    return tuple(int_dot(row, x) for row in m)
 
 
 def _fractions(x: IntVec) -> Vec:
@@ -276,10 +293,45 @@ class Cone:
 
     def transform(self, m: Mat) -> "Cone":
         """Image under an invertible linear map."""
-        return Cone.from_rays(
-            self.ambient_dim,
-            [mat_vec(m, r) for r in self.rays],
-            self.lineality.transform(m),
+        return self._image(*_integer_map(m))
+
+    def _image(self, fwd: IntMat, back: IntMat) -> "Cone":
+        """Image under the map m, given positive multiples of m and m⁻¹.
+
+        The map carries rays to rays, the lineality to the lineality and each
+        facet inequality g to g∘m⁻¹, so only the canonical forms are taken
+        again: rays reduced modulo the new lineality, facets modulo the new
+        annihilator.  No double description runs.
+        """
+        dim = self.ambient_dim
+        rays, lin = self._int_generators
+        lin_echelon = integer_echelon(_int_mat_vec(fwd, l) for l in lin)
+        new_rays = sorted(
+            {
+                primitive_ints(integer_reduce(_int_mat_vec(fwd, r), lin_echelon))
+                for r in rays
+            }
+        )
+        span = integer_echelon(new_rays + [row for _, row in lin_echelon])
+        ineqs: dict[IntVec, None] = {}
+        ann_echelon: IntEchelon = []
+        if len(span) < dim:
+            ann = [primitive_ints(g) for g in _subspace(dim, span).annihilator()]
+            for g in ann:
+                ineqs[g] = None
+                ineqs[_neg(g)] = None
+            ann_echelon = integer_echelon(ann)
+        for g in self._int_inequalities:
+            # inequalities that vanish on every ray span the annihilator,
+            # which is taken canonically above; the others are the facets
+            if any(int_dot(g, r) for r in rays):
+                g = tuple(int_dot(g, col) for col in zip(*back))
+                ineqs[primitive_ints(integer_reduce(g, ann_echelon))] = None
+        return Cone(
+            dim,
+            tuple(map(_fractions, sorted(ineqs))),
+            tuple(map(_fractions, new_rays)),
+            _subspace(dim, lin_echelon),
         )
 
     def relative_interior_point(self) -> Vec:
@@ -376,6 +428,20 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def arrangement(functionals: Iterable[Sequence]) -> tuple[Vec, ...]:
+    """The hyperplanes of a central arrangement: its functionals made primitive
+    with a positive leading entry, deduplicated and sorted."""
+    hyps: dict[Vec, None] = {}
+    for f in functionals:
+        f = vec(f)
+        if all(c == 0 for c in f):
+            raise ConeError("zero functional does not define a hyperplane")
+        hyps[primitive_signed(f)] = None
+    if not hyps:
+        raise ConeError("an arrangement needs at least one hyperplane")
+    return tuple(sorted(hyps))
+
+
 def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
     """All chambers of a central arrangement by wall-flipping traversal.
 
@@ -383,20 +449,26 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
     discovered chamber; for a central arrangement the chamber adjacency graph
     is connected, so the traversal is exhaustive.
     """
-    hyps: dict[Vec, None] = {}
-    for f in functionals:
-        f = vec(f)
-        if all(c == 0 for c in f):
-            raise ConeError("zero functional does not define a hyperplane")
-        hyps[primitive_signed(f)] = None
-    hyperplanes = tuple(sorted(hyps))
-    if not hyperplanes:
-        raise ConeError("an arrangement needs at least one hyperplane")
+    hyperplanes = arrangement(functionals)
+    return ChamberSet(hyperplanes, traverse_chambers(dim, hyperplanes, ()))
 
+
+def traverse_chambers(
+    dim: int, hyperplanes: Sequence[Vec], fixed: Iterable[int]
+) -> tuple[Chamber, ...]:
+    """The chambers reachable from the seed chamber without crossing the
+    hyperplanes at the ``fixed`` indices, sorted by sign vector.
+
+    With nothing fixed these are all chambers of the arrangement.  Otherwise
+    they are the chambers inside the region of the fixed hyperplanes that
+    holds the seed: the region is convex, so its chambers are connected
+    through the walls that are not fixed.
+    """
     seed = _generic_point(dim, hyperplanes)
     seed_signs = tuple(_sign(dot(h, seed)) for h in hyperplanes)
     int_hyps = [primitive_ints(h) for h in hyperplanes]
     index = {h: i for i, h in enumerate(int_hyps)}
+    fixed = set(fixed)
 
     def build(signs: tuple[int, ...]) -> Chamber:
         cone = Cone.from_inequalities(
@@ -414,6 +486,8 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
                 i = index.get(g)
                 if i is None:
                     i = index[_neg(g)]
+                if i in fixed:
+                    continue
                 flipped = tuple(
                     -s if j == i else s for j, s in enumerate(ch.signs)
                 )
@@ -422,8 +496,30 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
                     visited[flipped] = nb
                     nxt.append(nb)
         frontier = nxt
-    chambers = tuple(sorted(visited.values(), key=lambda c: c.signs))
-    return ChamberSet(hyperplanes, chambers)
+    return tuple(sorted(visited.values(), key=lambda c: c.signs))
+
+
+def orbit_chambers(
+    hyperplanes: Sequence[Vec], chambers: Iterable[Chamber], maps: Iterable[Mat]
+) -> tuple[Chamber, ...]:
+    """The images of the chambers under the maps, sorted by sign vector.
+
+    Each map must be invertible and permute the hyperplanes up to sign, so
+    that it carries chambers to chambers.  The representative is taken again
+    on each image cone, because it depends on the order of the sorted rays
+    and so is not carried by the map.
+    """
+    chambers = list(chambers)
+    int_hyps = [primitive_ints(h) for h in hyperplanes]
+    out = []
+    for m in maps:
+        fwd, back = _integer_map(m)
+        for ch in chambers:
+            cone = ch.cone._image(fwd, back)
+            p = cone.relative_interior_point()
+            q = primitive_ints(p)
+            out.append(Chamber(tuple(_sign(int_dot(h, q)) for h in int_hyps), p, cone))
+    return tuple(sorted(out, key=lambda c: c.signs))
 
 
 def _generic_point(dim: int, functionals: Sequence[Vec]) -> Vec:

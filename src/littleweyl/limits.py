@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from .cones import ChamberSet
 from .lie import LieAlgebraData
-from .linalg import Subspace, Vec, dot, rref, vec
+from .linalg import Subspace, Vec, dot, primitive_signed, rref, vec
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,48 @@ def limit_subspace(lie: LieAlgebraData, e: Subspace, x: Sequence) -> Subspace:
     return out
 
 
+def chamber_cell_limits(
+    lie: LieAlgebraData, e: Subspace, chambers: ChamberSet
+) -> tuple[tuple[Subspace, ...], tuple[int, ...]]:
+    """The limits of E along the chambers of the order-regular arrangement.
+
+    Split the coordinates into blocks, joining two coordinates when they
+    share a row of E's echelon form.  Then E is the direct sum of its parts
+    on the blocks, Ad(exp tX) preserves the coordinate subspace of each
+    block, and the limit depends on X only through the signs of the weight
+    differences wt_k - wt_l within each block.  Those functionals are hyperplanes of the arrangement, so the
+    chambers fall into cells by their signs on them, and one limit_subspace
+    per cell serves every chamber of the cell.
+
+    Returns the limit of each cell, and the cell of each chamber.
+    """
+    blocks: list[set[int]] = []
+    for row in e.basis_matrix:
+        block = {k for k, c in enumerate(row) if c != 0}
+        for other in [b for b in blocks if b & block]:
+            block |= other
+            blocks.remove(other)
+        blocks.append(block)
+    index = {h: j for j, h in enumerate(chambers.hyperplanes)}
+    cut: set[int] = set()
+    for block in blocks:
+        for k, l in combinations(sorted(block), 2):
+            diff = tuple(a - b for a, b in zip(lie.weights[k], lie.weights[l]))
+            if any(diff):
+                cut.add(index[primitive_signed(diff)])
+    cut_order = sorted(cut)
+    cell_of: dict[tuple[int, ...], int] = {}
+    limits: list[Subspace] = []
+    cells = []
+    for ch in chambers.chambers:
+        key = tuple(ch.signs[j] for j in cut_order)
+        if key not in cell_of:
+            cell_of[key] = len(limits)
+            limits.append(limit_subspace(lie, e, ch.representative))
+        cells.append(cell_of[key])
+    return tuple(limits), tuple(cells)
+
+
 def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
     """alpha(X) != beta(X) for all distinct roots alpha, beta."""
     x = vec(x)
@@ -100,8 +144,6 @@ def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
 
 def order_regular_hyperplanes(lie: LieAlgebraData) -> list[Vec]:
     """Functionals alpha - beta over distinct root pairs, deduplicated."""
-    from .linalg import primitive_signed
-
     roots = lie.roots()
     out = {}
     for i, a in enumerate(roots):

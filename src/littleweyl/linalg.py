@@ -37,10 +37,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c, a: Vec) -> Vec:
     c = frac(c)
     return tuple(c * x for x in a)

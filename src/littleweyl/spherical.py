@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
-from .cones import ChamberSet, Cone, enumerate_chambers
+from .cones import ChamberSet, Cone, arrangement, orbit_chambers, traverse_chambers
 from .lie import LieAlgebraData, LieAlgebraError
-from .limits import limit_subspace, order_regular_hyperplanes
+from .limits import chamber_cell_limits, order_regular_hyperplanes
 from .linalg import (
     Mat,
     Subspace,
@@ -26,6 +26,7 @@ from .linalg import (
     kernel,
     mat_vec,
     primitive,
+    primitive_signed,
     solve,
     vec,
     vec_add,
@@ -157,11 +158,6 @@ def has_open_p_orbit(lie: LieAlgebraData, h_z: Subspace) -> bool:
 def g_subspace_to_a(lie: LieAlgebraData, s: Subspace) -> Subspace:
     rows = [lie.g_vector_to_a(r) for r in s.basis_matrix]
     return Subspace.from_spanning(lie.dim_a, rows)
-
-
-def a_subspace_to_g(lie: LieAlgebraData, s: Subspace) -> Subspace:
-    rows = [lie.a_vector_to_g(r) for r in s.basis_matrix]
-    return Subspace.from_spanning(lie.dim, rows)
 
 
 def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
@@ -341,16 +337,15 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         tuple(Fraction(1 if k == lie.e_index(p) else 0) for k in range(lie.dim))
         for p in q.sigma_q
     ]
+    rows = [tuple(dot(a, wb) for wb in w_basis) for a in ann]
+    if q.sigma_q and kernel(rows, len(w_basis)):
+        raise ContractViolation("graph decomposition of h_z is not unique")
     t_map = []
     supports = []
     s_elems: dict[tuple[int, ...], SWeight] = {}
     for p in q.sigma_q:
-        f_vec = tuple(Fraction(1 if k == lie.f_index(p) else 0) for k in range(lie.dim))
-        cols = [[dot(a, wb) for a in ann] for wb in w_basis]
-        rhs = [-dot(a, f_vec) for a in ann]
-        rows = [tuple(col[r] for col in cols) for r in range(len(ann))]
-        coeffs = solve(rows, rhs)
-        if coeffs is None or kernel(rows, len(w_basis)):
+        coeffs = solve(rows, [-a[lie.f_index(p)] for a in ann])
+        if coeffs is None:
             raise ContractViolation("graph decomposition of h_z is not unique")
         img = zero_vec(lie.dim)
         for c, wb in zip(coeffs, w_basis):
@@ -497,12 +492,38 @@ _CHAMBER_CACHE: dict[tuple, ChamberSet] = {}
 
 
 def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
+    """The chambers of the order-regular arrangement {alpha - beta}.
+
+    The arrangement holds every root hyperplane (2 alpha = alpha - (-alpha))
+    and W permutes it, so W acts freely on its chambers and each chamber lies
+    in one Weyl chamber.  The chambers inside the Weyl chamber of the seed
+    are traversed once; every other chamber is the image of one of them
+    under one element of W.
+    """
     key = (lie.cartan_matrix, lie.center_dim)
     if key not in _CHAMBER_CACHE:
-        _CHAMBER_CACHE[key] = enumerate_chambers(
-            lie.dim_a, order_regular_hyperplanes(lie)
+        hyperplanes = arrangement(order_regular_hyperplanes(lie))
+        mirrors = {primitive_signed(lie.root_functional(r)) for r in lie.positive_roots}
+        base = traverse_chambers(
+            lie.dim_a, hyperplanes, [i for i, h in enumerate(hyperplanes) if h in mirrors]
+        )
+        weyl = [m for _, m in lie.weyl_group_on_a()]
+        _CHAMBER_CACHE[key] = ChamberSet(
+            hyperplanes, orbit_chambers(hyperplanes, base, weyl)
         )
     return _CHAMBER_CACHE[key]
+
+
+def chamber_limits(
+    analysis: SphericalAnalysis, e: Subspace
+) -> tuple[tuple[Subspace, ...], tuple[int, ...]]:
+    """The limits of e on the order-regular chambers, one per block cell
+    (limits.chamber_cell_limits), computed once per analysis and subspace."""
+    lie = analysis.lie
+    return analysis._stage(
+        ("chamber_limits", e),
+        lambda: chamber_cell_limits(lie, e, order_regular_chambers(lie)),
+    )
 
 
 def compression_cone_of_point(
@@ -523,11 +544,12 @@ def compression_cone_of_point(
     targets = [
         analysis.h_empty.scale_coordinates(lie.sign_scaling(chi)) for chi in chars.elements
     ]
+    limits, cells = chamber_limits(analysis, h_z)
+    passing = [lim in targets for lim in limits]
     rays: list[Vec] = []
     lin_rows: list[Vec] = []
-    for ch in order_regular_chambers(lie).chambers:
-        lim = limit_subspace(lie, h_z, ch.representative)
-        if lim in targets:
+    for ch, cell in zip(order_regular_chambers(lie).chambers, cells):
+        if passing[cell]:
             rays.extend(ch.cone.rays)
             lin_rows.extend(ch.cone.lineality.basis_matrix)
     lin = Subspace.from_spanning(lie.dim_a, lin_rows)
@@ -590,6 +612,16 @@ def boundary_degeneration(analysis: SphericalAnalysis, face: Cone) -> Degenerati
     computed once per face and analysis."""
     return analysis._stage(
         ("boundary_degeneration", face), lambda: _degeneration(analysis, face)
+    )
+
+
+def degeneration_analysis(analysis: SphericalAnalysis, face: Cone) -> SphericalAnalysis:
+    """The analysis of the boundary degeneration along a face, computed once
+    per face; raises NotAdaptedError, and stores nothing, when the
+    degeneration is not adapted."""
+    return analysis._stage(
+        ("degeneration_analysis", face),
+        lambda: analyze(analysis.lie, boundary_degeneration(analysis, face).h_zf),
     )
 
 
@@ -683,25 +715,30 @@ class ChamberLimitRow:
 def is_admissible(analysis: SphericalAnalysis) -> tuple[bool, tuple[ChamberLimitRow, ...]]:
     """All order-regular limits meet a in exactly a_h.
 
-    One rational representative per order-regular chamber is flowed to its
-    limit; the point is admissible iff every chamber passes the dimension
-    test dim(limit cap a) = dim a_h.  The rows are the chamber -> limit table
-    of the analysis, which weyl_from_limits reads as well.
+    Each order-regular chamber gets the limit of its block cell
+    (chamber_limits); the point is admissible iff every chamber passes the
+    dimension test dim(limit cap a) = dim a_h, which is also taken once per
+    cell.  The rows are the chamber -> limit table of the analysis, which
+    weyl_from_limits reads as well.
     """
 
     def table() -> tuple[bool, tuple[ChamberLimitRow, ...]]:
         lie = analysis.lie
-        rows = []
-        for ch in order_regular_chambers(lie).chambers:
-            lim = limit_subspace(lie, analysis.h_z, ch.representative)
-            cap = lim.intersect(lie.a_subspace())
-            ok = cap.dim == analysis.a_h.dim
-            rows.append(
-                ChamberLimitRow(ch.signs, ch.representative, lim, cap.dim, ok)
+        limits, cells = chamber_limits(analysis, analysis.h_z)
+        caps = [lim.intersect(lie.a_subspace()).dim for lim in limits]
+        rows = tuple(
+            ChamberLimitRow(
+                ch.signs,
+                ch.representative,
+                limits[cell],
+                caps[cell],
+                caps[cell] == analysis.a_h.dim,
             )
-        return all(r.ok for r in rows), tuple(rows)
+            for ch, cell in zip(order_regular_chambers(lie).chambers, cells)
+        )
+        return all(r.ok for r in rows), rows
 
-    return analysis._stage("chamber_limits", table)
+    return analysis._stage("admissibility", table)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .spherical import (
     centralizer_in_n_q,
     compression_cone,
     compression_cone_of_point,
+    degeneration_analysis,
     find_admissible,
     g_subspace_to_a,
     is_adapted,
@@ -263,9 +264,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     def degeneration_cones() -> CheckResult:
         # the compression cone of a boundary degeneration is C + span(F)
         for face in faces:
-            deg = boundary_degeneration(analysis, face)
-            deg_an = analyze(lie, deg.h_zf)
-            got = compression_cone(deg_an)
+            got = compression_cone(degeneration_analysis(analysis, face))
             want = Cone.from_rays(
                 lie.dim_a,
                 cone.rays,
@@ -319,9 +318,10 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     def phi_degeneration() -> CheckResult:
         rng = random.Random(11)
         for face in faces:
-            deg = boundary_degeneration(analysis, face)
+            # outside the try: a failed degeneration is not a non-adapted one
+            boundary_degeneration(analysis, face)
             try:
-                deg_an = analyze(lie, deg.h_zf)
+                deg_an = degeneration_analysis(analysis, face)
             except Exception as err:  # noqa: BLE001
                 return _check("phi_degeneration", False, f"degeneration not adapted: {err}")
             x_f = face.relative_interior_point()
@@ -382,9 +382,7 @@ def weyl_invariants(
 
     def degeneration_groups() -> CheckResult:
         for gen in group.generators:
-            deg = boundary_degeneration(analysis, gen.wall)
-            deg_an = analyze(analysis.lie, deg.h_zf)
-            wg = little_weyl_group(deg_an)
+            wg = little_weyl_group(degeneration_analysis(analysis, gen.wall))
             if wg.order != 2:
                 return _check(
                     "degeneration_wall_groups", False, f"order {wg.order} at a wall"

@@ -254,9 +254,6 @@ class LittleWeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def word_of(self, m: Mat) -> tuple[int, ...]:
-        return self.element_words[self.elements.index(m)]
-
 
 _CLOSURE_BOUND = 1152
 _ORDER_BOUND = 13
@@ -556,11 +553,8 @@ def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylR
     coset_of: dict[frozenset, LimitCoset] = {}
     rows = []
     for ch in chamber_rows:
-        matches = {
-            m
-            for tw, m in targets.items()
-            if tw == ch.limit
-        }
+        m = targets.get(ch.limit)
+        matches = set() if m is None else {m}
         if not matches:
             raise ContractViolation(
                 "an order-regular limit is not a twisted Weyl conjugate of the "

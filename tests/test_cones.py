@@ -7,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littleweyl.cones import Cone, ConeError, enumerate_chambers
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import order_regular_hyperplanes
 from littleweyl.linalg import (
     Subspace,
     dot,
     integer_echelon,
     integer_rank,
+    mat_vec,
     primitive,
     rank,
     rref,
     vec,
 )
+from littleweyl.spherical import order_regular_chambers
 
 
 def test_single_inequality_rank_one():
@@ -128,6 +131,23 @@ def test_transform():
     assert c.transform(m) == Cone.from_inequalities(2, [[0, 1]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(_cones(), st.data())
+def test_transform_matches_the_double_description_of_the_image(c, data):
+    dim = c.ambient_dim
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    m = data.draw(
+        st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+        .map(lambda rows: tuple(tuple(rows_i) for rows_i in rows))
+        .filter(lambda rows: rank(rows) == dim)
+    )
+    want = Cone.from_rays(dim, [mat_vec(m, r) for r in c.rays], c.lineality.transform(m))
+    got = c.transform(m)
+    assert got.inequalities == want.inequalities
+    assert got.rays == want.rays
+    assert got.lineality == want.lineality
+
+
 def test_relative_interior_point():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1]])
     p = c.relative_interior_point()
@@ -174,6 +194,26 @@ def test_chamber_representatives_strict():
     assert cs.count == 8
     for ch in cs.chambers:
         assert all(dot(h, ch.representative) != 0 for h in cs.hyperplanes)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,center",
+    [("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("B3", 0), ("A2", 1)],
+)
+def test_weyl_orbit_chambers_equal_the_full_traversal(cartan_type, center):
+    """One traversal of the chambers in one Weyl chamber, moved by W, gives
+    the chambers of the traversal that crosses every wall, field by field."""
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), abelian_center_dim=center)
+    want = enumerate_chambers(lie.dim_a, order_regular_hyperplanes(lie))
+    got = order_regular_chambers(lie)
+    assert got.hyperplanes == want.hyperplanes
+    assert [ch.signs for ch in got.chambers] == [ch.signs for ch in want.chambers]
+    for a, b in zip(got.chambers, want.chambers):
+        assert a.representative == b.representative
+        assert a.cone.inequalities == b.cone.inequalities
+        assert a.cone.rays == b.cone.rays
+        assert a.cone.lineality == b.cone.lineality
+        assert a.cone.lineality.dim == center
 
 
 def test_zero_functional_rejected():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
+    chamber_cell_limits,
     filtration_degenerate,
     float_flow_oracle,
     graded_direction,
@@ -250,3 +251,30 @@ def test_limit_and_filtration_test_match_the_level_by_level_formula(instance):
     lie, e, x = instance
     assert limit_subspace(lie, e, x) == _reference_limit(lie, e, x)
     assert filtration_degenerate(lie, e, x) == _reference_degenerate(lie, e, x)
+
+
+@st.composite
+def _sparse_subspaces(draw):
+    """(lie, E) on A2, B2, G2 or A3: E spanned by 1-4 rows with 1-3 nonzero
+    coordinates each, so that its echelon form splits into several blocks."""
+    lie = build_from_cartan(cartan_matrix_of_type(draw(st.sampled_from(["A2", "B2", "G2", "A3"]))))
+    entry = st.tuples(st.integers(0, lie.dim - 1), st.sampled_from([1, -1, 2, -3]))
+    rows = []
+    for support in draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1, max_size=4)):
+        row = [0] * lie.dim
+        for k, c in support:
+            row[k] = c
+        rows.append(row)
+    return lie, Subspace.from_spanning(lie.dim, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_subspaces())
+def test_block_cell_limits_equal_the_limit_of_every_chamber(instance):
+    lie, e = instance
+    chambers = order_regular_chambers(lie)
+    limits, cells = chamber_cell_limits(lie, e, chambers)
+    assert len(cells) == chambers.count and sorted(set(cells)) == list(range(len(limits)))
+    assert [limits[c] for c in cells] == [
+        limit_subspace(lie, e, ch.representative) for ch in chambers.chambers
+    ]

@@ -6,11 +6,17 @@ import random
 import sys
 from collections import Counter
 
-from littleweyl import cli, cones, limits, linalg, spherical
+from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl.catalog import get_entry
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
+from littleweyl.linalg import Subspace
 from littleweyl.spherical import analyze, compression_cone, is_admissible
-from littleweyl.verify import random_order_regular, random_subspace, structural_invariants
+from littleweyl.verify import (
+    random_order_regular,
+    random_subspace,
+    structural_invariants,
+    weyl_invariants,
+)
 from littleweyl.weyl import _WeylAmbient, little_weyl_group, weyl_from_limits
 
 
@@ -63,12 +69,71 @@ def test_weyl_from_limits_reads_the_chamber_table(monkeypatch, a2, so3_subalgebr
     assert len(report.chambers) == len(rows)
 
 
-def test_admissible_cli_flows_each_chamber_once(monkeypatch, capsys):
+def test_admissible_cli_flows_each_block_cell_once(monkeypatch, capsys):
     calls = _record_limit_calls(monkeypatch)
     assert cli.main(["admissible", "A1xA1_diag_w0", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["strategy"] == "self"
-    assert sorted(Counter(calls).values()) == [1] * len(report["chambers"])
+    # the echelon rows of the twisted diagonal pair e1 with f2, h1 with h2 and
+    # e2 with f1; those weight differences are 0 and +-(alpha1 + alpha2), so
+    # the 8 chambers fall into the two cells on either side of one hyperplane
+    assert len(report["chambers"]) == 8
+    assert sorted(Counter(calls).values()) == [1, 1]
+
+
+def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
+    monkeypatch,
+):
+    lie = build_from_cartan(cartan_matrix_of_type("A3"))
+    h = Subspace.from_spanning(
+        lie.dim,
+        [
+            tuple(
+                {lie.e_index(p): 1, lie.f_index(p): -1}.get(k, 0) for k in range(lie.dim)
+            )
+            for p in range(lie.num_pos)
+        ],
+    )
+    an = analyze(lie, h)
+    dd_calls = []
+    original = cones.Cone.from_inequalities
+
+    def recording(dim, gammas):
+        dd_calls.append(dim)
+        return original(dim, gammas)
+
+    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording))
+    chambers = spherical.order_regular_chambers(lie)
+    monkeypatch.undo()
+    assert chambers.count == 240
+    assert len(dd_calls) <= 10
+    calls = _record_limit_calls(monkeypatch)
+    ok, rows = is_admissible(an)
+    assert ok and len(rows) == 240
+    # g/so: E pairs e_p with f_p only, so the cells are the 24 Weyl chambers
+    assert len(calls) == 24 == len(set(calls))
+
+
+def test_face_degenerations_are_analyzed_once(monkeypatch):
+    entry = get_entry("A2_so3")
+    an = analyze(entry.lie(), entry.base_point().h_z)
+    faces = compression_cone(an).faces()
+    degenerations = {spherical.boundary_degeneration(an, f).h_zf for f in faces}
+    calls = []
+    original = spherical.analyze
+
+    def recording(lie, h_z):
+        calls.append(h_z)
+        return original(lie, h_z)
+
+    monkeypatch.setattr(spherical, "analyze", recording)
+    monkeypatch.setattr(verify, "analyze", recording)
+    results = structural_invariants(an)
+    results += weyl_invariants(an)[0]
+    assert results and all(r.ok for r in results)
+    per_face = Counter(h for h in calls if h in degenerations)
+    assert sorted(per_face.values()) == [1] * len(faces)
 
 
 def test_dense_exp_ad_runs_only_for_the_simple_lifts(monkeypatch, b2):
