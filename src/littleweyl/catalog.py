@@ -12,7 +12,7 @@ roots sorted by height then lexicographically.  For A2 the positive roots are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -252,10 +252,3 @@ def get_entry(name: str) -> CatalogEntry:
 
 def expected_results(name: str) -> dict:
     return dict(get_entry(name).expected)
-
-
-def tampered(entry: CatalogEntry, field_name: str, value) -> CatalogEntry:
-    """A copy of the entry with one expected field replaced (negative control)."""
-    exp = dict(entry.expected)
-    exp[field_name] = value
-    return replace(entry, expected=exp)

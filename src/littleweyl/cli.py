@@ -309,8 +309,8 @@ def _match_coset(lie, bp: BasePoint, lim: Subspace, m_lattice: str) -> str | Non
     except NotAdaptedError:
         return None
     amb, targets = _twisted_conjugates(an, m_lattice)
-    m = targets.get(lim)
-    return None if m is None else amb.coset_label(m)
+    producers = targets.get(lim)
+    return amb.coset_label(producers[0]) if producers else None
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,10 @@ def cmd_verify(args) -> int:
             an = err
         if claims:
             rows += [(source, r) for r in check_claims(an, claims, source)]
-        rows += [(source, r) for r in verify_space(lie, an, seed=args.seed)]
+        rows += [
+            (source, r)
+            for r in verify_space(lie, an, seed=args.seed, m_lattice=args.m_lattice)
+        ]
     failures = [(s, r) for s, r in rows if not r.ok]
     if args.json:
         sys.stdout.write(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import (
     Mat,
@@ -33,7 +33,6 @@ from .linalg import (
     identity,
     mat_mul,
     mat_vec,
-    rank,
     solve,
     vec,
     vec_add,
@@ -299,17 +298,6 @@ class WeylElement:
             tuple(s * self.signs[t] for t, s in zip(other.perm, other.signs)),
         )
 
-    @property
-    def adjoint_lift(self) -> Mat:
-        """Ad(n_w) as a dense matrix; columns are input coordinates."""
-        d = len(self.action_on_a)
-        n = d + len(self.perm)
-        rows = [list(row) + [Fraction(0)] * (n - d) for row in self.action_on_a]
-        rows += [[Fraction(0)] * n for _ in self.perm]
-        for r, (t, s) in enumerate(zip(self.perm, self.signs)):
-            rows[d + t][d + r] = Fraction(s)
-        return tuple(tuple(row) for row in rows)
-
 
 @dataclass(frozen=True)
 class SignCharacter:
@@ -320,9 +308,6 @@ class SignCharacter:
 
     def value(self, pos_index: int) -> int:
         return self.values[pos_index]
-
-    def is_identity(self) -> bool:
-        return all(v == 1 for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -348,7 +333,6 @@ class LieAlgebraData:
     basis_index: tuple[tuple, ...]
     structure: dict = field(hash=False, compare=False, repr=False)
     form_matrix: Mat = field(repr=False)
-    theta_matrix: Mat = field(repr=False)
     weights: tuple[Vec, ...] = field(repr=False)  # a-functional per basis vector
     components: tuple[tuple[int, ...], ...] = ()
 
@@ -454,14 +438,21 @@ class LieAlgebraData:
         return total
 
     def theta(self, x: Sequence) -> Vec:
-        return mat_vec(self.theta_matrix, vec(x))
-
-    def ad(self, x: Sequence) -> Mat:
-        cols = [self.bracket(x, e) for e in identity(self.dim)]
-        return tuple(zip(*cols))
+        """The Cartan involution: -1 on a and e_p <-> -f_p, a signed swap."""
+        x = vec(x)
+        if len(x) != self.dim:
+            raise LieAlgebraError("dimension mismatch in theta")
+        d, m = self.dim_a, self.num_pos
+        return tuple(-c for c in x[:d] + x[d + m :] + x[d : d + m])
 
     def exp_ad(self, x: Sequence) -> Mat:
-        """exp(ad x) for ad-nilpotent x, column by column from exp_ad_apply."""
+        """exp(ad x) as a dense matrix, column by column from exp_ad_apply.
+
+        The only dense operator on g.  It serves a nilpotent entry of
+        ``translate``: that vector comes from a space file, so x must be
+        checked ad-nilpotent on every basis vector, which builds every column
+        anyway.  Raises LieAlgebraError unless it is.
+        """
         return tuple(zip(*(self.exp_ad_apply(x, e) for e in identity(self.dim))))
 
     def exp_ad_apply(self, x: Sequence, v: Sequence) -> Vec:
@@ -497,14 +488,6 @@ class LieAlgebraData:
                 raise LieAlgebraError("coweight does not pair integrally with the roots")
             out.append(scale ** int(k))
         return tuple(out)
-
-    def torus_ad(self, coweight: Sequence, scale) -> Mat:
-        """torus_scaling as a dense diagonal matrix."""
-        factors = self.torus_scaling(coweight, scale)
-        return tuple(
-            tuple(f if i == j else Fraction(0) for j in range(self.dim))
-            for i, f in enumerate(factors)
-        )
 
     def sign_scaling(self, chi: SignCharacter) -> Vec:
         """The sign character chi on g, which scales each basis vector by
@@ -582,30 +565,33 @@ class LieAlgebraData:
     @cached_property
     def _simple_lifts(self) -> tuple[WeylElement, ...]:
         """Ad(n_i) for n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i), one per
-        simple root, read off the dense product.  The product must preserve
-        a and permute the root vectors up to sign."""
-        d, dim = self.dim_a, self.dim
+        simple root.  Column k is the three bracket series applied to the
+        basis vector b_k in turn.  The lift must preserve a and permute the
+        root vectors up to sign."""
+        d, basis = self.dim_a, identity(self.dim)
         out = []
         for i in range(self.rank):
             p = self.root_index(tuple(1 if j == i else 0 for j in range(self.rank)))
-            e_vec = tuple(Fraction(1 if k == self.e_index(p) else 0) for k in range(dim))
-            f_vec = tuple(Fraction(1 if k == self.f_index(p) else 0) for k in range(dim))
-            n_i = mat_mul(
-                mat_mul(self.exp_ad(e_vec), self.exp_ad(vec_scale(-1, f_vec))),
-                self.exp_ad(e_vec),
-            )
-            if any(n_i[r][k] != 0 for r in range(d, dim) for k in range(d)):
+            e_vec = basis[self.e_index(p)]
+            minus_f = vec_scale(-1, basis[self.f_index(p)])
+            cols = [
+                self.exp_ad_apply(
+                    e_vec, self.exp_ad_apply(minus_f, self.exp_ad_apply(e_vec, b))
+                )
+                for b in basis
+            ]
+            if any(c != 0 for col in cols[:d] for c in col[d:]):
                 raise LieAlgebraError(f"the lift of s{i + 1} does not preserve a")
             perm, signs = [], []
-            for k in range(d, dim):
-                col = [(r, n_i[r][k]) for r in range(dim) if n_i[r][k] != 0]
-                if len(col) != 1 or col[0][0] < d or abs(col[0][1]) != 1:
+            for col in cols[d:]:
+                nz = [(r, c) for r, c in enumerate(col) if c != 0]
+                if len(nz) != 1 or nz[0][0] < d or abs(nz[0][1]) != 1:
                     raise LieAlgebraError(
                         f"the lift of s{i + 1} is not a signed permutation of the root vectors"
                     )
-                perm.append(col[0][0] - d)
-                signs.append(int(col[0][1]))
-            a_block = tuple(row[:d] for row in n_i[:d])
+                perm.append(nz[0][0] - d)
+                signs.append(int(nz[0][1]))
+            a_block = tuple(zip(*(col[:d] for col in cols[:d])))
             out.append(WeylElement((i,), a_block, tuple(perm), tuple(signs)))
         return tuple(out)
 
@@ -621,27 +607,13 @@ class LieAlgebraData:
         return out
 
     def weyl_group_on_a(self) -> list[tuple[tuple[int, ...], Mat]]:
-        """All Weyl group elements as (shortest word, matrix on a), BFS order."""
+        """All Weyl group elements as (shortest word, matrix on a), in the
+        discovery order of group_closure."""
         gens = [
             self.reflection_on_a(tuple(1 if j == i else 0 for j in range(self.rank)))
             for i in range(self.rank)
         ]
-        seen = {identity(self.dim_a): ()}
-        frontier = [((), identity(self.dim_a))]
-        out = [((), identity(self.dim_a))]
-        while frontier:
-            new = []
-            for word, m in frontier:
-                for i, g in enumerate(gens):
-                    m2 = mat_mul(m, g)
-                    if m2 not in seen:
-                        w2 = word + (i,)
-                        seen[m2] = w2
-                        new.append((w2, m2))
-                        out.append((w2, m2))
-            new.sort(key=lambda t: t[0])
-            frontier = new
-        return out
+        return [(w, m) for m, w in group_closure(gens, identity(self.dim_a))]
 
     # -- sign characters -------------------------------------------------------
 
@@ -717,11 +689,10 @@ class LieAlgebraData:
             for j in range(dim):
                 if self.form_matrix[i][j] != self.form_matrix[j][i]:
                     raise LieAlgebraError("form is not symmetric")
-        # theta is an involutive automorphism with -B(x, theta x) > 0
-        th = self.theta_matrix
-        if mat_mul(th, th) != identity(dim):
-            raise LieAlgebraError("theta is not an involution")
+        # theta is an involution with -B(x, theta x) > 0
         theta_basis = [self.theta(b) for b in basis]
+        if any(self.theta(t) != b for t, b in zip(theta_basis, basis)):
+            raise LieAlgebraError("theta is not an involution")
         gram = [
             [-self.invariant_form(basis[i], theta_basis[j]) for j in range(dim)]
             for i in range(dim)
@@ -843,7 +814,6 @@ def _build_cached(key) -> LieAlgebraData:
         basis_index=tuple(basis_index),
         structure=structure,
         form_matrix=(),
-        theta_matrix=(),
         weights=tuple(weights),
         components=_components(a),
     )
@@ -869,17 +839,35 @@ def _build_cached(key) -> LieAlgebraData:
     for z in range(abelian_center_dim):
         form[n + z][n + z] = Fraction(1)
 
-    theta = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim_a):
-        theta[i][i] = Fraction(-1)
-    for p in range(m):
-        theta[f_idx(p)][e_idx(p)] = Fraction(-1)
-        theta[e_idx(p)][f_idx(p)] = Fraction(-1)
-
     object.__setattr__(data, "form_matrix", tuple(tuple(r) for r in form))
-    object.__setattr__(data, "theta_matrix", tuple(tuple(r) for r in theta))
     data.validate()
     return data
+
+
+def group_closure(
+    generators: Sequence[Mat], identity_element: Mat
+) -> Iterator[tuple[Mat, tuple[int, ...]]]:
+    """The group generated by the matrices, as (element, word) pairs in
+    discovery order; the element is the product of the generators named by
+    the word, left to right.
+
+    Breadth first from the identity, each level expanded in word order, so
+    every word is the lexicographically least of the shortest words of its
+    element.  A generator, so that a caller can stop an infinite closure.
+    """
+    seen = {identity_element}
+    level = [((), identity_element)]
+    yield identity_element, ()
+    while level:
+        nxt = []
+        for word, m in level:
+            for i, g in enumerate(generators):
+                m2 = mat_mul(m, g)
+                if m2 not in seen:
+                    seen.add(m2)
+                    nxt.append((word + (i,), m2))
+                    yield m2, word + (i,)
+        level = nxt
 
 
 def _components(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -18,11 +18,9 @@ from .cones import ChamberSet, Cone, arrangement, orbit_chambers, traverse_chamb
 from .lie import LieAlgebraData, LieAlgebraError
 from .limits import chamber_cell_limits, order_regular_hyperplanes
 from .linalg import (
-    Mat,
     Subspace,
     Vec,
     dot,
-    identity,
     kernel,
     mat_vec,
     primitive,
@@ -102,12 +100,6 @@ def _word_entry_action(lie: LieAlgebraData, entry: WordEntry) -> Callable[[Vec],
     if entry.kind == "weyl":
         return lie.weyl_lift(entry.weyl_word).apply
     raise ValueError(f"unknown word entry kind {entry.kind!r}")
-
-
-def word_entry_ad(lie: LieAlgebraData, entry: WordEntry) -> Mat:
-    """Ad(g) for one word entry, as a dense matrix."""
-    act = _word_entry_action(lie, entry)
-    return tuple(zip(*(act(e) for e in identity(lie.dim))))
 
 
 def translate(lie: LieAlgebraData, h: Subspace, word: Sequence[WordEntry]) -> BasePoint:

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .cones import Cone, enumerate_chambers
-from .lie import LieAlgebraData
+from .lie import LieAlgebraData, group_closure
 from .linalg import (
     Mat,
     Subspace,
@@ -245,7 +245,6 @@ class LittleWeylGroup:
     edge_quotient: QuotientSpace  # a / a_E
     generators: tuple[WallGenerator, ...]
     elements: tuple[Mat, ...]  # matrices on a/a_h, sorted
-    element_words: tuple[tuple[int, ...], ...]  # generator words, aligned
     coset_labels: tuple[str, ...]  # labels in W(Sigma)/W(Sigma_0), aligned
     coxeter_orders: tuple[tuple[int, ...], ...]
     type_label: str
@@ -278,21 +277,12 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     gens = [wall_reflection(analysis, w, quot) for w in cone.walls()]
 
     ident = identity(quot.dim)
-    words: dict[Mat, tuple[int, ...]] = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for gi, g in enumerate(gens):
-                m2 = mat_mul(m, g.matrix_on_quotient)
-                if m2 not in words:
-                    words[m2] = words[m] + (gi,)
-                    nxt.append(m2)
-        if len(words) > _CLOSURE_BOUND:
+    found = []
+    for m, _ in group_closure([g.matrix_on_quotient for g in gens], ident):
+        found.append(m)
+        if len(found) > _CLOSURE_BOUND:
             raise ContractViolation("wall reflection closure exceeds the bound")
-        frontier = sorted(nxt)
-    elements = tuple(sorted(words, key=lambda m: (m != ident, m)))
-    element_words = tuple(words[m] for m in elements)
+    elements = tuple(sorted(found, key=lambda m: (m != ident, m)))
 
     # pairwise orders of the generators
     orders = []
@@ -312,7 +302,6 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
         edge_quotient=edge_quot,
         generators=tuple(gens),
         elements=elements,
-        element_words=element_words,
         coset_labels=labels,
         coxeter_orders=coxeter_orders,
         type_label=coxeter_type_label(coxeter_orders),
@@ -356,25 +345,28 @@ def projected_cone(analysis: SphericalAnalysis, quot: QuotientSpace) -> Cone:
 def _verify_tiling(analysis, quot, elements, cone) -> None:
     """Translates of the projected cone cover a/a_h with disjoint interiors.
 
-    Covering is certified exactly on the chamber refinement of all facet
-    hyperplanes, plus a dense rational sample.
+    Every translate is a union of closed chambers of the arrangement of all
+    facet hyperplanes, so this holds exactly when every chamber
+    representative lies in exactly one translate.  Without a facet
+    hyperplane a/a_h is one chamber.  A dense rational sample is checked too.
     """
     base = projected_cone(analysis, quot)
     cones = [base.transform(m) for m in elements]
     d = quot.dim
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            if cones[i].intersect(cones[j]).dim == d and d > 0:
-                raise ContractViolation("two cone translates share interior")
     facet_fns: dict[Vec, None] = {}
     for c in cones:
         for g in c._facet_inequalities():
             facet_fns[primitive_signed(g)] = None
-    if facet_fns:
-        chambers = enumerate_chambers(d, list(facet_fns))
-        for ch in chambers.chambers:
-            if not any(c.contains(ch.representative) for c in cones):
-                raise ContractViolation("cone translates do not cover a/a_h")
+    representatives = (
+        [ch.representative for ch in enumerate_chambers(d, list(facet_fns)).chambers]
+        if facet_fns
+        else [zero_vec(d)]
+    )
+    counts = [sum(c.contains(p) for c in cones) for p in representatives]
+    if max(counts) > 1:
+        raise ContractViolation("two cone translates share interior")
+    if min(counts) == 0:
+        raise ContractViolation("cone translates do not cover a/a_h")
     for point in _grid_points(d, 2):
         if not any(c.contains(point) for c in cones):
             raise ContractViolation("cone translates miss a sample point")
@@ -418,20 +410,9 @@ class _WeylAmbient:
                 f2 = row_times_mat(lie.root_functional(r), minv)
                 perm[r] = fn_to_root[f2]
             images[m] = perm
-        levi_roots = [analysis.lie.positive_roots[p] for p in analysis.sigma0]
-        levi_gens = [lie.reflection_on_a(r) for r in levi_roots]
-        levi = {identity(lie.dim_a)}
-        frontier = [identity(lie.dim_a)]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in levi_gens:
-                    m2 = mat_mul(m, g)
-                    if m2 not in levi:
-                        levi.add(m2)
-                        nxt.append(m2)
-            frontier = nxt
-        return _WeylAmbient(elems, inverses, frozenset(levi), images)
+        levi_gens = [lie.reflection_on_a(lie.positive_roots[p]) for p in analysis.sigma0]
+        levi = frozenset(m for m, _ in group_closure(levi_gens, identity(lie.dim_a)))
+        return _WeylAmbient(elems, inverses, levi, images)
 
     def in_normalizer(self, analysis: SphericalAnalysis, m: Mat) -> bool:
         lie = analysis.lie
@@ -507,14 +488,14 @@ class LimitWeylReport:
 
 def _twisted_conjugates(
     analysis: SphericalAnalysis, m_lattice: str
-) -> tuple[_WeylAmbient, dict[Subspace, Mat]]:
-    """The table chi . Ad(n_w) . h_empty -> w over the admissible Weyl
-    elements w and the sign characters chi; each subspace keeps the first w
-    that produces it, in Weyl-element then character order."""
+) -> tuple[_WeylAmbient, dict[Subspace, list[Mat]]]:
+    """The table chi . Ad(n_w) . h_empty -> [w, ...] over the admissible Weyl
+    elements w and the sign characters chi; each subspace keeps every w that
+    produces it, in Weyl-element order."""
     lie = analysis.lie
     amb = _weyl_ambient(analysis)
     scalings = [lie.sign_scaling(chi) for chi in lie.m_sign_characters(m_lattice).elements]
-    targets: dict[Subspace, Mat] = {}
+    targets: dict[Subspace, list[Mat]] = {}
     for word, m in amb.elements:
         if not amb.in_normalizer(analysis, m):
             continue
@@ -523,7 +504,9 @@ def _twisted_conjugates(
             raise ContractViolation("Weyl lift does not restrict to the word action")
         conj = analysis.h_empty.image(lift.apply)
         for factors in scalings:
-            targets.setdefault(conj.scale_coordinates(factors), m)
+            producers = targets.setdefault(conj.scale_coordinates(factors), [])
+            if m not in producers:
+                producers.append(m)
     return amb, targets
 
 
@@ -553,8 +536,7 @@ def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylR
     coset_of: dict[frozenset, LimitCoset] = {}
     rows = []
     for ch in chamber_rows:
-        m = targets.get(ch.limit)
-        matches = set() if m is None else {m}
+        matches = targets.get(ch.limit, [])
         if not matches:
             raise ContractViolation(
                 "an order-regular limit is not a twisted Weyl conjugate of the "
@@ -568,7 +550,7 @@ def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylR
             )
         key = keys.pop()
         if key not in coset_of:
-            m0 = min(matches, key=lambda m: (len(amb.coset_label(m)), amb.coset_label(m), m))
+            m0 = matches[0]
             word = {mat: w for w, mat in amb.elements}[m0]
             coset_of[key] = LimitCoset(
                 amb.coset_label(m0), word, m0, quot.matrix_of(m0)
@@ -706,17 +688,7 @@ def spherical_roots(
             roots[tuple(-x for x in coords_i)] = None
 
     # W(Sigma_Z) = W: the reflections generate the whole group
-    gen_set = {identity(quot.dim)}
-    frontier = list(gen_set)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for r in reflections:
-                m2 = mat_mul(m, r)
-                if m2 not in gen_set:
-                    gen_set.add(m2)
-                    nxt.append(m2)
-        frontier = nxt
+    gen_set = {m for m, _ in group_closure(reflections, identity(quot.dim))}
     if gen_set != set(group.elements):
         raise ContractViolation("the reflections do not generate the group")
 

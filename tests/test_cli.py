@@ -1,5 +1,6 @@
 import json
 
+from littleweyl import verify
 from littleweyl.cli import main
 
 
@@ -42,6 +43,20 @@ def test_analyze_not_adapted_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "no open P-orbit" in err
+
+
+def test_non_nilpotent_word_entry_exit_1(tmp_path, capsys):
+    space = {
+        "schema_version": 1,
+        "lie_algebra": {"cartan_type": "A1", "center_dim": 0},
+        "subalgebra": [["0", "1", "-1"]],
+        "base_point_word": [{"kind": "nilpotent", "vector": ["1", "0", "0"]}],
+    }
+    path = tmp_path / "exp_h.json"
+    path.write_text(json.dumps(space))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "ad-nilpotent" in err
 
 
 def test_parse_error_exit_1(tmp_path, capsys):
@@ -182,3 +197,17 @@ def test_report_round_trips(capsys):
 def test_m_lattice_flag(capsys):
     code, _, _ = run(capsys, "analyze", "A1_so2", "--m-lattice", "coweight", "--json")
     assert code == 0
+
+
+def test_verify_passes_the_m_lattice_on(monkeypatch, capsys):
+    seen = []
+    original = verify.weyl_invariants
+
+    def recording(analysis, m_lattice="coroot"):
+        seen.append(m_lattice)
+        return original(analysis, m_lattice)
+
+    monkeypatch.setattr(verify, "weyl_invariants", recording)
+    code, out, _ = run(capsys, "verify", "A1_so2", "--m-lattice", "coweight", "--json")
+    assert code == 0 and json.loads(out)["failed"] == 0
+    assert seen == ["coweight"]

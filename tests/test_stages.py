@@ -136,21 +136,23 @@ def test_face_degenerations_are_analyzed_once(monkeypatch):
     assert sorted(per_face.values()) == [1] * len(faces)
 
 
-def test_dense_exp_ad_runs_only_for_the_simple_lifts(monkeypatch, b2):
+def test_simple_lifts_are_read_once_without_dense_exp_ad(monkeypatch, b2):
     lie = dataclasses.replace(b2)  # same algebra, no lifts computed yet
-    calls = []
-    original = LieAlgebraData.exp_ad
+    dense, series = [], []
+    original = LieAlgebraData.exp_ad_apply
 
-    def recording(self, x):
-        calls.append(x)
-        return original(self, x)
+    def recording(self, x, v):
+        series.append(x)
+        return original(self, x, v)
 
-    monkeypatch.setattr(LieAlgebraData, "exp_ad", recording)
+    monkeypatch.setattr(LieAlgebraData, "exp_ad", lambda self, x: dense.append(x))
+    monkeypatch.setattr(LieAlgebraData, "exp_ad_apply", recording)
     words = [word for word, _ in lie.weyl_group_on_a()]
     first = [lie.weyl_lift(word) for word in words]
-    assert len(calls) == 3 * lie.rank
+    assert dense == []
+    assert len(series) == 3 * lie.rank * lie.dim
     assert [lie.weyl_lift(word) for word in words] == first
-    assert len(calls) == 3 * lie.rank
+    assert len(series) == 3 * lie.rank * lie.dim
 
 
 def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):

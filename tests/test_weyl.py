@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from littleweyl import weyl
+from littleweyl.catalog import get_entry
 from littleweyl.lie import cartan_matrix_of_type
 from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
 from littleweyl.spherical import (
@@ -24,6 +26,11 @@ from littleweyl.weyl import (
 
 def span(dim, *rows):
     return Subspace.from_spanning(dim, rows)
+
+
+def _analysis(name):
+    entry = get_entry(name)
+    return analyze(entry.lie(), entry.base_point().h_z)
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +307,31 @@ def test_quotient_space_roundtrip(a1xa1, twisted_diagonal):
     assert q.project(q.lift(q.project(v))) == q.project(v)
     # projecting a_h gives zero
     assert q.project(an.a_h.basis_matrix[0]) == (Fraction(0),)
+
+
+@pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
+def test_tiling_rejects_an_overlap_and_a_gap(name):
+    an = _analysis(name)
+    group = little_weyl_group(an)
+    cone = compression_cone(an)
+    doubled = group.elements + group.elements[-1:]
+    with pytest.raises(ContractViolation, match="share interior"):
+        weyl._verify_tiling(an, group.quotient, doubled, cone)
+    with pytest.raises(ContractViolation, match="do not cover"):
+        weyl._verify_tiling(an, group.quotient, group.elements[:-1], cone)
+
+
+def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
+    an = _analysis("A2_so3")
+    original = weyl._twisted_conjugates
+
+    def with_a_second_coset(analysis, m_lattice):
+        amb, targets = original(analysis, m_lattice)
+        for producers in targets.values():
+            first = amb.coset_key(producers[0])
+            producers.append(next(m for _, m in amb.elements if amb.coset_key(m) != first))
+        return amb, targets
+
+    monkeypatch.setattr(weyl, "_twisted_conjugates", with_a_second_coset)
+    with pytest.raises(ContractViolation, match="more than one coset"):
+        weyl_from_limits(an)
