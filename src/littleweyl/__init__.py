@@ -13,6 +13,7 @@ from .lie import (
     LieAlgebraError,
     SignCharacterGroup,
     WeylElement,
+    WeylGroupElement,
     build_from_cartan,
     cartan_matrix_of_type,
 )
@@ -38,6 +39,7 @@ from .spherical import (
     boundary_degeneration,
     compression_cone,
     compression_cone_of_point,
+    cone_faces,
     find_admissible,
     has_open_p_orbit,
     is_adapted,
@@ -50,6 +52,7 @@ from .weyl import (
     LimitWeylReport,
     LittleWeylGroup,
     SphericalRootData,
+    limit_coset,
     limits_agree_with_walls,
     little_weyl_group,
     spherical_roots,

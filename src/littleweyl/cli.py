@@ -35,6 +35,7 @@ from .spherical import (
     analyze,
     boundary_degeneration,
     compression_cone,
+    cone_faces,
     find_admissible,
     is_admissible,
 )
@@ -45,7 +46,7 @@ from .verify import (
     verify_space,
 )
 from .weyl import (
-    _twisted_conjugates,
+    limit_coset,
     limits_agree_with_walls,
     little_weyl_group,
     spherical_roots,
@@ -308,9 +309,8 @@ def _match_coset(lie, bp: BasePoint, lim: Subspace, m_lattice: str) -> str | Non
         an = analyze(lie, bp.h_z)
     except NotAdaptedError:
         return None
-    amb, targets = _twisted_conjugates(an, m_lattice)
-    producers = targets.get(lim)
-    return amb.coset_label(producers[0]) if producers else None
+    coset = limit_coset(an, lim, m_lattice)
+    return coset.label if coset else None
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def _match_coset(lie, bp: BasePoint, lim: Subspace, m_lattice: str) -> str | Non
 def cmd_degenerate(args) -> int:
     lie, bp, _ = _load_space(args.space)
     an = analyze(lie, bp.h_z)
-    faces = an._stage("faces", compression_cone(an).faces)
+    faces = cone_faces(an)
     if args.face is None:
         rows = [
             {

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .linalg import (
     Mat,
@@ -128,6 +128,14 @@ def _first_nonpositive_minor(s: Sequence[Sequence[Fraction]]) -> int | None:
     return None
 
 
+def root_pairing(a, d, r1: Sequence[int], r2: Sequence[int]) -> Fraction:
+    """The symmetrised form sum_ij d_i a_ij r1_i r2_j of two roots in simple-root
+    coordinates, for the Cartan matrix a and its symmetrizer d."""
+    return Fraction(
+        sum(d[i] * a[i][j] * x * y for i, x in enumerate(r1) for j, y in enumerate(r2))
+    )
+
+
 def positive_roots_of(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Positive roots in simple-root coordinates, by height then lexicographic."""
     n = len(a)
@@ -179,11 +187,7 @@ class _ChevalleyConstants:
         self._compute_special()
 
     def norm2(self, r: tuple[int, ...]) -> Fraction:
-        s = Fraction(0)
-        for i in range(self.n):
-            for j in range(self.n):
-                s += Fraction(self.d[i] * self.a[i][j]) * r[i] * r[j]
-        return s
+        return root_pairing(self.a, self.d, r, r)
 
     def is_root(self, r) -> bool:
         return tuple(r) in self.all_roots
@@ -294,9 +298,20 @@ class WeylElement:
         return WeylElement(
             self.word + other.word,
             mat_mul(self.action_on_a, other.action_on_a),
-            tuple(self.perm[t] for t in other.perm),
+            compose_perms(self.perm, other.perm),
             tuple(s * self.signs[t] for t, s in zip(other.perm, other.signs)),
         )
+
+
+@dataclass(frozen=True)
+class WeylGroupElement:
+    """An element w of the Weyl group: its shortest word (the least in word
+    order), its matrix on a, and its permutation of the roots,
+    w(roots()[k]) = roots()[perm[k]]."""
+
+    word: tuple[int, ...]
+    matrix: Mat
+    perm: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -376,16 +391,9 @@ class LieAlgebraData:
         ]
         return tuple(vals) + zero_vec(self.center_dim)
 
-    def root_norm2(self, root: Sequence[int]) -> Fraction:
-        return sum(
-            Fraction(self.symmetrizer[i] * self.cartan_matrix[i][j]) * root[i] * root[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
     def coroot(self, root: Sequence[int]) -> Vec:
         """Coroot as an a-vector (coordinates over h_1..h_r, zero on the center)."""
-        n2 = self.root_norm2(root)
+        n2 = root_pairing(self.cartan_matrix, self.symmetrizer, root, root)
         coords = [
             Fraction(root[i]) * Fraction(2 * self.symmetrizer[i]) / n2
             for i in range(self.rank)
@@ -562,6 +570,38 @@ class LieAlgebraData:
             for r in range(self.dim_a)
         )
 
+    def reflection_perm(self, root: Sequence[int]) -> tuple[int, ...]:
+        """The reflection in the root as a permutation of roots():
+        beta -> beta - <beta, root^vee> root."""
+        roots = self.roots()
+        at = {r: k for k, r in enumerate(roots)}
+        cor = self.coroot(root)
+        out = []
+        for beta in roots:
+            c = int(dot(self.root_functional(beta), cor))
+            out.append(at[tuple(b - c * x for b, x in zip(beta, root))])
+        return tuple(out)
+
+    @cached_property
+    def weyl_group(self) -> dict[tuple[int, ...], WeylGroupElement]:
+        """The Weyl group keyed by root permutation, enumerated on first use
+        and then stored with the algebra.
+
+        W acts faithfully on the roots, so the closure runs over the root
+        permutations of the simple reflections, in the order of
+        group_closure; the matrix on a is composed once per new element.
+        """
+        simple = [tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)]
+        refl = [self.reflection_on_a(r) for r in simple]
+        gens = [self.reflection_perm(r) for r in simple]
+        out: dict[tuple[int, ...], WeylGroupElement] = {}
+        by_word: dict[tuple[int, ...], Mat] = {(): identity(self.dim_a)}
+        for perm, word in group_closure(gens, tuple(range(2 * self.num_pos)), compose_perms):
+            if word:
+                by_word[word] = mat_mul(by_word[word[:-1]], refl[word[-1]])
+            out[perm] = WeylGroupElement(word, by_word[word], perm)
+        return out
+
     @cached_property
     def _simple_lifts(self) -> tuple[WeylElement, ...]:
         """Ad(n_i) for n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i), one per
@@ -605,15 +645,6 @@ class LieAlgebraData:
                 raise LieAlgebraError(f"Weyl letter {i} is not a simple root index")
             out = out.compose(self._simple_lifts[i])
         return out
-
-    def weyl_group_on_a(self) -> list[tuple[tuple[int, ...], Mat]]:
-        """All Weyl group elements as (shortest word, matrix on a), in the
-        discovery order of group_closure."""
-        gens = [
-            self.reflection_on_a(tuple(1 if j == i else 0 for j in range(self.rank)))
-            for i in range(self.rank)
-        ]
-        return [(w, m) for m, w in group_closure(gens, identity(self.dim_a))]
 
     # -- sign characters -------------------------------------------------------
 
@@ -709,9 +740,16 @@ class LieAlgebraData:
 def build_from_cartan(
     cartan_matrix: Sequence[Sequence[int]], abelian_center_dim: int = 0
 ) -> LieAlgebraData:
-    """Split reductive Lie algebra with the given Cartan matrix and center."""
-    key = (tuple(tuple(int(x) for x in row) for row in cartan_matrix), abelian_center_dim)
-    return _build_cached(key)
+    """Split reductive Lie algebra with the given Cartan matrix (rows of
+    integers, not bools) and center."""
+    if not isinstance(cartan_matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+        for row in cartan_matrix
+    ):
+        raise LieAlgebraError("Cartan matrix must be a list of rows of integers")
+    if type(abelian_center_dim) is not int:
+        raise LieAlgebraError("center dimension must be an integer")
+    return _build_cached((tuple(map(tuple, cartan_matrix)), abelian_center_dim))
 
 
 @lru_cache(maxsize=None)
@@ -844,12 +882,17 @@ def _build_cached(key) -> LieAlgebraData:
     return data
 
 
+def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The permutation p . q: k -> p[q[k]]."""
+    return tuple(p[k] for k in q)
+
+
 def group_closure(
-    generators: Sequence[Mat], identity_element: Mat
-) -> Iterator[tuple[Mat, tuple[int, ...]]]:
-    """The group generated by the matrices, as (element, word) pairs in
-    discovery order; the element is the product of the generators named by
-    the word, left to right.
+    generators: Sequence, identity_element, mul: Callable = mat_mul
+) -> Iterator[tuple]:
+    """The group generated by the elements under ``mul`` (matrices by
+    default), as (element, word) pairs in discovery order; the element is
+    the product of the generators named by the word, left to right.
 
     Breadth first from the identity, each level expanded in word order, so
     every word is the lexicographically least of the shortest words of its
@@ -862,7 +905,7 @@ def group_closure(
         nxt = []
         for word, m in level:
             for i, g in enumerate(generators):
-                m2 = mat_mul(m, g)
+                m2 = mul(m, g)
                 if m2 not in seen:
                     seen.add(m2)
                     nxt.append((word + (i,), m2))
@@ -898,6 +941,8 @@ def _components(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 def cartan_matrix_of_type(name: str) -> list[list[int]]:
     """Cartan matrix for names like "A2", "B3", "G2" or products "A1xA1"."""
+    if not isinstance(name, str):
+        raise LieAlgebraError(f"unknown Cartan type {name!r}")
     blocks = [_simple_type_matrix(part.strip()) for part in name.split("x")]
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -69,12 +70,6 @@ def mat_inverse(m: Mat) -> Mat:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
-
-
-def row_times_mat(f: Vec, m: Mat) -> Vec:
-    """The row vector f·M (composition of the functional f with M)."""
-    n = len(m[0]) if m else 0
-    return tuple(sum((f[i] * m[i][j] for i in range(len(m))), Fraction(0)) for j in range(n))
 
 
 def mat_transpose(m: Mat) -> Mat:
@@ -276,7 +271,8 @@ class Subspace:
     """Subspace of Q^n in canonical reduced row echelon form.
 
     Rows of ``basis_matrix`` are the basis vectors; equality of subspaces is
-    equality of matrices.
+    equality of matrices.  Membership and reduction read the pivots of that
+    echelon form, with no further elimination.
     """
 
     ambient_dim: int
@@ -308,14 +304,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis_matrix)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row: its first nonzero entry."""
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis_matrix)
+
     def contains_vector(self, v: Sequence) -> bool:
-        v = vec(v)
-        red, _ = rref(self.basis_matrix + (v,))
-        return len(red) == self.dim
+        return not any(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
-        red, _ = rref(self.basis_matrix + other.basis_matrix)
-        return len(red) == self.dim
+        return all(self.contains_vector(row) for row in other.basis_matrix)
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace.from_spanning(
@@ -366,19 +364,18 @@ class Subspace:
         factors = vec(factors)
         if len(factors) != self.ambient_dim or any(f == 0 for f in factors):
             raise ValueError("coordinate scaling needs one nonzero factor per coordinate")
-        rows = []
-        for row in self.basis_matrix:
-            pivot = next(c for c, x in enumerate(row) if x != 0)
-            rows.append(tuple(x * f / factors[pivot] for x, f in zip(row, factors)))
-        return Subspace(self.ambient_dim, tuple(rows))
+        rows = tuple(
+            tuple(x * f / factors[p] for x, f in zip(row, factors))
+            for row, p in zip(self.basis_matrix, self.pivots)
+        )
+        return Subspace(self.ambient_dim, rows)
 
     def reduce_vector(self, v: Sequence) -> Vec:
-        """Canonical representative of v modulo the subspace."""
-        v = list(vec(v))
-        _, pivots = rref(self.basis_matrix)
-        for row, p in zip(self.basis_matrix, pivots):
-            if v[p] != 0:
-                f = v[p]
-                for c in range(len(v)):
-                    v[c] -= f * row[c]
-        return tuple(v)
+        """Canonical representative of v modulo the subspace: v reduced to
+        zero on the pivots, one row at a time."""
+        v = vec(v)
+        for row, p in zip(self.basis_matrix, self.pivots):
+            f = v[p]
+            if f:
+                v = tuple(x - f * y if y else x for x, y in zip(v, row))
+        return v

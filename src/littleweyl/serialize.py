@@ -44,7 +44,7 @@ def frac_str(x: Fraction) -> str:
 
 def parse_frac(s, where: str = "") -> Fraction:
     try:
-        if isinstance(s, int):
+        if type(s) is int:  # JSON true and false load as bool, not int
             return Fraction(s)
         if isinstance(s, str):
             return Fraction(s)
@@ -106,7 +106,7 @@ def word_entry_from_json(data, where: str) -> WordEntry:
         return WordEntry.sign(vec_from_json(data.get("t"), f"{where}.t"))
     if kind == "weyl":
         word = data.get("word")
-        if not isinstance(word, list) or not all(isinstance(i, int) for i in word):
+        if not isinstance(word, list) or not all(type(i) is int for i in word):
             raise SpaceFileError(f"weyl word at {where} must be a list of integers")
         return WordEntry.weyl(word)
     raise SpaceFileError(f"unknown word entry kind {kind!r} at {where}")
@@ -116,7 +116,7 @@ def lie_from_json(data, where: str = "lie_algebra") -> LieAlgebraData:
     if not isinstance(data, dict):
         raise SpaceFileError(f"{where} must be an object")
     center = data.get("center_dim", 0)
-    if not isinstance(center, int) or center < 0:
+    if type(center) is not int or center < 0:
         raise SpaceFileError(f"{where}.center_dim must be a nonnegative integer")
     try:
         if "cartan_type" in data:

@@ -480,6 +480,11 @@ def compression_cone(analysis: SphericalAnalysis) -> Cone:
     )
 
 
+def cone_faces(analysis: SphericalAnalysis) -> list[Cone]:
+    """The faces of the compression cone, computed once per analysis."""
+    return analysis._stage("faces", compression_cone(analysis).faces)
+
+
 _CHAMBER_CACHE: dict[tuple, ChamberSet] = {}
 
 
@@ -499,7 +504,7 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
         base = traverse_chambers(
             lie.dim_a, hyperplanes, [i for i, h in enumerate(hyperplanes) if h in mirrors]
         )
-        weyl = [m for _, m in lie.weyl_group_on_a()]
+        weyl = [w.matrix for w in lie.weyl_group.values()]
         _CHAMBER_CACHE[key] = ChamberSet(
             hyperplanes, orbit_chambers(hyperplanes, base, weyl)
         )
@@ -619,7 +624,7 @@ def degeneration_analysis(analysis: SphericalAnalysis, face: Cone) -> SphericalA
 
 def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
     lie = analysis.lie
-    if face not in analysis._stage("faces", compression_cone(analysis).faces):
+    if face not in cone_faces(analysis):
         raise ValueError("not a face of the compression cone")
     span_rows = face.span().basis_matrix
     gens = [

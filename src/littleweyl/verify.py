@@ -27,6 +27,7 @@ from .spherical import (
     centralizer_in_n_q,
     compression_cone,
     compression_cone_of_point,
+    cone_faces,
     degeneration_analysis,
     find_admissible,
     g_subspace_to_a,
@@ -131,7 +132,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     lie = analysis.lie
     out = []
     cone = compression_cone(analysis)
-    faces = analysis._stage("faces", cone.faces)
+    faces = cone_faces(analysis)
 
     def brion() -> CheckResult:
         f_basis = [

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .cones import Cone, enumerate_chambers
-from .lie import LieAlgebraData, group_closure
+from .lie import LieAlgebraData, compose_perms, group_closure, root_pairing
 from .linalg import (
     Mat,
     Subspace,
@@ -33,7 +33,6 @@ from .linalg import (
     primitive,
     primitive_signed,
     rank,
-    row_times_mat,
     solve,
     vec,
     vec_add,
@@ -44,6 +43,7 @@ from .spherical import (
     ContractViolation,
     SWeight,
     SphericalAnalysis,
+    chamber_limits,
     compression_cone,
     is_admissible,
 )
@@ -64,12 +64,7 @@ class QuotientSpace:
 
     @staticmethod
     def of(subspace: Subspace) -> "QuotientSpace":
-        from .linalg import rref
-
-        _, pivots = rref(subspace.basis_matrix)
-        comp = tuple(
-            c for c in range(subspace.ambient_dim) if c not in set(pivots)
-        )
+        comp = tuple(c for c in range(subspace.ambient_dim) if c not in subspace.pivots)
         return QuotientSpace(subspace.ambient_dim, subspace, comp)
 
     @property
@@ -142,14 +137,6 @@ class WallGenerator:
     matrix_on_quotient: Mat
 
 
-def _root_pairing(lie: LieAlgebraData, r1: Sequence[int], r2: Sequence[int]) -> Fraction:
-    return sum(
-        Fraction(lie.symmetrizer[i] * lie.cartan_matrix[i][j]) * r1[i] * r2[j]
-        for i in range(lie.rank)
-        for j in range(lie.rank)
-    )
-
-
 def wall_reflection(
     analysis: SphericalAnalysis, wall: Cone, quotient: QuotientSpace | None = None
 ) -> WallGenerator:
@@ -204,7 +191,7 @@ def wall_reflection(
                 continue
             if lie.positive_roots.index(gamma) not in analysis.sigma_q:
                 continue
-            if _root_pairing(lie, beta, gamma) != 0:
+            if root_pairing(lie.cartan_matrix, lie.symmetrizer, beta, gamma) != 0:
                 continue
             span = Subspace.from_spanning(
                 lie.dim_a, [lie.coroot(beta), lie.coroot(gamma)]
@@ -296,7 +283,7 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
 
     _verify_group(lie, analysis, quot, elements, cone)
 
-    labels = _coset_labels(analysis, quot, elements)
+    labels = _coset_labels(analysis, elements)
     return LittleWeylGroup(
         quotient=quot,
         edge_quotient=edge_quot,
@@ -388,85 +375,57 @@ def _grid_points(dim: int, radius: int):
 
 
 @dataclass(frozen=True)
-class _WeylAmbient:
-    """W(Sigma) data: elements, inverses, root permutations, Levi subgroup."""
-
-    elements: tuple[tuple[tuple[int, ...], Mat], ...]
-    inverses: dict
-    levi_subgroup: frozenset
-    root_images: dict
-
-    @staticmethod
-    def of(analysis: SphericalAnalysis) -> "_WeylAmbient":
-        lie = analysis.lie
-        elems = tuple(lie.weyl_group_on_a())
-        inverses = {m: mat_inverse(m) for _, m in elems}
-        fn_to_root = {lie.root_functional(r): r for r in lie.roots()}
-        images = {}
-        for _, m in elems:
-            minv = inverses[m]
-            perm = {}
-            for r in lie.roots():
-                f2 = row_times_mat(lie.root_functional(r), minv)
-                perm[r] = fn_to_root[f2]
-            images[m] = perm
-        levi_gens = [lie.reflection_on_a(lie.positive_roots[p]) for p in analysis.sigma0]
-        levi = frozenset(m for m, _ in group_closure(levi_gens, identity(lie.dim_a)))
-        return _WeylAmbient(elems, inverses, levi, images)
-
-    def in_normalizer(self, analysis: SphericalAnalysis, m: Mat) -> bool:
-        lie = analysis.lie
-        a_h_img = analysis.a_h.transform(m)
-        if a_h_img != analysis.a_h:
-            return False
-        sigma0_roots = {lie.positive_roots[p] for p in analysis.sigma0}
-        sigma0_all = sigma0_roots | {tuple(-x for x in r) for r in sigma0_roots}
-        return {self.root_images[m][r] for r in sigma0_all} == sigma0_all
-
-    def coset_key(self, m: Mat) -> frozenset:
-        return frozenset(mat_mul(m, u) for u in self.levi_subgroup)
-
-    def coset_label(self, m: Mat) -> str:
-        words = {mat: w for w, mat in self.elements}
-        best = min((words[x] for x in self.coset_key(m)), key=lambda w: (len(w), w))
-        return "e" if not best else "*".join(f"s{i + 1}" for i in best)
-
-
-def _weyl_ambient(analysis: SphericalAnalysis) -> _WeylAmbient:
-    """The W(Sigma) data of the analysis, computed once per analysis."""
-    return analysis._stage("weyl_ambient", lambda: _WeylAmbient.of(analysis))
-
-
-def _coset_labels(analysis, quot, elements) -> tuple[str, ...]:
-    amb = _weyl_ambient(analysis)
-    labels = []
-    for m in elements:
-        found = None
-        for _, wm in amb.elements:
-            if not amb.in_normalizer(analysis, wm):
-                continue
-            if quot.matrix_of(wm) == m:
-                found = amb.coset_label(wm)
-                break
-        if found is None:
-            raise ContractViolation(
-                "group element is not realized in the ambient Weyl group"
-            )
-        labels.append(found)
-    return tuple(labels)
-
-
-# ---------------------------------------------------------------------------
-# The group from limit subalgebras
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
 class LimitCoset:
     label: str
     representative_word: tuple[int, ...]
     matrix_on_a: Mat
     matrix_on_quotient: Mat
+
+
+def _normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCoset], ...]:
+    """The elements w of W(Sigma) that map a_h and +-Sigma_0 onto themselves,
+    in the order of lie.weyl_group, computed once per analysis.  Each comes
+    with its coset w W(Sigma_0) as a set of root permutations, and with the
+    LimitCoset it represents, labelled by the least word in the coset."""
+    return analysis._stage("weyl_normalizer", lambda: _weyl_normalizer(analysis))
+
+
+def _weyl_normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCoset], ...]:
+    lie = analysis.lie
+    weyl = lie.weyl_group
+    sigma0 = [lie.positive_roots[p] for p in analysis.sigma0]
+    gens = [lie.reflection_perm(r) for r in sigma0]
+    levi = [u for u, _ in group_closure(gens, tuple(range(2 * lie.num_pos)), compose_perms)]
+    at = {r: k for k, r in enumerate(lie.roots())}
+    levi_roots = {at[r] for r in sigma0} | {at[tuple(-x for x in r)] for r in sigma0}
+    quot = QuotientSpace.of(analysis.a_h)
+    out = []
+    for w in weyl.values():
+        if {w.perm[k] for k in levi_roots} != levi_roots:
+            continue
+        if analysis.a_h.transform(w.matrix) != analysis.a_h:
+            continue
+        key = frozenset(compose_perms(w.perm, u) for u in levi)
+        best = min((weyl[p].word for p in key), key=lambda word: (len(word), word))
+        label = "*".join(f"s{i + 1}" for i in best) or "e"
+        out.append((key, LimitCoset(label, w.word, w.matrix, quot.matrix_of(w.matrix))))
+    return tuple(out)
+
+
+def _coset_labels(analysis, elements) -> tuple[str, ...]:
+    """The label of each group element: that of the first normalizer element,
+    in W order, acting on a/a_h as the element does."""
+    label_of: dict[Mat, str] = {}
+    for _, coset in _normalizer(analysis):
+        label_of.setdefault(coset.matrix_on_quotient, coset.label)
+    if any(m not in label_of for m in elements):
+        raise ContractViolation("group element is not realized in the ambient Weyl group")
+    return tuple(label_of[m] for m in elements)
+
+
+# ---------------------------------------------------------------------------
+# The group from limit subalgebras
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -486,28 +445,45 @@ class LimitWeylReport:
         return tuple(sorted(c.label for c in self.cosets))
 
 
-def _twisted_conjugates(
+def _conjugate_table(
     analysis: SphericalAnalysis, m_lattice: str
-) -> tuple[_WeylAmbient, dict[Subspace, list[Mat]]]:
-    """The table chi . Ad(n_w) . h_empty -> [w, ...] over the admissible Weyl
-    elements w and the sign characters chi; each subspace keeps every w that
-    produces it, in Weyl-element order."""
+) -> dict[Subspace, dict[frozenset, LimitCoset]]:
+    """The table chi . Ad(n_w) . h_empty -> {coset of w: LimitCoset} over the
+    normalizer elements w and the sign characters chi.  Each subspace keeps
+    every coset that produces it, represented by its first producer."""
     lie = analysis.lie
-    amb = _weyl_ambient(analysis)
     scalings = [lie.sign_scaling(chi) for chi in lie.m_sign_characters(m_lattice).elements]
-    targets: dict[Subspace, list[Mat]] = {}
-    for word, m in amb.elements:
-        if not amb.in_normalizer(analysis, m):
-            continue
-        lift = lie.weyl_lift(word)
-        if lift.action_on_a != m:
+    targets: dict[Subspace, dict[frozenset, LimitCoset]] = {}
+    for key, coset in _normalizer(analysis):
+        lift = lie.weyl_lift(coset.representative_word)
+        if lift.action_on_a != coset.matrix_on_a:
             raise ContractViolation("Weyl lift does not restrict to the word action")
         conj = analysis.h_empty.image(lift.apply)
         for factors in scalings:
-            producers = targets.setdefault(conj.scale_coordinates(factors), [])
-            if m not in producers:
-                producers.append(m)
-    return amb, targets
+            targets.setdefault(conj.scale_coordinates(factors), {}).setdefault(key, coset)
+    return targets
+
+
+def limit_coset(
+    analysis: SphericalAnalysis, limit: Subspace, m_lattice: str = "coroot"
+) -> LimitCoset | None:
+    """The coset w W(Sigma_0), with its label, whose twisted conjugates
+    chi . Ad(n_w) . h_empty include the limit; None when none does.  The
+    table of conjugates is built once per analysis and lattice.
+
+    Raises ContractViolation when two cosets produce the limit.
+    """
+    cosets = analysis._stage(
+        ("twisted_conjugates", m_lattice), lambda: _conjugate_table(analysis, m_lattice)
+    ).get(limit)
+    if not cosets:
+        return None
+    if len(cosets) > 1:
+        raise ContractViolation(
+            "an order-regular limit matches more than one coset; "
+            "the sign-character model is too coarse here"
+        )
+    return next(iter(cosets.values()))
 
 
 def weyl_from_limits(
@@ -518,8 +494,8 @@ def weyl_from_limits(
     For each chamber the limit subalgebra is matched against sign-character
     twists of Weyl conjugates of the horospherical algebra; every chamber
     must land in exactly one coset of the Levi Weyl group.  The limits are
-    read from the chamber table of is_admissible; the report is computed
-    once per analysis and lattice.
+    read from the chamber table of is_admissible and matched once per block
+    cell; the report is computed once per analysis and lattice.
     """
     return analysis._stage(
         ("weyl_from_limits", m_lattice), lambda: _weyl_from_limits(analysis, m_lattice)
@@ -530,32 +506,20 @@ def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylR
     ok, chamber_rows = is_admissible(analysis)
     if not ok:
         raise ValueError("weyl_from_limits requires an admissible base point")
-    amb, targets = _twisted_conjugates(analysis, m_lattice)
-    quot = QuotientSpace.of(analysis.a_h)
-
-    coset_of: dict[frozenset, LimitCoset] = {}
+    limits, cells = chamber_limits(analysis, analysis.h_z)
+    cell_coset: dict[int, LimitCoset] = {}
+    coset_of: dict[str, LimitCoset] = {}
     rows = []
-    for ch in chamber_rows:
-        matches = targets.get(ch.limit, [])
-        if not matches:
-            raise ContractViolation(
-                "an order-regular limit is not a twisted Weyl conjugate of the "
-                "horospherical algebra at an admissible point"
-            )
-        keys = {amb.coset_key(m) for m in matches}
-        if len(keys) > 1:
-            raise ContractViolation(
-                "an order-regular limit matches more than one coset; "
-                "the sign-character model is too coarse here"
-            )
-        key = keys.pop()
-        if key not in coset_of:
-            m0 = matches[0]
-            word = {mat: w for w, mat in amb.elements}[m0]
-            coset_of[key] = LimitCoset(
-                amb.coset_label(m0), word, m0, quot.matrix_of(m0)
-            )
-        rows.append(LimitChamberRow(ch.signs, ch.representative, coset_of[key].label))
+    for ch, cell in zip(chamber_rows, cells, strict=True):
+        if cell not in cell_coset:
+            coset = limit_coset(analysis, limits[cell], m_lattice)
+            if coset is None:
+                raise ContractViolation(
+                    "an order-regular limit is not a twisted Weyl conjugate of the "
+                    "horospherical algebra at an admissible point"
+                )
+            cell_coset[cell] = coset_of.setdefault(coset.label, coset)
+        rows.append(LimitChamberRow(ch.signs, ch.representative, cell_coset[cell].label))
     return LimitWeylReport(tuple(coset_of.values()), tuple(rows))
 
 
@@ -592,18 +556,18 @@ def spherical_roots(
     """
     lie = analysis.lie
     edge = group.edge_quotient.subspace
+    units = [tuple(int(j == i) for j in range(lie.rank)) for i in range(lie.rank)]
+    simple = [lie.root_functional(u) for u in units]
     # Lambda = {c in Z^rank : (sum c_i alpha_i)(edge) = 0}
     rows = []
     for b in edge.basis_matrix:
-        row = [dot(lie.root_functional(tuple(1 if j == i else 0 for j in range(lie.rank))), b) for i in range(lie.rank)]
+        row = [dot(f, b) for f in simple]
         denom = lcm(*(x.denominator for x in row))
         rows.append([int(x * denom) for x in row])
-    lam_basis = (
-        integer_kernel(rows, lie.rank)
-        if rows
-        else [tuple(1 if j == i else 0 for j in range(lie.rank)) for i in range(lie.rank)]
-    )
-    lam_basis = [tuple(b) for b in lam_basis]
+    lam_basis = [tuple(b) for b in (integer_kernel(rows, lie.rank) if rows else units)]
+    # the simple-root coordinates of a functional, and the Lambda coordinates of those
+    sys_rows = tuple(zip(*simple))
+    lam_rows = [tuple(Fraction(b2[i]) for b2 in lam_basis) for i in range(lie.rank)]
 
     quot = group.quotient
     mq_inv = {m: mat_inverse(m) for m in group.elements}
@@ -613,34 +577,15 @@ def spherical_roots(
         minv = mq_inv[m]
         cols = []
         for b in lam_basis:
-            f = zero_vec(lie.dim_a)
-            for c, i in zip(b, range(lie.rank)):
-                f = vec_add(
-                    f,
-                    vec_scale(
-                        c,
-                        lie.root_functional(
-                            tuple(1 if j == i else 0 for j in range(lie.rank))
-                        ),
-                    ),
-                )
+            f = lie.root_functional(b)
             # mu(x) = f(lift(minv . project(x)))
             mu = tuple(
                 dot(f, quot.lift(mat_vec(minv, quot.project(e))))
                 for e in identity(lie.dim_a)
             )
-            # back to simple-root coordinates
-            sys_rows = [
-                tuple(
-                    lie.root_functional(tuple(1 if j == i else 0 for j in range(lie.rank)))[k]
-                    for i in range(lie.rank)
-                )
-                for k in range(lie.dim_a)
-            ]
             coeffs = solve(sys_rows, mu)
             if coeffs is None:
                 raise ContractViolation("group element leaves the root span")
-            lam_rows = [tuple(Fraction(b2[i]) for b2 in lam_basis) for i in range(lie.rank)]
             in_lam = solve(lam_rows, coeffs)
             if in_lam is None or any(x.denominator != 1 for x in in_lam):
                 raise ContractViolation(

@@ -62,3 +62,31 @@ def so3_subalgebra(a2):
 @pytest.fixture(scope="session")
 def a2_nbar(a2):
     return Subspace.from_coordinates(8, [a2.f_index(p) for p in range(3)])
+
+
+# h = l_S,nc + nbar_Q for a set S of simple roots (0-based): e_b, f_b and the
+# coroot of b for every positive root b in the span of S, and f_b for every
+# other positive root b.  Their Levi groups W(Sigma_0) have orders 2, 2, 2, 4.
+LEVI_PAIRS = {
+    "A2_levi1": ("A2", (0,)),
+    "B2_levi2": ("B2", (1,)),
+    "G2_levi1": ("G2", (0,)),
+    "A3_levi13": ("A3", (0, 2)),
+}
+
+
+def levi_pair(cartan_type, levi):
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type))
+    rows = []
+    for p, beta in enumerate(lie.positive_roots):
+        if all(c == 0 for i, c in enumerate(beta) if i not in levi):
+            rows.append(Subspace.from_coordinates(lie.dim, [lie.e_index(p)]).basis_matrix[0])
+            rows.append(lie.a_vector_to_g(lie.coroot(beta)))
+        rows.append(Subspace.from_coordinates(lie.dim, [lie.f_index(p)]).basis_matrix[0])
+    return lie, Subspace.from_spanning(lie.dim, rows)
+
+
+@pytest.fixture(scope="session")
+def levi_pairs():
+    """name -> (lie, h) for every entry of LEVI_PAIRS."""
+    return {name: levi_pair(*spec) for name, spec in LEVI_PAIRS.items()}

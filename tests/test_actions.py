@@ -67,7 +67,8 @@ def _dense_lifts(lie):
 def test_lifts_match_dense_products_on_all_of_w(name):
     lie = _lie(name)
     dense = _dense_lifts(lie)
-    for word, m in lie.weyl_group_on_a():
+    for w in lie.weyl_group.values():
+        word, m = w.word, w.matrix
         lift = lie.weyl_lift(word)
         want, on_a = dense(word)
         assert lift.action_on_a == on_a == m
@@ -80,7 +81,7 @@ def test_lifts_match_dense_products_on_all_of_w(name):
 def test_lifts_match_dense_products_on_generators_and_longest(name):
     lie = _lie(name)
     dense = _dense_lifts(lie)
-    longest = max(lie.weyl_group_on_a(), key=lambda t: len(t[0]))[0]
+    longest = max((w.word for w in lie.weyl_group.values()), key=len)
     for word in [(i,) for i in range(lie.rank)] + [longest]:
         lift = lie.weyl_lift(word)
         want, on_a = dense(word)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from littleweyl import verify
 from littleweyl.cli import main
 
@@ -211,3 +213,39 @@ def test_verify_passes_the_m_lattice_on(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "A1_so2", "--m-lattice", "coweight", "--json")
     assert code == 0 and json.loads(out)["failed"] == 0
     assert seen == ["coweight"]
+
+
+# nbar = span(f_1, f_2, f_3) in sl3, and span(f) in gl2 = sl2 + center
+A2_NBAR = [["0"] * (5 + k) + ["1"] + ["0"] * (2 - k) for k in range(3)]
+GL2_NBAR = [["0", "0", "1", "0"]]
+
+
+@pytest.mark.parametrize(
+    "lie_algebra, rows, word",
+    [
+        # each of these once ran, or ended in a traceback
+        ({"cartan_matrix": [[2.5, -1], [-1, 2]]}, A2_NBAR, []),  # truncated to A2
+        ({"cartan_matrix": [[2, "a"], [-1, 2]]}, A2_NBAR, []),
+        ({"cartan_matrix": "A2"}, A2_NBAR, []),
+        ({"cartan_type": 2}, A2_NBAR, []),
+        ({"cartan_type": "A1", "center_dim": True}, GL2_NBAR, []),  # read as 1
+        ({"cartan_type": "A2"}, A2_NBAR, [{"kind": "weyl", "word": [True]}]),
+        (
+            {"cartan_type": "A1"},
+            [["0", "0", "1"]],
+            [{"kind": "torus", "coweight": [True], "scale": "2"}],
+        ),
+    ],
+)
+def test_malformed_space_file_exit_1(tmp_path, capsys, lie_algebra, rows, word):
+    space = {
+        "schema_version": 1,
+        "lie_algebra": lie_algebra,
+        "subalgebra": rows,
+        "base_point_word": word,
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert err.startswith("error:") and out == ""

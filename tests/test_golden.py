@@ -1,0 +1,129 @@
+"""Byte-identity of the JSON reports.
+
+Each case runs one CLI subcommand (or ``build_report``) and compares the
+sha256 digest of its stdout, together with its exit code, with the digest
+recorded before the Weyl group table of each algebra replaced the closures
+run per analysis.
+A refactor that keeps results must keep every digest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from littleweyl import catalog
+from littleweyl.cli import build_report, main
+from littleweyl.serialize import dumps_canonical
+from littleweyl.spherical import BasePoint
+
+ENTRIES = [e.name for e in catalog.list_entries()]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _cli(*argv) -> tuple[str, str]:
+    """'exit code:digest' of one CLI run, and its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return f"{code}:{_digest(out.getvalue())}", out.getvalue()
+
+
+def entry_outputs(name: str) -> dict[str, str]:
+    """'exit code:digest' of every pinned report of one catalog entry."""
+    dim_a = catalog.get_entry(name).lie().dim_a
+    direction = ",".join(str(-(k + 1)) for k in range(dim_a))
+    out = {
+        f"analyze/{lat}": _cli("analyze", name, "--json", "--m-lattice", lat)[0]
+        for lat in ("coroot", "coweight")
+    }
+    out["degenerate"], faces = _cli("degenerate", name, "--json")
+    for i in range(len(json.loads(faces)["faces"])):
+        out[f"degenerate/{i}"] = _cli("degenerate", name, "--json", "--face", str(i))[0]
+    out["admissible"] = _cli("admissible", name, "--json")[0]
+    out["limit"] = _cli("limit", name, "--json", f"--direction={direction}")[0]
+    return out
+
+
+def levi_report(lie, h) -> str:
+    return _digest(dumps_canonical(build_report(lie, BasePoint((), h), "levi")))
+
+
+ENTRY_DIGESTS = {
+    "A1_nbar": {
+        "analyze/coroot": "0:2b49c3d08341c876",
+        "analyze/coweight": "0:2b49c3d08341c876",
+        "degenerate": "0:fd99b6668d821a36",
+        "degenerate/0": "0:caf99edce0eb7e49",
+        "admissible": "0:936b0a59ff299107",
+        "limit": "0:dc98647c3a8f7a6b",
+    },
+    "A1_so2": {
+        "analyze/coroot": "0:31945b6d38b8e2ce",
+        "analyze/coweight": "0:31945b6d38b8e2ce",
+        "degenerate": "0:9b1944259f46c8a1",
+        "degenerate/0": "0:87fd871634298863",
+        "degenerate/1": "0:5b97edc4b1450d61",
+        "admissible": "0:f40ebe4cf5d52b67",
+        "limit": "0:dc98647c3a8f7a6b",
+    },
+    "A1_so11": {
+        "analyze/coroot": "0:a468bccae5f88ff0",
+        "analyze/coweight": "0:a468bccae5f88ff0",
+        "degenerate": "0:9b1944259f46c8a1",
+        "degenerate/0": "0:4b7366c740501856",
+        "degenerate/1": "0:5b97edc4b1450d61",
+        "admissible": "0:d68569601a1d6271",
+        "limit": "0:dc98647c3a8f7a6b",
+    },
+    "A1xA1_diag_w0": {
+        "analyze/coroot": "0:ebd8e5b91a6f9063",
+        "analyze/coweight": "0:ebd8e5b91a6f9063",
+        "degenerate": "0:f2f3e053d71df8d8",
+        "degenerate/0": "0:1fa0410811623407",
+        "degenerate/1": "0:6d69cb42ad9728b4",
+        "admissible": "0:0df0c88fb8003beb",
+        "limit": "0:547e339c0e6e6fb4",
+    },
+    "A2_so3": {
+        "analyze/coroot": "0:07028314286e2da9",
+        "analyze/coweight": "0:07028314286e2da9",
+        "degenerate": "0:56fd38f20d562147",
+        "degenerate/0": "0:f891ce37d258f454",
+        "degenerate/1": "0:66ec5dc2c275ca6d",
+        "degenerate/2": "0:3226674309cdb737",
+        "degenerate/3": "0:028603cf771520fc",
+        "admissible": "0:f63a42f29642f649",
+        "limit": "0:dcd94d744048cf19",
+    },
+    "A2_nbar": {
+        "analyze/coroot": "0:5e0fd961e03f0ac1",
+        "analyze/coweight": "0:5e0fd961e03f0ac1",
+        "degenerate": "0:1ea4914a9835811c",
+        "degenerate/0": "0:45b81af023a47654",
+        "admissible": "0:c6ee198d02fceeb9",
+        "limit": "0:00dff6b2286850d6",
+    },
+}
+
+LEVI_DIGESTS = {
+    "A2_levi1": "0b61913b59e6ed0e",
+    "B2_levi2": "5e8bf71f30960481",
+    "G2_levi1": "20e5634cf3c62e4c",
+    "A3_levi13": "de56c4aacd1a21ae",
+}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_catalog_reports_are_unchanged(name):
+    assert entry_outputs(name) == ENTRY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LEVI_DIGESTS))
+def test_levi_pair_reports_are_unchanged(name, levi_pairs):
+    assert levi_report(*levi_pairs[name]) == LEVI_DIGESTS[name]

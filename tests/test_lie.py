@@ -298,7 +298,7 @@ def test_torus_scaling_exactness(a1):
 
 
 def test_weyl_group_words_are_breadth_first_in_word_order(a2):
-    words = [w for w, _ in a2.weyl_group_on_a()]
+    words = [w.word for w in a2.weyl_group.values()]
     assert words == [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)]
 
 

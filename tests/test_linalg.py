@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from littleweyl.linalg import (
     Subspace,
     integer_kernel,
@@ -93,3 +96,42 @@ def test_mat_inverse():
     m = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(5)))
     inv = mat_inverse(m)
     assert mat_mul(m, inv) == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _subspace_and_vectors(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(_ENTRIES, min_size=n, max_size=n)
+    sub = Subspace.from_spanning(n, draw(st.lists(row, max_size=4)))
+    # a member of sub first, so that both answers occur
+    coeffs = draw(st.lists(_ENTRIES, min_size=sub.dim, max_size=sub.dim))
+    member = [Fraction(0)] * n
+    for c, b in zip(coeffs, sub.basis_matrix):
+        member = [x + c * y for x, y in zip(member, b)]
+    vectors = draw(st.lists(row, min_size=1, max_size=3))
+    return sub, [vec(member)] + [vec(v) for v in vectors]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_and_vectors())
+def test_membership_agrees_with_row_reduction(case):
+    """reduce_vector, contains_vector and contains against their rref definitions."""
+    sub, vectors = case
+    _, pivots = rref(sub.basis_matrix)
+    assert sub.pivots == pivots
+    for v in vectors:
+        want = list(v)
+        for row, p in zip(sub.basis_matrix, pivots):
+            f = want[p]
+            want = [x - f * y for x, y in zip(want, row)]
+        assert sub.reduce_vector(v) == tuple(want)
+        assert sub.contains_vector(v) == (len(rref(sub.basis_matrix + (v,))[0]) == sub.dim)
+    assert sub.contains(Subspace.from_spanning(sub.ambient_dim, vectors[:1]))
+    spanned = Subspace.from_spanning(sub.ambient_dim, vectors)
+    for other in (spanned, sub.add(spanned)):
+        assert sub.contains(other) == (
+            len(rref(sub.basis_matrix + other.basis_matrix)[0]) == sub.dim
+        )

@@ -70,4 +70,4 @@ def test_root_system_and_weyl_order_match_sympy(cartan_type):
     }
     assert len(lie.roots()) == 2 * lie.num_pos == len(RootSystem(cartan_type).all_roots())
     assert embedded == _reflection_closure(simple)
-    assert len(lie.weyl_group_on_a()) == int(WeylGroup(cartan_type).group_order())
+    assert len(lie.weyl_group) == int(WeylGroup(cartan_type).group_order())

@@ -17,7 +17,8 @@ from littleweyl.verify import (
     structural_invariants,
     weyl_invariants,
 )
-from littleweyl.weyl import _WeylAmbient, little_weyl_group, weyl_from_limits
+from littleweyl import weyl
+from littleweyl.weyl import little_weyl_group, weyl_from_limits
 
 
 def _record_rref_calls(monkeypatch) -> list:
@@ -147,7 +148,7 @@ def test_simple_lifts_are_read_once_without_dense_exp_ad(monkeypatch, b2):
 
     monkeypatch.setattr(LieAlgebraData, "exp_ad", lambda self, x: dense.append(x))
     monkeypatch.setattr(LieAlgebraData, "exp_ad_apply", recording)
-    words = [word for word, _ in lie.weyl_group_on_a()]
+    words = [w.word for w in lie.weyl_group.values()]
     first = [lie.weyl_lift(word) for word in words]
     assert dense == []
     assert len(series) == 3 * lie.rank * lie.dim
@@ -158,13 +159,13 @@ def test_simple_lifts_are_read_once_without_dense_exp_ad(monkeypatch, b2):
 def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):
     an = analyze(a2, so3_subalgebra)
     calls = []
-    original = _WeylAmbient.of
+    original = weyl._weyl_normalizer
 
     def recording(analysis):
         calls.append(analysis)
         return original(analysis)
 
-    monkeypatch.setattr(_WeylAmbient, "of", staticmethod(recording))
+    monkeypatch.setattr(weyl, "_weyl_normalizer", recording)
     little_weyl_group(an)
     weyl_from_limits(an, "coroot")
     weyl_from_limits(an, "coweight")

@@ -323,15 +323,17 @@ def test_tiling_rejects_an_overlap_and_a_gap(name):
 
 def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
     an = _analysis("A2_so3")
-    original = weyl._twisted_conjugates
+    original = weyl._conjugate_table
 
     def with_a_second_coset(analysis, m_lattice):
-        amb, targets = original(analysis, m_lattice)
-        for producers in targets.values():
-            first = amb.coset_key(producers[0])
-            producers.append(next(m for _, m in amb.elements if amb.coset_key(m) != first))
-        return amb, targets
+        targets = original(analysis, m_lattice)
+        for cosets in targets.values():
+            key, coset = next(
+                (k, c) for k, c in weyl._normalizer(analysis) if k not in cosets
+            )
+            cosets[key] = coset
+        return targets
 
-    monkeypatch.setattr(weyl, "_twisted_conjugates", with_a_second_coset)
+    monkeypatch.setattr(weyl, "_conjugate_table", with_a_second_coset)
     with pytest.raises(ContractViolation, match="more than one coset"):
         weyl_from_limits(an)
