@@ -34,6 +34,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     solve,
+    sparse_combination,
     vec,
     vec_add,
     vec_scale,
@@ -412,6 +413,16 @@ class LieAlgebraData:
             return {k: -c for k, c in self.structure.get((j, i), {}).items()}
         return self.structure.get((i, j), {})
 
+    def bracket_table(self) -> list[list[dict[int, Fraction]]]:
+        """[x_i, x_j] = bracket_table()[i][j] for every pair of basis vectors,
+        as the sparse dicts of bracket_basis.  Pairs that bracket to zero
+        share one empty dict, so the table is read only."""
+        zero: dict[int, Fraction] = {}
+        out = [[zero] * self.dim for _ in range(self.dim)]
+        for (i, j), comp in self.structure.items():
+            out[i][j], out[j][i] = comp, {k: -c for k, c in comp.items()}
+        return out
+
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
@@ -703,31 +714,44 @@ class LieAlgebraData:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> None:
+        """Certify the algebra from its sparse structure constants: the Jacobi
+        identity on every basis triple, a symmetric form, theta an involution
+        and -B(x, theta y) positive definite.  The invariance of the form is
+        verify's ``form_invariance``."""
         dim = self.dim
-        basis = identity(dim)
-        # Jacobi identity on all basis triples
+        br = self.bracket_table()
+        # Jacobi identity on all basis triples i < j < k.  [[x_i, x_j], x_k]
+        # is the sum of c [x_l, x_k] over the terms c x_l of [x_i, x_j]; a
+        # triple whose three pairwise brackets vanish has every term zero.
         for i in range(dim):
             for j in range(i + 1, dim):
-                bij = self.bracket(basis[i], basis[j])
+                bij = br[i][j]
                 for k in range(j + 1, dim):
-                    s = self.bracket(bij, basis[k])
-                    s = vec_add(s, self.bracket(self.bracket(basis[j], basis[k]), basis[i]))
-                    s = vec_add(s, self.bracket(self.bracket(basis[k], basis[i]), basis[j]))
-                    if any(x != 0 for x in s):
+                    bjk, bki = br[j][k], br[k][i]
+                    if not (bij or bjk or bki):
+                        continue
+                    terms = ((bij, k), (bjk, i), (bki, j))
+                    if sparse_combination((c, br[l][x]) for u, x in terms for l, c in u.items()):
                         raise LieAlgebraError(f"Jacobi identity fails on triple {(i, j, k)}")
-        # invariance of the form and symmetry
+        # symmetry of the form (its invariance is verify's form_invariance)
         for i in range(dim):
             for j in range(dim):
                 if self.form_matrix[i][j] != self.form_matrix[j][i]:
                     raise LieAlgebraError("form is not symmetric")
-        # theta is an involution with -B(x, theta x) > 0
-        theta_basis = [self.theta(b) for b in basis]
-        if any(self.theta(t) != b for t, b in zip(theta_basis, basis)):
-            raise LieAlgebraError("theta is not an involution")
-        gram = [
-            [-self.invariant_form(basis[i], theta_basis[j]) for j in range(dim)]
-            for i in range(dim)
-        ]
+        # theta is an involution with -B(x, theta x) > 0.  gram[i][j] =
+        # -B(x_i, theta x_j) is summed over the nonzeros c x_l of theta x_j
+        # and the nonzeros B(x_l, x_i) of form row l (the form is symmetric).
+        zero = (Fraction(0),) * dim
+        gram = [list(zero) for _ in range(dim)]
+        for j in range(dim):
+            b = zero[:j] + (Fraction(1),) + zero[j + 1 :]
+            t = self.theta(b)
+            if self.theta(t) != b:
+                raise LieAlgebraError("theta is not an involution")
+            for l, c in enumerate(t):
+                if c != 0:
+                    for i, f in self._form_rows[l]:
+                        gram[i][j] -= f * c
         if _first_nonpositive_minor(gram) is not None:
             raise LieAlgebraError("-B(., theta .) is not positive definite")
 

@@ -47,6 +47,18 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
+def sparse_combination(
+    terms: Iterable[tuple[Fraction, dict[int, Fraction]]],
+) -> dict[int, Fraction]:
+    """The sum of c * v over the (c, v) in terms, for sparse vectors v
+    (index -> entry), as a sparse vector with no zero entries."""
+    out: dict[int, Fraction] = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x != 0}
+
+
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 

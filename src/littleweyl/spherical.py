@@ -659,13 +659,16 @@ def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
 
 
 def normalizer_in_a(lie: LieAlgebraData, e: Subspace) -> Subspace:
-    """{X in a : [X, E] is contained in E}, in a-coordinates."""
+    """{X in a : [X, E] is contained in E}, in a-coordinates.
+
+    ad(X) scales each basis vector x_j by wt_j(X), so the k-th basis vector
+    of a maps a row v of E to (v_j wt_j[k])_j.
+    """
     ann = e.annihilator()
     rows = []
     for v in e.basis_matrix:
         images = [
-            lie.bracket(lie.a_vector_to_g(tuple(Fraction(1 if j == k else 0) for j in range(lie.dim_a))), v)
-            for k in range(lie.dim_a)
+            tuple(c * w[k] for c, w in zip(v, lie.weights)) for k in range(lie.dim_a)
         ]
         for a in ann:
             rows.append(tuple(dot(a, img) for img in images))

@@ -16,7 +16,7 @@ from .catalog import CatalogEntry
 from .cones import Cone
 from .lie import LieAlgebraData
 from .limits import float_flow_oracle, is_order_regular, limit_subspace
-from .linalg import Subspace, dot, identity, vec, vec_add, vec_scale, zero_vec
+from .linalg import Subspace, dot, identity, sparse_combination, vec, vec_add, vec_scale, zero_vec
 from .serialize import word_entry_from_json
 from .spherical import (
     NotAdaptedError,
@@ -70,34 +70,53 @@ def _guarded(name: str, fn: Callable[[], CheckResult]) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _sparse(v: Sequence) -> dict[int, Fraction]:
+    return {k: c for k, c in enumerate(v) if c != 0}
+
+
 def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
+    """The identities of g on its basis, read from the sparse brackets
+    [x_i, x_j] = br[i][j], the form rows and theta of each basis vector."""
     out = []
-    basis = identity(lie.dim)
+    dim = lie.dim
+    br = lie.bracket_table()
+    form = [_sparse(row) for row in lie.form_matrix]
+    # ad_rows[j][l] = {k: coefficient of x_l in [x_j, x_k]}
+    ad_rows: list[list[dict[int, Fraction]]] = [[{} for _ in range(dim)] for _ in range(dim)]
+    for j in range(dim):
+        for k in range(dim):
+            for l, c in br[j][k].items():
+                ad_rows[j][l][k] = c
+
+    # B([x_i, x_j], x_k) = B(x_i, [x_j, x_k]), both sides as rows over k;
+    # the first failing triple is reported
     bad = None
-    for i in range(lie.dim):
-        for j in range(lie.dim):
-            for k in range(lie.dim):
-                lhs = lie.invariant_form(lie.bracket(basis[i], basis[j]), basis[k])
-                rhs = lie.invariant_form(basis[i], lie.bracket(basis[j], basis[k]))
-                if lhs != rhs:
-                    bad = (i, j, k)
-                    break
+    for i in range(dim):
+        for j in range(dim):
+            lhs = sparse_combination((c, form[l]) for l, c in br[i][j].items())
+            rhs = sparse_combination((f, ad_rows[j][l]) for l, f in form[i].items())
+            if lhs != rhs:
+                bad = (i, j, min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)))
+                break
+        if bad is not None:
+            break
     out.append(_check("form_invariance", bad is None, f"triple {bad}"))
 
     bad = None
-    for i in range(lie.dim):
-        for j in range(lie.dim):
-            x, y = basis[i], basis[j]
-            if lie.bracket(lie.theta(x), lie.theta(y)) != lie.theta(lie.bracket(x, y)):
+    th = [_sparse(lie.theta(b)) for b in identity(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            lhs = sparse_combination(
+                (c * d, br[l][m]) for l, c in th[i].items() for m, d in th[j].items()
+            )
+            if lhs != sparse_combination((c, th[l]) for l, c in br[i][j].items()):
                 bad = (i, j)
     out.append(_check("theta_automorphism", bad is None, f"pair {bad}"))
 
     bad = None
     for p, root in enumerate(lie.positive_roots):
-        e = basis[lie.e_index(p)]
-        f = basis[lie.f_index(p)]
-        v = lie.bracket(e, lie.bracket(e, f))
-        if all(c == 0 for c in v):
+        e, f = lie.e_index(p), lie.f_index(p)
+        if not sparse_combination((c, br[e][l]) for l, c in br[e][f].items()):
             bad = root
     out.append(
         _check("sl2_nonvanishing", bad is None, f"ad^2(e)f = 0 at root {bad}")
@@ -106,10 +125,9 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
     # root spaces are exact ad(a)-eigenspaces
     bad = None
     for k in range(lie.dim_a):
-        xa = basis[k][: lie.dim_a]
-        for idx in range(lie.dim):
-            expect = vec_scale(dot(lie.weights[idx], xa), basis[idx])
-            if lie.bracket(basis[k], basis[idx]) != expect:
+        for idx in range(dim):
+            w = lie.weights[idx][k]
+            if sparse_combination([(1, br[k][idx])]) != ({idx: w} if w != 0 else {}):
                 bad = (k, idx)
     out.append(_check("root_space_grading", bad is None, f"pair {bad}"))
 

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,14 +7,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littleweyl import lie as lie_module
 from littleweyl.lie import (
+    LieAlgebraData,
     LieAlgebraError,
     _first_nonpositive_minor,
     build_from_cartan,
     cartan_matrix_of_type,
     validate_cartan_matrix,
 )
-from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
+from littleweyl.linalg import Subspace, dot, identity, mat_mul, mat_vec, vec, vec_add, vec_scale
+from littleweyl.verify import CheckResult, lie_invariants
 
 
 H, E, F = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -75,7 +80,7 @@ def test_killing_form_matches_the_dense_trace_formula(name, center):
     assert lie.form_matrix == tuple(tuple(row) for row in want)
 
 
-def test_jacobi_and_invariance_hold_at_build():
+def test_jacobi_holds_at_build():
     # validate() runs at construction; G2 exercises constants up to +-3
     build_from_cartan(cartan_matrix_of_type("G2")).validate()
 
@@ -337,3 +342,191 @@ def test_first_nonpositive_minor_matches_sympy_determinants(m):
     dets = [sympy.Matrix(m).extract(list(range(k)), list(range(k))).det() for k in range(1, n + 1)]
     expected = next((k + 1 for k, d in enumerate(dets) if d <= 0), None)
     assert _first_nonpositive_minor([[Fraction(x) for x in row] for row in m]) == expected
+
+
+# ---------------------------------------------------------------------------
+# validate: mutations, and the dense Jacobi loop as its reference
+# ---------------------------------------------------------------------------
+
+MUTATED = ["A2", "B2", "G2", "B3"]
+
+
+def _dense_jacobi_failure(lie):
+    """The first basis triple i < j < k on which the Jacobi identity fails, or
+    None, from dense brackets of basis vectors: the reference for the
+    sparse Jacobi loop of validate."""
+    basis = identity(lie.dim)
+    for i in range(lie.dim):
+        for j in range(i + 1, lie.dim):
+            bij = lie.bracket(basis[i], basis[j])
+            for k in range(j + 1, lie.dim):
+                s = lie.bracket(bij, basis[k])
+                s = vec_add(s, lie.bracket(lie.bracket(basis[j], basis[k]), basis[i]))
+                s = vec_add(s, lie.bracket(lie.bracket(basis[k], basis[i]), basis[j]))
+                if any(x != 0 for x in s):
+                    return (i, j, k)
+    return None
+
+
+def _validate_error(lie):
+    try:
+        lie.validate()
+    except LieAlgebraError as err:
+        return str(err)
+    return None
+
+
+def _with_constant(lie, key, k, factor):
+    """A copy of lie with the structure constant c^k of [x_i, x_j], (i, j) =
+    key, multiplied by factor."""
+    structure = {pair: dict(comp) for pair, comp in lie.structure.items()}
+    structure[key][k] *= factor
+    return dataclasses.replace(lie, structure=structure)
+
+
+def _with_form_entries(lie, entries):
+    form = [list(row) for row in lie.form_matrix]
+    for (i, j), value in entries.items():
+        form[i][j] = value
+    return dataclasses.replace(lie, form_matrix=tuple(map(tuple, form)))
+
+
+def test_bracket_table_is_bracket_basis(b2):
+    table = b2.bracket_table()
+    assert all(table[i][j] == b2.bracket_basis(i, j) for i in range(b2.dim) for j in range(b2.dim))
+
+
+@pytest.mark.parametrize("name", MUTATED)
+def test_validate_and_the_dense_jacobi_loop_accept_the_built_tables(name):
+    lie = build_from_cartan(cartan_matrix_of_type(name))
+    assert _validate_error(lie) is None
+    assert _dense_jacobi_failure(lie) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MUTATED),
+    st.data(),
+    st.sampled_from([Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(0)]),
+)
+def test_validate_rejects_one_corrupted_structure_constant(name, data, factor):
+    lie = build_from_cartan(cartan_matrix_of_type(name))
+    entries = sorted((key, k) for key, comp in lie.structure.items() for k in comp)
+    key, k = data.draw(st.sampled_from(entries))
+    bad = _with_constant(lie, key, k, factor)
+    # the dense loop rejects the same table, first on the same triple
+    triple = _dense_jacobi_failure(bad)
+    assert triple is not None
+    assert _validate_error(bad) == f"Jacobi identity fails on triple {triple}"
+
+
+@pytest.mark.parametrize("coord", range(10))
+def test_validate_rejects_theta_with_one_sign_flipped(b2, monkeypatch, coord):
+    theta = LieAlgebraData.theta
+
+    def flipped(self, x):
+        out = list(theta(self, x))
+        out[coord] = -out[coord]
+        return tuple(out)
+
+    monkeypatch.setattr(LieAlgebraData, "theta", flipped)
+    # flipping a coordinate of a keeps an involution but B(h, h) > 0 enters
+    # the Gram; flipping a root coordinate breaks the involution
+    want = "-B(., theta .) is not positive definite" if coord < b2.dim_a else "theta is not an involution"
+    assert _validate_error(b2) == want
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_validate_rejects_an_asymmetric_form(name):
+    lie = build_from_cartan(cartan_matrix_of_type(name))
+    off_diagonal = [
+        (i, j) for i in range(lie.dim) for j in range(lie.dim) if i != j and lie.form_matrix[i][j] != 0
+    ]
+    for i, j in off_diagonal + [(0, lie.dim - 1)]:
+        bad = _with_form_entries(lie, {(i, j): lie.form_matrix[i][j] + 1})
+        with pytest.raises(LieAlgebraError, match="form is not symmetric"):
+            bad.validate()
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_validate_rejects_a_negated_root_pairing(name):
+    # B(e_p, f_p) < 0 on both sides keeps the form symmetric but makes
+    # -B(e_p, theta e_p) negative
+    lie = build_from_cartan(cartan_matrix_of_type(name))
+    for p in range(lie.num_pos):
+        e, f = lie.e_index(p), lie.f_index(p)
+        c = lie.form_matrix[e][f]
+        bad = _with_form_entries(lie, {(e, f): -c, (f, e): -c})
+        with pytest.raises(LieAlgebraError, match=re.escape("-B(., theta .) is not positive definite")):
+            bad.validate()
+
+
+def test_construction_never_calls_the_dense_bracket(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("the dense bracket ran during construction")
+
+    monkeypatch.setattr(LieAlgebraData, "bracket", refuse)
+    lie_module._build_cached.cache_clear()
+    for name in ("B3", "D4", "F4"):
+        build_from_cartan(cartan_matrix_of_type(name))
+
+
+# ---------------------------------------------------------------------------
+# verify.lie_invariants against its dense definition
+# ---------------------------------------------------------------------------
+
+
+def _dense_lie_invariants(lie):
+    """lie_invariants from dense brackets of basis vectors, stopping
+    form_invariance at the first failing triple."""
+    out = []
+    basis = identity(lie.dim)
+    bad = None
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            for k in range(lie.dim):
+                lhs = lie.invariant_form(lie.bracket(basis[i], basis[j]), basis[k])
+                rhs = lie.invariant_form(basis[i], lie.bracket(basis[j], basis[k]))
+                if bad is None and lhs != rhs:
+                    bad = (i, j, k)
+    out.append(CheckResult("form_invariance", bad is None, f"triple {bad}"))
+    bad = None
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            x, y = basis[i], basis[j]
+            if lie.bracket(lie.theta(x), lie.theta(y)) != lie.theta(lie.bracket(x, y)):
+                bad = (i, j)
+    out.append(CheckResult("theta_automorphism", bad is None, f"pair {bad}"))
+    bad = None
+    for p, root in enumerate(lie.positive_roots):
+        e, f = basis[lie.e_index(p)], basis[lie.f_index(p)]
+        if all(c == 0 for c in lie.bracket(e, lie.bracket(e, f))):
+            bad = root
+    out.append(CheckResult("sl2_nonvanishing", bad is None, f"ad^2(e)f = 0 at root {bad}"))
+    bad = None
+    for k in range(lie.dim_a):
+        for idx in range(lie.dim):
+            expect = vec_scale(dot(lie.weights[idx], basis[k][: lie.dim_a]), basis[idx])
+            if lie.bracket(basis[k], basis[idx]) != expect:
+                bad = (k, idx)
+    out.append(CheckResult("root_space_grading", bad is None, f"pair {bad}"))
+    return out
+
+
+@pytest.mark.parametrize("name, center", [("A1", 0), ("A2", 0), ("B2", 0), ("G2", 0), ("A2", 1)])
+def test_lie_invariants_match_the_dense_definition(name, center):
+    lie = build_from_cartan(cartan_matrix_of_type(name), abelian_center_dim=center)
+    got = lie_invariants(lie)
+    assert all(r.ok for r in got)
+    assert got[:4] == _dense_lie_invariants(lie)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_lie_invariants_report_each_flipped_constant_like_the_dense_definition(name):
+    lie = build_from_cartan(cartan_matrix_of_type(name))
+    for key, comp in sorted(lie.structure.items()):
+        for k in sorted(comp):
+            bad = _with_constant(lie, key, k, Fraction(-1))
+            got = lie_invariants(bad)[:4]
+            assert not all(r.ok for r in got)
+            assert got == _dense_lie_invariants(bad)

@@ -9,6 +9,10 @@ Only sympy's simple roots, root counts and group orders are read.  Its
 fails on A1, and its ``all_roots`` for G2 holds two vectors off the root
 plane, so the Cartan matrix and the roots are derived here from the simple
 roots with Euclidean inner products and reflections.
+
+sympy's F4 ``simple_roots`` are wrong: alpha_3 = e_4 is orthogonal to
+alpha_2 = e_2 - e_3, so they span A2 x A2.  Its F4 ``all_roots`` are the 48
+roots of F4, so for F4 the simple roots are read off them instead.
 """
 
 from itertools import permutations
@@ -20,12 +24,25 @@ from sympy.liealgebras.weyl_group import WeylGroup
 
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 
-TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
+TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 
 
 def _sympy_simple_roots(cartan_type: str) -> list[list[sympy.Rational]]:
+    if cartan_type == "F4":
+        return _indecomposable_roots(RootSystem("F4").all_roots().values())
     simple = RootSystem(cartan_type).simple_roots()
     return [[sympy.Rational(x) for x in simple[i]] for i in sorted(simple)]
+
+
+def _indecomposable_roots(roots) -> list[list[sympy.Rational]]:
+    """The simple roots of a root system: the roots positive on a functional
+    vanishing on none of them that are not a sum of two such roots."""
+    roots = [tuple(sympy.Rational(x) for x in r) for r in roots]
+    functional = (8, 4, 2, 1)  # nonzero on every F4 root
+    assert all(_ip(r, functional) != 0 for r in roots)
+    pos = [r for r in roots if _ip(r, functional) > 0]
+    sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
+    return [list(r) for r in pos if r not in sums]
 
 
 def _ip(a, b):

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littleweyl.cones import Cone
-from littleweyl.lie import LieAlgebraError
+from littleweyl.lie import LieAlgebraError, build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import limit_subspace
-from littleweyl.linalg import Subspace, identity, mat_vec, vec
+from littleweyl.linalg import Subspace, dot, identity, kernel, mat_vec, vec
 from littleweyl.spherical import (
     NotAdaptedError,
     WordEntry,
@@ -322,6 +324,26 @@ def test_degeneration_formula_equals_limit_all_faces(a2, so3_subalgebra):
         x = face.relative_interior_point()
         assert deg.h_zf == limit_subspace(a2, so3_subalgebra, x)
         assert normalizer_in_a(a2, deg.h_zf) == face.span()
+
+
+def _dense_normalizer_in_a(lie, e):
+    """{X in a : [X, E] in E} from dense brackets with the basis of a."""
+    ann = e.annihilator()
+    rows = []
+    for v in e.basis_matrix:
+        images = [lie.bracket(lie.a_vector_to_g(b), v) for b in identity(lie.dim_a)]
+        rows += [tuple(dot(a, img) for img in images) for a in ann]
+    return Subspace(lie.dim_a, kernel(rows, lie.dim_a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("A2", 0), ("B2", 0), ("A2", 1)]), st.data())
+def test_normalizer_in_a_matches_dense_brackets(algebra, data):
+    lie = build_from_cartan(cartan_matrix_of_type(algebra[0]), abelian_center_dim=algebra[1])
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    rows = data.draw(st.lists(st.lists(entry, min_size=lie.dim, max_size=lie.dim), min_size=1, max_size=3))
+    e = Subspace.from_spanning(lie.dim, [tuple(Fraction(x) for x in r) for r in rows])
+    assert normalizer_in_a(lie, e) == _dense_normalizer_in_a(lie, e)
 
 
 def test_degeneration_rejects_non_face(a1, sl2_subalgebras):
