@@ -541,12 +541,21 @@ class LieAlgebraData:
         return vec(x)[: self.dim_a]
 
     def orthocomplement(self, e: Subspace) -> Subspace:
-        """B-orthogonal complement in g."""
+        """B-orthogonal complement in g.  The equation of each row v of E is
+        B(v, .), the sum of v_l times row l of the form, read from the
+        nonzeros of the form rows (the form is symmetric)."""
         if e.dim == 0:
             return Subspace.full(self.dim)
         from .linalg import kernel
 
-        eqs = [mat_vec(self.form_matrix, row) for row in e.basis_matrix]
+        eqs = []
+        for row in e.basis_matrix:
+            eq = [Fraction(0)] * self.dim
+            for l, c in enumerate(row):
+                if c != 0:
+                    for i, f in self._form_rows[l]:
+                        eq[i] += f * c
+            eqs.append(eq)
         return Subspace(self.dim, kernel(eqs, self.dim))
 
     def centralizer_in_g(self, v: Subspace) -> Subspace:

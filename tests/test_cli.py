@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import littleweyl
 from littleweyl import verify
 from littleweyl.cli import main
 
@@ -249,3 +254,14 @@ def test_malformed_space_file_exit_1(tmp_path, capsys, lie_algebra, rows, word):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert err.startswith("error:") and out == ""
+
+
+def test_cli_import_loads_no_third_party_module():
+    # a fresh interpreter, so that modules the tests import do not count
+    src = str(Path(littleweyl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, littleweyl.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

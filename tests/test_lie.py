@@ -16,7 +16,17 @@ from littleweyl.lie import (
     cartan_matrix_of_type,
     validate_cartan_matrix,
 )
-from littleweyl.linalg import Subspace, dot, identity, mat_mul, mat_vec, vec, vec_add, vec_scale
+from littleweyl.linalg import (
+    Subspace,
+    dot,
+    identity,
+    kernel,
+    mat_mul,
+    mat_vec,
+    vec,
+    vec_add,
+    vec_scale,
+)
 from littleweyl.verify import CheckResult, lie_invariants
 
 
@@ -145,6 +155,31 @@ def test_orthocomplement_examples(a1):
     e = Subspace.from_spanning(3, [F])
     assert e.dim + a1.orthocomplement(e).dim == 3
     assert a1.orthocomplement(a1.orthocomplement(e)) == e
+
+
+_ORTHO_ALGEBRAS = {
+    (name, center): build_from_cartan(cartan_matrix_of_type(name), abelian_center_dim=center)
+    for name, center in [("A2", 0), ("B2", 0), ("G2", 0), ("A2", 1)]
+}
+
+
+def _dense_orthocomplement(lie, e):
+    """Reference: the kernel of the dense products form_matrix * v over the rows v of E."""
+    if e.dim == 0:
+        return Subspace.full(lie.dim)
+    return Subspace(lie.dim, kernel([mat_vec(lie.form_matrix, row) for row in e.basis_matrix], lie.dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_ORTHO_ALGEBRAS)), st.data())
+def test_orthocomplement_matches_the_dense_definition(key, data):
+    lie = _ORTHO_ALGEBRAS[key]
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 3)])
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=lie.dim, max_size=lie.dim), min_size=0, max_size=5)
+    )
+    e = Subspace.from_spanning(lie.dim, rows)
+    assert lie.orthocomplement(e) == _dense_orthocomplement(lie, e)
 
 
 def test_centralizer_examples(a1, a2):

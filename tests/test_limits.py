@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
+    FlowReport,
     chamber_cell_limits,
     filtration_degenerate,
     float_flow_oracle,
@@ -14,7 +17,7 @@ from littleweyl.limits import (
     limit_subspace,
     order_regular_hyperplanes,
 )
-from littleweyl.linalg import Subspace, identity, vec
+from littleweyl.linalg import Subspace, dot, identity, vec
 from littleweyl.spherical import order_regular_chambers
 from littleweyl.verify import limit_oracle_suite, random_order_regular, random_subspace
 
@@ -278,3 +281,87 @@ def test_block_cell_limits_equal_the_limit_of_every_chamber(instance):
     assert [limits[c] for c in cells] == [
         limit_subspace(lie, e, ch.representative) for ch in chambers.chambers
     ]
+
+
+def _numpy_flow_reference(lie, e, x, t_max=40.0, tol=1e-9):
+    """The float flow as numpy QR and an SVD of the principal-angle cosines,
+    kept as the reference for the standard-library flow.  Its distance
+    sqrt(sum(1 - sigma^2)) cannot resolve angles below about 1.5e-8."""
+    if e.dim == 0:
+        return FlowReport(0.0, float("inf"), True, "", ())
+    lam = np.array([float(dot(w, vec(x))) for w in lie.weights])
+    distinct = sorted(set(lam))
+    gap = min((b - a for a, b in zip(distinct, distinct[1:])), default=float("inf"))
+    frame = np.array([[float(c) for c in row] for row in e.basis_matrix])
+    q, _ = np.linalg.qr(frame.T)
+    frame = q.T
+    t = 0.0
+    while t < t_max:
+        dt = min(1.0, t_max - t)
+        frame = frame * np.exp(lam * dt)[None, :]
+        q, _ = np.linalg.qr(frame.T)
+        frame = q.T
+        t += dt
+    exact = limit_subspace(lie, e, x)
+    target = np.array([[float(c) for c in row] for row in exact.basis_matrix])
+    q2, _ = np.linalg.qr(target.T)
+    sigma = np.clip(np.linalg.svd(frame @ q2, compute_uv=False), -1.0, 1.0)
+    distance = float(np.sqrt(max(0.0, np.sum(1.0 - sigma**2))))
+    reason = ""
+    if gap != float("inf") and gap < tol:
+        reason = "eigenvalue gap below tolerance"
+    elif filtration_degenerate(lie, e, x):
+        reason = "filtration-degenerate input; the limit is unstable"
+    return FlowReport(distance, float(gap), reason == "", reason, tuple(map(tuple, frame)))
+
+
+def _residual(frame, other):
+    """sqrt(sum |r - P r|^2) over the rows r of frame, P the projection onto
+    the row span of the orthonormal frame other."""
+    q = np.array(other)
+    rows = np.array(frame)
+    return float(np.linalg.norm(rows - rows @ q.T @ q))
+
+
+_FLOW_ALGEBRAS = {
+    name: build_from_cartan(cartan_matrix_of_type(name)) for name in ["A2", "B2", "G2", "A3"]
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FLOW_ALGEBRAS)), st.integers(0, 10**6))
+def test_float_flow_matches_the_numpy_reference(name, seed):
+    lie = _FLOW_ALGEBRAS[name]
+    rng = random.Random(seed)
+    e = random_subspace(lie, rng, rng.randint(1, 3))
+    x = random_order_regular(lie, rng)
+    new = float_flow_oracle(lie, e, x)
+    ref = _numpy_flow_reference(lie, e, x)
+    assert (new.converged, new.reason) == (ref.converged, ref.reason)
+    assert new.eigenvalue_gap == ref.eigenvalue_gap
+    if new.converged:
+        assert new.distance < 1e-6 and ref.distance < 1e-6
+        assert _residual(new.frame, ref.frame) < 1e-9
+        assert _residual(ref.frame, new.frame) < 1e-9
+
+
+def test_float_flow_resolves_tiny_angles(a1):
+    # E = span(e + 1e-10 f) unflowed: its angle to the limit span(e) is
+    # atan(1e-10); sqrt(1 - cos^2) rounds it to 0 or to about 1.5e-8
+    e = span(3, (0, 1, Fraction(1, 10**10)))
+    r = float_flow_oracle(a1, e, (1,), t_max=0.0)
+    assert math.isclose(r.distance, 1e-10, rel_tol=1e-2)
+    # flowed to t: the f part shrinks by exp(-4t) against the e part
+    r = float_flow_oracle(a1, span(3, (0, 1, 1)), (1,), t_max=5.0)
+    assert math.isclose(r.distance, math.exp(-20.0), rel_tol=1e-6)
+
+
+def test_float_flow_reports_a_row_that_cancels_to_zero(a1):
+    # exp(-1600) underflows: the f row of the frame scales to zero, and the
+    # frame loses rank in the re-orthonormalization
+    for rows in [(F,), (E, F), (H, F)]:
+        r = float_flow_oracle(a1, span(3, *rows), (400,))
+        assert not r.converged
+        assert r.reason == "a frame row cancelled to zero in the flow"
+        assert r.frame == ()
+    assert float_flow_oracle(a1, span(3, E), (400,)).converged
