@@ -17,6 +17,7 @@ from .lie import LieAlgebraData, LieAlgebraError
 from .limits import limit_subspace
 from .linalg import Subspace
 from .serialize import (
+    SCHEMA_VERSION,
     SpaceFileError,
     catalog_entry_to_space_json,
     cone_to_json,
@@ -52,8 +53,6 @@ from .weyl import (
     spherical_roots,
     weyl_from_limits,
 )
-
-SCHEMA_VERSION = 1
 
 
 def _load_space(source: str) -> tuple[LieAlgebraData, BasePoint, dict]:
@@ -94,14 +93,21 @@ def build_report(
     source: str,
     m_lattice: str = "coroot",
 ) -> dict:
-    """The full analysis pipeline as a JSON-ready report."""
+    """The full analysis pipeline as a JSON-ready report; the base point
+    must be admissible, since the limit stage reads W from its chambers."""
     an = analyze(lie, bp.h_z)
+    admissible, chamber_rows = is_admissible(an)
+    if not admissible:
+        n_ok = sum(r.ok for r in chamber_rows)
+        raise SpaceFileError(
+            f"the base point is not admissible ({n_ok}/{len(chamber_rows)} chambers "
+            "pass); `littleweyl admissible` searches its orbit for one that is"
+        )
     cone = compression_cone(an)
     group = little_weyl_group(an)
     limits_report = weyl_from_limits(an, m_lattice)
     agreement = limits_agree_with_walls(an, group, limits_report)
     sr = spherical_roots(an, group)
-    admissible, chamber_rows = is_admissible(an)
 
     def root_coords(p: int) -> list[int]:
         return list(lie.positive_roots[p])
@@ -125,8 +131,8 @@ def build_report(
             "dim_l_q": an.l_q.dim,
             "dim_l_q_nc": an.l_q_nc.dim,
             "dim_n_q": an.n_q.dim,
-            "a_h": subspace_to_json_a(an.a_h),
-            "a_circ": subspace_to_json_a(an.a_circ),
+            "a_h": subspace_to_json(an.a_h),
+            "a_circ": subspace_to_json(an.a_circ),
         },
         "t": {
             "map": [
@@ -148,22 +154,14 @@ def build_report(
         },
         "cone": {
             **cone_to_json(cone),
-            "edge": subspace_to_json_a(cone.edge()),
+            "edge": subspace_to_json(cone.edge()),
             "edge_dim": cone.edge().dim,
             "is_all_of_a": cone == Cone.full_space(lie.dim_a),
             "walls": [cone_to_json(g.wall) for g in group.generators],
         },
         "admissibility": {
             "admissible": admissible,
-            "chambers": [
-                {
-                    "signs": list(r.signs),
-                    "representative": vec_to_json(r.representative),
-                    "dim_limit_cap_a": r.a_intersection_dim,
-                    "ok": r.ok,
-                }
-                for r in chamber_rows
-            ],
+            "chambers": _chambers_json(chamber_rows),
         },
         "weyl": {
             "order": group.order,
@@ -198,8 +196,16 @@ def build_report(
     return report
 
 
-def subspace_to_json_a(s: Subspace) -> list[list[str]]:
-    return [vec_to_json(r) for r in s.basis_matrix]
+def _chambers_json(rows) -> list[dict]:
+    return [
+        {
+            "signs": list(r.signs),
+            "representative": vec_to_json(r.representative),
+            "dim_limit_cap_a": r.a_intersection_dim,
+            "ok": r.ok,
+        }
+        for r in rows
+    ]
 
 
 def _witness_json(witness) -> dict:
@@ -374,15 +380,7 @@ def cmd_admissible(args) -> int:
         "word": [word_entry_to_json(w) for w in res.point.word],
         "h_z": subspace_to_json(res.point.h_z),
         "admissible": ok,
-        "chambers": [
-            {
-                "signs": list(r.signs),
-                "representative": vec_to_json(r.representative),
-                "dim_limit_cap_a": r.a_intersection_dim,
-                "ok": r.ok,
-            }
-            for r in rows
-        ],
+        "chambers": _chambers_json(rows),
     }
     if args.json:
         sys.stdout.write(dumps_canonical(out))

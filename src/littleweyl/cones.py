@@ -128,16 +128,6 @@ def _fractions(x: IntVec) -> Vec:
     return tuple(Fraction(c) for c in x)
 
 
-def _subspace(dim: int, echelon: IntEchelon) -> Subspace:
-    """The canonical Subspace spanned by an integer echelon form."""
-    return Subspace(
-        dim,
-        tuple(
-            tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(echelon)
-        ),
-    )
-
-
 def _int_rows(dim: int, rows: Iterable[Sequence]) -> list[IntVec]:
     out = [primitive_ints(r) for r in rows]
     if any(len(r) != dim for r in out):
@@ -165,7 +155,7 @@ class Cone:
             dim,
             tuple(map(_fractions, ineqs)),
             tuple(map(_fractions, rays)),
-            _subspace(dim, lin),
+            Subspace.from_echelon(dim, lin),
         )
 
     @staticmethod
@@ -289,7 +279,7 @@ class Cone:
 
     def span(self) -> Subspace:
         rays, lin = self._int_generators
-        return _subspace(self.ambient_dim, integer_echelon(rays + lin))
+        return Subspace.from_echelon(self.ambient_dim, integer_echelon(rays + lin))
 
     def transform(self, m: Mat) -> "Cone":
         """Image under an invertible linear map."""
@@ -316,7 +306,7 @@ class Cone:
         ineqs: dict[IntVec, None] = {}
         ann_echelon: IntEchelon = []
         if len(span) < dim:
-            ann = [primitive_ints(g) for g in _subspace(dim, span).annihilator()]
+            ann = [primitive_ints(g) for g in Subspace.from_echelon(dim, span).annihilator()]
             for g in ann:
                 ineqs[g] = None
                 ineqs[_neg(g)] = None
@@ -331,7 +321,7 @@ class Cone:
             dim,
             tuple(map(_fractions, sorted(ineqs))),
             tuple(map(_fractions, new_rays)),
-            _subspace(dim, lin_echelon),
+            Subspace.from_echelon(dim, lin_echelon),
         )
 
     def relative_interior_point(self) -> Vec:
@@ -379,7 +369,7 @@ def _minimal_inequalities(
     span = integer_echelon(rays + lin_rows)
     ineqs: dict[IntVec, None] = {}
     if len(span) < dim:
-        for g in _subspace(dim, span).annihilator():
+        for g in Subspace.from_echelon(dim, span).annihilator():
             g = primitive_ints(g)
             ineqs[g] = None
             ineqs[_neg(g)] = None

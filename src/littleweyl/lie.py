@@ -28,6 +28,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    combination,
     dot,
     frac,
     identity,
@@ -350,7 +351,6 @@ class LieAlgebraData:
     structure: dict = field(hash=False, compare=False, repr=False)
     form_matrix: Mat = field(repr=False)
     weights: tuple[Vec, ...] = field(repr=False)  # a-functional per basis vector
-    components: tuple[tuple[int, ...], ...] = ()
 
     # -- shape helpers ------------------------------------------------------
 
@@ -681,11 +681,8 @@ class LieAlgebraData:
             raise LieAlgebraError(f"unknown lattice {lattice!r}")
         chars: dict[tuple[int, ...], SignCharacter] = {}
         for mask in range(1 << len(gens)):
-            t = zero_vec(self.dim_a)
             label = tuple((mask >> i) & 1 for i in range(len(gens)))
-            for i, g in enumerate(gens):
-                if label[i]:
-                    t = vec_add(t, g)
+            t = combination(label, gens, self.dim_a)
             vals = []
             for root in self.positive_roots:
                 k = dot(self.root_functional(root), t)
@@ -886,7 +883,6 @@ def _build_cached(key) -> LieAlgebraData:
         structure=structure,
         form_matrix=(),
         weights=tuple(weights),
-        components=_components(a),
     )
 
     # Killing form B(x_i, x_j) = tr(ad x_i ad x_j) = sum_{k,l} c_il^k c_jk^l on
@@ -944,27 +940,6 @@ def group_closure(
                     nxt.append((word + (i,), m2))
                     yield m2, word + (i,)
         level = nxt
-
-
-def _components(a: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and a[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
-reductions produce a canonical reduced row echelon form, so two subspaces
-are equal as sets exactly when their basis matrices are identical.
+Vectors are tuples of Fraction, matrices are tuples of row tuples.  There
+is one elimination, the fraction-free ``integer_echelon`` on primitive
+integer rows; ``rref`` reads the canonical reduced row echelon form off it,
+so two subspaces are equal as sets exactly when their basis matrices are
+identical.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+# (pivot, row) pairs of a fraction-free echelon form; see integer_echelon
+IntEchelon = list[tuple[int, tuple[int, ...]]]
 
 
 def frac(x) -> Fraction:
@@ -59,6 +63,18 @@ def sparse_combination(
     return {k: x for k, x in out.items() if x != 0}
 
 
+def combination(coeffs: Iterable, rows: Iterable[Sequence], n: int) -> Vec:
+    """The sum of c * row over coeffs and rows taken in pairs, in Q^n; the
+    pairing stops at the shorter of the two."""
+    out = [Fraction(0)] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
+
+
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
@@ -89,38 +105,25 @@ def mat_transpose(m: Mat) -> Mat:
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    work = [list(vec(r)) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = tuple(tuple(row) for row in work[:r])
-    return out, tuple(pivots)
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Each row is scaled to a primitive integer vector, which keeps the row
+    space, and the rows are reduced by ``integer_echelon``."""
+    return _rref_of_echelon(integer_echelon(primitive_ints(r) for r in rows))
+
+
+def _rref_of_echelon(echelon: IntEchelon) -> tuple[Mat, tuple[int, ...]]:
+    """The reduced row echelon form read off an integer echelon form: its
+    rows sorted by pivot, each divided by its pivot entry."""
+    echelon = sorted(echelon)
+    return (
+        tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in echelon),
+        tuple(p for p, _ in echelon),
+    )
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return integer_rank(primitive_ints(r) for r in rows)
 
 
 def kernel(rows: Sequence[Sequence], ncols: int) -> Mat:
@@ -217,9 +220,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     return [tuple(u[r][c] for r in range(ncols)) for c in active]
 
 
-IntEchelon = list[tuple[int, tuple[int, ...]]]
-
-
 def integer_reduce(v: Sequence[int], echelon: IntEchelon) -> tuple[int, ...]:
     """A positive multiple of v, reduced to zero on the pivots of ``echelon``.
 
@@ -296,6 +296,11 @@ class Subspace:
         return Subspace(ambient_dim, red)
 
     @staticmethod
+    def from_echelon(ambient_dim: int, echelon: IntEchelon) -> "Subspace":
+        """The subspace spanned by the rows of an integer echelon form."""
+        return Subspace(ambient_dim, _rref_of_echelon(echelon)[0])
+
+    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, ())
 
@@ -344,13 +349,10 @@ class Subspace:
                 tuple(self.basis_matrix[i][c] for i in range(k))
                 + tuple(-other.basis_matrix[j][c] for j in range(l))
             )
-        ker = kernel(eq_rows, k + l)
-        rows = []
-        for coeffs in ker:
-            v = zero_vec(self.ambient_dim)
-            for i in range(k):
-                v = vec_add(v, vec_scale(coeffs[i], self.basis_matrix[i]))
-            rows.append(v)
+        rows = [
+            combination(coeffs, self.basis_matrix, self.ambient_dim)
+            for coeffs in kernel(eq_rows, k + l)
+        ]
         return Subspace.from_spanning(self.ambient_dim, rows)
 
     def annihilator(self) -> Mat:

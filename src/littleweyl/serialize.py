@@ -166,15 +166,17 @@ def space_from_json(data) -> tuple[LieAlgebraData, BasePoint, dict]:
             )
         parsed.append(v)
     h = Subspace.from_spanning(lie.dim, parsed)
-    word = [
-        word_entry_from_json(e, f"base_point_word[{i}]")
-        for i, e in enumerate(data.get("base_point_word", []))
-    ]
+    entries = data.get("base_point_word", [])
+    if not isinstance(entries, list):
+        raise SpaceFileError("base_point_word must be a list of word entries")
+    word = [word_entry_from_json(e, f"base_point_word[{i}]") for i, e in enumerate(entries)]
     try:
         bp = translate(lie, h, word)
     except LieAlgebraError as err:
         raise SpaceFileError(str(err)) from err
     claims = data.get("claims") or {}
+    if not isinstance(claims, dict):
+        raise SpaceFileError("claims must be an object")
     return lie, bp, claims
 
 

@@ -20,6 +20,7 @@ from .limits import chamber_cell_limits, order_regular_hyperplanes
 from .linalg import (
     Subspace,
     Vec,
+    combination,
     dot,
     kernel,
     mat_vec,
@@ -291,10 +292,7 @@ class SphericalAnalysis:
         )
         if coeffs is None:
             raise ValueError("argument is not in a_circ")
-        out = zero_vec(self.lie.dim)
-        for c, img in zip(coeffs, self.tperp_map):
-            out = vec_add(out, vec_scale(c, img))
-        return out
+        return combination(coeffs, self.tperp_map, self.lie.dim)
 
     def is_a_circ_regular(self, x_a: Sequence) -> bool:
         x_a = vec(x_a)
@@ -339,9 +337,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         coeffs = solve(rows, [-a[lie.f_index(p)] for a in ann])
         if coeffs is None:
             raise ContractViolation("graph decomposition of h_z is not unique")
-        img = zero_vec(lie.dim)
-        for c, wb in zip(coeffs, w_basis):
-            img = vec_add(img, vec_scale(c, wb))
+        img = combination(coeffs, w_basis, lie.dim)
         t_map.append((p, img))
         tags = []
         if any(img[k] != 0 for k in lie.a_indices()):
@@ -382,9 +378,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         coeffs = solve(rows, rhs) if h_z.dim else zero_vec(len(n_basis))
         if coeffs is None:
             raise ContractViolation("no orthogonal correction in n_Q exists")
-        u = zero_vec(lie.dim)
-        for c, nb in zip(coeffs, n_basis):
-            u = vec_add(u, vec_scale(c, nb))
+        u = combination(coeffs, n_basis, lie.dim)
         for hb in l_cap_h.basis_matrix:
             if any(c != 0 for c in lie.bracket(u, hb)):
                 raise ContractViolation("T^perp image does not centralize l_Q cap h_z")
@@ -689,13 +683,9 @@ def centralizer_in_n_q(analysis: SphericalAnalysis) -> Subspace:
         for k in range(lie.dim):
             rows.append(tuple(img[k] for img in images))
     coeff_kernel = kernel(rows, len(n_basis))
-    out = []
-    for c in coeff_kernel:
-        u = zero_vec(lie.dim)
-        for ci, nb in zip(c, n_basis):
-            u = vec_add(u, vec_scale(ci, nb))
-        out.append(u)
-    return Subspace.from_spanning(lie.dim, out)
+    return Subspace.from_spanning(
+        lie.dim, [combination(c, n_basis, lie.dim) for c in coeff_kernel]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +739,9 @@ class AdmissibleSearchResult:
     attempts: int
 
 
-class AdmissibleSearchError(RuntimeError):
-    def __init__(self, message: str, report):
-        super().__init__(message)
-        self.report = report
+class AdmissibleSearchError(ContractViolation):
+    """The search found no admissible point, against the expected density of
+    such points."""
 
 
 def _random_regular_direction(
@@ -763,9 +752,7 @@ def _random_regular_direction(
         return None
     for _ in range(64):
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(analysis.a_circ.dim)]
-        y = zero_vec(lie.dim_a)
-        for c, row in zip(coeffs, analysis.a_circ.basis_matrix):
-            y = vec_add(y, vec_scale(c, row))
+        y = combination(coeffs, analysis.a_circ.basis_matrix, lie.dim_a)
         if all(c == 0 for c in y):
             continue
         if all(
@@ -809,14 +796,13 @@ def half_space_candidate(analysis: SphericalAnalysis, t: int) -> Vec:
     if p_alpha is not None and p_alpha in analysis.sigma_q:
         alpha_f = lie.root_functional(direction)
         # X in ker(alpha) cap a_circ with a nonzero alpha-component of T^perp(X)
-        ker_rows = []
-        for coeffs in kernel(
-            [tuple(dot(alpha_f, row) for row in analysis.a_circ.basis_matrix)], analysis.a_circ.dim
-        ):
-            x = zero_vec(lie.dim_a)
-            for ci, row in zip(coeffs, analysis.a_circ.basis_matrix):
-                x = vec_add(x, vec_scale(ci, row))
-            ker_rows.append(x)
+        ker_rows = [
+            combination(coeffs, analysis.a_circ.basis_matrix, lie.dim_a)
+            for coeffs in kernel(
+                [tuple(dot(alpha_f, row) for row in analysis.a_circ.basis_matrix)],
+                analysis.a_circ.dim,
+            )
+        ]
         x_pick = None
         for x in ker_rows:
             if analysis.tperp(x)[lie.e_index(p_alpha)] != 0:
@@ -858,12 +844,10 @@ def find_admissible(
     regular rational Y, then (for half-space cones) the explicit unipotent
     family with integer parameter t = 1 .. _MAX_T.
     """
-    ok, report = is_admissible(analysis)
-    if ok:
+    if is_admissible(analysis)[0]:
         return AdmissibleSearchResult(BasePoint((), analysis.h_z), analysis, "self", 0)
     lie = analysis.lie
     rng = random.Random(seed)
-    last_report = report
     for attempt in range(1, max_iters + 1):
         y = _random_regular_direction(analysis, rng)
         if y is None:
@@ -874,8 +858,7 @@ def find_admissible(
             cand = analyze(lie, bp.h_z)
         except NotAdaptedError:
             continue
-        ok, last_report = is_admissible(cand)
-        if ok:
+        if is_admissible(cand)[0]:
             return AdmissibleSearchResult(bp, cand, "phi-sample", attempt)
     if half_space_direction(analysis) is not None:
         for t in range(1, _MAX_T + 1):
@@ -885,11 +868,9 @@ def find_admissible(
                 cand = analyze(lie, bp.h_z)
             except NotAdaptedError:
                 continue
-            ok, last_report = is_admissible(cand)
-            if ok:
+            if is_admissible(cand)[0]:
                 return AdmissibleSearchResult(bp, cand, f"unipotent-family t={t}", t)
     raise AdmissibleSearchError(
         "no admissible point found within the iteration budget; this "
-        "contradicts the expected density of admissible points",
-        last_report,
+        "contradicts the expected density of admissible points"
     )

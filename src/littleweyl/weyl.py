@@ -22,6 +22,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    combination,
     dot,
     identity,
     integer_kernel,
@@ -114,8 +115,7 @@ def induced_form(lie: LieAlgebraData, quot: QuotientSpace) -> Mat:
             ]
             rhs = [dot(mat_vec(gram, r), v) for r in sub.basis_matrix]
             coeffs = solve(rows, rhs)
-            for c, r in zip(coeffs, sub.basis_matrix):
-                v = vec_add(v, vec_scale(-c, r))
+            v = vec_add(v, combination((-c for c in coeffs), sub.basis_matrix, len(v)))
         reps.append(v)
     return tuple(
         tuple(dot(mat_vec(gram, reps[j]), reps[i]) for j in range(quot.dim))
@@ -625,10 +625,7 @@ def spherical_roots(
             gen = primitive(ker[0])
             if any(x.denominator != 1 for x in gen):
                 raise ContractViolation("root line is not rational in Lambda")
-            coords = zero_vec(lie.rank)
-            for c, b in zip(gen, lam_basis):
-                coords = vec_add(coords, vec_scale(c, vec(b)))
-            coords_i = tuple(int(x) for x in coords)
+            coords_i = tuple(int(x) for x in combination(gen, lam_basis, lie.rank))
             roots[coords_i] = None
             roots[tuple(-x for x in coords_i)] = None
 

@@ -240,6 +240,7 @@ GL2_NBAR = [["0", "0", "1", "0"]]
             [["0", "0", "1"]],
             [{"kind": "torus", "coweight": [True], "scale": "2"}],
         ),
+        ({"cartan_type": "A2"}, A2_NBAR, 5),
     ],
 )
 def test_malformed_space_file_exit_1(tmp_path, capsys, lie_algebra, rows, word):
@@ -265,3 +266,60 @@ def test_cli_import_loads_no_third_party_module():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+# the triple space sl2^3 / diag sl2 at an adapted point that is not admissible
+TRIPLE_SPACE = {
+    "schema_version": 1,
+    "lie_algebra": {"cartan_type": "A1xA1xA1"},
+    # h1+h2+h3, e1+e2+e3, f1+f2+f3 in the basis order h1..h3, e1..e3, f1..f3
+    "subalgebra": [
+        ["1", "1", "1", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "1", "1", "1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "1", "1", "1"],
+    ],
+    "base_point_word": [
+        {"kind": "weyl", "word": [0, 1]},
+        {"kind": "nilpotent", "vector": ["0", "0", "0", "0", "2", "1", "0", "0", "0"]},
+    ],
+}
+
+
+def test_analyze_non_admissible_point_exit_1(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(TRIPLE_SPACE))
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "littleweyl admissible" in err
+    assert err.count("\n") == 1
+
+
+def test_failed_admissible_search_exit_3(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(TRIPLE_SPACE))
+    code, out, err = run(capsys, "admissible", str(path), "--max-iters", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("internal contract violated: no admissible point found")
+
+
+def test_verify_claims_not_an_object_exit_1(tmp_path, capsys):
+    space = {
+        "schema_version": 1,
+        "lie_algebra": {"cartan_type": "A2"},
+        "subalgebra": A2_NBAR,
+        "claims": "adapted",
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "claims" in err
+
+
+def test_verify_claims_at_a_non_admissible_point_exit_1(tmp_path, capsys):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(dict(TRIPLE_SPACE, claims={"w_order": 8, "coset_labels": ["e"]})))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "limit_coset_labels  [got none: the point is not admissible want ['e']]" in out
+    assert "limits_agree_with_walls  [ValueError: weyl_from_limits requires" in out

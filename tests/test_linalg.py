@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,3 +137,83 @@ def test_membership_agrees_with_row_reduction(case):
         assert sub.contains(other) == (
             len(rref(sub.basis_matrix + other.basis_matrix)[0]) == sub.dim
         )
+
+
+# -- differential tests against sympy.Matrix ---------------------------------
+
+
+@st.composite
+def _matrices(draw, square=False, min_rows=0):
+    """Rational matrices with at least one column: some empty, some with zero
+    rows, wide or tall, and some rank-deficient by design."""
+    n_cols = draw(st.integers(1, 5))
+    n_rows = n_cols if square else draw(st.integers(min_rows, 6))
+    n_free = draw(st.integers(0, n_rows))
+    row = st.lists(_ENTRIES, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, min_size=n_free, max_size=n_free))
+    # the remaining rows are combinations of the first ones, or zero rows
+    for _ in range(n_rows - n_free):
+        coeffs = draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+        combo = [Fraction(0)] * n_cols
+        for c, r in zip(coeffs, rows):
+            combo = [x + c * y for x, y in zip(combo, r)]
+        rows.append(combo)
+    rows = draw(st.permutations(rows))
+    return n_cols, [vec(r) for r in rows]
+
+
+def _sym(n_cols: int, rows) -> sympy.Matrix:
+    entries = [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+    return sympy.Matrix(len(rows), n_cols, entries)
+
+
+def _fracs(m: sympy.Matrix) -> tuple:
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_rref_and_kernel_agree_with_sympy(case):
+    n, rows = case
+    m = _sym(n, rows)
+    want, want_pivots = m.rref()
+    red, pivots = rref(rows)
+    assert pivots == tuple(want_pivots)
+    assert red == _fracs(want)[: len(pivots)]
+    ker = kernel(rows, n)
+    theirs = m.nullspace()
+    assert len(ker) == len(theirs)
+    if ker:
+        # equal spans: the same reduced row echelon form, computed by sympy
+        ours = _sym(n, ker).rref()[0]
+        assert ours == sympy.Matrix.hstack(*theirs).T.rref()[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(min_rows=1), st.data())
+def test_solve_answers_exactly_the_consistent_systems(case, data):
+    # solve needs a row to know the number of unknowns
+    n, rows = case
+    m = _sym(n, rows)
+    if data.draw(st.booleans()):  # a right-hand side in the column space
+        x = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+        rhs = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+    else:
+        rhs = data.draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    consistent = m.rank() == m.row_join(_sym(1, [(b,) for b in rhs])).rank()
+    x = solve(rows, rhs)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows] == list(rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(square=True))
+def test_mat_inverse_agrees_with_sympy(case):
+    n, rows = case
+    m = _sym(n, rows)
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            mat_inverse(tuple(rows))
+    else:
+        assert mat_inverse(tuple(rows)) == _fracs(m.inv())
