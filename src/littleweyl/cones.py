@@ -162,7 +162,7 @@ class Cone:
     def from_rays(dim: int, rays: Iterable[Sequence], lineality: Subspace | None = None) -> "Cone":
         gens = _int_rows(dim, rays)
         if lineality is not None:
-            for l in _int_rows(dim, lineality.basis_matrix):
+            for l in _int_rows(dim, lineality.rows):
                 gens.append(l)
                 gens.append(_neg(l))
         # polar cone {g : g(r) <= 0 for all generators}, described by its rays
@@ -188,7 +188,7 @@ class Cone:
         """The rays and the lineality basis as primitive integer vectors."""
         return (
             [primitive_ints(r) for r in self.rays],
-            [primitive_ints(l) for l in self.lineality.basis_matrix],
+            list(self.lineality.rows),
         )
 
     # -- basic structure -------------------------------------------------------
@@ -200,18 +200,20 @@ class Cone:
         return integer_rank(rays + lin)
 
     def contains(self, x: Sequence) -> bool:
-        x = vec(x)
-        return all(dot(g, x) <= 0 for g in self.inequalities)
+        """Membership, read on the integer inequalities and the primitive
+        integer vector of x: a positive rescaling of x keeps every sign."""
+        (x,) = _int_rows(self.ambient_dim, [x])
+        return all(int_dot(g, x) <= 0 for g in self._int_inequalities)
 
     def contains_strictly(self, x: Sequence) -> bool:
         """Membership in the topological interior (requires a full-dim cone)."""
-        x = vec(x)
-        return all(dot(g, x) < 0 for g in self.inequalities)
+        (x,) = _int_rows(self.ambient_dim, [x])
+        return all(int_dot(g, x) < 0 for g in self._int_inequalities)
 
     def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(r) for r in other.rays) and all(
-            self.contains(l) and self.contains(vec_scale(-1, l))
-            for l in other.lineality.basis_matrix
+        rays, lin = other._int_generators
+        return all(self.contains(r) for r in rays) and all(
+            int_dot(g, l) == 0 for g in self._int_inequalities for l in lin
         )
 
     def __eq__(self, other) -> bool:
@@ -223,7 +225,7 @@ class Cone:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rays, self.lineality.basis_matrix))
+        return hash((self.ambient_dim, self.rays, self.lineality))
 
     # -- operations -------------------------------------------------------------
 
@@ -306,7 +308,7 @@ class Cone:
         ineqs: dict[IntVec, None] = {}
         ann_echelon: IntEchelon = []
         if len(span) < dim:
-            ann = [primitive_ints(g) for g in Subspace.from_echelon(dim, span).annihilator()]
+            ann = Subspace.from_echelon(dim, span).annihilator()
             for g in ann:
                 ineqs[g] = None
                 ineqs[_neg(g)] = None
@@ -370,7 +372,6 @@ def _minimal_inequalities(
     ineqs: dict[IntVec, None] = {}
     if len(span) < dim:
         for g in Subspace.from_echelon(dim, span).annihilator():
-            g = primitive_ints(g)
             ineqs[g] = None
             ineqs[_neg(g)] = None
     for g in gams:

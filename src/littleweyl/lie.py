@@ -350,7 +350,8 @@ class LieAlgebraData:
     basis_index: tuple[tuple, ...]
     structure: dict = field(hash=False, compare=False, repr=False)
     form_matrix: Mat = field(repr=False)
-    weights: tuple[Vec, ...] = field(repr=False)  # a-functional per basis vector
+    # the a-functional of each basis vector, as integer values on h_1..h_r, z_1..z_c
+    weights: tuple[tuple[int, ...], ...] = field(repr=False)
 
     # -- shape helpers ------------------------------------------------------
 
@@ -546,24 +547,22 @@ class LieAlgebraData:
         nonzeros of the form rows (the form is symmetric)."""
         if e.dim == 0:
             return Subspace.full(self.dim)
-        from .linalg import kernel
-
         eqs = []
-        for row in e.basis_matrix:
+        for row in e.rows:
             eq = [Fraction(0)] * self.dim
             for l, c in enumerate(row):
                 if c != 0:
                     for i, f in self._form_rows[l]:
                         eq[i] += f * c
             eqs.append(eq)
-        return Subspace(self.dim, kernel(eqs, self.dim))
+        return Subspace.kernel_of(self.dim, eqs)
 
     def centralizer_in_g(self, v: Subspace) -> Subspace:
         """Z_g(V) = m + a + sum of the root spaces vanishing on V, for V in a."""
         if not self.a_subspace().contains(v):
             raise LieAlgebraError("centralizer_in_g requires a subspace of a")
         idx = self.a_indices()
-        a_rows = [self.g_vector_to_a(row) for row in v.basis_matrix]
+        a_rows = [self.g_vector_to_a(row) for row in v.rows]
         for p, root in enumerate(self.positive_roots):
             f = self.root_functional(root)
             if all(dot(f, row) == 0 for row in a_rows):
@@ -571,11 +570,11 @@ class LieAlgebraData:
         return Subspace.from_coordinates(self.dim, idx)
 
     def is_subalgebra(self, e: Subspace) -> bool:
+        """Whether E is closed under the bracket, read on its integer rows."""
+        rows = e.rows
         for i in range(e.dim):
             for j in range(i + 1, e.dim):
-                if not e.contains_vector(
-                    self.bracket(e.basis_matrix[i], e.basis_matrix[j])
-                ):
+                if not e.contains_vector(self.bracket(rows[i], rows[j])):
                     return False
         return True
 
@@ -712,7 +711,7 @@ class LieAlgebraData:
                 row[self.rank + z] = Fraction(1)
                 rows.append(tuple(row))
                 rhs.append(Fraction(0))
-            sol = solve(rows, rhs)
+            sol = solve(rows, rhs, self.dim_a)
             assert sol is not None
             out.append(sol)
         return out
@@ -864,14 +863,14 @@ def _build_cached(key) -> LieAlgebraData:
                 put(ki, kj, {signed_index(s): cc.N(mu, nu)})
 
     # weights
-    weights: list[Vec] = []
+    weights: list[tuple[int, ...]] = []
     for k in range(dim):
         root = root_of_basis(k)
         if root is None:
-            weights.append(zero_vec(dim_a))
+            weights.append((0,) * dim_a)
         else:
-            vals = [Fraction(pairing(root, i)) for i in range(n)]
-            weights.append(tuple(vals) + zero_vec(abelian_center_dim))
+            vals = tuple(pairing(root, i) for i in range(n))
+            weights.append(vals + (0,) * abelian_center_dim)
 
     data = LieAlgebraData(
         rank=n,

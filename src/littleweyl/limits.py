@@ -28,7 +28,16 @@ from typing import Sequence
 
 from .cones import ChamberSet
 from .lie import LieAlgebraData
-from .linalg import Subspace, Vec, dot, primitive_signed, rref, vec
+from .linalg import (
+    IntVec,
+    Subspace,
+    Vec,
+    dot,
+    int_dot,
+    integer_echelon,
+    primitive_signed,
+    vec,
+)
 
 
 @dataclass(frozen=True)
@@ -51,18 +60,25 @@ def graded_direction(lie: LieAlgebraData, x: Sequence) -> GradedDirection:
     x = vec(x)
     if len(x) != lie.dim_a:
         raise ValueError("direction must be an a-vector")
-    buckets: dict[Fraction, list[int]] = {}
+    # the integer weights paired with den * x, an integer vector
+    den = math.lcm(*(c.denominator for c in x))
+    x_int = [c.numerator * (den // c.denominator) for c in x]
+    buckets: dict[int, list[int]] = {}
     for k, w in enumerate(lie.weights):
-        buckets.setdefault(dot(w, x), []).append(k)
-    eigenvalues = tuple(sorted(buckets))
-    indices = tuple(tuple(buckets[lam]) for lam in eigenvalues)
+        buckets.setdefault(int_dot(w, x_int), []).append(k)
+    values = sorted(buckets)
+    eigenvalues = tuple(Fraction(v, den) for v in values)
+    indices = tuple(tuple(buckets[v]) for v in values)
     return GradedDirection(x, eigenvalues, indices)
 
 
-def _pivot_parts(
-    lie: LieAlgebraData, e: Subspace, gd: GradedDirection
-) -> list[tuple[int, Vec]]:
-    """Row-reduce E once on its coordinates in descending eigenvalue order.
+# (pivot level, part at that level) per echelon row of E; see _pivot_parts
+PivotParts = list[tuple[int, IntVec]]
+
+
+def _pivot_parts(lie: LieAlgebraData, e: Subspace, gd: GradedDirection) -> PivotParts:
+    """Row-reduce E's integer rows once on their coordinates in descending
+    eigenvalue order.
 
     Returns, per echelon row, its pivot level and its part at that level (in
     the original coordinates).  The rows with pivot level <= i span
@@ -74,11 +90,10 @@ def _pivot_parts(
     for i, idx in enumerate(gd.eigenspace_indices):
         for k in idx:
             level[k] = i
-    red, pivots = rref([[row[k] for k in order] for row in e.basis_matrix])
     out = []
-    for row, p in zip(red, pivots):
+    for p, row in integer_echelon([row[k] for k in order] for row in e.rows):
         lvl = level[order[p]]
-        part = [Fraction(0)] * lie.dim
+        part = [0] * lie.dim
         for c, k in enumerate(order):
             if level[k] == lvl:
                 part[k] = row[c]
@@ -86,12 +101,15 @@ def _pivot_parts(
     return out
 
 
-def limit_subspace(lie: LieAlgebraData, e: Subspace, x: Sequence) -> Subspace:
-    """lim_{t->oo} Ad(exp(tX)) E in the Grassmannian, exactly."""
-    parts = _pivot_parts(lie, e, graded_direction(lie, x))
+def _limit_of_parts(lie: LieAlgebraData, e: Subspace, parts: PivotParts) -> Subspace:
     out = Subspace.from_spanning(lie.dim, [part for _, part in parts])
     assert out.dim == e.dim, "limit changed the dimension"
     return out
+
+
+def limit_subspace(lie: LieAlgebraData, e: Subspace, x: Sequence) -> Subspace:
+    """lim_{t->oo} Ad(exp(tX)) E in the Grassmannian, exactly."""
+    return _limit_of_parts(lie, e, _pivot_parts(lie, e, graded_direction(lie, x)))
 
 
 def chamber_cell_limits(
@@ -110,7 +128,7 @@ def chamber_cell_limits(
     Returns the limit of each cell, and the cell of each chamber.
     """
     blocks: list[set[int]] = []
-    for row in e.basis_matrix:
+    for row in e.rows:
         block = {k for k, c in enumerate(row) if c != 0}
         for other in [b for b in blocks if b & block]:
             block |= other
@@ -179,7 +197,14 @@ def filtration_degenerate(lie: LieAlgebraData, e: Subspace, x: Sequence) -> bool
     if e.dim <= 1:
         return False
     gd = graded_direction(lie, x)
-    pivot_levels = [lvl for lvl, _ in _pivot_parts(lie, e, gd)]
+    return _meets_non_generically(lie, e, gd, _pivot_parts(lie, e, gd))
+
+
+def _meets_non_generically(
+    lie: LieAlgebraData, e: Subspace, gd: GradedDirection, parts: PivotParts
+) -> bool:
+    """The filtration test of filtration_degenerate on E's pivot parts."""
+    pivot_levels = [lvl for lvl, _ in parts]
     above = lie.dim
     for i in range(gd.levels - 1):
         above -= len(gd.eigenspace_indices[i])
@@ -236,8 +261,14 @@ def float_flow_oracle(
     """
     if e.dim == 0:
         return FlowReport(0.0, float("inf"), True, "", ())
-    xv = vec(x)
-    lam = [float(dot(w, xv)) for w in lie.weights]
+    # one graded direction and one echelon form serve the exact limit and
+    # the filtration test
+    gd = graded_direction(lie, x)
+    parts = _pivot_parts(lie, e, gd)
+    lam = [0.0] * lie.dim
+    for value, idx in zip(gd.eigenvalues, gd.eigenspace_indices):
+        for k in idx:
+            lam[k] = float(value)
     distinct = sorted(set(lam))
     gap = min(
         (b - a for a, b in zip(distinct, distinct[1:])), default=float("inf")
@@ -254,12 +285,12 @@ def float_flow_oracle(
         return FlowReport(
             float("inf"), gap, False, "a frame row cancelled to zero in the flow", ()
         )
-    exact = limit_subspace(lie, e, xv)
+    exact = _limit_of_parts(lie, e, parts)
     target = _orthonormal_rows([[float(c) for c in row] for row in exact.basis_matrix])
     distance = math.hypot(*(c for row in frame for c in _reject(row, target)))
     reason = ""
     if gap < tol:
         reason = "eigenvalue gap below tolerance"
-    elif filtration_degenerate(lie, e, xv):
+    elif e.dim > 1 and _meets_non_generically(lie, e, gd, parts):
         reason = "filtration-degenerate input; the limit is unstable"
     return FlowReport(distance, gap, reason == "", reason, tuple(map(tuple, frame)))

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  There
-is one elimination, the fraction-free ``integer_echelon`` on primitive
-integer rows; ``rref`` reads the canonical reduced row echelon form off it,
-so two subspaces are equal as sets exactly when their basis matrices are
-identical.
+Vectors and matrices are tuples of rationals: ``int`` where the data are
+integers, ``Fraction`` where they meet denominators.  There is one
+elimination, the fraction-free ``integer_echelon`` on primitive integer
+rows.  A ``Subspace`` stores the canonical echelon form it gives as primitive
+integer rows, so two subspaces are equal as sets exactly when their rows are
+identical; ``rref`` and ``Subspace.basis_matrix`` are the ``Fraction`` view of
+that form, for callers that need exact rational coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IntVec = tuple[int, ...]
 # (pivot, row) pairs of a fraction-free echelon form; see integer_echelon
 IntEchelon = list[tuple[int, tuple[int, ...]]]
 
@@ -28,10 +31,6 @@ def frac(x) -> Fraction:
 
 def vec(entries: Iterable) -> Vec:
     return tuple(frac(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def zero_vec(n: int) -> Vec:
@@ -128,50 +127,50 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 def kernel(rows: Sequence[Sequence], ncols: int) -> Mat:
     """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    red_basis, _ = rref(basis)
-    return red_basis
+    return Subspace.kernel_of(ncols, rows).basis_matrix
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One solution of M x = b, or None if inconsistent."""
-    rows = mat(rows)
-    b = vec(rhs)
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [bi] for r, bi in zip(rows, b, strict=True)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+def _kernel_rows(echelon: IntEchelon, ncols: int) -> list[IntVec]:
+    """Integer rows spanning {x : M x = 0}, for M in reduced integer echelon
+    form: one per free column f, with x_f the lcm of the pivot entries of the
+    rows that meet column f, so that every pivot coordinate is an integer."""
+    pivots = {p for p, _ in echelon}
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        meet = [(p, row) for p, row in echelon if row[f]]
+        l = lcm(*(row[p] for p, row in meet))
+        x = [0] * ncols
+        x[f] = l
+        for p, row in meet:
+            x[p] = -row[f] * (l // row[p])
+        out.append(tuple(x))
+    return out
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Vec | None:
+    """One solution of M x = b for the matrix M with the given rows and ncols
+    columns, or None if inconsistent; the free unknowns are 0."""
+    echelon = integer_echelon(
+        primitive_ints((*r, b)) for r, b in zip(rows, rhs, strict=True)
+    )
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
+    for p, row in echelon:
         if p == ncols:
             return None
-        x[p] = red[r][-1]
+        x[p] = Fraction(row[-1], row[p])
     return tuple(x)
 
 
 def primitive_ints(v: Sequence) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a rational vector; 0 stays 0."""
-    if all(type(x) is int for x in v):
-        ints = v
-    else:
-        v = vec(v)
+    """The primitive integer vector on the ray of a rational vector (entries
+    int or Fraction); 0 stays 0."""
+    if not all(type(x) is int for x in v):
         l = lcm(*(x.denominator for x in v))
-        ints = [x.numerator * (l // x.denominator) for x in v]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+        v = [x.numerator * (l // x.denominator) for x in v]
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def primitive(v: Sequence) -> Vec:
@@ -266,6 +265,17 @@ def int_dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def int_combination(coeffs: Iterable[int], rows: Iterable[Sequence[int]], n: int) -> IntVec:
+    """The integer vector sum of c * row over coeffs and rows taken in pairs."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -278,27 +288,44 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Subspace:
-    """Subspace of Q^n in canonical reduced row echelon form.
+    """Subspace of Q^n, stored as its canonical integer echelon form.
 
-    Rows of ``basis_matrix`` are the basis vectors; equality of subspaces is
-    equality of matrices.  Membership and reduction read the pivots of that
-    echelon form, with no further elimination.
+    ``rows`` are primitive integer vectors sorted by pivot, the column of
+    their first nonzero entry; each pivot entry is positive and every other
+    row is zero in its column.  That is the reduced row echelon form with
+    each row scaled to a primitive integer vector, so it is unique: equality
+    of subspaces is equality of rows.  Membership and reduction read the
+    pivots, with no further elimination.  ``basis_matrix`` is the reduced row
+    echelon form itself, as Fractions.  The constructor takes rows already in
+    that form; the static methods build them from any other description.
     """
 
     ambient_dim: int
-    basis_matrix: Mat
+    rows: tuple[IntVec, ...]
+
+    def __repr__(self) -> str:
+        # the Fraction view, which reports print in their check details
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis_matrix={self.basis_matrix!r})"
 
     @staticmethod
     def from_spanning(ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        red, _ = rref(rows)
-        return Subspace(ambient_dim, red)
+        return Subspace.from_echelon(
+            ambient_dim, integer_echelon(primitive_ints(r) for r in rows)
+        )
 
     @staticmethod
     def from_echelon(ambient_dim: int, echelon: IntEchelon) -> "Subspace":
         """The subspace spanned by the rows of an integer echelon form."""
-        return Subspace(ambient_dim, _rref_of_echelon(echelon)[0])
+        return Subspace(ambient_dim, tuple(row for _, row in sorted(echelon)))
+
+    @staticmethod
+    def kernel_of(ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
+        """{x : M x = 0} for the matrix with the given rows and ambient_dim
+        columns."""
+        echelon = integer_echelon(primitive_ints(r) for r in rows)
+        return Subspace.from_spanning(ambient_dim, _kernel_rows(echelon, ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -306,35 +333,46 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, identity(ambient_dim))
+        return Subspace.from_coordinates(ambient_dim, range(ambient_dim))
 
     @staticmethod
     def from_coordinates(ambient_dim: int, indices: Iterable[int]) -> "Subspace":
         rows = []
         for i in sorted(set(indices)):
-            v = [Fraction(0)] * ambient_dim
-            v[i] = Fraction(1)
+            v = [0] * ambient_dim
+            v[i] = 1
             rows.append(tuple(v))
         return Subspace(ambient_dim, tuple(rows))
 
     @property
     def dim(self) -> int:
-        return len(self.basis_matrix)
+        return len(self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row: its first nonzero entry."""
-        return tuple(next(c for c, x in enumerate(row) if x) for row in self.basis_matrix)
+        """The pivot column of each row: its first nonzero entry."""
+        return tuple(next(c for c, x in enumerate(row) if x) for row in self.rows)
+
+    @cached_property
+    def _echelon(self) -> IntEchelon:
+        return list(zip(self.pivots, self.rows))
+
+    @cached_property
+    def basis_matrix(self) -> Mat:
+        """The reduced row echelon form: each row divided by its pivot entry."""
+        return tuple(
+            tuple(Fraction(x, row[p]) for x in row) for p, row in self._echelon
+        )
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self.reduce_vector(v))
+        return not any(integer_reduce(primitive_ints(v), self._echelon))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis_matrix)
+        return all(self.contains_vector(row) for row in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_spanning(
-            self.ambient_dim, self.basis_matrix + other.basis_matrix
+        return Subspace.from_echelon(
+            self.ambient_dim, integer_echelon(self.rows + other.rows)
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -343,53 +381,67 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         k, l = self.dim, other.dim
         # columns of M are the equations sum a_i u_i - sum b_j v_j = 0
-        eq_rows = []
-        for c in range(self.ambient_dim):
-            eq_rows.append(
-                tuple(self.basis_matrix[i][c] for i in range(k))
-                + tuple(-other.basis_matrix[j][c] for j in range(l))
-            )
+        eq_rows = [
+            tuple(u[c] for u in self.rows) + tuple(-v[c] for v in other.rows)
+            for c in range(self.ambient_dim)
+        ]
         rows = [
-            combination(coeffs, self.basis_matrix, self.ambient_dim)
-            for coeffs in kernel(eq_rows, k + l)
+            int_combination(coeffs, self.rows, self.ambient_dim)
+            for coeffs in _kernel_rows(integer_echelon(eq_rows), k + l)
         ]
         return Subspace.from_spanning(self.ambient_dim, rows)
 
-    def annihilator(self) -> Mat:
-        """Canonical basis of functionals vanishing on the subspace."""
-        return kernel(self.basis_matrix, self.ambient_dim)
+    def annihilator(self) -> tuple[IntVec, ...]:
+        """Canonical basis of the functionals vanishing on the subspace: the
+        integer echelon rows of that space of functionals."""
+        return Subspace.from_spanning(
+            self.ambient_dim, _kernel_rows(self._echelon, self.ambient_dim)
+        ).rows
 
     def transform(self, m: Mat) -> "Subspace":
         """Image under the linear map given by the matrix (columns = input coords)."""
         return self.image(lambda row: mat_vec(m, row), len(m))
 
-    def image(self, fn: Callable[[Vec], Vec], ambient_dim: int | None = None) -> "Subspace":
+    def image(
+        self, fn: Callable[[Sequence], Sequence], ambient_dim: int | None = None
+    ) -> "Subspace":
         """Image under a linear map given as a function on vectors, in a space
-        of dimension ambient_dim (by default the same space)."""
+        of dimension ambient_dim (by default the same space).  The function
+        is applied to the integer rows."""
         dim = self.ambient_dim if ambient_dim is None else ambient_dim
-        return Subspace.from_spanning(dim, [fn(row) for row in self.basis_matrix])
+        return Subspace.from_spanning(dim, [fn(row) for row in self.rows])
 
     def scale_coordinates(self, factors: Sequence) -> "Subspace":
         """Image under the diagonal map x_i -> factors[i] x_i (factors nonzero).
 
-        Dividing each scaled row by the factor at its pivot keeps the reduced
-        row echelon form, so no row reduction is needed.
+        The scaled rows keep the zero pattern of a reduced echelon form, so
+        no row reduction is needed: with factors +-1 each row flips signs,
+        negated once more when its pivot factor is -1; other factors scale
+        each row back to a primitive integer vector with a positive pivot.
         """
-        factors = vec(factors)
-        if len(factors) != self.ambient_dim or any(f == 0 for f in factors):
+        factors = tuple(factors)
+        if len(factors) != self.ambient_dim or not all(factors):
             raise ValueError("coordinate scaling needs one nonzero factor per coordinate")
-        rows = tuple(
-            tuple(x * f / factors[p] for x, f in zip(row, factors))
-            for row, p in zip(self.basis_matrix, self.pivots)
-        )
-        return Subspace(self.ambient_dim, rows)
+        if all(f == 1 or f == -1 for f in factors):
+            signs = tuple(f > 0 for f in factors)
+            rows = tuple(
+                tuple(x if s == signs[p] else -x for x, s in zip(row, signs))
+                for p, row in self._echelon
+            )
+        else:
+            rows = []
+            for p, row in self._echelon:
+                scaled = primitive_ints([x * f for x, f in zip(row, factors)])
+                rows.append(scaled if factors[p] > 0 else tuple(-x for x in scaled))
+        return Subspace(self.ambient_dim, tuple(rows))
 
     def reduce_vector(self, v: Sequence) -> Vec:
         """Canonical representative of v modulo the subspace: v reduced to
         zero on the pivots, one row at a time."""
         v = vec(v)
-        for row, p in zip(self.basis_matrix, self.pivots):
+        for p, row in self._echelon:
             f = v[p]
             if f:
-                v = tuple(x - f * y if y else x for x, y in zip(v, row))
+                c = f / row[p]
+                v = tuple(x - c * y if y else x for x, y in zip(v, row))
         return v

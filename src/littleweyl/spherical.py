@@ -22,10 +22,12 @@ from .linalg import (
     Vec,
     combination,
     dot,
+    int_combination,
     kernel,
     mat_vec,
     primitive,
     primitive_signed,
+    rank,
     solve,
     vec,
     vec_add,
@@ -109,7 +111,7 @@ def translate(lie: LieAlgebraData, h: Subspace, word: Sequence[WordEntry]) -> Ba
     The entries act on the rows of h, the last entry first.
     """
     actions = [_word_entry_action(lie, entry) for entry in word]
-    rows = h.basis_matrix
+    rows = h.rows
     for act in reversed(actions):
         rows = [act(row) for row in rows]
     h_z = Subspace.from_spanning(h.ambient_dim, rows) if actions else h
@@ -149,8 +151,7 @@ def has_open_p_orbit(lie: LieAlgebraData, h_z: Subspace) -> bool:
 
 
 def g_subspace_to_a(lie: LieAlgebraData, s: Subspace) -> Subspace:
-    rows = [lie.g_vector_to_a(r) for r in s.basis_matrix]
-    return Subspace.from_spanning(lie.dim_a, rows)
+    return Subspace.from_spanning(lie.dim_a, [r[: lie.dim_a] for r in s.rows])
 
 
 def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
@@ -167,17 +168,17 @@ def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
     sigma_q = []
     for p, root in enumerate(lie.positive_roots):
         f = lie.root_functional(root)
-        if all(dot(f, row) == 0 for row in v_a.basis_matrix):
+        if all(dot(f, row) == 0 for row in v_a.rows):
             sigma0.append(p)
         else:
             sigma_q.append(p)
     # strict positivity of Sigma(Q) on a cap h_z^perp, as a cone feasibility test
     ineqs = [vec_scale(-1, lie.root_functional(lie.positive_roots[p])) for p in sigma_q]
     for g in v_a.annihilator():
-        ineqs.append(vec(g))
-        ineqs.append(vec_scale(-1, g))
+        ineqs.append(g)
+        ineqs.append(tuple(-x for x in g))
     feas = Cone.from_inequalities(lie.dim_a, ineqs)
-    gens = list(feas.rays) + list(feas.lineality.basis_matrix)
+    gens = list(feas.rays) + list(feas.lineality.rows)
     for p in sigma_q:
         f = lie.root_functional(lie.positive_roots[p])
         if all(dot(f, g) == 0 for g in gens):
@@ -289,6 +290,7 @@ class SphericalAnalysis:
         coeffs = solve(
             [tuple(row[i] for row in self.a_circ.basis_matrix) for i in range(self.lie.dim_a)],
             vec(x_a),
+            self.a_circ.dim,
         )
         if coeffs is None:
             raise ValueError("argument is not in a_circ")
@@ -314,27 +316,29 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     q = chk.q
     a_h = g_subspace_to_a(lie, lie.a_subspace().intersect(h_z))
     gram_a = tuple(tuple(lie.form_matrix[i][j] for j in range(lie.dim_a)) for i in range(lie.dim_a))
-    if a_h.dim:
-        eqs = [mat_vec(gram_a, row) for row in a_h.basis_matrix]
-        a_circ = Subspace(lie.dim_a, kernel(eqs, lie.dim_a))
-    else:
-        a_circ = Subspace.full(lie.dim_a)
+    a_circ = Subspace.kernel_of(lie.dim_a, [mat_vec(gram_a, row) for row in a_h.rows])
     l_cap_h = q.l_q.intersect(h_z)
 
-    # T: for each f_beta, the unique w in a_circ + n_Q with f_beta + w in h_z
+    # T: for each f_beta, the unique w in a_circ + n_Q with f_beta + w in h_z.
+    # The equations are the integer annihilator rows of h_z, read on the a
+    # coordinates of the a_circ basis and on the unit vectors e_p of n_Q.
     ann = h_z.annihilator()
     w_basis = [lie.a_vector_to_g(row) for row in a_circ.basis_matrix] + [
         tuple(Fraction(1 if k == lie.e_index(p) else 0) for k in range(lie.dim))
         for p in q.sigma_q
     ]
-    rows = [tuple(dot(a, wb) for wb in w_basis) for a in ann]
-    if q.sigma_q and kernel(rows, len(w_basis)):
+    rows = [
+        tuple(dot(a[: lie.dim_a], row) for row in a_circ.basis_matrix)
+        + tuple(a[lie.e_index(p)] for p in q.sigma_q)
+        for a in ann
+    ]
+    if q.sigma_q and rank(rows) < len(w_basis):
         raise ContractViolation("graph decomposition of h_z is not unique")
     t_map = []
     supports = []
     s_elems: dict[tuple[int, ...], SWeight] = {}
     for p in q.sigma_q:
-        coeffs = solve(rows, [-a[lie.f_index(p)] for a in ann])
+        coeffs = solve(rows, [-a[lie.f_index(p)] for a in ann], len(w_basis))
         if coeffs is None:
             raise ContractViolation("graph decomposition of h_z is not unique")
         img = combination(coeffs, w_basis, lie.dim)
@@ -375,7 +379,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
             for hb in h_z.basis_matrix
         ]
         rhs = [-lie.invariant_form(x_g, hb) for hb in h_z.basis_matrix]
-        coeffs = solve(rows, rhs) if h_z.dim else zero_vec(len(n_basis))
+        coeffs = solve(rows, rhs, len(n_basis))
         if coeffs is None:
             raise ContractViolation("no orthogonal correction in n_Q exists")
         u = combination(coeffs, n_basis, lie.dim)
@@ -542,7 +546,7 @@ def compression_cone_of_point(
     for ch, cell in zip(order_regular_chambers(lie).chambers, cells):
         if passing[cell]:
             rays.extend(ch.cone.rays)
-            lin_rows.extend(ch.cone.lineality.basis_matrix)
+            lin_rows.extend(ch.cone.lineality.rows)
     lin = Subspace.from_spanning(lie.dim_a, lin_rows)
     return Cone.from_rays(lie.dim_a, rays, lin)
 
@@ -620,14 +624,14 @@ def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
     lie = analysis.lie
     if face not in cone_faces(analysis):
         raise ValueError("not a face of the compression cone")
-    span_rows = face.span().basis_matrix
+    span_rows = face.span().rows
     gens = [
         s
         for s in analysis.s_z
         if all(dot(s.functional, row) == 0 for row in span_rows)
     ]
     gen_coords = [s.coords for s in gens]
-    rows = list(analysis.l_cap_h.basis_matrix)
+    rows = list(analysis.l_cap_h.rows)
     for p, img in analysis.t_map:
         root_p = lie.positive_roots[p]
         v = [Fraction(0)] * lie.dim
@@ -656,17 +660,23 @@ def normalizer_in_a(lie: LieAlgebraData, e: Subspace) -> Subspace:
     """{X in a : [X, E] is contained in E}, in a-coordinates.
 
     ad(X) scales each basis vector x_j by wt_j(X), so the k-th basis vector
-    of a maps a row v of E to (v_j wt_j[k])_j.
+    of a maps a row v of E to (v_j wt_j[k])_j, and each integer annihilator
+    row a of E gives the equation sum over the nonzeros v_j of
+    a_j v_j wt_j(X) = 0.
     """
     ann = e.annihilator()
     rows = []
-    for v in e.basis_matrix:
-        images = [
-            tuple(c * w[k] for c, w in zip(v, lie.weights)) for k in range(lie.dim_a)
-        ]
+    for v in e.rows:
+        nonzero = [(j, c) for j, c in enumerate(v) if c]
         for a in ann:
-            rows.append(tuple(dot(a, img) for img in images))
-    return Subspace(lie.dim_a, kernel(rows, lie.dim_a))
+            rows.append(
+                int_combination(
+                    (a[j] * c for j, c in nonzero),
+                    (lie.weights[j] for j, _ in nonzero),
+                    lie.dim_a,
+                )
+            )
+    return Subspace.kernel_of(lie.dim_a, rows)
 
 
 def centralizer_in_n_q(analysis: SphericalAnalysis) -> Subspace:
@@ -678,7 +688,7 @@ def centralizer_in_n_q(analysis: SphericalAnalysis) -> Subspace:
         for p in analysis.sigma_q
     ]
     rows = []
-    for v in analysis.l_cap_h.basis_matrix:
+    for v in analysis.l_cap_h.rows:
         images = [lie.bracket(nb, v) for nb in n_basis]
         for k in range(lie.dim):
             rows.append(tuple(img[k] for img in images))

@@ -199,7 +199,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     out.append(
         _check(
             "cone_stable_under_a_h",
-            all(cone.lineality.contains_vector(r) for r in analysis.a_h.basis_matrix),
+            all(cone.lineality.contains_vector(r) for r in analysis.a_h.rows),
             "a_h is not in the cone lineality",
         )
     )
@@ -219,7 +219,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
             deg = boundary_degeneration(analysis, face)
             a_cap = lie.a_subspace().intersect(deg.h_zf)
             a_cap_a = Subspace.from_spanning(
-                lie.dim_a, [lie.g_vector_to_a(r) for r in a_cap.basis_matrix]
+                lie.dim_a, [lie.g_vector_to_a(r) for r in a_cap.rows]
             )
             if a_cap_a != analysis.a_h:
                 return _check("face_suite", False, f"a cap h_F wrong on face dim {face.dim}")
@@ -486,7 +486,7 @@ def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[C
             return out
         # a-stability for order-regular directions
         for row in identity(lie.dim)[: lie.dim_a]:
-            for b in lim.basis_matrix:
+            for b in lim.rows:
                 if not lim.contains_vector(lie.bracket(row, b)):
                     out.append(_check("limit_a_stability", False, f"instance {i}"))
                     return out

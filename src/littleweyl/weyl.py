@@ -93,7 +93,7 @@ class QuotientSpace:
     def functional_of(self, f: Sequence) -> Vec:
         """Descend a functional vanishing on the subspace."""
         f = vec(f)
-        for row in self.subspace.basis_matrix:
+        for row in self.subspace.rows:
             if dot(f, row) != 0:
                 raise ValueError("functional does not vanish on the subspace")
         return tuple(dot(f, self.lift(e)) for e in identity(self.dim))
@@ -114,7 +114,7 @@ def induced_form(lie: LieAlgebraData, quot: QuotientSpace) -> Mat:
                 for r1 in sub.basis_matrix
             ]
             rhs = [dot(mat_vec(gram, r), v) for r in sub.basis_matrix]
-            coeffs = solve(rows, rhs)
+            coeffs = solve(rows, rhs, sub.dim)
             v = vec_add(v, combination((-c for c in coeffs), sub.basis_matrix, len(v)))
         reps.append(v)
     return tuple(
@@ -162,7 +162,7 @@ def wall_reflection(
     # first branch of the wall dichotomy: some root kernel equals the wall
     # span (in particular whenever the weight lies in Sigma or 2 Sigma)
     root_like = None
-    span_rows = wall.span().basis_matrix
+    span_rows = wall.span().rows
     for r in lie.positive_roots:
         f = lie.root_functional(r)
         if all(dot(f, row) == 0 for row in span_rows):
@@ -210,7 +210,7 @@ def wall_reflection(
 
     mq = quotient.matrix_of(m)
     # the generator must fix the wall span pointwise mod a_h ...
-    for row in wall.span().basis_matrix:
+    for row in wall.span().rows:
         if quotient.project(mat_vec(m, row)) != quotient.project(row):
             raise ContractViolation("wall generator does not fix the wall")
     # ... and be a nontrivial involution on the quotient
@@ -315,7 +315,7 @@ def _verify_group(lie, analysis, quot, elements, cone) -> None:
         if mat_mul(mat_mul(mat_transpose(m), gq), m) != gq:
             raise ContractViolation("element does not preserve the induced form")
     # trivial action on a_E/a_h
-    for row in cone.edge().basis_matrix:
+    for row in cone.edge().rows:
         pr = quot.project(row)
         for m in elements:
             if mat_vec(m, pr) != pr:
@@ -583,10 +583,10 @@ def spherical_roots(
                 dot(f, quot.lift(mat_vec(minv, quot.project(e))))
                 for e in identity(lie.dim_a)
             )
-            coeffs = solve(sys_rows, mu)
+            coeffs = solve(sys_rows, mu, len(simple))
             if coeffs is None:
                 raise ContractViolation("group element leaves the root span")
-            in_lam = solve(lam_rows, coeffs)
+            in_lam = solve(lam_rows, coeffs, len(lam_basis))
             if in_lam is None or any(x.denominator != 1 for x in in_lam):
                 raise ContractViolation(
                     "group element does not preserve the lattice Lambda"

@@ -12,12 +12,9 @@ from littleweyl.limits import order_regular_hyperplanes
 from littleweyl.linalg import (
     Subspace,
     dot,
-    integer_echelon,
-    integer_rank,
     mat_vec,
     primitive,
     rank,
-    rref,
     vec,
 )
 from littleweyl.spherical import order_regular_chambers
@@ -322,20 +319,3 @@ def test_double_description_matches_brute_force_on_rational_systems(system, data
         x = vec(x)
         assert cone.contains(x) == all(dot(g, x) <= 0 for g in ineqs)
 
-
-@st.composite
-def _integer_matrices(draw):
-    ncols = draw(st.integers(1, 5))
-    entry = st.integers(-3, 3) | st.integers(-60, 60)
-    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_integer_matrices())
-def test_integer_echelon_matches_rref(rows):
-    echelon = integer_echelon(rows)
-    assert integer_rank(rows) == len(echelon) == rank(rows)
-    normalized = tuple(
-        tuple(Fraction(x, row[p]) for x in row) for p, row in sorted(echelon)
-    )
-    assert normalized == rref(rows)[0]

@@ -3,14 +3,17 @@
 Each case runs one CLI subcommand (or ``build_report``) and compares the
 sha256 digest of its stdout, together with its exit code, with the digest
 recorded before the Weyl group table of each algebra replaced the closures
-run per analysis.
+run per analysis.  The digests of ``analyze`` on the Riemannian pairs A3 and
+B3 g/so were recorded before subspaces were stored as integer echelon rows.
 A refactor that keeps results must keep every digest.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,15 @@ def entry_outputs(name: str) -> dict[str, str]:
     out["admissible"] = _cli("admissible", name, "--json")[0]
     out["limit"] = _cli("limit", name, "--json", f"--direction={direction}")[0]
     return out
+
+
+def space_json(cartan_type: str) -> dict:
+    """The g/so space file of the benchmark inputs (bench/make_inputs.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "make_inputs.py"
+    spec = importlib.util.spec_from_file_location("make_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.space_json(cartan_type)
 
 
 def levi_report(lie, h) -> str:
@@ -111,6 +123,13 @@ ENTRY_DIGESTS = {
     },
 }
 
+# analyze --json on <type>_so.json, run from the file's directory so that the
+# report's "source" field is the bare file name
+RIEMANNIAN_DIGESTS = {
+    "A3": "0:c27c00ea05da69b4",
+    "B3": "0:97c157614b6f0466",
+}
+
 LEVI_DIGESTS = {
     "A2_levi1": "0b61913b59e6ed0e",
     "B2_levi2": "5e8bf71f30960481",
@@ -127,3 +146,11 @@ def test_catalog_reports_are_unchanged(name):
 @pytest.mark.parametrize("name", sorted(LEVI_DIGESTS))
 def test_levi_pair_reports_are_unchanged(name, levi_pairs):
     assert levi_report(*levi_pairs[name]) == LEVI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("cartan_type", sorted(RIEMANNIAN_DIGESTS))
+def test_riemannian_pair_reports_are_unchanged(cartan_type, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = f"{cartan_type}_so.json"
+    Path(name).write_text(dumps_canonical(space_json(cartan_type)))
+    assert _cli("analyze", name, "--json")[0] == RIEMANNIAN_DIGESTS[cartan_type]

@@ -167,7 +167,8 @@ def _dense_orthocomplement(lie, e):
     """Reference: the kernel of the dense products form_matrix * v over the rows v of E."""
     if e.dim == 0:
         return Subspace.full(lie.dim)
-    return Subspace(lie.dim, kernel([mat_vec(lie.form_matrix, row) for row in e.basis_matrix], lie.dim))
+    eqs = [mat_vec(lie.form_matrix, row) for row in e.basis_matrix]
+    return Subspace.from_spanning(lie.dim, kernel(eqs, lie.dim))
 
 
 @settings(max_examples=80, deadline=None)

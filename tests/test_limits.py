@@ -32,6 +32,9 @@ def test_graded_direction_partitions_basis(a1):
     gd = graded_direction(a1, (1,))
     assert gd.eigenvalues == (Fraction(-2), Fraction(0), Fraction(2))
     assert sorted(i for idx in gd.eigenspace_indices for i in idx) == [0, 1, 2]
+    half = graded_direction(a1, (Fraction(-1, 3),))
+    assert half.eigenvalues == (Fraction(-2, 3), Fraction(0), Fraction(2, 3))
+    assert half.eigenspace_indices == tuple(reversed(gd.eigenspace_indices))
 
 
 def test_eigenline_is_fixed(a1):

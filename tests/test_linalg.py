@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from littleweyl.linalg import (
     Subspace,
     integer_kernel,
+    primitive_ints,
     kernel,
     mat_inverse,
     mat_mul,
     primitive,
     primitive_signed,
+    rank,
     rref,
     solve,
     vec,
@@ -39,10 +41,11 @@ def test_kernel_and_solve():
     assert len(k) == 1
     for row in m:
         assert sum(a * b for a, b in zip(row, k[0])) == 0
-    x = solve(m, (3, 2))
+    x = solve(m, (3, 2), 3)
     assert x is not None
     assert tuple(sum(a * b for a, b in zip(row, x)) for row in m) == (3, 2)
-    assert solve([(1, 1), (1, 1)], (0, 1)) is None
+    assert solve([(1, 1), (1, 1)], (0, 1), 2) is None
+    assert solve([], [], 2) == vec((0, 0))
 
 
 def test_subspace_operations():
@@ -179,6 +182,7 @@ def test_rref_and_kernel_agree_with_sympy(case):
     want, want_pivots = m.rref()
     red, pivots = rref(rows)
     assert pivots == tuple(want_pivots)
+    assert rank(rows) == len(want_pivots)
     assert red == _fracs(want)[: len(pivots)]
     ker = kernel(rows, n)
     theirs = m.nullspace()
@@ -190,9 +194,8 @@ def test_rref_and_kernel_agree_with_sympy(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_matrices(min_rows=1), st.data())
+@given(_matrices(min_rows=0), st.data())
 def test_solve_answers_exactly_the_consistent_systems(case, data):
-    # solve needs a row to know the number of unknowns
     n, rows = case
     m = _sym(n, rows)
     if data.draw(st.booleans()):  # a right-hand side in the column space
@@ -201,9 +204,10 @@ def test_solve_answers_exactly_the_consistent_systems(case, data):
     else:
         rhs = data.draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
     consistent = m.rank() == m.row_join(_sym(1, [(b,) for b in rhs])).rank()
-    x = solve(rows, rhs)
+    x = solve(rows, rhs, n)
     assert (x is not None) == consistent
     if x is not None:
+        assert len(x) == n
         assert [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows] == list(rhs)
 
 
@@ -217,3 +221,167 @@ def test_mat_inverse_agrees_with_sympy(case):
             mat_inverse(tuple(rows))
     else:
         assert mat_inverse(tuple(rows)) == _fracs(m.inv())
+
+
+# -- differential tests against a Fraction Subspace ----------------------------
+#
+# The reference keeps a subspace as its reduced row echelon form over Fraction,
+# from a plain Gauss-Jordan elimination, and runs every operation on those rows:
+# the representation Subspace had before it stored primitive integer rows.
+
+
+def _gauss_jordan(rows, n: int):
+    """Reduced row echelon form of the first n columns: (rows, pivots)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return tuple(tuple(r) for r in m[: len(pivots)]), tuple(pivots)
+
+
+class _FracSubspace:
+    def __init__(self, n: int, rows):
+        self.n = n
+        self.basis, self.pivots = _gauss_jordan(rows, n)
+
+    def reduce_vector(self, v):
+        v = tuple(Fraction(x) for x in v)
+        for row, p in zip(self.basis, self.pivots):
+            f = v[p]
+            if f:
+                v = tuple(x - f * y for x, y in zip(v, row))
+        return v
+
+    def contains_vector(self, v) -> bool:
+        return not any(self.reduce_vector(v))
+
+    def contains(self, other) -> bool:
+        return all(self.contains_vector(r) for r in other.basis)
+
+    def add(self, other):
+        return _FracSubspace(self.n, self.basis + other.basis)
+
+    def intersect(self, other):
+        k = len(self.basis)
+        eqs = [
+            tuple(u[c] for u in self.basis) + tuple(-w[c] for w in other.basis)
+            for c in range(self.n)
+        ]
+        rows = []
+        for coeffs in _frac_kernel(eqs, k + len(other.basis)):
+            row = [Fraction(0)] * self.n
+            for c, u in zip(coeffs[:k], self.basis):
+                row = [x + c * y for x, y in zip(row, u)]
+            rows.append(row)
+        return _FracSubspace(self.n, rows)
+
+    def annihilator(self):
+        return _frac_kernel(self.basis, self.n)
+
+    def scale_coordinates(self, factors):
+        return tuple(
+            tuple(x * f / factors[p] for x, f in zip(row, factors))
+            for row, p in zip(self.basis, self.pivots)
+        )
+
+    def transform(self, m):
+        rows = [
+            [sum((a * b for a, b in zip(mr, row)), Fraction(0)) for mr in m]
+            for row in self.basis
+        ]
+        return _FracSubspace(len(m), rows)
+
+
+def _frac_kernel(rows, n: int):
+    red, pivots = _gauss_jordan(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return _gauss_jordan(basis, n)[0]
+
+
+@st.composite
+def _spanning_rows(draw, n: int):
+    """Spanning sets of subspaces of Q^n: empty, full, or rows of which some
+    are combinations of the others or zero, so that many are rank-deficient."""
+    kind = draw(st.sampled_from(["rows", "rows", "rows", "empty", "full"]))
+    if kind == "empty":
+        return []
+    if kind == "full":
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    row = st.lists(_ENTRIES, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+        combo = [Fraction(0)] * n
+        for c, r in zip(coeffs, rows):
+            combo = [x + c * y for x, y in zip(combo, r)]
+        rows.append(combo)
+    return draw(st.permutations(rows))
+
+
+def _same(sub: Subspace, ref: _FracSubspace) -> None:
+    assert sub.basis_matrix == ref.basis
+    assert sub.pivots == ref.pivots
+    assert sub.rows == tuple(primitive_ints(r) for r in ref.basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subspace_operations_match_the_fraction_reference(data):
+    n = data.draw(st.integers(1, 5))
+    rows_u = data.draw(_spanning_rows(n))
+    rows_v = data.draw(_spanning_rows(n))
+    u, ref_u = Subspace.from_spanning(n, rows_u), _FracSubspace(n, rows_u)
+    v, ref_v = Subspace.from_spanning(n, rows_v), _FracSubspace(n, rows_v)
+    _same(u, ref_u)
+    _same(v, ref_v)
+
+    _same(u.add(v), ref_u.add(ref_v))
+    _same(u.intersect(v), ref_u.intersect(ref_v))
+    _same(v.intersect(u), ref_v.intersect(ref_u))
+    ann = u.annihilator()
+    assert Subspace.from_spanning(n, ann).basis_matrix == ref_u.annihilator()
+    assert ann == tuple(primitive_ints(r) for r in ref_u.annihilator())
+    assert u.contains(v) == ref_u.contains(ref_v)
+    assert v.contains(u) == ref_v.contains(ref_u)
+    for w in list(rows_v) + [list(r) for r in ref_u.basis]:
+        assert u.contains_vector(w) == ref_u.contains_vector(w)
+        assert u.reduce_vector(w) == ref_u.reduce_vector(w)
+
+    sign = st.sampled_from([1, -1, Fraction(1), Fraction(-1)])
+    signs = data.draw(st.lists(sign, min_size=n, max_size=n))
+    assert u.scale_coordinates(signs).basis_matrix == ref_u.scale_coordinates(signs)
+    nonzero = _ENTRIES.filter(lambda x: x != 0)
+    factors = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+    scaled = u.scale_coordinates(factors)
+    assert scaled.basis_matrix == ref_u.scale_coordinates(factors)
+    assert scaled == Subspace.from_spanning(n, scaled.basis_matrix)
+
+    m = data.draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=5))
+    _same(u.transform(m), ref_u.transform(m))
+
+    # equality and hash depend on the subspace only: any other spanning set,
+    # here a triangular recombination of the basis plus the zero vector
+    other = [list(r) for r in ref_u.basis]
+    for i in range(1, len(other)):
+        c = data.draw(_ENTRIES)
+        other[i] = [x + c * y for x, y in zip(other[i], other[i - 1])]
+    other = [[2 * x for x in r] for r in other] + [[0] * n]
+    same = Subspace.from_spanning(n, data.draw(st.permutations(other)))
+    assert same == u and hash(same) == hash(u)
+    assert (u == v) == (ref_u.basis == ref_v.basis)

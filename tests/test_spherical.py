@@ -333,7 +333,7 @@ def _dense_normalizer_in_a(lie, e):
     for v in e.basis_matrix:
         images = [lie.bracket(lie.a_vector_to_g(b), v) for b in identity(lie.dim_a)]
         rows += [tuple(dot(a, img) for img in images) for a in ann]
-    return Subspace(lie.dim_a, kernel(rows, lie.dim_a))
+    return Subspace.from_spanning(lie.dim_a, kernel(rows, lie.dim_a))
 
 
 @settings(max_examples=40, deadline=None)

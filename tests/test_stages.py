@@ -21,19 +21,20 @@ from littleweyl import weyl
 from littleweyl.weyl import little_weyl_group, weyl_from_limits
 
 
-def _record_rref_calls(monkeypatch) -> list:
-    """Route every littleweyl name bound to linalg.rref through a recorder."""
+def _record_linalg_calls(monkeypatch, attr: str) -> list:
+    """Route every littleweyl name bound to linalg.<attr> through a recorder
+    of the rows each call reduces."""
     calls = []
-    original = linalg.rref
+    original = getattr(linalg, attr)
 
-    def recording(rows):
+    def recording(rows, *args):
         calls.append(rows)
-        return original(rows)
+        return original(rows, *args)
 
     for name, module in list(sys.modules.items()):
         if name == "littleweyl" or name.startswith("littleweyl."):
-            if getattr(module, "rref", None) is original:
-                monkeypatch.setattr(module, "rref", recording)
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, recording)
     return calls
 
 
@@ -178,7 +179,7 @@ def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
     x = random_order_regular(a3, rng)
     e = random_subspace(a3, rng, 6)
     assert limits.graded_direction(a3, x).levels == 13
-    calls = _record_rref_calls(monkeypatch)
+    calls = _record_linalg_calls(monkeypatch, "integer_echelon")
     assert limits.limit_subspace(a3, e, x).dim == 6
     assert len(calls) <= 2
 
@@ -186,7 +187,7 @@ def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
 def test_a3_chambers_take_few_row_reductions(monkeypatch):
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
     hyperplanes = limits.order_regular_hyperplanes(a3)
-    calls = _record_rref_calls(monkeypatch)
+    calls = _record_linalg_calls(monkeypatch, "rref")
     chambers = cones.enumerate_chambers(a3.dim_a, hyperplanes)
     assert chambers.count == 240
     assert len(calls) <= 12 * chambers.count
@@ -208,3 +209,17 @@ def test_structural_invariants_degenerate_each_face_once(monkeypatch):
     faces = compression_cone(an).faces()
     assert len(faces) > 1
     assert sorted(Counter(calls).values()) == [1] * len(faces)
+
+
+def test_integer_subspace_stages_make_no_rref_call(monkeypatch):
+    """normalizer_in_a, analyze with its T-map and the conjugate table of
+    weyl_from_limits run on integer echelon rows: none of them takes the
+    Fraction reduced row echelon form."""
+    entry = get_entry("A2_so3")
+    lie, h_z = entry.lie(), entry.base_point().h_z
+    calls = _record_linalg_calls(monkeypatch, "rref")
+    an = analyze(lie, h_z)
+    assert an.sigma_q and an.t_map
+    assert spherical.normalizer_in_a(lie, h_z).dim == 0
+    assert weyl._conjugate_table(an, "coroot")
+    assert calls == []
