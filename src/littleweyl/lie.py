@@ -538,8 +538,9 @@ class LieAlgebraData:
         x = vec(x)
         return x + zero_vec(self.dim - self.dim_a)
 
-    def g_vector_to_a(self, x: Sequence) -> Vec:
-        return vec(x)[: self.dim_a]
+    def g_vector_to_a(self, x: Sequence) -> tuple:
+        """The a coordinates of a vector of g, entries kept as they are."""
+        return tuple(x[: self.dim_a])
 
     def orthocomplement(self, e: Subspace) -> Subspace:
         """B-orthogonal complement in g.  The equation of each row v of E is

@@ -194,8 +194,6 @@ def filtration_degenerate(lie: LieAlgebraData, e: Subspace, x: Sequence) -> bool
     The test counts, per level, the echelon rows of E that lie in the
     filtration step up to that level.
     """
-    if e.dim <= 1:
-        return False
     gd = graded_direction(lie, x)
     return _meets_non_generically(lie, e, gd, _pivot_parts(lie, e, gd))
 
@@ -204,6 +202,8 @@ def _meets_non_generically(
     lie: LieAlgebraData, e: Subspace, gd: GradedDirection, parts: PivotParts
 ) -> bool:
     """The filtration test of filtration_degenerate on E's pivot parts."""
+    if e.dim <= 1:
+        return False
     pivot_levels = [lvl for lvl, _ in parts]
     above = lie.dim
     for i in range(gd.levels - 1):
@@ -291,6 +291,6 @@ def float_flow_oracle(
     reason = ""
     if gap < tol:
         reason = "eigenvalue gap below tolerance"
-    elif e.dim > 1 and _meets_non_generically(lie, e, gd, parts):
+    elif _meets_non_generically(lie, e, gd, parts):
         reason = "filtration-degenerate input; the limit is unstable"
     return FlowReport(distance, gap, reason == "", reason, tuple(map(tuple, frame)))

@@ -164,9 +164,10 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Vec | None:
 
 
 def primitive_ints(v: Sequence) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a rational vector (entries
-    int or Fraction); 0 stays 0."""
+    """The primitive integer vector on the ray of a rational vector; 0 stays
+    0.  Entries other than int are read as Fractions."""
     if not all(type(x) is int for x in v):
+        v = vec(v)
         l = lcm(*(x.denominator for x in v))
         v = [x.numerator * (l // x.denominator) for x in v]
     g = gcd(*v)
@@ -360,9 +361,7 @@ class Subspace:
     @cached_property
     def basis_matrix(self) -> Mat:
         """The reduced row echelon form: each row divided by its pivot entry."""
-        return tuple(
-            tuple(Fraction(x, row[p]) for x in row) for p, row in self._echelon
-        )
+        return _rref_of_echelon(self._echelon)[0]
 
     def contains_vector(self, v: Sequence) -> bool:
         return not any(integer_reduce(primitive_ints(v), self._echelon))
@@ -415,24 +414,16 @@ class Subspace:
         """Image under the diagonal map x_i -> factors[i] x_i (factors nonzero).
 
         The scaled rows keep the zero pattern of a reduced echelon form, so
-        no row reduction is needed: with factors +-1 each row flips signs,
-        negated once more when its pivot factor is -1; other factors scale
-        each row back to a primitive integer vector with a positive pivot.
+        no row reduction is needed: each row is scaled back to a primitive
+        integer vector, negated when its pivot factor is negative.
         """
         factors = tuple(factors)
         if len(factors) != self.ambient_dim or not all(factors):
             raise ValueError("coordinate scaling needs one nonzero factor per coordinate")
-        if all(f == 1 or f == -1 for f in factors):
-            signs = tuple(f > 0 for f in factors)
-            rows = tuple(
-                tuple(x if s == signs[p] else -x for x, s in zip(row, signs))
-                for p, row in self._echelon
-            )
-        else:
-            rows = []
-            for p, row in self._echelon:
-                scaled = primitive_ints([x * f for x, f in zip(row, factors)])
-                rows.append(scaled if factors[p] > 0 else tuple(-x for x in scaled))
+        rows = []
+        for p, row in self._echelon:
+            scaled = primitive_ints([x * f for x, f in zip(row, factors)])
+            rows.append(scaled if factors[p] > 0 else tuple(-x for x in scaled))
         return Subspace(self.ambient_dim, tuple(rows))
 
     def reduce_vector(self, v: Sequence) -> Vec:

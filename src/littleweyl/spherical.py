@@ -151,7 +151,7 @@ def has_open_p_orbit(lie: LieAlgebraData, h_z: Subspace) -> bool:
 
 
 def g_subspace_to_a(lie: LieAlgebraData, s: Subspace) -> Subspace:
-    return Subspace.from_spanning(lie.dim_a, [r[: lie.dim_a] for r in s.rows])
+    return Subspace.from_spanning(lie.dim_a, [lie.g_vector_to_a(r) for r in s.rows])
 
 
 def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
@@ -328,7 +328,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         for p in q.sigma_q
     ]
     rows = [
-        tuple(dot(a[: lie.dim_a], row) for row in a_circ.basis_matrix)
+        tuple(dot(lie.g_vector_to_a(a), row) for row in a_circ.basis_matrix)
         + tuple(a[lie.e_index(p)] for p in q.sigma_q)
         for a in ann
     ]
