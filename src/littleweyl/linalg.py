@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Vectors and matrices are tuples of rationals: ``int`` where the data are
-integers, ``Fraction`` where they meet denominators.  There is one
+integers, ``Fraction`` where they meet denominators; the routines that
+row-reduce reject other entry types with a TypeError.  There is one
 elimination, the fraction-free ``integer_echelon`` on primitive integer
 rows.  A ``Subspace`` stores the canonical echelon form it gives as primitive
 integer rows, so two subspaces are equal as sets exactly when their rows are
@@ -164,11 +165,15 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Vec | None:
 
 
 def primitive_ints(v: Sequence) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a rational vector; 0 stays
-    0.  Entries other than int are read as Fractions."""
+    """The primitive integer vector on the ray of a rational vector, its
+    entries int or Fraction; 0 stays 0.  Every row-reducing entry point of
+    this module (rref, rank, kernel, solve, the Subspace constructors and
+    membership tests) reads its rows through here."""
     if not all(type(x) is int for x in v):
-        v = vec(v)
-        l = lcm(*(x.denominator for x in v))
+        try:
+            l = lcm(*(x.denominator for x in v))
+        except AttributeError:
+            raise TypeError("vector entries must be int or Fraction") from None
         v = [x.numerator * (l // x.denominator) for x in v]
     g = gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
@@ -415,11 +420,14 @@ class Subspace:
 
         The scaled rows keep the zero pattern of a reduced echelon form, so
         no row reduction is needed: each row is scaled back to a primitive
-        integer vector, negated when its pivot factor is negative.
+        integer vector, negated when its pivot factor is negative.  Scaling
+        every factor by one positive number scales each image vector and
+        keeps the image, so the factors are first made primitive integers.
         """
         factors = tuple(factors)
         if len(factors) != self.ambient_dim or not all(factors):
             raise ValueError("coordinate scaling needs one nonzero factor per coordinate")
+        factors = primitive_ints(factors)
         rows = []
         for p, row in self._echelon:
             scaled = primitive_ints([x * f for x, f in zip(row, factors)])

@@ -84,13 +84,18 @@ def test_primitive_normalization():
     assert primitive_signed((0, -2, 4)) == vec((0, 1, -2))
 
 
-def test_entries_other_than_int_are_read_as_fractions():
-    assert primitive_ints(("1/2", 0.25, Fraction(-1, 4))) == (2, 1, -1)
-    u = Subspace.from_spanning(2, [("1/3", 1.0)])
-    assert u == Subspace.from_spanning(2, [(1, 3)])
-    assert u.contains_vector((0.5, "3/2"))
-    assert rank([("1/2", 1), (1, 2.0)]) == 1
-    assert kernel([("1/2", 1)], 2) == kernel([(1, 2)], 2)
+def test_entries_must_be_int_or_fraction():
+    assert primitive_ints((Fraction(1, 2), 1, Fraction(-1, 4))) == (2, 4, -1)
+    u = Subspace.from_spanning(2, [(Fraction(1, 3), 1)])
+    for bad in [("1/3", 1), (0.5, 1)]:
+        with pytest.raises(TypeError, match="int or Fraction"):
+            primitive_ints(bad)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Subspace.from_spanning(2, [bad])
+        with pytest.raises(TypeError, match="int or Fraction"):
+            u.contains_vector(bad)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            kernel([bad], 2)
 
 
 def test_integer_kernel_is_saturated():
