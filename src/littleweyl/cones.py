@@ -25,11 +25,11 @@ from .linalg import (
     Subspace,
     Vec,
     dot,
-    int_dot,
     integer_echelon,
     integer_rank,
     integer_reduce,
     mat_inverse,
+    mat_vec,
     primitive_ints,
     primitive_signed,
     vec,
@@ -56,7 +56,7 @@ def _dd(inequalities: Sequence[IntVec], dim: int) -> tuple[list[IntVec], IntEche
     rays: list[IntVec] = []
     processed: list[IntVec] = []
     for g in inequalities:
-        g_lin = [int_dot(g, l) for l in lin]
+        g_lin = [dot(g, l) for l in lin]
         split = next((i for i, x in enumerate(g_lin) if x), None)
         if split is not None:
             l0, gl0 = lin[split], g_lin[split]
@@ -69,13 +69,13 @@ def _dd(inequalities: Sequence[IntVec], dim: int) -> tuple[list[IntVec], IntEche
                 for i, (l, gl) in enumerate(zip(lin, g_lin))
                 if i != split
             ]
-            rays = [_combine(gl0, r, -int_dot(g, r), l0) for r in rays]
+            rays = [_combine(gl0, r, -dot(g, r), l0) for r in rays]
             rays.append(_neg(l0))
             echelon = integer_echelon(lin)
         else:
             neg, zero, pos = [], [], []
             for r in rays:
-                gr = int_dot(g, r)
+                gr = dot(g, r)
                 if gr < 0:
                     neg.append((gr, r))
                 elif gr == 0:
@@ -95,7 +95,7 @@ def _dd(inequalities: Sequence[IntVec], dim: int) -> tuple[list[IntVec], IntEche
                 seen[r] = None
         rays = []
         for r in seen:
-            tight = [h for h in processed if int_dot(h, r) == 0]
+            tight = [h for h in processed if dot(h, r) == 0]
             if len(tight) >= target and integer_rank(tight) == target:
                 rays.append(r)
     return sorted(rays), echelon
@@ -118,10 +118,6 @@ def _integer_map(m: Mat) -> tuple[IntMat, IntMat]:
 def _int_matrix(m: Mat) -> IntMat:
     l = lcm(*(x.denominator for row in m for x in row))
     return tuple(tuple(x.numerator * (l // x.denominator) for x in row) for row in m)
-
-
-def _int_mat_vec(m: IntMat, x: IntVec) -> IntVec:
-    return tuple(int_dot(row, x) for row in m)
 
 
 def _fractions(x: IntVec) -> Vec:
@@ -203,17 +199,17 @@ class Cone:
         """Membership, read on the integer inequalities and the primitive
         integer vector of x: a positive rescaling of x keeps every sign."""
         (x,) = _int_rows(self.ambient_dim, [x])
-        return all(int_dot(g, x) <= 0 for g in self._int_inequalities)
+        return all(dot(g, x) <= 0 for g in self._int_inequalities)
 
     def contains_strictly(self, x: Sequence) -> bool:
         """Membership in the topological interior (requires a full-dim cone)."""
         (x,) = _int_rows(self.ambient_dim, [x])
-        return all(int_dot(g, x) < 0 for g in self._int_inequalities)
+        return all(dot(g, x) < 0 for g in self._int_inequalities)
 
     def contains_cone(self, other: "Cone") -> bool:
         rays, lin = other._int_generators
         return all(self.contains(r) for r in rays) and all(
-            int_dot(g, l) == 0 for g in self._int_inequalities for l in lin
+            dot(g, l) == 0 for g in self._int_inequalities for l in lin
         )
 
     def __eq__(self, other) -> bool:
@@ -297,10 +293,10 @@ class Cone:
         """
         dim = self.ambient_dim
         rays, lin = self._int_generators
-        lin_echelon = integer_echelon(_int_mat_vec(fwd, l) for l in lin)
+        lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
         new_rays = sorted(
             {
-                primitive_ints(integer_reduce(_int_mat_vec(fwd, r), lin_echelon))
+                primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
                 for r in rays
             }
         )
@@ -316,8 +312,8 @@ class Cone:
         for g in self._int_inequalities:
             # inequalities that vanish on every ray span the annihilator,
             # which is taken canonically above; the others are the facets
-            if any(int_dot(g, r) for r in rays):
-                g = tuple(int_dot(g, col) for col in zip(*back))
+            if any(dot(g, r) for r in rays):
+                g = tuple(dot(g, col) for col in zip(*back))
                 ineqs[primitive_ints(integer_reduce(g, ann_echelon))] = None
         return Cone(
             dim,
@@ -332,7 +328,7 @@ class Cone:
         if not rays:
             return zero_vec(self.ambient_dim)
         strict = [
-            g for g in self._int_inequalities if any(int_dot(g, r) for r in rays)
+            g for g in self._int_inequalities if any(dot(g, r) for r in rays)
         ]
         t = 1
         while True:
@@ -340,7 +336,7 @@ class Cone:
             p = [0] * self.ambient_dim
             for k, r in enumerate(rays):
                 p = _combine(1, p, t**k, r)
-            if all(int_dot(g, p) < 0 for g in strict):
+            if all(dot(g, p) < 0 for g in strict):
                 return _fractions(p)
             if t > 4 * (len(rays) + 1) * (len(strict) + 1):
                 raise ConeError("no relative interior point found")
@@ -359,7 +355,7 @@ class Cone:
 
 def _is_facet(g: IntVec, rays: list[IntVec], lin: list[IntVec], cone_dim: int) -> bool:
     """Whether the valid inequality g <= 0 cuts out a facet of the cone."""
-    tight = [r for r in rays if int_dot(g, r) == 0] + lin
+    tight = [r for r in rays if dot(g, r) == 0] + lin
     return integer_rank(tight) == cone_dim - 1
 
 
@@ -509,7 +505,7 @@ def orbit_chambers(
             cone = ch.cone._image(fwd, back)
             p = cone.relative_interior_point()
             q = primitive_ints(p)
-            out.append(Chamber(tuple(_sign(int_dot(h, q)) for h in int_hyps), p, cone))
+            out.append(Chamber(tuple(_sign(dot(h, q)) for h in int_hyps), p, cone))
     return tuple(sorted(out, key=lambda c: c.signs))
 
 

@@ -99,7 +99,7 @@ def validate_cartan_matrix(a: Sequence[Sequence[int]]) -> list[int]:
         g = gcd(g, x)
     ints = [x // g for x in ints]
     # finite type iff the symmetrization is positive definite
-    s = [[Fraction(ints[i] * a[i][j]) for j in range(n)] for i in range(n)]
+    s = [[ints[i] * a[i][j] for j in range(n)] for i in range(n)]
     k = _first_nonpositive_minor(s)
     if k is not None:
         raise LieAlgebraError(
@@ -109,7 +109,7 @@ def validate_cartan_matrix(a: Sequence[Sequence[int]]) -> list[int]:
     return ints
 
 
-def _first_nonpositive_minor(s: Sequence[Sequence[Fraction]]) -> int | None:
+def _first_nonpositive_minor(s: Sequence[Sequence]) -> int | None:
     """The index k of the first leading principal minor of s that is <= 0,
     or None when all are positive (s is positive definite if symmetric).
 
@@ -124,18 +124,16 @@ def _first_nonpositive_minor(s: Sequence[Sequence[Fraction]]) -> int | None:
         if pv <= 0:
             return c + 1
         for r in range(c + 1, n):
-            f = m[r][c] / pv
+            f = Fraction(m[r][c], pv)
             if f != 0:
                 m[r][c:] = [x - f * y for x, y in zip(m[r][c:], m[c][c:])]
     return None
 
 
-def root_pairing(a, d, r1: Sequence[int], r2: Sequence[int]) -> Fraction:
+def root_pairing(a, d, r1: Sequence[int], r2: Sequence[int]) -> int:
     """The symmetrised form sum_ij d_i a_ij r1_i r2_j of two roots in simple-root
     coordinates, for the Cartan matrix a and its symmetrizer d."""
-    return Fraction(
-        sum(d[i] * a[i][j] * x * y for i, x in enumerate(r1) for j, y in enumerate(r2))
-    )
+    return sum(d[i] * a[i][j] * x * y for i, x in enumerate(r1) for j, y in enumerate(r2))
 
 
 def positive_roots_of(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -184,11 +182,11 @@ class _ChevalleyConstants:
         self.index = {r: i for i, r in enumerate(self.pos)}
         self.all_roots = set(self.pos) | {tuple(-x for x in r) for r in self.pos}
         self.d = list(symmetrizer)
-        self._memo: dict[tuple, Fraction] = {}
-        self._special: dict[tuple, Fraction] = {}
+        self._memo: dict[tuple, int] = {}
+        self._special: dict[tuple, int] = {}
         self._compute_special()
 
-    def norm2(self, r: tuple[int, ...]) -> Fraction:
+    def norm2(self, r: tuple[int, ...]) -> int:
         return root_pairing(self.a, self.d, r, r)
 
     def is_root(self, r) -> bool:
@@ -216,34 +214,32 @@ class _ChevalleyConstants:
                     pairs.append((al, be))
             pairs.sort(key=lambda p: self.index[p[0]])
             a1, b1 = pairs[0]
-            self._special[(a1, b1)] = Fraction(self.p_value(a1, b1) + 1)
+            self._special[(a1, b1)] = self.p_value(a1, b1) + 1
             g2 = self.norm2(gamma)
             for al, be in pairs[1:]:
-                t1 = Fraction(0)
+                t1 = 0
                 diff1 = tuple(x - y for x, y in zip(b1, al))
                 if diff1 in self.all_roots:
-                    t1 = (
-                        self.N(b1, tuple(-x for x in al))
-                        * self.N(a1, tuple(-x for x in be))
-                        / self.norm2(diff1)
+                    t1 = Fraction(
+                        self.N(b1, tuple(-x for x in al)) * self.N(a1, tuple(-x for x in be)),
+                        self.norm2(diff1),
                     )
-                t2 = Fraction(0)
+                t2 = 0
                 diff2 = tuple(x - y for x, y in zip(a1, al))
                 if diff2 in self.all_roots:
-                    t2 = (
-                        self.N(tuple(-x for x in al), a1)
-                        * self.N(b1, tuple(-x for x in be))
-                        / self.norm2(diff2)
+                    t2 = Fraction(
+                        self.N(tuple(-x for x in al), a1) * self.N(b1, tuple(-x for x in be)),
+                        self.norm2(diff2),
                     )
-                val = g2 * (t1 + t2) / self._special[(a1, b1)]
+                val = Fraction(g2 * (t1 + t2), self._special[(a1, b1)])
                 assert val.denominator == 1 and val != 0
-                self._special[(al, be)] = val
+                self._special[(al, be)] = val.numerator
 
-    def N(self, mu, nu) -> Fraction:
+    def N(self, mu, nu) -> int:
         mu, nu = tuple(mu), tuple(nu)
         s = tuple(x + y for x, y in zip(mu, nu))
         if s not in self.all_roots:
-            return Fraction(0)
+            return 0
         key = (mu, nu)
         if key in self._memo:
             return self._memo[key]
@@ -259,9 +255,11 @@ class _ChevalleyConstants:
         elif mu_pos and not nu_pos:
             gamma = tuple(-x for x in s)
             if s in self.index:
-                val = self.norm2(s) / self.norm2(mu) * self.N(nu, gamma)
+                q = Fraction(self.norm2(s) * self.N(nu, gamma), self.norm2(mu))
             else:
-                val = self.norm2(s) / self.norm2(nu) * self.N(gamma, mu)
+                q = Fraction(self.norm2(s) * self.N(gamma, mu), self.norm2(nu))
+            assert q.denominator == 1
+            val = q.numerator
         else:
             val = -self.N(nu, mu)
         self._memo[key] = val
@@ -290,19 +288,10 @@ class WeylElement:
     def apply(self, v: Sequence) -> Vec:
         """Ad(n_w) v."""
         d = len(self.action_on_a)
-        out = list(mat_vec(self.action_on_a, v[:d])) + [Fraction(0)] * len(self.perm)
+        out = list(mat_vec(self.action_on_a, v[:d])) + [0] * len(self.perm)
         for r, (t, s) in enumerate(zip(self.perm, self.signs)):
             out[d + t] = v[d + r] if s > 0 else -v[d + r]
         return tuple(out)
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """The product self . other, for the concatenated word."""
-        return WeylElement(
-            self.word + other.word,
-            mat_mul(self.action_on_a, other.action_on_a),
-            compose_perms(self.perm, other.perm),
-            tuple(s * self.signs[t] for t, s in zip(other.perm, other.signs)),
-        )
 
 
 @dataclass(frozen=True)
@@ -385,50 +374,45 @@ class LieAlgebraData:
             tuple(-x for x in r) for r in self.positive_roots
         ]
 
-    def root_functional(self, root: Sequence[int]) -> Vec:
+    def root_functional(self, root: Sequence[int]) -> tuple[int, ...]:
         """The root as a functional on a (values on h_1..h_r, z_1..z_c)."""
-        vals = [
-            Fraction(sum(self.cartan_matrix[i][j] * root[j] for j in range(self.rank)))
+        vals = tuple(
+            sum(self.cartan_matrix[i][j] * root[j] for j in range(self.rank))
             for i in range(self.rank)
-        ]
-        return tuple(vals) + zero_vec(self.center_dim)
+        )
+        return vals + zero_vec(self.center_dim)
 
-    def coroot(self, root: Sequence[int]) -> Vec:
+    def coroot(self, root: Sequence[int]) -> tuple[int, ...]:
         """Coroot as an a-vector (coordinates over h_1..h_r, zero on the center)."""
         n2 = root_pairing(self.cartan_matrix, self.symmetrizer, root, root)
-        coords = [
-            Fraction(root[i]) * Fraction(2 * self.symmetrizer[i]) / n2
-            for i in range(self.rank)
-        ]
-        for c in coords:
-            if c.denominator != 1:
-                raise LieAlgebraError("coroot is not integral")
-        return tuple(coords) + zero_vec(self.center_dim)
+        coords = [Fraction(2 * self.symmetrizer[i] * root[i], n2) for i in range(self.rank)]
+        if any(c.denominator != 1 for c in coords):
+            raise LieAlgebraError("coroot is not integral")
+        return tuple(c.numerator for c in coords) + zero_vec(self.center_dim)
 
     # -- bracket, form, involution -------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket_basis(self, i: int, j: int) -> dict[int, int]:
         if i == j:
             return {}
         if i > j:
             return {k: -c for k, c in self.structure.get((j, i), {}).items()}
         return self.structure.get((i, j), {})
 
-    def bracket_table(self) -> list[list[dict[int, Fraction]]]:
+    def bracket_table(self) -> list[list[dict[int, int]]]:
         """[x_i, x_j] = bracket_table()[i][j] for every pair of basis vectors,
         as the sparse dicts of bracket_basis.  Pairs that bracket to zero
         share one empty dict, so the table is read only."""
-        zero: dict[int, Fraction] = {}
+        zero: dict[int, int] = {}
         out = [[zero] * self.dim for _ in range(self.dim)]
         for (i, j), comp in self.structure.items():
             out[i][j], out[j][i] = comp, {k: -c for k, c in comp.items()}
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise LieAlgebraError("dimension mismatch in bracket")
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
@@ -440,16 +424,15 @@ class LieAlgebraData:
         return tuple(out)
 
     @cached_property
-    def _form_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def _form_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Nonzero (column, entry) pairs of each row of the form matrix: the
         a-block and the e_p <-> f_p pairing."""
         return tuple(
             tuple((j, c) for j, c in enumerate(row) if c != 0) for row in self.form_matrix
         )
 
-    def invariant_form(self, x: Sequence, y: Sequence) -> Fraction:
-        x, y = vec(x), vec(y)
-        total = Fraction(0)
+    def invariant_form(self, x: Sequence, y: Sequence) -> int | Fraction:
+        total = 0
         for xi, row in zip(x, self._form_rows, strict=True):
             if xi != 0:
                 for j, c in row:
@@ -459,7 +442,6 @@ class LieAlgebraData:
 
     def theta(self, x: Sequence) -> Vec:
         """The Cartan involution: -1 on a and e_p <-> -f_p, a signed swap."""
-        x = vec(x)
         if len(x) != self.dim:
             raise LieAlgebraError("dimension mismatch in theta")
         d, m = self.dim_a, self.num_pos
@@ -478,14 +460,13 @@ class LieAlgebraData:
     def exp_ad_apply(self, x: Sequence, v: Sequence) -> Vec:
         """exp(ad x) v = sum_k ad(x)^k v / k! as a bracket series, without
         forming exp(ad x); raises unless the series ends within dim + 1 terms."""
-        x = vec(x)
-        out = term = vec(v)
+        out = term = tuple(v)
         k = 0
         while any(c != 0 for c in term):
             k += 1
             if k > self.dim + 1:
                 raise LieAlgebraError("exp_ad requires an ad-nilpotent argument")
-            term = tuple(c / k for c in self.bracket(x, term))
+            term = tuple(Fraction(c, k) for c in self.bracket(x, term))
             out = vec_add(out, term)
         return out
 
@@ -512,7 +493,7 @@ class LieAlgebraData:
     def sign_scaling(self, chi: SignCharacter) -> Vec:
         """The sign character chi on g, which scales each basis vector by
         +-1, as the tuple of factors (1 on a)."""
-        return (Fraction(1),) * self.dim_a + 2 * tuple(Fraction(v) for v in chi.values)
+        return (1,) * self.dim_a + 2 * chi.values
 
     # -- distinguished subspaces ---------------------------------------------
 
@@ -535,8 +516,7 @@ class LieAlgebraData:
         )
 
     def a_vector_to_g(self, x: Sequence) -> Vec:
-        x = vec(x)
-        return x + zero_vec(self.dim - self.dim_a)
+        return tuple(x) + zero_vec(self.dim - self.dim_a)
 
     def g_vector_to_a(self, x: Sequence) -> tuple:
         """The a coordinates of a vector of g, entries kept as they are."""
@@ -550,7 +530,7 @@ class LieAlgebraData:
             return Subspace.full(self.dim)
         eqs = []
         for row in e.rows:
-            eq = [Fraction(0)] * self.dim
+            eq = [0] * self.dim
             for l, c in enumerate(row):
                 if c != 0:
                     for i, f in self._form_rows[l]:
@@ -586,7 +566,7 @@ class LieAlgebraData:
         f = self.root_functional(root)
         cor = self.coroot(root)
         return tuple(
-            tuple(Fraction(int(r == k)) - cor[r] * f[k] for k in range(self.dim_a))
+            tuple(int(r == k) - cor[r] * f[k] for k in range(self.dim_a))
             for r in range(self.dim_a)
         )
 
@@ -598,7 +578,7 @@ class LieAlgebraData:
         cor = self.coroot(root)
         out = []
         for beta in roots:
-            c = int(dot(self.root_functional(beta), cor))
+            c = dot(self.root_functional(beta), cor)
             out.append(at[tuple(b - c * x for b, x in zip(beta, root))])
         return tuple(out)
 
@@ -626,12 +606,14 @@ class LieAlgebraData:
     def _simple_lifts(self) -> tuple[WeylElement, ...]:
         """Ad(n_i) for n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i), one per
         simple root.  Column k is the three bracket series applied to the
-        basis vector b_k in turn.  The lift must preserve a and permute the
-        root vectors up to sign."""
+        basis vector b_k in turn.  The lift must act on a as the simple
+        reflection and permute the root vectors up to sign as it permutes
+        the roots."""
         d, basis = self.dim_a, identity(self.dim)
         out = []
         for i in range(self.rank):
-            p = self.root_index(tuple(1 if j == i else 0 for j in range(self.rank)))
+            simple = tuple(int(j == i) for j in range(self.rank))
+            p = self.root_index(simple)
             e_vec = basis[self.e_index(p)]
             minus_f = vec_scale(-1, basis[self.f_index(p)])
             cols = [
@@ -651,20 +633,26 @@ class LieAlgebraData:
                     )
                 perm.append(nz[0][0] - d)
                 signs.append(int(nz[0][1]))
+            refl = self.reflection_on_a(simple)
             a_block = tuple(zip(*(col[:d] for col in cols[:d])))
-            out.append(WeylElement((i,), a_block, tuple(perm), tuple(signs)))
+            if a_block != refl or tuple(perm) != self.reflection_perm(simple):
+                raise LieAlgebraError(f"the lift of s{i + 1} does not act as the reflection")
+            out.append(WeylElement((i,), refl, tuple(perm), tuple(signs)))
         return tuple(out)
 
     def weyl_lift(self, word: Sequence[int]) -> WeylElement:
         """Lift of a Weyl word: the product of the simple-root lifts, composed
-        as signed permutations of the root vectors."""
+        as signed permutations of the root vectors.  Its permutation is that
+        of the word's Weyl group element, whose matrix is the action on a."""
         m2 = 2 * self.num_pos
-        out = WeylElement((), identity(self.dim_a), tuple(range(m2)), (1,) * m2)
+        perm, signs = tuple(range(m2)), (1,) * m2
         for i in word:
             if not 0 <= i < self.rank:
                 raise LieAlgebraError(f"Weyl letter {i} is not a simple root index")
-            out = out.compose(self._simple_lifts[i])
-        return out
+            lift = self._simple_lifts[i]
+            signs = tuple(s * signs[t] for t, s in zip(lift.perm, lift.signs))
+            perm = compose_perms(perm, lift.perm)
+        return WeylElement(tuple(word), self.weyl_group[perm].matrix, perm, signs)
 
     # -- sign characters -------------------------------------------------------
 
@@ -695,24 +683,13 @@ class LieAlgebraData:
         return SignCharacterGroup(lattice, tuple(gens), elements)
 
     def _fundamental_coweights(self) -> list[Vec]:
+        # the root functionals of the simple roots, then the center coordinates
+        units = identity(self.dim_a)
+        rows = [self.root_functional(u[: self.rank]) for u in units[: self.rank]]
+        rows += units[self.rank :]
         out = []
         for i in range(self.rank):
-            rows = []
-            rhs = []
-            for j in range(self.rank):
-                rows.append(
-                    tuple(
-                        Fraction(self.cartan_matrix[k][j]) if k < self.rank else Fraction(0)
-                        for k in range(self.dim_a)
-                    )
-                )
-                rhs.append(Fraction(1 if j == i else 0))
-            for z in range(self.center_dim):
-                row = [Fraction(0)] * self.dim_a
-                row[self.rank + z] = Fraction(1)
-                rows.append(tuple(row))
-                rhs.append(Fraction(0))
-            sol = solve(rows, rhs, self.dim_a)
+            sol = solve(rows, units[i], self.dim_a)
             assert sol is not None
             out.append(sol)
         return out
@@ -747,10 +724,8 @@ class LieAlgebraData:
         # theta is an involution with -B(x, theta x) > 0.  gram[i][j] =
         # -B(x_i, theta x_j) is summed over the nonzeros c x_l of theta x_j
         # and the nonzeros B(x_l, x_i) of form row l (the form is symmetric).
-        zero = (Fraction(0),) * dim
-        gram = [list(zero) for _ in range(dim)]
-        for j in range(dim):
-            b = zero[:j] + (Fraction(1),) + zero[j + 1 :]
+        gram = [[0] * dim for _ in range(dim)]
+        for j, b in enumerate(identity(dim)):
             t = self.theta(b)
             if self.theta(t) != b:
                 raise LieAlgebraError("theta is not an involution")
@@ -813,9 +788,9 @@ def _build_cached(key) -> LieAlgebraData:
         neg = tuple(-x for x in root)
         return f_idx(cc.index[neg])
 
-    structure: dict[tuple[int, int], dict[int, Fraction]] = {}
+    structure: dict[tuple[int, int], dict[int, int]] = {}
 
-    def put(i, j, comp: dict[int, Fraction]):
+    def put(i, j, comp: dict[int, int]):
         comp = {k: c for k, c in comp.items() if c != 0}
         if not comp:
             return
@@ -841,7 +816,7 @@ def _build_cached(key) -> LieAlgebraData:
             root = root_of_basis(k)
             c = pairing(root, i)
             if c:
-                put(i, k, {k: Fraction(c)})
+                put(i, k, {k: c})
     # root vector brackets
     for ki in range(dim_a, dim):
         for kj in range(ki + 1, dim):
@@ -855,10 +830,10 @@ def _build_cached(key) -> LieAlgebraData:
                 n2 = cc.norm2(b)
                 comp = {}
                 for i in range(n):
-                    ci = Fraction(b[i] * 2 * d[i]) / n2
+                    ci = Fraction(2 * d[i] * b[i], n2)
                     assert ci.denominator == 1
                     if ci:
-                        comp[i] = Fraction(sign) * ci
+                        comp[i] = sign * ci.numerator
                 put(ki, kj, comp)
             elif cc.is_root(s):
                 put(ki, kj, {signed_index(s): cc.N(mu, nu)})
@@ -889,8 +864,8 @@ def _build_cached(key) -> LieAlgebraData:
     # the semisimple part, read off the structure constants. B pairs weight
     # spaces of opposite weight only, so the nonzero entries lie in the (h, h)
     # block and at the (e_p, f_p) pairs; the center pairs by the identity.
-    def killing(i: int, j: int) -> Fraction:
-        t = Fraction(0)
+    def killing(i: int, j: int) -> int:
+        t = 0
         for l in range(dim):
             for k, c in data.bracket_basis(i, l).items():
                 c2 = data.bracket_basis(j, k).get(l)
@@ -898,13 +873,13 @@ def _build_cached(key) -> LieAlgebraData:
                     t += c * c2
         return t
 
-    form = [[Fraction(0)] * dim for _ in range(dim)]
+    form = [[0] * dim for _ in range(dim)]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pairs += [(e_idx(p), f_idx(p)) for p in range(m)]
     for i, j in pairs:
         form[i][j] = form[j][i] = killing(i, j)
     for z in range(abelian_center_dim):
-        form[n + z][n + z] = Fraction(1)
+        form[n + z][n + z] = 1
 
     object.__setattr__(data, "form_matrix", tuple(tuple(r) for r in form))
     data.validate()

@@ -33,7 +33,6 @@ from .linalg import (
     Subspace,
     Vec,
     dot,
-    int_dot,
     integer_echelon,
     primitive_signed,
     vec,
@@ -65,7 +64,7 @@ def graded_direction(lie: LieAlgebraData, x: Sequence) -> GradedDirection:
     x_int = [c.numerator * (den // c.denominator) for c in x]
     buckets: dict[int, list[int]] = {}
     for k, w in enumerate(lie.weights):
-        buckets.setdefault(int_dot(w, x_int), []).append(k)
+        buckets.setdefault(dot(w, x_int), []).append(k)
     values = sorted(buckets)
     eigenvalues = tuple(Fraction(v, den) for v in values)
     indices = tuple(tuple(buckets[v]) for v in values)

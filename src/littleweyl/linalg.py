@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Vectors and matrices are tuples of rationals: ``int`` where the data are
-integers, ``Fraction`` where they meet denominators; the routines that
+Vectors and matrices are tuples of rationals, each entry an ``int`` or a
+``Fraction``.  The vector routines keep the type of their input: they start
+from the integer 0, so integer input gives integer output, and a
+``Fraction`` appears only where a division made one.  The routines that
 row-reduce reject other entry types with a TypeError.  There is one
 elimination, the fraction-free ``integer_echelon`` on primitive integer
 rows.  A ``Subspace`` stores the canonical echelon form it gives as primitive
@@ -19,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 IntVec = tuple[int, ...]
 # (pivot, row) pairs of a fraction-free echelon form; see integer_echelon
@@ -35,7 +37,7 @@ def vec(entries: Iterable) -> Vec:
 
 
 def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
+    return (0,) * n
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -43,12 +45,13 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 
 def vec_scale(c, a: Vec) -> Vec:
-    c = frac(c)
     return tuple(c * x for x in a)
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+def dot(a: Vec, b: Vec) -> int | Fraction:
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def sparse_combination(
@@ -66,7 +69,7 @@ def sparse_combination(
 def combination(coeffs: Iterable, rows: Iterable[Sequence], n: int) -> Vec:
     """The sum of c * row over coeffs and rows taken in pairs, in Q^n; the
     pairing stops at the shorter of the two."""
-    out = [Fraction(0)] * n
+    out = [0] * n
     for c, row in zip(coeffs, rows):
         if c:
             for i, x in enumerate(row):
@@ -81,13 +84,11 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(dot(row, vec(col)) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_inverse(m: Mat) -> Mat:
@@ -156,7 +157,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Vec | None:
     echelon = integer_echelon(
         primitive_ints((*r, b)) for r, b in zip(rows, rhs, strict=True)
     )
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for p, row in echelon:
         if p == ncols:
             return None
@@ -267,21 +268,6 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(integer_echelon(rows))
 
 
-def int_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
-def int_combination(coeffs: Iterable[int], rows: Iterable[Sequence[int]], n: int) -> IntVec:
-    """The integer vector sum of c * row over coeffs and rows taken in pairs."""
-    out = [0] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i, x in enumerate(row):
-                if x:
-                    out[i] += c * x
-    return tuple(out)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -390,7 +376,7 @@ class Subspace:
             for c in range(self.ambient_dim)
         ]
         rows = [
-            int_combination(coeffs, self.rows, self.ambient_dim)
+            combination(coeffs, self.rows, self.ambient_dim)
             for coeffs in _kernel_rows(integer_echelon(eq_rows), k + l)
         ]
         return Subspace.from_spanning(self.ambient_dim, rows)
@@ -437,10 +423,10 @@ class Subspace:
     def reduce_vector(self, v: Sequence) -> Vec:
         """Canonical representative of v modulo the subspace: v reduced to
         zero on the pivots, one row at a time."""
-        v = vec(v)
+        v = tuple(v)
         for p, row in self._echelon:
             f = v[p]
             if f:
-                c = f / row[p]
+                c = Fraction(f, row[p])
                 v = tuple(x - c * y if y else x for x, y in zip(v, row))
         return v

@@ -22,10 +22,10 @@ from .linalg import (
     Vec,
     combination,
     dot,
-    int_combination,
+    identity,
     kernel,
     mat_vec,
-    primitive,
+    primitive_ints,
     primitive_signed,
     rank,
     solve,
@@ -185,10 +185,11 @@ def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
             return None, "no regular element in a cap h_z^perp"
     idx_l = lie.a_indices()
     nc_rows = []
+    basis = identity(lie.dim)
     for p in sigma0:
         idx_l += [lie.e_index(p), lie.f_index(p)]
-        nc_rows.append(tuple(Fraction(1 if k == lie.e_index(p) else 0) for k in range(lie.dim)))
-        nc_rows.append(tuple(Fraction(1 if k == lie.f_index(p) else 0) for k in range(lie.dim)))
+        nc_rows.append(basis[lie.e_index(p)])
+        nc_rows.append(basis[lie.f_index(p)])
         nc_rows.append(lie.a_vector_to_g(lie.coroot(lie.positive_roots[p])))
     q = QData(
         sigma0=tuple(sigma0),
@@ -323,9 +324,9 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     # The equations are the integer annihilator rows of h_z, read on the a
     # coordinates of the a_circ basis and on the unit vectors e_p of n_Q.
     ann = h_z.annihilator()
+    basis = identity(lie.dim)
     w_basis = [lie.a_vector_to_g(row) for row in a_circ.basis_matrix] + [
-        tuple(Fraction(1 if k == lie.e_index(p) else 0) for k in range(lie.dim))
-        for p in q.sigma_q
+        basis[lie.e_index(p)] for p in q.sigma_q
     ]
     rows = [
         tuple(dot(lie.g_vector_to_a(a), row) for row in a_circ.basis_matrix)
@@ -367,10 +368,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
 
     # T^perp: for each X in the a_circ basis, the unique u in n_Q with
     # X + u in h_z^perp
-    n_basis = [
-        tuple(Fraction(1 if k == lie.e_index(p) else 0) for k in range(lie.dim))
-        for p in q.sigma_q
-    ]
+    n_basis = [basis[lie.e_index(p)] for p in q.sigma_q]
     tperp_map = []
     for row in a_circ.basis_matrix:
         x_g = lie.a_vector_to_g(row)
@@ -582,7 +580,7 @@ def phi(analysis: SphericalAnalysis, x_a: Sequence) -> Vec:
         upd = list(out)
         for p in analysis.sigma_q:
             if sum(lie.positive_roots[p]) == h:
-                upd[lie.e_index(p)] += residual[lie.e_index(p)] / alpha_vals[p]
+                upd[lie.e_index(p)] += Fraction(residual[lie.e_index(p)], alpha_vals[p])
         out = tuple(upd)
     final = lie.exp_ad_apply(vec_scale(-1, out), x_g)
     if final != target:
@@ -632,10 +630,10 @@ def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
     ]
     gen_coords = [s.coords for s in gens]
     rows = list(analysis.l_cap_h.rows)
+    basis = identity(lie.dim)
     for p, img in analysis.t_map:
         root_p = lie.positive_roots[p]
-        v = [Fraction(0)] * lie.dim
-        v[lie.f_index(p)] = Fraction(1)
+        v = list(basis[lie.f_index(p)])
         if any(img[k] != 0 for k in lie.a_indices()) and monoid_contains(
             gen_coords, root_p
         ):
@@ -670,7 +668,7 @@ def normalizer_in_a(lie: LieAlgebraData, e: Subspace) -> Subspace:
         nonzero = [(j, c) for j, c in enumerate(v) if c]
         for a in ann:
             rows.append(
-                int_combination(
+                combination(
                     (a[j] * c for j, c in nonzero),
                     (lie.weights[j] for j, _ in nonzero),
                     lie.dim_a,
@@ -683,10 +681,8 @@ def centralizer_in_n_q(analysis: SphericalAnalysis) -> Subspace:
     """Z_{n_Q}(l_Q cap h_z), the directions along which translation preserves
     the adapted structure."""
     lie = analysis.lie
-    n_basis = [
-        tuple(Fraction(1 if k == lie.e_index(p) else 0) for k in range(lie.dim))
-        for p in analysis.sigma_q
-    ]
+    basis = identity(lie.dim)
+    n_basis = [basis[lie.e_index(p)] for p in analysis.sigma_q]
     rows = []
     for v in analysis.l_cap_h.rows:
         images = [lie.bracket(nb, v) for nb in n_basis]
@@ -778,11 +774,11 @@ def half_space_direction(analysis: SphericalAnalysis) -> tuple[int, ...] | None:
     coordinates; otherwise None."""
     if not analysis.s_z:
         return None
-    base = primitive(tuple(Fraction(c) for c in analysis.s_z[0].coords))
+    base = primitive_ints(analysis.s_z[0].coords)
     for s in analysis.s_z:
-        if primitive(tuple(Fraction(c) for c in s.coords)) != base:
+        if primitive_ints(s.coords) != base:
             return None
-    return tuple(int(c) for c in base)
+    return base
 
 
 def half_space_candidate(analysis: SphericalAnalysis, t: int) -> Vec:
@@ -833,10 +829,10 @@ def half_space_candidate(analysis: SphericalAnalysis, t: int) -> Vec:
 
 
 def _alpha_components(lie: LieAlgebraData, tp: Vec, p_alpha: int, p_2alpha: int | None) -> Vec:
-    out = [Fraction(0)] * lie.dim
-    out[lie.e_index(p_alpha)] = tp[lie.e_index(p_alpha)] / 2
+    out = [0] * lie.dim
+    out[lie.e_index(p_alpha)] = Fraction(tp[lie.e_index(p_alpha)], 2)
     if p_2alpha is not None:
-        out[lie.e_index(p_2alpha)] = tp[lie.e_index(p_2alpha)] / 4
+        out[lie.e_index(p_2alpha)] = Fraction(tp[lie.e_index(p_2alpha)], 4)
     return tuple(out)
 
 

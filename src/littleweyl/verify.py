@@ -153,10 +153,8 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     faces = cone_faces(analysis)
 
     def brion() -> CheckResult:
-        f_basis = [
-            tuple(Fraction(1 if k == lie.f_index(p) else 0) for k in range(lie.dim))
-            for p in analysis.sigma_q
-        ]
+        basis = identity(lie.dim)
+        f_basis = [basis[lie.f_index(p)] for p in analysis.sigma_q]
         t_of = {p: img for p, img in analysis.t_map}
         for row in analysis.a_perp_h.basis_matrix:
             x = lie.a_vector_to_g(row)

@@ -241,7 +241,6 @@ class LittleWeylGroup:
         return len(self.elements)
 
 
-_CLOSURE_BOUND = 1152
 _ORDER_BOUND = 13
 
 
@@ -263,11 +262,13 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     edge_quot = QuotientSpace.of(cone.edge())
     gens = [wall_reflection(analysis, w, quot) for w in cone.walls()]
 
+    # the coset labels realise each element by a distinct element of W
+    bound = len(lie.weyl_group)
     ident = identity(quot.dim)
     found = []
     for m, _ in group_closure([g.matrix_on_quotient for g in gens], ident):
         found.append(m)
-        if len(found) > _CLOSURE_BOUND:
+        if len(found) > bound:
             raise ContractViolation("wall reflection closure exceeds the bound")
     elements = tuple(sorted(found, key=lambda m: (m != ident, m)))
 

@@ -6,13 +6,19 @@ the invariant form is sparse.  Each is compared with the dense matrix it
 replaces.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.lie import (
+    LieAlgebraData,
+    LieAlgebraError,
+    build_from_cartan,
+    cartan_matrix_of_type,
+)
 from littleweyl.linalg import Subspace, dot, identity, mat_mul, mat_vec, vec
 
 
@@ -30,7 +36,7 @@ def _dense_exp_ad(lie, x):
     a = tuple(zip(*(lie.bracket(x, e) for e in identity(lie.dim))))
     out = term = identity(lie.dim)
     for k in range(1, lie.dim + 1):
-        term = tuple(tuple(c / k for c in row) for row in mat_mul(term, a))
+        term = tuple(tuple(Fraction(c, k) for c in row) for row in mat_mul(term, a))
         if not any(any(row) for row in term):
             break
         out = tuple(tuple(o + t for o, t in zip(r, s)) for r, s in zip(out, term))
@@ -95,6 +101,20 @@ def test_lift_rejects_letters_outside_the_rank():
         lie.weyl_lift([2])
     with pytest.raises(ValueError):
         lie.weyl_lift([-1])
+
+
+@pytest.mark.parametrize(
+    "method,wrong",
+    [
+        ("reflection_on_a", lambda self, root: identity(self.dim_a)),
+        ("reflection_perm", lambda self, root: tuple(range(2 * self.num_pos))),
+    ],
+)
+def test_simple_lift_must_act_as_the_reflection(monkeypatch, method, wrong):
+    lie = dataclasses.replace(_lie("A2"))  # same algebra, no lifts computed yet
+    monkeypatch.setattr(LieAlgebraData, method, wrong)
+    with pytest.raises(LieAlgebraError, match="does not act as the reflection"):
+        lie.weyl_lift([0])
 
 
 _ALGEBRAS = {name: _lie(name) for name in ("A2", "B2", "G2")}

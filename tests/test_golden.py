@@ -4,7 +4,8 @@ Each case runs one CLI subcommand (or ``build_report``) and compares the
 sha256 digest of its stdout, together with its exit code, with the digest
 recorded before the Weyl group table of each algebra replaced the closures
 run per analysis.  The digests of ``analyze`` on the Riemannian pairs A3 and
-B3 g/so were recorded before subspaces were stored as integer echelon rows.
+B3 g/so were recorded before subspaces were stored as integer echelon rows,
+and the digest of ``verify --all`` before the Lie data were stored as ints.
 A refactor that keeps results must keep every digest.
 """
 
@@ -13,6 +14,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,11 @@ RIEMANNIAN_DIGESTS = {
     "B3": "0:97c157614b6f0466",
 }
 
+# verify --all --json --seed 1, with the float flow oracle's worst distance
+# masked as bench/workloads.py masks it: its last bits come from the platform
+VERIFY_DIGEST = "0:a1a880079e585480"
+_FLOAT_DETAIL = re.compile(r"worst distance [-+0-9.eE]+")
+
 LEVI_DIGESTS = {
     "A2_levi1": "0b61913b59e6ed0e",
     "B2_levi2": "5e8bf71f30960481",
@@ -154,3 +161,9 @@ def test_riemannian_pair_reports_are_unchanged(cartan_type, tmp_path, monkeypatc
     name = f"{cartan_type}_so.json"
     Path(name).write_text(dumps_canonical(space_json(cartan_type)))
     assert _cli("analyze", name, "--json")[0] == RIEMANNIAN_DIGESTS[cartan_type]
+
+
+def test_verify_report_is_unchanged():
+    status, out = _cli("verify", "--all", "--json", "--seed", "1")
+    masked = _FLOAT_DETAIL.sub("worst distance <float>", out)
+    assert f"{status.split(':')[0]}:{_digest(masked)}" == VERIFY_DIGEST

@@ -163,6 +163,23 @@ _ORTHO_ALGEBRAS = {
 }
 
 
+@pytest.mark.parametrize("name,center", [("A1", 0), ("B2", 0), ("G2", 0), ("A2", 1)])
+def test_chevalley_data_are_ints(name, center):
+    # on a Chevalley basis every structure constant, the Killing form, the
+    # root functionals, coroots, reflections on a and sign scalings are
+    # integers, and the library keeps them as int
+    lie = build_from_cartan(cartan_matrix_of_type(name), abelian_center_dim=center)
+    roots = lie.roots()
+    chi = lie.m_sign_characters().elements[-1]
+    data = [c for comp in lie.structure.values() for c in comp.values()]
+    data += [x for row in lie.form_matrix for x in row]
+    data += [x for r in roots for x in lie.root_functional(r) + lie.coroot(r)]
+    data += [x for r in roots for row in lie.reflection_on_a(r) for x in row]
+    data += [x for w in lie.weyl_group.values() for row in w.matrix for x in row]
+    data += lie.sign_scaling(chi)
+    assert data and {type(x) for x in data} == {int}
+
+
 def _dense_orthocomplement(lie, e):
     """Reference: the kernel of the dense products form_matrix * v over the rows v of E."""
     if e.dim == 0:
@@ -230,7 +247,7 @@ def test_weyl_lift_sl2(a1):
         term = identity(3)
         for k in (1, 2, 3):
             term = tuple(
-                tuple(c / k for c in row) for row in mat_mul(term, m)
+                tuple(Fraction(c, k) for c in row) for row in mat_mul(term, m)
             )
             out = tuple(
                 tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(out, term)

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -399,3 +401,25 @@ def test_subspace_operations_match_the_fraction_reference(data):
     same = Subspace.from_spanning(n, data.draw(st.permutations(other)))
     assert same == u and hash(same) == hash(u)
     assert (u == v) == (ref_u.basis == ref_v.basis)
+
+
+def test_library_divides_exactly():
+    # int / int is a float in Python: every exact division of the library is
+    # written Fraction(a, b), and the float flow oracle normalises its rows
+    # in _orthonormal_rows, the one place that divides with /
+    src = Path(__file__).resolve().parents[1] / "src" / "littleweyl"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == (
+                "limits.py",
+                "_orthonormal_rows",
+            ):
+                allowed |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                if id(node) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -52,7 +52,7 @@ def test_translate_exp_e_on_f_line(a1, sl2_subalgebras):
     step2 = a1.bracket(E, step1)
     expected = vec(F)
     expected = tuple(a + b for a, b in zip(expected, step1))
-    expected = tuple(a + b / 2 for a, b in zip(expected, step2))
+    expected = tuple(a + Fraction(b, 2) for a, b in zip(expected, step2))
     assert expected == vec((1, -1, 1))  # h - e + f
     bp = translate(a1, sl2_subalgebras["nbar"], [WordEntry.exp(E)])
     assert bp.h_z == span(3, expected)

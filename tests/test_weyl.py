@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -337,3 +338,15 @@ def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
     monkeypatch.setattr(weyl, "_conjugate_table", with_a_second_coset)
     with pytest.raises(ContractViolation, match="more than one coset"):
         weyl_from_limits(an)
+
+
+def test_closure_is_bounded_by_the_order_of_w():
+    # |W_Z| <= |W|: on a copy of A2 whose Weyl group lists 5 of its 6
+    # elements, the closure of the wall reflections of A2/so3 (order 6)
+    # exceeds the bound
+    entry = get_entry("A2_so3")
+    lie = dataclasses.replace(entry.lie())
+    object.__setattr__(lie, "weyl_group", dict(list(entry.lie().weyl_group.items())[:5]))
+    an = analyze(lie, entry.base_point().h_z)
+    with pytest.raises(ContractViolation, match="closure exceeds the bound"):
+        little_weyl_group(an)
