@@ -13,7 +13,7 @@ Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -34,7 +34,6 @@ from .linalg import (
     primitive_signed,
     vec,
     vec_scale,
-    zero_vec,
 )
 
 IntVec = tuple[int, ...]
@@ -325,21 +324,14 @@ class Cone:
     def relative_interior_point(self) -> Vec:
         """A rational point in the relative interior, deterministically."""
         rays, _ = self._int_generators
-        if not rays:
-            return zero_vec(self.ambient_dim)
-        strict = [
-            g for g in self._int_inequalities if any(dot(g, r) for r in rays)
-        ]
-        t = 1
-        while True:
-            t += 1
-            p = [0] * self.ambient_dim
-            for k, r in enumerate(rays):
-                p = _combine(1, p, t**k, r)
-            if all(dot(g, p) < 0 for g in strict):
-                return _fractions(p)
-            if t > 4 * (len(rays) + 1) * (len(strict) + 1):
-                raise ConeError("no relative interior point found")
+        return _fractions(_interior_point(self.ambient_dim, rays, self._strict_inequalities))
+
+    @cached_property
+    def _strict_inequalities(self) -> list[IntVec]:
+        """The inequalities that do not vanish on the whole cone: strict on
+        its relative interior."""
+        rays, _ = self._int_generators
+        return [g for g in self._int_inequalities if any(dot(g, r) for r in rays)]
 
     def _facet_inequalities(self) -> list[Vec]:
         return [_fractions(g) for g in self._int_facets()]
@@ -351,6 +343,27 @@ class Cone:
             for g in self._int_inequalities
             if _is_facet(g, *self._int_generators, cone_dim)
         ]
+
+
+def _interior_point(
+    dim: int, rays: Sequence[IntVec], strict: Sequence[IntVec], back: IntMat | None = None
+) -> IntVec:
+    """The point sum_k t^k rays[k] for the least t = 2, 3, ... at which every
+    functional in ``strict`` is negative, evaluated on ``back`` times the point
+    when a map is given; the zero vector when there are no rays."""
+    if not rays:
+        return (0,) * dim
+    t = 1
+    while True:
+        t += 1
+        p = (0,) * dim
+        for k, r in enumerate(rays):
+            p = _combine(1, p, t**k, r)
+        q = p if back is None else mat_vec(back, p)
+        if all(dot(g, q) < 0 for g in strict):
+            return p
+        if t > 4 * (len(rays) + 1) * (len(strict) + 1):
+            raise ConeError("no relative interior point found")
 
 
 def _is_facet(g: IntVec, rays: list[IntVec], lin: list[IntVec], cone_dim: int) -> bool:
@@ -383,9 +396,21 @@ def _minimal_inequalities(
 
 @dataclass(frozen=True)
 class Chamber:
+    """A chamber of an arrangement: its signs on the hyperplanes and a
+    deterministic interior point.  Its cone is ``base`` itself, or the image
+    of ``base`` under ``image_map`` (positive multiples of a map and of its
+    inverse, as Cone._image takes them), built on first access."""
+
     signs: tuple[int, ...]
     representative: Vec
-    cone: Cone
+    base: Cone = field(repr=False, compare=False)
+    image_map: tuple[IntMat, IntMat] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def cone(self) -> Cone:
+        if self.image_map is None:
+            return self.base
+        return self.base._image(*self.image_map)
 
 
 @dataclass(frozen=True)
@@ -397,21 +422,29 @@ class ChamberSet:
     def count(self) -> int:
         return len(self.chambers)
 
+    @cached_property
+    def _int_hyperplanes(self) -> list[IntVec]:
+        return [primitive_ints(h) for h in self.hyperplanes]
+
+    @cached_property
+    def _by_signs(self) -> dict[tuple[int, ...], Chamber]:
+        return {ch.signs: ch for ch in self.chambers}
+
     def sign_vector(self, x: Sequence) -> tuple[int, ...]:
-        x = vec(x)
-        return tuple(_sign(dot(h, x)) for h in self.hyperplanes)
+        x = primitive_ints(x)
+        return tuple(_sign(dot(h, x)) for h in self._int_hyperplanes)
 
     def chamber_of(self, x: Sequence) -> Chamber:
         s = self.sign_vector(x)
         if 0 in s:
             raise ConeError("point lies on a hyperplane of the arrangement")
-        for ch in self.chambers:
-            if ch.signs == s:
-                return ch
-        raise ConeError("point is outside the enumerated chambers")
+        ch = self._by_signs.get(s)
+        if ch is None:
+            raise ConeError("point is outside the enumerated chambers")
+        return ch
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -451,9 +484,9 @@ def traverse_chambers(
     holds the seed: the region is convex, so its chambers are connected
     through the walls that are not fixed.
     """
-    seed = _generic_point(dim, hyperplanes)
-    seed_signs = tuple(_sign(dot(h, seed)) for h in hyperplanes)
     int_hyps = [primitive_ints(h) for h in hyperplanes]
+    seed = _generic_point(dim, int_hyps)
+    seed_signs = tuple(_sign(dot(h, seed)) for h in int_hyps)
     index = {h: i for i, h in enumerate(int_hyps)}
     fixed = set(fixed)
 
@@ -491,28 +524,46 @@ def orbit_chambers(
 ) -> tuple[Chamber, ...]:
     """The images of the chambers under the maps, sorted by sign vector.
 
-    Each map must be invertible and permute the hyperplanes up to sign, so
-    that it carries chambers to chambers.  The representative is taken again
-    on each image cone, because it depends on the order of the sorted rays
-    and so is not carried by the map.
+    Each map m must be invertible and permute the hyperplanes up to sign,
+    h_j o m = eps_j h_pi(j), so that it carries chambers to chambers: the
+    image of a chamber has the signs eps_j signs[pi(j)].  The chambers of a
+    central arrangement share their lineality, the common kernel of its
+    hyperplanes.  The representative is the relative_interior_point of the
+    image cone, read without building it: the sorted primitive images of the
+    chamber's rays, reduced modulo the image lineality, summed with the
+    weights t^k, and tested on the chamber's strict inequalities through
+    m^-1.  The image cone is built only when Chamber.cone is read.
     """
     chambers = list(chambers)
     int_hyps = [primitive_ints(h) for h in hyperplanes]
+    index = {h: j for j, h in enumerate(int_hyps)}
+    lin = chambers[0].cone._int_generators[1] if chambers else []
     out = []
     for m in maps:
         fwd, back = _integer_map(m)
+        signed_perm = []
+        for h in int_hyps:
+            g = primitive_ints([dot(h, col) for col in zip(*fwd)])
+            j = index.get(g)
+            signed_perm.append((1, j) if j is not None else (-1, index[_neg(g)]))
+        lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
         for ch in chambers:
-            cone = ch.cone._image(fwd, back)
-            p = cone.relative_interior_point()
-            q = primitive_ints(p)
-            out.append(Chamber(tuple(_sign(dot(h, q)) for h in int_hyps), p, cone))
+            rays = sorted(
+                {
+                    primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
+                    for r in ch.cone._int_generators[0]
+                }
+            )
+            p = _interior_point(len(fwd), rays, ch.cone._strict_inequalities, back)
+            signs = tuple(e * ch.signs[j] for e, j in signed_perm)
+            out.append(Chamber(signs, _fractions(p), ch.cone, (fwd, back)))
     return tuple(sorted(out, key=lambda c: c.signs))
 
 
-def _generic_point(dim: int, functionals: Sequence[Vec]) -> Vec:
+def _generic_point(dim: int, functionals: Sequence[IntVec]) -> IntVec:
     t = 1
     while True:
-        p = tuple(Fraction(t) ** k for k in range(dim))
+        p = tuple(t**k for k in range(dim))
         if all(dot(h, p) != 0 for h in functionals):
             return p
         t += 1

@@ -31,6 +31,10 @@ from .linalg import Subspace, Vec, vec
 from .spherical import BasePoint, WordEntry, translate
 
 SCHEMA_VERSION = 1
+# The largest semisimple rank a space file may have: coxeter_type_label names
+# the diagrams of at most four nodes, and on A5 the chamber table alone does
+# not finish within minutes.
+MAX_RANK = 4
 
 
 class SpaceFileError(ValueError):
@@ -126,6 +130,11 @@ def lie_from_json(data, where: str = "lie_algebra") -> LieAlgebraData:
         else:
             raise SpaceFileError(
                 f"{where} needs either 'cartan_type' or 'cartan_matrix'"
+            )
+        if isinstance(matrix, (list, tuple)) and len(matrix) > MAX_RANK:
+            raise SpaceFileError(
+                f"{where}: rank {len(matrix)} is not supported "
+                f"(the supported range is rank <= {MAX_RANK})"
             )
         return build_from_cartan(matrix, center)
     except LieAlgebraError as err:

@@ -490,8 +490,12 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
     The arrangement holds every root hyperplane (2 alpha = alpha - (-alpha))
     and W permutes it, so W acts freely on its chambers and each chamber lies
     in one Weyl chamber.  The chambers inside the Weyl chamber of the seed
-    are traversed once; every other chamber is the image of one of them
-    under one element of W.
+    are traversed once, with one double description each; every other
+    chamber is the image of one of them under one element of W.  An image
+    reads its signs off the signed permutation of the hyperplanes by w and
+    its representative off the w-images of the base chamber's rays
+    (cones.orbit_chambers); its cone is built only when a consumer reads it,
+    as compression_cone_of_point does.
     """
     key = (lie.cartan_matrix, lie.center_dim)
     if key not in _CHAMBER_CACHE:

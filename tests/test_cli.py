@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import littleweyl
 from littleweyl import verify
 from littleweyl.cli import main
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.serialize import dumps_canonical
 
 
 def run(capsys, *argv):
@@ -255,6 +258,43 @@ def test_malformed_space_file_exit_1(tmp_path, capsys, lie_algebra, rows, word):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert err.startswith("error:") and out == ""
+
+
+def _riemannian_space(cartan_type: str) -> dict:
+    """The g/so space file: h spanned by e_p - f_p over the positive roots."""
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type))
+    rows = []
+    for p in range(lie.num_pos):
+        row = ["0"] * lie.dim
+        row[lie.e_index(p)], row[lie.f_index(p)] = "1", "-1"
+        rows.append(row)
+    return {
+        "schema_version": 1,
+        "lie_algebra": {"cartan_type": cartan_type, "center_dim": 0},
+        "subalgebra": rows,
+        "base_point_word": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "command,lie_algebra",
+    [
+        ("analyze", {"cartan_type": "A5"}),
+        ("admissible", {"cartan_type": "A5"}),
+        ("verify", {"cartan_matrix": [list(r) for r in cartan_matrix_of_type("A5")]}),
+    ],
+)
+def test_rank_5_space_file_exits_1_at_load(tmp_path, capsys, command, lie_algebra):
+    # A5 g/so once ran for 80 s and then exited 3 at coxeter_type_label
+    space = dict(_riemannian_space("A5"), lie_algebra=lie_algebra)
+    path = tmp_path / "A5_so.json"
+    path.write_text(dumps_canonical(space))
+    start = time.monotonic()
+    code, out, err = run(capsys, command, str(path))
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "rank 5 is not supported" in err
+    assert "rank <= 4" in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_import_loads_no_third_party_module():

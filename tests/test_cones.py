@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littleweyl.cones import Cone, ConeError, enumerate_chambers
+from littleweyl.cones import ChamberSet, Cone, ConeError, enumerate_chambers
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import order_regular_hyperplanes
 from littleweyl.linalg import (
@@ -193,13 +193,27 @@ def test_chamber_representatives_strict():
         assert all(dot(h, ch.representative) != 0 for h in cs.hyperplanes)
 
 
+def test_chamber_of_looks_up_the_sign_vector():
+    cs = enumerate_chambers(2, [[1, 0], [0, 1], [1, 1], [1, -1]])
+    for ch in cs.chambers:
+        assert cs.chamber_of(ch.representative) is ch
+        assert cs.chamber_of([Fraction(c, 3) for c in ch.representative]) is ch
+    with pytest.raises(ConeError, match="lies on a hyperplane"):
+        cs.chamber_of((1, 1))
+    part = ChamberSet(cs.hyperplanes, cs.chambers[:1])
+    with pytest.raises(ConeError, match="outside the enumerated chambers"):
+        part.chamber_of(cs.chambers[1].representative)
+
+
 @pytest.mark.parametrize(
     "cartan_type,center",
-    [("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("B3", 0), ("A2", 1)],
+    [("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("B3", 0), ("C3", 0), ("A2", 1)],
 )
 def test_weyl_orbit_chambers_equal_the_full_traversal(cartan_type, center):
     """One traversal of the chambers in one Weyl chamber, moved by W, gives
-    the chambers of the traversal that crosses every wall, field by field."""
+    the chambers of the traversal that crosses every wall, field by field:
+    the signs and representatives read off the base chambers, and the cones
+    built on first access."""
     lie = build_from_cartan(cartan_matrix_of_type(cartan_type), abelian_center_dim=center)
     want = enumerate_chambers(lie.dim_a, order_regular_hyperplanes(lie))
     got = order_regular_chambers(lie)

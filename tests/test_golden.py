@@ -5,8 +5,9 @@ sha256 digest of its stdout, together with its exit code, with the digest
 recorded before the Weyl group table of each algebra replaced the closures
 run per analysis.  The digests of ``analyze`` on the Riemannian pairs A3 and
 B3 g/so were recorded before subspaces were stored as integer echelon rows,
-and the digest of ``verify --all`` before the Lie data were stored as ints.
-A refactor that keeps results must keep every digest.
+and the digest of ``verify --all`` before the Lie data were stored as ints,
+and the digests of ``admissible`` on the Riemannian pairs A3, B3 and C3 g/so
+before the W-image chambers stopped building their cones.  A refactor that keeps results must keep every digest.
 """
 
 import contextlib
@@ -132,6 +133,13 @@ RIEMANNIAN_DIGESTS = {
     "B3": "0:97c157614b6f0466",
 }
 
+# admissible --json on <type>_so.json, run the same way
+RIEMANNIAN_ADMISSIBLE_DIGESTS = {
+    "A3": "0:33daa194076f16ed",
+    "B3": "0:2f9e0867074d3766",
+    "C3": "0:949b52dcf15d6e5d",
+}
+
 # verify --all --json --seed 1, with the float flow oracle's worst distance
 # masked as bench/workloads.py masks it: its last bits come from the platform
 VERIFY_DIGEST = "0:a1a880079e585480"
@@ -155,12 +163,25 @@ def test_levi_pair_reports_are_unchanged(name, levi_pairs):
     assert levi_report(*levi_pairs[name]) == LEVI_DIGESTS[name]
 
 
+def _riemannian_cli(command: str, cartan_type: str) -> str:
+    """'exit code:digest' of one command on <type>_so.json, run from the
+    file's directory (the caller's current directory)."""
+    name = f"{cartan_type}_so.json"
+    Path(name).write_text(dumps_canonical(space_json(cartan_type)))
+    return _cli(command, name, "--json")[0]
+
+
 @pytest.mark.parametrize("cartan_type", sorted(RIEMANNIAN_DIGESTS))
 def test_riemannian_pair_reports_are_unchanged(cartan_type, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    name = f"{cartan_type}_so.json"
-    Path(name).write_text(dumps_canonical(space_json(cartan_type)))
-    assert _cli("analyze", name, "--json")[0] == RIEMANNIAN_DIGESTS[cartan_type]
+    assert _riemannian_cli("analyze", cartan_type) == RIEMANNIAN_DIGESTS[cartan_type]
+
+
+@pytest.mark.parametrize("cartan_type", sorted(RIEMANNIAN_ADMISSIBLE_DIGESTS))
+def test_riemannian_admissible_reports_are_unchanged(cartan_type, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = RIEMANNIAN_ADMISSIBLE_DIGESTS[cartan_type]
+    assert _riemannian_cli("admissible", cartan_type) == want
 
 
 def test_verify_report_is_unchanged():

@@ -97,24 +97,35 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
         ],
     )
     an = analyze(lie, h)
-    dd_calls = []
-    original = cones.Cone.from_inequalities
+    dd_calls, image_calls = [], []
+    original_dd = cones.Cone.from_inequalities
+    original_image = cones.Cone._image
 
-    def recording(dim, gammas):
+    def recording_dd(dim, gammas):
         dd_calls.append(dim)
-        return original(dim, gammas)
+        return original_dd(dim, gammas)
+
+    def recording_image(cone, fwd, back):
+        image_calls.append(cone)
+        return original_image(cone, fwd, back)
 
     monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
-    monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording))
-    chambers = spherical.order_regular_chambers(lie)
-    monkeypatch.undo()
-    assert chambers.count == 240
-    assert len(dd_calls) <= 10
+    monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording_dd))
+    monkeypatch.setattr(cones.Cone, "_image", recording_image)
     calls = _record_limit_calls(monkeypatch)
+    chambers = spherical.order_regular_chambers(lie)
+    assert chambers.count == 240
     ok, rows = is_admissible(an)
     assert ok and len(rows) == 240
+    # one double description per chamber of the seed's Weyl chamber; the
+    # W-images read signs and representatives without building a cone
+    assert len(dd_calls) <= 10
+    assert image_calls == []
     # g/so: E pairs e_p with f_p only, so the cells are the 24 Weyl chambers
     assert len(calls) == 24 == len(set(calls))
+    # the cone of a W-image is built once, on first access
+    cone = chambers.chambers[-1].cone
+    assert len(image_calls) == 1 and chambers.chambers[-1].cone is cone
 
 
 def test_face_degenerations_are_analyzed_once(monkeypatch):
@@ -185,19 +196,26 @@ def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
 
 
 def test_a3_chambers_take_few_row_reductions(monkeypatch):
-    """The chamber enumeration row-reduces integer rows only.  It takes 22 098
-    integer echelon forms for the 240 chambers of A3, about 92 per chamber;
-    the bound of 100 leaves 8 per chamber of headroom, and one more echelon
-    form per extreme ray kept by the double description (about 154 per
-    chamber) exceeds it."""
+    """The chamber enumeration row-reduces integer rows only.  The full
+    traversal takes 22 098 integer echelon forms for the 240 chambers of A3,
+    about 92 per chamber; one more echelon form per extreme ray kept by the
+    double description (about 154 per chamber) exceeds that bound.  The
+    order-regular table takes 994: those of the double descriptions of its
+    10 base chambers and one per element of W for the lineality, none per
+    W-image (1 450 when each image cone was built)."""
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
+    a3.weyl_group
     hyperplanes = limits.order_regular_hyperplanes(a3)
     rref_calls = _record_linalg_calls(monkeypatch, "rref")
     echelon_calls = _record_linalg_calls(monkeypatch, "integer_echelon")
     chambers = cones.enumerate_chambers(a3.dim_a, hyperplanes)
     assert chambers.count == 240
     assert rref_calls == []
-    assert len(echelon_calls) <= 100 * chambers.count
+    assert len(echelon_calls) <= 22_098
+    echelon_calls.clear()
+    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    assert spherical.order_regular_chambers(a3).count == 240
+    assert len(echelon_calls) <= 994
 
 
 def test_structural_invariants_degenerate_each_face_once(monkeypatch):
