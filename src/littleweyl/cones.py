@@ -520,11 +520,14 @@ def traverse_chambers(
 
 
 def orbit_chambers(
-    hyperplanes: Sequence[Vec], chambers: Iterable[Chamber], maps: Iterable[Mat]
+    hyperplanes: Sequence[Vec],
+    chambers: Iterable[Chamber],
+    maps: Iterable[tuple[IntMat, IntMat]],
 ) -> tuple[Chamber, ...]:
     """The images of the chambers under the maps, sorted by sign vector.
 
-    Each map m must be invertible and permute the hyperplanes up to sign,
+    Each map is given as an integer matrix m with its integer inverse, so no
+    map is inverted here.  It must permute the hyperplanes up to sign,
     h_j o m = eps_j h_pi(j), so that it carries chambers to chambers: the
     image of a chamber has the signs eps_j signs[pi(j)].  The chambers of a
     central arrangement share their lineality, the common kernel of its
@@ -539,8 +542,7 @@ def orbit_chambers(
     index = {h: j for j, h in enumerate(int_hyps)}
     lin = chambers[0].cone._int_generators[1] if chambers else []
     out = []
-    for m in maps:
-        fwd, back = _integer_map(m)
+    for fwd, back in maps:
         signed_perm = []
         for h in int_hyps:
             g = primitive_ints([dot(h, col) for col in zip(*fwd)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .linalg import (
     Mat,
@@ -596,7 +596,7 @@ class LieAlgebraData:
         gens = [self.reflection_perm(r) for r in simple]
         out: dict[tuple[int, ...], WeylGroupElement] = {}
         by_word: dict[tuple[int, ...], Mat] = {(): identity(self.dim_a)}
-        for perm, word in group_closure(gens, tuple(range(2 * self.num_pos)), compose_perms):
+        for perm, word in group_closure(gens, tuple(range(2 * self.num_pos))):
             if word:
                 by_word[word] = mat_mul(by_word[word[:-1]], refl[word[-1]])
             out[perm] = WeylGroupElement(word, by_word[word], perm)
@@ -891,16 +891,22 @@ def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[k] for k in q)
 
 
-def group_closure(
-    generators: Sequence, identity_element, mul: Callable = mat_mul
-) -> Iterator[tuple]:
-    """The group generated by the elements under ``mul`` (matrices by
-    default), as (element, word) pairs in discovery order; the element is
-    the product of the generators named by the word, left to right.
+def inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
+    """The permutation q with p . q = q . p the identity."""
+    out = [0] * len(p)
+    for k, pk in enumerate(p):
+        out[pk] = k
+    return tuple(out)
+
+
+def group_closure(generators: Sequence, identity_element) -> Iterator[tuple]:
+    """The group generated by the permutations under compose_perms, as
+    (element, word) pairs in discovery order; the element is the product of
+    the generators named by the word, left to right.
 
     Breadth first from the identity, each level expanded in word order, so
     every word is the lexicographically least of the shortest words of its
-    element.  A generator, so that a caller can stop an infinite closure.
+    element.  A generator, so that a caller can stop at an element it rejects.
     """
     seen = {identity_element}
     level = [((), identity_element)]
@@ -909,7 +915,7 @@ def group_closure(
         nxt = []
         for word, m in level:
             for i, g in enumerate(generators):
-                m2 = mul(m, g)
+                m2 = compose_perms(m, g)
                 if m2 not in seen:
                     seen.add(m2)
                     nxt.append((word + (i,), m2))

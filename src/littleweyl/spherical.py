@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
 from .cones import ChamberSet, Cone, arrangement, orbit_chambers, traverse_chambers
-from .lie import LieAlgebraData, LieAlgebraError
+from .lie import LieAlgebraData, LieAlgebraError, inverse_perm
 from .limits import chamber_cell_limits, order_regular_hyperplanes
 from .linalg import (
     Subspace,
@@ -491,7 +491,8 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
     and W permutes it, so W acts freely on its chambers and each chamber lies
     in one Weyl chamber.  The chambers inside the Weyl chamber of the seed
     are traversed once, with one double description each; every other
-    chamber is the image of one of them under one element of W.  An image
+    chamber is the image of one of them under one element w of W, whose
+    integer matrix and that of w^-1 are read off lie.weyl_group.  An image
     reads its signs off the signed permutation of the hyperplanes by w and
     its representative off the w-images of the base chamber's rays
     (cones.orbit_chambers); its cone is built only when a consumer reads it,
@@ -504,7 +505,8 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
         base = traverse_chambers(
             lie.dim_a, hyperplanes, [i for i, h in enumerate(hyperplanes) if h in mirrors]
         )
-        weyl = [w.matrix for w in lie.weyl_group.values()]
+        table = lie.weyl_group
+        weyl = [(w.matrix, table[inverse_perm(w.perm)].matrix) for w in table.values()]
         _CHAMBER_CACHE[key] = ChamberSet(
             hyperplanes, orbit_chambers(hyperplanes, base, weyl)
         )

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .cones import Cone, enumerate_chambers
-from .lie import LieAlgebraData, compose_perms, group_closure, root_pairing
+from .lie import LieAlgebraData, compose_perms, group_closure, inverse_perm, root_pairing
 from .linalg import (
     Mat,
     Subspace,
@@ -27,7 +27,6 @@ from .linalg import (
     identity,
     integer_kernel,
     kernel,
-    mat_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -232,13 +231,18 @@ class LittleWeylGroup:
     edge_quotient: QuotientSpace  # a / a_E
     generators: tuple[WallGenerator, ...]
     elements: tuple[Mat, ...]  # matrices on a/a_h, sorted
-    coset_labels: tuple[str, ...]  # labels in W(Sigma)/W(Sigma_0), aligned
+    realizers: tuple[LimitCoset, ...]  # an element of W acting as each, aligned
     coxeter_orders: tuple[tuple[int, ...], ...]
     type_label: str
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def coset_labels(self) -> tuple[str, ...]:
+        """Labels in W(Sigma)/W(Sigma_0), aligned with the elements."""
+        return tuple(w.label for w in self.realizers)
 
 
 _ORDER_BOUND = 13
@@ -247,10 +251,15 @@ _ORDER_BOUND = 13
 def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     """Closure of the wall reflections, with tiling verification.
 
-    Checks that the element set is a finite group of quotient isometries,
-    that it fixes a_E/a_h pointwise acting trivially there, and that the
-    translates of the projected cone tile a/a_h with disjoint interiors.
-    Computed once per analysis.
+    Each element is carried by its realizer: the first element of W, in the
+    order of lie.weyl_group, that normalizes a_h and +-Sigma_0 and acts on
+    a/a_h as the element does.  The closure and the Coxeter orders run on
+    the realizers' root permutations, and each element's matrix on a/a_h and
+    coset label are read off the normalizer table.  Checks that the element
+    set is a finite group of quotient isometries, that it fixes a_E/a_h
+    pointwise acting trivially there, and that the translates of the
+    projected cone tile a/a_h with disjoint interiors.  Computed once per
+    analysis.
     """
     return analysis._stage("little_weyl_group", lambda: _little_weyl_group(analysis))
 
@@ -259,57 +268,58 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     lie = analysis.lie
     quot = QuotientSpace.of(analysis.a_h)
     cone = compression_cone(analysis)
-    edge_quot = QuotientSpace.of(cone.edge())
     gens = [wall_reflection(analysis, w, quot) for w in cone.walls()]
 
-    # the coset labels realise each element by a distinct element of W
-    bound = len(lie.weyl_group)
-    ident = identity(quot.dim)
-    found = []
-    for m, _ in group_closure([g.matrix_on_quotient for g in gens], ident):
-        found.append(m)
-        if len(found) > bound:
+    table = {w.perm: w for _, w in _normalizer(analysis)}
+    realizer: dict[Mat, LimitCoset] = {}
+    for w in table.values():
+        realizer.setdefault(w.matrix_on_quotient, w)
+    if any(g.matrix_on_quotient not in realizer for g in gens):
+        raise ContractViolation("group element is not realized in the ambient Weyl group")
+    perms = [realizer[g.matrix_on_quotient].perm for g in gens]
+    on_quotient: dict[tuple[int, ...], Mat] = {}
+    for perm, _ in group_closure(perms, tuple(range(2 * lie.num_pos))):
+        if perm not in table:
             raise ContractViolation("wall reflection closure exceeds the bound")
-    elements = tuple(sorted(found, key=lambda m: (m != ident, m)))
+        on_quotient[perm] = table[perm].matrix_on_quotient
+    ident = identity(quot.dim)
+    elements = tuple(sorted(set(on_quotient.values()), key=lambda m: (m != ident, m)))
+    realizers = tuple(realizer[m] for m in elements)
 
     # pairwise orders of the generators
-    orders = []
-    for gi in gens:
-        row = []
-        for gj in gens:
-            prod = mat_mul(gi.matrix_on_quotient, gj.matrix_on_quotient)
-            row.append(_element_order(prod, quot.dim))
-        orders.append(tuple(row))
-    coxeter_orders = tuple(orders)
+    coxeter_orders = tuple(
+        tuple(_element_order(compose_perms(p, q), on_quotient, ident) for q in perms)
+        for p in perms
+    )
 
-    _verify_group(lie, analysis, quot, elements, cone)
-
-    labels = _coset_labels(analysis, elements)
+    _verify_group(lie, analysis, quot, realizers, table, cone)
     return LittleWeylGroup(
         quotient=quot,
-        edge_quotient=edge_quot,
+        edge_quotient=QuotientSpace.of(cone.edge()),
         generators=tuple(gens),
         elements=elements,
-        coset_labels=labels,
+        realizers=realizers,
         coxeter_orders=coxeter_orders,
         type_label=coxeter_type_label(coxeter_orders),
     )
 
 
-def _element_order(m: Mat, dim: int) -> int:
-    ident = identity(dim)
-    p = m
+def _element_order(perm, on_quotient, ident) -> int:
+    """The order on a/a_h of the element of the closure with this permutation."""
+    power = perm
     for k in range(1, _ORDER_BOUND + 1):
-        if p == ident:
+        if on_quotient[power] == ident:
             return k
-        p = mat_mul(p, m)
+        power = compose_perms(power, perm)
     raise ContractViolation("generator product order exceeds the bound")
 
 
-def _verify_group(lie, analysis, quot, elements, cone) -> None:
+def _verify_group(lie, analysis, quot, realizers, table, cone) -> None:
+    elements = [w.matrix_on_quotient for w in realizers]
     elems = set(elements)
-    for m in elements:
-        if mat_inverse(m) not in elems:
+    for w in realizers:
+        inverse = table.get(inverse_perm(w.perm))
+        if inverse is None or inverse.matrix_on_quotient not in elems:
             raise ContractViolation("element set is not closed under inverses")
     gq = induced_form(lie, quot)
     for m in elements:
@@ -381,6 +391,7 @@ class LimitCoset:
     representative_word: tuple[int, ...]
     matrix_on_a: Mat
     matrix_on_quotient: Mat
+    perm: tuple[int, ...]  # the representative's permutation of lie.roots()
 
 
 def _normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCoset], ...]:
@@ -396,7 +407,7 @@ def _weyl_normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, Limi
     weyl = lie.weyl_group
     sigma0 = [lie.positive_roots[p] for p in analysis.sigma0]
     gens = [lie.reflection_perm(r) for r in sigma0]
-    levi = [u for u, _ in group_closure(gens, tuple(range(2 * lie.num_pos)), compose_perms)]
+    levi = [u for u, _ in group_closure(gens, tuple(range(2 * lie.num_pos)))]
     at = {r: k for k, r in enumerate(lie.roots())}
     levi_roots = {at[r] for r in sigma0} | {at[tuple(-x for x in r)] for r in sigma0}
     quot = QuotientSpace.of(analysis.a_h)
@@ -409,19 +420,8 @@ def _weyl_normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, Limi
         key = frozenset(compose_perms(w.perm, u) for u in levi)
         best = min((weyl[p].word for p in key), key=lambda word: (len(word), word))
         label = "*".join(f"s{i + 1}" for i in best) or "e"
-        out.append((key, LimitCoset(label, w.word, w.matrix, quot.matrix_of(w.matrix))))
+        out.append((key, LimitCoset(label, w.word, w.matrix, quot.matrix_of(w.matrix), w.perm)))
     return tuple(out)
-
-
-def _coset_labels(analysis, elements) -> tuple[str, ...]:
-    """The label of each group element: that of the first normalizer element,
-    in W order, acting on a/a_h as the element does."""
-    label_of: dict[Mat, str] = {}
-    for _, coset in _normalizer(analysis):
-        label_of.setdefault(coset.matrix_on_quotient, coset.label)
-    if any(m not in label_of for m in elements):
-        raise ContractViolation("group element is not realized in the ambient Weyl group")
-    return tuple(label_of[m] for m in elements)
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +570,15 @@ def spherical_roots(
     sys_rows = tuple(zip(*simple))
     lam_rows = [tuple(Fraction(b2[i]) for b2 in lam_basis) for i in range(lie.rank)]
 
-    quot = group.quotient
-    mq_inv = {m: mat_inverse(m) for m in group.elements}
-
-    def act_on_lattice(m: Mat) -> Mat:
-        """Matrix of lambda -> lambda o m^{-1} in the Lambda basis; must be integral."""
-        minv = mq_inv[m]
+    def act_on_lattice(w: LimitCoset) -> Mat:
+        """Matrix of lambda -> lambda o w^{-1} in the Lambda basis; must be
+        integral.  Lambda vanishes on a_E, which holds a_h, so w^{-1} acts on
+        it through its integer matrix on a."""
+        winv = lie.weyl_group[inverse_perm(w.perm)].matrix
         cols = []
         for b in lam_basis:
             f = lie.root_functional(b)
-            # mu(x) = f(lift(minv . project(x)))
-            mu = tuple(
-                dot(f, quot.lift(mat_vec(minv, quot.project(e))))
-                for e in identity(lie.dim_a)
-            )
+            mu = tuple(dot(f, col) for col in zip(*winv))
             coeffs = solve(sys_rows, mu, len(simple))
             if coeffs is None:
                 raise ContractViolation("group element leaves the root span")
@@ -595,28 +590,19 @@ def spherical_roots(
             cols.append(in_lam)
         return tuple(zip(*cols)) if cols else ()
 
-    actions = {m: act_on_lattice(m) for m in group.elements}
+    actions = [act_on_lattice(w) for w in group.realizers]
 
     # reflections of the action on a/a_E
     edge_quot = group.edge_quotient
-
-    def edge_matrix(m: Mat) -> Mat:
-        cols = [
-            edge_quot.project(quot.lift(mat_vec(m, quot.project(edge_quot.lift(e)))))
-            for e in identity(edge_quot.dim)
-        ]
-        return tuple(zip(*cols)) if cols else ()
-
     roots: dict[tuple[int, ...], None] = {}
     reflections = []
-    for m in group.elements:
-        me = edge_matrix(m)
+    for w, s in zip(group.realizers, actions, strict=True):
+        me = edge_quot.matrix_of(w.matrix_on_a)
         diff = [
             vec_add(row, vec_scale(-1, e)) for row, e in zip(me, identity(edge_quot.dim))
         ]
         if rank(diff) == 1:
-            reflections.append(m)
-            s = actions[m]
+            reflections.append(w.perm)
             ker = kernel(
                 [vec_add(row, e) for row, e in zip(s, identity(len(lam_basis)))],
                 len(lam_basis),
@@ -631,8 +617,9 @@ def spherical_roots(
             roots[tuple(-x for x in coords_i)] = None
 
     # W(Sigma_Z) = W: the reflections generate the whole group
-    gen_set = {m for m, _ in group_closure(reflections, identity(quot.dim))}
-    if gen_set != set(group.elements):
+    on_quotient = {w.perm: w.matrix_on_quotient for _, w in _normalizer(analysis)}
+    closure = group_closure(reflections, tuple(range(2 * lie.num_pos)))
+    if {on_quotient.get(perm) for perm, _ in closure} != set(group.elements):
         raise ContractViolation("the reflections do not generate the group")
 
     ordered = tuple(sorted(roots))

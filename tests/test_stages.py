@@ -55,6 +55,20 @@ def _record_limit_calls(monkeypatch) -> list:
     return calls
 
 
+def _riemannian_analysis(lie):
+    """The analysis of g/so: h is spanned by the e_p - f_p."""
+    h = Subspace.from_spanning(
+        lie.dim,
+        [
+            tuple(
+                {lie.e_index(p): 1, lie.f_index(p): -1}.get(k, 0) for k in range(lie.dim)
+            )
+            for p in range(lie.num_pos)
+        ],
+    )
+    return analyze(lie, h)
+
+
 def test_compression_cone_is_computed_once(a2, so3_subalgebra):
     an = analyze(a2, so3_subalgebra)
     assert compression_cone(an) is compression_cone(an)
@@ -87,16 +101,7 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
     monkeypatch,
 ):
     lie = build_from_cartan(cartan_matrix_of_type("A3"))
-    h = Subspace.from_spanning(
-        lie.dim,
-        [
-            tuple(
-                {lie.e_index(p): 1, lie.f_index(p): -1}.get(k, 0) for k in range(lie.dim)
-            )
-            for p in range(lie.num_pos)
-        ],
-    )
-    an = analyze(lie, h)
+    an = _riemannian_analysis(lie)
     dd_calls, image_calls = [], []
     original_dd = cones.Cone.from_inequalities
     original_image = cones.Cone._image
@@ -202,7 +207,8 @@ def test_a3_chambers_take_few_row_reductions(monkeypatch):
     double description (about 154 per chamber) exceeds that bound.  The
     order-regular table takes 994: those of the double descriptions of its
     10 base chambers and one per element of W for the lineality, none per
-    W-image (1 450 when each image cone was built)."""
+    W-image (1 450 when each image cone was built).  The inverse of each
+    element of W is read off the table, so no map is inverted."""
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
     a3.weyl_group
     hyperplanes = limits.order_regular_hyperplanes(a3)
@@ -215,7 +221,23 @@ def test_a3_chambers_take_few_row_reductions(monkeypatch):
     echelon_calls.clear()
     monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
     assert spherical.order_regular_chambers(a3).count == 240
+    assert rref_calls == []
     assert len(echelon_calls) <= 994
+
+
+def test_a3_little_weyl_group_inverts_matrices_for_the_tiling_only(monkeypatch):
+    """The closure, the Coxeter orders and the inverses of the little Weyl
+    group of A3 g/so run on root permutations, and spherical_roots reads the
+    inverse of each element off the Weyl group table.  What is left are the
+    mat_inverse calls of the tiling's cone translates, one per element (24);
+    closing the matrices on a/a_h as well made 72."""
+    an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    compression_cone(an).walls()
+    calls = _record_linalg_calls(monkeypatch, "mat_inverse")
+    group = little_weyl_group(an)
+    weyl.spherical_roots(an, group)
+    assert group.order == 24
+    assert len(calls) <= 24
 
 
 def test_structural_invariants_degenerate_each_face_once(monkeypatch):

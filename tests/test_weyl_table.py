@@ -4,9 +4,13 @@ The reference below is the earlier code, kept as an oracle: W as a closure of
 Fraction matrices, root images through inverse matrices, and per analysis the
 normalizer test, the cosets of the Levi Weyl group W(Sigma_0) as sets of
 matrices, the coset labels and the table of twisted conjugates of h_empty.
+The little Weyl group is the closure of the wall reflections' matrices on
+a/a_h, with Coxeter orders from matrix powers, and its action on the lattice
+of spherical weights goes through the inverse matrices on a/a_h.
 """
 
 import dataclasses
+from math import lcm
 
 import pytest
 
@@ -14,10 +18,31 @@ from littleweyl import lie as lie_mod
 from littleweyl import weyl
 from littleweyl.catalog import get_entry, list_entries
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
-from littleweyl.linalg import identity, mat_inverse, mat_mul
-from littleweyl.spherical import analyze, is_admissible
+from littleweyl.linalg import (
+    Subspace,
+    combination,
+    dot,
+    identity,
+    integer_kernel,
+    kernel,
+    mat_inverse,
+    mat_mul,
+    mat_vec,
+    primitive,
+    rank,
+    solve,
+    vec_add,
+    vec_scale,
+)
+from littleweyl.spherical import analyze, compression_cone, is_admissible
 from littleweyl.verify import structural_invariants, verify_space, weyl_invariants
-from littleweyl.weyl import QuotientSpace, little_weyl_group, weyl_from_limits
+from littleweyl.weyl import (
+    QuotientSpace,
+    coxeter_type_label,
+    little_weyl_group,
+    spherical_roots,
+    weyl_from_limits,
+)
 
 # ---------------------------------------------------------------------------
 # reference
@@ -117,6 +142,74 @@ class RefAmbient:
         return targets
 
 
+def _matrix_order(m, ident):
+    p, k = m, 1
+    while p != ident:
+        p, k = mat_mul(p, m), k + 1
+        assert k <= 13
+    return k
+
+
+def ref_little_weyl_group(an, ref):
+    """Elements, coset labels and Coxeter orders of the closure of the wall
+    reflections' matrices on a/a_h."""
+    quot = QuotientSpace.of(an.a_h)
+    gens = [g.matrix_on_quotient for g in little_weyl_group(an).generators]
+    ident = identity(quot.dim)
+    elements = tuple(
+        sorted((m for _, m in _closure(gens, ident)), key=lambda m: (m != ident, m))
+    )
+    orders = tuple(tuple(_matrix_order(mat_mul(a, b), ident) for b in gens) for a in gens)
+    return elements, ref.coset_labels(quot, elements), orders
+
+
+def ref_spherical_roots(an, elements):
+    """The lattice basis and the roots, with lambda -> lambda o m^-1 read
+    through the inverse matrix m^-1 on a/a_h, lifted to a."""
+    lie = an.lie
+    quot = QuotientSpace.of(an.a_h)
+    edge_quot = QuotientSpace.of(compression_cone(an).edge())
+    units = [_simple(lie, i) for i in range(lie.rank)]
+    simple = [lie.root_functional(u) for u in units]
+    rows = []
+    for b in edge_quot.subspace.basis_matrix:
+        row = [dot(f, b) for f in simple]
+        denom = lcm(*(x.denominator for x in row))
+        rows.append([int(x * denom) for x in row])
+    lam = [tuple(b) for b in (integer_kernel(rows, lie.rank) if rows else units)]
+    lam_rows = [tuple(b[i] for b in lam) for i in range(lie.rank)]
+    sys_rows = tuple(zip(*simple))
+
+    def on_lattice(m):
+        minv = mat_inverse(m)
+        cols = []
+        for b in lam:
+            f = lie.root_functional(b)
+            mu = [dot(f, quot.lift(mat_vec(minv, quot.project(e)))) for e in identity(lie.dim_a)]
+            cols.append(solve(lam_rows, solve(sys_rows, mu, lie.rank), len(lam)))
+        return tuple(zip(*cols))
+
+    def on_edge_quotient(m):
+        cols = [
+            edge_quot.project(quot.lift(mat_vec(m, quot.project(edge_quot.lift(e)))))
+            for e in identity(edge_quot.dim)
+        ]
+        return tuple(zip(*cols))
+
+    roots, reflections = set(), []
+    for m in elements:
+        me = on_edge_quotient(m)
+        if rank([vec_add(r, vec_scale(-1, e)) for r, e in zip(me, identity(edge_quot.dim))]) != 1:
+            continue
+        reflections.append(m)
+        s = on_lattice(m)
+        (line,) = kernel([vec_add(r, e) for r, e in zip(s, identity(len(lam)))], len(lam))
+        root = tuple(int(x) for x in combination(primitive(line), lam, lie.rank))
+        roots |= {root, tuple(-x for x in root)}
+    assert {m for _, m in _closure(reflections, identity(quot.dim))} == set(elements)
+    return tuple(lam), tuple(sorted(roots))
+
+
 # ---------------------------------------------------------------------------
 # the table of an algebra
 # ---------------------------------------------------------------------------
@@ -162,7 +255,13 @@ def _check_analysis_data(an):
         assert coset.label == ref.coset_label(m)
         assert coset.matrix_on_quotient == quot.matrix_of(m)
     group = little_weyl_group(an)
-    assert group.coset_labels == ref.coset_labels(quot, group.elements)
+    elements, labels, orders = ref_little_weyl_group(an, ref)
+    assert group.elements == elements
+    assert group.coset_labels == labels
+    assert group.coxeter_orders == orders
+    assert group.type_label == coxeter_type_label(orders)
+    roots = spherical_roots(an, group)
+    assert (roots.lattice_basis, roots.roots) == ref_spherical_roots(an, elements)
     for lattice in ("coroot", "coweight"):
         want = ref.twisted_conjugates(lattice)
         got = weyl._conjugate_table(an, lattice)
@@ -194,6 +293,19 @@ def test_levi_pairs_match_the_reference(levi_pairs, name, levi_order):
     assert len(ref.levi) == levi_order
     results = verify_space(lie, an, seed=1)
     assert results and all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+@pytest.mark.parametrize("cartan_type", ["A3", "B3", "C3"])
+def test_riemannian_pairs_match_the_reference(cartan_type):
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type))
+    h = Subspace.from_spanning(
+        lie.dim,
+        [
+            tuple({lie.e_index(p): 1, lie.f_index(p): -1}.get(k, 0) for k in range(lie.dim))
+            for p in range(lie.num_pos)
+        ],
+    )
+    _check_analysis_data(analyze(lie, h))
 
 
 # ---------------------------------------------------------------------------
