@@ -6,9 +6,9 @@ lineality space, and the lineality space itself in canonical echelon form.
 Strict membership is a separate predicate.
 
 Inequalities and generators are half-spaces and rays, which a positive
-rescaling does not change, so the double description, the rank tests and the
-facet tests all run on primitive integer vectors; only the stored cone holds
-Fractions.
+rescaling does not change, so the double description and the facet tests
+run on primitive integer vectors and take no rank: they compare zero sets.
+Only the stored cone holds Fractions.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from .linalg import (
     Subspace,
     Vec,
     dot,
+    identity,
     integer_echelon,
     integer_rank,
     integer_reduce,
-    mat_inverse,
+    mat_mul,
     mat_vec,
     primitive_ints,
     primitive_signed,
@@ -47,14 +48,18 @@ class ConeError(ValueError):
 def _dd(inequalities: Sequence[IntVec], dim: int) -> tuple[list[IntVec], IntEchelon]:
     """Double description of {x : g(x) <= 0}: extreme rays and lineality.
 
-    The rays are primitive, reduced modulo the lineality and sorted; the
+    Each ray carries its zero set, the bitmask of the processed inequalities
+    that vanish on it.  Rays on either side of an inequality are combined
+    only when adjacent, when no third ray vanishes wherever both do (Motzkin
+    et al. 1953; Fukuda and Prodon 1996), so every ray kept is extreme.  The
+    rays are primitive, reduced modulo the lineality and sorted; the
     lineality is returned as its integer echelon form.
     """
     lin: list[IntVec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     echelon = integer_echelon(lin)
-    rays: list[IntVec] = []
-    processed: list[IntVec] = []
-    for g in inequalities:
+    rays: dict[IntVec, int] = {}  # ray -> zero set
+    for k, g in enumerate(inequalities):
+        bit = 1 << k
         g_lin = [dot(g, l) for l in lin]
         split = next((i for i, x in enumerate(g_lin) if x), None)
         if split is not None:
@@ -62,41 +67,33 @@ def _dd(inequalities: Sequence[IntVec], dim: int) -> tuple[list[IntVec], IntEche
             if gl0 < 0:
                 l0, gl0 = _neg(l0), -gl0
             # x -> gl0·x - g(x)·l0: a positive multiple of the projection of x
-            # along l0 onto the hyperplane g = 0
+            # along l0 onto the hyperplane g = 0; processed inequalities vanish
+            # on l0
             lin = [
                 primitive_ints(_combine(gl0, l, -gl, l0))
                 for i, (l, gl) in enumerate(zip(lin, g_lin))
                 if i != split
             ]
-            rays = [_combine(gl0, r, -dot(g, r), l0) for r in rays]
-            rays.append(_neg(l0))
             echelon = integer_echelon(lin)
+            new = [(_combine(gl0, r, -dot(g, r), l0), z | bit) for r, z in rays.items()]
+            new.append((_neg(l0), bit - 1))
         else:
-            neg, zero, pos = [], [], []
-            for r in rays:
+            new, neg, pos = [], [], []
+            for r, z in rays.items():
                 gr = dot(g, r)
                 if gr < 0:
-                    neg.append((gr, r))
+                    neg.append((gr, r, z))
+                    new.append((r, z))
                 elif gr == 0:
-                    zero.append(r)
+                    new.append((r, z | bit))
                 else:
-                    pos.append((gr, r))
-            combos = [_combine(gp, rn, -gn, rp) for gp, rp in pos for gn, rn in neg]
-            rays = [r for _, r in neg] + zero + combos
-        processed.append(g)
-        # canonicalize and keep extreme rays only: r is extreme iff the tight
-        # system cuts the cone down to lin + one ray
-        target = dim - len(echelon) - 1
-        seen: dict[IntVec, None] = {}
-        for r in rays:
-            r = primitive_ints(integer_reduce(r, echelon))
-            if any(r):
-                seen[r] = None
-        rays = []
-        for r in seen:
-            tight = [h for h in processed if dot(h, r) == 0]
-            if len(tight) >= target and integer_rank(tight) == target:
-                rays.append(r)
+                    pos.append((gr, r, z))
+            for gp, rp, zp in pos:
+                for gn, rn, zn in neg:
+                    common = zp & zn
+                    if sum(z & common == common for z in rays.values()) == 2:
+                        new.append((_combine(gp, rn, -gn, rp), common | bit))
+        rays = {primitive_ints(integer_reduce(r, echelon)): z for r, z in new}
     return sorted(rays), echelon
 
 
@@ -106,12 +103,6 @@ def _combine(a: int, x: IntVec, b: int, y: IntVec) -> IntVec:
 
 def _neg(x: IntVec) -> IntVec:
     return tuple(-c for c in x)
-
-
-def _integer_map(m: Mat) -> tuple[IntMat, IntMat]:
-    """Positive integer multiples of an invertible rational matrix and of its
-    inverse; both act on rays and half-spaces as the matrices do."""
-    return _int_matrix(m), _int_matrix(mat_inverse(m))
 
 
 def _int_matrix(m: Mat) -> IntMat:
@@ -241,11 +232,10 @@ class Cone:
 
     def faces(self) -> list["Cone"]:
         """All faces, via subsets of the minimal facet inequalities."""
-        facets = self._int_facets()
         out: dict[Cone, None] = {}
-        for mask in range(1 << len(facets)):
+        for mask in range(1 << len(self._int_facets)):
             extra = []
-            for i, g in enumerate(facets):
+            for i, g in enumerate(self._int_facets):
                 if (mask >> i) & 1:
                     extra.append(g)
                     extra.append(_neg(g))
@@ -270,7 +260,7 @@ class Cone:
             Cone.from_inequalities(
                 self.ambient_dim, self._int_inequalities + [g, _neg(g)]
             )
-            for g in self._int_facets()
+            for g in self._int_facets
         ]
         return sorted(walls, key=lambda c: c.rays)
 
@@ -278,9 +268,11 @@ class Cone:
         rays, lin = self._int_generators
         return Subspace.from_echelon(self.ambient_dim, integer_echelon(rays + lin))
 
-    def transform(self, m: Mat) -> "Cone":
-        """Image under an invertible linear map."""
-        return self._image(*_integer_map(m))
+    def transform(self, m: Mat, inverse: Mat) -> "Cone":
+        """Image under an invertible linear map, given with its inverse."""
+        if mat_mul(m, inverse) != identity(len(m)):
+            raise ConeError("the given inverse does not invert the map")
+        return self._image(_int_matrix(m), _int_matrix(inverse))
 
     def _image(self, fwd: IntMat, back: IntMat) -> "Cone":
         """Image under the map m, given positive multiples of m and m⁻¹.
@@ -324,25 +316,17 @@ class Cone:
     def relative_interior_point(self) -> Vec:
         """A rational point in the relative interior, deterministically."""
         rays, _ = self._int_generators
-        return _fractions(_interior_point(self.ambient_dim, rays, self._strict_inequalities))
+        return _fractions(_interior_point(self.ambient_dim, rays, self._int_facets))
 
     @cached_property
-    def _strict_inequalities(self) -> list[IntVec]:
-        """The inequalities that do not vanish on the whole cone: strict on
-        its relative interior."""
+    def _int_facets(self) -> list[IntVec]:
+        """The facets: the stored inequalities but the +-pairs spanning the
+        annihilator, which vanish on every ray."""
         rays, _ = self._int_generators
         return [g for g in self._int_inequalities if any(dot(g, r) for r in rays)]
 
     def _facet_inequalities(self) -> list[Vec]:
-        return [_fractions(g) for g in self._int_facets()]
-
-    def _int_facets(self) -> list[IntVec]:
-        cone_dim = self.dim
-        return [
-            g
-            for g in self._int_inequalities
-            if _is_facet(g, *self._int_generators, cone_dim)
-        ]
+        return [_fractions(g) for g in self._int_facets]
 
 
 def _interior_point(
@@ -366,25 +350,25 @@ def _interior_point(
             raise ConeError("no relative interior point found")
 
 
-def _is_facet(g: IntVec, rays: list[IntVec], lin: list[IntVec], cone_dim: int) -> bool:
-    """Whether the valid inequality g <= 0 cuts out a facet of the cone."""
-    tight = [r for r in rays if dot(g, r) == 0] + lin
-    return integer_rank(tight) == cone_dim - 1
-
-
 def _minimal_inequalities(
     gams: Sequence[IntVec], rays: list[IntVec], lin: IntEchelon, dim: int
 ) -> list[IntVec]:
-    """Facet inequalities plus +-pairs spanning the annihilator of the cone."""
-    lin_rows = [row for _, row in lin]
-    span = integer_echelon(rays + lin_rows)
+    """Facet inequalities plus +-pairs spanning the annihilator of the cone.
+
+    A facet is a maximal proper face: g is one when the set of rays on which
+    it vanishes is not all of them and lies in no larger such set.
+    """
+    span = integer_echelon(rays + [row for _, row in lin])
     ineqs: dict[IntVec, None] = {}
     if len(span) < dim:
         for g in Subspace.from_echelon(dim, span).annihilator():
             ineqs[g] = None
             ineqs[_neg(g)] = None
-    for g in gams:
-        if _is_facet(g, rays, lin_rows, len(span)):
+    every_ray = (1 << len(rays)) - 1
+    zero_sets = {g: sum(1 << i for i, r in enumerate(rays) if not dot(g, r)) for g in gams}
+    proper = {z for z in zero_sets.values() if z != every_ray}
+    for g, z in zero_sets.items():
+        if z in proper and not any(y != z and y & z == z for y in proper):
             ineqs[g] = None
     return sorted(ineqs)
 
@@ -502,7 +486,7 @@ def traverse_chambers(
     while frontier:
         nxt = []
         for ch in sorted(frontier, key=lambda c: c.signs):
-            for g in ch.cone._int_facets():
+            for g in ch.cone._int_facets:
                 i = index.get(g)
                 if i is None:
                     i = index[_neg(g)]
@@ -534,8 +518,8 @@ def orbit_chambers(
     hyperplanes.  The representative is the relative_interior_point of the
     image cone, read without building it: the sorted primitive images of the
     chamber's rays, reduced modulo the image lineality, summed with the
-    weights t^k, and tested on the chamber's strict inequalities through
-    m^-1.  The image cone is built only when Chamber.cone is read.
+    weights t^k, and tested on the chamber's facets through m^-1.  The
+    image cone is built only when Chamber.cone is read.
     """
     chambers = list(chambers)
     int_hyps = [primitive_ints(h) for h in hyperplanes]
@@ -556,7 +540,7 @@ def orbit_chambers(
                     for r in ch.cone._int_generators[0]
                 }
             )
-            p = _interior_point(len(fwd), rays, ch.cone._strict_inequalities, back)
+            p = _interior_point(len(fwd), rays, ch.cone._int_facets, back)
             signs = tuple(e * ch.signs[j] for e, j in signed_perm)
             out.append(Chamber(signs, _fractions(p), ch.cone, (fwd, back)))
     return tuple(sorted(out, key=lambda c: c.signs))

@@ -317,10 +317,12 @@ def _element_order(perm, on_quotient, ident) -> int:
 def _verify_group(lie, analysis, quot, realizers, table, cone) -> None:
     elements = [w.matrix_on_quotient for w in realizers]
     elems = set(elements)
+    pairs = []
     for w in realizers:
         inverse = table.get(inverse_perm(w.perm))
         if inverse is None or inverse.matrix_on_quotient not in elems:
             raise ContractViolation("element set is not closed under inverses")
+        pairs.append((w.matrix_on_quotient, inverse.matrix_on_quotient))
     gq = induced_form(lie, quot)
     for m in elements:
         if mat_mul(mat_mul(mat_transpose(m), gq), m) != gq:
@@ -331,7 +333,7 @@ def _verify_group(lie, analysis, quot, realizers, table, cone) -> None:
         for m in elements:
             if mat_vec(m, pr) != pr:
                 raise ContractViolation("element moves a point of a_E/a_h")
-    _verify_tiling(analysis, quot, elements, cone)
+    _verify_tiling(analysis, quot, pairs, cone)
 
 
 def projected_cone(analysis: SphericalAnalysis, quot: QuotientSpace) -> Cone:
@@ -341,7 +343,8 @@ def projected_cone(analysis: SphericalAnalysis, quot: QuotientSpace) -> Cone:
 
 
 def _verify_tiling(analysis, quot, elements, cone) -> None:
-    """Translates of the projected cone cover a/a_h with disjoint interiors.
+    """Translates of the projected cone, by (matrix, inverse) pairs on a/a_h,
+    cover a/a_h with disjoint interiors.
 
     Every translate is a union of closed chambers of the arrangement of all
     facet hyperplanes, so this holds exactly when every chamber
@@ -349,7 +352,7 @@ def _verify_tiling(analysis, quot, elements, cone) -> None:
     hyperplane a/a_h is one chamber.  A dense rational sample is checked too.
     """
     base = projected_cone(analysis, quot)
-    cones = [base.transform(m) for m in elements]
+    cones = [base.transform(m, inverse) for m, inverse in elements]
     d = quot.dim
     facet_fns: dict[Vec, None] = {}
     for c in cones:

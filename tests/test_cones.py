@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littleweyl.cones import ChamberSet, Cone, ConeError, enumerate_chambers
@@ -12,8 +12,13 @@ from littleweyl.limits import order_regular_hyperplanes
 from littleweyl.linalg import (
     Subspace,
     dot,
+    integer_echelon,
+    integer_rank,
+    integer_reduce,
+    mat_inverse,
     mat_vec,
     primitive,
+    primitive_ints,
     rank,
     vec,
 )
@@ -125,7 +130,9 @@ def test_edge_contained_in_top_faces():
 def test_transform():
     c = Cone.from_inequalities(2, [[1, 0]])
     m = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))  # swap coords
-    assert c.transform(m) == Cone.from_inequalities(2, [[0, 1]])
+    assert c.transform(m, m) == Cone.from_inequalities(2, [[0, 1]])
+    with pytest.raises(ConeError, match="does not invert"):
+        c.transform(m, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,7 +146,7 @@ def test_transform_matches_the_double_description_of_the_image(c, data):
         .filter(lambda rows: rank(rows) == dim)
     )
     want = Cone.from_rays(dim, [mat_vec(m, r) for r in c.rays], c.lineality.transform(m))
-    got = c.transform(m)
+    got = c.transform(m, mat_inverse(m))
     assert got.inequalities == want.inequalities
     assert got.rays == want.rays
     assert got.lineality == want.lineality
@@ -333,3 +340,168 @@ def test_double_description_matches_brute_force_on_rational_systems(system, data
         x = vec(x)
         assert cone.contains(x) == all(dot(g, x) <= 0 for g in ineqs)
 
+
+# ---------------------------------------------------------------------------
+# Old-vs-new oracle: the double description that kept a ray by the rank of
+# its tight set, and the facet test that took a rank per inequality
+# ---------------------------------------------------------------------------
+
+
+def _reference_dd(inequalities, dim):
+    """Extreme rays (primitive, reduced modulo the lineality, sorted) and the
+    lineality echelon form of {x : g(x) <= 0}.  Every positive/negative pair
+    is combined, and a ray is kept when its tight system cuts the cone down
+    to the lineality plus one ray."""
+
+    def combine(a, x, b, y):
+        return tuple(a * xi + b * yi for xi, yi in zip(x, y))
+
+    lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    echelon = integer_echelon(lin)
+    rays, processed = [], []
+    for g in inequalities:
+        g_lin = [dot(g, l) for l in lin]
+        split = next((i for i, x in enumerate(g_lin) if x), None)
+        if split is not None:
+            l0, gl0 = lin[split], g_lin[split]
+            if gl0 < 0:
+                l0, gl0 = tuple(-c for c in l0), -gl0
+            lin = [
+                primitive_ints(combine(gl0, l, -gl, l0))
+                for i, (l, gl) in enumerate(zip(lin, g_lin))
+                if i != split
+            ]
+            rays = [combine(gl0, r, -dot(g, r), l0) for r in rays]
+            rays.append(tuple(-c for c in l0))
+            echelon = integer_echelon(lin)
+        else:
+            neg = [(dot(g, r), r) for r in rays if dot(g, r) < 0]
+            zero = [r for r in rays if dot(g, r) == 0]
+            pos = [(dot(g, r), r) for r in rays if dot(g, r) > 0]
+            combos = [combine(gp, rn, -gn, rp) for gp, rp in pos for gn, rn in neg]
+            rays = [r for _, r in neg] + zero + combos
+        processed.append(g)
+        target = dim - len(echelon) - 1
+        seen = {}
+        for r in rays:
+            r = primitive_ints(integer_reduce(r, echelon))
+            if any(r):
+                seen[r] = None
+        rays = [
+            r
+            for r in seen
+            if integer_rank([h for h in processed if dot(h, r) == 0]) == target
+        ]
+    return sorted(rays), echelon
+
+
+def _reference_is_facet(g, rays, lin, cone_dim):
+    return integer_rank([r for r in rays if dot(g, r) == 0] + lin) == cone_dim - 1
+
+
+def _reference_cone(dim, gammas):
+    """(inequalities, rays, lineality rows) of {x : g(x) <= 0} as integer
+    vectors: the facets plus +-pairs spanning the annihilator."""
+    gams = [primitive_ints(g) for g in gammas]
+    rays, echelon = _reference_dd(gams, dim)
+    lin = [row for _, row in echelon]
+    span = integer_echelon(rays + lin)
+    ineqs = {}
+    if len(span) < dim:
+        for g in Subspace.from_echelon(dim, span).annihilator():
+            ineqs[g] = ineqs[tuple(-c for c in g)] = None
+    for g in gams:
+        if _reference_is_facet(g, rays, lin, len(span)):
+            ineqs[g] = None
+    return sorted(ineqs), rays, lin
+
+
+def _reference_from_rays(dim, gens, lin):
+    gens = [primitive_ints(r) for r in gens]
+    for l in lin:
+        gens += [l, tuple(-c for c in l)]
+    polar_rays, polar_lin = _reference_dd(gens, dim)
+    ineqs = list(polar_rays)
+    for _, l in polar_lin:
+        ineqs += [l, tuple(-c for c in l)]
+    return _reference_cone(dim, ineqs)
+
+
+def _reference_facets(cone):
+    ineqs, rays, lin = cone
+    cone_dim = integer_rank(rays + lin)
+    return [g for g in ineqs if _reference_is_facet(g, rays, lin, cone_dim)]
+
+
+def _reference_walls(dim, cone):
+    ineqs, rays, lin = cone
+    cone_dim = integer_rank(rays + lin)
+    if cone_dim == dim - 1:
+        return [cone]
+    if cone_dim < dim:
+        return []
+    walls = [
+        _reference_cone(dim, ineqs + [g, tuple(-c for c in g)])
+        for g in _reference_facets(cone)
+    ]
+    return sorted(walls, key=lambda c: c[1])
+
+
+def _integer_view(cone):
+    return (
+        [primitive_ints(g) for g in cone.inequalities],
+        [primitive_ints(r) for r in cone.rays],
+        cone.lineality,
+    )
+
+
+def _same_cone(dim, got, want):
+    """The stored description, the facets and the walls agree with the
+    reference."""
+
+    def reference_view(cone):
+        ineqs, rays, lin = cone
+        return ineqs, rays, Subspace.from_spanning(dim, lin)
+
+    assert _integer_view(got) == reference_view(want)
+    assert got._int_facets == _reference_facets(want)
+    assert [_integer_view(w) for w in got.walls()] == [
+        reference_view(w) for w in _reference_walls(dim, want)
+    ]
+
+
+@st.composite
+def _integer_systems(draw):
+    """Integer inequality systems in dimension 1-5 with repeated, negated and
+    positively scaled rows; some cut out only a lineality (every row comes
+    with its negative) or the cone {0} (every unit vector does)."""
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    ineqs = draw(st.lists(row, max_size=8))
+    if ineqs:
+        pick = st.integers(0, len(ineqs) - 1)
+        for i, c in draw(st.lists(st.tuples(pick, st.sampled_from([1, 2, 3, -1])), max_size=3)):
+            ineqs.append([c * x for x in ineqs[i]])
+    shape = draw(st.sampled_from(["cone", "lineality", "zero"]))
+    if shape == "lineality":
+        ineqs += [[-x for x in g] for g in ineqs]
+    elif shape == "zero":
+        ineqs += [[s * int(j == i) for j in range(dim)] for i in range(dim) for s in (1, -1)]
+    order = draw(st.permutations(range(len(ineqs))))
+    return dim, [tuple(ineqs[i]) for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_systems(), st.lists(st.integers(0, 7), max_size=3))
+# a pyramid over a square cut through two opposite edges: the diagonal pair
+# of rays on either side of the cut is not adjacent
+@example((3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (1, 1, 0)]), [])
+def test_cones_match_the_rank_based_double_description(system, lin_picks):
+    dim, ineqs = system
+    _same_cone(dim, Cone.from_inequalities(dim, ineqs), _reference_cone(dim, ineqs))
+    lin = Subspace.from_spanning(dim, [ineqs[i] for i in lin_picks if i < len(ineqs)])
+    _same_cone(
+        dim,
+        Cone.from_rays(dim, ineqs, lin),
+        _reference_from_rays(dim, ineqs, list(lin.rows)),
+    )

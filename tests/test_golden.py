@@ -9,7 +9,9 @@ and the digest of ``verify --all`` before the Lie data were stored as ints,
 and the digests of ``admissible`` on the Riemannian pairs A3, B3 and C3 g/so
 before the W-image chambers stopped building their cones.  The digest of
 ``analyze`` on C3 g/so was recorded before the little Weyl group was closed on
-root permutations.  A refactor that keeps results must keep every digest.
+root permutations, and the digest of ``analyze`` on A4 g/so before the
+double description kept its rays by zero-set adjacency.  A refactor that
+keeps results must keep every digest.
 """
 
 import contextlib
@@ -134,6 +136,7 @@ RIEMANNIAN_DIGESTS = {
     "A3": "0:c27c00ea05da69b4",
     "B3": "0:97c157614b6f0466",
     "C3": "0:cbd1f7251ae71e56",
+    "A4": "0:875b1728b49f9a74",
 }
 
 # admissible --json on <type>_so.json, run the same way

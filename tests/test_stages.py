@@ -201,43 +201,46 @@ def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
 
 
 def test_a3_chambers_take_few_row_reductions(monkeypatch):
-    """The chamber enumeration row-reduces integer rows only.  The full
-    traversal takes 22 098 integer echelon forms for the 240 chambers of A3,
-    about 92 per chamber; one more echelon form per extreme ray kept by the
-    double description (about 154 per chamber) exceeds that bound.  The
-    order-regular table takes 994: those of the double descriptions of its
-    10 base chambers and one per element of W for the lineality, none per
-    W-image (1 450 when each image cone was built).  The inverse of each
-    element of W is read off the table, so no map is inverted."""
+    """The chamber enumeration row-reduces integer rows only, and takes no
+    rank: the double description keeps a ray by the zero sets of its
+    neighbours and reads the facets off the rays' zero sets.  The full
+    traversal takes 1 200 integer echelon forms for the 240 chambers of A3,
+    5 per chamber: one for the whole space, one per inequality that splits
+    the lineality and one for the span of the cone (22 098 when the double
+    description took a rank per ray and the facet test one per inequality).
+    The order-regular table takes 74: 5 for each of its 10 base chambers and
+    one per element of W for the lineality, none per W-image.  The inverse
+    of each element of W is read off the table, so no map is inverted."""
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
     a3.weyl_group
     hyperplanes = limits.order_regular_hyperplanes(a3)
     rref_calls = _record_linalg_calls(monkeypatch, "rref")
     echelon_calls = _record_linalg_calls(monkeypatch, "integer_echelon")
+    rank_calls = _record_linalg_calls(monkeypatch, "integer_rank")
     chambers = cones.enumerate_chambers(a3.dim_a, hyperplanes)
     assert chambers.count == 240
-    assert rref_calls == []
-    assert len(echelon_calls) <= 22_098
+    assert rref_calls == [] and rank_calls == []
+    assert len(echelon_calls) <= 1_200
     echelon_calls.clear()
     monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
     assert spherical.order_regular_chambers(a3).count == 240
-    assert rref_calls == []
-    assert len(echelon_calls) <= 994
+    assert rref_calls == [] and rank_calls == []
+    assert len(echelon_calls) <= 74
 
 
-def test_a3_little_weyl_group_inverts_matrices_for_the_tiling_only(monkeypatch):
+def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     """The closure, the Coxeter orders and the inverses of the little Weyl
-    group of A3 g/so run on root permutations, and spherical_roots reads the
-    inverse of each element off the Weyl group table.  What is left are the
-    mat_inverse calls of the tiling's cone translates, one per element (24);
-    closing the matrices on a/a_h as well made 72."""
+    group of A3 g/so run on root permutations, and spherical_roots and the
+    tiling's cone translates read the inverse of each element off the Weyl
+    group table, so no matrix is inverted.  Inverting each translate's map
+    made 24 calls; closing the matrices on a/a_h as well made 72."""
     an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
     compression_cone(an).walls()
     calls = _record_linalg_calls(monkeypatch, "mat_inverse")
     group = little_weyl_group(an)
     weyl.spherical_roots(an, group)
     assert group.order == 24
-    assert len(calls) <= 24
+    assert calls == []
 
 
 def test_structural_invariants_degenerate_each_face_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from littleweyl import weyl
 from littleweyl.catalog import get_entry
 from littleweyl.lie import cartan_matrix_of_type
-from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
+from littleweyl.linalg import Subspace, identity, mat_inverse, mat_mul, mat_vec, vec
 from littleweyl.spherical import (
     ContractViolation,
     analyze,
@@ -315,11 +315,12 @@ def test_tiling_rejects_an_overlap_and_a_gap(name):
     an = _analysis(name)
     group = little_weyl_group(an)
     cone = compression_cone(an)
-    doubled = group.elements + group.elements[-1:]
+    pairs = [(m, mat_inverse(m)) for m in group.elements]
+    weyl._verify_tiling(an, group.quotient, pairs, cone)
     with pytest.raises(ContractViolation, match="share interior"):
-        weyl._verify_tiling(an, group.quotient, doubled, cone)
+        weyl._verify_tiling(an, group.quotient, pairs + pairs[-1:], cone)
     with pytest.raises(ContractViolation, match="do not cover"):
-        weyl._verify_tiling(an, group.quotient, group.elements[:-1], cone)
+        weyl._verify_tiling(an, group.quotient, pairs[:-1], cone)
 
 
 def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
