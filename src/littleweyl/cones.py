@@ -6,9 +6,10 @@ lineality space, and the lineality space itself in canonical echelon form.
 Strict membership is a separate predicate.
 
 Inequalities and generators are half-spaces and rays, which a positive
-rescaling does not change, so the double description and the facet tests
-run on primitive integer vectors and take no rank: they compare zero sets.
-Only the stored cone holds Fractions.
+rescaling does not change, so a cone stores them as primitive integer
+vectors, and the double description and the facet tests run on those and
+take no rank: they compare zero sets.  ``fraction_view`` is the Fraction form
+that reports print.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import (
     IntEchelon,
     Mat,
     Subspace,
-    Vec,
     dot,
     identity,
     integer_echelon,
@@ -33,8 +33,6 @@ from .linalg import (
     mat_vec,
     primitive_ints,
     primitive_signed,
-    vec,
-    vec_scale,
 )
 
 IntVec = tuple[int, ...]
@@ -110,8 +108,9 @@ def _int_matrix(m: Mat) -> IntMat:
     return tuple(tuple(x.numerator * (l // x.denominator) for x in row) for row in m)
 
 
-def _fractions(x: IntVec) -> Vec:
-    return tuple(Fraction(c) for c in x)
+def fraction_view(rows: Iterable[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows as Fraction tuples, the form in which reports print cones."""
+    return tuple(tuple(Fraction(c) for c in row) for row in rows)
 
 
 def _int_rows(dim: int, rows: Iterable[Sequence]) -> list[IntVec]:
@@ -121,14 +120,22 @@ def _int_rows(dim: int, rows: Iterable[Sequence]) -> list[IntVec]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Cone:
     """Closed rational polyhedral cone with a double description."""
 
     ambient_dim: int
-    inequalities: tuple[Vec, ...]  # minimal description, {x : g(x) <= 0}
-    rays: tuple[Vec, ...]  # primitive, reduced mod lineality, sorted
+    inequalities: tuple[IntVec, ...]  # minimal, {x : g(x) <= 0}, primitive, sorted
+    rays: tuple[IntVec, ...]  # primitive, reduced mod lineality, sorted
     lineality: Subspace
+
+    def __repr__(self) -> str:
+        # the Fraction view, which reports print in their check details
+        return (
+            f"Cone(ambient_dim={self.ambient_dim!r}, "
+            f"inequalities={fraction_view(self.inequalities)!r}, "
+            f"rays={fraction_view(self.rays)!r}, lineality={self.lineality!r})"
+        )
 
     # -- constructors ---------------------------------------------------------
 
@@ -137,12 +144,7 @@ class Cone:
         gams = _int_rows(dim, gammas)
         rays, lin = _dd(gams, dim)
         ineqs = _minimal_inequalities(gams, rays, lin, dim)
-        return Cone(
-            dim,
-            tuple(map(_fractions, ineqs)),
-            tuple(map(_fractions, rays)),
-            Subspace.from_echelon(dim, lin),
-        )
+        return Cone(dim, tuple(ineqs), tuple(rays), Subspace.from_echelon(dim, lin))
 
     @staticmethod
     def from_rays(dim: int, rays: Iterable[Sequence], lineality: Subspace | None = None) -> "Cone":
@@ -163,43 +165,27 @@ class Cone:
     def full_space(dim: int) -> "Cone":
         return Cone.from_inequalities(dim, [])
 
-    # -- integer views of the stored description -------------------------------
-
-    @cached_property
-    def _int_inequalities(self) -> list[IntVec]:
-        return [primitive_ints(g) for g in self.inequalities]
-
-    @cached_property
-    def _int_generators(self) -> tuple[list[IntVec], list[IntVec]]:
-        """The rays and the lineality basis as primitive integer vectors."""
-        return (
-            [primitive_ints(r) for r in self.rays],
-            list(self.lineality.rows),
-        )
-
     # -- basic structure -------------------------------------------------------
 
     @property
     def dim(self) -> int:
         """Dimension of the cone as a set."""
-        rays, lin = self._int_generators
-        return integer_rank(rays + lin)
+        return integer_rank(self.rays + self.lineality.rows)
 
     def contains(self, x: Sequence) -> bool:
         """Membership, read on the integer inequalities and the primitive
         integer vector of x: a positive rescaling of x keeps every sign."""
         (x,) = _int_rows(self.ambient_dim, [x])
-        return all(dot(g, x) <= 0 for g in self._int_inequalities)
+        return all(dot(g, x) <= 0 for g in self.inequalities)
 
     def contains_strictly(self, x: Sequence) -> bool:
         """Membership in the topological interior (requires a full-dim cone)."""
         (x,) = _int_rows(self.ambient_dim, [x])
-        return all(dot(g, x) < 0 for g in self._int_inequalities)
+        return all(dot(g, x) < 0 for g in self.inequalities)
 
     def contains_cone(self, other: "Cone") -> bool:
-        rays, lin = other._int_generators
-        return all(self.contains(r) for r in rays) and all(
-            dot(g, l) == 0 for g in self._int_inequalities for l in lin
+        return all(self.contains(r) for r in other.rays) and all(
+            dot(g, l) == 0 for g in self.inequalities for l in other.lineality.rows
         )
 
     def __eq__(self, other) -> bool:
@@ -217,13 +203,11 @@ class Cone:
 
     def dual(self) -> "Cone":
         """{lambda : lambda(x) >= 0 for all x in the cone}."""
-        return Cone.from_rays(
-            self.ambient_dim, [vec_scale(-1, g) for g in self.inequalities]
-        )
+        return Cone.from_rays(self.ambient_dim, [_neg(g) for g in self.inequalities])
 
     def intersect(self, other: "Cone") -> "Cone":
         return Cone.from_inequalities(
-            self.ambient_dim, self._int_inequalities + other._int_inequalities
+            self.ambient_dim, self.inequalities + other.inequalities
         )
 
     def edge(self) -> Subspace:
@@ -233,15 +217,13 @@ class Cone:
     def faces(self) -> list["Cone"]:
         """All faces, via subsets of the minimal facet inequalities."""
         out: dict[Cone, None] = {}
-        for mask in range(1 << len(self._int_facets)):
+        for mask in range(1 << len(self.facets)):
             extra = []
-            for i, g in enumerate(self._int_facets):
+            for i, g in enumerate(self.facets):
                 if (mask >> i) & 1:
                     extra.append(g)
                     extra.append(_neg(g))
-            face = Cone.from_inequalities(
-                self.ambient_dim, self._int_inequalities + extra
-            )
+            face = Cone.from_inequalities(self.ambient_dim, [*self.inequalities, *extra])
             out[face] = None
         return sorted(out, key=lambda c: (c.dim, c.rays))
 
@@ -257,16 +239,15 @@ class Cone:
         if cone_dim < self.ambient_dim:
             return []
         walls = [
-            Cone.from_inequalities(
-                self.ambient_dim, self._int_inequalities + [g, _neg(g)]
-            )
-            for g in self._int_facets
+            Cone.from_inequalities(self.ambient_dim, [*self.inequalities, g, _neg(g)])
+            for g in self.facets
         ]
         return sorted(walls, key=lambda c: c.rays)
 
     def span(self) -> Subspace:
-        rays, lin = self._int_generators
-        return Subspace.from_echelon(self.ambient_dim, integer_echelon(rays + lin))
+        return Subspace.from_echelon(
+            self.ambient_dim, integer_echelon(self.rays + self.lineality.rows)
+        )
 
     def transform(self, m: Mat, inverse: Mat) -> "Cone":
         """Image under an invertible linear map, given with its inverse."""
@@ -283,12 +264,11 @@ class Cone:
         annihilator.  No double description runs.
         """
         dim = self.ambient_dim
-        rays, lin = self._int_generators
-        lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
+        lin_echelon = integer_echelon(mat_vec(fwd, l) for l in self.lineality.rows)
         new_rays = sorted(
             {
                 primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
-                for r in rays
+                for r in self.rays
             }
         )
         span = integer_echelon(new_rays + [row for _, row in lin_echelon])
@@ -300,33 +280,26 @@ class Cone:
                 ineqs[g] = None
                 ineqs[_neg(g)] = None
             ann_echelon = integer_echelon(ann)
-        for g in self._int_inequalities:
-            # inequalities that vanish on every ray span the annihilator,
-            # which is taken canonically above; the others are the facets
-            if any(dot(g, r) for r in rays):
-                g = tuple(dot(g, col) for col in zip(*back))
-                ineqs[primitive_ints(integer_reduce(g, ann_echelon))] = None
+        for g in self.facets:
+            # the other inequalities span the annihilator, taken canonically above
+            g = tuple(dot(g, col) for col in zip(*back))
+            ineqs[primitive_ints(integer_reduce(g, ann_echelon))] = None
         return Cone(
             dim,
-            tuple(map(_fractions, sorted(ineqs))),
-            tuple(map(_fractions, new_rays)),
+            tuple(sorted(ineqs)),
+            tuple(new_rays),
             Subspace.from_echelon(dim, lin_echelon),
         )
 
-    def relative_interior_point(self) -> Vec:
-        """A rational point in the relative interior, deterministically."""
-        rays, _ = self._int_generators
-        return _fractions(_interior_point(self.ambient_dim, rays, self._int_facets))
+    def relative_interior_point(self) -> IntVec:
+        """An integer point in the relative interior, deterministically."""
+        return _interior_point(self.ambient_dim, self.rays, self.facets)
 
     @cached_property
-    def _int_facets(self) -> list[IntVec]:
+    def facets(self) -> list[IntVec]:
         """The facets: the stored inequalities but the +-pairs spanning the
         annihilator, which vanish on every ray."""
-        rays, _ = self._int_generators
-        return [g for g in self._int_inequalities if any(dot(g, r) for r in rays)]
-
-    def _facet_inequalities(self) -> list[Vec]:
-        return [_fractions(g) for g in self._int_facets]
+        return [g for g in self.inequalities if any(dot(g, r) for r in self.rays)]
 
 
 def _interior_point(
@@ -381,12 +354,12 @@ def _minimal_inequalities(
 @dataclass(frozen=True)
 class Chamber:
     """A chamber of an arrangement: its signs on the hyperplanes and a
-    deterministic interior point.  Its cone is ``base`` itself, or the image
-    of ``base`` under ``image_map`` (positive multiples of a map and of its
-    inverse, as Cone._image takes them), built on first access."""
+    deterministic integer interior point.  Its cone is ``base`` itself, or the
+    image of ``base`` under ``image_map`` (positive multiples of a map and of
+    its inverse, as Cone._image takes them), built on first access."""
 
     signs: tuple[int, ...]
-    representative: Vec
+    representative: IntVec
     base: Cone = field(repr=False, compare=False)
     image_map: tuple[IntMat, IntMat] | None = field(default=None, repr=False, compare=False)
 
@@ -399,7 +372,7 @@ class Chamber:
 
 @dataclass(frozen=True)
 class ChamberSet:
-    hyperplanes: tuple[Vec, ...]
+    hyperplanes: tuple[IntVec, ...]  # as arrangement gives them
     chambers: tuple[Chamber, ...]
 
     @property
@@ -407,16 +380,12 @@ class ChamberSet:
         return len(self.chambers)
 
     @cached_property
-    def _int_hyperplanes(self) -> list[IntVec]:
-        return [primitive_ints(h) for h in self.hyperplanes]
-
-    @cached_property
     def _by_signs(self) -> dict[tuple[int, ...], Chamber]:
         return {ch.signs: ch for ch in self.chambers}
 
     def sign_vector(self, x: Sequence) -> tuple[int, ...]:
         x = primitive_ints(x)
-        return tuple(_sign(dot(h, x)) for h in self._int_hyperplanes)
+        return tuple(_sign(dot(h, x)) for h in self.hyperplanes)
 
     def chamber_of(self, x: Sequence) -> Chamber:
         s = self.sign_vector(x)
@@ -432,15 +401,15 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def arrangement(functionals: Iterable[Sequence]) -> tuple[Vec, ...]:
+def arrangement(functionals: Iterable[Sequence]) -> tuple[IntVec, ...]:
     """The hyperplanes of a central arrangement: its functionals made primitive
-    with a positive leading entry, deduplicated and sorted."""
-    hyps: dict[Vec, None] = {}
+    integer vectors with a positive leading entry, deduplicated and sorted."""
+    hyps: dict[IntVec, None] = {}
     for f in functionals:
-        f = vec(f)
-        if all(c == 0 for c in f):
+        h = primitive_signed(f)
+        if not any(h):
             raise ConeError("zero functional does not define a hyperplane")
-        hyps[primitive_signed(f)] = None
+        hyps[h] = None
     if not hyps:
         raise ConeError("an arrangement needs at least one hyperplane")
     return tuple(sorted(hyps))
@@ -458,25 +427,25 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
 
 
 def traverse_chambers(
-    dim: int, hyperplanes: Sequence[Vec], fixed: Iterable[int]
+    dim: int, hyperplanes: Sequence[IntVec], fixed: Iterable[int]
 ) -> tuple[Chamber, ...]:
     """The chambers reachable from the seed chamber without crossing the
-    hyperplanes at the ``fixed`` indices, sorted by sign vector.
+    hyperplanes at the ``fixed`` indices, sorted by sign vector.  The
+    hyperplanes are those of ``arrangement``.
 
     With nothing fixed these are all chambers of the arrangement.  Otherwise
     they are the chambers inside the region of the fixed hyperplanes that
     holds the seed: the region is convex, so its chambers are connected
     through the walls that are not fixed.
     """
-    int_hyps = [primitive_ints(h) for h in hyperplanes]
-    seed = _generic_point(dim, int_hyps)
-    seed_signs = tuple(_sign(dot(h, seed)) for h in int_hyps)
-    index = {h: i for i, h in enumerate(int_hyps)}
+    seed = _generic_point(dim, hyperplanes)
+    seed_signs = tuple(_sign(dot(h, seed)) for h in hyperplanes)
+    index = {h: i for i, h in enumerate(hyperplanes)}
     fixed = set(fixed)
 
     def build(signs: tuple[int, ...]) -> Chamber:
         cone = Cone.from_inequalities(
-            dim, [tuple(-s * c for c in h) for s, h in zip(signs, int_hyps)]
+            dim, [tuple(-s * c for c in h) for s, h in zip(signs, hyperplanes)]
         )
         return Chamber(signs, cone.relative_interior_point(), cone)
 
@@ -486,7 +455,7 @@ def traverse_chambers(
     while frontier:
         nxt = []
         for ch in sorted(frontier, key=lambda c: c.signs):
-            for g in ch.cone._int_facets:
+            for g in ch.cone.facets:
                 i = index.get(g)
                 if i is None:
                     i = index[_neg(g)]
@@ -504,31 +473,31 @@ def traverse_chambers(
 
 
 def orbit_chambers(
-    hyperplanes: Sequence[Vec],
+    hyperplanes: Sequence[IntVec],
     chambers: Iterable[Chamber],
     maps: Iterable[tuple[IntMat, IntMat]],
 ) -> tuple[Chamber, ...]:
     """The images of the chambers under the maps, sorted by sign vector.
 
-    Each map is given as an integer matrix m with its integer inverse, so no
-    map is inverted here.  It must permute the hyperplanes up to sign,
-    h_j o m = eps_j h_pi(j), so that it carries chambers to chambers: the
-    image of a chamber has the signs eps_j signs[pi(j)].  The chambers of a
-    central arrangement share their lineality, the common kernel of its
-    hyperplanes.  The representative is the relative_interior_point of the
-    image cone, read without building it: the sorted primitive images of the
-    chamber's rays, reduced modulo the image lineality, summed with the
-    weights t^k, and tested on the chamber's facets through m^-1.  The
-    image cone is built only when Chamber.cone is read.
+    The hyperplanes are those of ``arrangement``.  Each map is given as an
+    integer matrix m with its integer inverse, so no map is inverted here.
+    It must permute the hyperplanes up to sign, h_j o m = eps_j h_pi(j), so
+    that it carries chambers to chambers: the image of a chamber has the
+    signs eps_j signs[pi(j)].  The chambers of a central arrangement share
+    their lineality, the common kernel of its hyperplanes.  The
+    representative is the relative_interior_point of the image cone, read
+    without building it: the sorted primitive images of the chamber's rays,
+    reduced modulo the image lineality, summed with the weights t^k, and
+    tested on the chamber's facets through m^-1.  The image cone is built
+    only when Chamber.cone is read.
     """
     chambers = list(chambers)
-    int_hyps = [primitive_ints(h) for h in hyperplanes]
-    index = {h: j for j, h in enumerate(int_hyps)}
-    lin = chambers[0].cone._int_generators[1] if chambers else []
+    index = {h: j for j, h in enumerate(hyperplanes)}
+    lin = chambers[0].cone.lineality.rows if chambers else ()
     out = []
     for fwd, back in maps:
         signed_perm = []
-        for h in int_hyps:
+        for h in hyperplanes:
             g = primitive_ints([dot(h, col) for col in zip(*fwd)])
             j = index.get(g)
             signed_perm.append((1, j) if j is not None else (-1, index[_neg(g)]))
@@ -537,12 +506,12 @@ def orbit_chambers(
             rays = sorted(
                 {
                     primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
-                    for r in ch.cone._int_generators[0]
+                    for r in ch.cone.rays
                 }
             )
-            p = _interior_point(len(fwd), rays, ch.cone._int_facets, back)
+            p = _interior_point(len(fwd), rays, ch.cone.facets, back)
             signs = tuple(e * ch.signs[j] for e, j in signed_perm)
-            out.append(Chamber(signs, _fractions(p), ch.cone, (fwd, back)))
+            out.append(Chamber(signs, p, ch.cone, (fwd, back)))
     return tuple(sorted(out, key=lambda c: c.signs))
 
 

@@ -160,7 +160,7 @@ def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
     return len(set(values)) == len(values)
 
 
-def order_regular_hyperplanes(lie: LieAlgebraData) -> list[Vec]:
+def order_regular_hyperplanes(lie: LieAlgebraData) -> list[IntVec]:
     """Functionals alpha - beta over distinct root pairs, deduplicated."""
     roots = lie.roots()
     out = {}

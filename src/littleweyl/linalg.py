@@ -180,14 +180,9 @@ def primitive_ints(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def primitive(v: Sequence) -> Vec:
-    """Scale a rational vector to a primitive integer vector, keeping direction."""
-    return tuple(Fraction(x) for x in primitive_ints(v))
-
-
-def primitive_signed(v: Sequence) -> Vec:
+def primitive_signed(v: Sequence) -> IntVec:
     """Primitive integer vector with first nonzero entry positive."""
-    p = primitive(v)
+    p = primitive_ints(v)
     for x in p:
         if x != 0:
             return p if x > 0 else vec_scale(-1, p)

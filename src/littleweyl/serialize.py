@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cones import Cone
 from .lie import LieAlgebraData, LieAlgebraError, build_from_cartan, cartan_matrix_of_type
-from .linalg import Subspace, Vec, vec
+from .linalg import Subspace, Vec
 from .spherical import BasePoint, WordEntry, translate
 
 SCHEMA_VERSION = 1
@@ -41,7 +41,7 @@ class SpaceFileError(ValueError):
     pass
 
 
-def frac_str(x: Fraction) -> str:
+def frac_str(x: int | Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -58,7 +58,7 @@ def parse_frac(s, where: str = "") -> Fraction:
 
 
 def vec_to_json(v: Sequence) -> list[str]:
-    return [frac_str(x) for x in vec(v)]
+    return [frac_str(x) for x in v]
 
 
 def vec_from_json(data, where: str = "") -> Vec:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .catalog import CatalogEntry
-from .cones import Cone
+from .cones import Cone, fraction_view
 from .lie import LieAlgebraData
 from .limits import float_flow_oracle, is_order_regular, limit_subspace
 from .linalg import Subspace, combination, dot, identity, sparse_combination, vec, vec_add
@@ -289,7 +289,8 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
                 return _check(
                     "degeneration_cone_is_sum",
                     False,
-                    f"face dim {face.dim}: got {got.rays} want {want.rays}",
+                    f"face dim {face.dim}: got {fraction_view(got.rays)} "
+                    f"want {fraction_view(want.rays)}",
                 )
         return _check("degeneration_cone_is_sum", True)
 
@@ -325,7 +326,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
         return _check(
             "cone_matches_chamber_sweep",
             swept == cone,
-            f"sweep {swept.rays} vs cone {cone.rays}",
+            f"sweep {fraction_view(swept.rays)} vs cone {fraction_view(cone.rays)}",
         )
 
     out.append(_guarded("cone_matches_chamber_sweep", sweep))
@@ -651,7 +652,8 @@ def check_claims(
             _check(
                 f"{label}.witness_cone",
                 got_cone == want,
-                f"got rays {got_cone.rays} want rays {want.rays}",
+                f"got rays {fraction_view(got_cone.rays)} "
+                f"want rays {fraction_view(want.rays)}",
             )
         )
         out.append(

@@ -30,8 +30,7 @@ from .linalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    primitive,
-    primitive_signed,
+    primitive_ints,
     rank,
     solve,
     vec,
@@ -354,13 +353,10 @@ def _verify_tiling(analysis, quot, elements, cone) -> None:
     base = projected_cone(analysis, quot)
     cones = [base.transform(m, inverse) for m, inverse in elements]
     d = quot.dim
-    facet_fns: dict[Vec, None] = {}
-    for c in cones:
-        for g in c._facet_inequalities():
-            facet_fns[primitive_signed(g)] = None
+    facets = [g for c in cones for g in c.facets]
     representatives = (
-        [ch.representative for ch in enumerate_chambers(d, list(facet_fns)).chambers]
-        if facet_fns
+        [ch.representative for ch in enumerate_chambers(d, facets).chambers]
+        if facets
         else [zero_vec(d)]
     )
     counts = [sum(c.contains(p) for c in cones) for p in representatives]
@@ -612,10 +608,7 @@ def spherical_roots(
             )
             if len(ker) != 1:
                 raise ContractViolation("reflection has no unique root line")
-            gen = primitive(ker[0])
-            if any(x.denominator != 1 for x in gen):
-                raise ContractViolation("root line is not rational in Lambda")
-            coords_i = tuple(int(x) for x in combination(gen, lam_basis, lie.rank))
+            coords_i = combination(primitive_ints(ker[0]), lam_basis, lie.rank)
             roots[coords_i] = None
             roots[tuple(-x for x in coords_i)] = None
 

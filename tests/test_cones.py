@@ -17,7 +17,6 @@ from littleweyl.linalg import (
     integer_reduce,
     mat_inverse,
     mat_vec,
-    primitive,
     primitive_ints,
     rank,
     vec,
@@ -43,6 +42,27 @@ def test_negative_quadrant():
     assert c.rays == (vec((-1, 0)), vec((0, -1)))
     assert c.contains((-1, -2)) and not c.contains((1, 0))
     assert c.contains_strictly((-1, -2)) and not c.contains_strictly((-1, 0))
+
+
+def test_membership_checks_its_input():
+    """A wrong-length point raises ConeError, also on the full space, which
+    has no inequality to evaluate; a float entry raises TypeError."""
+    for cone in (Cone.full_space(2), Cone.from_inequalities(2, [(1, 1)])):
+        for test in (cone.contains, cone.contains_strictly):
+            with pytest.raises(ConeError, match="length 2"):
+                test((1, 2, 3))
+            with pytest.raises(TypeError, match="int or Fraction"):
+                test((0.5, -1))
+
+
+def test_repr_prints_the_fraction_view():
+    """Reports print cones in their check details, as Fraction tuples."""
+    assert repr(Cone.from_inequalities(2, [(1, 0), (0, 1)])) == (
+        "Cone(ambient_dim=2, "
+        "inequalities=((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1))), "
+        "rays=((Fraction(-1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(-1, 1))), "
+        "lineality=Subspace(ambient_dim=2, basis_matrix=()))"
+    )
 
 
 def test_dual_examples():
@@ -108,7 +128,7 @@ def test_half_plane_wall_is_boundary_line():
 
 def test_each_wall_in_exactly_one_facet_hyperplane():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1], [1, 1]])  # third is redundant
-    facets = c._facet_inequalities()
+    facets = c.facets
     assert len(facets) == 2
     for w in c.walls():
         containing = [
@@ -253,7 +273,7 @@ def _brute_force_rays(dim, ineqs):
     and whose tight set cuts the space down to lineality + one ray."""
     from itertools import combinations
 
-    from littleweyl.linalg import kernel, primitive
+    from littleweyl.linalg import kernel
 
     lin_rows = kernel(ineqs, dim) if ineqs else Subspace.full(dim).basis_matrix
     lin = Subspace.from_spanning(dim, lin_rows)
@@ -274,7 +294,7 @@ def _brute_force_rays(dim, ineqs):
                 if all(dot(vec(g), v) <= 0 for g in ineqs):
                     reduced = lin.reduce_vector(v)
                     if any(c != 0 for c in reduced):
-                        found.add(primitive(reduced))
+                        found.add(primitive_ints(reduced))
     return lin, found
 
 
@@ -334,7 +354,7 @@ def test_double_description_matches_brute_force_on_rational_systems(system, data
     assert cone.lineality == lin
     assert set(cone.rays) == rays
     assert list(cone.rays) == sorted(cone.rays)
-    assert all(g == primitive(g) for g in cone.inequalities)
+    assert all(g == primitive_ints(g) for g in cone.inequalities)
     point = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     for x in data.draw(st.lists(point, min_size=1, max_size=10)):
         x = vec(x)
@@ -464,7 +484,7 @@ def _same_cone(dim, got, want):
         return ineqs, rays, Subspace.from_spanning(dim, lin)
 
     assert _integer_view(got) == reference_view(want)
-    assert got._int_facets == _reference_facets(want)
+    assert got.facets == _reference_facets(want)
     assert [_integer_view(w) for w in got.walls()] == [
         reference_view(w) for w in _reference_walls(dim, want)
     ]

@@ -134,7 +134,7 @@ def test_chamber_constancy_including_boundary(a2):
         # same chamber, same limit
         assert limit_subspace(a2, e, x) == limit_subspace(a2, e, ch.representative)
         # X in the closure of the chamber, Y inside: (E_X)_Y = E_Y
-        for facet in ch.cone._facet_inequalities():
+        for facet in ch.cone.facets:
             face = ch.cone.intersect(
                 type(ch.cone).from_inequalities(2, [facet, tuple(-c for c in facet)])
             )

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl.catalog import get_entry
@@ -241,6 +242,35 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     weyl.spherical_roots(an, group)
     assert group.order == 24
     assert calls == []
+
+
+def test_a3_cones_and_chambers_store_ints(monkeypatch):
+    """The order-regular table, the admissibility test and the little Weyl
+    group of A3 g/so build no Fraction in the cone layer: cones, chambers and
+    the arrangement store primitive int vectors, and the only Fraction there
+    is the view that reports print.  Storing Fraction copies built one per
+    entry of every cone and chamber representative."""
+    built = []
+
+    def recording(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(cones, "Fraction", recording)
+    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    table = spherical.order_regular_chambers(an.lie)
+    admissible, rows = is_admissible(an)
+    assert admissible and len(rows) == table.count == 240
+    assert little_weyl_group(an).order == 24
+    cone = compression_cone(an)
+    cone_list = [cone, *cone.walls(), *(ch.cone for ch in table.chambers)]
+    assert built == []
+    entries = [x for ch in table.chambers for x in ch.representative]
+    entries += [x for h in table.hyperplanes for x in h]
+    for c in cone_list:
+        entries += [x for row in (*c.inequalities, *c.rays, *c.facets) for x in row]
+    assert entries and all(type(x) is int for x in entries)
 
 
 def test_structural_invariants_degenerate_each_face_once(monkeypatch):

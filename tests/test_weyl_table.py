@@ -28,7 +28,7 @@ from littleweyl.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    primitive,
+    primitive_ints,
     rank,
     solve,
     vec_add,
@@ -204,7 +204,7 @@ def ref_spherical_roots(an, elements):
         reflections.append(m)
         s = on_lattice(m)
         (line,) = kernel([vec_add(r, e) for r, e in zip(s, identity(len(lam)))], len(lam))
-        root = tuple(int(x) for x in combination(primitive(line), lam, lie.rank))
+        root = tuple(int(x) for x in combination(primitive_ints(line), lam, lie.rank))
         roots |= {root, tuple(-x for x in root)}
     assert {m for _, m in _closure(reflections, identity(quot.dim))} == set(elements)
     return tuple(lam), tuple(sorted(roots))
