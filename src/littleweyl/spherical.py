@@ -274,12 +274,6 @@ class SphericalAnalysis:
             self._stages[key] = compute()
         return self._stages[key]
 
-    def t_of(self, p: int) -> Vec:
-        for q, img in self.t_map:
-            if q == p:
-                return img
-        raise KeyError(p)
-
     def support_of(self, p: int) -> tuple:
         for q, tags in self.supports:
             if q == p:

@@ -6,14 +6,14 @@ a root), or a product of two commuting reflections in orthogonal roots
 whose coroot span meets a_h; both branches come with checkable witnesses.
 The same group is recovered independently by matching order-regular limit
 subalgebras against conjugates of the horospherical algebra, and the
-spherical root system is extracted from the reflections on a/a_E.
+spherical root system is read off the elements that act on the lattice of
+spherical weights as reflections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .cones import Cone, enumerate_chambers
@@ -138,20 +138,20 @@ class WallGenerator:
 def wall_reflection(
     analysis: SphericalAnalysis, wall: Cone, quotient: QuotientSpace | None = None
 ) -> WallGenerator:
-    """The reflection generator attached to a wall of the compression cone."""
+    """The reflection generator attached to a wall of the compression cone.
+
+    The wall's weight is the first indecomposable whose functional vanishes
+    on the wall's span.  The cone contains a^-, so it is full-dimensional;
+    every indecomposable is <= 0 on it, and the proper face where one
+    vanishes, if it contains the wall, is the wall.
+    """
     lie = analysis.lie
     quotient = quotient or QuotientSpace.of(analysis.a_h)
-    cone = compression_cone(analysis)
-    weight = None
-    for s in analysis.indecomposables:
-        cut = Cone.from_inequalities(
-            lie.dim_a,
-            list(cone.inequalities) + [s.functional, vec_scale(-1, s.functional)],
-        )
-        if cut == wall:
-            weight = s
+    span_rows = wall.span().rows
+    for weight in analysis.indecomposables:
+        if all(dot(weight.functional, row) == 0 for row in span_rows):
             break
-    if weight is None:
+    else:
         raise ContractViolation(
             "no indecomposable weight cuts out the wall; "
             "input outside the supported theory or a bug"
@@ -160,7 +160,6 @@ def wall_reflection(
     # first branch of the wall dichotomy: some root kernel equals the wall
     # span (in particular whenever the weight lies in Sigma or 2 Sigma)
     root_like = None
-    span_rows = wall.span().rows
     for r in lie.positive_roots:
         f = lie.root_functional(r)
         if all(dot(f, row) == 0 for row in span_rows):
@@ -208,7 +207,7 @@ def wall_reflection(
 
     mq = quotient.matrix_of(m)
     # the generator must fix the wall span pointwise mod a_h ...
-    for row in wall.span().rows:
+    for row in span_rows:
         if quotient.project(mat_vec(m, row)) != quotient.project(row):
             raise ContractViolation("wall generator does not fix the wall")
     # ... and be a nontrivial involution on the quotient
@@ -227,7 +226,6 @@ def wall_reflection(
 @dataclass(frozen=True)
 class LittleWeylGroup:
     quotient: QuotientSpace  # a / a_h
-    edge_quotient: QuotientSpace  # a / a_E
     generators: tuple[WallGenerator, ...]
     elements: tuple[Mat, ...]  # matrices on a/a_h, sorted
     realizers: tuple[LimitCoset, ...]  # an element of W acting as each, aligned
@@ -294,7 +292,6 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     _verify_group(lie, analysis, quot, realizers, table, cone)
     return LittleWeylGroup(
         quotient=quot,
-        edge_quotient=QuotientSpace.of(cone.edge()),
         generators=tuple(gens),
         elements=elements,
         realizers=realizers,
@@ -429,16 +426,11 @@ def _weyl_normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, Limi
 
 
 @dataclass(frozen=True)
-class LimitChamberRow:
-    signs: tuple[int, ...]
-    representative: Vec
-    coset_label: str
-
-
-@dataclass(frozen=True)
 class LimitWeylReport:
+    """The cosets realized by the order-regular limits, in the order of the
+    block cells that first realize them."""
+
     cosets: tuple[LimitCoset, ...]
-    chambers: tuple[LimitChamberRow, ...]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -491,11 +483,11 @@ def weyl_from_limits(
 ) -> LimitWeylReport:
     """Coset set realized by the order-regular limits of h_z.
 
-    For each chamber the limit subalgebra is matched against sign-character
-    twists of Weyl conjugates of the horospherical algebra; every chamber
-    must land in exactly one coset of the Levi Weyl group.  The limits are
-    read from the chamber table of is_admissible and matched once per block
-    cell; the report is computed once per analysis and lattice.
+    The limit of each block cell of the chamber table (chamber_limits) is
+    matched against sign-character twists of Weyl conjugates of the
+    horospherical algebra, in cell order; every cell, and so every chamber,
+    must land in exactly one coset of the Levi Weyl group.  The report is
+    computed once per analysis and lattice.
     """
     return analysis._stage(
         ("weyl_from_limits", m_lattice), lambda: _weyl_from_limits(analysis, m_lattice)
@@ -503,24 +495,18 @@ def weyl_from_limits(
 
 
 def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylReport:
-    ok, chamber_rows = is_admissible(analysis)
-    if not ok:
+    if not is_admissible(analysis)[0]:
         raise ValueError("weyl_from_limits requires an admissible base point")
-    limits, cells = chamber_limits(analysis, analysis.h_z)
-    cell_coset: dict[int, LimitCoset] = {}
     coset_of: dict[str, LimitCoset] = {}
-    rows = []
-    for ch, cell in zip(chamber_rows, cells, strict=True):
-        if cell not in cell_coset:
-            coset = limit_coset(analysis, limits[cell], m_lattice)
-            if coset is None:
-                raise ContractViolation(
-                    "an order-regular limit is not a twisted Weyl conjugate of the "
-                    "horospherical algebra at an admissible point"
-                )
-            cell_coset[cell] = coset_of.setdefault(coset.label, coset)
-        rows.append(LimitChamberRow(ch.signs, ch.representative, cell_coset[cell].label))
-    return LimitWeylReport(tuple(coset_of.values()), tuple(rows))
+    for limit in chamber_limits(analysis, analysis.h_z)[0]:
+        coset = limit_coset(analysis, limit, m_lattice)
+        if coset is None:
+            raise ContractViolation(
+                "an order-regular limit is not a twisted Weyl conjugate of the "
+                "horospherical algebra at an admissible point"
+            )
+        coset_of.setdefault(coset.label, coset)
+    return LimitWeylReport(tuple(coset_of.values()))
 
 
 def limits_agree_with_walls(
@@ -551,37 +537,30 @@ def spherical_roots(
     """Primitive lattice generators of the reflection hyperplane annihilators.
 
     Lambda is the intersection of the root lattice with the functionals
-    vanishing on the edge; each reflection of the group on a/a_E contributes
-    the primitive pair of its -1 eigenspace in Lambda.
+    vanishing on the edge a_E.  The center lies in a_E, so Lambda (x) Q is
+    (a/a_E)*, and each element w acts on it by lambda -> w(lambda), read off
+    its root permutation: w(alpha_i) is lie.roots()[w.perm[k_i]], where k_i
+    is the index of alpha_i.  Each element that is a reflection of Lambda
+    contributes the primitive pair of its -1 eigenspace.
     """
     lie = analysis.lie
-    edge = group.edge_quotient.subspace
+    edge = compression_cone(analysis).edge()
     units = [tuple(int(j == i) for j in range(lie.rank)) for i in range(lie.rank)]
     simple = [lie.root_functional(u) for u in units]
     # Lambda = {c in Z^rank : (sum c_i alpha_i)(edge) = 0}
-    rows = []
-    for b in edge.basis_matrix:
-        row = [dot(f, b) for f in simple]
-        denom = lcm(*(x.denominator for x in row))
-        rows.append([int(x * denom) for x in row])
+    rows = [[dot(f, b) for f in simple] for b in edge.rows]
     lam_basis = [tuple(b) for b in (integer_kernel(rows, lie.rank) if rows else units)]
-    # the simple-root coordinates of a functional, and the Lambda coordinates of those
-    sys_rows = tuple(zip(*simple))
-    lam_rows = [tuple(Fraction(b2[i]) for b2 in lam_basis) for i in range(lie.rank)]
+    lam_rows = [tuple(b[i] for b in lam_basis) for i in range(lie.rank)]
+    all_roots = lie.roots()
+    simple_at = [all_roots.index(u) for u in units]
+    ident = identity(len(lam_basis))
 
     def act_on_lattice(w: LimitCoset) -> Mat:
-        """Matrix of lambda -> lambda o w^{-1} in the Lambda basis; must be
-        integral.  Lambda vanishes on a_E, which holds a_h, so w^{-1} acts on
-        it through its integer matrix on a."""
-        winv = lie.weyl_group[inverse_perm(w.perm)].matrix
+        """Matrix of lambda -> w(lambda) in the Lambda basis; must be integral."""
+        images = [all_roots[w.perm[k]] for k in simple_at]
         cols = []
         for b in lam_basis:
-            f = lie.root_functional(b)
-            mu = tuple(dot(f, col) for col in zip(*winv))
-            coeffs = solve(sys_rows, mu, len(simple))
-            if coeffs is None:
-                raise ContractViolation("group element leaves the root span")
-            in_lam = solve(lam_rows, coeffs, len(lam_basis))
+            in_lam = solve(lam_rows, combination(b, images, lie.rank), len(lam_basis))
             if in_lam is None or any(x.denominator != 1 for x in in_lam):
                 raise ContractViolation(
                     "group element does not preserve the lattice Lambda"
@@ -589,23 +568,13 @@ def spherical_roots(
             cols.append(in_lam)
         return tuple(zip(*cols)) if cols else ()
 
-    actions = [act_on_lattice(w) for w in group.realizers]
-
-    # reflections of the action on a/a_E
-    edge_quot = group.edge_quotient
     roots: dict[tuple[int, ...], None] = {}
     reflections = []
-    for w, s in zip(group.realizers, actions, strict=True):
-        me = edge_quot.matrix_of(w.matrix_on_a)
-        diff = [
-            vec_add(row, vec_scale(-1, e)) for row, e in zip(me, identity(edge_quot.dim))
-        ]
-        if rank(diff) == 1:
+    for w in group.realizers:
+        s = act_on_lattice(w)
+        if rank([vec_add(row, vec_scale(-1, e)) for row, e in zip(s, ident)]) == 1:
             reflections.append(w.perm)
-            ker = kernel(
-                [vec_add(row, e) for row, e in zip(s, identity(len(lam_basis)))],
-                len(lam_basis),
-            )
+            ker = kernel([vec_add(row, e) for row, e in zip(s, ident)], len(lam_basis))
             if len(ker) != 1:
                 raise ContractViolation("reflection has no unique root line")
             coords_i = combination(primitive_ints(ker[0]), lam_basis, lie.rank)

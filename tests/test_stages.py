@@ -83,7 +83,6 @@ def test_weyl_from_limits_reads_the_chamber_table(monkeypatch, a2, so3_subalgebr
     report = weyl_from_limits(an)
     assert calls == []
     assert weyl_from_limits(an, "coroot") is report
-    assert len(report.chambers) == len(rows)
 
 
 def test_admissible_cli_flows_each_block_cell_once(monkeypatch, capsys):
@@ -242,6 +241,37 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     weyl.spherical_roots(an, group)
     assert group.order == 24
     assert calls == []
+
+
+def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):
+    """wall_reflection reads each wall's weight off the wall's span, so it
+    builds no cone: cutting the compression cone by each candidate weight
+    took 6 double descriptions on A3 g/so.  spherical_roots acts on Lambda
+    through W's root permutations, with one solve per element and lattice
+    vector; reading each action through the a/a_E quotient as well made the
+    group and its roots take 144 solves."""
+    an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    walls = compression_cone(an).walls()
+    dd_calls, solve_calls = [], []
+    original_dd = cones.Cone.from_inequalities
+    original_solve = weyl.solve
+
+    def recording_dd(dim, gammas):
+        dd_calls.append(dim)
+        return original_dd(dim, gammas)
+
+    def recording_solve(*args):
+        solve_calls.append(args)
+        return original_solve(*args)
+
+    monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording_dd))
+    monkeypatch.setattr(weyl, "solve", recording_solve)
+    assert len([weyl.wall_reflection(an, wall) for wall in walls]) == 3
+    assert dd_calls == []
+    group = little_weyl_group(an)
+    roots = weyl.spherical_roots(an, group)
+    assert len(roots.roots) == 12
+    assert len(solve_calls) <= 72
 
 
 def test_a3_cones_and_chambers_store_ints(monkeypatch):

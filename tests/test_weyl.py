@@ -5,18 +5,22 @@ import pytest
 
 from littleweyl import weyl
 from littleweyl.catalog import get_entry
+from littleweyl.cones import Cone
 from littleweyl.lie import cartan_matrix_of_type
 from littleweyl.linalg import Subspace, identity, mat_inverse, mat_mul, mat_vec, vec
 from littleweyl.spherical import (
     ContractViolation,
     analyze,
     boundary_degeneration,
+    chamber_limits,
     compression_cone,
+    is_admissible,
 )
 from littleweyl.weyl import (
     QuotientSpace,
     coxeter_type_label,
     induced_form,
+    limit_coset,
     limits_agree_with_walls,
     little_weyl_group,
     spherical_roots,
@@ -84,6 +88,14 @@ def test_wall_reflections_so3(a2, so3_subalgebra):
                 x - sum(a * b for a, b in zip(f, e)) * c for x, c in zip(e, cor)
             )
             assert mat_vec(g.matrix_on_a, e) == expect
+
+
+def test_wall_reflection_rejects_a_hyperplane_that_is_not_a_wall(a2, so3_subalgebra):
+    an = analyze(a2, so3_subalgebra)
+    hyperplane = Cone.from_inequalities(2, [(1, 1), (-1, -1)])  # x1 + x2 = 0
+    assert hyperplane not in compression_cone(an).walls()
+    with pytest.raises(ContractViolation, match="no indecomposable weight cuts out the wall"):
+        wall_reflection(an, hyperplane)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +168,27 @@ def test_coset_labels_so3(a2, so3_subalgebra):
 # ---------------------------------------------------------------------------
 
 
+def _chamber_cosets(an):
+    """Each order-regular chamber's signs -> the label of its limit's coset."""
+    limits, cells = chamber_limits(an, an.h_z)
+    return {
+        r.signs: limit_coset(an, limits[cell]).label
+        for r, cell in zip(is_admissible(an)[1], cells, strict=True)
+    }
+
+
 def test_limit_cosets_nbar(a1, sl2_subalgebras):
-    rep = weyl_from_limits(analyze(a1, sl2_subalgebras["nbar"]))
+    an = analyze(a1, sl2_subalgebras["nbar"])
+    rep = weyl_from_limits(an)
     assert rep.labels == ("e",)
-    assert all(r.coset_label == "e" for r in rep.chambers)
+    assert all(label == "e" for label in _chamber_cosets(an).values())
 
 
 def test_limit_cosets_so2(a1, sl2_subalgebras):
-    rep = weyl_from_limits(analyze(a1, sl2_subalgebras["so2"]))
+    an = analyze(a1, sl2_subalgebras["so2"])
+    rep = weyl_from_limits(an)
     assert rep.labels == ("e", "s1")
-    per_chamber = {r.signs: r.coset_label for r in rep.chambers}
+    per_chamber = _chamber_cosets(an)
     assert per_chamber[(-1,)] == "e" and per_chamber[(1,)] == "s1"
 
 

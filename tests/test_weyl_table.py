@@ -295,9 +295,13 @@ def test_levi_pairs_match_the_reference(levi_pairs, name, levi_order):
     assert results and all(r.ok for r in results), [r for r in results if not r.ok]
 
 
-@pytest.mark.parametrize("cartan_type", ["A3", "B3", "C3"])
-def test_riemannian_pairs_match_the_reference(cartan_type):
-    lie = build_from_cartan(cartan_matrix_of_type(cartan_type))
+@pytest.mark.parametrize(
+    "cartan_type, center",
+    [("A3", 0), ("B3", 0), ("C3", 0), ("A2", 1)],
+    ids=["A3", "B3", "C3", "A2_center1"],
+)
+def test_riemannian_pairs_match_the_reference(cartan_type, center):
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), center)
     h = Subspace.from_spanning(
         lie.dim,
         [
