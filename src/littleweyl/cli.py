@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: analyze, limit, degenerate, admissible, verify, catalog.
-Exit codes: 0 success, 1 parse or input errors (and failed verification),
+Exit codes: 0 success, 1 usage, parse or input errors (and failed verification),
 2 base point not adapted, 3 internal contract diagnostics.
 """
 
@@ -411,7 +411,9 @@ def cmd_verify(args) -> int:
         except NotAdaptedError as err:
             an = err
         if claims:
-            rows += [(source, r) for r in check_claims(an, claims, source)]
+            rows += [
+                (source, r) for r in check_claims(an, claims, source, args.m_lattice)
+            ]
         rows += [
             (source, r)
             for r in verify_space(lie, an, seed=args.seed, m_lattice=args.m_lattice)
@@ -487,8 +489,16 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, the code of every other input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="littleweyl",
         description=(
             "Exact computation of compression cones, limit subalgebras, "
@@ -498,12 +508,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, space=True):
-        if space:
-            sp.add_argument("space", help="catalog entry name or space file path")
+    def space_command(name, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("space", help="catalog entry name or space file path")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-iters", type=int, default=10)
+        return sp
+
+    def m_lattice(sp):
         sp.add_argument(
             "--m-lattice",
             choices=("coroot", "coweight"),
@@ -511,24 +522,25 @@ def _parser() -> argparse.ArgumentParser:
             help="lattice generating the sign-character model of Ad(M)",
         )
 
-    common(sub.add_parser("analyze", help="run the full pipeline"))
-    sp = sub.add_parser("limit", help="limit subalgebra along a direction in a")
-    common(sp)
+    m_lattice(space_command("analyze", "run the full pipeline"))
+    sp = space_command("limit", "limit subalgebra along a direction in a")
+    m_lattice(sp)
     sp.add_argument(
         "--direction",
         required=True,
         help='rational vector "c1,c2,..."; use --direction=-1,2 for a leading minus',
     )
-    sp = sub.add_parser("degenerate", help="boundary degeneration along a face")
-    common(sp)
+    sp = space_command("degenerate", "boundary degeneration along a face")
     sp.add_argument("--face", type=int, default=None, help="face index (omit to list)")
-    common(sub.add_parser("admissible", help="search for an admissible point"))
+    sp = space_command("admissible", "search for an admissible point")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--max-iters", type=int, default=10)
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("spaces", nargs="*", help="catalog names or space files")
     sp.add_argument("--all", action="store_true", help="verify the whole catalog")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--m-lattice", choices=("coroot", "coweight"), default="coroot")
+    m_lattice(sp)
     sp = sub.add_parser("catalog", help="list or export the built-in spaces")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--export", metavar="DIR", help="write space files to DIR")

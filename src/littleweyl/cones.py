@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
 from .linalg import (
     IntEchelon,
-    Mat,
     Subspace,
     dot,
     identity,
@@ -101,11 +99,6 @@ def _combine(a: int, x: IntVec, b: int, y: IntVec) -> IntVec:
 
 def _neg(x: IntVec) -> IntVec:
     return tuple(-c for c in x)
-
-
-def _int_matrix(m: Mat) -> IntMat:
-    l = lcm(*(x.denominator for row in m for x in row))
-    return tuple(tuple(x.numerator * (l // x.denominator) for x in row) for row in m)
 
 
 def fraction_view(rows: Iterable[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -249,14 +242,10 @@ class Cone:
             self.ambient_dim, integer_echelon(self.rays + self.lineality.rows)
         )
 
-    def transform(self, m: Mat, inverse: Mat) -> "Cone":
-        """Image under an invertible linear map, given with its inverse."""
-        if mat_mul(m, inverse) != identity(len(m)):
-            raise ConeError("the given inverse does not invert the map")
-        return self._image(_int_matrix(m), _int_matrix(inverse))
-
-    def _image(self, fwd: IntMat, back: IntMat) -> "Cone":
-        """Image under the map m, given positive multiples of m and m⁻¹.
+    def image(self, fwd: IntMat, back: IntMat) -> "Cone":
+        """Image under the map m, given positive integer multiples of m and
+        m⁻¹; ConeError unless their product is a positive multiple of the
+        identity.
 
         The map carries rays to rays, the lineality to the lineality and each
         facet inequality g to g∘m⁻¹, so only the canonical forms are taken
@@ -264,6 +253,10 @@ class Cone:
         annihilator.  No double description runs.
         """
         dim = self.ambient_dim
+        product = mat_mul(fwd, back)
+        scale = product[0][0] if dim else 1
+        if scale <= 0 or product != tuple(tuple(scale * x for x in r) for r in identity(dim)):
+            raise ConeError("the given inverse does not invert the map")
         lin_echelon = integer_echelon(mat_vec(fwd, l) for l in self.lineality.rows)
         new_rays = sorted(
             {
@@ -356,7 +349,7 @@ class Chamber:
     """A chamber of an arrangement: its signs on the hyperplanes and a
     deterministic integer interior point.  Its cone is ``base`` itself, or the
     image of ``base`` under ``image_map`` (positive multiples of a map and of
-    its inverse, as Cone._image takes them), built on first access."""
+    its inverse, as Cone.image takes them), built on first access."""
 
     signs: tuple[int, ...]
     representative: IntVec
@@ -367,7 +360,7 @@ class Chamber:
     def cone(self) -> Cone:
         if self.image_map is None:
             return self.base
-        return self.base._image(*self.image_map)
+        return self.base.image(*self.image_map)
 
 
 @dataclass(frozen=True)

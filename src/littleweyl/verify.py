@@ -549,12 +549,16 @@ def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[C
 
 
 def check_claims(
-    an: SphericalAnalysis | NotAdaptedError, claims: dict, label: str
+    an: SphericalAnalysis | NotAdaptedError,
+    claims: dict,
+    label: str,
+    m_lattice: str = "coroot",
 ) -> list[CheckResult]:
     """Compare the pipeline output with a claims record, field by field.
 
     ``an`` is the analysis of the space, or the NotAdaptedError that analyze
-    raised for it.  Recognized fields: adapted, s_z, indecomposables,
+    raised for it.  The limit cosets are matched in the sign-character model
+    of ``m_lattice``.  Recognized fields: adapted, s_z, indecomposables,
     cone_ineqs, a_h_dim, a_e_dim, w_order, coxeter_type, sigma_z, admissible,
     coset_labels, pair_witness, non_adapted_witness.  Unknown fields are
     ignored.
@@ -577,7 +581,7 @@ def check_claims(
     sr = spherical_roots(an, group)
     admissible, _ = is_admissible(an)
     # the limit cosets are read from the chambers of an admissible point only
-    report = weyl_from_limits(an) if admissible else None
+    report = weyl_from_limits(an, m_lattice) if admissible else None
 
     def cmp(field: str, got, want) -> CheckResult:
         return _check(f"{label}.{field}", got == want, f"got {got} want {want}")

@@ -33,7 +33,6 @@ from .linalg import (
     primitive_ints,
     rank,
     solve,
-    vec,
     vec_add,
     vec_scale,
     zero_vec,
@@ -71,12 +70,11 @@ class QuotientSpace:
         return len(self.complement)
 
     def project(self, v: Sequence) -> Vec:
-        red = self.subspace.reduce_vector(vec(v))
+        red = self.subspace.reduce_vector(v)
         return tuple(red[c] for c in self.complement)
 
     def lift(self, c: Sequence) -> Vec:
-        c = vec(c)
-        out = [Fraction(0)] * self.ambient_dim
+        out = [0] * self.ambient_dim
         for coord, idx in zip(c, self.complement, strict=True):
             out[idx] = coord
         return tuple(out)
@@ -87,14 +85,6 @@ class QuotientSpace:
             for e in identity(self.dim)
         ]
         return tuple(zip(*cols)) if cols else ()
-
-    def functional_of(self, f: Sequence) -> Vec:
-        """Descend a functional vanishing on the subspace."""
-        f = vec(f)
-        for row in self.subspace.rows:
-            if dot(f, row) != 0:
-                raise ValueError("functional does not vanish on the subspace")
-        return tuple(dot(f, self.lift(e)) for e in identity(self.dim))
 
 
 def induced_form(lie: LieAlgebraData, quot: QuotientSpace) -> Mat:
@@ -254,9 +244,9 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     the realizers' root permutations, and each element's matrix on a/a_h and
     coset label are read off the normalizer table.  Checks that the element
     set is a finite group of quotient isometries, that it fixes a_E/a_h
-    pointwise acting trivially there, and that the translates of the
-    projected cone tile a/a_h with disjoint interiors.  Computed once per
-    analysis.
+    pointwise acting trivially there, and that the realizers' translates of
+    the compression cone tile a/a_h with disjoint interiors.  Computed once
+    per analysis.
     """
     return analysis._stage("little_weyl_group", lambda: _little_weyl_group(analysis))
 
@@ -289,7 +279,7 @@ def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
         for p in perms
     )
 
-    _verify_group(lie, analysis, quot, realizers, table, cone)
+    _verify_group(lie, quot, realizers, table, cone)
     return LittleWeylGroup(
         quotient=quot,
         generators=tuple(gens),
@@ -310,7 +300,7 @@ def _element_order(perm, on_quotient, ident) -> int:
     raise ContractViolation("generator product order exceeds the bound")
 
 
-def _verify_group(lie, analysis, quot, realizers, table, cone) -> None:
+def _verify_group(lie, quot, realizers, table, cone) -> None:
     elements = [w.matrix_on_quotient for w in realizers]
     elems = set(elements)
     pairs = []
@@ -318,7 +308,7 @@ def _verify_group(lie, analysis, quot, realizers, table, cone) -> None:
         inverse = table.get(inverse_perm(w.perm))
         if inverse is None or inverse.matrix_on_quotient not in elems:
             raise ContractViolation("element set is not closed under inverses")
-        pairs.append((w.matrix_on_quotient, inverse.matrix_on_quotient))
+        pairs.append((w.matrix_on_a, inverse.matrix_on_a))
     gq = induced_form(lie, quot)
     for m in elements:
         if mat_mul(mat_mul(mat_transpose(m), gq), m) != gq:
@@ -329,27 +319,23 @@ def _verify_group(lie, analysis, quot, realizers, table, cone) -> None:
         for m in elements:
             if mat_vec(m, pr) != pr:
                 raise ContractViolation("element moves a point of a_E/a_h")
-    _verify_tiling(analysis, quot, pairs, cone)
+    _verify_tiling(quot, pairs, cone)
 
 
-def projected_cone(analysis: SphericalAnalysis, quot: QuotientSpace) -> Cone:
-    return Cone.from_inequalities(
-        quot.dim, [quot.functional_of(s.functional) for s in analysis.s_z]
-    )
+def _verify_tiling(quot, elements, cone) -> None:
+    """Translates of the cone by the elements, integer (matrix, inverse)
+    pairs on a that normalize a_h, cover a/a_h with disjoint interiors.
 
-
-def _verify_tiling(analysis, quot, elements, cone) -> None:
-    """Translates of the projected cone, by (matrix, inverse) pairs on a/a_h,
-    cover a/a_h with disjoint interiors.
-
-    Every translate is a union of closed chambers of the arrangement of all
-    facet hyperplanes, so this holds exactly when every chamber
-    representative lies in exactly one translate.  Without a facet
-    hyperplane a/a_h is one chamber.  A dense rational sample is checked too.
+    Every S_z functional vanishes on a_h, so a_h lies in the lineality of the
+    cone and of each translate, and the translates tile a/a_h exactly when
+    they tile a.  Every translate is a union of closed chambers of the
+    arrangement of all facet hyperplanes, so this holds exactly when every
+    chamber representative lies in exactly one translate.  Without a facet
+    hyperplane a is one chamber.  A dense rational sample of a/a_h, lifted
+    to a, is checked too.
     """
-    base = projected_cone(analysis, quot)
-    cones = [base.transform(m, inverse) for m, inverse in elements]
-    d = quot.dim
+    cones = [cone.image(m, inverse) for m, inverse in elements]
+    d = cone.ambient_dim
     facets = [g for c in cones for g in c.facets]
     representatives = (
         [ch.representative for ch in enumerate_chambers(d, facets).chambers]
@@ -361,8 +347,9 @@ def _verify_tiling(analysis, quot, elements, cone) -> None:
         raise ContractViolation("two cone translates share interior")
     if min(counts) == 0:
         raise ContractViolation("cone translates do not cover a/a_h")
-    for point in _grid_points(d, 2):
-        if not any(c.contains(point) for c in cones):
+    for point in _grid_points(quot.dim, 2):
+        p = quot.lift(point)
+        if not any(c.contains(p) for c in cones):
             raise ContractViolation("cone translates miss a sample point")
 
 
@@ -373,7 +360,7 @@ def _grid_points(dim: int, radius: int):
 
     for coords in product(range(-radius, radius + 1), repeat=dim):
         if any(coords):
-            yield vec(coords)
+            yield coords
 
 
 # ---------------------------------------------------------------------------

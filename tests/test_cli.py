@@ -187,8 +187,8 @@ def test_catalog_export_round_trip(tmp_path, capsys):
 
 
 def test_json_reports_are_deterministic(capsys):
-    _, out1, _ = run(capsys, "analyze", "A2_so3", "--json", "--seed", "3")
-    _, out2, _ = run(capsys, "analyze", "A2_so3", "--json", "--seed", "3")
+    _, out1, _ = run(capsys, "admissible", "A2_so3", "--json", "--seed", "3")
+    _, out2, _ = run(capsys, "admissible", "A2_so3", "--json", "--seed", "3")
     assert out1 == out2
 
 
@@ -210,17 +210,55 @@ def test_m_lattice_flag(capsys):
 
 
 def test_verify_passes_the_m_lattice_on(monkeypatch, capsys):
-    seen = []
+    """The lattice reaches the Weyl invariants and every limit-coset read,
+    the catalog claims' limit_coset_labels check included."""
+    seen, limit_lattices = [], []
     original = verify.weyl_invariants
+    original_limits = verify.weyl_from_limits
 
     def recording(analysis, m_lattice="coroot"):
         seen.append(m_lattice)
         return original(analysis, m_lattice)
 
+    def recording_limits(analysis, m_lattice="coroot"):
+        limit_lattices.append(m_lattice)
+        return original_limits(analysis, m_lattice)
+
     monkeypatch.setattr(verify, "weyl_invariants", recording)
+    monkeypatch.setattr(verify, "weyl_from_limits", recording_limits)
     code, out, _ = run(capsys, "verify", "A1_so2", "--m-lattice", "coweight", "--json")
     assert code == 0 and json.loads(out)["failed"] == 0
     assert seen == ["coweight"]
+    assert limit_lattices == ["coweight", "coweight"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "A1_so2", "--bogus"],
+        ["analyze", "A1_so2", "--m-lattice", "root"],
+        ["degenerate", "A1_so2", "--face", "x"],
+        [],
+        # flags a subcommand does not read are not offered
+        ["analyze", "A1_so2", "--seed", "3"],
+        ["limit", "A1_so2", "--direction", "1", "--max-iters", "3"],
+        ["degenerate", "A1_so2", "--m-lattice", "coweight"],
+        ["admissible", "A1_so2", "--m-lattice", "coweight"],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: littleweyl") and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: littleweyl analyze")
 
 
 # nbar = span(f_1, f_2, f_3) in sl3, and span(f) in gl2 = sl2 + center

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,17 +148,25 @@ def test_edge_contained_in_top_faces():
             assert f.edge().contains(c.edge())
 
 
-def test_transform():
+def test_image():
     c = Cone.from_inequalities(2, [[1, 0]])
-    m = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))  # swap coords
-    assert c.transform(m, m) == Cone.from_inequalities(2, [[0, 1]])
+    m = ((0, 1), (1, 0))  # swap coords
+    assert c.image(m, m) == Cone.from_inequalities(2, [[0, 1]])
     with pytest.raises(ConeError, match="does not invert"):
-        c.transform(m, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+        c.image(m, ((1, 0), (0, 1)))
+    with pytest.raises(ConeError, match="does not invert"):
+        c.image(m, ((0, -1), (-1, 0)))
+
+
+def _int_multiple(m):
+    """The least positive integer multiple of a Fraction matrix."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_cones(), st.data())
-def test_transform_matches_the_double_description_of_the_image(c, data):
+def test_image_matches_the_double_description(c, data):
     dim = c.ambient_dim
     entries = st.fractions(min_value=-2, max_value=2, max_denominator=2)
     m = data.draw(
@@ -166,7 +175,7 @@ def test_transform_matches_the_double_description_of_the_image(c, data):
         .filter(lambda rows: rank(rows) == dim)
     )
     want = Cone.from_rays(dim, [mat_vec(m, r) for r in c.rays], c.lineality.transform(m))
-    got = c.transform(m, mat_inverse(m))
+    got = c.image(_int_multiple(m), _int_multiple(mat_inverse(m)))
     assert got.inequalities == want.inequalities
     assert got.rays == want.rays
     assert got.lineality == want.lineality

@@ -104,7 +104,7 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
     an = _riemannian_analysis(lie)
     dd_calls, image_calls = [], []
     original_dd = cones.Cone.from_inequalities
-    original_image = cones.Cone._image
+    original_image = cones.Cone.image
 
     def recording_dd(dim, gammas):
         dd_calls.append(dim)
@@ -116,7 +116,7 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
 
     monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
     monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording_dd))
-    monkeypatch.setattr(cones.Cone, "_image", recording_image)
+    monkeypatch.setattr(cones.Cone, "image", recording_image)
     calls = _record_limit_calls(monkeypatch)
     chambers = spherical.order_regular_chambers(lie)
     assert chambers.count == 240
@@ -241,6 +241,34 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     weyl.spherical_roots(an, group)
     assert group.order == 24
     assert calls == []
+
+
+def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
+    """The tiling check moves the stored compression cone by the realizers'
+    integer matrices on a, so every double description of the stage runs in
+    a: on A1xA1_diag_w0, where a_h is a line, rebuilding the cone in a/a_h
+    took one in dimension 1 and chambered the quotient in dimension 1.  On
+    A3 g/so the stage takes 27: 3 walls and the 24 chambers of the
+    translates' facet arrangement (28 with the rebuilt cone)."""
+    entry = get_entry("A1xA1_diag_w0")
+    an = analyze(entry.lie(), entry.base_point().h_z)
+    compression_cone(an)
+    dims = []
+    original = cones._dd
+
+    def recording(inequalities, dim):
+        dims.append(dim)
+        return original(inequalities, dim)
+
+    monkeypatch.setattr(cones, "_dd", recording)
+    assert little_weyl_group(an).order == 2
+    assert an.a_h.dim == 1
+    assert dims and set(dims) == {an.lie.dim_a} == {2}
+    a3 = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    compression_cone(a3)
+    dims.clear()
+    assert little_weyl_group(a3).order == 24
+    assert len(dims) <= 27
 
 
 def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):

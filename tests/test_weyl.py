@@ -6,8 +6,8 @@ import pytest
 from littleweyl import weyl
 from littleweyl.catalog import get_entry
 from littleweyl.cones import Cone
-from littleweyl.lie import cartan_matrix_of_type
-from littleweyl.linalg import Subspace, identity, mat_inverse, mat_mul, mat_vec, vec
+from littleweyl.lie import cartan_matrix_of_type, inverse_perm
+from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
 from littleweyl.spherical import (
     ContractViolation,
     analyze,
@@ -333,17 +333,30 @@ def test_quotient_space_roundtrip(a1xa1, twisted_diagonal):
     assert q.project(an.a_h.basis_matrix[0]) == (Fraction(0),)
 
 
+def test_quotient_matrices_stay_ints_when_a_h_is_zero():
+    """The quotient lifts and projects without converting: with a_h = 0 no
+    division runs, so the elements' matrices on a/a_h hold ints."""
+    an = _analysis("A2_so3")
+    group = little_weyl_group(an)
+    assert an.a_h.dim == 0 and group.order == 6
+    entries = [x for m in group.elements for row in m for x in row]
+    assert entries and all(type(x) is int for x in entries)
+
+
 @pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
 def test_tiling_rejects_an_overlap_and_a_gap(name):
     an = _analysis(name)
     group = little_weyl_group(an)
     cone = compression_cone(an)
-    pairs = [(m, mat_inverse(m)) for m in group.elements]
-    weyl._verify_tiling(an, group.quotient, pairs, cone)
+    table = {w.perm: w for _, w in weyl._normalizer(an)}
+    pairs = [
+        (w.matrix_on_a, table[inverse_perm(w.perm)].matrix_on_a) for w in group.realizers
+    ]
+    weyl._verify_tiling(group.quotient, pairs, cone)
     with pytest.raises(ContractViolation, match="share interior"):
-        weyl._verify_tiling(an, group.quotient, pairs + pairs[-1:], cone)
+        weyl._verify_tiling(group.quotient, pairs + pairs[-1:], cone)
     with pytest.raises(ContractViolation, match="do not cover"):
-        weyl._verify_tiling(an, group.quotient, pairs[:-1], cone)
+        weyl._verify_tiling(group.quotient, pairs[:-1], cone)
 
 
 def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
