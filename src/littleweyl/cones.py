@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     IntEchelon,
@@ -376,6 +376,22 @@ class ChamberSet:
     def _by_signs(self) -> dict[tuple[int, ...], Chamber]:
         return {ch.signs: ch for ch in self.chambers}
 
+    def signed_permutation(self, fwd: IntMat) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """How the map m acts on sign vectors: the signs of the image of the
+        chamber with the given signs.
+
+        m must permute the hyperplanes up to sign, h_j o m = eps_j h_pi(j),
+        so that it carries chambers to chambers; the image of a chamber has
+        the signs eps_j signs[pi(j)].
+        """
+        index = {h: j for j, h in enumerate(self.hyperplanes)}
+        pairs = []
+        for h in self.hyperplanes:
+            g = primitive_ints([dot(h, col) for col in zip(*fwd)])
+            j = index.get(g)
+            pairs.append((1, j) if j is not None else (-1, index[_neg(g)]))
+        return lambda signs: tuple(e * signs[j] for e, j in pairs)
+
     def sign_vector(self, x: Sequence) -> tuple[int, ...]:
         x = primitive_ints(x)
         return tuple(_sign(dot(h, x)) for h in self.hyperplanes)
@@ -465,37 +481,26 @@ def traverse_chambers(
     return tuple(sorted(visited.values(), key=lambda c: c.signs))
 
 
-def orbit_chambers(
-    hyperplanes: Sequence[IntVec],
-    chambers: Iterable[Chamber],
-    maps: Iterable[tuple[IntMat, IntMat]],
-) -> tuple[Chamber, ...]:
-    """The images of the chambers under the maps, sorted by sign vector.
+def orbit_chambers(base: ChamberSet, maps: Iterable[tuple[IntMat, IntMat]]) -> tuple[Chamber, ...]:
+    """The images of the base chambers under the maps, sorted by sign vector.
 
     The hyperplanes are those of ``arrangement``.  Each map is given as an
     integer matrix m with its integer inverse, so no map is inverted here.
-    It must permute the hyperplanes up to sign, h_j o m = eps_j h_pi(j), so
-    that it carries chambers to chambers: the image of a chamber has the
-    signs eps_j signs[pi(j)].  The chambers of a central arrangement share
-    their lineality, the common kernel of its hyperplanes.  The
-    representative is the relative_interior_point of the image cone, read
-    without building it: the sorted primitive images of the chamber's rays,
-    reduced modulo the image lineality, summed with the weights t^k, and
-    tested on the chamber's facets through m^-1.  The image cone is built
-    only when Chamber.cone is read.
+    An image chamber reads its signs off ``base.signed_permutation(m)``.  The
+    chambers of a central arrangement share their lineality, the common
+    kernel of its hyperplanes.  The representative is the
+    relative_interior_point of the image cone, read without building it: the
+    sorted primitive images of the chamber's rays, reduced modulo the image
+    lineality, summed with the weights t^k, and tested on the chamber's
+    facets through m^-1.  The image cone is built only when Chamber.cone is
+    read.
     """
-    chambers = list(chambers)
-    index = {h: j for j, h in enumerate(hyperplanes)}
-    lin = chambers[0].cone.lineality.rows if chambers else ()
+    lin = base.chambers[0].cone.lineality.rows if base.chambers else ()
     out = []
     for fwd, back in maps:
-        signed_perm = []
-        for h in hyperplanes:
-            g = primitive_ints([dot(h, col) for col in zip(*fwd)])
-            j = index.get(g)
-            signed_perm.append((1, j) if j is not None else (-1, index[_neg(g)]))
+        act = base.signed_permutation(fwd)
         lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
-        for ch in chambers:
+        for ch in base.chambers:
             rays = sorted(
                 {
                     primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
@@ -503,8 +508,7 @@ def orbit_chambers(
                 }
             )
             p = _interior_point(len(fwd), rays, ch.cone.facets, back)
-            signs = tuple(e * ch.signs[j] for e, j in signed_perm)
-            out.append(Chamber(signs, p, ch.cone, (fwd, back)))
+            out.append(Chamber(act(ch.signs), p, ch.cone, (fwd, back)))
     return tuple(sorted(out, key=lambda c: c.signs))
 
 

@@ -26,7 +26,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Cone
-from .lie import LieAlgebraData, LieAlgebraError, build_from_cartan, cartan_matrix_of_type
+from .lie import (
+    LieAlgebraData,
+    LieAlgebraError,
+    build_from_cartan,
+    cartan_matrix_of_type,
+    positive_roots_of,
+    validate_cartan_matrix,
+)
 from .linalg import Subspace, Vec
 from .spherical import BasePoint, WordEntry, translate
 
@@ -116,7 +123,9 @@ def word_entry_from_json(data, where: str) -> WordEntry:
     raise SpaceFileError(f"unknown word entry kind {kind!r} at {where}")
 
 
-def lie_from_json(data, where: str = "lie_algebra") -> LieAlgebraData:
+def _cartan_from_json(data, where: str = "lie_algebra") -> tuple[list[list[int]], int]:
+    """The Cartan matrix and center dimension of a lie_algebra block, checked
+    before anything is built."""
     if not isinstance(data, dict):
         raise SpaceFileError(f"{where} must be an object")
     center = data.get("center_dim", 0)
@@ -131,14 +140,19 @@ def lie_from_json(data, where: str = "lie_algebra") -> LieAlgebraData:
             raise SpaceFileError(
                 f"{where} needs either 'cartan_type' or 'cartan_matrix'"
             )
-        if isinstance(matrix, (list, tuple)) and len(matrix) > MAX_RANK:
+        if isinstance(matrix, list) and len(matrix) > MAX_RANK:
             raise SpaceFileError(
                 f"{where}: rank {len(matrix)} is not supported "
                 f"(the supported range is rank <= {MAX_RANK})"
             )
-        return build_from_cartan(matrix, center)
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in matrix
+        ):
+            raise LieAlgebraError("Cartan matrix must be a list of rows of integers")
+        validate_cartan_matrix(matrix)
     except LieAlgebraError as err:
         raise SpaceFileError(f"{where}: {err}") from err
+    return matrix, center
 
 
 def space_to_json(
@@ -162,18 +176,22 @@ def space_from_json(data) -> tuple[LieAlgebraData, BasePoint, dict]:
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SpaceFileError(f"unsupported schema_version {version}")
-    lie = lie_from_json(data.get("lie_algebra"))
+    matrix, center = _cartan_from_json(data.get("lie_algebra"))
+    # the dimension of g, read off the root system before the algebra is built
+    dim = len(matrix) + center + 2 * len(positive_roots_of(matrix))
     rows = data.get("subalgebra")
     if not isinstance(rows, list) or not rows:
         raise SpaceFileError("subalgebra must be a nonempty list of rows")
     parsed = []
     for i, row in enumerate(rows):
         v = vec_from_json(row, f"subalgebra[{i}]")
-        if len(v) != lie.dim:
-            raise SpaceFileError(
-                f"subalgebra[{i}] has length {len(v)}, expected {lie.dim}"
-            )
+        if len(v) != dim:
+            raise SpaceFileError(f"subalgebra[{i}] has length {len(v)}, expected {dim}")
         parsed.append(v)
+    try:
+        lie = build_from_cartan(matrix, center)
+    except LieAlgebraError as err:
+        raise SpaceFileError(f"lie_algebra: {err}") from err
     h = Subspace.from_spanning(lie.dim, parsed)
     entries = data.get("base_point_word", [])
     if not isinstance(entries, list):
@@ -186,7 +204,54 @@ def space_from_json(data) -> tuple[LieAlgebraData, BasePoint, dict]:
     claims = data.get("claims") or {}
     if not isinstance(claims, dict):
         raise SpaceFileError("claims must be an object")
+    _check_claims(claims, lie)
     return lie, bp, claims
+
+
+def _check_claims(claims: dict, lie: LieAlgebraData) -> None:
+    """SpaceFileError naming the first field that verify.check_claims reads
+    and that has the wrong type or shape; unknown fields are not looked at."""
+
+    def ints(v, *lengths) -> bool:
+        return isinstance(v, list) and len(v) in lengths and all(type(x) is int for x in v)
+
+    def rows(v, *lengths) -> bool:
+        return isinstance(v, list) and all(ints(r, *lengths) for r in v)
+
+    rank, dim_a = lie.rank, lie.dim_a
+    roots = (f"a list of integer lists of length {rank}", lambda v: rows(v, rank))
+    ineqs = "a list of integer lists of length " + " or ".join(map(str, sorted({rank, dim_a})))
+    count = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+    flag = ("true or false", lambda v: type(v) is bool)
+    shapes = {
+        "adapted": flag,
+        "admissible": flag,
+        "s_z": roots,
+        "indecomposables": roots,
+        "sigma_z": roots,
+        "cone_ineqs": (ineqs, lambda v: rows(v, rank, dim_a)),
+        "a_h_dim": count,
+        "a_e_dim": count,
+        "w_order": count,
+        "coxeter_type": ("a string", lambda v: isinstance(v, str)),
+        "coset_labels": (
+            "a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        ),
+        "pair_witness": (f"an integer list of length {dim_a}", lambda v: ints(v, dim_a)),
+        "non_adapted_witness": (
+            f"an object with a 'word' list and 'cone_ineqs', {ineqs}",
+            lambda v: isinstance(v, dict)
+            and isinstance(v.get("word"), list)
+            and rows(v.get("cone_ineqs"), rank, dim_a),
+        ),
+    }
+    for name, (shape, ok) in shapes.items():
+        if name in claims and not ok(claims[name]):
+            raise SpaceFileError(f"claims.{name} must be {shape}")
+    witness = claims.get("non_adapted_witness", {})
+    for i, e in enumerate(witness.get("word", [])):
+        word_entry_from_json(e, f"claims.non_adapted_witness.word[{i}]")
 
 
 def load_space_file(path: str) -> tuple[LieAlgebraData, BasePoint, dict]:

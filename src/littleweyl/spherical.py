@@ -502,7 +502,7 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
         table = lie.weyl_group
         weyl = [(w.matrix, table[inverse_perm(w.perm)].matrix) for w in table.values()]
         _CHAMBER_CACHE[key] = ChamberSet(
-            hyperplanes, orbit_chambers(hyperplanes, base, weyl)
+            hyperplanes, orbit_chambers(ChamberSet(hyperplanes, base), weyl)
         )
     return _CHAMBER_CACHE[key]
 

@@ -560,7 +560,8 @@ def check_claims(
     raised for it.  The limit cosets are matched in the sign-character model
     of ``m_lattice``.  Recognized fields: adapted, s_z, indecomposables,
     cone_ineqs, a_h_dim, a_e_dim, w_order, coxeter_type, sigma_z, admissible,
-    coset_labels, pair_witness, non_adapted_witness.  Unknown fields are
+    coset_labels, pair_witness, non_adapted_witness; space_from_json checks
+    the type and shape of each when a space file loads.  Unknown fields are
     ignored.
     """
     out = []

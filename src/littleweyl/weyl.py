@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import Cone, enumerate_chambers
+from .cones import ChamberSet, Cone
 from .lie import LieAlgebraData, compose_perms, group_closure, inverse_perm, root_pairing
 from .linalg import (
     Mat,
@@ -31,11 +31,11 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     primitive_ints,
+    primitive_signed,
     rank,
     solve,
     vec_add,
     vec_scale,
-    zero_vec,
 )
 from .spherical import (
     ContractViolation,
@@ -44,6 +44,7 @@ from .spherical import (
     chamber_limits,
     compression_cone,
     is_admissible,
+    order_regular_chambers,
 )
 
 
@@ -245,8 +246,9 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     coset label are read off the normalizer table.  Checks that the element
     set is a finite group of quotient isometries, that it fixes a_E/a_h
     pointwise acting trivially there, and that the realizers' translates of
-    the compression cone tile a/a_h with disjoint interiors.  Computed once
-    per analysis.
+    the compression cone tile a/a_h with disjoint interiors; the tiling is
+    read off the order-regular chamber table (_verify_tiling), which every
+    caller has built before.  Computed once per analysis.
     """
     return analysis._stage("little_weyl_group", lambda: _little_weyl_group(analysis))
 
@@ -303,12 +305,10 @@ def _element_order(perm, on_quotient, ident) -> int:
 def _verify_group(lie, quot, realizers, table, cone) -> None:
     elements = [w.matrix_on_quotient for w in realizers]
     elems = set(elements)
-    pairs = []
     for w in realizers:
         inverse = table.get(inverse_perm(w.perm))
         if inverse is None or inverse.matrix_on_quotient not in elems:
             raise ContractViolation("element set is not closed under inverses")
-        pairs.append((w.matrix_on_a, inverse.matrix_on_a))
     gq = induced_form(lie, quot)
     for m in elements:
         if mat_mul(mat_mul(mat_transpose(m), gq), m) != gq:
@@ -319,48 +319,35 @@ def _verify_group(lie, quot, realizers, table, cone) -> None:
         for m in elements:
             if mat_vec(m, pr) != pr:
                 raise ContractViolation("element moves a point of a_E/a_h")
-    _verify_tiling(quot, pairs, cone)
+    _verify_tiling(order_regular_chambers(lie), [w.matrix_on_a for w in realizers], cone)
 
 
-def _verify_tiling(quot, elements, cone) -> None:
-    """Translates of the cone by the elements, integer (matrix, inverse)
-    pairs on a that normalize a_h, cover a/a_h with disjoint interiors.
+def _verify_tiling(chambers: ChamberSet, maps: Sequence[Mat], cone: Cone) -> None:
+    """Translates of the cone by the maps, integer matrices on a of elements
+    of W, cover a with disjoint interiors; ``chambers`` is the order-regular
+    chamber table.
 
-    Every S_z functional vanishes on a_h, so a_h lies in the lineality of the
-    cone and of each translate, and the translates tile a/a_h exactly when
-    they tile a.  Every translate is a union of closed chambers of the
-    arrangement of all facet hyperplanes, so this holds exactly when every
-    chamber representative lies in exactly one translate.  Without a facet
-    hyperplane a is one chamber.  A dense rational sample of a/a_h, lifted
-    to a, is checked too.
+    Every facet of the cone must be a hyperplane of the table, so that the
+    cone is a union of closed chambers.  W permutes the chambers (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12), and a map carries the
+    chambers in the cone onto those in its translate, with the signs read
+    off its signed permutation of the hyperplanes.  The chambers are open and
+    their closures cover a, so the translates tile a exactly when these
+    images are distinct and number all chambers.  Every S_z functional
+    vanishes on a_h, which so lies in the lineality of each translate: they
+    tile a/a_h as well.
     """
-    cones = [cone.image(m, inverse) for m, inverse in elements]
-    d = cone.ambient_dim
-    facets = [g for c in cones for g in c.facets]
-    representatives = (
-        [ch.representative for ch in enumerate_chambers(d, facets).chambers]
-        if facets
-        else [zero_vec(d)]
-    )
-    counts = [sum(c.contains(p) for c in cones) for p in representatives]
-    if max(counts) > 1:
+    for g in cone.facets:
+        if primitive_signed(g) not in chambers.hyperplanes:
+            raise ContractViolation(
+                f"the compression cone facet {g} is not an order-regular hyperplane"
+            )
+    inside = [ch.signs for ch in chambers.chambers if cone.contains(ch.representative)]
+    images = [act(signs) for act in map(chambers.signed_permutation, maps) for signs in inside]
+    if len(set(images)) < len(images):
         raise ContractViolation("two cone translates share interior")
-    if min(counts) == 0:
+    if len(images) != chambers.count:
         raise ContractViolation("cone translates do not cover a/a_h")
-    for point in _grid_points(quot.dim, 2):
-        p = quot.lift(point)
-        if not any(c.contains(p) for c in cones):
-            raise ContractViolation("cone translates miss a sample point")
-
-
-def _grid_points(dim: int, radius: int):
-    if dim == 0:
-        return
-    from itertools import product
-
-    for coords in product(range(-radius, radius + 1), repeat=dim):
-        if any(coords):
-            yield coords
 
 
 # ---------------------------------------------------------------------------

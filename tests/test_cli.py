@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import littleweyl
-from littleweyl import verify
+from littleweyl import serialize, verify
+from littleweyl.catalog import get_entry
 from littleweyl.cli import main
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
-from littleweyl.serialize import dumps_canonical
+from littleweyl.serialize import catalog_entry_to_space_json, dumps_canonical
 
 
 def run(capsys, *argv):
@@ -89,6 +90,64 @@ def test_bad_subalgebra_rows_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "length" in err
+
+
+def test_row_lengths_are_checked_before_the_algebra_is_built(tmp_path, capsys, monkeypatch):
+    """The length of a subalgebra row is read off the Cartan matrix and the
+    center: a large center_dim with short rows ends before any build (a
+    center of 2 000 used to build the 2 008-dimensional algebra first)."""
+
+    def no_build(*args):
+        raise AssertionError("build_from_cartan ran before the row lengths were checked")
+
+    monkeypatch.setattr(serialize, "build_from_cartan", no_build)
+    space = {
+        "schema_version": 1,
+        "lie_algebra": {"cartan_type": "A2", "center_dim": 2000},
+        "subalgebra": [["0"] * 8],
+        "base_point_word": [],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(space))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "error: subalgebra[0] has length 8, expected 2008" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coset_labels", [1, "e"]),
+        ("cone_ineqs", [None]),
+        ("s_z", [[2, 0, 1]]),
+        ("w_order", "6"),
+        ("admissible", 1),
+        ("pair_witness", [1]),
+        ("non_adapted_witness", {"word": [], "cone_ineqs": [[1]]}),
+        ("non_adapted_witness", {"word": [{"kind": "spin"}], "cone_ineqs": []}),
+    ],
+)
+def test_malformed_claims_end_in_an_error_line(field, value, tmp_path, capsys):
+    """A claims field that verify reads, with the wrong type or shape, is a
+    space-file error naming the field, not a traceback.  The first two are
+    the crashes a fuzzed A2_so3 file found: an int among the coset labels
+    could not be sorted, and a null inequality had no length."""
+    data = catalog_entry_to_space_json(get_entry("A2_so3"))
+    data["claims"][field] = value
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("error:") and field in err
+
+
+def test_unknown_claims_fields_are_ignored(tmp_path, capsys):
+    data = catalog_entry_to_space_json(get_entry("A2_so3"))
+    data["claims"]["remark"] = [None, 1, "e"]
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "verify", str(path))
+    assert code == 0
 
 
 def test_limit_nbar_direction_one(capsys):

@@ -244,31 +244,45 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
 
 
 def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
-    """The tiling check moves the stored compression cone by the realizers'
-    integer matrices on a, so every double description of the stage runs in
-    a: on A1xA1_diag_w0, where a_h is a line, rebuilding the cone in a/a_h
-    took one in dimension 1 and chambered the quotient in dimension 1.  On
-    A3 g/so the stage takes 27: 3 walls and the 24 chambers of the
-    translates' facet arrangement (28 with the rebuilt cone)."""
-    entry = get_entry("A1xA1_diag_w0")
-    an = analyze(entry.lie(), entry.base_point().h_z)
-    compression_cone(an)
-    dims = []
-    original = cones._dd
+    """The tiling check reads the order-regular chamber table, which every
+    caller of little_weyl_group has built: the realizers move the table's
+    chambers inside the compression cone by their signed permutations of
+    the hyperplanes.  So once the table is cached the stage enumerates no
+    chambers, and its double descriptions are the walls', all in a: one on
+    A1xA1_diag_w0, where a_h is a line, and 3 on A3 g/so (27 when the check
+    chambered the arrangement of the translates' facets)."""
+    dims, traversals = [], []
+    original_dd = cones._dd
 
-    def recording(inequalities, dim):
+    def recording_dd(inequalities, dim):
         dims.append(dim)
-        return original(inequalities, dim)
+        return original_dd(inequalities, dim)
 
-    monkeypatch.setattr(cones, "_dd", recording)
-    assert little_weyl_group(an).order == 2
-    assert an.a_h.dim == 1
-    assert dims and set(dims) == {an.lie.dim_a} == {2}
+    monkeypatch.setattr(cones, "_dd", recording_dd)
+    for attr in ("enumerate_chambers", "traverse_chambers"):
+        original = getattr(cones, attr)
+
+        def recording(*args, _original=original, _attr=attr):
+            traversals.append(_attr)
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "littleweyl" or name.startswith("littleweyl."):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, recording)
+
+    entry = get_entry("A1xA1_diag_w0")
+    diag = analyze(entry.lie(), entry.base_point().h_z)
     a3 = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
-    compression_cone(a3)
-    dims.clear()
-    assert little_weyl_group(a3).order == 24
-    assert len(dims) <= 27
+    for an, order, walls in [(diag, 2, 1), (a3, 24, 3)]:
+        compression_cone(an)
+        spherical.order_regular_chambers(an.lie)
+        dims.clear()
+        traversals.clear()
+        assert little_weyl_group(an).order == order
+        assert traversals == []
+        assert set(dims) == {an.lie.dim_a}
+        assert len(dims) <= walls
 
 
 def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):

@@ -1,13 +1,15 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import LEVI_PAIRS
 
 from littleweyl import weyl
-from littleweyl.catalog import get_entry
-from littleweyl.cones import Cone
-from littleweyl.lie import cartan_matrix_of_type, inverse_perm
-from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, vec
+from littleweyl.catalog import get_entry, list_entries
+from littleweyl.cones import Cone, enumerate_chambers
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type, inverse_perm
+from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, primitive_signed, vec
 from littleweyl.spherical import (
     ContractViolation,
     analyze,
@@ -15,6 +17,7 @@ from littleweyl.spherical import (
     chamber_limits,
     compression_cone,
     is_admissible,
+    order_regular_chambers,
 )
 from littleweyl.weyl import (
     QuotientSpace,
@@ -343,20 +346,112 @@ def test_quotient_matrices_stay_ints_when_a_h_is_zero():
     assert entries and all(type(x) is int for x in entries)
 
 
-@pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
-def test_tiling_rejects_an_overlap_and_a_gap(name):
-    an = _analysis(name)
+def _facet_arrangement_tiling(quot, pairs, cone):
+    """The tiling check as it ran before it read the order-regular chamber
+    table, kept as a reference: the translates by the (matrix, inverse)
+    pairs on a are built, every chamber of the arrangement of all their
+    facet hyperplanes must lie in exactly one of them, and a dense sample of
+    a/a_h, lifted to a, must be covered."""
+    translates = [cone.image(m, inverse) for m, inverse in pairs]
+    d = cone.ambient_dim
+    facets = [g for c in translates for g in c.facets]
+    representatives = (
+        [ch.representative for ch in enumerate_chambers(d, facets).chambers]
+        if facets
+        else [(0,) * d]
+    )
+    counts = [sum(c.contains(p) for c in translates) for p in representatives]
+    if max(counts) > 1:
+        raise ContractViolation("two cone translates share interior")
+    if min(counts) == 0:
+        raise ContractViolation("cone translates do not cover a/a_h")
+    for point in itertools.product(range(-2, 3), repeat=quot.dim):
+        p = quot.lift(point)
+        if any(point) and not any(c.contains(p) for c in translates):
+            raise ContractViolation("cone translates miss a sample point")
+
+
+def _tiling_inputs(an):
+    """The chamber table, the realizers' matrices on a with their inverses',
+    and the compression cone, as little_weyl_group checks them."""
     group = little_weyl_group(an)
-    cone = compression_cone(an)
     table = {w.perm: w for _, w in weyl._normalizer(an)}
     pairs = [
         (w.matrix_on_a, table[inverse_perm(w.perm)].matrix_on_a) for w in group.realizers
     ]
-    weyl._verify_tiling(group.quotient, pairs, cone)
+    return group, order_regular_chambers(an.lie), pairs, compression_cone(an)
+
+
+def _riemannian_analysis(cartan_type):
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type))
+    h = span(
+        lie.dim,
+        *(
+            tuple({lie.e_index(p): 1, lie.f_index(p): -1}.get(k, 0) for k in range(lie.dim))
+            for p in range(lie.num_pos)
+        ),
+    )
+    return analyze(lie, h)
+
+
+_TILING_SPACES = (
+    [f"catalog/{e.name}" for e in list_entries()]
+    + [f"levi/{name}" for name in LEVI_PAIRS]
+    + ["so/A3", "so/B3", "so/C3"]
+)
+
+
+def _tiling_space(key, levi_pairs):
+    kind, name = key.split("/")
+    if kind == "catalog":
+        return _analysis(name)
+    if kind == "levi":
+        return analyze(*levi_pairs[name])
+    return _riemannian_analysis(name)
+
+
+@pytest.mark.parametrize("key", _TILING_SPACES)
+def test_tiling_agrees_with_the_facet_arrangement_check(key, levi_pairs):
+    """Old against new: the chamber-table check and the facet-arrangement
+    check with its grid sample both accept the realizers, and both reject a
+    duplicated and a dropped realizer."""
+    group, chambers, pairs, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
+    weyl._verify_tiling(chambers, [m for m, _ in pairs], cone)
+    _facet_arrangement_tiling(group.quotient, pairs, cone)
+    for message, mutated in [("share interior", pairs + pairs[-1:]), ("do not cover", pairs[:-1])]:
+        with pytest.raises(ContractViolation, match=message):
+            weyl._verify_tiling(chambers, [m for m, _ in mutated], cone)
+        with pytest.raises(ContractViolation, match=message):
+            _facet_arrangement_tiling(group.quotient, mutated, cone)
+
+
+@pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
+def test_tiling_rejects_an_overlap_and_a_gap(name):
+    _, chambers, pairs, cone = _tiling_inputs(_analysis(name))
+    maps = [m for m, _ in pairs]
+    weyl._verify_tiling(chambers, maps, cone)
     with pytest.raises(ContractViolation, match="share interior"):
-        weyl._verify_tiling(group.quotient, pairs + pairs[-1:], cone)
+        weyl._verify_tiling(chambers, maps + maps[-1:], cone)
     with pytest.raises(ContractViolation, match="do not cover"):
-        weyl._verify_tiling(group.quotient, pairs[:-1], cone)
+        weyl._verify_tiling(chambers, maps[:-1], cone)
+
+
+@pytest.mark.parametrize("name", ["A1xA1_diag_w0", "A2_so3", "A2_nbar"])
+def test_tiling_rejects_a_facet_outside_the_chamber_table(name):
+    """A cone cut by a hyperplane that is no alpha - beta is no union of
+    chambers, and the check says so before it counts any."""
+    _, chambers, pairs, cone = _tiling_inputs(_analysis(name))
+    d = cone.ambient_dim
+    g = next(
+        g
+        for g in itertools.product(range(-3, 4), repeat=d)
+        if any(g)
+        and primitive_signed(g) not in chambers.hyperplanes
+        and g in cone.intersect(Cone.from_inequalities(d, [g])).facets
+    )
+    cut = cone.intersect(Cone.from_inequalities(d, [g]))
+    with pytest.raises(ContractViolation, match="not an order-regular hyperplane"):
+        weyl._verify_tiling(chambers, [m for m, _ in pairs], cut)
 
 
 def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
