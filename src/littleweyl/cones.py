@@ -171,11 +171,6 @@ class Cone:
         (x,) = _int_rows(self.ambient_dim, [x])
         return all(dot(g, x) <= 0 for g in self.inequalities)
 
-    def contains_strictly(self, x: Sequence) -> bool:
-        """Membership in the topological interior (requires a full-dim cone)."""
-        (x,) = _int_rows(self.ambient_dim, [x])
-        return all(dot(g, x) < 0 for g in self.inequalities)
-
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays) and all(
             dot(g, l) == 0 for g in self.inequalities for l in other.lineality.rows

@@ -37,7 +37,6 @@ from .linalg import (
     solve,
     sparse_combination,
     vec,
-    vec_add,
     vec_scale,
     zero_vec,
 )
@@ -399,28 +398,35 @@ class LieAlgebraData:
             return {k: -c for k, c in self.structure.get((j, i), {}).items()}
         return self.structure.get((i, j), {})
 
-    def bracket_table(self) -> list[list[dict[int, int]]]:
+    def bracket_table(self) -> tuple[tuple[dict[int, int], ...], ...]:
         """[x_i, x_j] = bracket_table()[i][j] for every pair of basis vectors,
-        as the sparse dicts of bracket_basis.  Pairs that bracket to zero
-        share one empty dict, so the table is read only."""
+        as the sparse dicts of bracket_basis.  Built once per algebra, at
+        construction, and shared by validate, bracket, exp_ad_apply and
+        verify's lie_invariants, so it is read only: pairs that bracket to
+        zero share one empty dict."""
+        return self._bracket_table
+
+    @cached_property
+    def _bracket_table(self) -> tuple[tuple[dict[int, int], ...], ...]:
         zero: dict[int, int] = {}
         out = [[zero] * self.dim for _ in range(self.dim)]
         for (i, j), comp in self.structure.items():
             out[i][j], out[j][i] = comp, {k: -c for k, c in comp.items()}
-        return out
+        return tuple(map(tuple, out))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
+        """[x, y], summed over the nonzeros of x and y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise LieAlgebraError("dimension mismatch in bracket")
+        br = self.bracket_table()
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         out = [0] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += xi * yj * c
+            if xi != 0:
+                row = br[i]
+                for j, yj in ys:
+                    for k, c in row[j].items():
+                        out[k] += xi * yj * c
         return tuple(out)
 
     @cached_property
@@ -459,16 +465,36 @@ class LieAlgebraData:
 
     def exp_ad_apply(self, x: Sequence, v: Sequence) -> Vec:
         """exp(ad x) v = sum_k ad(x)^k v / k! as a bracket series, without
-        forming exp(ad x); raises unless the series ends within dim + 1 terms."""
-        out = term = tuple(v)
+        forming exp(ad x); raises unless the series ends within dim + 1 terms.
+
+        Each term is kept as the dict of its nonzeros and bracketed through
+        the table rows of the nonzeros of x.  The division by k stays an int
+        where it is exact, so on the integer span of a Chevalley basis the
+        series of ad(e_alpha) is all ints (ad(e_alpha)^k / k! preserves it)."""
+        dim = self.dim
+        if len(x) != dim or len(v) != dim:
+            raise LieAlgebraError("dimension mismatch in exp_ad_apply")
+        br = self.bracket_table()
+        rows = [(br[i], xi) for i, xi in enumerate(x) if xi != 0]
+        out = list(v)
+        term = {j: c for j, c in enumerate(v) if c != 0}
         k = 0
-        while any(c != 0 for c in term):
+        while term:
             k += 1
-            if k > self.dim + 1:
+            if k > dim + 1:
                 raise LieAlgebraError("exp_ad requires an ad-nilpotent argument")
-            term = tuple(Fraction(c, k) for c in self.bracket(x, term))
-            out = vec_add(out, term)
-        return out
+            nxt: dict[int, int | Fraction] = {}
+            for row, xi in rows:
+                for j, c in term.items():
+                    for l, s in row[j].items():
+                        nxt[l] = nxt.get(l, 0) + xi * c * s
+            term = {}
+            for l, c in nxt.items():
+                if c != 0:
+                    c = c // k if type(c) is int and c % k == 0 else Fraction(c, k)
+                    term[l] = c
+                    out[l] += c
+        return tuple(out)
 
     def torus_scaling(self, coweight: Sequence, scale) -> Vec:
         """Ad of the torus element scale^coweight, which scales each basis
@@ -864,11 +890,13 @@ def _build_cached(key) -> LieAlgebraData:
     # the semisimple part, read off the structure constants. B pairs weight
     # spaces of opposite weight only, so the nonzero entries lie in the (h, h)
     # block and at the (e_p, f_p) pairs; the center pairs by the identity.
+    br = data.bracket_table()
+
     def killing(i: int, j: int) -> int:
         t = 0
         for l in range(dim):
-            for k, c in data.bracket_basis(i, l).items():
-                c2 = data.bracket_basis(j, k).get(l)
+            for k, c in br[i][l].items():
+                c2 = br[j][k].get(l)
                 if c2:
                     t += c * c2
         return t

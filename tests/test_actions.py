@@ -30,10 +30,21 @@ def _unit(dim, k):
     return tuple(Fraction(1 if i == k else 0) for i in range(dim))
 
 
+def _dense_ad(lie, x):
+    """ad x as a dense matrix read off the structure constants: column j is
+    [x, x_j], summed over [x_i, x_j] = c x_k and [x_j, x_i] = -c x_k for the
+    entries c x_k of structure[(i, j)]."""
+    a = [[0] * lie.dim for _ in range(lie.dim)]
+    for (i, j), comp in lie.structure.items():
+        for k, c in comp.items():
+            a[k][j] += x[i] * c
+            a[k][i] -= x[j] * c
+    return tuple(map(tuple, a))
+
+
 def _dense_exp_ad(lie, x):
-    """exp(ad x) as the finite sum of the matrix powers of ad x, with ad x
-    assembled column by column from the bracket."""
-    a = tuple(zip(*(lie.bracket(x, e) for e in identity(lie.dim))))
+    """exp(ad x) as the finite sum of the matrix powers of ad x divided by k!."""
+    a = _dense_ad(lie, x)
     out = term = identity(lie.dim)
     for k in range(1, lie.dim + 1):
         term = tuple(tuple(Fraction(c, k) for c in row) for row in mat_mul(term, a))
@@ -119,21 +130,29 @@ def test_simple_lift_must_act_as_the_reflection(monkeypatch, method, wrong):
 
 _ALGEBRAS = {name: _lie(name) for name in ("A2", "B2", "G2")}
 _small = st.integers(-3, 3).map(Fraction)
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
 
 
 @st.composite
-def _algebra_and_vectors(draw, in_n: bool):
+def _algebra_and_vectors(draw, part: str):
+    """An algebra and two vectors x, v of int and Fraction entries; x lies in
+    n, in nbar or anywhere, as part says."""
     lie = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]
-    v = tuple(draw(st.lists(_small, min_size=lie.dim, max_size=lie.dim)))
-    x = list(draw(st.lists(_small, min_size=lie.dim, max_size=lie.dim)))
-    if in_n:
-        n_coords = {lie.e_index(p) for p in range(lie.num_pos)}
-        x = [c if k in n_coords else Fraction(0) for k, c in enumerate(x)]
+    v = tuple(draw(st.lists(_entries, min_size=lie.dim, max_size=lie.dim)))
+    x = list(draw(st.lists(_entries, min_size=lie.dim, max_size=lie.dim)))
+    if part != "g":
+        index = lie.e_index if part == "n" else lie.f_index
+        coords = {index(p) for p in range(lie.num_pos)}
+        x = [c if k in coords else 0 for k, c in enumerate(x)]
     return lie, tuple(x), v
 
 
 @settings(max_examples=30, deadline=None)
-@given(_algebra_and_vectors(in_n=True))
+@given(st.sampled_from(["n", "nbar"]).flatmap(_algebra_and_vectors))
 def test_exp_ad_apply_matches_dense_exp_ad(case):
     lie, x, v = case
     dense = _dense_exp_ad(lie, x)
@@ -142,7 +161,20 @@ def test_exp_ad_apply_matches_dense_exp_ad(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_algebra_and_vectors(in_n=False))
+@given(_algebra_and_vectors("g"))
+def test_bracket_matches_the_double_loop_over_bracket_basis(case):
+    lie, x, y = case
+    want = [0] * lie.dim
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            for k, c in lie.bracket_basis(i, j).items():
+                want[k] += x[i] * y[j] * c
+    assert lie.bracket(x, y) == tuple(want)
+    assert lie.bracket(x, y) == mat_vec(_dense_ad(lie, x), y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebra_and_vectors("g"))
 def test_sparse_invariant_form_matches_form_matrix(case):
     lie, x, y = case
     assert lie.invariant_form(x, y) == dot(vec(x), mat_vec(lie.form_matrix, vec(y)))

@@ -25,6 +25,11 @@ from littleweyl.linalg import (
 from littleweyl.spherical import order_regular_chambers
 
 
+def _contains_strictly(cone, x):
+    """Membership in the topological interior of a full-dimensional cone."""
+    return cone.contains(x) and all(dot(g, x) != 0 for g in cone.inequalities)
+
+
 def test_single_inequality_rank_one():
     c = Cone.from_inequalities(1, [[2]])
     assert c.rays == ((Fraction(-1),),)
@@ -42,18 +47,17 @@ def test_negative_quadrant():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1]])
     assert c.rays == (vec((-1, 0)), vec((0, -1)))
     assert c.contains((-1, -2)) and not c.contains((1, 0))
-    assert c.contains_strictly((-1, -2)) and not c.contains_strictly((-1, 0))
+    assert _contains_strictly(c, (-1, -2)) and not _contains_strictly(c, (-1, 0))
 
 
 def test_membership_checks_its_input():
     """A wrong-length point raises ConeError, also on the full space, which
     has no inequality to evaluate; a float entry raises TypeError."""
     for cone in (Cone.full_space(2), Cone.from_inequalities(2, [(1, 1)])):
-        for test in (cone.contains, cone.contains_strictly):
-            with pytest.raises(ConeError, match="length 2"):
-                test((1, 2, 3))
-            with pytest.raises(TypeError, match="int or Fraction"):
-                test((0.5, -1))
+        with pytest.raises(ConeError, match="length 2"):
+            cone.contains((1, 2, 3))
+        with pytest.raises(TypeError, match="int or Fraction"):
+            cone.contains((0.5, -1))
 
 
 def test_repr_prints_the_fraction_view():
@@ -184,10 +188,10 @@ def test_image_matches_the_double_description(c, data):
 def test_relative_interior_point():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1]])
     p = c.relative_interior_point()
-    assert c.contains_strictly(p)
+    assert _contains_strictly(c, p)
     w = c.walls()[0]
     q = w.relative_interior_point()
-    assert w.contains(q) and not c.contains_strictly(q)
+    assert w.contains(q) and not _contains_strictly(c, q)
 
 
 def _grid_chamber_count(dim, hyperplanes, radius=6):

@@ -365,6 +365,53 @@ def test_exp_ad_requires_nilpotent(a1):
         a1.exp_ad(H)
 
 
+def test_exp_ad_apply_checks_both_lengths(a2):
+    """A wrong length is refused before the series reads any nonzero, also
+    when v is zero, and the error names exp_ad_apply."""
+    for x, v in [((1, 0, 0), (0,) * 8), ((1, 0, 0), (1,) + (0,) * 7), ((0,) * 8, (1, 0, 0))]:
+        with pytest.raises(LieAlgebraError, match="exp_ad_apply"):
+            a2.exp_ad_apply(x, v)
+
+
+def test_exp_ad_apply_refuses_a_non_nilpotent_x_after_dim_plus_one_terms(a2, monkeypatch):
+    """ad(h_1) scales e_1 by alpha_1(h_1) = 2, so every term of the series is
+    nonzero: the series brackets dim + 1 times and then raises.  ad(e + f)
+    moves h_1 to -2e_1 + 2f_1 and that to 4h_1, so it never ends either."""
+    reads = []
+
+    class Counting(dict):
+        def items(self):
+            reads.append(1)
+            return super().items()
+
+    table = tuple(tuple(Counting(comp) for comp in row) for row in a2.bracket_table())
+    monkeypatch.setattr(LieAlgebraData, "bracket_table", lambda self: table)
+    unit = identity(a2.dim)
+    e, f = unit[a2.e_index(0)], unit[a2.f_index(0)]
+    with pytest.raises(LieAlgebraError, match="ad-nilpotent"):
+        a2.exp_ad_apply(unit[0], e)
+    assert len(reads) == a2.dim + 1
+    with pytest.raises(LieAlgebraError, match="ad-nilpotent"):
+        a2.exp_ad_apply(vec_add(e, f), unit[0])
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_simple_lift_series_stay_ints(name):
+    """ad(e_alpha)^k / k! maps the integer span of a Chevalley basis to
+    itself, so each of the three series of every column of a simple lift,
+    exp(ad e_i), exp(-ad f_i), exp(ad e_i), has int entries only."""
+    lie = build_from_cartan(cartan_matrix_of_type(name))
+    unit = identity(lie.dim)
+    for i in range(lie.rank):
+        p = lie.root_index(tuple(int(j == i) for j in range(lie.rank)))
+        e, minus_f = unit[lie.e_index(p)], vec_scale(-1, unit[lie.f_index(p)])
+        for b in unit:
+            first = lie.exp_ad_apply(e, b)
+            second = lie.exp_ad_apply(minus_f, first)
+            third = lie.exp_ad_apply(e, second)
+            assert {type(c) for c in first + second + third} == {int}
+
+
 @pytest.mark.parametrize(
     "matrix,minor",
     [
@@ -446,6 +493,7 @@ def _with_form_entries(lie, entries):
 
 def test_bracket_table_is_bracket_basis(b2):
     table = b2.bracket_table()
+    assert b2.bracket_table() is table
     assert all(table[i][j] == b2.bracket_basis(i, j) for i in range(b2.dim) for j in range(b2.dim))
 
 

@@ -1,6 +1,7 @@
 """Each derived stage is computed once per analysis and shared by its consumers."""
 
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -8,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
+from littleweyl import lie as lie_module
 from littleweyl.catalog import get_entry
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace
@@ -171,6 +173,29 @@ def test_simple_lifts_are_read_once_without_dense_exp_ad(monkeypatch, b2):
     assert len(series) == 3 * lie.rank * lie.dim
     assert [lie.weyl_lift(word) for word in words] == first
     assert len(series) == 3 * lie.rank * lie.dim
+
+
+def test_one_bracket_table_serves_construction_analysis_and_invariants(monkeypatch):
+    """Construction builds the bracket table for the Killing form and
+    validate; the Weyl lifts' series, the analysis, weyl_from_limits and
+    lie_invariants on A2 g/so all read that one table."""
+    builds = []
+    original = LieAlgebraData._bracket_table.func
+
+    def recording(self):
+        builds.append(self)
+        return original(self)
+
+    table = functools.cached_property(recording)
+    table.__set_name__(LieAlgebraData, "_bracket_table")
+    monkeypatch.setattr(LieAlgebraData, "_bracket_table", table)
+    key = (tuple(map(tuple, cartan_matrix_of_type("A2"))), 0)
+    a2 = lie_module._build_cached.__wrapped__(key)
+    assert builds == [a2]
+    an = _riemannian_analysis(a2)
+    assert weyl_from_limits(an).cosets
+    assert all(r.ok for r in verify.lie_invariants(a2))
+    assert builds == [a2]
 
 
 def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):
