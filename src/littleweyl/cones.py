@@ -14,7 +14,7 @@ that reports print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -23,11 +23,9 @@ from .linalg import (
     IntEchelon,
     Subspace,
     dot,
-    identity,
     integer_echelon,
     integer_rank,
     integer_reduce,
-    mat_mul,
     mat_vec,
     primitive_ints,
     primitive_signed,
@@ -237,48 +235,6 @@ class Cone:
             self.ambient_dim, integer_echelon(self.rays + self.lineality.rows)
         )
 
-    def image(self, fwd: IntMat, back: IntMat) -> "Cone":
-        """Image under the map m, given positive integer multiples of m and
-        m⁻¹; ConeError unless their product is a positive multiple of the
-        identity.
-
-        The map carries rays to rays, the lineality to the lineality and each
-        facet inequality g to g∘m⁻¹, so only the canonical forms are taken
-        again: rays reduced modulo the new lineality, facets modulo the new
-        annihilator.  No double description runs.
-        """
-        dim = self.ambient_dim
-        product = mat_mul(fwd, back)
-        scale = product[0][0] if dim else 1
-        if scale <= 0 or product != tuple(tuple(scale * x for x in r) for r in identity(dim)):
-            raise ConeError("the given inverse does not invert the map")
-        lin_echelon = integer_echelon(mat_vec(fwd, l) for l in self.lineality.rows)
-        new_rays = sorted(
-            {
-                primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
-                for r in self.rays
-            }
-        )
-        span = integer_echelon(new_rays + [row for _, row in lin_echelon])
-        ineqs: dict[IntVec, None] = {}
-        ann_echelon: IntEchelon = []
-        if len(span) < dim:
-            ann = Subspace.from_echelon(dim, span).annihilator()
-            for g in ann:
-                ineqs[g] = None
-                ineqs[_neg(g)] = None
-            ann_echelon = integer_echelon(ann)
-        for g in self.facets:
-            # the other inequalities span the annihilator, taken canonically above
-            g = tuple(dot(g, col) for col in zip(*back))
-            ineqs[primitive_ints(integer_reduce(g, ann_echelon))] = None
-        return Cone(
-            dim,
-            tuple(sorted(ineqs)),
-            tuple(new_rays),
-            Subspace.from_echelon(dim, lin_echelon),
-        )
-
     def relative_interior_point(self) -> IntVec:
         """An integer point in the relative interior, deterministically."""
         return _interior_point(self.ambient_dim, self.rays, self.facets)
@@ -342,20 +298,10 @@ def _minimal_inequalities(
 @dataclass(frozen=True)
 class Chamber:
     """A chamber of an arrangement: its signs on the hyperplanes and a
-    deterministic integer interior point.  Its cone is ``base`` itself, or the
-    image of ``base`` under ``image_map`` (positive multiples of a map and of
-    its inverse, as Cone.image takes them), built on first access."""
+    deterministic integer interior point."""
 
     signs: tuple[int, ...]
     representative: IntVec
-    base: Cone = field(repr=False, compare=False)
-    image_map: tuple[IntMat, IntMat] | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def cone(self) -> Cone:
-        if self.image_map is None:
-            return self.base
-        return self.base.image(*self.image_map)
 
 
 @dataclass(frozen=True)
@@ -371,24 +317,8 @@ class ChamberSet:
     def _by_signs(self) -> dict[tuple[int, ...], Chamber]:
         return {ch.signs: ch for ch in self.chambers}
 
-    def signed_permutation(self, fwd: IntMat) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-        """How the map m acts on sign vectors: the signs of the image of the
-        chamber with the given signs.
-
-        m must permute the hyperplanes up to sign, h_j o m = eps_j h_pi(j),
-        so that it carries chambers to chambers; the image of a chamber has
-        the signs eps_j signs[pi(j)].
-        """
-        index = {h: j for j, h in enumerate(self.hyperplanes)}
-        pairs = []
-        for h in self.hyperplanes:
-            g = primitive_ints([dot(h, col) for col in zip(*fwd)])
-            j = index.get(g)
-            pairs.append((1, j) if j is not None else (-1, index[_neg(g)]))
-        return lambda signs: tuple(e * signs[j] for e, j in pairs)
-
     def sign_vector(self, x: Sequence) -> tuple[int, ...]:
-        x = primitive_ints(x)
+        (x,) = _int_rows(len(self.hyperplanes[0]), [x])
         return tuple(_sign(dot(h, x)) for h in self.hyperplanes)
 
     def chamber_of(self, x: Sequence) -> Chamber:
@@ -403,6 +333,26 @@ class ChamberSet:
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def signed_permutation(
+    hyperplanes: Sequence[IntVec], fwd: IntMat
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """How the map m acts on sign vectors over the hyperplanes of
+    ``arrangement``: the signs of the image of the chamber with the given
+    signs.
+
+    m must permute the hyperplanes up to sign, h_j o m = eps_j h_pi(j), so
+    that it carries chambers to chambers; the image of a chamber has the
+    signs eps_j signs[pi(j)].
+    """
+    index = {h: j for j, h in enumerate(hyperplanes)}
+    pairs = []
+    for h in hyperplanes:
+        g = primitive_ints([dot(h, col) for col in zip(*fwd)])
+        j = index.get(g)
+        pairs.append((1, j) if j is not None else (-1, index[_neg(g)]))
+    return lambda signs: tuple(e * signs[j] for e, j in pairs)
 
 
 def arrangement(functionals: Iterable[Sequence]) -> tuple[IntVec, ...]:
@@ -427,15 +377,19 @@ def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
     is connected, so the traversal is exhaustive.
     """
     hyperplanes = arrangement(functionals)
-    return ChamberSet(hyperplanes, traverse_chambers(dim, hyperplanes, ()))
+    cones = traverse_chambers(dim, hyperplanes, ())
+    return ChamberSet(
+        hyperplanes,
+        tuple(Chamber(s, cone.relative_interior_point()) for s, cone in cones.items()),
+    )
 
 
 def traverse_chambers(
     dim: int, hyperplanes: Sequence[IntVec], fixed: Iterable[int]
-) -> tuple[Chamber, ...]:
-    """The chambers reachable from the seed chamber without crossing the
-    hyperplanes at the ``fixed`` indices, sorted by sign vector.  The
-    hyperplanes are those of ``arrangement``.
+) -> dict[tuple[int, ...], Cone]:
+    """The cones of the chambers reachable from the seed chamber without
+    crossing the hyperplanes at the ``fixed`` indices, keyed by sign vector
+    in sorted order.  The hyperplanes are those of ``arrangement``.
 
     With nothing fixed these are all chambers of the arrangement.  Otherwise
     they are the chambers inside the region of the fixed hyperplanes that
@@ -447,63 +401,62 @@ def traverse_chambers(
     index = {h: i for i, h in enumerate(hyperplanes)}
     fixed = set(fixed)
 
-    def build(signs: tuple[int, ...]) -> Chamber:
-        cone = Cone.from_inequalities(
+    def build(signs: tuple[int, ...]) -> Cone:
+        return Cone.from_inequalities(
             dim, [tuple(-s * c for c in h) for s, h in zip(signs, hyperplanes)]
         )
-        return Chamber(signs, cone.relative_interior_point(), cone)
 
-    first = build(seed_signs)
-    visited: dict[tuple[int, ...], Chamber] = {seed_signs: first}
-    frontier = [first]
+    visited = {seed_signs: build(seed_signs)}
+    frontier = [seed_signs]
     while frontier:
         nxt = []
-        for ch in sorted(frontier, key=lambda c: c.signs):
-            for g in ch.cone.facets:
+        for signs in sorted(frontier):
+            for g in visited[signs].facets:
                 i = index.get(g)
                 if i is None:
                     i = index[_neg(g)]
                 if i in fixed:
                     continue
-                flipped = tuple(
-                    -s if j == i else s for j, s in enumerate(ch.signs)
-                )
+                flipped = tuple(-s if j == i else s for j, s in enumerate(signs))
                 if flipped not in visited:
-                    nb = build(flipped)
-                    visited[flipped] = nb
-                    nxt.append(nb)
+                    visited[flipped] = build(flipped)
+                    nxt.append(flipped)
         frontier = nxt
-    return tuple(sorted(visited.values(), key=lambda c: c.signs))
+    return dict(sorted(visited.items()))
 
 
-def orbit_chambers(base: ChamberSet, maps: Iterable[tuple[IntMat, IntMat]]) -> tuple[Chamber, ...]:
-    """The images of the base chambers under the maps, sorted by sign vector.
+def orbit_chambers(
+    hyperplanes: Sequence[IntVec],
+    cones: dict[tuple[int, ...], Cone],
+    maps: Iterable[tuple[IntMat, IntMat]],
+) -> tuple[Chamber, ...]:
+    """The images of the chambers with the given cones (traverse_chambers)
+    under the maps, sorted by sign vector.
 
     The hyperplanes are those of ``arrangement``.  Each map is given as an
     integer matrix m with its integer inverse, so no map is inverted here.
-    An image chamber reads its signs off ``base.signed_permutation(m)``.  The
+    An image chamber reads its signs off ``signed_permutation``.  The
     chambers of a central arrangement share their lineality, the common
     kernel of its hyperplanes.  The representative is the
     relative_interior_point of the image cone, read without building it: the
     sorted primitive images of the chamber's rays, reduced modulo the image
     lineality, summed with the weights t^k, and tested on the chamber's
-    facets through m^-1.  The image cone is built only when Chamber.cone is
-    read.
+    facets through m^-1.
     """
-    lin = base.chambers[0].cone.lineality.rows if base.chambers else ()
+    lin = next(iter(cones.values())).lineality.rows if cones else ()
     out = []
     for fwd, back in maps:
-        act = base.signed_permutation(fwd)
+        act = signed_permutation(hyperplanes, fwd)
         lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
-        for ch in base.chambers:
+        for signs, cone in cones.items():
             rays = sorted(
                 {
                     primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
-                    for r in ch.cone.rays
+                    for r in cone.rays
                 }
             )
-            p = _interior_point(len(fwd), rays, ch.cone.facets, back)
-            out.append(Chamber(act(ch.signs), p, ch.cone, (fwd, back)))
+            p = _interior_point(len(fwd), rays, cone.facets, back)
+            out.append(Chamber(act(signs), p))
     return tuple(sorted(out, key=lambda c: c.signs))
 
 

@@ -42,6 +42,10 @@ SCHEMA_VERSION = 1
 # the diagrams of at most four nodes, and on A5 the chamber table alone does
 # not finish within minutes.
 MAX_RANK = 4
+# The largest abelian center a space file may have: the center enlarges a,
+# where the double descriptions run; on A2 g/so analyze takes 0.4 s with a
+# center of 16 and 11 s with 64.
+MAX_CENTER_DIM = 16
 
 
 class SpaceFileError(ValueError):
@@ -54,10 +58,12 @@ def frac_str(x: int | Fraction) -> str:
 
 
 def parse_frac(s, where: str = "") -> Fraction:
+    """An int, or a "p/q" or decimal string.  Exponent forms such as "1e9"
+    are refused: Fraction would expand them to integers too long to print."""
     try:
         if type(s) is int:  # JSON true and false load as bool, not int
             return Fraction(s)
-        if isinstance(s, str):
+        if isinstance(s, str) and "e" not in s.lower():
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
@@ -131,6 +137,11 @@ def _cartan_from_json(data, where: str = "lie_algebra") -> tuple[list[list[int]]
     center = data.get("center_dim", 0)
     if type(center) is not int or center < 0:
         raise SpaceFileError(f"{where}.center_dim must be a nonnegative integer")
+    if center > MAX_CENTER_DIM:
+        raise SpaceFileError(
+            f"{where}.center_dim {center} is not supported "
+            f"(the supported range is center_dim <= {MAX_CENTER_DIM})"
+        )
     try:
         if "cartan_type" in data:
             matrix = cartan_matrix_of_type(data["cartan_type"])
@@ -260,6 +271,8 @@ def load_space_file(path: str) -> tuple[LieAlgebraData, BasePoint, dict]:
             data = json.load(fh)
     except json.JSONDecodeError as err:
         raise SpaceFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except ValueError as err:  # e.g. an integer literal too long to convert
+        raise SpaceFileError(f"{path}: {err}") from err
     except OSError as err:
         raise SpaceFileError(str(err)) from err
     return space_from_json(data)

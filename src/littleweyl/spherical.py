@@ -489,8 +489,7 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
     integer matrix and that of w^-1 are read off lie.weyl_group.  An image
     reads its signs off the signed permutation of the hyperplanes by w and
     its representative off the w-images of the base chamber's rays
-    (cones.orbit_chambers); its cone is built only when a consumer reads it,
-    as compression_cone_of_point does.
+    (cones.orbit_chambers), with no cone built.
     """
     key = (lie.cartan_matrix, lie.center_dim)
     if key not in _CHAMBER_CACHE:
@@ -501,9 +500,7 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
         )
         table = lie.weyl_group
         weyl = [(w.matrix, table[inverse_perm(w.perm)].matrix) for w in table.values()]
-        _CHAMBER_CACHE[key] = ChamberSet(
-            hyperplanes, orbit_chambers(ChamberSet(hyperplanes, base), weyl)
-        )
+        _CHAMBER_CACHE[key] = ChamberSet(hyperplanes, orbit_chambers(hyperplanes, base, weyl))
     return _CHAMBER_CACHE[key]
 
 
@@ -527,8 +524,13 @@ def compression_cone_of_point(
     """Compression cone of an arbitrary open-orbit point, by chamber sweep.
 
     The reference horospherical algebra is the one attached to the adapted
-    analysis; limits are constant on order-regular chambers and the cone is
-    the interior of the convex hull of the passing chambers.
+    analysis.  Limits are constant on order-regular chambers, so the cone is
+    the union of the closed chambers whose limit passes, read off their sign
+    vectors: it is cut out by the hyperplanes on which every passing chamber
+    has the same sign.  ContractViolation unless the table chambers with
+    those signs are exactly the passing ones, that is unless the passing
+    chambers fill a convex cone.  With no passing chamber it is the zero
+    cone.
     """
     lie = analysis.lie
     if not has_open_p_orbit(lie, h_z):
@@ -539,14 +541,17 @@ def compression_cone_of_point(
     ]
     limits, cells = chamber_limits(analysis, h_z)
     passing = [lim in targets for lim in limits]
-    rays: list[Vec] = []
-    lin_rows: list[Vec] = []
-    for ch, cell in zip(order_regular_chambers(lie).chambers, cells):
-        if passing[cell]:
-            rays.extend(ch.cone.rays)
-            lin_rows.extend(ch.cone.lineality.rows)
-    lin = Subspace.from_spanning(lie.dim_a, lin_rows)
-    return Cone.from_rays(lie.dim_a, rays, lin)
+    table = order_regular_chambers(lie)
+    inside = [ch.signs for ch, cell in zip(table.chambers, cells) if passing[cell]]
+    if not inside:
+        return Cone.from_rays(lie.dim_a, [])
+    fixed = [(j, col[0]) for j, col in enumerate(zip(*inside)) if len(set(col)) == 1]
+    filled = sum(all(ch.signs[j] == s for j, s in fixed) for ch in table.chambers)
+    if filled != len(inside):
+        raise ContractViolation("the passing chambers do not fill a convex cone")
+    return Cone.from_inequalities(
+        lie.dim_a, [tuple(-s * c for c in table.hyperplanes[j]) for j, s in fixed]
+    )
 
 
 # ---------------------------------------------------------------------------

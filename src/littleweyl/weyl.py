@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import ChamberSet, Cone
+from .cones import ChamberSet, Cone, signed_permutation
 from .lie import LieAlgebraData, compose_perms, group_closure, inverse_perm, root_pairing
 from .linalg import (
     Mat,
@@ -343,7 +343,8 @@ def _verify_tiling(chambers: ChamberSet, maps: Sequence[Mat], cone: Cone) -> Non
                 f"the compression cone facet {g} is not an order-regular hyperplane"
             )
     inside = [ch.signs for ch in chambers.chambers if cone.contains(ch.representative)]
-    images = [act(signs) for act in map(chambers.signed_permutation, maps) for signs in inside]
+    acts = [signed_permutation(chambers.hyperplanes, m) for m in maps]
+    images = [act(signs) for act in acts for signs in inside]
     if len(set(images)) < len(images):
         raise ContractViolation("two cone translates share interior")
     if len(images) != chambers.count:

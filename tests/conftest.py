@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace
 
@@ -28,6 +29,15 @@ def a1xa1():
 
 def span(dim, *rows):
     return Subspace.from_spanning(dim, [tuple(Fraction(x) for x in r) for r in rows])
+
+
+def chamber_cone(table, chamber):
+    """The closed cone of a chamber of the table, cut out by its signed
+    hyperplanes: signs[j] * h_j >= 0 for every j."""
+    dim = len(table.hyperplanes[0])
+    return Cone.from_inequalities(
+        dim, [tuple(-s * c for c in h) for s, h in zip(chamber.signs, table.hyperplanes)]
+    )
 
 
 @pytest.fixture(scope="session")

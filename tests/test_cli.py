@@ -1,15 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import littleweyl
 from littleweyl import serialize, verify
-from littleweyl.catalog import get_entry
+from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cli import main
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.serialize import catalog_entry_to_space_json, dumps_canonical
@@ -94,8 +100,9 @@ def test_bad_subalgebra_rows_exit_1(tmp_path, capsys):
 
 def test_row_lengths_are_checked_before_the_algebra_is_built(tmp_path, capsys, monkeypatch):
     """The length of a subalgebra row is read off the Cartan matrix and the
-    center: a large center_dim with short rows ends before any build (a
-    center of 2 000 used to build the 2 008-dimensional algebra first)."""
+    center: a center_dim with short rows ends before any build (a center of
+    2 000 used to build the 2 008-dimensional algebra first; such a center is
+    now refused by its bound, so the largest one allowed stands in)."""
 
     def no_build(*args):
         raise AssertionError("build_from_cartan ran before the row lengths were checked")
@@ -103,7 +110,7 @@ def test_row_lengths_are_checked_before_the_algebra_is_built(tmp_path, capsys, m
     monkeypatch.setattr(serialize, "build_from_cartan", no_build)
     space = {
         "schema_version": 1,
-        "lie_algebra": {"cartan_type": "A2", "center_dim": 2000},
+        "lie_algebra": {"cartan_type": "A2", "center_dim": 16},
         "subalgebra": [["0"] * 8],
         "base_point_word": [],
     }
@@ -111,7 +118,104 @@ def test_row_lengths_are_checked_before_the_algebra_is_built(tmp_path, capsys, m
     path.write_text(json.dumps(space))
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
-    assert "error: subalgebra[0] has length 8, expected 2008" in err
+    assert "error: subalgebra[0] has length 8, expected 24" in err
+
+
+def test_center_dim_is_bounded_before_the_algebra_is_built(tmp_path, capsys, monkeypatch):
+    """A center of 17 with rows of the matching length ends at load: the
+    center enlarges a, where the double descriptions run."""
+
+    def no_build(*args):
+        raise AssertionError("build_from_cartan ran before center_dim was checked")
+
+    monkeypatch.setattr(serialize, "build_from_cartan", no_build)
+    dim = 8 + 17
+    space = {
+        "schema_version": 1,
+        "lie_algebra": {"cartan_type": "A2", "center_dim": 17},
+        "subalgebra": [["0"] * (dim - 1) + ["1"]],
+        "base_point_word": [],
+    }
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(space))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: lie_algebra.center_dim 17 is not supported (the supported range is center_dim <= 16)\n"
+
+
+# a JSON integer literal too long for int(), written into the file text
+# in place of this string
+_BIG_INT = "<5000-digit integer>"
+
+
+def _write_space(path, data) -> None:
+    path.write_text(json.dumps(data).replace(json.dumps(_BIG_INT), "7" * 5000))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1e1000000", "not a rational number at subalgebra[0][1]: '1e1000000'"),
+        (_BIG_INT, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+)
+def test_oversized_numbers_end_in_an_error_line(value, message, tmp_path, capsys):
+    """An exponent string that Fraction would expand to a million digits, and
+    an integer literal that json cannot convert, are space-file errors: each
+    once ended in a ValueError traceback."""
+    data = catalog_entry_to_space_json(get_entry("A1_so2"))
+    data["subalgebra"][0][1] = value
+    path = tmp_path / "big.json"
+    _write_space(path, data)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, (*prefix, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_paths(value, (*prefix, i))
+
+
+_CATALOG_SPACES = {e.name: catalog_entry_to_space_json(e) for e in list_entries()}
+_MUTATIONS = [
+    None, True, 0, 1, -1, 2, 17, 2000, 1.5, "", "x", "0", "1/2", "1/0", "1.5", "-3",
+    "1e1000000", _BIG_INT, "A1", "A5", "G2", [], {}, [[]], [0, 1], [1, "e"],
+    {"kind": "weyl", "word": [0]}, {"kind": "spin"},
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_CATALOG_SPACES)), st.data())
+def test_mutated_space_files_end_in_a_documented_exit(name, data):
+    """A catalog space file with one or two fields replaced from a fixed pool
+    ends in a documented exit code, never in an exception out of main, and
+    exit 1 says why on an error: line."""
+    space = json.loads(json.dumps(_CATALOG_SPACES[name]))
+    paths = list(_json_paths(space))[1:]
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+        node = space
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_MUTATIONS)))
+        except (KeyError, IndexError, TypeError):
+            pass  # the first mutation replaced a parent of this path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.json"
+        _write_space(path, space)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +15,7 @@ from littleweyl.linalg import (
     integer_echelon,
     integer_rank,
     integer_reduce,
-    mat_inverse,
-    mat_vec,
     primitive_ints,
-    rank,
     vec,
 )
 from littleweyl.spherical import order_regular_chambers
@@ -152,39 +148,6 @@ def test_edge_contained_in_top_faces():
             assert f.edge().contains(c.edge())
 
 
-def test_image():
-    c = Cone.from_inequalities(2, [[1, 0]])
-    m = ((0, 1), (1, 0))  # swap coords
-    assert c.image(m, m) == Cone.from_inequalities(2, [[0, 1]])
-    with pytest.raises(ConeError, match="does not invert"):
-        c.image(m, ((1, 0), (0, 1)))
-    with pytest.raises(ConeError, match="does not invert"):
-        c.image(m, ((0, -1), (-1, 0)))
-
-
-def _int_multiple(m):
-    """The least positive integer multiple of a Fraction matrix."""
-    scale = lcm(*(x.denominator for row in m for x in row))
-    return tuple(tuple(int(x * scale) for x in row) for row in m)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_cones(), st.data())
-def test_image_matches_the_double_description(c, data):
-    dim = c.ambient_dim
-    entries = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-    m = data.draw(
-        st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
-        .map(lambda rows: tuple(tuple(rows_i) for rows_i in rows))
-        .filter(lambda rows: rank(rows) == dim)
-    )
-    want = Cone.from_rays(dim, [mat_vec(m, r) for r in c.rays], c.lineality.transform(m))
-    got = c.image(_int_multiple(m), _int_multiple(mat_inverse(m)))
-    assert got.inequalities == want.inequalities
-    assert got.rays == want.rays
-    assert got.lineality == want.lineality
-
-
 def test_relative_interior_point():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1]])
     p = c.relative_interior_point()
@@ -245,26 +208,31 @@ def test_chamber_of_looks_up_the_sign_vector():
         part.chamber_of(cs.chambers[1].representative)
 
 
+def test_chamber_of_reads_the_point_as_contains_does():
+    """A point of the wrong length is a ConeError naming the length, on the
+    chamber table as on a cone, not a bare ValueError from dot."""
+    cs = enumerate_chambers(2, [[1, 0], [0, 1]])
+    for read in (cs.chamber_of, Cone.full_space(2).contains):
+        with pytest.raises(ConeError, match="expected vectors of length 2"):
+            read((1,))
+
+
 @pytest.mark.parametrize(
     "cartan_type,center",
     [("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("B3", 0), ("C3", 0), ("A2", 1)],
 )
 def test_weyl_orbit_chambers_equal_the_full_traversal(cartan_type, center):
     """One traversal of the chambers in one Weyl chamber, moved by W, gives
-    the chambers of the traversal that crosses every wall, field by field:
-    the signs and representatives read off the base chambers, and the cones
-    built on first access."""
+    the chambers of the traversal that crosses every wall: the same sign
+    vectors, and the representatives read off the base chambers' cones."""
     lie = build_from_cartan(cartan_matrix_of_type(cartan_type), abelian_center_dim=center)
     want = enumerate_chambers(lie.dim_a, order_regular_hyperplanes(lie))
     got = order_regular_chambers(lie)
     assert got.hyperplanes == want.hyperplanes
     assert [ch.signs for ch in got.chambers] == [ch.signs for ch in want.chambers]
-    for a, b in zip(got.chambers, want.chambers):
-        assert a.representative == b.representative
-        assert a.cone.inequalities == b.cone.inequalities
-        assert a.cone.rays == b.cone.rays
-        assert a.cone.lineality == b.cone.lineality
-        assert a.cone.lineality.dim == center
+    assert [ch.representative for ch in got.chambers] == [
+        ch.representative for ch in want.chambers
+    ]
 
 
 def test_zero_functional_rejected():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import chamber_cone
 
+from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
     FlowReport,
@@ -134,10 +136,9 @@ def test_chamber_constancy_including_boundary(a2):
         # same chamber, same limit
         assert limit_subspace(a2, e, x) == limit_subspace(a2, e, ch.representative)
         # X in the closure of the chamber, Y inside: (E_X)_Y = E_Y
-        for facet in ch.cone.facets:
-            face = ch.cone.intersect(
-                type(ch.cone).from_inequalities(2, [facet, tuple(-c for c in facet)])
-            )
+        cone = chamber_cone(chambers, ch)
+        for facet in cone.facets:
+            face = cone.intersect(Cone.from_inequalities(2, [facet, tuple(-c for c in facet)]))
             x_bd = face.relative_interior_point()
             lim_bd = limit_subspace(a2, e, x_bd)
             assert limit_subspace(a2, lim_bd, x) == limit_subspace(a2, e, x)

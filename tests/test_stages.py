@@ -8,6 +8,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+from conftest import chamber_cone
+
 from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl import lie as lie_module
 from littleweyl.catalog import get_entry
@@ -104,21 +106,15 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
 ):
     lie = build_from_cartan(cartan_matrix_of_type("A3"))
     an = _riemannian_analysis(lie)
-    dd_calls, image_calls = [], []
+    dd_calls = []
     original_dd = cones.Cone.from_inequalities
-    original_image = cones.Cone.image
 
     def recording_dd(dim, gammas):
         dd_calls.append(dim)
         return original_dd(dim, gammas)
 
-    def recording_image(cone, fwd, back):
-        image_calls.append(cone)
-        return original_image(cone, fwd, back)
-
     monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
     monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording_dd))
-    monkeypatch.setattr(cones.Cone, "image", recording_image)
     calls = _record_limit_calls(monkeypatch)
     chambers = spherical.order_regular_chambers(lie)
     assert chambers.count == 240
@@ -127,12 +123,27 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
     # one double description per chamber of the seed's Weyl chamber; the
     # W-images read signs and representatives without building a cone
     assert len(dd_calls) <= 10
-    assert image_calls == []
     # g/so: E pairs e_p with f_p only, so the cells are the 24 Weyl chambers
     assert len(calls) == 24 == len(set(calls))
-    # the cone of a W-image is built once, on first access
-    cone = chambers.chambers[-1].cone
-    assert len(image_calls) == 1 and chambers.chambers[-1].cone is cone
+
+
+def test_a3_chamber_sweep_takes_one_double_description(monkeypatch):
+    """With the chamber table and the limits cached, the sweep reads the
+    passing chambers' sign vectors and builds one cone: hulling a cone per
+    passing chamber took 2 double descriptions and 10 cone images."""
+    an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    spherical.chamber_limits(an, an.h_z)
+    cone = compression_cone(an)
+    calls = []
+    original_dd = cones._dd
+
+    def recording_dd(inequalities, dim):
+        calls.append(dim)
+        return original_dd(inequalities, dim)
+
+    monkeypatch.setattr(cones, "_dd", recording_dd)
+    assert spherical.compression_cone_of_point(an, an.h_z) == cone
+    assert len(calls) == 1
 
 
 def test_face_degenerations_are_analyzed_once(monkeypatch):
@@ -361,7 +372,7 @@ def test_a3_cones_and_chambers_store_ints(monkeypatch):
     assert admissible and len(rows) == table.count == 240
     assert little_weyl_group(an).order == 24
     cone = compression_cone(an)
-    cone_list = [cone, *cone.walls(), *(ch.cone for ch in table.chambers)]
+    cone_list = [cone, *cone.walls(), *(chamber_cone(table, ch) for ch in table.chambers)]
     assert built == []
     entries = [x for ch in table.chambers for x in ch.representative]
     entries += [x for h in table.hyperplanes for x in h]

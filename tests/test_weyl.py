@@ -3,12 +3,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import LEVI_PAIRS
+from conftest import LEVI_PAIRS, chamber_cone
 
-from littleweyl import weyl
+from littleweyl import spherical, weyl
 from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cones import Cone, enumerate_chambers
-from littleweyl.lie import build_from_cartan, cartan_matrix_of_type, inverse_perm
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, primitive_signed, vec
 from littleweyl.spherical import (
     ContractViolation,
@@ -16,9 +16,12 @@ from littleweyl.spherical import (
     boundary_degeneration,
     chamber_limits,
     compression_cone,
+    compression_cone_of_point,
     is_admissible,
     order_regular_chambers,
+    translate,
 )
+from littleweyl.serialize import word_entry_from_json
 from littleweyl.weyl import (
     QuotientSpace,
     coxeter_type_label,
@@ -346,14 +349,17 @@ def test_quotient_matrices_stay_ints_when_a_h_is_zero():
     assert entries and all(type(x) is int for x in entries)
 
 
-def _facet_arrangement_tiling(quot, pairs, cone):
+def _facet_arrangement_tiling(quot, maps, cone):
     """The tiling check as it ran before it read the order-regular chamber
-    table, kept as a reference: the translates by the (matrix, inverse)
-    pairs on a are built, every chamber of the arrangement of all their
-    facet hyperplanes must lie in exactly one of them, and a dense sample of
-    a/a_h, lifted to a, must be covered."""
-    translates = [cone.image(m, inverse) for m, inverse in pairs]
+    table, kept as a reference: the translates by the matrices on a are
+    built from the images of the rays and the lineality, every chamber of
+    the arrangement of all their facet hyperplanes must lie in exactly one
+    of them, and a dense sample of a/a_h, lifted to a, must be covered."""
     d = cone.ambient_dim
+    translates = [
+        Cone.from_rays(d, [mat_vec(m, r) for r in cone.rays], cone.lineality.transform(m))
+        for m in maps
+    ]
     facets = [g for c in translates for g in c.facets]
     representatives = (
         [ch.representative for ch in enumerate_chambers(d, facets).chambers]
@@ -372,14 +378,11 @@ def _facet_arrangement_tiling(quot, pairs, cone):
 
 
 def _tiling_inputs(an):
-    """The chamber table, the realizers' matrices on a with their inverses',
-    and the compression cone, as little_weyl_group checks them."""
+    """The chamber table, the realizers' matrices on a and the compression
+    cone, as little_weyl_group checks them."""
     group = little_weyl_group(an)
-    table = {w.perm: w for _, w in weyl._normalizer(an)}
-    pairs = [
-        (w.matrix_on_a, table[inverse_perm(w.perm)].matrix_on_a) for w in group.realizers
-    ]
-    return group, order_regular_chambers(an.lie), pairs, compression_cone(an)
+    maps = [w.matrix_on_a for w in group.realizers]
+    return group, order_regular_chambers(an.lie), maps, compression_cone(an)
 
 
 def _riemannian_analysis(cartan_type):
@@ -415,20 +418,91 @@ def test_tiling_agrees_with_the_facet_arrangement_check(key, levi_pairs):
     """Old against new: the chamber-table check and the facet-arrangement
     check with its grid sample both accept the realizers, and both reject a
     duplicated and a dropped realizer."""
-    group, chambers, pairs, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
-    weyl._verify_tiling(chambers, [m for m, _ in pairs], cone)
-    _facet_arrangement_tiling(group.quotient, pairs, cone)
-    for message, mutated in [("share interior", pairs + pairs[-1:]), ("do not cover", pairs[:-1])]:
+    group, chambers, maps, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
+    weyl._verify_tiling(chambers, maps, cone)
+    _facet_arrangement_tiling(group.quotient, maps, cone)
+    for message, mutated in [("share interior", maps + maps[-1:]), ("do not cover", maps[:-1])]:
         with pytest.raises(ContractViolation, match=message):
-            weyl._verify_tiling(chambers, [m for m, _ in mutated], cone)
+            weyl._verify_tiling(chambers, mutated, cone)
         with pytest.raises(ContractViolation, match=message):
             _facet_arrangement_tiling(group.quotient, mutated, cone)
 
 
+def _hull_of_passing_chambers(an, h_z):
+    """The chamber sweep as it ran before it read the table's sign vectors,
+    kept as a reference: the cone that the closed chambers with a passing
+    limit generate."""
+    lie = an.lie
+    chars = lie.m_sign_characters("coroot")
+    targets = [an.h_empty.scale_coordinates(lie.sign_scaling(chi)) for chi in chars.elements]
+    limits, cells = chamber_limits(an, h_z)
+    table = order_regular_chambers(lie)
+    rays, lin = [], []
+    for ch, cell in zip(table.chambers, cells):
+        if limits[cell] in targets:
+            cone = chamber_cone(table, ch)
+            rays.extend(cone.rays)
+            lin.extend(cone.lineality.rows)
+    return Cone.from_rays(lie.dim_a, rays, Subspace.from_spanning(lie.dim_a, lin))
+
+
+_WITNESSES = [e.name for e in list_entries() if "non_adapted_witness" in e.expected]
+
+
+@pytest.mark.parametrize("key", _TILING_SPACES + [f"witness/{name}" for name in _WITNESSES])
+def test_chamber_sweep_equals_the_hull_of_the_passing_chambers(key, levi_pairs):
+    """Old against new: the cone read off the passing chambers' sign vectors
+    is the cone their closed chambers generate, at the base points and at
+    the catalog's non-adapted witness points."""
+    kind, name = key.split("/")
+    if kind == "witness":
+        an = _analysis(name)
+        wit = get_entry(name).expected["non_adapted_witness"]
+        h_z = translate(an.lie, an.h_z, [word_entry_from_json(w, "w") for w in wit["word"]]).h_z
+    else:
+        an = _tiling_space(key, levi_pairs)
+        h_z = an.h_z
+    got = compression_cone_of_point(an, h_z)
+    want = _hull_of_passing_chambers(an, h_z)
+    assert (got.inequalities, got.rays, got.lineality) == (
+        want.inequalities,
+        want.rays,
+        want.lineality,
+    )
+
+
+def test_chamber_sweep_rejects_passing_chambers_that_fill_no_convex_cone(monkeypatch):
+    """Two opposite chambers agree on no hyperplane, so the signs cut out all
+    of a, which holds more chambers than the two that pass."""
+    an = _analysis("A2_so3")
+    table = order_regular_chambers(an.lie)
+    first = table.chambers[0].signs
+    pair = (first, tuple(-s for s in first))
+
+    def two_opposite_chambers(analysis, e):
+        cells = tuple(0 if ch.signs in pair else 1 for ch in table.chambers)
+        return (analysis.h_empty, Subspace.from_spanning(analysis.lie.dim, [])), cells
+
+    monkeypatch.setattr(spherical, "chamber_limits", two_opposite_chambers)
+    with pytest.raises(ContractViolation, match="do not fill a convex cone"):
+        compression_cone_of_point(an, an.h_z)
+
+
+def test_chamber_sweep_with_no_passing_chamber_is_the_zero_cone(monkeypatch):
+    an = _analysis("A2_so3")
+    cells = (0,) * order_regular_chambers(an.lie).count
+
+    def no_passing_chamber(analysis, e):
+        return (Subspace.from_spanning(analysis.lie.dim, []),), cells
+
+    monkeypatch.setattr(spherical, "chamber_limits", no_passing_chamber)
+    cone = compression_cone_of_point(an, an.h_z)
+    assert cone.dim == 0 and cone.lineality.dim == 0
+
+
 @pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
 def test_tiling_rejects_an_overlap_and_a_gap(name):
-    _, chambers, pairs, cone = _tiling_inputs(_analysis(name))
-    maps = [m for m, _ in pairs]
+    _, chambers, maps, cone = _tiling_inputs(_analysis(name))
     weyl._verify_tiling(chambers, maps, cone)
     with pytest.raises(ContractViolation, match="share interior"):
         weyl._verify_tiling(chambers, maps + maps[-1:], cone)
@@ -440,7 +514,7 @@ def test_tiling_rejects_an_overlap_and_a_gap(name):
 def test_tiling_rejects_a_facet_outside_the_chamber_table(name):
     """A cone cut by a hyperplane that is no alpha - beta is no union of
     chambers, and the check says so before it counts any."""
-    _, chambers, pairs, cone = _tiling_inputs(_analysis(name))
+    _, chambers, maps, cone = _tiling_inputs(_analysis(name))
     d = cone.ambient_dim
     g = next(
         g
@@ -451,7 +525,7 @@ def test_tiling_rejects_a_facet_outside_the_chamber_table(name):
     )
     cut = cone.intersect(Cone.from_inequalities(d, [g]))
     with pytest.raises(ContractViolation, match="not an order-regular hyperplane"):
-        weyl._verify_tiling(chambers, [m for m, _ in pairs], cut)
+        weyl._verify_tiling(chambers, maps, cut)
 
 
 def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
