@@ -33,12 +33,16 @@ from .spherical import (
     BasePoint,
     ContractViolation,
     NotAdaptedError,
+    admissible_cells,
     analyze,
     boundary_degeneration,
+    cell_cap_dims,
+    chamber_limits,
     compression_cone,
     cone_faces,
     find_admissible,
     is_admissible,
+    order_regular_chambers,
 )
 from .verify import (
     CheckResult,
@@ -96,17 +100,18 @@ def build_report(
     """The full analysis pipeline as a JSON-ready report; the base point
     must be admissible, since the limit stage reads W from its chambers."""
     an = analyze(lie, bp.h_z)
-    admissible, chamber_rows = is_admissible(an)
+    chambers = _chambers_json(an)
+    admissible = is_admissible(an)
     if not admissible:
-        n_ok = sum(r.ok for r in chamber_rows)
+        n_ok = sum(c["ok"] for c in chambers)
         raise SpaceFileError(
-            f"the base point is not admissible ({n_ok}/{len(chamber_rows)} chambers "
+            f"the base point is not admissible ({n_ok}/{len(chambers)} chambers "
             "pass); `littleweyl admissible` searches its orbit for one that is"
         )
     cone = compression_cone(an)
     group = little_weyl_group(an)
     limits_report = weyl_from_limits(an, m_lattice)
-    agreement = limits_agree_with_walls(an, group, limits_report)
+    agreement = limits_agree_with_walls(group, limits_report)
     sr = spherical_roots(an, group)
 
     def root_coords(p: int) -> list[int]:
@@ -161,7 +166,7 @@ def build_report(
         },
         "admissibility": {
             "admissible": admissible,
-            "chambers": _chambers_json(chamber_rows),
+            "chambers": chambers,
         },
         "weyl": {
             "order": group.order,
@@ -196,15 +201,19 @@ def build_report(
     return report
 
 
-def _chambers_json(rows) -> list[dict]:
+def _chambers_json(an) -> list[dict]:
+    """One row per order-regular chamber, read off the chamber table and the
+    limit of the chamber's block cell."""
+    caps, ok = cell_cap_dims(an), admissible_cells(an)
+    _, cells = chamber_limits(an, an.h_z)
     return [
         {
-            "signs": list(r.signs),
-            "representative": vec_to_json(r.representative),
-            "dim_limit_cap_a": r.a_intersection_dim,
-            "ok": r.ok,
+            "signs": list(ch.signs),
+            "representative": vec_to_json(ch.representative),
+            "dim_limit_cap_a": caps[cell],
+            "ok": ok[cell],
         }
-        for r in rows
+        for ch, cell in zip(order_regular_chambers(an.lie).chambers, cells)
     ]
 
 
@@ -372,22 +381,22 @@ def cmd_admissible(args) -> int:
     lie, bp, _ = _load_space(args.space)
     an = analyze(lie, bp.h_z)
     res = find_admissible(an, max_iters=args.max_iters, seed=args.seed)
-    ok, rows = is_admissible(res.analysis)
+    chambers = _chambers_json(res.analysis)
     out = {
         "schema_version": SCHEMA_VERSION,
         "strategy": res.strategy,
         "attempts": res.attempts,
         "word": [word_entry_to_json(w) for w in res.point.word],
         "h_z": subspace_to_json(res.point.h_z),
-        "admissible": ok,
-        "chambers": _chambers_json(rows),
+        "admissible": is_admissible(res.analysis),
+        "chambers": chambers,
     }
     if args.json:
         sys.stdout.write(dumps_canonical(out))
     else:
         print(f"admissible point found via {res.strategy} ({res.attempts} attempts)")
         print(f"word: {out['word'] or '(base point itself)'}")
-        print(f"chambers: {sum(1 for r in rows if r.ok)}/{len(rows)} pass")
+        print(f"chambers: {sum(c['ok'] for c in chambers)}/{len(chambers)} pass")
     return 0
 
 

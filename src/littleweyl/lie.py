@@ -136,37 +136,26 @@ def root_pairing(a, d, r1: Sequence[int], r2: Sequence[int]) -> int:
 
 
 def positive_roots_of(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Positive roots in simple-root coordinates, by height then lexicographic."""
+    """Positive roots in simple-root coordinates, by height then lexicographic.
+
+    Every root is a W-image of a simple root (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.5), so the simple roots are closed under
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, with <beta, alpha_i^vee>
+    = beta(h_i), keeping the positive images: s_i maps the positive roots
+    other than alpha_i onto themselves, and a positive root of height above
+    one is s_i of a lower one for the first i with beta(h_i) > 0.
+    """
     n = len(a)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-
-    def pairing(beta, i):  # <beta, alpha_i^vee> = beta(h_i)
-        return sum(a[i][j] * beta[j] for j in range(n))
-
+    roots = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = list(roots)
     while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(n):
-                p = 0
-                cur = beta
-                while True:
-                    down = tuple(cur[j] - simple[i][j] for j in range(n))
-                    if down in roots or all(x == 0 for x in down):
-                        if all(x == 0 for x in down):
-                            break
-                        p += 1
-                        cur = down
-                    else:
-                        break
-                q = p - pairing(beta, i)
-                if q >= 1:
-                    up = tuple(beta[j] + simple[i][j] for j in range(n))
-                    if up not in roots:
-                        roots.add(up)
-                        new.append(up)
-        frontier = new
+        beta = frontier.pop()
+        for i in range(n):
+            c = sum(a[i][j] * beta[j] for j in range(n))
+            image = tuple(b - c if j == i else b for j, b in enumerate(beta))
+            if min(image) >= 0 and image not in roots:
+                roots.add(image)
+                frontier.append(image)
     # height first; ties broken so that earlier simple roots come first
     return sorted(roots, key=lambda r: (sum(r), tuple(-x for x in r)))
 

@@ -59,15 +59,24 @@ def frac_str(x: int | Fraction) -> str:
 
 def parse_frac(s, where: str = "") -> Fraction:
     """An int, or a "p/q" or decimal string.  Exponent forms such as "1e9"
-    are refused: Fraction would expand them to integers too long to print."""
+    are refused: Fraction would expand them to integers too long to print.
+    So is any number that frac_str cannot print back, such as a decimal with
+    more digits than Python's int-to-str limit (4300 by default)."""
+    x = None
     try:
         if type(s) is int:  # JSON true and false load as bool, not int
-            return Fraction(s)
-        if isinstance(s, str) and "e" not in s.lower():
-            return Fraction(s)
+            x = Fraction(s)
+        elif isinstance(s, str) and "e" not in s.lower():
+            x = Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
-    raise SpaceFileError(f"not a rational number at {where or 'input'}: {s!r}")
+    if x is None:
+        raise SpaceFileError(f"not a rational number at {where or 'input'}: {s!r}")
+    try:
+        frac_str(x)
+    except ValueError:
+        raise SpaceFileError(f"number too long to print at {where or 'input'}") from None
+    return x
 
 
 def vec_to_json(v: Sequence) -> list[str]:

@@ -138,13 +138,6 @@ class QData:
     a_perp_h: Subspace  # a cap h_z^perp, in a-coordinates
 
 
-@dataclass(frozen=True)
-class AdaptednessCheck:
-    adapted: bool
-    reason: str
-    q: QData | None
-
-
 def has_open_p_orbit(lie: LieAlgebraData, h_z: Subspace) -> bool:
     """p + h_z = g for the minimal parabolic p = a + n."""
     return h_z.add(lie.p_subspace()).dim == lie.dim
@@ -154,14 +147,18 @@ def g_subspace_to_a(lie: LieAlgebraData, s: Subspace) -> Subspace:
     return Subspace.from_spanning(lie.dim_a, [lie.g_vector_to_a(r) for r in s.rows])
 
 
-def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
-    """Recover (Sigma(Q), l_Q, n_Q, l_Q_nc) from a cap h_z^perp, or fail.
+def recover_q(lie: LieAlgebraData, h_z: Subspace) -> QData:
+    """Recover (Sigma(Q), l_Q, n_Q, l_Q_nc) from a cap h_z^perp at an adapted
+    point.
 
-    Succeeds when the open cone {X in a cap h_z^perp : alpha(X) > 0 for all
-    alpha in Sigma(Q)} is nonempty.
+    Raises NotAdaptedError naming the first condition that fails: an open
+    P-orbit, a regular element of a cap h_z^perp (the open cone {X in
+    a cap h_z^perp : alpha(X) > 0 for all alpha in Sigma(Q)} is nonempty),
+    and l_Q_nc contained in h_z.  Cross-checks two structural identities of
+    adapted points and raises ContractViolation if the datum fails them.
     """
     if not has_open_p_orbit(lie, h_z):
-        return None, "no open P-orbit"
+        raise NotAdaptedError("no open P-orbit")
     v_g = lie.a_subspace().intersect(lie.orthocomplement(h_z))
     v_a = g_subspace_to_a(lie, v_g)
     sigma0 = []
@@ -182,7 +179,7 @@ def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
     for p in sigma_q:
         f = lie.root_functional(lie.positive_roots[p])
         if all(dot(f, g) == 0 for g in gens):
-            return None, "no regular element in a cap h_z^perp"
+            raise NotAdaptedError("no regular element in a cap h_z^perp")
     idx_l = lie.a_indices()
     nc_rows = []
     basis = identity(lie.dim)
@@ -200,32 +197,25 @@ def recover_q(lie: LieAlgebraData, h_z: Subspace) -> tuple[QData | None, str]:
         nbar_q=Subspace.from_coordinates(lie.dim, [lie.f_index(p) for p in sigma_q]),
         a_perp_h=v_a,
     )
-    return q, ""
-
-
-def is_adapted(lie: LieAlgebraData, h_z: Subspace) -> AdaptednessCheck:
-    """Open P-orbit, regular element in a cap h_z^perp, and l_Q_nc in h_z.
-
-    Cross-checks two structural identities of adapted points and raises
-    ContractViolation if the recovered datum fails them.
-    """
-    q, reason = recover_q(lie, h_z)
-    if q is None:
-        return AdaptednessCheck(False, reason, None)
     if not h_z.contains(q.l_q_nc):
-        return AdaptednessCheck(
-            False, "noncompact Levi part not contained in the stabilizer", q
-        )
+        raise NotAdaptedError("noncompact Levi part not contained in the stabilizer")
     # q cap h_z = l_Q cap h_z
-    q_alg = q.l_q.add(q.n_q)
-    if q_alg.intersect(h_z) != q.l_q.intersect(h_z):
+    if q.l_q.add(q.n_q).intersect(h_z) != q.l_q.intersect(h_z):
         raise ContractViolation("q cap h_z differs from l_Q cap h_z at an adapted point")
     # dim h_z^perp = dim n_Q + dim l_Q - dim(l_Q cap h_z)
-    lhs = lie.dim - h_z.dim
-    rhs = q.n_q.dim + q.l_q.dim - q.l_q.intersect(h_z).dim
-    if lhs != rhs:
+    if lie.dim - h_z.dim != q.n_q.dim + q.l_q.dim - q.l_q.intersect(h_z).dim:
         raise ContractViolation("orthocomplement dimension identity fails")
-    return AdaptednessCheck(True, "", q)
+    return q
+
+
+def is_adapted(lie: LieAlgebraData, h_z: Subspace) -> bool:
+    """Open P-orbit, regular element in a cap h_z^perp, and l_Q_nc in h_z:
+    whether recover_q succeeds."""
+    try:
+        recover_q(lie, h_z)
+    except NotAdaptedError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +295,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     """Full analysis bundle at an adapted base point; raises NotAdaptedError."""
     if not lie.is_subalgebra(h_z):
         raise LieAlgebraError("h_z is not a subalgebra")
-    chk = is_adapted(lie, h_z)
-    if not chk.adapted:
-        raise NotAdaptedError(chk.reason)
-    q = chk.q
+    q = recover_q(lie, h_z)
     a_h = g_subspace_to_a(lie, lie.a_subspace().intersect(h_z))
     gram_a = tuple(tuple(lie.form_matrix[i][j] for j in range(lie.dim_a)) for i in range(lie.dim_a))
     a_circ = Subspace.kernel_of(lie.dim_a, [mat_vec(gram_a, row) for row in a_h.rows])
@@ -704,42 +691,30 @@ def centralizer_in_n_q(analysis: SphericalAnalysis) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChamberLimitRow:
-    signs: tuple[int, ...]
-    representative: Vec
-    limit: Subspace
-    a_intersection_dim: int
-    ok: bool
+def cell_cap_dims(analysis: SphericalAnalysis) -> tuple[int, ...]:
+    """dim(limit cap a) for the limit of h_z on each block cell of the
+    chamber table (chamber_limits), computed once per analysis."""
+
+    def caps() -> tuple[int, ...]:
+        a = analysis.lie.a_subspace()
+        return tuple(lim.intersect(a).dim for lim in chamber_limits(analysis, analysis.h_z)[0])
+
+    return analysis._stage("cell_cap_dims", caps)
 
 
-def is_admissible(analysis: SphericalAnalysis) -> tuple[bool, tuple[ChamberLimitRow, ...]]:
+def admissible_cells(analysis: SphericalAnalysis) -> tuple[bool, ...]:
+    """Whether the limit of each block cell meets a in exactly a_h."""
+    return tuple(cap == analysis.a_h.dim for cap in cell_cap_dims(analysis))
+
+
+def is_admissible(analysis: SphericalAnalysis) -> bool:
     """All order-regular limits meet a in exactly a_h.
 
-    Each order-regular chamber gets the limit of its block cell
-    (chamber_limits); the point is admissible iff every chamber passes the
-    dimension test dim(limit cap a) = dim a_h, which is also taken once per
-    cell.  The rows are the chamber -> limit table of the analysis, which
-    weyl_from_limits reads as well.
+    Limits are constant on the block cells of the chamber table, and every
+    cell holds a chamber, so the point is admissible iff every cell passes
+    the dimension test dim(limit cap a) = dim a_h (admissible_cells).
     """
-
-    def table() -> tuple[bool, tuple[ChamberLimitRow, ...]]:
-        lie = analysis.lie
-        limits, cells = chamber_limits(analysis, analysis.h_z)
-        caps = [lim.intersect(lie.a_subspace()).dim for lim in limits]
-        rows = tuple(
-            ChamberLimitRow(
-                ch.signs,
-                ch.representative,
-                limits[cell],
-                caps[cell],
-                caps[cell] == analysis.a_h.dim,
-            )
-            for ch, cell in zip(order_regular_chambers(lie).chambers, cells)
-        )
-        return all(r.ok for r in rows), rows
-
-    return analysis._stage("admissibility", table)
+    return all(admissible_cells(analysis))
 
 
 @dataclass(frozen=True)
@@ -855,7 +830,7 @@ def find_admissible(
     regular rational Y, then (for half-space cones) the explicit unipotent
     family with integer parameter t = 1 .. _MAX_T.
     """
-    if is_admissible(analysis)[0]:
+    if is_admissible(analysis):
         return AdmissibleSearchResult(BasePoint((), analysis.h_z), analysis, "self", 0)
     lie = analysis.lie
     rng = random.Random(seed)
@@ -869,7 +844,7 @@ def find_admissible(
             cand = analyze(lie, bp.h_z)
         except NotAdaptedError:
             continue
-        if is_admissible(cand)[0]:
+        if is_admissible(cand):
             return AdmissibleSearchResult(bp, cand, "phi-sample", attempt)
     if half_space_direction(analysis) is not None:
         for t in range(1, _MAX_T + 1):
@@ -879,7 +854,7 @@ def find_admissible(
                 cand = analyze(lie, bp.h_z)
             except NotAdaptedError:
                 continue
-            if is_admissible(cand)[0]:
+            if is_admissible(cand):
                 return AdmissibleSearchResult(bp, cand, f"unipotent-family t={t}", t)
     raise AdmissibleSearchError(
         "no admissible point found within the iteration budget; this "

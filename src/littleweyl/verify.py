@@ -302,7 +302,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
         # centralizer of l_Q cap h_z still preserve a cap h_z
         cw = tuple(Fraction(1 if i == 0 else 0) for i in range(lie.dim_a))
         bp = translate(lie, analysis.h_z, [WordEntry.torus(cw, Fraction(2, 3))])
-        if not is_adapted(lie, bp.h_z).adapted:
+        if not is_adapted(lie, bp.h_z):
             return _check("translate_suite", False, "torus translate not adapted")
         other = analyze(lie, bp.h_z)
         if other.a_h != analysis.a_h:
@@ -414,7 +414,7 @@ def weyl_invariants(
         report = weyl_from_limits(analysis, m_lattice)
         return _check(
             "limits_agree_with_walls",
-            limits_agree_with_walls(analysis, group, report),
+            limits_agree_with_walls(group, report),
             f"limit cosets {report.labels}",
         )
 
@@ -580,7 +580,7 @@ def check_claims(
     cone = compression_cone(an)
     group = little_weyl_group(an)
     sr = spherical_roots(an, group)
-    admissible, _ = is_admissible(an)
+    admissible = is_admissible(an)
     # the limit cosets are read from the chambers of an admissible point only
     report = weyl_from_limits(an, m_lattice) if admissible else None
 
@@ -641,11 +641,10 @@ def check_claims(
         wit = claims["non_adapted_witness"]
         word = [word_entry_from_json(w, "witness") for w in wit["word"]]
         bp2 = translate(lie, an.h_z, word)
-        chk2 = is_adapted(lie, bp2.h_z)
         out.append(
             _check(
                 f"{label}.witness_not_adapted",
-                not chk2.adapted,
+                not is_adapted(lie, bp2.h_z),
                 "witness point is unexpectedly adapted",
             )
         )

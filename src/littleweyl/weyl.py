@@ -88,6 +88,11 @@ class QuotientSpace:
         return tuple(zip(*cols)) if cols else ()
 
 
+def quotient_by_a_h(analysis: SphericalAnalysis) -> QuotientSpace:
+    """a / a_h, computed once per analysis."""
+    return analysis._stage("quotient", lambda: QuotientSpace.of(analysis.a_h))
+
+
 def induced_form(lie: LieAlgebraData, quot: QuotientSpace) -> Mat:
     """The form induced by B|_a on the quotient, via orthogonal representatives."""
     gram = tuple(
@@ -126,9 +131,7 @@ class WallGenerator:
     matrix_on_quotient: Mat
 
 
-def wall_reflection(
-    analysis: SphericalAnalysis, wall: Cone, quotient: QuotientSpace | None = None
-) -> WallGenerator:
+def wall_reflection(analysis: SphericalAnalysis, wall: Cone) -> WallGenerator:
     """The reflection generator attached to a wall of the compression cone.
 
     The wall's weight is the first indecomposable whose functional vanishes
@@ -137,7 +140,7 @@ def wall_reflection(
     vanishes, if it contains the wall, is the wall.
     """
     lie = analysis.lie
-    quotient = quotient or QuotientSpace.of(analysis.a_h)
+    quotient = quotient_by_a_h(analysis)
     span_rows = wall.span().rows
     for weight in analysis.indecomposables:
         if all(dot(weight.functional, row) == 0 for row in span_rows):
@@ -255,9 +258,9 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
 
 def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     lie = analysis.lie
-    quot = QuotientSpace.of(analysis.a_h)
+    quot = quotient_by_a_h(analysis)
     cone = compression_cone(analysis)
-    gens = [wall_reflection(analysis, w, quot) for w in cone.walls()]
+    gens = [wall_reflection(analysis, w) for w in cone.walls()]
 
     table = {w.perm: w for _, w in _normalizer(analysis)}
     realizer: dict[Mat, LimitCoset] = {}
@@ -381,7 +384,7 @@ def _weyl_normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, Limi
     levi = [u for u, _ in group_closure(gens, tuple(range(2 * lie.num_pos)))]
     at = {r: k for k, r in enumerate(lie.roots())}
     levi_roots = {at[r] for r in sigma0} | {at[tuple(-x for x in r)] for r in sigma0}
-    quot = QuotientSpace.of(analysis.a_h)
+    quot = quotient_by_a_h(analysis)
     out = []
     for w in weyl.values():
         if {w.perm[k] for k in levi_roots} != levi_roots:
@@ -470,7 +473,7 @@ def weyl_from_limits(
 
 
 def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylReport:
-    if not is_admissible(analysis)[0]:
+    if not is_admissible(analysis):
         raise ValueError("weyl_from_limits requires an admissible base point")
     coset_of: dict[str, LimitCoset] = {}
     for limit in chamber_limits(analysis, analysis.h_z)[0]:
@@ -484,11 +487,7 @@ def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylR
     return LimitWeylReport(tuple(coset_of.values()))
 
 
-def limits_agree_with_walls(
-    analysis: SphericalAnalysis,
-    group: LittleWeylGroup,
-    report: LimitWeylReport,
-) -> bool:
+def limits_agree_with_walls(group: LittleWeylGroup, report: LimitWeylReport) -> bool:
     """Main agreement: the limit cosets coincide with the wall-generated group."""
     return {c.matrix_on_quotient for c in report.cosets} == set(group.elements)
 
@@ -502,8 +501,6 @@ def limits_agree_with_walls(
 class SphericalRootData:
     lattice_basis: tuple[tuple[int, ...], ...]  # Z-basis of Lambda, simple-root coords
     roots: tuple[tuple[int, ...], ...]  # Sigma_Z in simple-root coordinates
-    coxeter_orders: tuple[tuple[int, ...], ...]
-    type_label: str
 
 
 def spherical_roots(
@@ -562,10 +559,7 @@ def spherical_roots(
     if {on_quotient.get(perm) for perm, _ in closure} != set(group.elements):
         raise ContractViolation("the reflections do not generate the group")
 
-    ordered = tuple(sorted(roots))
-    return SphericalRootData(
-        tuple(lam_basis), ordered, group.coxeter_orders, group.type_label
-    )
+    return SphericalRootData(tuple(lam_basis), tuple(sorted(roots)))
 
 
 # ---------------------------------------------------------------------------

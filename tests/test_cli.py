@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import littleweyl
-from littleweyl import serialize, verify
+from littleweyl import serialize, spherical, verify
 from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cli import main
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
@@ -157,12 +157,18 @@ def _write_space(path, data) -> None:
     [
         ("1e1000000", "not a rational number at subalgebra[0][1]: '1e1000000'"),
         (_BIG_INT, "Exceeds the limit (4300 digits) for integer string conversion"),
+        pytest.param(
+            "1" * 3000 + "." + "1" * 3000,
+            "number too long to print at subalgebra[0][1]",
+            id="<6000-digit decimal>",
+        ),
     ],
 )
 def test_oversized_numbers_end_in_an_error_line(value, message, tmp_path, capsys):
-    """An exponent string that Fraction would expand to a million digits, and
-    an integer literal that json cannot convert, are space-file errors: each
-    once ended in a ValueError traceback."""
+    """An exponent string that Fraction would expand to a million digits, an
+    integer literal that json cannot convert, and a decimal whose numerator
+    has 6000 digits are space-file errors: each once ended in a ValueError
+    traceback."""
     data = catalog_entry_to_space_json(get_entry("A1_so2"))
     data["subalgebra"][0][1] = value
     path = tmp_path / "big.json"
@@ -477,6 +483,33 @@ def _riemannian_space(cartan_type: str) -> dict:
     }
 
 
+def test_a3_chamber_rows_are_the_chamber_table_joined_with_the_cell_caps(tmp_path, capsys):
+    """analyze and admissible write one row per order-regular chamber: its
+    signs and representative, and the dimension of limit cap a of its block
+    cell, which passes when it equals dim a_h."""
+    space = _riemannian_space("A3")
+    lie, bp, _ = serialize.space_from_json(space)
+    an = spherical.analyze(lie, bp.h_z)
+    limits, cells = spherical.chamber_limits(an, an.h_z)
+    caps = [lim.intersect(lie.a_subspace()).dim for lim in limits]
+    want = [
+        {
+            "signs": list(ch.signs),
+            "representative": serialize.vec_to_json(ch.representative),
+            "dim_limit_cap_a": caps[cell],
+            "ok": caps[cell] == an.a_h.dim,
+        }
+        for ch, cell in zip(spherical.order_regular_chambers(lie).chambers, cells, strict=True)
+    ]
+    assert len(want) == 240 and all(row["ok"] for row in want)
+    path = tmp_path / "A3_so.json"
+    path.write_text(dumps_canonical(space))
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and json.loads(out)["admissibility"]["chambers"] == want
+    code, out, _ = run(capsys, "admissible", str(path), "--json")
+    assert code == 0 and json.loads(out)["chambers"] == want
+
+
 @pytest.mark.parametrize(
     "command,lie_algebra",
     [
@@ -531,8 +564,10 @@ def test_analyze_non_admissible_point_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(TRIPLE_SPACE))
     code, out, err = run(capsys, "analyze", str(path), "--json")
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "littleweyl admissible" in err
-    assert err.count("\n") == 1
+    assert err == (
+        "error: the base point is not admissible (24/48 chambers pass); "
+        "`littleweyl admissible` searches its orbit for one that is\n"
+    )
 
 
 def test_failed_admissible_search_exit_3(tmp_path, capsys):

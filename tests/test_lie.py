@@ -14,6 +14,7 @@ from littleweyl.lie import (
     _first_nonpositive_minor,
     build_from_cartan,
     cartan_matrix_of_type,
+    positive_roots_of,
     validate_cartan_matrix,
 )
 from littleweyl.linalg import (
@@ -631,3 +632,41 @@ def test_lie_invariants_report_each_flipped_constant_like_the_dense_definition(n
             got = lie_invariants(bad)[:4]
             assert not all(r.ok for r in got)
             assert got == _dense_lie_invariants(bad)
+
+
+def _root_string_positive_roots(a):
+    """The positive roots grown by root strings: beta + alpha_i is a root
+    exactly when q = p - <beta, alpha_i^vee> >= 1, where p counts the steps
+    down the alpha_i-string through beta."""
+    n = len(a)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(n):
+                p = 0
+                cur = beta
+                while True:
+                    down = tuple(cur[j] - simple[i][j] for j in range(n))
+                    if all(x == 0 for x in down) or down not in roots:
+                        break
+                    p += 1
+                    cur = down
+                if p - sum(a[i][j] * beta[j] for j in range(n)) >= 1:
+                    up = tuple(beta[j] + simple[i][j] for j in range(n))
+                    if up not in roots:
+                        roots.add(up)
+                        new.append(up)
+        frontier = new
+    return sorted(roots, key=lambda r: (sum(r), tuple(-x for x in r)))
+
+
+@pytest.mark.parametrize(
+    "name",
+    "A1 A2 A3 A4 A5 B2 B3 B4 C3 C4 D4 D5 E6 E7 E8 F4 G2 A1xA1 A1xB2".split(),
+)
+def test_positive_roots_as_the_weyl_orbit_equal_the_root_strings(name):
+    a = cartan_matrix_of_type(name)
+    assert positive_roots_of(a) == _root_string_positive_roots(a)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cones import Cone
 from littleweyl.lie import LieAlgebraError, build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import limit_subspace
@@ -13,6 +14,7 @@ from littleweyl.spherical import (
     WordEntry,
     analyze,
     boundary_degeneration,
+    chamber_limits,
     compression_cone,
     compression_cone_of_point,
     find_admissible,
@@ -23,10 +25,12 @@ from littleweyl.spherical import (
     is_admissible,
     monoid_contains,
     normalizer_in_a,
+    order_regular_chambers,
     phi,
     recover_q,
     translate,
 )
+from littleweyl.serialize import word_entry_from_json
 from littleweyl.verify import structural_invariants
 
 H, E, F = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -83,44 +87,65 @@ def test_open_orbit_examples(a1, sl2_subalgebras):
 
 
 def test_recover_q_nbar(a1, sl2_subalgebras):
-    q, reason = recover_q(a1, sl2_subalgebras["nbar"])
-    assert q is not None and reason == ""
+    q = recover_q(a1, sl2_subalgebras["nbar"])
     assert q.a_perp_h == Subspace.full(1)  # V = a since B(h, f) = 0
     assert q.sigma_q == (0,) and q.sigma0 == ()
     assert q.l_q == a1.a_subspace()
 
 
 def test_recover_q_failure_modes(a1, sl2_subalgebras):
-    q, reason = recover_q(a1, sl2_subalgebras["a"])
-    assert q is None and reason == "no open P-orbit"
+    with pytest.raises(NotAdaptedError, match="^no open P-orbit$"):
+        recover_q(a1, sl2_subalgebras["a"])
     # the translated point exp(e) . f-line: V = 0, so the recovered Levi is
     # all of g and adaptedness fails at the noncompact-part inclusion
     bp = translate(a1, sl2_subalgebras["nbar"], [WordEntry.exp(E)])
-    chk = is_adapted(a1, bp.h_z)
-    assert not chk.adapted
-    assert "noncompact" in chk.reason
+    with pytest.raises(
+        NotAdaptedError, match="^noncompact Levi part not contained in the stabilizer$"
+    ):
+        recover_q(a1, bp.h_z)
+
+
+def test_recover_q_without_a_regular_element(a2, so3_subalgebra):
+    # exp(e_{alpha1+alpha2}) . so(3) keeps an open P-orbit, but a root of
+    # Sigma(Q) vanishes on every X in a cap h_z^perp that is >= 0 on Sigma(Q)
+    e_top = identity(8)[a2.e_index(2)]
+    bp = translate(a2, so3_subalgebra, [WordEntry.exp(e_top)])
+    assert has_open_p_orbit(a2, bp.h_z)
+    with pytest.raises(NotAdaptedError, match=r"^no regular element in a cap h_z\^perp$") as err:
+        recover_q(a2, bp.h_z)
+    assert err.value.reason == "no regular element in a cap h_z^perp"
+    assert is_adapted(a2, bp.h_z) is False
 
 
 def test_recover_q_twisted_diagonal(a1xa1, twisted_diagonal):
-    q, reason = recover_q(a1xa1, twisted_diagonal)
-    assert q is not None
+    q = recover_q(a1xa1, twisted_diagonal)
     assert q.a_perp_h == span(2, (1, 1))  # B-orthogonality in the product
     assert q.sigma_q == (0, 1)
 
 
 def test_is_adapted_examples(a1, sl2_subalgebras):
-    assert is_adapted(a1, sl2_subalgebras["nbar"]).adapted
-    assert is_adapted(a1, sl2_subalgebras["so2"]).adapted
+    assert is_adapted(a1, sl2_subalgebras["nbar"]) is True
+    assert is_adapted(a1, sl2_subalgebras["so2"]) is True
     bp = translate(a1, sl2_subalgebras["nbar"], [WordEntry.exp(E)])
-    assert not is_adapted(a1, bp.h_z).adapted
+    assert is_adapted(a1, bp.h_z) is False
+
+
+@pytest.mark.parametrize("name", [e.name for e in list_entries()])
+def test_is_adapted_answers_with_a_bool_on_the_catalog(name):
+    entry = get_entry(name)
+    lie, bp = entry.lie(), entry.base_point()
+    assert is_adapted(lie, bp.h_z) is True
+    witness = entry.expected.get("non_adapted_witness")
+    if witness:
+        word = [word_entry_from_json(w, "witness") for w in witness["word"]]
+        assert is_adapted(lie, translate(lie, bp.h_z, word).h_z) is False
 
 
 def test_degenerate_whole_algebra_is_adapted(a1):
     an = analyze(a1, Subspace.full(3))
     assert an.s_z == ()
     assert compression_cone(an) == Cone.full_space(1)
-    ok, _ = is_admissible(an)
-    assert ok
+    assert is_admissible(an)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +384,19 @@ def test_degeneration_rejects_non_face(a1, sl2_subalgebras):
 
 def test_admissible_nbar(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["nbar"])
-    ok, rows = is_admissible(an)
-    assert ok and len(rows) == 2
-    for r in rows:
-        assert r.limit == sl2_subalgebras["nbar"]  # eigenline is flow-fixed
+    assert is_admissible(an)
+    limits, cells = chamber_limits(an, an.h_z)
+    assert len(cells) == 2
+    for cell in cells:
+        assert limits[cell] == sl2_subalgebras["nbar"]  # eigenline is flow-fixed
 
 
 def test_admissible_so2_limits(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["so2"])
-    ok, rows = is_admissible(an)
-    assert ok
-    limits = {r.signs: r.limit for r in rows}
+    assert is_admissible(an)
+    cell_limits, cells = chamber_limits(an, an.h_z)
+    chambers = order_regular_chambers(a1).chambers
+    limits = {ch.signs: cell_limits[cell] for ch, cell in zip(chambers, cells)}
     assert limits[(1,)] == span(3, E)
     assert limits[(-1,)] == span(3, F)
 
@@ -394,7 +421,7 @@ def test_half_space_family_on_group_case(a1xa1, twisted_diagonal):
     for t in range(1, 9):
         n = half_space_candidate(an, t)
         bp = translate(a1xa1, twisted_diagonal, [WordEntry.exp(n)])
-        ok, _ = is_admissible(analyze(a1xa1, bp.h_z))
+        ok = is_admissible(analyze(a1xa1, bp.h_z))
         if ok:
             break
     assert ok and t == 1

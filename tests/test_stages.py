@@ -81,8 +81,7 @@ def test_compression_cone_is_computed_once(a2, so3_subalgebra):
 
 def test_weyl_from_limits_reads_the_chamber_table(monkeypatch, a2, so3_subalgebra):
     an = analyze(a2, so3_subalgebra)
-    ok, rows = is_admissible(an)
-    assert ok and rows
+    assert is_admissible(an) and spherical.chamber_limits(an, an.h_z)[1]
     calls = _record_limit_calls(monkeypatch)
     report = weyl_from_limits(an)
     assert calls == []
@@ -118,8 +117,7 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
     calls = _record_limit_calls(monkeypatch)
     chambers = spherical.order_regular_chambers(lie)
     assert chambers.count == 240
-    ok, rows = is_admissible(an)
-    assert ok and len(rows) == 240
+    assert is_admissible(an) and len(spherical.chamber_limits(an, an.h_z)[1]) == 240
     # one double description per chamber of the seed's Weyl chamber; the
     # W-images read signs and representatives without building a cone
     assert len(dd_calls) <= 10
@@ -368,8 +366,8 @@ def test_a3_cones_and_chambers_store_ints(monkeypatch):
     monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
     an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
     table = spherical.order_regular_chambers(an.lie)
-    admissible, rows = is_admissible(an)
-    assert admissible and len(rows) == table.count == 240
+    assert is_admissible(an)
+    assert len(spherical.chamber_limits(an, an.h_z)[1]) == table.count == 240
     assert little_weyl_group(an).order == 24
     cone = compression_cone(an)
     cone_list = [cone, *cone.walls(), *(chamber_cone(table, ch) for ch in table.chambers)]

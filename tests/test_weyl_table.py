@@ -288,7 +288,7 @@ def test_analysis_data_matches_the_reference_on_the_catalog(name):
 def test_levi_pairs_match_the_reference(levi_pairs, name, levi_order):
     lie, h = levi_pairs[name]
     an = analyze(lie, h)
-    assert is_admissible(an)[0]
+    assert is_admissible(an)
     ref = _check_analysis_data(an)
     assert len(ref.levi) == levi_order
     results = verify_space(lie, an, seed=1)
