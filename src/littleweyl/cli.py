@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import catalog as catalog_mod
-from .cones import Cone
 from .lie import LieAlgebraData, LieAlgebraError
 from .limits import limit_subspace
 from .linalg import Subspace
@@ -111,8 +110,8 @@ def build_report(
     cone = compression_cone(an)
     group = little_weyl_group(an)
     limits_report = weyl_from_limits(an, m_lattice)
-    agreement = limits_agree_with_walls(group, limits_report)
-    sr = spherical_roots(an, group)
+    agreement = limits_agree_with_walls(an, m_lattice)
+    sr = spherical_roots(an)
 
     def root_coords(p: int) -> list[int]:
         return list(lie.positive_roots[p])
@@ -161,7 +160,7 @@ def build_report(
             **cone_to_json(cone),
             "edge": subspace_to_json(cone.edge()),
             "edge_dim": cone.edge().dim,
-            "is_all_of_a": cone == Cone.full_space(lie.dim_a),
+            "is_all_of_a": cone.lineality.dim == lie.dim_a,
             "walls": [cone_to_json(g.wall) for g in group.generators],
         },
         "admissibility": {

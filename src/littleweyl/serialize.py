@@ -22,6 +22,8 @@ description schema, version 1:
 from __future__ import annotations
 
 import json
+import re
+import reprlib
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,25 +59,38 @@ def frac_str(x: int | Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s, where: str = "") -> Fraction:
-    """An int, or a "p/q" or decimal string.  Exponent forms such as "1e9"
-    are refused: Fraction would expand them to integers too long to print.
-    So is any number that frac_str cannot print back, such as a decimal with
-    more digits than Python's int-to-str limit (4300 by default)."""
-    x = None
+def _fraction(s) -> Fraction | None:
+    """Fraction(s) for an int or a "p/q" or decimal string, else None.
+    Exponent forms such as "1e9" are refused: Fraction would expand them to
+    integers too long to print.  JSON true and false load as bool, not int."""
     try:
-        if type(s) is int:  # JSON true and false load as bool, not int
-            x = Fraction(s)
-        elif isinstance(s, str) and "e" not in s.lower():
-            x = Fraction(s)
+        if type(s) is int or isinstance(s, str) and "e" not in s.lower():
+            return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
+    return None
+
+
+def parse_frac(s, where: str = "") -> Fraction:
+    """An int, or a "p/q" or decimal string (_fraction).
+
+    A number that frac_str cannot print back, with more digits than Python's
+    int-to-str limit (4300 by default), is refused as too long to print.  So
+    is a string that Fraction refuses only for its length: one it reads once
+    each run of digits is cut to one digit, 0 for a zero run and 1 otherwise.
+    Any other value is echoed through reprlib, which cuts a long repr."""
+    at = where or "input"
+    x = _fraction(s)
+    if x is None and isinstance(s, str):
+        short = re.sub(r"\d+", lambda run: "1" if run.group().strip("0") else "0", s)
+        if _fraction(short) is not None:
+            raise SpaceFileError(f"number too long to print at {at}")
     if x is None:
-        raise SpaceFileError(f"not a rational number at {where or 'input'}: {s!r}")
+        raise SpaceFileError(f"not a rational number at {at}: {reprlib.repr(s)}")
     try:
         frac_str(x)
     except ValueError:
-        raise SpaceFileError(f"number too long to print at {where or 'input'}") from None
+        raise SpaceFileError(f"number too long to print at {at}") from None
     return x
 
 

@@ -5,10 +5,16 @@ the parabolic datum attached to the base point, the graph description of h_z
 through the map T, the weight set S_z cutting out the compression cone, the
 horospherical degeneration h_empty, the boundary degenerations along faces of
 the cone, and the admissibility test through limit subalgebras.
+
+analyze returns a SphericalAnalysis, which extends the parabolic datum QData;
+every result derived from it is a function decorated with stage, stored on
+the analysis on first use.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,16 +239,12 @@ class SWeight:
 
 
 @dataclass(frozen=True)
-class SphericalAnalysis:
+class SphericalAnalysis(QData):
+    """The parabolic datum of an adapted base point with the data analyze
+    reads off it; the derived stages are stored on it (stage)."""
+
     lie: LieAlgebraData
     h_z: Subspace
-    sigma0: tuple[int, ...]
-    sigma_q: tuple[int, ...]
-    l_q: Subspace
-    l_q_nc: Subspace
-    n_q: Subspace
-    nbar_q: Subspace
-    a_perp_h: Subspace  # a cap h_z^perp (a-coordinates)
     a_h: Subspace  # a cap h_z (a-coordinates)
     a_circ: Subspace  # a cap a_h^perp (a-coordinates)
     l_cap_h: Subspace
@@ -254,15 +256,6 @@ class SphericalAnalysis:
     h_empty: Subspace
     # derived stages (cone, faces, chamber limits, groups), filled on first use
     _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _stage(self, key, compute: Callable[[], _T]) -> _T:
-        """The stage stored under ``key``, computed by ``compute()`` on first use.
-
-        Every consumer of the analysis shares the one stored result.
-        """
-        if key not in self._stages:
-            self._stages[key] = compute()
-        return self._stages[key]
 
     def support_of(self, p: int) -> tuple:
         for q, tags in self.supports:
@@ -289,6 +282,36 @@ class SphericalAnalysis:
             if dot(self.lie.root_functional(self.lie.positive_roots[p]), x_a) == 0:
                 return False
         return True
+
+
+def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
+    """A derived stage of the analysis: ``compute(analysis, *args)``, stored
+    on the analysis on first use and shared by every later call.
+
+    The key is ``compute`` with its arguments bound and defaults applied, so
+    a call that spells out a default shares the entry of one that omits it.
+    Nothing is stored when ``compute`` raises.
+    """
+    signature = inspect.signature(compute)
+    # each argument's default, Parameter.empty for the leading required ones
+    defaults = tuple(p.default for p in signature.parameters.values())[1:]
+    required = defaults.count(inspect.Parameter.empty)
+
+    @functools.wraps(compute)
+    def cached(analysis: SphericalAnalysis, *args, **kwargs) -> _T:
+        if not kwargs and required <= len(args) <= len(defaults):
+            args += defaults[len(args) :]
+        else:
+            bound = signature.bind(analysis, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (compute, *args)
+        stages = analysis._stages
+        if key not in stages:
+            stages[key] = compute(analysis, *args)
+        return stages[key]
+
+    return cached
 
 
 def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
@@ -374,17 +397,10 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     if not lie.is_subalgebra(h_empty):
         raise ContractViolation("horospherical degeneration is not a subalgebra")
 
-    indec = _indecomposables(s_z)
     return SphericalAnalysis(
+        **vars(q),
         lie=lie,
         h_z=h_z,
-        sigma0=q.sigma0,
-        sigma_q=q.sigma_q,
-        l_q=q.l_q,
-        l_q_nc=q.l_q_nc,
-        n_q=q.n_q,
-        nbar_q=q.nbar_q,
-        a_perp_h=q.a_perp_h,
         a_h=a_h,
         a_circ=a_circ,
         l_cap_h=l_cap_h,
@@ -392,7 +408,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         tperp_map=tuple(tperp_map),
         supports=tuple(supports),
         s_z=s_z,
-        indecomposables=indec,
+        indecomposables=_indecomposables(s_z),
         h_empty=h_empty,
     )
 
@@ -447,19 +463,16 @@ def _indecomposables(s_z: Sequence[SWeight]) -> tuple[SWeight, ...]:
 # ---------------------------------------------------------------------------
 
 
+@stage
 def compression_cone(analysis: SphericalAnalysis) -> Cone:
     """Closure of {X in a : gamma(X) < 0 for all gamma in S_z}."""
-    return analysis._stage(
-        "cone",
-        lambda: Cone.from_inequalities(
-            analysis.lie.dim_a, [s.functional for s in analysis.s_z]
-        ),
-    )
+    return Cone.from_inequalities(analysis.lie.dim_a, [s.functional for s in analysis.s_z])
 
 
+@stage
 def cone_faces(analysis: SphericalAnalysis) -> list[Cone]:
-    """The faces of the compression cone, computed once per analysis."""
-    return analysis._stage("faces", compression_cone(analysis).faces)
+    """The faces of the compression cone."""
+    return compression_cone(analysis).faces()
 
 
 _CHAMBER_CACHE: dict[tuple, ChamberSet] = {}
@@ -491,23 +504,17 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
     return _CHAMBER_CACHE[key]
 
 
+@stage
 def chamber_limits(
     analysis: SphericalAnalysis, e: Subspace
 ) -> tuple[tuple[Subspace, ...], tuple[int, ...]]:
     """The limits of e on the order-regular chambers, one per block cell
-    (limits.chamber_cell_limits), computed once per analysis and subspace."""
+    (limits.chamber_cell_limits)."""
     lie = analysis.lie
-    return analysis._stage(
-        ("chamber_limits", e),
-        lambda: chamber_cell_limits(lie, e, order_regular_chambers(lie)),
-    )
+    return chamber_cell_limits(lie, e, order_regular_chambers(lie))
 
 
-def compression_cone_of_point(
-    analysis: SphericalAnalysis,
-    h_z: Subspace,
-    m_lattice: str = "coroot",
-) -> Cone:
+def compression_cone_of_point(analysis: SphericalAnalysis, h_z: Subspace) -> Cone:
     """Compression cone of an arbitrary open-orbit point, by chamber sweep.
 
     The reference horospherical algebra is the one attached to the adapted
@@ -517,12 +524,13 @@ def compression_cone_of_point(
     has the same sign.  ContractViolation unless the table chambers with
     those signs are exactly the passing ones, that is unless the passing
     chambers fill a convex cone.  With no passing chamber it is the zero
-    cone.
+    cone.  A limit passes when it is a sign-character twist of h_empty, in
+    the model of the coroot lattice.
     """
     lie = analysis.lie
     if not has_open_p_orbit(lie, h_z):
         raise NotAdaptedError("no open P-orbit")
-    chars = lie.m_sign_characters(m_lattice)
+    chars = lie.m_sign_characters("coroot")
     targets = [
         analysis.h_empty.scale_coordinates(lie.sign_scaling(chi)) for chi in chars.elements
     ]
@@ -592,25 +600,9 @@ class DegenerationData:
     h_zf: Subspace
 
 
+@stage
 def boundary_degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
-    """Common limit of h_z along the relative interior of a face of the cone,
-    computed once per face and analysis."""
-    return analysis._stage(
-        ("boundary_degeneration", face), lambda: _degeneration(analysis, face)
-    )
-
-
-def degeneration_analysis(analysis: SphericalAnalysis, face: Cone) -> SphericalAnalysis:
-    """The analysis of the boundary degeneration along a face, computed once
-    per face; raises NotAdaptedError, and stores nothing, when the
-    degeneration is not adapted."""
-    return analysis._stage(
-        ("degeneration_analysis", face),
-        lambda: analyze(analysis.lie, boundary_degeneration(analysis, face).h_zf),
-    )
-
-
-def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
+    """Common limit of h_z along the relative interior of a face of the cone."""
     lie = analysis.lie
     if face not in cone_faces(analysis):
         raise ValueError("not a face of the compression cone")
@@ -644,6 +636,13 @@ def _degeneration(analysis: SphericalAnalysis, face: Cone) -> DegenerationData:
     if g_subspace_to_a(lie, lie.a_subspace().intersect(h_zf)) != analysis.a_h:
         raise ContractViolation("boundary degeneration meets a incorrectly")
     return DegenerationData(face, tuple(gens), h_zf)
+
+
+@stage
+def degeneration_analysis(analysis: SphericalAnalysis, face: Cone) -> SphericalAnalysis:
+    """The analysis of the boundary degeneration along a face; raises
+    NotAdaptedError when the degeneration is not adapted."""
+    return analyze(analysis.lie, boundary_degeneration(analysis, face).h_zf)
 
 
 def normalizer_in_a(lie: LieAlgebraData, e: Subspace) -> Subspace:
@@ -691,15 +690,12 @@ def centralizer_in_n_q(analysis: SphericalAnalysis) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
+@stage
 def cell_cap_dims(analysis: SphericalAnalysis) -> tuple[int, ...]:
     """dim(limit cap a) for the limit of h_z on each block cell of the
-    chamber table (chamber_limits), computed once per analysis."""
-
-    def caps() -> tuple[int, ...]:
-        a = analysis.lie.a_subspace()
-        return tuple(lim.intersect(a).dim for lim in chamber_limits(analysis, analysis.h_z)[0])
-
-    return analysis._stage("cell_cap_dims", caps)
+    chamber table (chamber_limits)."""
+    a = analysis.lie.a_subspace()
+    return tuple(lim.intersect(a).dim for lim in chamber_limits(analysis, analysis.h_z)[0])
 
 
 def admissible_cells(analysis: SphericalAnalysis) -> tuple[bool, ...]:

@@ -39,7 +39,6 @@ from .spherical import (
     translate,
 )
 from .weyl import (
-    LittleWeylGroup,
     limits_agree_with_walls,
     little_weyl_group,
     spherical_roots,
@@ -368,20 +367,15 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     return out
 
 
-def weyl_invariants(
-    analysis: SphericalAnalysis, m_lattice: str = "coroot"
-) -> tuple[list[CheckResult], LittleWeylGroup | None]:
-    out = []
-    group = None
-
+def weyl_invariants(analysis: SphericalAnalysis, m_lattice: str = "coroot") -> list[CheckResult]:
     def build() -> CheckResult:
-        nonlocal group
-        group = little_weyl_group(analysis)  # runs tiling + isometry verification
+        little_weyl_group(analysis)  # runs tiling + isometry verification
         return _check("wall_group_closure_and_tiling", True)
 
-    out.append(_guarded("wall_group_closure_and_tiling", build))
-    if group is None:
-        return out, None
+    out = [_guarded("wall_group_closure_and_tiling", build)]
+    if not out[0].ok:
+        return out
+    group = little_weyl_group(analysis)
 
     orders_ok = all(
         m in (1, 2, 3, 4, 6) for row in group.coxeter_orders for m in row
@@ -414,19 +408,19 @@ def weyl_invariants(
         report = weyl_from_limits(analysis, m_lattice)
         return _check(
             "limits_agree_with_walls",
-            limits_agree_with_walls(group, report),
+            limits_agree_with_walls(analysis, m_lattice),
             f"limit cosets {report.labels}",
         )
 
     out.append(_guarded("limits_agree_with_walls", agreement))
 
     def roots() -> CheckResult:
-        sr = spherical_roots(analysis, group)  # verifies lattice preservation
+        sr = spherical_roots(analysis)  # verifies lattice preservation
         sym = all(tuple(-x for x in r) in sr.roots for r in sr.roots)
         return _check("spherical_root_symmetry", sym, f"roots {sr.roots}")
 
     out.append(_guarded("spherical_root_symmetry", roots))
-    return out, group
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +573,7 @@ def check_claims(
     lie = an.lie
     cone = compression_cone(an)
     group = little_weyl_group(an)
-    sr = spherical_roots(an, group)
+    sr = spherical_roots(an)
     admissible = is_admissible(an)
     # the limit cosets are read from the chambers of an admissible point only
     report = weyl_from_limits(an, m_lattice) if admissible else None
@@ -718,8 +712,7 @@ def verify_space(
         return out
     out.append(_check("adapted", True))
     out.extend(structural_invariants(an))
-    w_checks, _ = weyl_invariants(an, m_lattice)
-    out.extend(w_checks)
+    out.extend(weyl_invariants(an, m_lattice))
 
     def admissible_search() -> CheckResult:
         res = find_admissible(an, max_iters=10, seed=seed)

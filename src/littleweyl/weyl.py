@@ -7,7 +7,9 @@ whose coroot span meets a_h; both branches come with checkable witnesses.
 The same group is recovered independently by matching order-regular limit
 subalgebras against conjugates of the horospherical algebra, and the
 spherical root system is read off the elements that act on the lattice of
-spherical weights as reflections.
+spherical weights as reflections.  The quotient, the normalizer table, the
+group, the twisted conjugates, the limit cosets and the spherical roots are
+stages of the analysis (spherical.stage): each reads the stages it needs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .spherical import (
     compression_cone,
     is_admissible,
     order_regular_chambers,
+    stage,
 )
 
 
@@ -88,9 +91,10 @@ class QuotientSpace:
         return tuple(zip(*cols)) if cols else ()
 
 
+@stage
 def quotient_by_a_h(analysis: SphericalAnalysis) -> QuotientSpace:
-    """a / a_h, computed once per analysis."""
-    return analysis._stage("quotient", lambda: QuotientSpace.of(analysis.a_h))
+    """a / a_h."""
+    return QuotientSpace.of(analysis.a_h)
 
 
 def induced_form(lie: LieAlgebraData, quot: QuotientSpace) -> Mat:
@@ -239,6 +243,7 @@ class LittleWeylGroup:
 _ORDER_BOUND = 13
 
 
+@stage
 def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     """Closure of the wall reflections, with tiling verification.
 
@@ -251,12 +256,8 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     pointwise acting trivially there, and that the realizers' translates of
     the compression cone tile a/a_h with disjoint interiors; the tiling is
     read off the order-regular chamber table (_verify_tiling), which every
-    caller has built before.  Computed once per analysis.
+    caller has built before.
     """
-    return analysis._stage("little_weyl_group", lambda: _little_weyl_group(analysis))
-
-
-def _little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     lie = analysis.lie
     quot = quotient_by_a_h(analysis)
     cone = compression_cone(analysis)
@@ -368,15 +369,12 @@ class LimitCoset:
     perm: tuple[int, ...]  # the representative's permutation of lie.roots()
 
 
+@stage
 def _normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCoset], ...]:
     """The elements w of W(Sigma) that map a_h and +-Sigma_0 onto themselves,
-    in the order of lie.weyl_group, computed once per analysis.  Each comes
-    with its coset w W(Sigma_0) as a set of root permutations, and with the
-    LimitCoset it represents, labelled by the least word in the coset."""
-    return analysis._stage("weyl_normalizer", lambda: _weyl_normalizer(analysis))
-
-
-def _weyl_normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCoset], ...]:
+    in the order of lie.weyl_group.  Each comes with its coset w W(Sigma_0)
+    as a set of root permutations, and with the LimitCoset it represents,
+    labelled by the least word in the coset."""
     lie = analysis.lie
     weyl = lie.weyl_group
     sigma0 = [lie.positive_roots[p] for p in analysis.sigma0]
@@ -415,6 +413,7 @@ class LimitWeylReport:
         return tuple(sorted(c.label for c in self.cosets))
 
 
+@stage
 def _conjugate_table(
     analysis: SphericalAnalysis, m_lattice: str
 ) -> dict[Subspace, dict[frozenset, LimitCoset]]:
@@ -438,14 +437,12 @@ def limit_coset(
     analysis: SphericalAnalysis, limit: Subspace, m_lattice: str = "coroot"
 ) -> LimitCoset | None:
     """The coset w W(Sigma_0), with its label, whose twisted conjugates
-    chi . Ad(n_w) . h_empty include the limit; None when none does.  The
-    table of conjugates is built once per analysis and lattice.
+    chi . Ad(n_w) . h_empty include the limit (_conjugate_table); None when
+    none does.
 
     Raises ContractViolation when two cosets produce the limit.
     """
-    cosets = analysis._stage(
-        ("twisted_conjugates", m_lattice), lambda: _conjugate_table(analysis, m_lattice)
-    ).get(limit)
+    cosets = _conjugate_table(analysis, m_lattice).get(limit)
     if not cosets:
         return None
     if len(cosets) > 1:
@@ -456,6 +453,7 @@ def limit_coset(
     return next(iter(cosets.values()))
 
 
+@stage
 def weyl_from_limits(
     analysis: SphericalAnalysis, m_lattice: str = "coroot"
 ) -> LimitWeylReport:
@@ -464,15 +462,8 @@ def weyl_from_limits(
     The limit of each block cell of the chamber table (chamber_limits) is
     matched against sign-character twists of Weyl conjugates of the
     horospherical algebra, in cell order; every cell, and so every chamber,
-    must land in exactly one coset of the Levi Weyl group.  The report is
-    computed once per analysis and lattice.
+    must land in exactly one coset of the Levi Weyl group.
     """
-    return analysis._stage(
-        ("weyl_from_limits", m_lattice), lambda: _weyl_from_limits(analysis, m_lattice)
-    )
-
-
-def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylReport:
     if not is_admissible(analysis):
         raise ValueError("weyl_from_limits requires an admissible base point")
     coset_of: dict[str, LimitCoset] = {}
@@ -487,8 +478,11 @@ def _weyl_from_limits(analysis: SphericalAnalysis, m_lattice: str) -> LimitWeylR
     return LimitWeylReport(tuple(coset_of.values()))
 
 
-def limits_agree_with_walls(group: LittleWeylGroup, report: LimitWeylReport) -> bool:
-    """Main agreement: the limit cosets coincide with the wall-generated group."""
+def limits_agree_with_walls(analysis: SphericalAnalysis, m_lattice: str = "coroot") -> bool:
+    """Main agreement: the limit cosets (weyl_from_limits) coincide with the
+    wall-generated group (little_weyl_group)."""
+    report = weyl_from_limits(analysis, m_lattice)
+    group = little_weyl_group(analysis)
     return {c.matrix_on_quotient for c in report.cosets} == set(group.elements)
 
 
@@ -503,19 +497,20 @@ class SphericalRootData:
     roots: tuple[tuple[int, ...], ...]  # Sigma_Z in simple-root coordinates
 
 
-def spherical_roots(
-    analysis: SphericalAnalysis, group: LittleWeylGroup
-) -> SphericalRootData:
+@stage
+def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
     """Primitive lattice generators of the reflection hyperplane annihilators.
 
     Lambda is the intersection of the root lattice with the functionals
     vanishing on the edge a_E.  The center lies in a_E, so Lambda (x) Q is
     (a/a_E)*, and each element w acts on it by lambda -> w(lambda), read off
     its root permutation: w(alpha_i) is lie.roots()[w.perm[k_i]], where k_i
-    is the index of alpha_i.  Each element that is a reflection of Lambda
-    contributes the primitive pair of its -1 eigenspace.
+    is the index of alpha_i, over the elements of little_weyl_group.  Each
+    element that is a reflection of Lambda contributes the primitive pair of
+    its -1 eigenspace.
     """
     lie = analysis.lie
+    group = little_weyl_group(analysis)
     edge = compression_cone(analysis).edge()
     units = [tuple(int(j == i) for j in range(lie.rank)) for i in range(lie.rank)]
     simple = [lie.root_functional(u) for u in units]

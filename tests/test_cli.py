@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import littleweyl
-from littleweyl import serialize, spherical, verify
+from littleweyl import serialize, spherical, verify, weyl
 from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cli import main
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
@@ -162,13 +162,29 @@ def _write_space(path, data) -> None:
             "number too long to print at subalgebra[0][1]",
             id="<6000-digit decimal>",
         ),
+        pytest.param(
+            "1" * 5000,
+            "number too long to print at subalgebra[0][1]",
+            id="<5000-digit integer string>",
+        ),
+        pytest.param(
+            "1/" + "1" * 5000,
+            "number too long to print at subalgebra[0][1]",
+            id="<5000-digit denominator>",
+        ),
+        pytest.param(
+            "x" * 5000,
+            "not a rational number at subalgebra[0][1]: 'xxxxxxxx",
+            id="<5000-letter string>",
+        ),
     ],
 )
 def test_oversized_numbers_end_in_an_error_line(value, message, tmp_path, capsys):
     """An exponent string that Fraction would expand to a million digits, an
     integer literal that json cannot convert, and a decimal whose numerator
     has 6000 digits are space-file errors: each once ended in a ValueError
-    traceback."""
+    traceback.  A well-formed number too long to print is named as such, and
+    no error line echoes a long value whole."""
     data = catalog_entry_to_space_json(get_entry("A1_so2"))
     data["subalgebra"][0][1] = value
     path = tmp_path / "big.json"
@@ -176,6 +192,7 @@ def test_oversized_numbers_end_in_an_error_line(value, message, tmp_path, capsys
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and len(err.replace(str(path), "")) < 200
 
 
 def _json_paths(node, prefix=()):
@@ -380,7 +397,8 @@ def test_m_lattice_flag(capsys):
 
 def test_verify_passes_the_m_lattice_on(monkeypatch, capsys):
     """The lattice reaches the Weyl invariants and every limit-coset read,
-    the catalog claims' limit_coset_labels check included."""
+    the catalog claims' limit_coset_labels check and the agreement of the
+    limits with the walls included."""
     seen, limit_lattices = [], []
     original = verify.weyl_invariants
     original_limits = verify.weyl_from_limits
@@ -395,10 +413,11 @@ def test_verify_passes_the_m_lattice_on(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "weyl_invariants", recording)
     monkeypatch.setattr(verify, "weyl_from_limits", recording_limits)
+    monkeypatch.setattr(weyl, "weyl_from_limits", recording_limits)
     code, out, _ = run(capsys, "verify", "A1_so2", "--m-lattice", "coweight", "--json")
     assert code == 0 and json.loads(out)["failed"] == 0
     assert seen == ["coweight"]
-    assert limit_lattices == ["coweight", "coweight"]
+    assert limit_lattices == ["coweight"] * 3
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from littleweyl.weyl import (
     limits_agree_with_walls,
     little_weyl_group,
     spherical_roots,
-    weyl_from_limits,
 )
 
 
@@ -33,9 +32,8 @@ def test_b2_riemannian_full_weyl_group(b2):
     group = little_weyl_group(an)
     assert group.order == 8 and group.type_label == "B2"
     assert group.coxeter_orders == ((1, 4), (4, 1))
-    report = weyl_from_limits(an)
-    assert limits_agree_with_walls(group, report)
-    sr = spherical_roots(an, group)
+    assert limits_agree_with_walls(an)
+    sr = spherical_roots(an)
     assert set(sr.roots) == set(b2.roots())
     assert is_admissible(an)
     results = structural_invariants(an)
@@ -53,9 +51,8 @@ def test_center_threads_through_the_pipeline():
     assert cone.rays == ((-1, 0),)
     group = little_weyl_group(an)
     assert group.order == 2
-    report = weyl_from_limits(an)
-    assert limits_agree_with_walls(group, report)
-    sr = spherical_roots(an, group)
+    assert limits_agree_with_walls(an)
+    sr = spherical_roots(an)
     assert sr.roots == ((-1,), (1,))
     results = structural_invariants(an)
     assert all(r.ok for r in results), [r for r in results if not r.ok]

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from conftest import chamber_cone
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
@@ -159,7 +160,7 @@ def test_face_degenerations_are_analyzed_once(monkeypatch):
     monkeypatch.setattr(spherical, "analyze", recording)
     monkeypatch.setattr(verify, "analyze", recording)
     results = structural_invariants(an)
-    results += weyl_invariants(an)[0]
+    results += weyl_invariants(an)
     assert results and all(r.ok for r in results)
     per_face = Counter(h for h in calls if h in degenerations)
     assert sorted(per_face.values()) == [1] * len(faces)
@@ -208,19 +209,66 @@ def test_one_bracket_table_serves_construction_analysis_and_invariants(monkeypat
 
 
 def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):
+    """The normalizer table, whose rows are the only LimitCosets built, is
+    computed once and read by the group and by both lattices' limits."""
     an = analyze(a2, so3_subalgebra)
     calls = []
-    original = weyl._weyl_normalizer
+    original = weyl.LimitCoset
 
-    def recording(analysis):
-        calls.append(analysis)
-        return original(analysis)
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(weyl, "_weyl_normalizer", recording)
+    monkeypatch.setattr(weyl, "LimitCoset", recording)
     little_weyl_group(an)
     weyl_from_limits(an, "coroot")
     weyl_from_limits(an, "coweight")
-    assert calls == [an]
+    assert len(calls) == len(weyl._normalizer(an)) == 6
+
+
+def test_stages_are_keyed_by_their_bound_arguments(a2, so3_subalgebra):
+    """A call that spells out a default reads the entry of one that omits
+    it, and a stage read twice returns the one stored result."""
+    an = analyze(a2, so3_subalgebra)
+    assert weyl_from_limits(an) is weyl_from_limits(an, "coroot")
+    assert weyl_from_limits(an, m_lattice="coroot") is weyl_from_limits(an)
+    assert weyl.spherical_roots(an) is weyl.spherical_roots(an)
+
+
+def test_a_stage_that_raises_stores_nothing(a2, so3_subalgebra):
+    an = analyze(a2, so3_subalgebra)
+    calls = []
+
+    @spherical.stage
+    def flaky(analysis, k=1):
+        calls.append(k)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return [k]
+
+    with pytest.raises(ValueError, match="first call"):
+        flaky(an)
+    first = flaky(an)
+    assert first == [1] and calls == [1, 1]
+    assert flaky(an) is first and flaky(an, 1) is first and flaky(an, k=1) is first
+    assert flaky(an, 2) == [2] and calls == [1, 1, 2]
+
+
+def test_verify_reads_the_spherical_roots_once_per_analysis(monkeypatch, capsys):
+    """The claims check and the Weyl invariants of a verify run both read
+    the spherical roots of the one analysis of A2_so3; the degenerations'
+    analyses read none."""
+    built = []
+    original = weyl.SphericalRootData
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(weyl, "SphericalRootData", recording)
+    assert cli.main(["verify", "A2_so3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 0
+    assert len(built) == 1
 
 
 def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
@@ -272,7 +320,7 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     compression_cone(an).walls()
     calls = _record_linalg_calls(monkeypatch, "mat_inverse")
     group = little_weyl_group(an)
-    weyl.spherical_roots(an, group)
+    weyl.spherical_roots(an)
     assert group.order == 24
     assert calls == []
 
@@ -344,8 +392,8 @@ def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):
     monkeypatch.setattr(weyl, "solve", recording_solve)
     assert len([weyl.wall_reflection(an, wall) for wall in walls]) == 3
     assert dd_calls == []
-    group = little_weyl_group(an)
-    roots = weyl.spherical_roots(an, group)
+    little_weyl_group(an)
+    roots = weyl.spherical_roots(an)
     assert len(roots.roots) == 12
     assert len(solve_calls) <= 72
 
@@ -383,13 +431,13 @@ def test_structural_invariants_degenerate_each_face_once(monkeypatch):
     entry = get_entry("A2_so3")
     an = analyze(entry.lie(), entry.base_point().h_z)
     calls = []
-    original = spherical._degeneration
+    original = spherical.DegenerationData
 
-    def recording(analysis, face):
+    def recording(face, *args):
         calls.append(face)
-        return original(analysis, face)
+        return original(face, *args)
 
-    monkeypatch.setattr(spherical, "_degeneration", recording)
+    monkeypatch.setattr(spherical, "DegenerationData", recording)
     results = structural_invariants(an)
     assert results and all(r.ok for r in results)
     faces = compression_cone(an).faces()
