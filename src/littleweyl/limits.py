@@ -55,13 +55,18 @@ class GradedDirection:
         return len(self.eigenvalues)
 
 
+def _integral_multiple(x: Vec) -> tuple[int, list[int]]:
+    """(den, den * x) for the least positive den that makes den * x integral."""
+    den = math.lcm(*(c.denominator for c in x))
+    return den, [c.numerator * (den // c.denominator) for c in x]
+
+
 def graded_direction(lie: LieAlgebraData, x: Sequence) -> GradedDirection:
     x = vec(x)
     if len(x) != lie.dim_a:
         raise ValueError("direction must be an a-vector")
     # the integer weights paired with den * x, an integer vector
-    den = math.lcm(*(c.denominator for c in x))
-    x_int = [c.numerator * (den // c.denominator) for c in x]
+    den, x_int = _integral_multiple(x)
     buckets: dict[int, list[int]] = {}
     for k, w in enumerate(lie.weights):
         buckets.setdefault(dot(w, x_int), []).append(k)
@@ -154,9 +159,11 @@ def chamber_cell_limits(
 
 
 def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
-    """alpha(X) != beta(X) for all distinct roots alpha, beta."""
-    x = vec(x)
-    values = [dot(lie.root_functional(r), x) for r in lie.roots()]
+    """alpha(X) != beta(X) for all distinct roots alpha, beta.  The root
+    functionals are the weights of the root vectors, lie.weights[dim_a:],
+    paired here with the integral multiple den * X."""
+    _, x_int = _integral_multiple(vec(x))
+    values = [dot(w, x_int) for w in lie.weights[lie.dim_a :]]
     return len(set(values)) == len(values)
 
 
@@ -274,10 +281,11 @@ def float_flow_oracle(
     )
     top = distinct[-1]
     frame = _orthonormal_rows([[float(c) for c in row] for row in e.basis_matrix])
+    unit = [math.exp(lj - top) for lj in lam]
     t = 0.0
     while frame is not None and t < t_max:
         dt = min(1.0, t_max - t)
-        scale = [math.exp((lj - top) * dt) for lj in lam]
+        scale = unit if dt == 1.0 else [math.exp((lj - top) * dt) for lj in lam]
         frame = _orthonormal_rows([[c * s for c, s in zip(row, scale)] for row in frame])
         t += dt
     if frame is None:

@@ -7,6 +7,7 @@ with counterexample details for whatever failed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -440,14 +441,25 @@ def random_subspace(lie: LieAlgebraData, rng: random.Random, dim: int) -> Subspa
 
 
 def random_order_regular(lie: LieAlgebraData, rng: random.Random) -> tuple:
-    while True:
-        x = tuple(Fraction(rng.randint(-6, 6)) for _ in range(lie.dim_a))
+    """A random order-regular integer point of a.  The first 10 000 draws
+    are from [-6, 6]^dim_a; then the box doubles every 1 000 draws, since a
+    small box may hold no order-regular point at all (F4 has none in
+    [-6, 6]^4)."""
+    for n in itertools.count():
+        width = 6 if n < 10_000 else 12 << (n - 10_000) // 1_000
+        x = tuple(Fraction(rng.randint(-width, width)) for _ in range(lie.dim_a))
         if is_order_regular(lie, x):
             return x
 
 
 _FLOW_T_MAX = 40.0
 _FLOW_TOLERANCE = 1e-6
+
+
+# (id(lie), count, seed) -> (lie, results).  The entry holds the algebra so
+# that its id is not reused; it is keyed by identity, not equality, because
+# algebras that differ only in their structure constants compare equal.
+_ORACLE_CACHE: dict[tuple[int, int, int], tuple[LieAlgebraData, tuple[CheckResult, ...]]] = {}
 
 
 def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[CheckResult]:
@@ -459,7 +471,18 @@ def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[C
     Filtration-degenerate instances are points of discontinuity of the limit
     map; the oracle flags them and they are exempt from the float comparison
     but still subject to all exact identities.
+
+    The suite depends on the algebra, count and seed alone, so it runs once
+    per (algebra object, count, seed) in a process; every call returns a new
+    list of the same results.
     """
+    key = (id(lie), count, seed)
+    if key not in _ORACLE_CACHE:
+        _ORACLE_CACHE[key] = (lie, tuple(_oracle_suite(lie, count, seed)))
+    return list(_ORACLE_CACHE[key][1])
+
+
+def _oracle_suite(lie: LieAlgebraData, count: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     chambers = order_regular_chambers(lie)
     out = []

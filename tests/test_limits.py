@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import chamber_cone
 
+from littleweyl import limits
 from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
@@ -186,6 +188,69 @@ def test_conjugation_compatibility(a2):
     lhs = limit_subspace(a2, e.transform(a2.exp_ad(n)), x)
     rhs = limit_subspace(a2, e, x).transform(a2.exp_ad(n0))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "cartan_type, center",
+    [("A1", 0), ("A2", 0), ("B2", 0), ("G2", 0), ("A1xA1", 0), ("A2", 1)],
+)
+def test_is_order_regular_reads_the_root_functionals(cartan_type, center):
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), center)
+    rng = random.Random(3)
+    answers = set()
+    for _ in range(200):
+        x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(lie.dim_a))
+        values = [dot(lie.root_functional(r), x) for r in lie.roots()]
+        want = len(set(values)) == len(values)
+        assert is_order_regular(lie, x) is want
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_random_order_regular_finds_a_point_on_f4():
+    # no point of [-6, 6]^4 is order-regular for F4; the box grows after
+    # the first 10 000 draws
+    f4 = build_from_cartan(cartan_matrix_of_type("F4"))
+    x = random_order_regular(f4, random.Random(1))
+    assert is_order_regular(f4, x)
+    assert max(abs(c) for c in x) > 6
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2"])
+def test_random_order_regular_keeps_its_stream(cartan_type):
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type))
+    rng = random.Random(1)
+    draws = [random_order_regular(lie, rng) for _ in range(5)]
+    assert draws == [vec(x) for x in [(-4, 3), (-5, -2), (-5, 1), (6, 1), (1, 4)]]
+    assert rng.random() == 0.37961522332372777
+
+
+def test_float_flow_takes_a_fractional_last_step(a2):
+    """t_max = 2.5 flows two unit steps and one half step; the frame and the
+    distance are those of a loop that computes every step's scale."""
+    rng = random.Random(5)
+    e = random_subspace(a2, rng, 2)
+    x = random_order_regular(a2, rng)
+    got = float_flow_oracle(a2, e, x, t_max=2.5)
+    gd = graded_direction(a2, x)
+    lam = [0.0] * a2.dim
+    for value, idx in zip(gd.eigenvalues, gd.eigenspace_indices):
+        for k in idx:
+            lam[k] = float(value)
+    top = max(lam)
+    frame = limits._orthonormal_rows([[float(c) for c in row] for row in e.basis_matrix])
+    t = 0.0
+    while t < 2.5:
+        dt = min(1.0, 2.5 - t)
+        scale = [math.exp((lj - top) * dt) for lj in lam]
+        frame = limits._orthonormal_rows([[c * s for c, s in zip(row, scale)] for row in frame])
+        t += dt
+    exact = limit_subspace(a2, e, x)
+    target = limits._orthonormal_rows([[float(c) for c in row] for row in exact.basis_matrix])
+    distance = math.hypot(*(c for row in frame for c in limits._reject(row, target)))
+    assert got.frame == tuple(map(tuple, frame))
+    assert got.distance == distance
+    assert distance > 1e-6  # not yet converged, so the last step shows
 
 
 def test_order_regular_hyperplane_count(a2):

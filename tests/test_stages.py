@@ -271,6 +271,64 @@ def test_verify_reads_the_spherical_roots_once_per_analysis(monkeypatch, capsys)
     assert len(built) == 1
 
 
+def test_verify_all_runs_the_limit_oracle_once_per_algebra(monkeypatch, capsys):
+    """The six catalog entries live in three algebras (A1 three times,
+    A1xA1 once, A2 twice); the oracle suite runs once for each, and every
+    entry still reports its own limit checks."""
+    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    suites = []
+    flows = []
+    original_suite = verify._oracle_suite
+    original_flow = verify.float_flow_oracle
+
+    def recording_suite(lie, count, seed):
+        suites.append(lie)
+        return original_suite(lie, count, seed)
+
+    def recording_flow(lie, *args, **kwargs):
+        flows.append(lie)
+        return original_flow(lie, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_oracle_suite", recording_suite)
+    monkeypatch.setattr(verify, "float_flow_oracle", recording_flow)
+    assert cli.main(["verify", "--all", "--json", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed"] == 0
+    assert len(flows) == 77  # 153 with one suite per entry
+    assert sorted(Counter(map(id, suites)).values()) == [1, 1, 1]
+    limit_checks = Counter(
+        c["space"] for c in report["checks"] if c["name"].startswith("limit_")
+    )
+    assert sorted(limit_checks.values()) == [5] * 6
+
+
+def test_the_limit_oracle_is_keyed_by_the_algebra_object(monkeypatch, a1):
+    """An equal copy of an algebra may differ in its structure constants
+    (they are not compared), so it runs the suite again; and a caller that
+    changes its list does not change the cached results."""
+    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    runs = []
+    original = verify._oracle_suite
+
+    def recording(lie, count, seed):
+        runs.append(lie)
+        return original(lie, count, seed)
+
+    monkeypatch.setattr(verify, "_oracle_suite", recording)
+    first = verify.limit_oracle_suite(a1, 25, 1)
+    want = list(first)
+    first.clear()
+    assert verify.limit_oracle_suite(a1, 25, 1) == want
+    assert runs == [a1]
+    copy = dataclasses.replace(a1)
+    assert copy == a1 and copy is not a1
+    assert verify.limit_oracle_suite(copy, 25, 1) == want
+    assert [id(lie) for lie in runs] == [id(a1), id(copy)]
+    verify.limit_oracle_suite(a1, 25, 2)
+    verify.limit_oracle_suite(a1, 26, 1)
+    assert len(runs) == 4
+
+
 def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
     rng = random.Random(3)
