@@ -523,13 +523,6 @@ class LieAlgebraData:
             self.dim, [self.f_index(p) for p in range(self.num_pos)]
         )
 
-    def p_subspace(self) -> Subspace:
-        """Minimal parabolic subalgebra a + n (m = 0 for split forms)."""
-        return Subspace.from_coordinates(
-            self.dim,
-            self.a_indices() + [self.e_index(p) for p in range(self.num_pos)],
-        )
-
     def a_vector_to_g(self, x: Sequence) -> Vec:
         return tuple(x) + zero_vec(self.dim - self.dim_a)
 

@@ -14,6 +14,7 @@ that form, for callers that need exact rational coordinates.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -154,29 +155,52 @@ def _kernel_rows(echelon: IntEchelon, ncols: int) -> list[IntVec]:
 def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Vec | None:
     """One solution of M x = b for the matrix M with the given rows and ncols
     columns, or None if inconsistent; the free unknowns are 0."""
+    return solve_columns(rows, [rhs], ncols)[1][0]
+
+
+def solve_columns(
+    rows: Sequence[Sequence], columns: Sequence[Sequence], ncols: int
+) -> tuple[int, list[Vec | None]]:
+    """The rank of M and, for each right-hand side b in columns, what
+    ``solve`` answers for M x = b, from one elimination of M augmented with
+    every b.
+
+    The echelon rows with a pivot in M span the reduced echelon form of M,
+    and those with a pivot among the right-hand sides span the combinations
+    that vanish on M.  So M x = b is consistent when each of the latter is
+    zero in b's column, and then each of the former gives its pivot unknown
+    as its entry there over its pivot entry, with the free unknowns 0."""
     echelon = integer_echelon(
-        primitive_ints((*r, b)) for r, b in zip(rows, rhs, strict=True)
+        primitive_ints((*r, *b)) for r, *b in zip(rows, *columns, strict=True)
     )
-    x = [0] * ncols
-    for p, row in echelon:
-        if p == ncols:
-            return None
-        x[p] = Fraction(row[-1], row[p])
-    return tuple(x)
+    solutions: list[Vec | None] = []
+    for j in range(ncols, ncols + len(columns)):
+        if any(p >= ncols and row[j] for p, row in echelon):
+            solutions.append(None)
+            continue
+        x = [0] * ncols
+        for p, row in echelon:
+            if p < ncols:
+                x[p] = Fraction(row[j], row[p])
+        solutions.append(tuple(x))
+    return sum(p < ncols for p, _ in echelon), solutions
 
 
 def primitive_ints(v: Sequence) -> tuple[int, ...]:
     """The primitive integer vector on the ray of a rational vector, its
     entries int or Fraction; 0 stays 0.  Every row-reducing entry point of
     this module (rref, rank, kernel, solve, the Subspace constructors and
-    membership tests) reads its rows through here."""
-    if not all(type(x) is int for x in v):
+    membership tests) reads its rows through here.  An int vector costs one
+    gcd: math.gcd refuses any other entry."""
+    try:
+        g = gcd(*v)
+    except TypeError:
         try:
             l = lcm(*(x.denominator for x in v))
         except AttributeError:
             raise TypeError("vector entries must be int or Fraction") from None
         v = [x.numerator * (l // x.denominator) for x in v]
-    g = gcd(*v)
+        g = gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
@@ -237,25 +261,38 @@ def integer_reduce(v: Sequence[int], echelon: IntEchelon) -> tuple[int, ...]:
 def integer_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
     """Fraction-free reduced echelon form of an integer matrix.
 
-    Returns (pivot, row) pairs: each row is primitive, its first nonzero entry
-    is positive and sits at its pivot, and every other row is zero there.
-    Dividing each row by its pivot entry and sorting by pivot gives the
-    reduced row echelon form of ``rref``.
+    Returns (pivot, row) pairs, in the order the rows that raise the rank
+    arrive: each row is primitive, its first nonzero entry is positive and
+    sits at its pivot, and every other row is zero there.  Dividing each row
+    by its pivot entry and sorting by pivot gives the reduced row echelon
+    form of ``rref``.
+
+    One forward pass reduces each new row against the stored rows in pivot
+    order (``integer_reduce``), which clears it on their pivots since a row
+    is zero before its own pivot, and stores it primitive.  One
+    back-substitution, from the last pivot up, then clears each row on the
+    pivots after its own, and makes primitive the rows it changed.
     """
-    out: IntEchelon = []
+    stair: IntEchelon = []  # the stored rows, sorted by pivot
+    order = []
     for v in rows:
-        v = integer_reduce(v, out)
-        p = next((c for c, x in enumerate(v) if x), None)
-        if p is None:
+        v = integer_reduce(v, stair)
+        for p, x in enumerate(v):
+            if x:
+                break
+        else:
             continue
-        v = primitive_ints(v if v[p] > 0 else [-x for x in v])
-        d = v[p]
-        out = [
-            (q, primitive_ints([d * x - b[p] * y for x, y in zip(b, v)]) if b[p] else b)
-            for q, b in out
-        ]
-        out.append((p, v))
-    return out
+        insort(stair, (p, primitive_ints(v if x > 0 else [-y for y in v])))
+        order.append(p)
+    if len(stair) < 2:
+        return stair
+    for i in range(len(stair) - 2, -1, -1):
+        p, v = stair[i]
+        w = integer_reduce(v, stair[i + 1 :])
+        if w is not v:  # tuple() of an unchanged tuple is that tuple
+            stair[i] = (p, primitive_ints(w))
+    reduced = dict(stair)
+    return [(p, reduced[p]) for p in order]
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
@@ -349,32 +386,51 @@ class Subspace:
         """The reduced row echelon form: each row divided by its pivot entry."""
         return _rref_of_echelon(self._echelon)[0]
 
+    def _check_dim(self, other_dim: int, what: str) -> None:
+        if other_dim != self.ambient_dim:
+            raise ValueError(f"{what} of Q^{other_dim} against a subspace of Q^{self.ambient_dim}")
+
     def contains_vector(self, v: Sequence) -> bool:
+        self._check_dim(len(v), "vector")
         return not any(integer_reduce(primitive_ints(v), self._echelon))
 
     def contains(self, other: "Subspace") -> bool:
+        self._check_dim(other.ambient_dim, "subspace")
         return all(self.contains_vector(row) for row in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
+        self._check_dim(other.ambient_dim, "subspace")
         return Subspace.from_echelon(
             self.ambient_dim, integer_echelon(self.rows + other.rows)
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """U cap V via the kernel of the stacked coefficient system."""
+        """U cap V: the combinations sum c_i u_i of U's rows that every
+        annihilator row a of V kills, the kernel of the matrix (a . u_i).
+        The annihilator rows are read by their nonzeros, so a coordinate V
+        costs a read of U's rows in the coordinates it lacks."""
+        self._check_dim(other.ambient_dim, "subspace")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        k, l = self.dim, other.dim
-        # columns of M are the equations sum a_i u_i - sum b_j v_j = 0
-        eq_rows = [
-            tuple(u[c] for u in self.rows) + tuple(-v[c] for v in other.rows)
-            for c in range(self.ambient_dim)
+        eqs = [
+            tuple(sum(x * u[j] for j, x in a) for u in self.rows)
+            for a in other._annihilator_terms
         ]
         rows = [
             combination(coeffs, self.rows, self.ambient_dim)
-            for coeffs in _kernel_rows(integer_echelon(eq_rows), k + l)
+            for coeffs in _kernel_rows(integer_echelon(eqs), self.dim)
         ]
         return Subspace.from_spanning(self.ambient_dim, rows)
+
+    @cached_property
+    def _annihilator_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (column, entry) pairs of integer functionals spanning
+        the annihilator: one per non-pivot column, as ``_kernel_rows`` gives
+        them, so a coordinate subspace gives the other coordinates."""
+        return tuple(
+            tuple((j, x) for j, x in enumerate(a) if x)
+            for a in _kernel_rows(self._echelon, self.ambient_dim)
+        )
 
     def annihilator(self) -> tuple[IntVec, ...]:
         """Canonical basis of the functionals vanishing on the subspace: the

@@ -29,12 +29,12 @@ from .linalg import (
     combination,
     dot,
     identity,
+    integer_rank,
     kernel,
     mat_vec,
     primitive_ints,
     primitive_signed,
-    rank,
-    solve,
+    solve_columns,
     vec,
     vec_add,
     vec_scale,
@@ -142,11 +142,15 @@ class QData:
     n_q: Subspace
     nbar_q: Subspace
     a_perp_h: Subspace  # a cap h_z^perp, in a-coordinates
+    l_cap_h: Subspace  # l_Q cap h_z
 
 
 def has_open_p_orbit(lie: LieAlgebraData, h_z: Subspace) -> bool:
-    """p + h_z = g for the minimal parabolic p = a + n."""
-    return h_z.add(lie.p_subspace()).dim == lie.dim
+    """p + h_z = g for the minimal parabolic p = a + n.  The coordinates
+    outside p are the f's, the last num_pos, so that is h_z having rank
+    num_pos on the f-columns."""
+    f0 = lie.f_index(0)
+    return integer_rank(row[f0:] for row in h_z.rows) == lie.num_pos
 
 
 def g_subspace_to_a(lie: LieAlgebraData, s: Subspace) -> Subspace:
@@ -169,21 +173,21 @@ def recover_q(lie: LieAlgebraData, h_z: Subspace) -> QData:
     v_a = g_subspace_to_a(lie, v_g)
     sigma0 = []
     sigma_q = []
-    for p, root in enumerate(lie.positive_roots):
-        f = lie.root_functional(root)
+    for p in range(lie.num_pos):
+        f = lie.weights[lie.e_index(p)]
         if all(dot(f, row) == 0 for row in v_a.rows):
             sigma0.append(p)
         else:
             sigma_q.append(p)
     # strict positivity of Sigma(Q) on a cap h_z^perp, as a cone feasibility test
-    ineqs = [vec_scale(-1, lie.root_functional(lie.positive_roots[p])) for p in sigma_q]
+    ineqs = [vec_scale(-1, lie.weights[lie.e_index(p)]) for p in sigma_q]
     for g in v_a.annihilator():
         ineqs.append(g)
         ineqs.append(tuple(-x for x in g))
     feas = Cone.from_inequalities(lie.dim_a, ineqs)
     gens = list(feas.rays) + list(feas.lineality.rows)
     for p in sigma_q:
-        f = lie.root_functional(lie.positive_roots[p])
+        f = lie.weights[lie.e_index(p)]
         if all(dot(f, g) == 0 for g in gens):
             raise NotAdaptedError("no regular element in a cap h_z^perp")
     idx_l = lie.a_indices()
@@ -194,24 +198,28 @@ def recover_q(lie: LieAlgebraData, h_z: Subspace) -> QData:
         nc_rows.append(basis[lie.e_index(p)])
         nc_rows.append(basis[lie.f_index(p)])
         nc_rows.append(lie.a_vector_to_g(lie.coroot(lie.positive_roots[p])))
-    q = QData(
-        sigma0=tuple(sigma0),
-        sigma_q=tuple(sigma_q),
-        l_q=Subspace.from_coordinates(lie.dim, idx_l),
-        l_q_nc=Subspace.from_spanning(lie.dim, nc_rows),
-        n_q=Subspace.from_coordinates(lie.dim, [lie.e_index(p) for p in sigma_q]),
-        nbar_q=Subspace.from_coordinates(lie.dim, [lie.f_index(p) for p in sigma_q]),
-        a_perp_h=v_a,
-    )
-    if not h_z.contains(q.l_q_nc):
+    l_q_nc = Subspace.from_spanning(lie.dim, nc_rows)
+    if not h_z.contains(l_q_nc):
         raise NotAdaptedError("noncompact Levi part not contained in the stabilizer")
+    l_q = Subspace.from_coordinates(lie.dim, idx_l)
+    n_q = Subspace.from_coordinates(lie.dim, [lie.e_index(p) for p in sigma_q])
+    l_cap_h = l_q.intersect(h_z)
     # q cap h_z = l_Q cap h_z
-    if q.l_q.add(q.n_q).intersect(h_z) != q.l_q.intersect(h_z):
+    if l_q.add(n_q).intersect(h_z) != l_cap_h:
         raise ContractViolation("q cap h_z differs from l_Q cap h_z at an adapted point")
     # dim h_z^perp = dim n_Q + dim l_Q - dim(l_Q cap h_z)
-    if lie.dim - h_z.dim != q.n_q.dim + q.l_q.dim - q.l_q.intersect(h_z).dim:
+    if lie.dim - h_z.dim != n_q.dim + l_q.dim - l_cap_h.dim:
         raise ContractViolation("orthocomplement dimension identity fails")
-    return q
+    return QData(
+        sigma0=tuple(sigma0),
+        sigma_q=tuple(sigma_q),
+        l_q=l_q,
+        l_q_nc=l_q_nc,
+        n_q=n_q,
+        nbar_q=Subspace.from_coordinates(lie.dim, [lie.f_index(p) for p in sigma_q]),
+        a_perp_h=v_a,
+        l_cap_h=l_cap_h,
+    )
 
 
 def is_adapted(lie: LieAlgebraData, h_z: Subspace) -> bool:
@@ -247,9 +255,8 @@ class SphericalAnalysis(QData):
     h_z: Subspace
     a_h: Subspace  # a cap h_z (a-coordinates)
     a_circ: Subspace  # a cap a_h^perp (a-coordinates)
-    l_cap_h: Subspace
     t_map: tuple[tuple[int, Vec], ...]  # (positive-root index, T(f_root)) pairs
-    tperp_map: tuple[Vec, ...]  # images of the a_circ basis rows
+    tperp_map: tuple[Vec, ...]  # images of the integer rows of a_circ
     supports: tuple[tuple[int, tuple], ...]
     s_z: tuple[SWeight, ...]
     indecomposables: tuple[SWeight, ...]
@@ -264,14 +271,13 @@ class SphericalAnalysis(QData):
         raise KeyError(p)
 
     def tperp(self, x_a: Sequence) -> Vec:
-        """T^perp(X) for X in a_circ, as a g-vector in n_Q."""
-        coeffs = solve(
-            [tuple(row[i] for row in self.a_circ.basis_matrix) for i in range(self.lie.dim_a)],
-            vec(x_a),
-            self.a_circ.dim,
-        )
-        if coeffs is None:
+        """T^perp(X) for X in a_circ, as a g-vector in n_Q.  Each integer row
+        of a_circ is zero on the pivots of the others, so X's coordinate on a
+        row is X's entry at its pivot over the row's entry there."""
+        a_circ = self.a_circ
+        if not a_circ.contains_vector(x_a):
             raise ValueError("argument is not in a_circ")
+        coeffs = [Fraction(x_a[p], row[p]) for p, row in zip(a_circ.pivots, a_circ.rows)]
         return combination(coeffs, self.tperp_map, self.lie.dim)
 
     def is_a_circ_regular(self, x_a: Sequence) -> bool:
@@ -279,7 +285,7 @@ class SphericalAnalysis(QData):
         if not self.a_circ.contains_vector(x_a):
             return False
         for p in self.sigma_q:
-            if dot(self.lie.root_functional(self.lie.positive_roots[p]), x_a) == 0:
+            if dot(self.lie.weights[self.lie.e_index(p)], x_a) == 0:
                 return False
         return True
 
@@ -322,28 +328,32 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     a_h = g_subspace_to_a(lie, lie.a_subspace().intersect(h_z))
     gram_a = tuple(tuple(lie.form_matrix[i][j] for j in range(lie.dim_a)) for i in range(lie.dim_a))
     a_circ = Subspace.kernel_of(lie.dim_a, [mat_vec(gram_a, row) for row in a_h.rows])
-    l_cap_h = q.l_q.intersect(h_z)
+    l_cap_h = q.l_cap_h
+    basis = identity(lie.dim)
+    n_basis = [basis[lie.e_index(p)] for p in q.sigma_q]
 
     # T: for each f_beta, the unique w in a_circ + n_Q with f_beta + w in h_z.
     # The equations are the integer annihilator rows of h_z, read on the a
-    # coordinates of the a_circ basis and on the unit vectors e_p of n_Q.
+    # coordinates of the integer a_circ rows and on the unit vectors e_p of
+    # n_Q; one elimination serves the right-hand sides of every beta.
     ann = h_z.annihilator()
-    basis = identity(lie.dim)
-    w_basis = [lie.a_vector_to_g(row) for row in a_circ.basis_matrix] + [
-        basis[lie.e_index(p)] for p in q.sigma_q
-    ]
+    w_basis = [lie.a_vector_to_g(row) for row in a_circ.rows] + n_basis
     rows = [
-        tuple(dot(lie.g_vector_to_a(a), row) for row in a_circ.basis_matrix)
+        tuple(dot(lie.g_vector_to_a(a), row) for row in a_circ.rows)
         + tuple(a[lie.e_index(p)] for p in q.sigma_q)
         for a in ann
     ]
-    if q.sigma_q and rank(rows) < len(w_basis):
-        raise ContractViolation("graph decomposition of h_z is not unique")
+    t_solutions = []
+    if q.sigma_q:
+        t_rank, t_solutions = solve_columns(
+            rows, [[-a[lie.f_index(p)] for a in ann] for p in q.sigma_q], len(w_basis)
+        )
+        if t_rank < len(w_basis):
+            raise ContractViolation("graph decomposition of h_z is not unique")
     t_map = []
     supports = []
     s_elems: dict[tuple[int, ...], SWeight] = {}
-    for p in q.sigma_q:
-        coeffs = solve(rows, [-a[lie.f_index(p)] for a in ann], len(w_basis))
+    for p, coeffs in zip(q.sigma_q, t_solutions):
         if coeffs is None:
             raise ContractViolation("graph decomposition of h_z is not unique")
         img = combination(coeffs, w_basis, lie.dim)
@@ -367,28 +377,27 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
                 s_elems[coords] = SWeight(coords, lie.root_functional(coords))
     s_z = tuple(sorted(s_elems.values(), key=lambda s: s.coords))
     for s in s_z:
-        if any(dot(s.functional, row) != 0 for row in a_h.basis_matrix):
+        if any(dot(s.functional, row) != 0 for row in a_h.rows):
             raise ContractViolation("an element of S_z does not vanish on a_h")
 
-    # T^perp: for each X in the a_circ basis, the unique u in n_Q with
-    # X + u in h_z^perp
-    n_basis = [basis[lie.e_index(p)] for p in q.sigma_q]
+    # T^perp: for each integer row X of a_circ, the unique u in n_Q with
+    # X + u in h_z^perp: B(u, h) = -B(X, h) on the integer rows h of h_z.
+    # The equations do not depend on X, so one elimination serves every X.
     tperp_map = []
-    for row in a_circ.basis_matrix:
-        x_g = lie.a_vector_to_g(row)
-        rows = [
-            tuple(lie.invariant_form(nb, hb) for nb in n_basis)
-            for hb in h_z.basis_matrix
+    if a_circ.dim:
+        eqs = [tuple(lie.invariant_form(nb, hb) for nb in n_basis) for hb in h_z.rows]
+        rhs = [
+            [-lie.invariant_form(lie.a_vector_to_g(x), hb) for hb in h_z.rows]
+            for x in a_circ.rows
         ]
-        rhs = [-lie.invariant_form(x_g, hb) for hb in h_z.basis_matrix]
-        coeffs = solve(rows, rhs, len(n_basis))
-        if coeffs is None:
-            raise ContractViolation("no orthogonal correction in n_Q exists")
-        u = combination(coeffs, n_basis, lie.dim)
-        for hb in l_cap_h.basis_matrix:
-            if any(c != 0 for c in lie.bracket(u, hb)):
-                raise ContractViolation("T^perp image does not centralize l_Q cap h_z")
-        tperp_map.append(u)
+        for coeffs in solve_columns(eqs, rhs, len(n_basis))[1]:
+            if coeffs is None:
+                raise ContractViolation("no orthogonal correction in n_Q exists")
+            u = combination(coeffs, n_basis, lie.dim)
+            for hb in l_cap_h.rows:
+                if any(c != 0 for c in lie.bracket(u, hb)):
+                    raise ContractViolation("T^perp image does not centralize l_Q cap h_z")
+            tperp_map.append(u)
 
     if h_z.dim != l_cap_h.dim + len(q.sigma_q):
         raise ContractViolation("h_z does not split as (l_Q cap h_z) + graph(T)")
@@ -403,7 +412,6 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         h_z=h_z,
         a_h=a_h,
         a_circ=a_circ,
-        l_cap_h=l_cap_h,
         t_map=tuple(t_map),
         tperp_map=tuple(tperp_map),
         supports=tuple(supports),
@@ -566,7 +574,7 @@ def phi(analysis: SphericalAnalysis, x_a: Sequence) -> Vec:
         raise ValueError("argument must lie in a_circ")
     alpha_vals = {}
     for p in analysis.sigma_q:
-        val = dot(lie.root_functional(lie.positive_roots[p]), x_a)
+        val = dot(lie.weights[lie.e_index(p)], x_a)
         if val == 0:
             raise ValueError("argument is not regular for Sigma(Q)")
         alpha_vals[p] = val
@@ -738,7 +746,7 @@ def _random_regular_direction(
         if all(c == 0 for c in y):
             continue
         if all(
-            dot(lie.root_functional(lie.positive_roots[p]), y) != 0
+            dot(lie.weights[lie.e_index(p)], y) != 0
             for p in analysis.sigma_q
         ):
             return y

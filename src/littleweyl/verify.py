@@ -173,7 +173,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
 
     def tperp_prop() -> CheckResult:
         hperp = lie.orthocomplement(analysis.h_z)
-        for row, img in zip(analysis.a_circ.basis_matrix, analysis.tperp_map):
+        for row, img in zip(analysis.a_circ.rows, analysis.tperp_map):
             if not hperp.contains_vector(vec_add(lie.a_vector_to_g(row), img)):
                 return _check("tperp_defining_property", False, f"X={row}")
         return _check("tperp_defining_property", True)
@@ -265,7 +265,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
                     return _check(
                         "phi_image_bound", False, f"no a-support at root index {p}"
                     )
-                f = lie.root_functional(lie.positive_roots[p])
+                f = lie.weights[lie.e_index(p)]
                 if any(dot(f, r) > 0 for r in cone.rays) or any(
                     dot(f, l) != 0 for l in cone.lineality.basis_matrix
                 ):
@@ -344,7 +344,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
             zero_roots = {
                 p
                 for p in analysis.sigma_q
-                if dot(lie.root_functional(lie.positive_roots[p]), x_f) == 0
+                if dot(lie.weights[lie.e_index(p)], x_f) == 0
             }
             for _ in range(20):
                 coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(analysis.a_circ.dim)]

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from littleweyl.linalg import (
     Subspace,
+    _kernel_rows,
+    combination,
+    integer_echelon,
     integer_kernel,
+    integer_reduce,
     primitive_ints,
     kernel,
     mat_inverse,
@@ -19,6 +23,7 @@ from littleweyl.linalg import (
     rank,
     rref,
     solve,
+    solve_columns,
     vec,
 )
 
@@ -401,6 +406,147 @@ def test_subspace_operations_match_the_fraction_reference(data):
     same = Subspace.from_spanning(n, data.draw(st.permutations(other)))
     assert same == u and hash(same) == hash(u)
     assert (u == v) == (ref_u.basis == ref_v.basis)
+
+
+# -- differential tests against the earlier elimination ------------------------
+#
+# The oracles are the routines the library used before its one-pass echelon:
+# an echelon that back-substitutes every new row into every stored row and
+# makes each changed row primitive, an intersection through the kernel of the
+# stacked n x (k + l) system [U^T | -V^T], and one elimination per
+# right-hand side.
+
+
+def _oracle_echelon(rows):
+    out = []
+    for v in rows:
+        v = integer_reduce(v, out)
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        v = primitive_ints(v if v[p] > 0 else [-x for x in v])
+        d = v[p]
+        out = [
+            (q, primitive_ints([d * x - b[p] * y for x, y in zip(b, v)]) if b[p] else b)
+            for q, b in out
+        ]
+        out.append((p, v))
+    return out
+
+
+def _oracle_subspace(n: int, rows) -> Subspace:
+    return Subspace.from_echelon(n, _oracle_echelon(primitive_ints(r) for r in rows))
+
+
+def _oracle_intersect(u: Subspace, v: Subspace) -> Subspace:
+    if u.dim == 0 or v.dim == 0:
+        return Subspace.zero(u.ambient_dim)
+    eq_rows = [
+        tuple(a[c] for a in u.rows) + tuple(-b[c] for b in v.rows)
+        for c in range(u.ambient_dim)
+    ]
+    rows = [
+        combination(coeffs, u.rows, u.ambient_dim)
+        for coeffs in _kernel_rows(_oracle_echelon(eq_rows), u.dim + v.dim)
+    ]
+    return _oracle_subspace(u.ambient_dim, rows)
+
+
+def _oracle_solve(rows, rhs, ncols):
+    echelon = _oracle_echelon(primitive_ints((*r, b)) for r, b in zip(rows, rhs))
+    x = [0] * ncols
+    for p, row in echelon:
+        if p == ncols:
+            return None
+        x[p] = Fraction(row[-1], row[p])
+    return tuple(x)
+
+
+@st.composite
+def _int_matrices(draw, min_cols=1):
+    """Integer matrices with zero rows, repeated rows and rows that are
+    combinations of earlier ones, so that many are rank-deficient."""
+    n = draw(st.integers(min_cols, 7))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * n)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+def test_echelon_matches_the_oracle_pair_for_pair(case):
+    """The same (pivot, row) pairs in the same order, the order the rows
+    that raise the rank arrive in."""
+    _, rows = case
+    assert integer_echelon(rows) == _oracle_echelon(rows)
+    assert integer_echelon(map(tuple, rows)) == _oracle_echelon(rows)
+
+
+@st.composite
+def _subspace_pairs(draw):
+    """Pairs of subspaces of Q^n; in some one side is a coordinate subspace,
+    as a, l_Q and l_Q + n_Q are in g."""
+    n = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    pair = []
+    for _ in range(2):
+        if draw(st.integers(0, 2)) == 0:
+            pair.append(Subspace.from_coordinates(n, draw(st.sets(st.integers(0, n - 1)))))
+        else:
+            pair.append(Subspace.from_spanning(n, draw(st.lists(row, max_size=n + 1))))
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_pairs())
+def test_intersect_matches_the_stacked_kernel_oracle(pair):
+    u, v = pair
+    assert u.intersect(v) == _oracle_intersect(u, v)
+    assert v.intersect(u) == _oracle_intersect(v, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrices(), st.data())
+def test_one_elimination_answers_every_right_hand_side(case, data):
+    """solve_columns gives, for each right-hand side, what one elimination
+    per right-hand side gives, None included, and the rank of M."""
+    n, rows = case
+    columns = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):  # in the column space
+            x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            columns.append([sum(a * b for a, b in zip(r, x)) for r in rows])
+        else:
+            columns.append(
+                data.draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+            )
+    got_rank, got = solve_columns(rows, columns, n)
+    assert got_rank == len(_oracle_echelon(rows))
+    assert got == [_oracle_solve(rows, b, n) for b in columns]
+    assert [solve(rows, b, n) for b in columns] == got
+
+
+def test_binary_operations_refuse_a_dimension_mismatch():
+    u = Subspace.from_spanning(3, [(1, 0, 0)])
+    v = Subspace.from_spanning(2, [(0, 1)])
+    for a, b in ((u, v), (v, u)):
+        want = rf"subspace of Q\^{b.ambient_dim} against a subspace of Q\^{a.ambient_dim}"
+        for op in (a.add, a.intersect, a.contains):
+            with pytest.raises(ValueError, match=want):
+                op(b)
+    with pytest.raises(ValueError, match=r"vector of Q\^2 against a subspace of Q\^3"):
+        u.contains_vector((1, 0))
+    with pytest.raises(ValueError, match=r"vector of Q\^3 against a subspace of Q\^2"):
+        v.contains_vector((0, 1, 0))
 
 
 def test_library_divides_exactly():

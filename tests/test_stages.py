@@ -29,12 +29,13 @@ from littleweyl.weyl import little_weyl_group, weyl_from_limits
 
 def _record_linalg_calls(monkeypatch, attr: str) -> list:
     """Route every littleweyl name bound to linalg.<attr> through a recorder
-    of the rows each call reduces."""
+    of (calling function, rows reduced) for each call."""
     calls = []
     original = getattr(linalg, attr)
 
     def recording(rows, *args):
-        calls.append(rows)
+        rows = [tuple(r) for r in rows]
+        calls.append((sys._getframe(1).f_code.co_name, rows))
         return original(rows, *args)
 
     for name, module in list(sys.modules.items()):
@@ -515,3 +516,66 @@ def test_integer_subspace_stages_make_no_rref_call(monkeypatch):
     assert spherical.normalizer_in_a(lie, h_z).dim == 0
     assert weyl._conjugate_table(an, "coroot")
     assert calls == []
+
+
+def test_a3_analyze_eliminates_each_linear_system_once(monkeypatch):
+    """On A3 g/so, T's system has the 9 annihilator rows of h_z and 9
+    unknowns (a_circ is a, and Sigma(Q) has 6 roots), and T^perp's has the 6
+    rows of h_z and 6 unknowns.  Each is eliminated once, augmented with all
+    its right-hand sides: 6 for T, one per root of Sigma(Q), and 3 for
+    T^perp, one per row of a_circ.  One elimination per right-hand side
+    made 6 and 3, and T's uniqueness test took a seventh."""
+    lie = build_from_cartan(cartan_matrix_of_type("A3"))
+    h_z = _riemannian_analysis(lie).h_z
+    calls = _record_linalg_calls(monkeypatch, "integer_echelon")
+    an = analyze(lie, h_z)
+    assert (an.a_circ.dim, len(an.sigma_q)) == (3, 6)
+    solves = [rows for caller, rows in calls if caller in ("solve", "solve_columns")]
+    assert [(len(rows), len(rows[0])) for rows in solves] == [(9, 9 + 6), (6, 6 + 3)]
+    assert not any(caller == "integer_rank" and len(rows) == 9 for caller, rows in calls)
+
+
+def test_tperp_reads_coordinates_off_the_pivots(monkeypatch):
+    """T^perp(X) reads X's coordinates on the integer rows of a_circ off
+    their pivots: no elimination, where a solve on the a_circ basis took one
+    per call."""
+    an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    xs = [*an.a_circ.rows, (1, Fraction(-2, 3), 5)]
+    want = [an.tperp(x) for x in xs]
+    calls = _record_linalg_calls(monkeypatch, "integer_echelon")
+    assert [an.tperp(x) for x in xs] == want
+    assert calls == []
+    # the defining property: X + T^perp(X) in h_z^perp, with T^perp(X) in n_Q
+    hperp = an.lie.orthocomplement(an.h_z)
+    for x, img in zip(xs, want):
+        assert an.n_q.contains_vector(img)
+        assert hperp.contains_vector([a + b for a, b in zip(an.lie.a_vector_to_g(x), img)])
+    entry = get_entry("A1xA1_diag_w0")
+    diag = analyze(entry.lie(), entry.base_point().h_z)
+    assert diag.a_circ.dim == 1
+    with pytest.raises(ValueError, match="not in a_circ"):
+        diag.tperp(next(x for x in ((1, 0), (0, 1)) if not diag.a_circ.contains_vector(x)))
+
+
+def test_analyze_computes_l_q_cap_h_z_once(monkeypatch):
+    """recover_q's two identities and analyze read one l_Q cap h_z, which
+    the parabolic datum carries; each computed its own, 3 in all.  The point
+    is the horospherical [l_Q, l_Q] + nbar_Q of A2 with alpha_1 in the Levi,
+    so that l_Q is not a."""
+    lie = build_from_cartan(cartan_matrix_of_type("A2"))
+    basis = linalg.identity(lie.dim)
+    coroot1 = lie.a_vector_to_g(lie.coroot(lie.positive_roots[0]))
+    rows = [basis[lie.e_index(0)], basis[lie.f_index(0)], coroot1]
+    h_z = Subspace.from_spanning(lie.dim, rows + [basis[lie.f_index(p)] for p in (1, 2)])
+    pairs = []
+    original = Subspace.intersect
+
+    def recording(self, other):
+        pairs.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", recording)
+    an = analyze(lie, h_z)
+    assert an.sigma0 == (0,) and an.l_q != lie.a_subspace()
+    assert pairs.count((an.l_q, h_z)) == 1
+    assert an.l_cap_h == original(an.l_q, h_z)
