@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
@@ -33,6 +34,9 @@ from .linalg import (
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
+# how a map of a moves chambers: the signs of the image of the chamber with
+# the given signs
+SignAction = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
 class ConeError(ValueError):
@@ -237,7 +241,8 @@ class Cone:
 
     def relative_interior_point(self) -> IntVec:
         """An integer point in the relative interior, deterministically."""
-        return _interior_point(self.ambient_dim, self.rays, self.facets)
+        t = _least_weight(_facet_values(self.facets, self.rays))
+        return _weighted_sum(self.ambient_dim, self.rays, t)
 
     @cached_property
     def facets(self) -> list[IntVec]:
@@ -246,25 +251,38 @@ class Cone:
         return [g for g in self.inequalities if any(dot(g, r) for r in self.rays)]
 
 
-def _interior_point(
-    dim: int, rays: Sequence[IntVec], strict: Sequence[IntVec], back: IntMat | None = None
-) -> IntVec:
-    """The point sum_k t^k rays[k] for the least t = 2, 3, ... at which every
-    functional in ``strict`` is negative, evaluated on ``back`` times the point
-    when a map is given; the zero vector when there are no rays."""
-    if not rays:
-        return (0,) * dim
+def _facet_values(strict: Sequence[IntVec], rays: Sequence[IntVec]) -> list[list[int]]:
+    """The values of each functional in ``strict`` on the rays."""
+    return [[dot(g, r) for r in rays] for g in strict]
+
+
+def _least_weight(vals: Sequence[Sequence[int]]) -> int:
+    """The least t = 2, 3, ... at which sum_k t^k row[k] < 0 for every row of
+    ``vals``, the values of some strict functionals on some rays
+    (_facet_values).  By linearity the point sum_k t^k rays[k]
+    (_weighted_sum) then makes every functional negative; the search reads
+    the values alone and forms no point."""
     t = 1
     while True:
         t += 1
-        p = (0,) * dim
-        for k, r in enumerate(rays):
-            p = _combine(1, p, t**k, r)
-        q = p if back is None else mat_vec(back, p)
-        if all(dot(g, q) < 0 for g in strict):
-            return p
-        if t > 4 * (len(rays) + 1) * (len(strict) + 1):
+        for row in vals:
+            acc = 0
+            for v in reversed(row):
+                acc = acc * t + v
+            if acc >= 0:
+                break
+        else:
+            return t
+        if t > 4 * (len(vals[0]) + 1) * (len(vals) + 1):
             raise ConeError("no relative interior point found")
+
+
+def _weighted_sum(dim: int, rays: Sequence[IntVec], t: int) -> IntVec:
+    """sum_k t^k rays[k]; the zero vector when there are no rays."""
+    if not rays:
+        return (0,) * dim
+    weights = [t**k for k in range(len(rays))]
+    return tuple(sum(map(mul, weights, col)) for col in zip(*rays))
 
 
 def _minimal_inequalities(
@@ -333,26 +351,6 @@ class ChamberSet:
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def signed_permutation(
-    hyperplanes: Sequence[IntVec], fwd: IntMat
-) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """How the map m acts on sign vectors over the hyperplanes of
-    ``arrangement``: the signs of the image of the chamber with the given
-    signs.
-
-    m must permute the hyperplanes up to sign, h_j o m = eps_j h_pi(j), so
-    that it carries chambers to chambers; the image of a chamber has the
-    signs eps_j signs[pi(j)].
-    """
-    index = {h: j for j, h in enumerate(hyperplanes)}
-    pairs = []
-    for h in hyperplanes:
-        g = primitive_ints([dot(h, col) for col in zip(*fwd)])
-        j = index.get(g)
-        pairs.append((1, j) if j is not None else (-1, index[_neg(g)]))
-    return lambda signs: tuple(e * signs[j] for e, j in pairs)
 
 
 def arrangement(functionals: Iterable[Sequence]) -> tuple[IntVec, ...]:
@@ -426,37 +424,43 @@ def traverse_chambers(
 
 
 def orbit_chambers(
-    hyperplanes: Sequence[IntVec],
     cones: dict[tuple[int, ...], Cone],
-    maps: Iterable[tuple[IntMat, IntMat]],
+    moves: Iterable[tuple[SignAction, IntMat, IntMat]],
 ) -> tuple[Chamber, ...]:
     """The images of the chambers with the given cones (traverse_chambers)
-    under the maps, sorted by sign vector.
+    under the moves, sorted by sign vector.
 
-    The hyperplanes are those of ``arrangement``.  Each map is given as an
-    integer matrix m with its integer inverse, so no map is inverted here.
-    An image chamber reads its signs off ``signed_permutation``.  The
-    chambers of a central arrangement share their lineality, the common
-    kernel of its hyperplanes.  The representative is the
-    relative_interior_point of the image cone, read without building it: the
-    sorted primitive images of the chamber's rays, reduced modulo the image
-    lineality, summed with the weights t^k, and tested on the chamber's
-    facets through m^-1.
+    Each move is a map m of a given as its action on sign vectors, its
+    integer matrix and the integer matrix of m^-1, so nothing is inverted
+    here.  The chambers of a central arrangement share their lineality, the
+    common kernel of its hyperplanes.  The representative of an image
+    chamber is the relative_interior_point of the image cone, read without
+    building it: the sorted primitive images of the chamber's rays, reduced
+    modulo the image lineality, summed with the weights t^k.  Each distinct
+    ray of the base chambers is moved once per map, and pulled back through
+    m^-1; t is the least weight at which the pulled-back sum is strictly
+    inside the base chamber (_least_weight on the facet values), and it is
+    kept per base chamber and tuple of pulled-back rays.
     """
     lin = next(iter(cones.values())).lineality.rows if cones else ()
+    ray_ids: dict[IntVec, int] = {}
+    members = [
+        tuple(ray_ids.setdefault(r, len(ray_ids)) for r in cone.rays) for cone in cones.values()
+    ]
+    base = list(zip(cones, members, (cone.facets for cone in cones.values())))
+    weights: dict[tuple, int] = {}
     out = []
-    for fwd, back in maps:
-        act = signed_permutation(hyperplanes, fwd)
+    for act, fwd, back in moves:
         lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
-        for signs, cone in cones.items():
-            rays = sorted(
-                {
-                    primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
-                    for r in cone.rays
-                }
-            )
-            p = _interior_point(len(fwd), rays, cone.facets, back)
-            out.append(Chamber(act(signs), p))
+        images = [primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon)) for r in ray_ids]
+        pulled = [mat_vec(back, x) for x in images]
+        for i, (signs, ids, facets) in enumerate(base):
+            ids = sorted(ids, key=images.__getitem__)
+            key = (i, *(pulled[k] for k in ids))
+            t = weights.get(key)
+            if t is None:
+                t = weights[key] = _least_weight(_facet_values(facets, key[1:]))
+            out.append(Chamber(act(signs), _weighted_sum(len(fwd), [images[k] for k in ids], t)))
     return tuple(sorted(out, key=lambda c: c.signs))
 
 

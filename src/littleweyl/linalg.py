@@ -423,21 +423,26 @@ class Subspace:
         return Subspace.from_spanning(self.ambient_dim, rows)
 
     @cached_property
+    def _annihilator_rows(self) -> list[IntVec]:
+        """Integer functionals spanning the annihilator: one per non-pivot
+        column, as ``_kernel_rows`` gives them, so a coordinate subspace gives
+        the other coordinates."""
+        return _kernel_rows(self._echelon, self.ambient_dim)
+
+    @cached_property
     def _annihilator_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero (column, entry) pairs of integer functionals spanning
-        the annihilator: one per non-pivot column, as ``_kernel_rows`` gives
-        them, so a coordinate subspace gives the other coordinates."""
-        return tuple(
-            tuple((j, x) for j, x in enumerate(a) if x)
-            for a in _kernel_rows(self._echelon, self.ambient_dim)
-        )
+        """The nonzero (column, entry) pairs of ``_annihilator_rows``."""
+        return tuple(tuple((j, x) for j, x in enumerate(a) if x) for a in self._annihilator_rows)
+
+    @cached_property
+    def _annihilator(self) -> tuple[IntVec, ...]:
+        return Subspace.from_spanning(self.ambient_dim, self._annihilator_rows).rows
 
     def annihilator(self) -> tuple[IntVec, ...]:
         """Canonical basis of the functionals vanishing on the subspace: the
-        integer echelon rows of that space of functionals."""
-        return Subspace.from_spanning(
-            self.ambient_dim, _kernel_rows(self._echelon, self.ambient_dim)
-        ).rows
+        integer echelon rows of that space of functionals, computed once per
+        subspace."""
+        return self._annihilator
 
     def transform(self, m: Mat) -> "Subspace":
         """Image under the linear map given by the matrix (columns = input coords)."""

@@ -25,6 +25,7 @@ import json
 import re
 import reprlib
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .cones import Cone
@@ -310,4 +311,43 @@ def catalog_entry_to_space_json(entry) -> dict:
 
 
 def dumps_canonical(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The report as json.dumps(data, sort_keys=True, indent=2) + "\n" writes
+    it, for data made of dicts with str keys, lists, tuples, str, int, bool
+    and None.  json.dumps runs its pure-Python encoder whenever it indents;
+    this one writes a list of ints or of strs with one join.  A float or a
+    non-str key is a TypeError: no report holds either."""
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(x, indent: str) -> str:
+    """x as json.dumps writes it at the nesting whose line break and
+    indentation is ``indent``; bool is tested before int."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("report keys must be str")
+        body = (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(x.items()))
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):
+            body = map(int.__repr__, x)
+        elif all(type(v) is str for v in x):
+            body = map(encode_basestring_ascii, x)
+        else:
+            body = (_encode(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

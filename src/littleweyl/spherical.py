@@ -18,9 +18,18 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, mul, sub
 from typing import Callable, Sequence, TypeVar
 
-from .cones import ChamberSet, Cone, arrangement, orbit_chambers, traverse_chambers
+from .cones import (
+    Chamber,
+    ChamberSet,
+    Cone,
+    SignAction,
+    arrangement,
+    orbit_chambers,
+    traverse_chambers,
+)
 from .lie import LieAlgebraData, LieAlgebraError, inverse_perm
 from .limits import chamber_cell_limits, order_regular_hyperplanes
 from .linalg import (
@@ -483,10 +492,49 @@ def cone_faces(analysis: SphericalAnalysis) -> list[Cone]:
     return compression_cone(analysis).faces()
 
 
-_CHAMBER_CACHE: dict[tuple, ChamberSet] = {}
+class OrderRegularChambers(ChamberSet):
+    """The chamber table of the order-regular arrangement, with the table
+    that says how W moves it.  Each hyperplane h_j is, up to a positive
+    factor, alpha_k - alpha_l for the pair (k, l) = ends[j] of indices of
+    lie.roots(); ``pairs`` maps every ordered pair (k, l) of distinct
+    indices to (j, e) with alpha_k - alpha_l a positive multiple of e h_j.
+    A plain subclass, so that importing the module generates no dataclass
+    methods; equality and hashing stay ChamberSet's."""
+
+    def __init__(
+        self,
+        hyperplanes: tuple[tuple[int, ...], ...],
+        chambers: tuple[Chamber, ...],
+        ends: tuple[tuple[int, int], ...],
+        pairs: dict[tuple[int, int], tuple[int, int]],
+    ):
+        super().__init__(hyperplanes, chambers)
+        self.ends = ends
+        self.pairs = pairs
+
+    def sign_action(self, perm: Sequence[int]) -> SignAction:
+        """How the element w of W with this root permutation moves sign
+        vectors: the signs of w(C) for the chamber C with the given signs.
+
+        A root alpha composed with w is w^-1 alpha, so h_j o w is a positive
+        multiple of w^-1 alpha_k - w^-1 alpha_l for (k, l) = ends[j], that is
+        of eps_j h_pi(j) for (pi(j), eps_j) the pairs entry of the image
+        pair, and w(C) has the signs eps_j signs[pi(j)].  Read by table
+        lookups and applied at C level; with one hyperplane (rank 1)
+        itemgetter would return a scalar.
+        """
+        inv = inverse_perm(perm)
+        moved = [self.pairs[inv[k], inv[l]] for k, l in self.ends]
+        pi = [j for j, _ in moved]
+        eps = tuple(e for _, e in moved)
+        get = itemgetter(*pi) if len(pi) > 1 else lambda signs: (signs[pi[0]],)
+        return lambda signs: tuple(map(mul, eps, get(signs)))
 
 
-def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
+_CHAMBER_CACHE: dict[tuple, OrderRegularChambers] = {}
+
+
+def order_regular_chambers(lie: LieAlgebraData) -> OrderRegularChambers:
     """The chambers of the order-regular arrangement {alpha - beta}.
 
     The arrangement holds every root hyperplane (2 alpha = alpha - (-alpha))
@@ -495,20 +543,37 @@ def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
     are traversed once, with one double description each; every other
     chamber is the image of one of them under one element w of W, whose
     integer matrix and that of w^-1 are read off lie.weyl_group.  An image
-    reads its signs off the signed permutation of the hyperplanes by w and
-    its representative off the w-images of the base chamber's rays
-    (cones.orbit_chambers), with no cone built.
+    reads its signs off the root-pair table (OrderRegularChambers.sign_action,
+    from w's root permutation) and its representative off the w-images of
+    the base chambers' distinct rays (cones.orbit_chambers), with no cone
+    built.
     """
     key = (lie.cartan_matrix, lie.center_dim)
     if key not in _CHAMBER_CACHE:
         hyperplanes = arrangement(order_regular_hyperplanes(lie))
-        mirrors = {primitive_signed(lie.root_functional(r)) for r in lie.positive_roots}
-        base = traverse_chambers(
-            lie.dim_a, hyperplanes, [i for i, h in enumerate(hyperplanes) if h in mirrors]
-        )
+        index = {h: j for j, h in enumerate(hyperplanes)}
+        funcs = [lie.root_functional(r) for r in lie.roots()]
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        end_of: dict[int, tuple[int, int]] = {}
+        for k, a in enumerate(funcs):
+            for l in range(k + 1, len(funcs)):
+                diff = tuple(map(sub, a, funcs[l]))
+                j = index[primitive_signed(diff)]
+                e = 1 if next(filter(None, diff)) > 0 else -1
+                pairs[k, l], pairs[l, k] = (j, e), (j, -e)
+                end_of.setdefault(j, (k, l) if e > 0 else (l, k))
+        # roots()[k + num_pos] is -roots()[k]
+        mirrors = {pairs[k, k + lie.num_pos][0] for k in range(lie.num_pos)}
+        base = traverse_chambers(lie.dim_a, hyperplanes, mirrors)
+        ends = tuple(end_of[j] for j in range(len(hyperplanes)))
+        frame = OrderRegularChambers(hyperplanes, (), ends, pairs)
         table = lie.weyl_group
-        weyl = [(w.matrix, table[inverse_perm(w.perm)].matrix) for w in table.values()]
-        _CHAMBER_CACHE[key] = ChamberSet(hyperplanes, orbit_chambers(hyperplanes, base, weyl))
+        moves = [
+            (frame.sign_action(w.perm), w.matrix, table[inverse_perm(w.perm)].matrix)
+            for w in table.values()
+        ]
+        chambers = orbit_chambers(base, moves)
+        _CHAMBER_CACHE[key] = OrderRegularChambers(hyperplanes, chambers, ends, pairs)
     return _CHAMBER_CACHE[key]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import ChamberSet, Cone, signed_permutation
+from .cones import Cone
 from .lie import LieAlgebraData, compose_perms, group_closure, inverse_perm, root_pairing
 from .linalg import (
     Mat,
@@ -41,6 +41,7 @@ from .linalg import (
 )
 from .spherical import (
     ContractViolation,
+    OrderRegularChambers,
     SWeight,
     SphericalAnalysis,
     chamber_limits,
@@ -323,23 +324,26 @@ def _verify_group(lie, quot, realizers, table, cone) -> None:
         for m in elements:
             if mat_vec(m, pr) != pr:
                 raise ContractViolation("element moves a point of a_E/a_h")
-    _verify_tiling(order_regular_chambers(lie), [w.matrix_on_a for w in realizers], cone)
+    _verify_tiling(order_regular_chambers(lie), [w.perm for w in realizers], cone)
 
 
-def _verify_tiling(chambers: ChamberSet, maps: Sequence[Mat], cone: Cone) -> None:
-    """Translates of the cone by the maps, integer matrices on a of elements
-    of W, cover a with disjoint interiors; ``chambers`` is the order-regular
-    chamber table.
+def _verify_tiling(
+    chambers: OrderRegularChambers, perms: Sequence[tuple[int, ...]], cone: Cone
+) -> None:
+    """Translates of the cone by the elements of W with the given root
+    permutations cover a with disjoint interiors; ``chambers`` is the
+    order-regular chamber table.
 
     Every facet of the cone must be a hyperplane of the table, so that the
     cone is a union of closed chambers.  W permutes the chambers (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12), and a map carries the
+    Reflection Groups and Coxeter Groups, 1.12), and an element carries the
     chambers in the cone onto those in its translate, with the signs read
-    off its signed permutation of the hyperplanes.  The chambers are open and
-    their closures cover a, so the translates tile a exactly when these
-    images are distinct and number all chambers.  Every S_z functional
-    vanishes on a_h, which so lies in the lineality of each translate: they
-    tile a/a_h as well.
+    off the table's root-pair action (OrderRegularChambers.sign_action), as
+    the table's own W-orbit reads them.  The chambers are open and their
+    closures cover a, so the translates tile a exactly when these images
+    are distinct and number all chambers.  Every S_z functional vanishes on
+    a_h, which so lies in the lineality of each translate: they tile a/a_h
+    as well.
     """
     for g in cone.facets:
         if primitive_signed(g) not in chambers.hyperplanes:
@@ -347,7 +351,7 @@ def _verify_tiling(chambers: ChamberSet, maps: Sequence[Mat], cone: Cone) -> Non
                 f"the compression cone facet {g} is not an order-regular hyperplane"
             )
     inside = [ch.signs for ch in chambers.chambers if cone.contains(ch.representative)]
-    acts = [signed_permutation(chambers.hyperplanes, m) for m in maps]
+    acts = [chambers.sign_action(p) for p in perms]
     images = [act(signs) for act in acts for signs in inside]
     if len(set(images)) < len(images):
         raise ContractViolation("two cone translates share interior")

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from littleweyl.cones import ChamberSet, Cone, ConeError, enumerate_chambers
-from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.cones import (
+    Chamber,
+    ChamberSet,
+    Cone,
+    ConeError,
+    enumerate_chambers,
+    orbit_chambers,
+    traverse_chambers,
+)
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type, inverse_perm
 from littleweyl.limits import order_regular_hyperplanes
 from littleweyl.linalg import (
     Subspace,
@@ -15,7 +23,9 @@ from littleweyl.linalg import (
     integer_echelon,
     integer_rank,
     integer_reduce,
+    mat_vec,
     primitive_ints,
+    primitive_signed,
     vec,
 )
 from littleweyl.spherical import order_regular_chambers
@@ -233,6 +243,99 @@ def test_weyl_orbit_chambers_equal_the_full_traversal(cartan_type, center):
     assert [ch.representative for ch in got.chambers] == [
         ch.representative for ch in want.chambers
     ]
+
+
+def signed_permutation(hyperplanes, fwd):
+    """The action of the matrix on sign vectors, read off the matrix: the
+    signed permutation h_j o m = eps_j h_pi(j) of the hyperplanes, so that
+    the image of a chamber has the signs eps_j signs[pi(j)].  The oracle for
+    the root-pair action."""
+    index = {h: j for j, h in enumerate(hyperplanes)}
+    pairs = []
+    for h in hyperplanes:
+        g = primitive_ints([dot(h, col) for col in zip(*fwd)])
+        j = index.get(g)
+        pairs.append((1, j) if j is not None else (-1, index[tuple(-c for c in g)]))
+    return lambda signs: tuple(e * signs[j] for e, j in pairs)
+
+
+def _matrix_orbit_chambers(hyperplanes, cones, maps):
+    """The W-orbit as it ran before W moved sign vectors by its root
+    permutation, kept as a reference: per (element, chamber), the sorted
+    primitive images of the chamber's rays, summed with the least weights
+    t^k at which the sum, pulled back through the inverse, is strictly
+    inside the chamber; the signs come from the matrix."""
+    lin = next(iter(cones.values())).lineality.rows if cones else ()
+    out = []
+    for fwd, back in maps:
+        act = signed_permutation(hyperplanes, fwd)
+        lin_echelon = integer_echelon(mat_vec(fwd, l) for l in lin)
+        for signs, cone in cones.items():
+            rays = sorted(
+                {
+                    primitive_ints(integer_reduce(mat_vec(fwd, r), lin_echelon))
+                    for r in cone.rays
+                }
+            )
+            t = 1
+            while True:
+                t += 1
+                p = tuple(
+                    sum(t**k * r[i] for k, r in enumerate(rays)) for i in range(len(fwd))
+                )
+                if all(dot(g, mat_vec(back, p)) < 0 for g in cone.facets):
+                    break
+            out.append(Chamber(act(signs), p))
+    return tuple(sorted(out, key=lambda c: c.signs))
+
+
+_ACTION_TYPES = [
+    ("A1", 0),
+    ("A1", 1),
+    ("A2", 0),
+    ("B2", 0),
+    ("G2", 0),
+    ("A3", 0),
+    ("B3", 0),
+    ("C3", 0),
+    ("A4", 0),
+    ("D4", 0),
+    ("A2", 1),
+    ("A3", 1),
+    ("G2", 1),
+    ("B2", 2),
+]
+
+
+@pytest.mark.parametrize("cartan_type,center", _ACTION_TYPES)
+def test_root_pair_action_equals_the_matrix_signed_permutation(cartan_type, center):
+    """Every element of W moves sign vectors by the table lookups of its
+    root permutation as its matrix on a moves them.  Applied to the signed
+    indices 1..n, an action shows its whole signed permutation."""
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), abelian_center_dim=center)
+    table = order_regular_chambers(lie)
+    probe = tuple(range(1, len(table.hyperplanes) + 1))
+    for w in lie.weyl_group.values():
+        want = signed_permutation(table.hyperplanes, w.matrix)(probe)
+        assert table.sign_action(w.perm)(probe) == want
+
+
+@pytest.mark.parametrize("cartan_type,center", _ACTION_TYPES)
+def test_orbit_equals_the_matrix_orbit(cartan_type, center):
+    """Old against new: the orbit that moves each distinct ray once per
+    element, with the root-pair signs and the memoized weights, gives the
+    chambers of the per-(element, chamber) orbit on matrices."""
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), abelian_center_dim=center)
+    table = order_regular_chambers(lie)
+    mirrors = {primitive_signed(lie.root_functional(r)) for r in lie.positive_roots}
+    fixed = [j for j, h in enumerate(table.hyperplanes) if h in mirrors]
+    base = traverse_chambers(lie.dim_a, table.hyperplanes, fixed)
+    weyl = lie.weyl_group
+    maps = [(w.matrix, weyl[inverse_perm(w.perm)].matrix) for w in weyl.values()]
+    moves = [(table.sign_action(w.perm), *m) for w, m in zip(weyl.values(), maps)]
+    want = _matrix_orbit_chambers(table.hyperplanes, base, maps)
+    assert orbit_chambers(base, moves) == want
+    assert table.chambers == want
 
 
 def test_zero_functional_rejected():

@@ -2,12 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from littleweyl.catalog import get_entry
 from littleweyl.linalg import Subspace, vec
 from littleweyl.serialize import (
     SpaceFileError,
     catalog_entry_to_space_json,
+    dumps_canonical,
     frac_str,
     parse_frac,
     space_from_json,
@@ -117,3 +120,34 @@ def test_catalog_export_schema():
     assert data["claims"]["w_order"] == 2
     lie, bp, claims = space_from_json(json.loads(json.dumps(data)))
     assert bp.h_z.dim == 3
+
+
+_CHARS = st.sampled_from('ab "\\/\x00\x1f\x7f\n\t\u00e9\u2028\u4e2d\U0001f600')
+_TEXT = st.text(_CHARS, max_size=8) | st.text(max_size=4)
+_INTS = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+_LEAVES = st.none() | st.booleans() | _INTS | _TEXT
+_JSON = st.recursive(
+    _LEAVES
+    | st.lists(_INTS | st.booleans())
+    | st.lists(_TEXT)
+    | st.builds(tuple, st.lists(_INTS)),
+    lambda inner: st.lists(inner)
+    | st.builds(tuple, st.lists(inner))
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=15,
+)
+
+
+@given(_JSON)
+def test_dumps_canonical_writes_what_json_dumps_writes(value):
+    """The encoder's own layout is json.dumps's, byte for byte: ints
+    negative and long, bools alone and mixed into int lists, None, strings
+    with non-ASCII and control characters, quotes and backslashes, empty
+    lists and dicts, tuples, and nesting."""
+    assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": {"b": float("nan")}}, {1: "x"}, {None: 0}])
+def test_dumps_canonical_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        dumps_canonical(value)

@@ -369,6 +369,40 @@ def test_a3_chambers_take_few_row_reductions(monkeypatch):
     assert len(echelon_calls) <= 74
 
 
+def test_a3_orbit_moves_signs_by_lookups_and_each_ray_once(monkeypatch):
+    """W moves the A3 g/so chamber table by its root permutations: the sign
+    action is table lookups with no dot, and each of the 9 distinct base
+    rays is moved and pulled back once per element, at most 2 * 24 * 9 =
+    432 mat_vec calls (960 when the rays were moved per chamber and each
+    weight tried pulled the point back, 1 512 dots for the matrix-based
+    signed permutations)."""
+    a3 = build_from_cartan(cartan_matrix_of_type("A3"))
+    a3.weyl_group
+    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    mat_vec_calls = _record_linalg_calls(monkeypatch, "mat_vec")
+    table = spherical.order_regular_chambers(a3)
+    assert table.count == 240
+    assert len(mat_vec_calls) <= 432
+
+    dot_calls = []
+    original = linalg.dot
+
+    def recording_dot(a, b):
+        dot_calls.append(sys._getframe(1).f_code.co_name)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name == "littleweyl" or name.startswith("littleweyl."):
+            if getattr(module, "dot", None) is original:
+                monkeypatch.setattr(module, "dot", recording_dot)
+    signs = [ch.signs for ch in table.chambers]
+    images = {
+        act(s) for act in (table.sign_action(w.perm) for w in a3.weyl_group.values()) for s in signs
+    }
+    assert len(images) == 240
+    assert dot_calls == []
+
+
 def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     """The closure, the Coxeter orders and the inverses of the little Weyl
     group of A3 g/so run on root permutations, and spherical_roots and the

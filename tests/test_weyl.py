@@ -376,11 +376,11 @@ def _facet_arrangement_tiling(quot, maps, cone):
 
 
 def _tiling_inputs(an):
-    """The chamber table, the realizers' matrices on a and the compression
-    cone, as little_weyl_group checks them."""
+    """The chamber table, the realizers' root permutations and the
+    compression cone, as little_weyl_group checks them."""
     group = little_weyl_group(an)
-    maps = [w.matrix_on_a for w in group.realizers]
-    return group, order_regular_chambers(an.lie), maps, compression_cone(an)
+    perms = [w.perm for w in group.realizers]
+    return group, order_regular_chambers(an.lie), perms, compression_cone(an)
 
 
 def _riemannian_analysis(cartan_type):
@@ -416,14 +416,18 @@ def test_tiling_agrees_with_the_facet_arrangement_check(key, levi_pairs):
     """Old against new: the chamber-table check and the facet-arrangement
     check with its grid sample both accept the realizers, and both reject a
     duplicated and a dropped realizer."""
-    group, chambers, maps, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
-    weyl._verify_tiling(chambers, maps, cone)
+    group, chambers, perms, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
+    maps = [w.matrix_on_a for w in group.realizers]
+    weyl._verify_tiling(chambers, perms, cone)
     _facet_arrangement_tiling(group.quotient, maps, cone)
-    for message, mutated in [("share interior", maps + maps[-1:]), ("do not cover", maps[:-1])]:
+    for message, mutate in [
+        ("share interior", lambda xs: xs + xs[-1:]),
+        ("do not cover", lambda xs: xs[:-1]),
+    ]:
         with pytest.raises(ContractViolation, match=message):
-            weyl._verify_tiling(chambers, mutated, cone)
+            weyl._verify_tiling(chambers, mutate(perms), cone)
         with pytest.raises(ContractViolation, match=message):
-            _facet_arrangement_tiling(group.quotient, mutated, cone)
+            _facet_arrangement_tiling(group.quotient, mutate(maps), cone)
 
 
 def _hull_of_passing_chambers(an, h_z):
@@ -500,19 +504,19 @@ def test_chamber_sweep_with_no_passing_chamber_is_the_zero_cone(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
 def test_tiling_rejects_an_overlap_and_a_gap(name):
-    _, chambers, maps, cone = _tiling_inputs(_analysis(name))
-    weyl._verify_tiling(chambers, maps, cone)
+    _, chambers, perms, cone = _tiling_inputs(_analysis(name))
+    weyl._verify_tiling(chambers, perms, cone)
     with pytest.raises(ContractViolation, match="share interior"):
-        weyl._verify_tiling(chambers, maps + maps[-1:], cone)
+        weyl._verify_tiling(chambers, perms + perms[-1:], cone)
     with pytest.raises(ContractViolation, match="do not cover"):
-        weyl._verify_tiling(chambers, maps[:-1], cone)
+        weyl._verify_tiling(chambers, perms[:-1], cone)
 
 
 @pytest.mark.parametrize("name", ["A1xA1_diag_w0", "A2_so3", "A2_nbar"])
 def test_tiling_rejects_a_facet_outside_the_chamber_table(name):
     """A cone cut by a hyperplane that is no alpha - beta is no union of
     chambers, and the check says so before it counts any."""
-    _, chambers, maps, cone = _tiling_inputs(_analysis(name))
+    _, chambers, perms, cone = _tiling_inputs(_analysis(name))
     d = cone.ambient_dim
     g = next(
         g
@@ -523,7 +527,7 @@ def test_tiling_rejects_a_facet_outside_the_chamber_table(name):
     )
     cut = cone.intersect(Cone.from_inequalities(d, [g]))
     with pytest.raises(ContractViolation, match="not an order-regular hyperplane"):
-        weyl._verify_tiling(chambers, maps, cut)
+        weyl._verify_tiling(chambers, perms, cut)
 
 
 def test_limit_matching_two_cosets_is_a_contract_violation(monkeypatch):
