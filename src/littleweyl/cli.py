@@ -505,6 +505,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(
         prog="littleweyl",
@@ -542,7 +548,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--face", type=int, default=None, help="face index (omit to list)")
     sp = space_command("admissible", "search for an admissible point")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-iters", type=int, default=10)
+    sp.add_argument("--max-iters", type=positive_int, default=10)
     sp = sub.add_parser("verify", help="run the invariant suites")
     sp.add_argument("spaces", nargs="*", help="catalog names or space files")
     sp.add_argument("--all", action="store_true", help="verify the whole catalog")

@@ -329,6 +329,8 @@ class LieAlgebraData:
     form_matrix: Mat = field(repr=False)
     # the a-functional of each basis vector, as integer values on h_1..h_r, z_1..z_c
     weights: tuple[tuple[int, ...], ...] = field(repr=False)
+    # derived stages (chamber table, limit oracle), filled on first use
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- shape helpers ------------------------------------------------------
 

@@ -14,7 +14,9 @@ below i, so p_i( E cap V_{<= lambda_i} ) is spanned by the level-i parts of
 the rows with pivot level i, and the sum by the pivot-level parts of all
 rows.  The same echelon form gives the filtration test.  A floating-point
 flow with re-orthonormalization serves as an independent numerical check; it
-runs on plain floats and the math module.
+runs on plain floats and the math module.  The chamber table of the
+order-regular arrangement, on whose chambers the limit is constant, is a
+stage of the algebra in spherical.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .cones import ChamberSet
 from .lie import LieAlgebraData
 from .linalg import (
     IntVec,
@@ -34,7 +34,6 @@ from .linalg import (
     Vec,
     dot,
     integer_echelon,
-    primitive_signed,
     vec,
 )
 
@@ -116,48 +115,6 @@ def limit_subspace(lie: LieAlgebraData, e: Subspace, x: Sequence) -> Subspace:
     return _limit_of_parts(lie, e, _pivot_parts(lie, e, graded_direction(lie, x)))
 
 
-def chamber_cell_limits(
-    lie: LieAlgebraData, e: Subspace, chambers: ChamberSet
-) -> tuple[tuple[Subspace, ...], tuple[int, ...]]:
-    """The limits of E along the chambers of the order-regular arrangement.
-
-    Split the coordinates into blocks, joining two coordinates when they
-    share a row of E's echelon form.  Then E is the direct sum of its parts
-    on the blocks, Ad(exp tX) preserves the coordinate subspace of each
-    block, and the limit depends on X only through the signs of the weight
-    differences wt_k - wt_l within each block.  Those functionals are hyperplanes of the arrangement, so the
-    chambers fall into cells by their signs on them, and one limit_subspace
-    per cell serves every chamber of the cell.
-
-    Returns the limit of each cell, and the cell of each chamber.
-    """
-    blocks: list[set[int]] = []
-    for row in e.rows:
-        block = {k for k, c in enumerate(row) if c != 0}
-        for other in [b for b in blocks if b & block]:
-            block |= other
-            blocks.remove(other)
-        blocks.append(block)
-    index = {h: j for j, h in enumerate(chambers.hyperplanes)}
-    cut: set[int] = set()
-    for block in blocks:
-        for k, l in combinations(sorted(block), 2):
-            diff = tuple(a - b for a, b in zip(lie.weights[k], lie.weights[l]))
-            if any(diff):
-                cut.add(index[primitive_signed(diff)])
-    cut_order = sorted(cut)
-    cell_of: dict[tuple[int, ...], int] = {}
-    limits: list[Subspace] = []
-    cells = []
-    for ch in chambers.chambers:
-        key = tuple(ch.signs[j] for j in cut_order)
-        if key not in cell_of:
-            cell_of[key] = len(limits)
-            limits.append(limit_subspace(lie, e, ch.representative))
-        cells.append(cell_of[key])
-    return tuple(limits), tuple(cells)
-
-
 def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
     """alpha(X) != beta(X) for all distinct roots alpha, beta.  The root
     functionals are the weights of the root vectors, lie.weights[dim_a:],
@@ -165,20 +122,6 @@ def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
     _, x_int = _integral_multiple(vec(x))
     values = [dot(w, x_int) for w in lie.weights[lie.dim_a :]]
     return len(set(values)) == len(values)
-
-
-def order_regular_hyperplanes(lie: LieAlgebraData) -> list[IntVec]:
-    """Functionals alpha - beta over distinct root pairs, deduplicated."""
-    roots = lie.roots()
-    out = {}
-    for i, a in enumerate(roots):
-        fa = lie.root_functional(a)
-        for b in roots[i + 1 :]:
-            fb = lie.root_functional(b)
-            diff = tuple(p - q for p, q in zip(fa, fb))
-            if any(c != 0 for c in diff):
-                out[primitive_signed(diff)] = None
-    return list(out)
 
 
 @dataclass(frozen=True)

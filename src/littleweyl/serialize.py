@@ -56,6 +56,8 @@ class SpaceFileError(ValueError):
 
 
 def frac_str(x: int | Fraction) -> str:
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 

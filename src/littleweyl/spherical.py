@@ -8,7 +8,8 @@ the cone, and the admissibility test through limit subalgebras.
 
 analyze returns a SphericalAnalysis, which extends the parabolic datum QData;
 every result derived from it is a function decorated with stage, stored on
-the analysis on first use.
+the analysis on first use.  The order-regular chamber table is a stage of
+the algebra, and the block cells of a subspace read its root-pair table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter, mul, sub
 from typing import Callable, Sequence, TypeVar
 
@@ -25,13 +27,13 @@ from .cones import (
     Chamber,
     ChamberSet,
     Cone,
+    ConeError,
     SignAction,
-    arrangement,
     orbit_chambers,
     traverse_chambers,
 )
 from .lie import LieAlgebraData, LieAlgebraError, inverse_perm
-from .limits import chamber_cell_limits, order_regular_hyperplanes
+from .limits import limit_subspace
 from .linalg import (
     Subspace,
     Vec,
@@ -300,8 +302,9 @@ class SphericalAnalysis(QData):
 
 
 def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
-    """A derived stage of the analysis: ``compute(analysis, *args)``, stored
-    on the analysis on first use and shared by every later call.
+    """A derived stage of an analysis or an algebra: ``compute(owner, *args)``,
+    stored in ``owner._stages`` on first use and shared by every later call;
+    a dataclasses.replace copy starts with none.
 
     The key is ``compute`` with its arguments bound and defaults applied, so
     a call that spells out a default shares the entry of one that omits it.
@@ -313,17 +316,17 @@ def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
     required = defaults.count(inspect.Parameter.empty)
 
     @functools.wraps(compute)
-    def cached(analysis: SphericalAnalysis, *args, **kwargs) -> _T:
+    def cached(owner: SphericalAnalysis | LieAlgebraData, *args, **kwargs) -> _T:
         if not kwargs and required <= len(args) <= len(defaults):
             args += defaults[len(args) :]
         else:
-            bound = signature.bind(analysis, *args, **kwargs)
+            bound = signature.bind(owner, *args, **kwargs)
             bound.apply_defaults()
             args = bound.args[1:]
         key = (compute, *args)
-        stages = analysis._stages
+        stages = owner._stages
         if key not in stages:
-            stages[key] = compute(analysis, *args)
+            stages[key] = compute(owner, *args)
         return stages[key]
 
     return cached
@@ -531,11 +534,13 @@ class OrderRegularChambers(ChamberSet):
         return lambda signs: tuple(map(mul, eps, get(signs)))
 
 
-_CHAMBER_CACHE: dict[tuple, OrderRegularChambers] = {}
-
-
+@stage
 def order_regular_chambers(lie: LieAlgebraData) -> OrderRegularChambers:
     """The chambers of the order-regular arrangement {alpha - beta}.
+
+    One pass over the pairs (k, l) of roots, whose functionals are the weights
+    lie.weights[dim_a + k], gives the hyperplane of alpha_k - alpha_l and its
+    sign; the sorted hyperplanes are the arrangement.
 
     The arrangement holds every root hyperplane (2 alpha = alpha - (-alpha))
     and W permutes it, so W acts freely on its chambers and each chamber lies
@@ -548,33 +553,76 @@ def order_regular_chambers(lie: LieAlgebraData) -> OrderRegularChambers:
     the base chambers' distinct rays (cones.orbit_chambers), with no cone
     built.
     """
-    key = (lie.cartan_matrix, lie.center_dim)
-    if key not in _CHAMBER_CACHE:
-        hyperplanes = arrangement(order_regular_hyperplanes(lie))
-        index = {h: j for j, h in enumerate(hyperplanes)}
-        funcs = [lie.root_functional(r) for r in lie.roots()]
-        pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        end_of: dict[int, tuple[int, int]] = {}
-        for k, a in enumerate(funcs):
-            for l in range(k + 1, len(funcs)):
-                diff = tuple(map(sub, a, funcs[l]))
-                j = index[primitive_signed(diff)]
-                e = 1 if next(filter(None, diff)) > 0 else -1
-                pairs[k, l], pairs[l, k] = (j, e), (j, -e)
-                end_of.setdefault(j, (k, l) if e > 0 else (l, k))
-        # roots()[k + num_pos] is -roots()[k]
-        mirrors = {pairs[k, k + lie.num_pos][0] for k in range(lie.num_pos)}
-        base = traverse_chambers(lie.dim_a, hyperplanes, mirrors)
-        ends = tuple(end_of[j] for j in range(len(hyperplanes)))
-        frame = OrderRegularChambers(hyperplanes, (), ends, pairs)
-        table = lie.weyl_group
-        moves = [
-            (frame.sign_action(w.perm), w.matrix, table[inverse_perm(w.perm)].matrix)
-            for w in table.values()
-        ]
-        chambers = orbit_chambers(base, moves)
-        _CHAMBER_CACHE[key] = OrderRegularChambers(hyperplanes, chambers, ends, pairs)
-    return _CHAMBER_CACHE[key]
+    signed: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+    for (k, a), (l, b) in combinations(enumerate(lie.weights[lie.dim_a :]), 2):
+        diff = tuple(map(sub, a, b))
+        e = 1 if next(filter(None, diff)) > 0 else -1
+        signed[k, l] = primitive_signed(diff), e
+        signed[l, k] = signed[k, l][0], -e
+    if not signed:
+        raise ConeError("an arrangement needs at least one hyperplane")
+    hyperplanes = tuple(sorted({h for h, _ in signed.values()}))
+    index = {h: j for j, h in enumerate(hyperplanes)}
+    pairs = {kl: (index[h], e) for kl, (h, e) in signed.items()}
+    # the first pair along each hyperplane (reversed: it is written last)
+    first = {j: kl for kl, (j, e) in reversed(pairs.items()) if e > 0}
+    ends = tuple(first[j] for j in range(len(hyperplanes)))
+    # roots()[k + num_pos] is -roots()[k]
+    mirrors = {pairs[k, k + lie.num_pos][0] for k in range(lie.num_pos)}
+    base = traverse_chambers(lie.dim_a, hyperplanes, mirrors)
+    frame = OrderRegularChambers(hyperplanes, (), ends, pairs)
+    table = lie.weyl_group
+    moves = [
+        (frame.sign_action(w.perm), w.matrix, table[inverse_perm(w.perm)].matrix)
+        for w in table.values()
+    ]
+    return OrderRegularChambers(hyperplanes, orbit_chambers(base, moves), ends, pairs)
+
+
+def chamber_cell_limits(
+    lie: LieAlgebraData, e: Subspace
+) -> tuple[tuple[Subspace, ...], tuple[int, ...]]:
+    """The limits of E along the chambers of the order-regular arrangement.
+
+    Split the coordinates into blocks, joining two coordinates when they
+    share a row of E's echelon form.  Then E is the direct sum of its parts
+    on the blocks, Ad(exp tX) preserves the coordinate subspace of each
+    block, and the limit depends on X only through the signs of the weight
+    differences wt_k - wt_l within each block.  Basis vector dim_a + r has
+    the weight of roots()[r] and an a-coordinate weight zero, so the
+    hyperplane of root vectors r and s is the table's pairs[r, s], and that
+    of r and an a-coordinate is the mirror of roots()[r], the pairs entry of
+    r and r +- num_pos.  The chambers fall into cells by their signs on
+    these, and one limit_subspace per cell serves every chamber of the cell.
+
+    Returns the limit of each cell, and the cell of each chamber.
+    """
+    table = order_regular_chambers(lie)
+    blocks: list[set[int]] = []
+    for row in e.rows:
+        block = {k for k, c in enumerate(row) if c != 0}
+        for other in [b for b in blocks if b & block]:
+            block |= other
+            blocks.remove(other)
+        blocks.append(block)
+    n = lie.num_pos
+    cut: set[int] = set()
+    for block in blocks:
+        roots = [k - lie.dim_a for k in block if k >= lie.dim_a]
+        cut.update(table.pairs[r, s][0] for r, s in combinations(roots, 2))
+        if len(roots) < len(block):
+            cut.update(table.pairs[r, (r + n) % (2 * n)][0] for r in roots)
+    cut_order = sorted(cut)
+    cell_of: dict[tuple[int, ...], int] = {}
+    limits: list[Subspace] = []
+    cells = []
+    for ch in table.chambers:
+        key = tuple(ch.signs[j] for j in cut_order)
+        if key not in cell_of:
+            cell_of[key] = len(limits)
+            limits.append(limit_subspace(lie, e, ch.representative))
+        cells.append(cell_of[key])
+    return tuple(limits), tuple(cells)
 
 
 @stage
@@ -582,9 +630,8 @@ def chamber_limits(
     analysis: SphericalAnalysis, e: Subspace
 ) -> tuple[tuple[Subspace, ...], tuple[int, ...]]:
     """The limits of e on the order-regular chambers, one per block cell
-    (limits.chamber_cell_limits)."""
-    lie = analysis.lie
-    return chamber_cell_limits(lie, e, order_regular_chambers(lie))
+    (chamber_cell_limits)."""
+    return chamber_cell_limits(analysis.lie, e)
 
 
 def compression_cone_of_point(analysis: SphericalAnalysis, h_z: Subspace) -> Cone:

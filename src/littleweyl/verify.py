@@ -37,6 +37,7 @@ from .spherical import (
     normalizer_in_a,
     order_regular_chambers,
     phi,
+    stage,
     translate,
 )
 from .weyl import (
@@ -457,12 +458,6 @@ _FLOW_T_MAX = 40.0
 _FLOW_TOLERANCE = 1e-6
 
 
-# (id(lie), count, seed) -> (lie, results).  The entry holds the algebra so
-# that its id is not reused; it is keyed by identity, not equality, because
-# algebras that differ only in their structure constants compare equal.
-_ORACLE_CACHE: dict[tuple[int, int, int], tuple[LieAlgebraData, tuple[CheckResult, ...]]] = {}
-
-
 def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[CheckResult]:
     """Seeded random (E, X) instances: float-flow agreement on well-conditioned
     instances (at least ``count`` of them, flowed to t = _FLOW_T_MAX and
@@ -473,14 +468,15 @@ def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[C
     map; the oracle flags them and they are exempt from the float comparison
     but still subject to all exact identities.
 
-    The suite depends on the algebra, count and seed alone, so it runs once
-    per (algebra object, count, seed) in a process; every call returns a new
-    list of the same results.
+    The suite depends on the algebra, count and seed alone, so its results
+    are a stage of the algebra object, and every call returns a new list.
     """
-    key = (id(lie), count, seed)
-    if key not in _ORACLE_CACHE:
-        _ORACLE_CACHE[key] = (lie, tuple(_oracle_suite(lie, count, seed)))
-    return list(_ORACLE_CACHE[key][1])
+    return list(_oracle_results(lie, count, seed))
+
+
+@stage
+def _oracle_results(lie: LieAlgebraData, count: int, seed: int) -> tuple[CheckResult, ...]:
+    return tuple(_oracle_suite(lie, count, seed))
 
 
 def _oracle_suite(lie: LieAlgebraData, count: int, seed: int) -> list[CheckResult]:

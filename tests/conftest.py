@@ -4,7 +4,7 @@ import pytest
 
 from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
-from littleweyl.linalg import Subspace
+from littleweyl.linalg import Subspace, primitive_signed
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +29,46 @@ def a1xa1():
 
 def span(dim, *rows):
     return Subspace.from_spanning(dim, [tuple(Fraction(x) for x in r) for r in rows])
+
+
+def order_regular_hyperplanes(lie):
+    """Functionals alpha - beta over distinct root pairs, deduplicated: the
+    arrangement as the library derived it from lie.root_functional before
+    the chamber table read it off one pass over the root weights."""
+    roots = lie.roots()
+    out = {}
+    for i, a in enumerate(roots):
+        fa = lie.root_functional(a)
+        for b in roots[i + 1 :]:
+            fb = lie.root_functional(b)
+            diff = tuple(p - q for p, q in zip(fa, fb))
+            if any(c != 0 for c in diff):
+                out[primitive_signed(diff)] = None
+    return list(out)
+
+
+def fresh_stages(monkeypatch, *owners):
+    """Empty stages on each algebra or analysis for the rest of the test, so
+    that its chamber table and oracle suite are built again."""
+    for owner in owners:
+        monkeypatch.setitem(vars(owner), "_stages", {})
+
+
+# the triple space sl2^3 / diag sl2 at an adapted point that is not admissible
+TRIPLE_SPACE = {
+    "schema_version": 1,
+    "lie_algebra": {"cartan_type": "A1xA1xA1"},
+    # h1+h2+h3, e1+e2+e3, f1+f2+f3 in the basis order h1..h3, e1..e3, f1..f3
+    "subalgebra": [
+        ["1", "1", "1", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "1", "1", "1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "1", "1", "1"],
+    ],
+    "base_point_word": [
+        {"kind": "weyl", "word": [0, 1]},
+        {"kind": "nilpotent", "vector": ["0", "0", "0", "0", "2", "1", "0", "0", "0"]},
+    ],
+}
 
 
 def chamber_cone(table, chamber):

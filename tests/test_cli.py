@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import TRIPLE_SPACE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -561,23 +562,6 @@ def test_cli_import_loads_no_third_party_module():
     assert out.stdout.strip() == "[]"
 
 
-# the triple space sl2^3 / diag sl2 at an adapted point that is not admissible
-TRIPLE_SPACE = {
-    "schema_version": 1,
-    "lie_algebra": {"cartan_type": "A1xA1xA1"},
-    # h1+h2+h3, e1+e2+e3, f1+f2+f3 in the basis order h1..h3, e1..e3, f1..f3
-    "subalgebra": [
-        ["1", "1", "1", "0", "0", "0", "0", "0", "0"],
-        ["0", "0", "0", "1", "1", "1", "0", "0", "0"],
-        ["0", "0", "0", "0", "0", "0", "1", "1", "1"],
-    ],
-    "base_point_word": [
-        {"kind": "weyl", "word": [0, 1]},
-        {"kind": "nilpotent", "vector": ["0", "0", "0", "0", "2", "1", "0", "0", "0"]},
-    ],
-}
-
-
 def test_analyze_non_admissible_point_exit_1(tmp_path, capsys):
     path = tmp_path / "triple.json"
     path.write_text(json.dumps(TRIPLE_SPACE))
@@ -592,9 +576,24 @@ def test_analyze_non_admissible_point_exit_1(tmp_path, capsys):
 def test_failed_admissible_search_exit_3(tmp_path, capsys):
     path = tmp_path / "triple.json"
     path.write_text(json.dumps(TRIPLE_SPACE))
-    code, out, err = run(capsys, "admissible", str(path), "--max-iters", "0")
+    code, out, err = run(capsys, "admissible", str(path), "--max-iters", "1")
     assert code == 3 and out == ""
     assert err.startswith("internal contract violated: no admissible point found")
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_admissible_max_iters_below_one_is_a_usage_error(tmp_path, capsys, iters):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(TRIPLE_SPACE))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["admissible", str(path), f"--max-iters={iters}"])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: littleweyl admissible")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"littleweyl admissible: error: argument --max-iters: must be at least 1, not {iters}"
+    ]
 
 
 def test_verify_claims_not_an_object_exit_1(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import order_regular_hyperplanes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from littleweyl.cones import (
     traverse_chambers,
 )
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type, inverse_perm
-from littleweyl.limits import order_regular_hyperplanes
 from littleweyl.linalg import (
     Subspace,
     dot,
@@ -243,6 +243,27 @@ def test_weyl_orbit_chambers_equal_the_full_traversal(cartan_type, center):
     assert [ch.representative for ch in got.chambers] == [
         ch.representative for ch in want.chambers
     ]
+
+
+@pytest.mark.parametrize(
+    "cartan_type,center",
+    [("A1", 0), ("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("A1xA1", 0), ("A2", 1), ("A1", 2)],
+)
+def test_one_pass_table_agrees_with_the_root_functionals(cartan_type, center):
+    """Old against new: the arrangement read off one pass over the root
+    weights is the sorted set of the hyperplanes of the functionals alpha -
+    beta, and for every ordered pair (k, l) of distinct roots pairs[k, l] =
+    (j, e) means alpha_k - alpha_l is a positive multiple of e h_j; ends[j]
+    is a pair along h_j itself."""
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), abelian_center_dim=center)
+    table = order_regular_chambers(lie)
+    assert table.hyperplanes == tuple(sorted(order_regular_hyperplanes(lie)))
+    funcs = [lie.root_functional(r) for r in lie.roots()]
+    assert len(table.pairs) == len(funcs) * (len(funcs) - 1)
+    for (k, l), (j, e) in table.pairs.items():
+        diff = tuple(a - b for a, b in zip(funcs[k], funcs[l]))
+        assert primitive_ints(diff) == tuple(e * c for c in table.hyperplanes[j])
+    assert [table.pairs[kl] for kl in table.ends] == [(j, 1) for j in range(len(table.ends))]
 
 
 def signed_permutation(hyperplanes, fwd):

@@ -23,6 +23,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import TRIPLE_SPACE
 
 from littleweyl import catalog
 from littleweyl.cli import build_report, main
@@ -151,6 +152,10 @@ RIEMANNIAN_ADMISSIBLE_DIGESTS = {
 VERIFY_DIGEST = "0:a1a880079e585480"
 _FLOAT_DETAIL = re.compile(r"worst distance [-+0-9.eE]+")
 
+# admissible --seed 1 --json on the triple space sl2^3 / diag sl2, the only
+# input whose block cells come from three factors and no symmetric pair
+TRIPLE_ADMISSIBLE_DIGEST = "0:cc3f9af7d7fc3c4f"
+
 LEVI_DIGESTS = {
     "A2_levi1": "0b61913b59e6ed0e",
     "B2_levi2": "5e8bf71f30960481",
@@ -194,3 +199,12 @@ def test_verify_report_is_unchanged():
     status, out = _cli("verify", "--all", "--json", "--seed", "1")
     masked = _FLOAT_DETAIL.sub("worst distance <float>", out)
     assert f"{status.split(':')[0]}:{_digest(masked)}" == VERIFY_DIGEST
+
+
+def test_triple_space_admissible_report_is_unchanged(tmp_path):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(TRIPLE_SPACE))
+    status, out = _cli("admissible", str(path), "--seed", "1", "--json")
+    report = json.loads(out)
+    assert (report["strategy"], report["attempts"]) == ("phi-sample", 3)
+    assert status == TRIPLE_ADMISSIBLE_DIGEST

@@ -1,28 +1,28 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
+from operator import sub
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import chamber_cone
+from conftest import chamber_cone, order_regular_hyperplanes
 
 from littleweyl import limits
 from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
     FlowReport,
-    chamber_cell_limits,
     filtration_degenerate,
     float_flow_oracle,
     graded_direction,
     is_order_regular,
     limit_subspace,
-    order_regular_hyperplanes,
 )
-from littleweyl.linalg import Subspace, dot, identity, vec
-from littleweyl.spherical import order_regular_chambers
+from littleweyl.linalg import Subspace, dot, identity, primitive_signed, vec
+from littleweyl.spherical import chamber_cell_limits, order_regular_chambers
 from littleweyl.verify import limit_oracle_suite, random_order_regular, random_subspace
 
 H, E, F = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -254,7 +254,7 @@ def test_float_flow_takes_a_fractional_last_step(a2):
 
 
 def test_order_regular_hyperplane_count(a2):
-    hyps = order_regular_hyperplanes(a2)
+    hyps = order_regular_chambers(a2).hyperplanes
     assert len(set(hyps)) == 6  # three roots, their sums/differences, dedup
 
 
@@ -327,9 +327,11 @@ def test_limit_and_filtration_test_match_the_level_by_level_formula(instance):
 
 @st.composite
 def _sparse_subspaces(draw):
-    """(lie, E) on A2, B2, G2 or A3: E spanned by 1-4 rows with 1-3 nonzero
-    coordinates each, so that its echelon form splits into several blocks."""
-    lie = build_from_cartan(cartan_matrix_of_type(draw(st.sampled_from(["A2", "B2", "G2", "A3"]))))
+    """(lie, E) on A2, B2, G2 or A3 with a center of dimension 0, 1 or 2: E
+    spanned by 1-4 rows with 1-3 nonzero coordinates each, so that its
+    echelon form splits into several blocks."""
+    cartan_type = draw(st.sampled_from(["A2", "B2", "G2", "A3"]))
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), draw(st.sampled_from([0, 1, 2])))
     entry = st.tuples(st.integers(0, lie.dim - 1), st.sampled_from([1, -1, 2, -3]))
     rows = []
     for support in draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1, max_size=4)):
@@ -345,11 +347,37 @@ def _sparse_subspaces(draw):
 def test_block_cell_limits_equal_the_limit_of_every_chamber(instance):
     lie, e = instance
     chambers = order_regular_chambers(lie)
-    limits, cells = chamber_cell_limits(lie, e, chambers)
+    limits, cells = chamber_cell_limits(lie, e)
     assert len(cells) == chambers.count and sorted(set(cells)) == list(range(len(limits)))
     assert [limits[c] for c in cells] == [
         limit_subspace(lie, e, ch.representative) for ch in chambers.chambers
     ]
+    assert cells == _primitive_signed_cells(lie, e, chambers)
+
+
+def _primitive_signed_cells(lie, e, chambers):
+    """Old against new: the cell of each chamber, with the cut found as
+    before the pair table, by making each block pair's nonzero weight
+    difference primitive and looking it up among the hyperplanes."""
+    blocks = []
+    for row in e.rows:
+        block = {k for k, c in enumerate(row) if c != 0}
+        for other in [b for b in blocks if b & block]:
+            block |= other
+            blocks.remove(other)
+        blocks.append(block)
+    index = {h: j for j, h in enumerate(chambers.hyperplanes)}
+    cut = set()
+    for block in blocks:
+        for k, l in combinations(sorted(block), 2):
+            diff = tuple(map(sub, lie.weights[k], lie.weights[l]))
+            if any(diff):
+                cut.add(index[primitive_signed(diff)])
+    cell_of = {}
+    return tuple(
+        cell_of.setdefault(tuple(ch.signs[j] for j in sorted(cut)), len(cell_of))
+        for ch in chambers.chambers
+    )
 
 
 def _numpy_flow_reference(lie, e, x, t_max=40.0, tol=1e-9):

@@ -24,6 +24,8 @@ from littleweyl.spherical import WordEntry, _word_entry_action, translate
 def test_frac_round_trip():
     for x in (Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(22, 7)):
         assert parse_frac(frac_str(x)) == x
+    # ints print as str does; bools as the ints they equal
+    assert [frac_str(x) for x in (0, -7, 10**30, True, False)] == ["0", "-7", str(10**30), "1", "0"]
     assert parse_frac(5) == Fraction(5)
     # exact decimal strings are accepted on input; output is always p/q
     assert parse_frac("1.5") == Fraction(3, 2)

@@ -9,11 +9,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import chamber_cone
+from conftest import chamber_cone, fresh_stages, order_regular_hyperplanes
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl import lie as lie_module
-from littleweyl.catalog import get_entry
+from littleweyl.catalog import get_entry, list_entries
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace
 from littleweyl.spherical import analyze, compression_cone, is_admissible
@@ -114,7 +114,7 @@ def test_a3_chamber_table_takes_one_dd_per_base_chamber_and_one_limit_per_cell(
         dd_calls.append(dim)
         return original_dd(dim, gammas)
 
-    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    fresh_stages(monkeypatch, lie)
     monkeypatch.setattr(cones.Cone, "from_inequalities", staticmethod(recording_dd))
     calls = _record_limit_calls(monkeypatch)
     chambers = spherical.order_regular_chambers(lie)
@@ -276,7 +276,7 @@ def test_verify_all_runs_the_limit_oracle_once_per_algebra(monkeypatch, capsys):
     """The six catalog entries live in three algebras (A1 three times,
     A1xA1 once, A2 twice); the oracle suite runs once for each, and every
     entry still reports its own limit checks."""
-    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    fresh_stages(monkeypatch, *(entry.lie() for entry in list_entries()))
     suites = []
     flows = []
     original_suite = verify._oracle_suite
@@ -307,7 +307,7 @@ def test_the_limit_oracle_is_keyed_by_the_algebra_object(monkeypatch, a1):
     """An equal copy of an algebra may differ in its structure constants
     (they are not compared), so it runs the suite again; and a caller that
     changes its list does not change the cached results."""
-    monkeypatch.setattr(verify, "_ORACLE_CACHE", {})
+    fresh_stages(monkeypatch, a1)
     runs = []
     original = verify._oracle_suite
 
@@ -328,6 +328,21 @@ def test_the_limit_oracle_is_keyed_by_the_algebra_object(monkeypatch, a1):
     verify.limit_oracle_suite(a1, 25, 2)
     verify.limit_oracle_suite(a1, 26, 1)
     assert len(runs) == 4
+
+
+def test_the_chamber_table_is_a_stage_of_the_algebra(a2):
+    """The same algebra returns the same table object; a dataclasses.replace
+    copy has stages of its own and builds an equal table again.  No module
+    keeps a cache of tables or oracle suites beside the stages."""
+    table = spherical.order_regular_chambers(a2)
+    assert spherical.order_regular_chambers(a2) is table
+    copy = dataclasses.replace(a2)
+    again = spherical.order_regular_chambers(copy)
+    assert again is not table and again == table
+    assert (again.ends, again.pairs) == (table.ends, table.pairs)
+    assert spherical.order_regular_chambers(copy) is again
+    for module, name in [(spherical, "_CHAMBER_CACHE"), (verify, "_ORACLE_CACHE")]:
+        assert not hasattr(module, name)
 
 
 def test_limit_runs_two_row_reductions_whatever_the_levels(monkeypatch):
@@ -354,7 +369,7 @@ def test_a3_chambers_take_few_row_reductions(monkeypatch):
     of each element of W is read off the table, so no map is inverted."""
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
     a3.weyl_group
-    hyperplanes = limits.order_regular_hyperplanes(a3)
+    hyperplanes = order_regular_hyperplanes(a3)
     rref_calls = _record_linalg_calls(monkeypatch, "rref")
     echelon_calls = _record_linalg_calls(monkeypatch, "integer_echelon")
     rank_calls = _record_linalg_calls(monkeypatch, "integer_rank")
@@ -363,7 +378,7 @@ def test_a3_chambers_take_few_row_reductions(monkeypatch):
     assert rref_calls == [] and rank_calls == []
     assert len(echelon_calls) <= 1_200
     echelon_calls.clear()
-    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    fresh_stages(monkeypatch, a3)
     assert spherical.order_regular_chambers(a3).count == 240
     assert rref_calls == [] and rank_calls == []
     assert len(echelon_calls) <= 74
@@ -378,7 +393,7 @@ def test_a3_orbit_moves_signs_by_lookups_and_each_ray_once(monkeypatch):
     signed permutations)."""
     a3 = build_from_cartan(cartan_matrix_of_type("A3"))
     a3.weyl_group
-    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
+    fresh_stages(monkeypatch, a3)
     mat_vec_calls = _record_linalg_calls(monkeypatch, "mat_vec")
     table = spherical.order_regular_chambers(a3)
     assert table.count == 240
@@ -504,8 +519,8 @@ def test_a3_cones_and_chambers_store_ints(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(cones, "Fraction", recording)
-    monkeypatch.setattr(spherical, "_CHAMBER_CACHE", {})
     an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
+    fresh_stages(monkeypatch, an.lie)
     table = spherical.order_regular_chambers(an.lie)
     assert is_admissible(an)
     assert len(spherical.chamber_limits(an, an.h_z)[1]) == table.count == 240
