@@ -6,8 +6,9 @@ appended, and all structure constants are exact integers.  The basis order is
     h_1 .. h_r,  z_1 .. z_c,  e_{b_1} .. e_{b_m},  f_{b_1} .. f_{b_m}
 
 with the positive roots b_1 < ... < b_m sorted by height, then by coordinate
-vector.  The Cartan subalgebra a is spanned by the h_i and z_j, so a-vectors
-are the first r + c coordinates.
+vector, so basis vector dim_a + k is the root vector of roots()[k].  The
+Cartan subalgebra a is spanned by the h_i and z_j, so a-vectors are the first
+dim_a = r + c coordinates.
 
 Structure constant signs follow the extraspecial pair convention: for each
 non-simple positive root the decomposition with the smallest first summand
@@ -135,6 +136,16 @@ def root_pairing(a, d, r1: Sequence[int], r2: Sequence[int]) -> int:
     return sum(d[i] * a[i][j] * x * y for i, x in enumerate(r1) for j, y in enumerate(r2))
 
 
+def _coroot(a, d, root: Sequence[int]) -> tuple[int, ...]:
+    """The coroot 2 root / (root, root) over h_1..h_r, for the Cartan matrix a
+    and its symmetrizer d; raises LieAlgebraError unless it is integral."""
+    n2 = root_pairing(a, d, root, root)
+    coords = [Fraction(2 * d[i] * root[i], n2) for i in range(len(d))]
+    if any(c.denominator != 1 for c in coords):
+        raise LieAlgebraError("coroot is not integral")
+    return tuple(c.numerator for c in coords)
+
+
 def positive_roots_of(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Positive roots in simple-root coordinates, by height then lexicographic.
 
@@ -176,9 +187,6 @@ class _ChevalleyConstants:
 
     def norm2(self, r: tuple[int, ...]) -> int:
         return root_pairing(self.a, self.d, r, r)
-
-    def is_root(self, r) -> bool:
-        return tuple(r) in self.all_roots
 
     def p_value(self, al, be) -> int:
         """Largest p with be - p*al a root."""
@@ -324,8 +332,11 @@ class LieAlgebraData:
     cartan_matrix: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    basis_index: tuple[tuple, ...]
-    structure: dict = field(hash=False, compare=False, repr=False)
+    # [x_i, x_j] = bracket_table[i][j], a sparse dict {k: c}, for every pair;
+    # read only: pairs that bracket to zero share one empty dict
+    bracket_table: tuple[tuple[dict[int, int], ...], ...] = field(
+        hash=False, compare=False, repr=False
+    )
     form_matrix: Mat = field(repr=False)
     # the a-functional of each basis vector, as integer values on h_1..h_r, z_1..z_c
     weights: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -336,7 +347,7 @@ class LieAlgebraData:
 
     @property
     def dim(self) -> int:
-        return len(self.basis_index)
+        return len(self.weights)
 
     @property
     def dim_a(self) -> int:
@@ -374,42 +385,19 @@ class LieAlgebraData:
 
     def coroot(self, root: Sequence[int]) -> tuple[int, ...]:
         """Coroot as an a-vector (coordinates over h_1..h_r, zero on the center)."""
-        n2 = root_pairing(self.cartan_matrix, self.symmetrizer, root, root)
-        coords = [Fraction(2 * self.symmetrizer[i] * root[i], n2) for i in range(self.rank)]
-        if any(c.denominator != 1 for c in coords):
-            raise LieAlgebraError("coroot is not integral")
-        return tuple(c.numerator for c in coords) + zero_vec(self.center_dim)
+        return _coroot(self.cartan_matrix, self.symmetrizer, root) + zero_vec(self.center_dim)
 
     # -- bracket, form, involution -------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict[int, int]:
-        if i == j:
-            return {}
-        if i > j:
-            return {k: -c for k, c in self.structure.get((j, i), {}).items()}
-        return self.structure.get((i, j), {})
-
-    def bracket_table(self) -> tuple[tuple[dict[int, int], ...], ...]:
-        """[x_i, x_j] = bracket_table()[i][j] for every pair of basis vectors,
-        as the sparse dicts of bracket_basis.  Built once per algebra, at
-        construction, and shared by validate, bracket, exp_ad_apply and
-        verify's lie_invariants, so it is read only: pairs that bracket to
-        zero share one empty dict."""
-        return self._bracket_table
-
-    @cached_property
-    def _bracket_table(self) -> tuple[tuple[dict[int, int], ...], ...]:
-        zero: dict[int, int] = {}
-        out = [[zero] * self.dim for _ in range(self.dim)]
-        for (i, j), comp in self.structure.items():
-            out[i][j], out[j][i] = comp, {k: -c for k, c in comp.items()}
-        return tuple(map(tuple, out))
+        """[x_i, x_j] as the sparse dict {k: c} of the bracket table (read only)."""
+        return self.bracket_table[i][j]
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         """[x, y], summed over the nonzeros of x and y."""
         if len(x) != self.dim or len(y) != self.dim:
             raise LieAlgebraError("dimension mismatch in bracket")
-        br = self.bracket_table()
+        br = self.bracket_table
         ys = [(j, yj) for j, yj in enumerate(y) if yj != 0]
         out = [0] * self.dim
         for i, xi in enumerate(x):
@@ -465,7 +453,7 @@ class LieAlgebraData:
         dim = self.dim
         if len(x) != dim or len(v) != dim:
             raise LieAlgebraError("dimension mismatch in exp_ad_apply")
-        br = self.bracket_table()
+        br = self.bracket_table
         rows = [(br[i], xi) for i, xi in enumerate(x) if xi != 0]
         out = list(v)
         term = {j: c for j, c in enumerate(v) if c != 0}
@@ -547,18 +535,6 @@ class LieAlgebraData:
                         eq[i] += f * c
             eqs.append(eq)
         return Subspace.kernel_of(self.dim, eqs)
-
-    def centralizer_in_g(self, v: Subspace) -> Subspace:
-        """Z_g(V) = m + a + sum of the root spaces vanishing on V, for V in a."""
-        if not self.a_subspace().contains(v):
-            raise LieAlgebraError("centralizer_in_g requires a subspace of a")
-        idx = self.a_indices()
-        a_rows = [self.g_vector_to_a(row) for row in v.rows]
-        for p, root in enumerate(self.positive_roots):
-            f = self.root_functional(root)
-            if all(dot(f, row) == 0 for row in a_rows):
-                idx += [self.e_index(p), self.f_index(p)]
-        return Subspace.from_coordinates(self.dim, idx)
 
     def is_subalgebra(self, e: Subspace) -> bool:
         """Whether E is closed under the bracket, read on its integer rows."""
@@ -712,7 +688,7 @@ class LieAlgebraData:
         and -B(x, theta y) positive definite.  The invariance of the form is
         verify's ``form_invariance``."""
         dim = self.dim
-        br = self.bracket_table()
+        br = self.bracket_table
         # Jacobi identity on all basis triples i < j < k.  [[x_i, x_j], x_k]
         # is the sum of c [x_l, x_k] over the terms c x_l of [x_i, x_j]; a
         # triple whose three pairwise brackets vanish has every term zero.
@@ -777,105 +753,45 @@ def _build_cached(key) -> LieAlgebraData:
     d = validate_cartan_matrix(a) if n else []
     cc = _ChevalleyConstants(a, d) if n else None
     pos = cc.pos if cc else []
-    m = len(pos)
     dim_a = n + abelian_center_dim
-    dim = dim_a + 2 * m
+    # basis vector dim_a + k has the root roots[k]: the e's, then the f's
+    roots = pos + [tuple(-x for x in r) for r in pos]
+    at = {r: k for k, r in enumerate(roots)}
+    weights = [(0,) * dim_a] * dim_a
+    weights += [
+        tuple(sum(a[i][j] * r[j] for j in range(n)) for i in range(n))
+        + (0,) * abelian_center_dim
+        for r in roots
+    ]
+    dim = len(weights)
 
-    basis_index: list[tuple] = [("h", i) for i in range(n)]
-    basis_index += [("z", i) for i in range(abelian_center_dim)]
-    basis_index += [("e", p) for p in range(m)]
-    basis_index += [("f", p) for p in range(m)]
-
-    def e_idx(p):
-        return dim_a + p
-
-    def f_idx(p):
-        return dim_a + m + p
-
-    def signed_index(root):
-        if root in cc.index:
-            return e_idx(cc.index[root])
-        neg = tuple(-x for x in root)
-        return f_idx(cc.index[neg])
-
-    structure: dict[tuple[int, int], dict[int, int]] = {}
+    zero: dict[int, int] = {}
+    br = [[zero] * dim for _ in range(dim)]
 
     def put(i, j, comp: dict[int, int]):
-        comp = {k: c for k, c in comp.items() if c != 0}
-        if not comp:
-            return
-        if i > j:
-            i, j = j, i
-            comp = {k: -c for k, c in comp.items()}
-        structure[(i, j)] = comp
+        br[i][j], br[j][i] = comp, {k: -c for k, c in comp.items()}
 
-    def root_of_basis(k):
-        tag, p = basis_index[k]
-        if tag == "e":
-            return pos[p]
-        if tag == "f":
-            return tuple(-x for x in pos[p])
-        return None
-
-    def pairing(root, i):  # root(h_i)
-        return sum(a[i][j] * root[j] for j in range(n))
-
-    # [h_i, e/f]
-    for i in range(n):
-        for k in range(dim_a, dim):
-            root = root_of_basis(k)
-            c = pairing(root, i)
-            if c:
-                put(i, k, {k: c})
-    # root vector brackets
-    for ki in range(dim_a, dim):
-        for kj in range(ki + 1, dim):
-            mu = root_of_basis(ki)
-            nu = root_of_basis(kj)
+    # [h_i, x_k] = weights[k][i] x_k
+    for k in range(dim_a, dim):
+        for i in range(n):
+            if weights[k][i]:
+                put(i, k, {k: weights[k][i]})
+    # root vector brackets; for ki < kj with mu + nu = 0, mu is positive
+    for ki, mu in enumerate(roots):
+        for kj in range(ki + 1, len(roots)):
+            nu = roots[kj]
             s = tuple(x + y for x, y in zip(mu, nu))
-            if all(x == 0 for x in s):
+            if s in at:
+                put(dim_a + ki, dim_a + kj, {dim_a + at[s]: cc.N(mu, nu)})
+            elif not any(s):
                 # [e_b, f_b] = coroot of b
-                b = mu if mu in cc.index else nu
-                sign = 1 if mu in cc.index else -1
-                n2 = cc.norm2(b)
-                comp = {}
-                for i in range(n):
-                    ci = Fraction(2 * d[i] * b[i], n2)
-                    assert ci.denominator == 1
-                    if ci:
-                        comp[i] = sign * ci.numerator
-                put(ki, kj, comp)
-            elif cc.is_root(s):
-                put(ki, kj, {signed_index(s): cc.N(mu, nu)})
-
-    # weights
-    weights: list[tuple[int, ...]] = []
-    for k in range(dim):
-        root = root_of_basis(k)
-        if root is None:
-            weights.append((0,) * dim_a)
-        else:
-            vals = tuple(pairing(root, i) for i in range(n))
-            weights.append(vals + (0,) * abelian_center_dim)
-
-    data = LieAlgebraData(
-        rank=n,
-        center_dim=abelian_center_dim,
-        cartan_matrix=tuple(tuple(row) for row in a),
-        symmetrizer=tuple(d),
-        positive_roots=tuple(pos),
-        basis_index=tuple(basis_index),
-        structure=structure,
-        form_matrix=(),
-        weights=tuple(weights),
-    )
+                comp = {i: c for i, c in enumerate(_coroot(a, d, mu)) if c}
+                put(dim_a + ki, dim_a + kj, comp)
 
     # Killing form B(x_i, x_j) = tr(ad x_i ad x_j) = sum_{k,l} c_il^k c_jk^l on
-    # the semisimple part, read off the structure constants. B pairs weight
-    # spaces of opposite weight only, so the nonzero entries lie in the (h, h)
-    # block and at the (e_p, f_p) pairs; the center pairs by the identity.
-    br = data.bracket_table()
-
+    # the semisimple part, read off the table. B pairs weight spaces of
+    # opposite weight only, so the nonzero entries lie in the (h, h) block and
+    # at the (e_p, f_p) pairs; the center pairs by the identity.
     def killing(i: int, j: int) -> int:
         t = 0
         for l in range(dim):
@@ -887,13 +803,22 @@ def _build_cached(key) -> LieAlgebraData:
 
     form = [[0] * dim for _ in range(dim)]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pairs += [(e_idx(p), f_idx(p)) for p in range(m)]
+    pairs += [(dim_a + p, dim_a + len(pos) + p) for p in range(len(pos))]
     for i, j in pairs:
         form[i][j] = form[j][i] = killing(i, j)
     for z in range(abelian_center_dim):
         form[n + z][n + z] = 1
 
-    object.__setattr__(data, "form_matrix", tuple(tuple(r) for r in form))
+    data = LieAlgebraData(
+        rank=n,
+        center_dim=abelian_center_dim,
+        cartan_matrix=tuple(tuple(row) for row in a),
+        symmetrizer=tuple(d),
+        positive_roots=tuple(pos),
+        bracket_table=tuple(map(tuple, br)),
+        form_matrix=tuple(map(tuple, form)),
+        weights=tuple(weights),
+    )
     data.validate()
     return data
 

@@ -8,8 +8,9 @@ row-reduce reject other entry types with a TypeError.  There is one
 elimination, the fraction-free ``integer_echelon`` on primitive integer
 rows.  A ``Subspace`` stores the canonical echelon form it gives as primitive
 integer rows, so two subspaces are equal as sets exactly when their rows are
-identical; ``rref`` and ``Subspace.basis_matrix`` are the ``Fraction`` view of
-that form, for callers that need exact rational coordinates.
+identical; ``Subspace.basis_matrix`` is the ``Fraction`` view of that form,
+its reduced row echelon form, for callers that need exact rational
+coordinates.
 """
 
 from __future__ import annotations
@@ -92,26 +93,8 @@ def identity(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_inverse(m: Mat) -> Mat:
-    """Inverse of a square rational matrix; raises on singular input."""
-    n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
-
-
 def mat_transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    Each row is scaled to a primitive integer vector, which keeps the row
-    space, and the rows are reduced by ``integer_echelon``."""
-    return _rref_of_echelon(integer_echelon(primitive_ints(r) for r in rows))
 
 
 def _rref_of_echelon(echelon: IntEchelon) -> tuple[Mat, tuple[int, ...]]:
@@ -189,7 +172,7 @@ def solve_columns(
 def primitive_ints(v: Sequence) -> tuple[int, ...]:
     """The primitive integer vector on the ray of a rational vector, its
     entries int or Fraction; 0 stays 0.  Every row-reducing entry point of
-    this module (rref, rank, kernel, solve, the Subspace constructors and
+    this module (rank, kernel, solve, the Subspace constructors and
     membership tests) reads its rows through here.  An int vector costs one
     gcd: math.gcd refuses any other entry."""
     try:
@@ -265,7 +248,7 @@ def integer_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
     arrive: each row is primitive, its first nonzero entry is positive and
     sits at its pivot, and every other row is zero there.  Dividing each row
     by its pivot entry and sorting by pivot gives the reduced row echelon
-    form of ``rref``.
+    form (``_rref_of_echelon``).
 
     One forward pass reduces each new row against the stored rows in pivot
     order (``integer_reduce``), which clears it on their pivots since a row

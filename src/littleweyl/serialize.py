@@ -178,10 +178,10 @@ def _cartan_from_json(data, where: str = "lie_algebra") -> tuple[list[list[int]]
             raise SpaceFileError(
                 f"{where} needs either 'cartan_type' or 'cartan_matrix'"
             )
-        if isinstance(matrix, list) and len(matrix) > MAX_RANK:
+        if isinstance(matrix, list) and not 1 <= len(matrix) <= MAX_RANK:
             raise SpaceFileError(
                 f"{where}: rank {len(matrix)} is not supported "
-                f"(the supported range is rank <= {MAX_RANK})"
+                f"(the supported range is 1 <= rank <= {MAX_RANK})"
             )
         if not isinstance(matrix, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in matrix

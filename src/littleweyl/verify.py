@@ -80,7 +80,7 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
     [x_i, x_j] = br[i][j], the form rows and theta of each basis vector."""
     out = []
     dim = lie.dim
-    br = lie.bracket_table()
+    br = lie.bracket_table
     form = [_sparse(row) for row in lie.form_matrix]
     # ad_rows[j][l] = {k: coefficient of x_l in [x_j, x_k]}
     ad_rows: list[list[dict[int, Fraction]]] = [[{} for _ in range(dim)] for _ in range(dim)]

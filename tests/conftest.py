@@ -4,7 +4,15 @@ import pytest
 
 from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
-from littleweyl.linalg import Subspace, primitive_signed
+from littleweyl.linalg import (
+    Mat,
+    Subspace,
+    _rref_of_echelon,
+    identity,
+    integer_echelon,
+    primitive_ints,
+    primitive_signed,
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +37,24 @@ def a1xa1():
 
 def span(dim, *rows):
     return Subspace.from_spanning(dim, [tuple(Fraction(x) for x in r) for r in rows])
+
+
+def rref(rows) -> tuple[Mat, tuple[int, ...]]:
+    """Oracle: the reduced row echelon form, (nonzero rows, pivot columns),
+    of the rows scaled to primitive integer vectors (which keeps the row
+    space) and reduced by integer_echelon."""
+    return _rref_of_echelon(integer_echelon(primitive_ints(r) for r in rows))
+
+
+def mat_inverse(m) -> Mat:
+    """Oracle: the inverse of a square rational matrix, read off the rref of
+    [m | 1]; raises ValueError on singular input."""
+    n = len(m)
+    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
+    red, pivots = rref(aug)
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(red[i][n:]) for i in range(n))
 
 
 def order_regular_hyperplanes(lie):

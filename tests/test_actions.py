@@ -33,12 +33,13 @@ def _unit(dim, k):
 def _dense_ad(lie, x):
     """ad x as a dense matrix read off the structure constants: column j is
     [x, x_j], summed over [x_i, x_j] = c x_k and [x_j, x_i] = -c x_k for the
-    entries c x_k of structure[(i, j)]."""
+    entries c x_k of bracket_table[i][j], i < j."""
     a = [[0] * lie.dim for _ in range(lie.dim)]
-    for (i, j), comp in lie.structure.items():
-        for k, c in comp.items():
-            a[k][j] += x[i] * c
-            a[k][i] -= x[j] * c
+    for i, row in enumerate(lie.bracket_table):
+        for j in range(i + 1, lie.dim):
+            for k, c in row[j].items():
+                a[k][j] += x[i] * c
+                a[k][i] -= x[j] * c
     return tuple(map(tuple, a))
 
 

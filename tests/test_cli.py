@@ -551,6 +551,22 @@ def test_rank_5_space_file_exits_1_at_load(tmp_path, capsys, command, lie_algebr
     assert "rank <= 4" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze",), ("admissible",), ("verify",), ("limit", "--direction=1"), ("degenerate",)],
+)
+def test_rank_0_space_file_exits_1_at_load(tmp_path, capsys, argv):
+    # analyze, admissible and verify once ended in a ConeError traceback
+    # from the chamber table, whose arrangement has no hyperplane at rank 0
+    space = {"lie_algebra": {"cartan_matrix": [], "center_dim": 1}, "subalgebra": [["1"]]}
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(space))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "rank 0 is not supported" in err
+    assert "1 <= rank <= 4" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_import_loads_no_third_party_module():
     # a fresh interpreter, so that modules the tests import do not count
     src = str(Path(littleweyl.__file__).resolve().parents[1])

@@ -10,7 +10,9 @@ and the digests of ``admissible`` on the Riemannian pairs A3, B3 and C3 g/so
 before the W-image chambers stopped building their cones.  The digest of
 ``analyze`` on C3 g/so was recorded before the little Weyl group was closed on
 root permutations, and the digest of ``analyze`` on A4 g/so before the
-double description kept its rays by zero-set adjacency.  A refactor that
+double description kept its rays by zero-set adjacency, and the digests of
+``analyze`` on A2 and B2 g/so with an abelian center before the bracket
+table became the one store of the structure constants.  A refactor that
 keeps results must keep every digest.
 """
 
@@ -27,7 +29,9 @@ from conftest import TRIPLE_SPACE
 
 from littleweyl import catalog
 from littleweyl.cli import build_report, main
-from littleweyl.serialize import dumps_canonical
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.linalg import Subspace
+from littleweyl.serialize import dumps_canonical, space_to_json
 from littleweyl.spherical import BasePoint
 
 ENTRIES = [e.name for e in catalog.list_entries()]
@@ -68,6 +72,19 @@ def space_json(cartan_type: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.space_json(cartan_type)
+
+
+def center_space_json(cartan_type: str, center_dim: int) -> dict:
+    """The g/so space file of g with an abelian center: the subalgebra is
+    spanned by the e_p - f_p, as in space_json."""
+    lie = build_from_cartan(cartan_matrix_of_type(cartan_type), center_dim)
+    rows = []
+    for p in range(lie.num_pos):
+        row = [0] * lie.dim
+        row[lie.e_index(p)], row[lie.f_index(p)] = 1, -1
+        rows.append(row)
+    lie_desc = {"cartan_type": cartan_type, "center_dim": center_dim}
+    return space_to_json(lie_desc, Subspace.from_spanning(lie.dim, rows), [])
 
 
 def levi_report(lie, h) -> str:
@@ -140,6 +157,14 @@ RIEMANNIAN_DIGESTS = {
     "A4": "0:875b1728b49f9a74",
 }
 
+# analyze --json on <type>c<center>_so.json, g/so with an abelian center of
+# g, run the same way: the center's weights, brackets and form enter every
+# stage of the analysis
+CENTER_DIGESTS = {
+    ("A2", 1): "0:bf1d419fa31e0427",
+    ("B2", 2): "0:557d6ac6fa95f872",
+}
+
 # admissible --json on <type>_so.json, run the same way
 RIEMANNIAN_ADMISSIBLE_DIGESTS = {
     "A3": "0:33daa194076f16ed",
@@ -186,6 +211,16 @@ def _riemannian_cli(command: str, cartan_type: str) -> str:
 def test_riemannian_pair_reports_are_unchanged(cartan_type, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _riemannian_cli("analyze", cartan_type) == RIEMANNIAN_DIGESTS[cartan_type]
+
+
+@pytest.mark.parametrize("cartan_type, center_dim", sorted(CENTER_DIGESTS))
+def test_riemannian_pair_reports_with_a_center_are_unchanged(
+    cartan_type, center_dim, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    name = f"{cartan_type}c{center_dim}_so.json"
+    Path(name).write_text(dumps_canonical(center_space_json(cartan_type, center_dim)))
+    assert _cli("analyze", name, "--json")[0] == CENTER_DIGESTS[cartan_type, center_dim]
 
 
 @pytest.mark.parametrize("cartan_type", sorted(RIEMANNIAN_ADMISSIBLE_DIGESTS))

@@ -8,6 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_inverse, rref
+
 from littleweyl.linalg import (
     Subspace,
     _kernel_rows,
@@ -17,11 +19,9 @@ from littleweyl.linalg import (
     integer_reduce,
     primitive_ints,
     kernel,
-    mat_inverse,
     mat_mul,
     primitive_signed,
     rank,
-    rref,
     solve,
     solve_columns,
     vec,

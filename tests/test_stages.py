@@ -1,7 +1,6 @@
 """Each derived stage is computed once per analysis and shared by its consumers."""
 
 import dataclasses
-import functools
 import json
 import random
 import sys
@@ -29,8 +28,16 @@ from littleweyl.weyl import little_weyl_group, weyl_from_limits
 
 def _record_linalg_calls(monkeypatch, attr: str) -> list:
     """Route every littleweyl name bound to linalg.<attr> through a recorder
-    of (calling function, rows reduced) for each call."""
+    of (calling function, rows reduced) for each call.  A routine the
+    library does not define (rref and mat_inverse are test oracles in
+    conftest) must be bound in no littleweyl module, so it is never called
+    and its list stays empty."""
     calls = []
+    if not hasattr(linalg, attr):
+        for name, module in list(sys.modules.items()):
+            if name == "littleweyl" or name.startswith("littleweyl."):
+                assert not hasattr(module, attr), f"{name}.{attr}"
+        return calls
     original = getattr(linalg, attr)
 
     def recording(rows, *args):
@@ -186,27 +193,48 @@ def test_simple_lifts_are_read_once_without_dense_exp_ad(monkeypatch, b2):
     assert len(series) == 3 * lie.rank * lie.dim
 
 
-def test_one_bracket_table_serves_construction_analysis_and_invariants(monkeypatch):
-    """Construction builds the bracket table for the Killing form and
-    validate; the Weyl lifts' series, the analysis, weyl_from_limits and
-    lie_invariants on A2 g/so all read that one table."""
-    builds = []
-    original = LieAlgebraData._bracket_table.func
+def test_one_bracket_table_serves_construction_analysis_and_invariants():
+    """The bracket table, a field set at construction, is the algebra's only
+    store of structure constants: no other field and no value cached on the
+    algebra holds brackets.  validate, the Weyl lifts' series behind the
+    analysis and weyl_from_limits, and lie_invariants on A2 g/so all read
+    that one table."""
+    reads = Counter()
 
-    def recording(self):
-        builds.append(self)
-        return original(self)
+    class Recording(dict):
+        def items(self):
+            reads[sys._getframe(1).f_code.co_name] += 1
+            return super().items()
 
-    table = functools.cached_property(recording)
-    table.__set_name__(LieAlgebraData, "_bracket_table")
-    monkeypatch.setattr(LieAlgebraData, "_bracket_table", table)
     key = (tuple(map(tuple, cartan_matrix_of_type("A2"))), 0)
-    a2 = lie_module._build_cached.__wrapped__(key)
-    assert builds == [a2]
+    built = lie_module._build_cached.__wrapped__(key)
+    fields = {f.name for f in dataclasses.fields(LieAlgebraData)}
+    assert fields == {
+        "rank",
+        "center_dim",
+        "cartan_matrix",
+        "symmetrizer",
+        "positive_roots",
+        "bracket_table",
+        "form_matrix",
+        "weights",
+        "_stages",
+    }
+    table = tuple(tuple(Recording(comp) for comp in row) for row in built.bracket_table)
+    a2 = dataclasses.replace(built, bracket_table=table)
+    a2.validate()
+    assert reads["<genexpr>"] > 0
+    reads.clear()
     an = _riemannian_analysis(a2)
+    assert reads["bracket"] > 0
+    reads.clear()
     assert weyl_from_limits(an).cosets
+    assert reads["exp_ad_apply"] > 0
+    reads.clear()
     assert all(r.ok for r in verify.lie_invariants(a2))
-    assert builds == [a2]
+    assert reads["lie_invariants"] > 0
+    assert a2.bracket_table is table
+    assert set(vars(a2)) - fields <= {"weyl_group", "_simple_lifts", "_form_rows"}
 
 
 def test_weyl_ambient_is_computed_once(monkeypatch, a2, so3_subalgebra):

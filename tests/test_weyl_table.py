@@ -13,6 +13,7 @@ import dataclasses
 from math import lcm
 
 import pytest
+from conftest import mat_inverse
 
 from littleweyl import lie as lie_mod
 from littleweyl import weyl
@@ -25,7 +26,6 @@ from littleweyl.linalg import (
     identity,
     integer_kernel,
     kernel,
-    mat_inverse,
     mat_mul,
     mat_vec,
     primitive_ints,
