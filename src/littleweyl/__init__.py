@@ -7,7 +7,7 @@ degenerations, and the little Weyl group with its spherical root system.
 """
 
 from .catalog import CatalogEntry, expected_results, get_entry, list_entries
-from .cones import ChamberSet, Cone, enumerate_chambers
+from .cones import ChamberSet, Cone
 from .lie import (
     LieAlgebraData,
     LieAlgebraError,

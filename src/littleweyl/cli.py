@@ -207,12 +207,12 @@ def _chambers_json(an) -> list[dict]:
     _, cells = chamber_limits(an, an.h_z)
     return [
         {
-            "signs": list(ch.signs),
-            "representative": vec_to_json(ch.representative),
+            "signs": signs,
+            "representative": vec_to_json(rep),
             "dim_limit_cap_a": caps[cell],
             "ok": ok[cell],
         }
-        for ch, cell in zip(order_regular_chambers(an.lie).chambers, cells)
+        for (signs, rep), cell in zip(order_regular_chambers(an.lie).rows(), cells)
     ]
 
 

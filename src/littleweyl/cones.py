@@ -14,12 +14,13 @@ that reports print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .lie import inverse_perm
 from .linalg import (
     IntEchelon,
     Subspace,
@@ -324,8 +325,20 @@ class Chamber:
 
 @dataclass(frozen=True)
 class ChamberSet:
-    hyperplanes: tuple[IntVec, ...]  # as arrangement gives them
+    """The chambers of a central arrangement, sorted by sign vector, and the
+    one reader of those signs: other modules select, group and move
+    chambers through the methods below.  The hyperplanes h_j are primitive,
+    with a positive leading entry, and sorted.  In the order-regular table
+    (spherical.order_regular_chambers) h_j is, up to a positive factor,
+    alpha_k - alpha_l for (k, l) = ends[j], indices of lie.roots(), and
+    ``pairs`` maps every ordered pair (k, l) of distinct indices to (j, e)
+    with alpha_k - alpha_l a positive multiple of e h_j.  Equality and
+    hashing read the hyperplanes and chambers alone."""
+
+    hyperplanes: tuple[IntVec, ...]
     chambers: tuple[Chamber, ...]
+    ends: tuple[tuple[int, int], ...] = field(compare=False)
+    pairs: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
 
     @property
     def count(self) -> int:
@@ -348,38 +361,69 @@ class ChamberSet:
             raise ConeError("point is outside the enumerated chambers")
         return ch
 
+    def sign_action(self, perm: Sequence[int]) -> SignAction:
+        """How the element of W with this root permutation moves chambers."""
+        return pair_sign_action(self.ends, self.pairs, perm)
+
+    def cells(self, cut: Iterable[int]) -> tuple[tuple[IntVec, ...], tuple[int, ...]]:
+        """The cells of chambers with the same signs on the hyperplanes at the
+        indices ``cut``, numbered in table order: the representative of
+        each cell's first chamber, and the cell of each chamber."""
+        cut = tuple(cut)
+        cell_of: dict[tuple[int, ...], int] = {}
+        firsts, cells = [], []
+        for ch in self.chambers:
+            cell = cell_of.setdefault(tuple(ch.signs[j] for j in cut), len(firsts))
+            if cell == len(firsts):
+                firsts.append(ch.representative)
+            cells.append(cell)
+        return tuple(firsts), tuple(cells)
+
+    def with_signs(self, fixed: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+        """The sign vectors of the chambers with sign s on h_j for every
+        (j, s) in ``fixed``."""
+        return [ch.signs for ch in self.chambers if all(ch.signs[j] == s for j, s in fixed)]
+
+    def shared_signs(self, chambers: Iterable[Chamber]) -> list[tuple[int, int]]:
+        """(j, s) for every h_j on which the given chambers all have sign s."""
+        columns = zip(*(ch.signs for ch in chambers))
+        return [(j, col[0]) for j, col in enumerate(columns) if len(set(col)) == 1]
+
+    def side(self, g: Sequence[int]) -> tuple[int, int] | None:
+        """(j, s) with h_j the hyperplane of the integer functional g and s
+        the sign on h_j of the chambers where g < 0 (g is a multiple of h_j
+        of the sign of its leading entry); None when h_j is not in the table."""
+        h = primitive_signed(g)
+        if h not in self.hyperplanes:
+            return None
+        return self.hyperplanes.index(h), -_sign(next(filter(None, g)))
+
+    def rows(self) -> Iterator[tuple[list[int], IntVec]]:
+        """Each chamber's sign list and representative, as a report prints."""
+        return ((list(ch.signs), ch.representative) for ch in self.chambers)
+
+
+def pair_sign_action(ends, pairs, perm: Sequence[int]) -> SignAction:
+    """How the element w of W with this root permutation moves the sign
+    vectors of a table with these ends and pairs (ChamberSet): the signs of
+    w(C) for the chamber C with the given signs.
+
+    A root alpha composed with w is w^-1 alpha, so h_j o w is a positive
+    multiple of w^-1 alpha_k - w^-1 alpha_l for (k, l) = ends[j], that is of
+    eps_j h_pi(j) for (pi(j), eps_j) the pairs entry of the image pair, and
+    w(C) has the signs eps_j signs[pi(j)].  Read by table lookups and applied
+    at C level; with one hyperplane (rank 1) itemgetter would return a scalar.
+    """
+    inv = inverse_perm(perm)
+    moved = [pairs[inv[k], inv[l]] for k, l in ends]
+    pi = [j for j, _ in moved]
+    eps = tuple(e for _, e in moved)
+    get = itemgetter(*pi) if len(pi) > 1 else lambda signs: (signs[pi[0]],)
+    return lambda signs: tuple(map(mul, eps, get(signs)))
+
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def arrangement(functionals: Iterable[Sequence]) -> tuple[IntVec, ...]:
-    """The hyperplanes of a central arrangement: its functionals made primitive
-    integer vectors with a positive leading entry, deduplicated and sorted."""
-    hyps: dict[IntVec, None] = {}
-    for f in functionals:
-        h = primitive_signed(f)
-        if not any(h):
-            raise ConeError("zero functional does not define a hyperplane")
-        hyps[h] = None
-    if not hyps:
-        raise ConeError("an arrangement needs at least one hyperplane")
-    return tuple(sorted(hyps))
-
-
-def enumerate_chambers(dim: int, functionals: Iterable[Sequence]) -> ChamberSet:
-    """All chambers of a central arrangement by wall-flipping traversal.
-
-    Starts from one generic seed chamber and crosses every facet of every
-    discovered chamber; for a central arrangement the chamber adjacency graph
-    is connected, so the traversal is exhaustive.
-    """
-    hyperplanes = arrangement(functionals)
-    cones = traverse_chambers(dim, hyperplanes, ())
-    return ChamberSet(
-        hyperplanes,
-        tuple(Chamber(s, cone.relative_interior_point()) for s, cone in cones.items()),
-    )
 
 
 def traverse_chambers(
@@ -387,7 +431,7 @@ def traverse_chambers(
 ) -> dict[tuple[int, ...], Cone]:
     """The cones of the chambers reachable from the seed chamber without
     crossing the hyperplanes at the ``fixed`` indices, keyed by sign vector
-    in sorted order.  The hyperplanes are those of ``arrangement``.
+    in sorted order.  The hyperplanes are those of a ChamberSet.
 
     With nothing fixed these are all chambers of the arrangement.  Otherwise
     they are the chambers inside the region of the fixed hyperplanes that

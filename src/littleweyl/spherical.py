@@ -20,16 +20,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter, mul, sub
+from operator import sub
 from typing import Callable, Sequence, TypeVar
 
 from .cones import (
-    Chamber,
     ChamberSet,
     Cone,
     ConeError,
-    SignAction,
     orbit_chambers,
+    pair_sign_action,
     traverse_chambers,
 )
 from .lie import LieAlgebraData, LieAlgebraError, inverse_perm
@@ -495,47 +494,8 @@ def cone_faces(analysis: SphericalAnalysis) -> list[Cone]:
     return compression_cone(analysis).faces()
 
 
-class OrderRegularChambers(ChamberSet):
-    """The chamber table of the order-regular arrangement, with the table
-    that says how W moves it.  Each hyperplane h_j is, up to a positive
-    factor, alpha_k - alpha_l for the pair (k, l) = ends[j] of indices of
-    lie.roots(); ``pairs`` maps every ordered pair (k, l) of distinct
-    indices to (j, e) with alpha_k - alpha_l a positive multiple of e h_j.
-    A plain subclass, so that importing the module generates no dataclass
-    methods; equality and hashing stay ChamberSet's."""
-
-    def __init__(
-        self,
-        hyperplanes: tuple[tuple[int, ...], ...],
-        chambers: tuple[Chamber, ...],
-        ends: tuple[tuple[int, int], ...],
-        pairs: dict[tuple[int, int], tuple[int, int]],
-    ):
-        super().__init__(hyperplanes, chambers)
-        self.ends = ends
-        self.pairs = pairs
-
-    def sign_action(self, perm: Sequence[int]) -> SignAction:
-        """How the element w of W with this root permutation moves sign
-        vectors: the signs of w(C) for the chamber C with the given signs.
-
-        A root alpha composed with w is w^-1 alpha, so h_j o w is a positive
-        multiple of w^-1 alpha_k - w^-1 alpha_l for (k, l) = ends[j], that is
-        of eps_j h_pi(j) for (pi(j), eps_j) the pairs entry of the image
-        pair, and w(C) has the signs eps_j signs[pi(j)].  Read by table
-        lookups and applied at C level; with one hyperplane (rank 1)
-        itemgetter would return a scalar.
-        """
-        inv = inverse_perm(perm)
-        moved = [self.pairs[inv[k], inv[l]] for k, l in self.ends]
-        pi = [j for j, _ in moved]
-        eps = tuple(e for _, e in moved)
-        get = itemgetter(*pi) if len(pi) > 1 else lambda signs: (signs[pi[0]],)
-        return lambda signs: tuple(map(mul, eps, get(signs)))
-
-
 @stage
-def order_regular_chambers(lie: LieAlgebraData) -> OrderRegularChambers:
+def order_regular_chambers(lie: LieAlgebraData) -> ChamberSet:
     """The chambers of the order-regular arrangement {alpha - beta}.
 
     One pass over the pairs (k, l) of roots, whose functionals are the weights
@@ -548,8 +508,8 @@ def order_regular_chambers(lie: LieAlgebraData) -> OrderRegularChambers:
     are traversed once, with one double description each; every other
     chamber is the image of one of them under one element w of W, whose
     integer matrix and that of w^-1 are read off lie.weyl_group.  An image
-    reads its signs off the root-pair table (OrderRegularChambers.sign_action,
-    from w's root permutation) and its representative off the w-images of
+    reads its signs off the root-pair table (cones.pair_sign_action, from
+    w's root permutation) and its representative off the w-images of
     the base chambers' distinct rays (cones.orbit_chambers), with no cone
     built.
     """
@@ -570,13 +530,12 @@ def order_regular_chambers(lie: LieAlgebraData) -> OrderRegularChambers:
     # roots()[k + num_pos] is -roots()[k]
     mirrors = {pairs[k, k + lie.num_pos][0] for k in range(lie.num_pos)}
     base = traverse_chambers(lie.dim_a, hyperplanes, mirrors)
-    frame = OrderRegularChambers(hyperplanes, (), ends, pairs)
     table = lie.weyl_group
     moves = [
-        (frame.sign_action(w.perm), w.matrix, table[inverse_perm(w.perm)].matrix)
+        (pair_sign_action(ends, pairs, w.perm), w.matrix, table[inverse_perm(w.perm)].matrix)
         for w in table.values()
     ]
-    return OrderRegularChambers(hyperplanes, orbit_chambers(base, moves), ends, pairs)
+    return ChamberSet(hyperplanes, orbit_chambers(base, moves), ends, pairs)
 
 
 def chamber_cell_limits(
@@ -612,17 +571,8 @@ def chamber_cell_limits(
         cut.update(table.pairs[r, s][0] for r, s in combinations(roots, 2))
         if len(roots) < len(block):
             cut.update(table.pairs[r, (r + n) % (2 * n)][0] for r in roots)
-    cut_order = sorted(cut)
-    cell_of: dict[tuple[int, ...], int] = {}
-    limits: list[Subspace] = []
-    cells = []
-    for ch in table.chambers:
-        key = tuple(ch.signs[j] for j in cut_order)
-        if key not in cell_of:
-            cell_of[key] = len(limits)
-            limits.append(limit_subspace(lie, e, ch.representative))
-        cells.append(cell_of[key])
-    return tuple(limits), tuple(cells)
+    firsts, cells = table.cells(cut)
+    return tuple(limit_subspace(lie, e, x) for x in firsts), cells
 
 
 @stage
@@ -657,13 +607,15 @@ def compression_cone_of_point(analysis: SphericalAnalysis, h_z: Subspace) -> Con
     limits, cells = chamber_limits(analysis, h_z)
     passing = [lim in targets for lim in limits]
     table = order_regular_chambers(lie)
-    inside = [ch.signs for ch, cell in zip(table.chambers, cells) if passing[cell]]
+    inside = [ch for ch, cell in zip(table.chambers, cells) if passing[cell]]
     if not inside:
         return Cone.from_rays(lie.dim_a, [])
-    fixed = [(j, col[0]) for j, col in enumerate(zip(*inside)) if len(set(col)) == 1]
-    filled = sum(all(ch.signs[j] == s for j, s in fixed) for ch in table.chambers)
+    fixed = table.shared_signs(inside)
+    filled = len(table.with_signs(fixed))
     if filled != len(inside):
-        raise ContractViolation("the passing chambers do not fill a convex cone")
+        raise ContractViolation(
+            f"the passing chambers do not fill a convex cone: {len(inside)} pass, {filled} filled"
+        )
     return Cone.from_inequalities(
         lie.dim_a, [tuple(-s * c for c in table.hyperplanes[j]) for j, s in fixed]
     )

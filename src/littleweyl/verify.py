@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .catalog import CatalogEntry
 from .cones import Cone, fraction_view
 from .lie import LieAlgebraData
 from .limits import float_flow_oracle, is_order_regular, limit_subspace
@@ -682,20 +681,6 @@ def check_claims(
             )
         )
     return out
-
-
-def check_entry(entry: CatalogEntry) -> list[CheckResult]:
-    """Field-by-field comparison of the pipeline output with the expected
-    record; a mismatch reports got vs want."""
-    try:
-        bp = entry.base_point()
-    except Exception as err:  # noqa: BLE001
-        return [_check(f"{entry.name}.base_point", False, str(err))]
-    try:
-        an = analyze(entry.lie(), bp.h_z)
-    except NotAdaptedError as err:
-        an = err
-    return check_claims(an, entry.expected, entry.name)
 
 
 def _expected_cone_ineqs(lie: LieAlgebraData, ineqs: Sequence[Sequence[int]]):

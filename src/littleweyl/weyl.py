@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import Cone
+from .cones import ChamberSet, Cone
 from .lie import LieAlgebraData, compose_perms, group_closure, inverse_perm, root_pairing
 from .linalg import (
     Mat,
@@ -33,7 +33,6 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     primitive_ints,
-    primitive_signed,
     rank,
     solve,
     vec_add,
@@ -41,7 +40,6 @@ from .linalg import (
 )
 from .spherical import (
     ContractViolation,
-    OrderRegularChambers,
     SWeight,
     SphericalAnalysis,
     chamber_limits,
@@ -327,36 +325,48 @@ def _verify_group(lie, quot, realizers, table, cone) -> None:
     _verify_tiling(order_regular_chambers(lie), [w.perm for w in realizers], cone)
 
 
-def _verify_tiling(
-    chambers: OrderRegularChambers, perms: Sequence[tuple[int, ...]], cone: Cone
-) -> None:
+def _verify_tiling(chambers: ChamberSet, perms: Sequence[tuple[int, ...]], cone: Cone) -> None:
     """Translates of the cone by the elements of W with the given root
     permutations cover a with disjoint interiors; ``chambers`` is the
     order-regular chamber table.
 
-    Every facet of the cone must be a hyperplane of the table, so that the
-    cone is a union of closed chambers.  W permutes the chambers (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.12), and an element carries the
-    chambers in the cone onto those in its translate, with the signs read
-    off the table's root-pair action (OrderRegularChambers.sign_action), as
-    the table's own W-orbit reads them.  The chambers are open and their
-    closures cover a, so the translates tile a exactly when these images
-    are distinct and number all chambers.  Every S_z functional vanishes on
-    a_h, which so lies in the lineality of each translate: they tile a/a_h
-    as well.
+    W permutes the chambers (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.12), and an element carries the chambers in the cone
+    (_chambers_in_cone) onto those in its translate, with the signs read off
+    the table's root-pair action (ChamberSet.sign_action), as the table's
+    own W-orbit reads them.  The chambers are open and their closures cover
+    a, so the translates tile a exactly when these images are distinct and
+    number all chambers.  Every S_z functional vanishes on a_h, which so
+    lies in the lineality of each translate: they tile a/a_h as well.
     """
+    inside = _chambers_in_cone(chambers, cone)
+    images = [act(signs) for act in map(chambers.sign_action, perms) for signs in inside]
+    distinct = len(set(images))
+    counts = (
+        f"{len(images)} images, {distinct} distinct, {chambers.count} chambers, "
+        f"group order {len(perms)}"
+    )
+    if distinct < len(images):
+        raise ContractViolation(f"two cone translates share interior: {counts}")
+    if len(images) != chambers.count:
+        raise ContractViolation(f"cone translates do not cover a/a_h: {counts}")
+
+
+def _chambers_in_cone(chambers: ChamberSet, cone: Cone) -> list[tuple[int, ...]]:
+    """The sign vectors of the table chambers inside the cone.
+
+    Every facet of the cone must be a hyperplane of the table, so that the
+    cone is a union of closed chambers: those with the facets' signs.
+    """
+    fixed = []
     for g in cone.facets:
-        if primitive_signed(g) not in chambers.hyperplanes:
+        side = chambers.side(g)
+        if side is None:
             raise ContractViolation(
                 f"the compression cone facet {g} is not an order-regular hyperplane"
             )
-    inside = [ch.signs for ch in chambers.chambers if cone.contains(ch.representative)]
-    acts = [chambers.sign_action(p) for p in perms]
-    images = [act(signs) for act in acts for signs in inside]
-    if len(set(images)) < len(images):
-        raise ContractViolation("two cone translates share interior")
-    if len(images) != chambers.count:
-        raise ContractViolation("cone translates do not cover a/a_h")
+        fixed.append(side)
+    return chambers.with_signs(fixed)
 
 
 # ---------------------------------------------------------------------------

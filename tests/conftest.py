@@ -1,8 +1,10 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from littleweyl.cones import Cone
+from littleweyl.cones import Chamber, ChamberSet, Cone, ConeError, traverse_chambers
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import (
     Mat,
@@ -13,6 +15,8 @@ from littleweyl.linalg import (
     primitive_ints,
     primitive_signed,
 )
+from littleweyl.spherical import NotAdaptedError, analyze
+from littleweyl.verify import CheckResult, check_claims
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +75,54 @@ def order_regular_hyperplanes(lie):
             if any(c != 0 for c in diff):
                 out[primitive_signed(diff)] = None
     return list(out)
+
+
+def arrangement(functionals):
+    """The hyperplanes of a central arrangement: its functionals made primitive
+    integer vectors with a positive leading entry, deduplicated and sorted."""
+    hyps = {}
+    for f in functionals:
+        h = primitive_signed(f)
+        if not any(h):
+            raise ConeError("zero functional does not define a hyperplane")
+        hyps[h] = None
+    if not hyps:
+        raise ConeError("an arrangement needs at least one hyperplane")
+    return tuple(sorted(hyps))
+
+
+def enumerate_chambers(dim, functionals):
+    """Oracle: all chambers of a central arrangement by the wall-flipping
+    traversal that crosses every wall, with no root-pair table.  For a central
+    arrangement the chamber adjacency graph is connected, so the traversal is
+    exhaustive."""
+    hyperplanes = arrangement(functionals)
+    cones = traverse_chambers(dim, hyperplanes, ())
+    chambers = tuple(Chamber(s, cone.relative_interior_point()) for s, cone in cones.items())
+    return ChamberSet(hyperplanes, chambers, (), {})
+
+
+def check_entry(entry):
+    """The catalog entry's claims checked on its analysis, as ``verify`` runs
+    them: analyze, or keep the NotAdaptedError, then check_claims."""
+    try:
+        bp = entry.base_point()
+    except Exception as err:  # noqa: BLE001
+        return [CheckResult(f"{entry.name}.base_point", False, str(err))]
+    try:
+        an = analyze(entry.lie(), bp.h_z)
+    except NotAdaptedError as err:
+        an = err
+    return check_claims(an, entry.expected, entry.name)
+
+
+def space_json(cartan_type):
+    """The g/so space file of the benchmark inputs (bench/make_inputs.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "make_inputs.py"
+    spec = importlib.util.spec_from_file_location("make_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.space_json(cartan_type)
 
 
 def fresh_stages(monkeypatch, *owners):

@@ -39,7 +39,6 @@ from littleweyl.spherical import (
     translate,
 )
 from littleweyl.verify import (
-    check_entry,
     random_order_regular,
     random_subspace,
     structural_invariants,

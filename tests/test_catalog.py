@@ -1,13 +1,13 @@
 import dataclasses
 
 import pytest
+from conftest import check_entry
 
 from littleweyl.catalog import (
     expected_results,
     get_entry,
     list_entries,
 )
-from littleweyl.verify import check_entry
 
 
 EXPECTED_NAMES = {

@@ -1,18 +1,18 @@
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import order_regular_hyperplanes
+from conftest import enumerate_chambers, order_regular_hyperplanes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littleweyl.cones import (
     Chamber,
-    ChamberSet,
     Cone,
     ConeError,
-    enumerate_chambers,
     orbit_chambers,
     traverse_chambers,
 )
@@ -213,7 +213,7 @@ def test_chamber_of_looks_up_the_sign_vector():
         assert cs.chamber_of([Fraction(c, 3) for c in ch.representative]) is ch
     with pytest.raises(ConeError, match="lies on a hyperplane"):
         cs.chamber_of((1, 1))
-    part = ChamberSet(cs.hyperplanes, cs.chambers[:1])
+    part = dataclasses.replace(cs, chambers=cs.chambers[:1])
     with pytest.raises(ConeError, match="outside the enumerated chambers"):
         part.chamber_of(cs.chambers[1].representative)
 
@@ -357,6 +357,48 @@ def test_orbit_equals_the_matrix_orbit(cartan_type, center):
     want = _matrix_orbit_chambers(table.hyperplanes, base, maps)
     assert orbit_chambers(base, moves) == want
     assert table.chambers == want
+
+
+@functools.cache
+def _table(cartan_type):
+    return order_regular_chambers(build_from_cartan(cartan_matrix_of_type(cartan_type)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A2", "B2", "G2", "A3"]), st.data())
+def test_table_operations_equal_the_tuple_reading(cartan_type, data):
+    """The cell, match, shared-sign and side operations of the chamber table
+    against the plain reading of its sign tuples, on random hyperplane
+    subsets and sign choices."""
+    table = _table(cartan_type)
+    chambers, n = table.chambers, len(table.hyperplanes)
+    cut = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+
+    keys = [tuple(ch.signs[j] for j in cut) for ch in chambers]
+    cell_keys = list(dict.fromkeys(keys))
+    firsts, cells = table.cells(cut)
+    assert cells == tuple(cell_keys.index(k) for k in keys)
+    assert firsts == tuple(chambers[keys.index(k)].representative for k in cell_keys)
+
+    fixed = [(j, data.draw(st.sampled_from([-1, 1]))) for j in cut]
+    want = [ch.signs for ch in chambers if all(ch.signs[j] == s for j, s in fixed)]
+    assert table.with_signs(fixed) == want
+
+    chosen = data.draw(st.lists(st.sampled_from(chambers), min_size=1, max_size=5))
+    shared = [(j, chosen[0].signs[j]) for j in range(n)]
+    want = [(j, s) for j, s in shared if all(ch.signs[j] == s for ch in chosen)]
+    assert table.shared_signs(chosen) == want
+
+    j = data.draw(st.integers(0, n - 1))
+    scale = data.draw(st.sampled_from([-3, -1, 1, 2]))
+    g = tuple(scale * c for c in table.hyperplanes[j])
+    side_j, s = table.side(g)
+    assert side_j == j
+    assert [ch.signs[j] == s for ch in chambers] == [
+        dot(g, ch.representative) < 0 for ch in chambers
+    ]
+    # no alpha - beta has an entry 101 times another
+    assert table.side(tuple(101**k for k in range(len(g)))) is None
 
 
 def test_zero_functional_rejected():

@@ -18,14 +18,13 @@ keeps results must keep every digest.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import re
 from pathlib import Path
 
 import pytest
-from conftest import TRIPLE_SPACE
+from conftest import TRIPLE_SPACE, space_json
 
 from littleweyl import catalog
 from littleweyl.cli import build_report, main
@@ -63,15 +62,6 @@ def entry_outputs(name: str) -> dict[str, str]:
     out["admissible"] = _cli("admissible", name, "--json")[0]
     out["limit"] = _cli("limit", name, "--json", f"--direction={direction}")[0]
     return out
-
-
-def space_json(cartan_type: str) -> dict:
-    """The g/so space file of the benchmark inputs (bench/make_inputs.py)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "make_inputs.py"
-    spec = importlib.util.spec_from_file_location("make_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.space_json(cartan_type)
 
 
 def center_space_json(cartan_type: str, center_dim: int) -> dict:

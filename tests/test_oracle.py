@@ -1,4 +1,5 @@
-"""Root systems and Weyl group orders against sympy.liealgebras.
+"""Root systems and Weyl group orders against sympy.liealgebras, and the
+closed forms of the Riemannian pairs g/so at rank <= 3.
 
 The chamber table counts on #chambers = |W| x #chambers in one Weyl chamber,
 so |W| and the root system are checked against a source independent of the
@@ -19,10 +20,15 @@ from itertools import permutations
 
 import pytest
 import sympy
+from conftest import space_json
 from sympy.liealgebras.root_system import RootSystem
 from sympy.liealgebras.weyl_group import WeylGroup
 
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.linalg import primitive_ints
+from littleweyl.serialize import space_from_json
+from littleweyl.spherical import analyze, compression_cone
+from littleweyl.weyl import limits_agree_with_walls, little_weyl_group
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 
@@ -88,3 +94,33 @@ def test_root_system_and_weyl_order_match_sympy(cartan_type):
     assert len(lie.roots()) == 2 * lie.num_pos == len(RootSystem(cartan_type).all_roots())
     assert embedded == _reflection_closure(simple)
     assert len(lie.weyl_group) == int(WeylGroup(cartan_type).group_order())
+
+
+# Closed forms of the Riemannian pairs g/so(g), g split of rank <= 3: the
+# subalgebra is the span of the e_p - f_p, as bench/make_inputs.py writes it.
+# Then S_z is twice each positive root, the indecomposables are twice the
+# simple roots, the compression cone is the antidominant Weyl chamber, a_h
+# is 0 and the little Weyl group is all of W, whose Coxeter type labels B_n
+# and C_n alike.
+SO_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+
+
+@pytest.mark.parametrize("cartan_type", SO_TYPES)
+def test_riemannian_pairs_match_their_closed_forms(cartan_type):
+    lie, bp, _ = space_from_json(space_json(cartan_type))
+    an = analyze(lie, bp.h_z)
+    n_pos = len(RootSystem(cartan_type).all_roots()) // 2
+    twice = sorted(tuple(2 * c for c in root) for root in lie.positive_roots)
+    assert len(twice) == n_pos
+    assert sorted(s.coords for s in an.s_z) == twice
+    simple = [tuple(int(i == j) for j in range(lie.rank)) for i in range(lie.rank)]
+    assert sorted(s.coords for s in an.indecomposables) == sorted(
+        tuple(2 * c for c in root) for root in simple
+    )
+    cone = compression_cone(an)
+    assert sorted(cone.facets) == sorted(primitive_ints(lie.root_functional(r)) for r in simple)
+    assert an.a_h.dim == 0
+    group = little_weyl_group(an)
+    assert group.order == int(WeylGroup(cartan_type).group_order())
+    assert limits_agree_with_walls(an)
+    assert group.type_label == cartan_type.replace("C", "B")

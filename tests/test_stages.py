@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import chamber_cone, fresh_stages, order_regular_hyperplanes
+from conftest import chamber_cone, enumerate_chambers, fresh_stages, order_regular_hyperplanes
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl import lie as lie_module
@@ -401,7 +401,7 @@ def test_a3_chambers_take_few_row_reductions(monkeypatch):
     rref_calls = _record_linalg_calls(monkeypatch, "rref")
     echelon_calls = _record_linalg_calls(monkeypatch, "integer_echelon")
     rank_calls = _record_linalg_calls(monkeypatch, "integer_rank")
-    chambers = cones.enumerate_chambers(a3.dim_a, hyperplanes)
+    chambers = enumerate_chambers(a3.dim_a, hyperplanes)
     assert chambers.count == 240
     assert rref_calls == [] and rank_calls == []
     assert len(echelon_calls) <= 1_200
@@ -477,17 +477,16 @@ def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
         return original_dd(inequalities, dim)
 
     monkeypatch.setattr(cones, "_dd", recording_dd)
-    for attr in ("enumerate_chambers", "traverse_chambers"):
-        original = getattr(cones, attr)
+    original = cones.traverse_chambers
 
-        def recording(*args, _original=original, _attr=attr):
-            traversals.append(_attr)
-            return _original(*args)
+    def recording(*args):
+        traversals.append("traverse_chambers")
+        return original(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name == "littleweyl" or name.startswith("littleweyl."):
-                if getattr(module, attr, None) is original:
-                    monkeypatch.setattr(module, attr, recording)
+    for name, module in list(sys.modules.items()):
+        if name == "littleweyl" or name.startswith("littleweyl."):
+            if getattr(module, "traverse_chambers", None) is original:
+                monkeypatch.setattr(module, "traverse_chambers", recording)
 
     entry = get_entry("A1xA1_diag_w0")
     diag = analyze(entry.lie(), entry.base_point().h_z)

@@ -3,11 +3,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import LEVI_PAIRS, chamber_cone
+from conftest import LEVI_PAIRS, chamber_cone, enumerate_chambers
 
 from littleweyl import spherical, weyl
 from littleweyl.catalog import get_entry, list_entries
-from littleweyl.cones import Cone, enumerate_chambers
+from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, primitive_signed, vec
 from littleweyl.spherical import (
@@ -430,6 +430,16 @@ def test_tiling_agrees_with_the_facet_arrangement_check(key, levi_pairs):
             _facet_arrangement_tiling(group.quotient, mutate(maps), cone)
 
 
+@pytest.mark.parametrize("key", _TILING_SPACES + ["so/A1", "so/A2", "so/B2", "so/G2"])
+def test_tiling_selects_by_signs_the_chambers_the_cone_contains(key, levi_pairs):
+    """Old against new: the chambers that the tiling check selects by their
+    signs on the cone's facet hyperplanes are the chambers whose
+    representative the cone contains, the scan the check ran before."""
+    _, chambers, _, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
+    want = [ch.signs for ch in chambers.chambers if cone.contains(ch.representative)]
+    assert weyl._chambers_in_cone(chambers, cone) == want
+
+
 def _hull_of_passing_chambers(an, h_z):
     """The chamber sweep as it ran before it read the table's sign vectors,
     kept as a reference: the cone that the closed chambers with a passing
@@ -486,7 +496,9 @@ def test_chamber_sweep_rejects_passing_chambers_that_fill_no_convex_cone(monkeyp
         return (analysis.h_empty, Subspace.from_spanning(analysis.lie.dim, [])), cells
 
     monkeypatch.setattr(spherical, "chamber_limits", two_opposite_chambers)
-    with pytest.raises(ContractViolation, match="do not fill a convex cone"):
+    with pytest.raises(
+        ContractViolation, match=f"do not fill a convex cone: 2 pass, {table.count} filled$"
+    ):
         compression_cone_of_point(an, an.h_z)
 
 
@@ -504,11 +516,22 @@ def test_chamber_sweep_with_no_passing_chamber_is_the_zero_cone(monkeypatch):
 
 @pytest.mark.parametrize("name", ["A1_nbar", "A1_so2", "A1xA1_diag_w0", "A2_so3"])
 def test_tiling_rejects_an_overlap_and_a_gap(name):
+    """The messages count the images, the distinct ones, the table's
+    chambers and the group elements: each translate holds k chambers."""
     _, chambers, perms, cone = _tiling_inputs(_analysis(name))
     weyl._verify_tiling(chambers, perms, cone)
-    with pytest.raises(ContractViolation, match="share interior"):
+    n, k = len(perms), chambers.count // len(perms)
+    with pytest.raises(
+        ContractViolation,
+        match=f"share interior: {(n + 1) * k} images, {n * k} distinct, "
+        f"{n * k} chambers, group order {n + 1}$",
+    ):
         weyl._verify_tiling(chambers, perms + perms[-1:], cone)
-    with pytest.raises(ContractViolation, match="do not cover"):
+    with pytest.raises(
+        ContractViolation,
+        match=f"do not cover a/a_h: {(n - 1) * k} images, {(n - 1) * k} distinct, "
+        f"{n * k} chambers, group order {n - 1}$",
+    ):
         weyl._verify_tiling(chambers, perms[:-1], cone)
 
 
