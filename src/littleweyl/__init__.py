@@ -11,7 +11,6 @@ from .cones import ChamberSet, Cone
 from .lie import (
     LieAlgebraData,
     LieAlgebraError,
-    SignCharacterGroup,
     WeylElement,
     WeylGroupElement,
     build_from_cartan,

@@ -157,10 +157,6 @@ class Cone:
             ineqs.append(_neg(l))
         return Cone.from_inequalities(dim, ineqs)
 
-    @staticmethod
-    def full_space(dim: int) -> "Cone":
-        return Cone.from_inequalities(dim, [])
-
     # -- basic structure -------------------------------------------------------
 
     @property
@@ -191,10 +187,6 @@ class Cone:
         return hash((self.ambient_dim, self.rays, self.lineality))
 
     # -- operations -------------------------------------------------------------
-
-    def dual(self) -> "Cone":
-        """{lambda : lambda(x) >= 0 for all x in the cone}."""
-        return Cone.from_rays(self.ambient_dim, [_neg(g) for g in self.inequalities])
 
     def intersect(self, other: "Cone") -> "Cone":
         return Cone.from_inequalities(

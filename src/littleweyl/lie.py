@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -29,13 +30,10 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    combination,
     dot,
     frac,
     identity,
-    mat_mul,
     mat_vec,
-    solve,
     sparse_combination,
     vec,
     vec_scale,
@@ -268,32 +266,9 @@ class _ChevalleyConstants:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """Element n_w of N_G(a) given by a word in the simple reflections.
-
-    Ad(n_w) maps a to itself by ``action_on_a`` and permutes the root
-    vectors up to sign: root coordinate r (basis index dim_a + r) goes to
-    ``signs[r]`` times root coordinate ``perm[r]``.
-    """
-
-    word: tuple[int, ...]
-    action_on_a: Mat
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    def apply(self, v: Sequence) -> Vec:
-        """Ad(n_w) v."""
-        d = len(self.action_on_a)
-        out = list(mat_vec(self.action_on_a, v[:d])) + [0] * len(self.perm)
-        for r, (t, s) in enumerate(zip(self.perm, self.signs)):
-            out[d + t] = v[d + r] if s > 0 else -v[d + r]
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class WeylGroupElement:
     """An element w of the Weyl group: its shortest word (the least in word
-    order), its matrix on a, and its permutation of the roots,
+    order), its integer matrix on a, and its permutation of the roots,
     w(roots()[k]) = roots()[perm[k]]."""
 
     word: tuple[int, ...]
@@ -302,27 +277,28 @@ class WeylGroupElement:
 
 
 @dataclass(frozen=True)
-class SignCharacter:
-    """Sign assignment on the roots, multiplicative on sums."""
+class WeylElement:
+    """Element n_w of N_G(a) given by a word in the simple reflections.
 
-    label: tuple[int, ...]  # exponent vector of the lattice generators used
-    values: tuple[int, ...]  # +-1 per positive root, chi(-b) = chi(b)
+    Ad(n_w) maps a to itself by the matrix of ``element``, the word's element
+    of the weyl_group table, and permutes the root vectors up to sign as
+    element.perm permutes the roots: root coordinate r (basis index
+    dim_a + r) goes to ``signs[r]`` times root coordinate element.perm[r].
+    The signs depend on the word, not only on its element.
+    """
 
-    def value(self, pos_index: int) -> int:
-        return self.values[pos_index]
+    word: tuple[int, ...]
+    element: WeylGroupElement
+    signs: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class SignCharacterGroup:
-    """Finite model of the adjoint action of M on the root spaces."""
-
-    lattice: str
-    generators: tuple[Vec, ...]
-    elements: tuple[SignCharacter, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def apply(self, v: Sequence) -> Vec:
+        """Ad(n_w) v."""
+        m = self.element.matrix
+        d = len(m)
+        out = list(mat_vec(m, v[:d])) + [0] * len(self.signs)
+        for r, (t, s) in enumerate(zip(self.element.perm, self.signs)):
+            out[d + t] = v[d + r] if s > 0 else -v[d + r]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -495,11 +471,6 @@ class LieAlgebraData:
             out.append(scale ** int(k))
         return tuple(out)
 
-    def sign_scaling(self, chi: SignCharacter) -> Vec:
-        """The sign character chi on g, which scales each basis vector by
-        +-1, as the tuple of factors (1 on a)."""
-        return (1,) * self.dim_a + 2 * chi.values
-
     # -- distinguished subspaces ---------------------------------------------
 
     def a_indices(self) -> list[int]:
@@ -547,15 +518,6 @@ class LieAlgebraData:
 
     # -- Weyl group ----------------------------------------------------------
 
-    def reflection_on_a(self, root: Sequence[int]) -> Mat:
-        """The reflection X -> X - root(X) coroot of a, as a matrix."""
-        f = self.root_functional(root)
-        cor = self.coroot(root)
-        return tuple(
-            tuple(int(r == k) - cor[r] * f[k] for k in range(self.dim_a))
-            for r in range(self.dim_a)
-        )
-
     def reflection_perm(self, root: Sequence[int]) -> tuple[int, ...]:
         """The reflection in the root as a permutation of roots():
         beta -> beta - <beta, root^vee> root."""
@@ -575,26 +537,31 @@ class LieAlgebraData:
 
         W acts faithfully on the roots, so the closure runs over the root
         permutations of the simple reflections, in the order of
-        group_closure; the matrix on a is composed once per new element.
+        group_closure.  Each element's matrix on a is read off its
+        permutation: w preserves the form, so w(alpha_i^vee) = (w alpha_i)^vee
+        (Humphreys, Introduction to Lie Algebras and Representation Theory,
+        section 9), and column i is the coroot of roots()[perm[k_i]], where
+        k_i is the index of alpha_i; w fixes the center, whose columns are
+        unit vectors.
         """
         simple = [tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)]
-        refl = [self.reflection_on_a(r) for r in simple]
         gens = [self.reflection_perm(r) for r in simple]
+        coroots = [self.coroot(r) for r in self.roots()]
+        simple_at = [self.root_index(r) for r in simple]
+        center = list(identity(self.dim_a)[self.rank :])
         out: dict[tuple[int, ...], WeylGroupElement] = {}
-        by_word: dict[tuple[int, ...], Mat] = {(): identity(self.dim_a)}
         for perm, word in group_closure(gens, tuple(range(2 * self.num_pos))):
-            if word:
-                by_word[word] = mat_mul(by_word[word[:-1]], refl[word[-1]])
-            out[perm] = WeylGroupElement(word, by_word[word], perm)
+            cols = [coroots[perm[k]] for k in simple_at] + center
+            out[perm] = WeylGroupElement(word, tuple(zip(*cols)), perm)
         return out
 
     @cached_property
     def _simple_lifts(self) -> tuple[WeylElement, ...]:
         """Ad(n_i) for n_i = exp(ad e_i) exp(-ad f_i) exp(ad e_i), one per
         simple root.  Column k is the three bracket series applied to the
-        basis vector b_k in turn.  The lift must act on a as the simple
-        reflection and permute the root vectors up to sign as it permutes
-        the roots."""
+        basis vector b_k in turn.  The lift must act on a and permute the
+        root vectors up to sign as the table element of the simple
+        reflection does."""
         d, basis = self.dim_a, identity(self.dim)
         out = []
         for i in range(self.rank):
@@ -619,66 +586,49 @@ class LieAlgebraData:
                     )
                 perm.append(nz[0][0] - d)
                 signs.append(int(nz[0][1]))
-            refl = self.reflection_on_a(simple)
+            refl = self.weyl_group[self.reflection_perm(simple)]
             a_block = tuple(zip(*(col[:d] for col in cols[:d])))
-            if a_block != refl or tuple(perm) != self.reflection_perm(simple):
+            if a_block != refl.matrix or tuple(perm) != refl.perm:
                 raise LieAlgebraError(f"the lift of s{i + 1} does not act as the reflection")
-            out.append(WeylElement((i,), refl, tuple(perm), tuple(signs)))
+            out.append(WeylElement((i,), refl, tuple(signs)))
         return tuple(out)
 
     def weyl_lift(self, word: Sequence[int]) -> WeylElement:
         """Lift of a Weyl word: the product of the simple-root lifts, composed
-        as signed permutations of the root vectors.  Its permutation is that
-        of the word's Weyl group element, whose matrix is the action on a."""
+        as signed permutations of the root vectors.  Its element is the
+        word's element of the weyl_group table, looked up by permutation."""
         m2 = 2 * self.num_pos
         perm, signs = tuple(range(m2)), (1,) * m2
         for i in word:
             if not 0 <= i < self.rank:
                 raise LieAlgebraError(f"Weyl letter {i} is not a simple root index")
             lift = self._simple_lifts[i]
-            signs = tuple(s * signs[t] for t, s in zip(lift.perm, lift.signs))
-            perm = compose_perms(perm, lift.perm)
-        return WeylElement(tuple(word), self.weyl_group[perm].matrix, perm, signs)
+            signs = tuple(s * signs[t] for t, s in zip(lift.element.perm, lift.signs))
+            perm = compose_perms(perm, lift.element.perm)
+        return WeylElement(tuple(word), self.weyl_group[perm], signs)
 
     # -- sign characters -------------------------------------------------------
 
-    def m_sign_characters(self, lattice: str = "coroot") -> SignCharacterGroup:
-        """Sign characters chi_t(beta) = (-1)^{beta(t)} over the chosen lattice."""
+    def m_sign_characters(self, lattice: str = "coroot") -> tuple[tuple[int, ...], ...]:
+        """The sign characters chi_t(beta) = (-1)^{beta(t)}, t a sum of
+        distinct generators of the chosen lattice, as their distinct +-1
+        scalings of g (1 on a), in descending order.
+
+        On the coroot lattice beta(h_i) is entry i of beta's weight; on the
+        coweight lattice beta(varpi_i^vee) is beta's i-th simple-root
+        coordinate.
+        """
         if lattice == "coroot":
-            gens = [
-                self.coroot(tuple(1 if j == i else 0 for j in range(self.rank)))
-                for i in range(self.rank)
-            ]
+            pairing = [w[: self.rank] for w in self.weights]
         elif lattice == "coweight":
-            gens = self._fundamental_coweights()
+            pairing = [(0,) * self.rank] * self.dim_a + self.roots()
         else:
             raise LieAlgebraError(f"unknown lattice {lattice!r}")
-        chars: dict[tuple[int, ...], SignCharacter] = {}
-        for mask in range(1 << len(gens)):
-            label = tuple((mask >> i) & 1 for i in range(len(gens)))
-            t = combination(label, gens, self.dim_a)
-            vals = []
-            for root in self.positive_roots:
-                k = dot(self.root_functional(root), t)
-                assert k.denominator == 1
-                vals.append(-1 if int(k) % 2 else 1)
-            key = tuple(vals)
-            if key not in chars:
-                chars[key] = SignCharacter(label, key)
-        elements = tuple(sorted(chars.values(), key=lambda c: c.values, reverse=True))
-        return SignCharacterGroup(lattice, tuple(gens), elements)
-
-    def _fundamental_coweights(self) -> list[Vec]:
-        # the root functionals of the simple roots, then the center coordinates
-        units = identity(self.dim_a)
-        rows = [self.root_functional(u[: self.rank]) for u in units[: self.rank]]
-        rows += units[self.rank :]
-        out = []
-        for i in range(self.rank):
-            sol = solve(rows, units[i], self.dim_a)
-            assert sol is not None
-            out.append(sol)
-        return out
+        scalings = {
+            tuple(-1 if dot(t, p) % 2 else 1 for p in pairing)
+            for t in product((0, 1), repeat=self.rank)
+        }
+        return tuple(sorted(scalings, reverse=True))
 
     # -- validation ------------------------------------------------------------
 
@@ -865,11 +815,34 @@ def group_closure(generators: Sequence, identity_element) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def cartan_matrix_of_type(name: str) -> list[list[int]]:
-    """Cartan matrix for names like "A2", "B3", "G2" or products "A1xA1"."""
+# the ranks each letter names, from the least to the most (A to D: any rank
+# from the least); a letter not listed names none
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
+_MOST_RANK = {"E": 8, "F": 4, "G": 2}
+
+
+def cartan_type_blocks(name: str) -> list[tuple[str, int]]:
+    """The simple blocks of a named type such as "A2", "B3" or "A1xA1", as
+    (letter, rank) pairs, read off the name before any matrix is built."""
     if not isinstance(name, str):
         raise LieAlgebraError(f"unknown Cartan type {name!r}")
-    blocks = [_simple_type_matrix(part.strip()) for part in name.split("x")]
+    blocks = []
+    for part in name.split("x"):
+        part = part.strip()
+        letter, rank_s = part[:1], part[1:]
+        try:
+            r = int(rank_s) if rank_s.isdecimal() else 0
+        except ValueError as err:  # more digits than int() converts
+            raise LieAlgebraError(f"Cartan type rank: {err}") from err
+        if not _LEAST_RANK.get(letter, r + 1) <= r <= _MOST_RANK.get(letter, r):
+            raise LieAlgebraError(f"unknown Cartan type {part!r}")
+        blocks.append((letter, r))
+    return blocks
+
+
+def cartan_matrix_of_type(name: str) -> list[list[int]]:
+    """Cartan matrix for names like "A2", "B3", "G2" or products "A1xA1"."""
+    blocks = [_simple_type_matrix(*block) for block in cartan_type_blocks(name)]
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]
     off = 0
@@ -881,15 +854,8 @@ def cartan_matrix_of_type(name: str) -> list[list[int]]:
     return out
 
 
-def _simple_type_matrix(name: str) -> list[list[int]]:
-    if len(name) < 2 or name[0] not in "ABCDEFG":
-        raise LieAlgebraError(f"unknown Cartan type {name!r}")
-    letter, rank_s = name[0], name[1:]
-    if not rank_s.isdigit():
-        raise LieAlgebraError(f"unknown Cartan type {name!r}")
-    r = int(rank_s)
-    if r < 1:
-        raise LieAlgebraError(f"unknown Cartan type {name!r}")
+def _simple_type_matrix(letter: str, r: int) -> list[list[int]]:
+    """The Cartan matrix of one block of cartan_type_blocks."""
 
     def chain(n):
         m = [[0] * n for _ in range(n)]
@@ -902,37 +868,28 @@ def _simple_type_matrix(name: str) -> list[list[int]]:
 
     if letter == "A":
         return chain(r)
-    if letter == "B" and r >= 2:
+    if letter == "B":
         m = chain(r)
         m[r - 1][r - 2] = -2
         return m
-    if letter == "C" and r >= 2:
+    if letter == "C":
         m = chain(r)
         m[r - 2][r - 1] = -2
         return m
-    if letter == "D" and r >= 3:
+    if letter in "DE":
+        # a chain of r - 1 nodes, and one more joined to node r - 3 (D) or 2 (E)
+        j = r - 3 if letter == "D" else 2
         m = chain(r - 1)
         for row in m:
             row.append(0)
         m.append([0] * r)
         m[r - 1][r - 1] = 2
-        m[r - 1][r - 3] = -1
-        m[r - 3][r - 1] = -1
+        m[r - 1][j] = -1
+        m[j][r - 1] = -1
         return m
-    if letter == "E" and r in (6, 7, 8):
-        m = chain(r - 1)
-        for row in m:
-            row.append(0)
-        m.append([0] * r)
-        m[r - 1][r - 1] = 2
-        m[r - 1][2] = -1
-        m[2][r - 1] = -1
-        return m
-    if letter == "F" and r == 4:
+    if letter == "F":
         m = chain(4)
         m[2][1] = -2
         m[1][2] = -1
         return m
-    if letter == "G" and r == 2:
-        return [[2, -1], [-3, 2]]
-    raise LieAlgebraError(f"unknown Cartan type {name!r}")
+    return [[2, -1], [-3, 2]]  # G2

@@ -34,6 +34,7 @@ from .lie import (
     LieAlgebraError,
     build_from_cartan,
     cartan_matrix_of_type,
+    cartan_type_blocks,
     positive_roots_of,
     validate_cartan_matrix,
 )
@@ -169,19 +170,26 @@ def _cartan_from_json(data, where: str = "lie_algebra") -> tuple[list[list[int]]
             f"{where}.center_dim {center} is not supported "
             f"(the supported range is center_dim <= {MAX_CENTER_DIM})"
         )
+
+    def check_rank(rank: int) -> None:
+        if not 1 <= rank <= MAX_RANK:
+            raise SpaceFileError(
+                f"{where}: rank {rank} is not supported "
+                f"(the supported range is 1 <= rank <= {MAX_RANK})"
+            )
+
     try:
         if "cartan_type" in data:
+            # the rank is read off the name before the matrix is built
+            check_rank(sum(r for _, r in cartan_type_blocks(data["cartan_type"])))
             matrix = cartan_matrix_of_type(data["cartan_type"])
         elif "cartan_matrix" in data:
             matrix = data["cartan_matrix"]
+            if isinstance(matrix, list):
+                check_rank(len(matrix))
         else:
             raise SpaceFileError(
                 f"{where} needs either 'cartan_type' or 'cartan_matrix'"
-            )
-        if isinstance(matrix, list) and not 1 <= len(matrix) <= MAX_RANK:
-            raise SpaceFileError(
-                f"{where}: rank {len(matrix)} is not supported "
-                f"(the supported range is 1 <= rank <= {MAX_RANK})"
             )
         if not isinstance(matrix, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in matrix

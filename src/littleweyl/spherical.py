@@ -600,10 +600,7 @@ def compression_cone_of_point(analysis: SphericalAnalysis, h_z: Subspace) -> Con
     lie = analysis.lie
     if not has_open_p_orbit(lie, h_z):
         raise NotAdaptedError("no open P-orbit")
-    chars = lie.m_sign_characters("coroot")
-    targets = [
-        analysis.h_empty.scale_coordinates(lie.sign_scaling(chi)) for chi in chars.elements
-    ]
+    targets = [analysis.h_empty.scale_coordinates(s) for s in lie.m_sign_characters("coroot")]
     limits, cells = chamber_limits(analysis, h_z)
     passing = [lim in targets for lim in limits]
     table = order_regular_chambers(lie)

@@ -19,7 +19,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import ChamberSet, Cone
-from .lie import LieAlgebraData, compose_perms, group_closure, inverse_perm, root_pairing
+from .lie import (
+    LieAlgebraData,
+    WeylGroupElement,
+    compose_perms,
+    group_closure,
+    inverse_perm,
+    root_pairing,
+)
 from .linalg import (
     Mat,
     Subspace,
@@ -130,7 +137,7 @@ class WallGenerator:
     wall: Cone
     weight: SWeight
     witness: tuple
-    matrix_on_a: Mat
+    element: WeylGroupElement  # the reflection, of lie.weyl_group
     matrix_on_quotient: Mat
 
 
@@ -164,7 +171,7 @@ def wall_reflection(analysis: SphericalAnalysis, wall: Cone) -> WallGenerator:
             break
 
     if root_like is not None:
-        m = lie.reflection_on_a(root_like)
+        perm = lie.reflection_perm(root_like)
         half = tuple(Fraction(c, 2) for c in weight.coords)
         in_sigma_or_twice = weight.coords in lie.positive_roots or (
             all(x.denominator == 1 for x in half)
@@ -172,7 +179,7 @@ def wall_reflection(analysis: SphericalAnalysis, wall: Cone) -> WallGenerator:
         )
         witness = ("root", weight.coords if in_sigma_or_twice else root_like)
     else:
-        m = None
+        perm = None
         witness = None
         for i in range(lie.rank):
             beta = tuple(1 if j == i else 0 for j in range(lie.rank))
@@ -193,26 +200,27 @@ def wall_reflection(analysis: SphericalAnalysis, wall: Cone) -> WallGenerator:
             meet = span.intersect(analysis.a_h)
             if meet.dim == 0:
                 continue
-            m = mat_mul(lie.reflection_on_a(beta), lie.reflection_on_a(gamma))
+            perm = compose_perms(lie.reflection_perm(beta), lie.reflection_perm(gamma))
             witness = ("pair", beta, gamma, meet.basis_matrix[0])
             break
-        if m is None:
+        if perm is None:
             raise ContractViolation(
                 "wall weight is neither a root, twice a root, nor a sum of "
                 "orthogonal roots with coroot span meeting a_h"
             )
 
-    mq = quotient.matrix_of(m)
+    element = lie.weyl_group[perm]
+    mq = quotient.matrix_of(element.matrix)
     # the generator must fix the wall span pointwise mod a_h ...
     for row in span_rows:
-        if quotient.project(mat_vec(m, row)) != quotient.project(row):
+        if quotient.project(mat_vec(element.matrix, row)) != quotient.project(row):
             raise ContractViolation("wall generator does not fix the wall")
     # ... and be a nontrivial involution on the quotient
     if mq == identity(quotient.dim) or mat_mul(mq, mq) != identity(quotient.dim):
         raise ContractViolation("wall generator is not an involution on a/a_h")
     if rank([vec_add(row, vec_scale(-1, e)) for row, e in zip(mq, identity(quotient.dim))]) != 1:
         raise ContractViolation("wall generator is not a reflection on a/a_h")
-    return WallGenerator(wall, weight, witness, m, mq)
+    return WallGenerator(wall, weight, witness, element, mq)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +270,13 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     cone = compression_cone(analysis)
     gens = [wall_reflection(analysis, w) for w in cone.walls()]
 
-    table = {w.perm: w for _, w in _normalizer(analysis)}
+    table = {w.element.perm: w for _, w in _normalizer(analysis)}
     realizer: dict[Mat, LimitCoset] = {}
     for w in table.values():
         realizer.setdefault(w.matrix_on_quotient, w)
     if any(g.matrix_on_quotient not in realizer for g in gens):
         raise ContractViolation("group element is not realized in the ambient Weyl group")
-    perms = [realizer[g.matrix_on_quotient].perm for g in gens]
+    perms = [realizer[g.matrix_on_quotient].element.perm for g in gens]
     on_quotient: dict[tuple[int, ...], Mat] = {}
     for perm, _ in group_closure(perms, tuple(range(2 * lie.num_pos))):
         if perm not in table:
@@ -309,7 +317,7 @@ def _verify_group(lie, quot, realizers, table, cone) -> None:
     elements = [w.matrix_on_quotient for w in realizers]
     elems = set(elements)
     for w in realizers:
-        inverse = table.get(inverse_perm(w.perm))
+        inverse = table.get(inverse_perm(w.element.perm))
         if inverse is None or inverse.matrix_on_quotient not in elems:
             raise ContractViolation("element set is not closed under inverses")
     gq = induced_form(lie, quot)
@@ -322,7 +330,7 @@ def _verify_group(lie, quot, realizers, table, cone) -> None:
         for m in elements:
             if mat_vec(m, pr) != pr:
                 raise ContractViolation("element moves a point of a_E/a_h")
-    _verify_tiling(order_regular_chambers(lie), [w.perm for w in realizers], cone)
+    _verify_tiling(order_regular_chambers(lie), [w.element.perm for w in realizers], cone)
 
 
 def _verify_tiling(chambers: ChamberSet, perms: Sequence[tuple[int, ...]], cone: Cone) -> None:
@@ -377,10 +385,8 @@ def _chambers_in_cone(chambers: ChamberSet, cone: Cone) -> list[tuple[int, ...]]
 @dataclass(frozen=True)
 class LimitCoset:
     label: str
-    representative_word: tuple[int, ...]
-    matrix_on_a: Mat
-    matrix_on_quotient: Mat
-    perm: tuple[int, ...]  # the representative's permutation of lie.roots()
+    element: WeylGroupElement  # the coset's representative w, of lie.weyl_group
+    matrix_on_quotient: Mat  # of w
 
 
 @stage
@@ -406,7 +412,7 @@ def _normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCose
         key = frozenset(compose_perms(w.perm, u) for u in levi)
         best = min((weyl[p].word for p in key), key=lambda word: (len(word), word))
         label = "*".join(f"s{i + 1}" for i in best) or "e"
-        out.append((key, LimitCoset(label, w.word, w.matrix, quot.matrix_of(w.matrix), w.perm)))
+        out.append((key, LimitCoset(label, w, quot.matrix_of(w.matrix))))
     return tuple(out)
 
 
@@ -435,11 +441,11 @@ def _conjugate_table(
     normalizer elements w and the sign characters chi.  Each subspace keeps
     every coset that produces it, represented by its first producer."""
     lie = analysis.lie
-    scalings = [lie.sign_scaling(chi) for chi in lie.m_sign_characters(m_lattice).elements]
+    scalings = lie.m_sign_characters(m_lattice)
     targets: dict[Subspace, dict[frozenset, LimitCoset]] = {}
     for key, coset in _normalizer(analysis):
-        lift = lie.weyl_lift(coset.representative_word)
-        if lift.action_on_a != coset.matrix_on_a:
+        lift = lie.weyl_lift(coset.element.word)
+        if lift.element.perm != coset.element.perm:
             raise ContractViolation("Weyl lift does not restrict to the word action")
         conj = analysis.h_empty.image(lift.apply)
         for factors in scalings:
@@ -518,7 +524,7 @@ def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
     Lambda is the intersection of the root lattice with the functionals
     vanishing on the edge a_E.  The center lies in a_E, so Lambda (x) Q is
     (a/a_E)*, and each element w acts on it by lambda -> w(lambda), read off
-    its root permutation: w(alpha_i) is lie.roots()[w.perm[k_i]], where k_i
+    its root permutation: w(alpha_i) is lie.roots()[perm[k_i]], where k_i
     is the index of alpha_i, over the elements of little_weyl_group.  Each
     element that is a reflection of Lambda contributes the primitive pair of
     its -1 eigenspace.
@@ -538,7 +544,7 @@ def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
 
     def act_on_lattice(w: LimitCoset) -> Mat:
         """Matrix of lambda -> w(lambda) in the Lambda basis; must be integral."""
-        images = [all_roots[w.perm[k]] for k in simple_at]
+        images = [all_roots[w.element.perm[k]] for k in simple_at]
         cols = []
         for b in lam_basis:
             in_lam = solve(lam_rows, combination(b, images, lie.rank), len(lam_basis))
@@ -554,7 +560,7 @@ def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
     for w in group.realizers:
         s = act_on_lattice(w)
         if rank([vec_add(row, vec_scale(-1, e)) for row, e in zip(s, ident)]) == 1:
-            reflections.append(w.perm)
+            reflections.append(w.element.perm)
             ker = kernel([vec_add(row, e) for row, e in zip(s, ident)], len(lam_basis))
             if len(ker) != 1:
                 raise ContractViolation("reflection has no unique root line")
@@ -563,7 +569,7 @@ def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
             roots[tuple(-x for x in coords_i)] = None
 
     # W(Sigma_Z) = W: the reflections generate the whole group
-    on_quotient = {w.perm: w.matrix_on_quotient for _, w in _normalizer(analysis)}
+    on_quotient = {w.element.perm: w.matrix_on_quotient for _, w in _normalizer(analysis)}
     closure = group_closure(reflections, tuple(range(2 * lie.num_pos)))
     if {on_quotient.get(perm) for perm, _ in closure} != set(group.elements):
         raise ContractViolation("the reflections do not generate the group")

@@ -10,10 +10,13 @@ from littleweyl.linalg import (
     Mat,
     Subspace,
     _rref_of_echelon,
+    combination,
+    dot,
     identity,
     integer_echelon,
     primitive_ints,
     primitive_signed,
+    solve,
 )
 from littleweyl.spherical import NotAdaptedError, analyze
 from littleweyl.verify import CheckResult, check_claims
@@ -59,6 +62,50 @@ def mat_inverse(m) -> Mat:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def reflection_on_a(lie, root) -> Mat:
+    """Oracle: the reflection X -> X - root(X) coroot of a as a matrix, whose
+    products built W's matrices before they were read off the root
+    permutations."""
+    f = lie.root_functional(root)
+    cor = lie.coroot(root)
+    return tuple(
+        tuple(int(r == k) - cor[r] * f[k] for k in range(lie.dim_a)) for r in range(lie.dim_a)
+    )
+
+
+def sign_scalings(lie, lattice):
+    """Oracle: the distinct +-1 scalings of g by the sign characters, in
+    descending order, built as before they were read off the weights and the
+    root coordinates: the lattice generators (the simple coroots, or the
+    fundamental coweights by solve), each sum t of distinct generators, and
+    (-1)^{beta(t)} on each basis vector of weight beta."""
+    units = identity(lie.dim_a)
+    simple = [u[: lie.rank] for u in units[: lie.rank]]
+    if lattice == "coroot":
+        gens = [lie.coroot(u) for u in simple]
+    else:
+        rows = [lie.root_functional(u) for u in simple] + list(units[lie.rank :])
+        gens = [solve(rows, units[i], lie.dim_a) for i in range(lie.rank)]
+    out = set()
+    for mask in range(1 << lie.rank):
+        t = combination([(mask >> i) & 1 for i in range(lie.rank)], gens, lie.dim_a)
+        values = [dot(w, t) for w in lie.weights]
+        assert all(Fraction(k).denominator == 1 for k in values)
+        out.add(tuple(-1 if int(k) % 2 else 1 for k in values))
+    return tuple(sorted(out, reverse=True))
+
+
+def full_space(dim) -> Cone:
+    """The cone a itself: no inequality."""
+    return Cone.from_inequalities(dim, [])
+
+
+def dual(cone) -> Cone:
+    """{lambda : lambda(x) >= 0 for all x in the cone}, spanned by the
+    negated inequalities."""
+    return Cone.from_rays(cone.ambient_dim, [tuple(-c for c in g) for g in cone.inequalities])
 
 
 def order_regular_hyperplanes(lie):

@@ -19,6 +19,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import full_space
 
 from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cones import Cone
@@ -72,7 +73,7 @@ def test_criterion_1_horospherical_reproduction():
         lie = entry.lie()
         an = analyze(lie, entry.base_point().h_z)
         cone = compression_cone(an)
-        assert cone == Cone.full_space(lie.dim_a)  # C = a, exactly
+        assert cone == full_space(lie.dim_a)  # C = a, exactly
         group = little_weyl_group(an)
         assert group.order == 1
         sr = spherical_roots(an)

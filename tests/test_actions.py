@@ -10,6 +10,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from conftest import reflection_on_a
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +70,7 @@ def _dense_lifts(lie):
         e = _dense_exp_ad(lie, _unit(lie.dim, lie.e_index(p)))
         minus_f = _dense_exp_ad(lie, tuple(-c for c in _unit(lie.dim, lie.f_index(p))))
         n_i = mat_mul(mat_mul(e, minus_f), e)
-        letters.append((n_i, lie.reflection_on_a(lie.positive_roots[p])))
+        letters.append((n_i, reflection_on_a(lie, lie.positive_roots[p])))
 
     def lift(word):
         dense, on_a = identity(lie.dim), identity(lie.dim_a)
@@ -89,7 +90,7 @@ def test_lifts_match_dense_products_on_all_of_w(name):
         word, m = w.word, w.matrix
         lift = lie.weyl_lift(word)
         want, on_a = dense(word)
-        assert lift.action_on_a == on_a == m
+        assert lift.element.matrix == on_a == m
         assert _columns(lift, lie.dim) == want
         v = tuple(Fraction(k + 1, 3) for k in range(lie.dim))
         assert lift.apply(v) == mat_vec(want, v)
@@ -103,7 +104,7 @@ def test_lifts_match_dense_products_on_generators_and_longest(name):
     for word in [(i,) for i in range(lie.rank)] + [longest]:
         lift = lie.weyl_lift(word)
         want, on_a = dense(word)
-        assert lift.action_on_a == on_a
+        assert lift.element.matrix == on_a
         assert _columns(lift, lie.dim) == want
 
 
@@ -115,15 +116,26 @@ def test_lift_rejects_letters_outside_the_rank():
         lie.weyl_lift([-1])
 
 
+_coroot = LieAlgebraData.coroot
+
+
+def _coroot_negated_on_negative_roots(self, root):
+    """A wrong coroot: right on the positive roots, so that every simple
+    reflection keeps its root permutation, and negated on the negative
+    roots, from which the table reads the simple reflections' matrices."""
+    cor = _coroot(self, root)
+    return cor if sum(root) > 0 else tuple(-c for c in cor)
+
+
 @pytest.mark.parametrize(
     "method,wrong",
     [
-        ("reflection_on_a", lambda self, root: identity(self.dim_a)),
+        ("coroot", _coroot_negated_on_negative_roots),
         ("reflection_perm", lambda self, root: tuple(range(2 * self.num_pos))),
     ],
 )
 def test_simple_lift_must_act_as_the_reflection(monkeypatch, method, wrong):
-    lie = dataclasses.replace(_lie("A2"))  # same algebra, no lifts computed yet
+    lie = dataclasses.replace(_lie("A2"))  # same algebra, no table or lifts yet
     monkeypatch.setattr(LieAlgebraData, method, wrong)
     with pytest.raises(LieAlgebraError, match="does not act as the reflection"):
         lie.weyl_lift([0])
@@ -189,10 +201,11 @@ def _subspace_and_scaling(draw):
     )
     sub = Subspace.from_spanning(lie.dim, rows)
     if draw(st.booleans()):
-        group = lie.m_sign_characters(draw(st.sampled_from(["coroot", "coweight"])))
-        chi = group.elements[draw(st.integers(0, group.order - 1))]
-        old = [1] * lie.dim_a + [chi.value(p) for p in range(lie.num_pos)] * 2
-        return sub, lie.sign_scaling(chi), old
+        scalings = lie.m_sign_characters(draw(st.sampled_from(["coroot", "coweight"])))
+        chi = scalings[draw(st.integers(0, len(scalings) - 1))]
+        # chi(-beta) = chi(beta): the e's values again on the f's
+        old = [1] * lie.dim_a + list(chi[lie.dim_a : lie.dim_a + lie.num_pos]) * 2
+        return sub, chi, old
     coweight = tuple(draw(st.lists(st.integers(-2, 2), min_size=lie.rank, max_size=lie.rank)))
     scale = draw(st.sampled_from([Fraction(-1), Fraction(2, 3), Fraction(5)]))
     old = [scale ** int(dot(w, vec(coweight))) for w in lie.weights]

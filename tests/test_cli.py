@@ -551,6 +551,35 @@ def test_rank_5_space_file_exits_1_at_load(tmp_path, capsys, command, lie_algebr
     assert "rank <= 4" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize(
+    "cartan_type,message",
+    [
+        ("A99999999999", "rank 99999999999 is not supported"),
+        ("A4xA99999999999", "rank 100000000003 is not supported"),
+        ("x".join(["A1"] * 10**5), "rank 100000 is not supported"),
+        ("E5xA99999999999", "unknown Cartan type 'E5'"),
+        ("A" + "9" * 5000, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["A99999999999", "A4xA99999999999", "A1x100000", "E5xA99999999999", "A<5000 digits>"],
+)
+def test_named_type_is_refused_before_its_matrix_is_built(
+    tmp_path, capsys, command, cartan_type, message
+):
+    # the rank was once checked on the built Cartan matrix: A99999999999
+    # ended in a MemoryError traceback, and A20000 built its 20000 x 20000
+    # matrix before it was refused
+    space = {"lie_algebra": {"cartan_type": cartan_type}, "subalgebra": [["1"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(space))
+    start = time.monotonic()
+    code, out, err = run(capsys, command, str(path))
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [("analyze",), ("admissible",), ("verify",), ("limit", "--direction=1"), ("degenerate",)],

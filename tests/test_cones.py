@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import enumerate_chambers, order_regular_hyperplanes
+from conftest import dual, enumerate_chambers, full_space, order_regular_hyperplanes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +46,7 @@ def test_empty_inequalities_whole_space():
     c = Cone.from_inequalities(2, [])
     assert c.rays == () and c.lineality.dim == 2
     assert c.edge().dim == 2
-    assert c == Cone.full_space(2)
+    assert c == full_space(2)
 
 
 def test_negative_quadrant():
@@ -59,7 +59,7 @@ def test_negative_quadrant():
 def test_membership_checks_its_input():
     """A wrong-length point raises ConeError, also on the full space, which
     has no inequality to evaluate; a float entry raises TypeError."""
-    for cone in (Cone.full_space(2), Cone.from_inequalities(2, [(1, 1)])):
+    for cone in (full_space(2), Cone.from_inequalities(2, [(1, 1)])):
         with pytest.raises(ConeError, match="length 2"):
             cone.contains((1, 2, 3))
         with pytest.raises(TypeError, match="int or Fraction"):
@@ -77,12 +77,11 @@ def test_repr_prints_the_fraction_view():
 
 
 def test_dual_examples():
-    assert Cone.full_space(2).dual().rays == () and Cone.full_space(2).dual().dim == 0
+    assert dual(full_space(2)).rays == () and dual(full_space(2)).dim == 0
     half = Cone.from_inequalities(1, [[1]])
-    dual = half.dual()
-    assert dual.rays == ((Fraction(-1),),)  # functionals nonpositive on the half-line
+    assert dual(half).rays == ((Fraction(-1),),)  # functionals nonpositive on the half-line
     quad = Cone.from_inequalities(2, [[1, 0], [0, 1]])
-    dq = quad.dual()
+    dq = dual(quad)
     assert dq.rays == (vec((-1, 0)), vec((0, -1)))
 
 
@@ -94,7 +93,7 @@ def test_double_dual_is_identity_random():
         ineqs = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(n)]
         ineqs = [g for g in ineqs if any(g)]
         c = Cone.from_inequalities(dim, ineqs)
-        assert c.dual().dual() == c
+        assert dual(dual(c)) == c
 
 
 def test_faces_walls_edge_half_line():
@@ -122,7 +121,7 @@ def test_walls_are_the_codimension_one_faces(c):
 
 
 def test_faces_whole_space():
-    c = Cone.full_space(2)
+    c = full_space(2)
     assert len(c.faces()) == 1
     assert c.walls() == []
     assert c.edge().dim == 2
@@ -222,7 +221,7 @@ def test_chamber_of_reads_the_point_as_contains_does():
     """A point of the wrong length is a ConeError naming the length, on the
     chamber table as on a cone, not a bare ValueError from dot."""
     cs = enumerate_chambers(2, [[1, 0], [0, 1]])
-    for read in (cs.chamber_of, Cone.full_space(2).contains):
+    for read in (cs.chamber_of, full_space(2).contains):
         with pytest.raises(ConeError, match="expected vectors of length 2"):
             read((1,))
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from conftest import sign_scalings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from littleweyl.lie import (
     _first_nonpositive_minor,
     build_from_cartan,
     cartan_matrix_of_type,
+    cartan_type_blocks,
     positive_roots_of,
     validate_cartan_matrix,
 )
@@ -167,17 +169,16 @@ _ORTHO_ALGEBRAS = {
 @pytest.mark.parametrize("name,center", [("A1", 0), ("B2", 0), ("G2", 0), ("A2", 1)])
 def test_chevalley_data_are_ints(name, center):
     # on a Chevalley basis every structure constant, the Killing form, the
-    # root functionals, coroots, reflections on a and sign scalings are
+    # root functionals, coroots, Weyl group matrices and sign scalings are
     # integers, and the library keeps them as int
     lie = build_from_cartan(cartan_matrix_of_type(name), abelian_center_dim=center)
     roots = lie.roots()
-    chi = lie.m_sign_characters().elements[-1]
     data = [c for row in lie.bracket_table for comp in row for c in comp.values()]
     data += [x for row in lie.form_matrix for x in row]
     data += [x for r in roots for x in lie.root_functional(r) + lie.coroot(r)]
-    data += [x for r in roots for row in lie.reflection_on_a(r) for x in row]
     data += [x for w in lie.weyl_group.values() for row in w.matrix for x in row]
-    data += lie.sign_scaling(chi)
+    for lattice in ("coroot", "coweight"):
+        data += [x for s in lie.m_sign_characters(lattice) for x in s]
     assert data and {type(x) for x in data} == {int}
 
 
@@ -251,7 +252,7 @@ def test_weyl_lift_preserves_form_and_permutes_root_spaces(a2):
                     a2.root_functional(root)[i] * inv_col
                     for i, inv_col in enumerate(col)
                 )
-                for col in zip(*_inv(w.action_on_a))
+                for col in zip(*_inv(w.element.matrix))
             )
             assert a2.weights[nz[0]] == target_f
 
@@ -263,10 +264,10 @@ def _inv(m):
 
 
 def test_sign_characters(a1, a2):
-    assert a1.m_sign_characters("coroot").order == 1
-    assert a1.m_sign_characters("coweight").order == 2
+    assert a1.m_sign_characters("coroot") == ((1, 1, 1),)
+    assert a1.m_sign_characters("coweight") == ((1, 1, 1), (1, -1, -1))
     g = a2.m_sign_characters("coroot")
-    assert g.order == 4
+    assert len(g) == 4
     # oracle: direct enumeration of (-1)^{<beta, t>} over the coroot lattice mod 2
     seen = set()
     for mask in range(4):
@@ -280,18 +281,32 @@ def test_sign_characters(a1, a2):
             for r in a2.positive_roots
         )
         seen.add(vals)
-    assert len(seen) == 4
-    assert any(all(v == 1 for v in chi.values) for chi in g.elements)
+    assert {s[a2.dim_a : a2.dim_a + a2.num_pos] for s in g} == seen
+    assert g[0] == (1,) * a2.dim
 
 
 def test_sign_character_group_closure(a2):
     g = a2.m_sign_characters("coroot")
-    values = {chi.values for chi in g.elements}
-    for c1 in g.elements:
-        for c2 in g.elements:
-            prod = tuple(a * b for a, b in zip(c1.values, c2.values))
-            assert prod in values
-            assert tuple(a * a for a in c1.values) == tuple([1] * len(c1.values))
+    for c1 in g:
+        for c2 in g:
+            assert tuple(a * b for a, b in zip(c1, c2)) in g
+            assert tuple(a * a for a in c1) == (1,) * a2.dim
+
+
+SIGN_ALGEBRAS = [
+    ("A1", 0), ("A2", 0), ("B2", 0), ("G2", 0), ("A3", 0), ("B3", 0), ("C3", 0),
+    ("A4", 0), ("D4", 0), ("B4", 0), ("C4", 0), ("F4", 0), ("A1xA2", 0), ("A2", 1),
+]
+
+
+@pytest.mark.parametrize("lattice", ["coroot", "coweight"])
+@pytest.mark.parametrize("name,center", SIGN_ALGEBRAS)
+def test_sign_scalings_match_the_lattice_sums(name, center, lattice):
+    """Old against new: the scalings read off the weights (coroot lattice)
+    or the root coordinates (coweight lattice) are those of every sum of
+    lattice generators, the fundamental coweights found by solve."""
+    lie = build_from_cartan(cartan_matrix_of_type(name), center)
+    assert lie.m_sign_characters(lattice) == sign_scalings(lie, lattice)
 
 
 def test_sl2_nonvanishing(a2):
@@ -300,6 +315,24 @@ def test_sl2_nonvanishing(a2):
         f = identity(8)[a2.f_index(p)]
         v = a2.bracket(e, a2.bracket(e, f))
         assert any(c != 0 for c in v)
+
+
+@pytest.mark.parametrize("name", ["A1", "A5", "B2", "C3", "D4", "E6", "E8", "F4", "G2", "A1xG2"])
+def test_named_type_blocks_give_the_matrix_rank(name):
+    """The rank read off the name is that of the matrix built from it."""
+    blocks = cartan_type_blocks(name)
+    assert sum(r for _, r in blocks) == len(cartan_matrix_of_type(name))
+    validate_cartan_matrix(cartan_matrix_of_type(name))
+
+
+@pytest.mark.parametrize(
+    "name", ["E5", "E9", "B1", "C1", "D2", "F3", "G3", "H3", "A0", "A", "A1x", "A\u00b2", 2]
+)
+def test_unknown_named_types_are_refused(name):
+    # "A\u00b2" passed str.isdigit and then failed int() with a ValueError
+    for read in (cartan_type_blocks, cartan_matrix_of_type):
+        with pytest.raises(LieAlgebraError, match="unknown Cartan type"):
+            read(name)
 
 
 @pytest.mark.parametrize(

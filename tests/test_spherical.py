@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import dual, full_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,7 +145,7 @@ def test_is_adapted_answers_with_a_bool_on_the_catalog(name):
 def test_degenerate_whole_algebra_is_adapted(a1):
     an = analyze(a1, Subspace.full(3))
     assert an.s_z == ()
-    assert compression_cone(an) == Cone.full_space(1)
+    assert compression_cone(an) == full_space(1)
     assert is_admissible(an)
 
 
@@ -243,7 +244,7 @@ def test_monoid_membership():
 
 def test_cone_nbar_is_everything(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["nbar"])
-    assert compression_cone(an) == Cone.full_space(1)
+    assert compression_cone(an) == full_space(1)
 
 
 def test_cone_so2_is_negative_chamber(a1, sl2_subalgebras):
@@ -289,7 +290,7 @@ def test_dual_of_compression_cone_generated_by_weights(
         an = analyze(lie, h)
         cone = compression_cone(an)
         gens = [tuple(-c for c in s.functional) for s in an.s_z]
-        assert cone.dual() == Cone.from_rays(lie.dim_a, gens)
+        assert dual(cone) == Cone.from_rays(lie.dim_a, gens)
 
 
 # ---------------------------------------------------------------------------

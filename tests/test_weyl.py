@@ -53,7 +53,7 @@ def test_wall_reflection_so2(a1, sl2_subalgebras):
     wall = compression_cone(an).walls()[0]
     gen = wall_reflection(an, wall)
     assert gen.witness == ("root", (2,))  # the weight is twice the root
-    assert gen.matrix_on_a == ((Fraction(-1),),)
+    assert gen.element.matrix == ((Fraction(-1),),)
 
 
 def test_wall_reflection_orthogonal_pair(a1xa1, twisted_diagonal):
@@ -92,7 +92,7 @@ def test_wall_reflections_so3(a2, so3_subalgebra):
             expect = tuple(
                 x - sum(a * b for a, b in zip(f, e)) * c for x, c in zip(e, cor)
             )
-            assert mat_vec(g.matrix_on_a, e) == expect
+            assert mat_vec(g.element.matrix, e) == expect
 
 
 def test_wall_reflection_rejects_a_hyperplane_that_is_not_a_wall(a2, so3_subalgebra):
@@ -379,7 +379,7 @@ def _tiling_inputs(an):
     """The chamber table, the realizers' root permutations and the
     compression cone, as little_weyl_group checks them."""
     group = little_weyl_group(an)
-    perms = [w.perm for w in group.realizers]
+    perms = [w.element.perm for w in group.realizers]
     return group, order_regular_chambers(an.lie), perms, compression_cone(an)
 
 
@@ -417,7 +417,7 @@ def test_tiling_agrees_with_the_facet_arrangement_check(key, levi_pairs):
     check with its grid sample both accept the realizers, and both reject a
     duplicated and a dropped realizer."""
     group, chambers, perms, cone = _tiling_inputs(_tiling_space(key, levi_pairs))
-    maps = [w.matrix_on_a for w in group.realizers]
+    maps = [w.element.matrix for w in group.realizers]
     weyl._verify_tiling(chambers, perms, cone)
     _facet_arrangement_tiling(group.quotient, maps, cone)
     for message, mutate in [
@@ -445,8 +445,7 @@ def _hull_of_passing_chambers(an, h_z):
     kept as a reference: the cone that the closed chambers with a passing
     limit generate."""
     lie = an.lie
-    chars = lie.m_sign_characters("coroot")
-    targets = [an.h_empty.scale_coordinates(lie.sign_scaling(chi)) for chi in chars.elements]
+    targets = [an.h_empty.scale_coordinates(s) for s in lie.m_sign_characters("coroot")]
     limits, cells = chamber_limits(an, h_z)
     table = order_regular_chambers(lie)
     rays, lin = [], []

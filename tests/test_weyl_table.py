@@ -1,9 +1,11 @@
 """The Weyl group table of an algebra against the construction it replaced.
 
-The reference below is the earlier code, kept as an oracle: W as a closure of
-Fraction matrices, root images through inverse matrices, and per analysis the
-normalizer test, the cosets of the Levi Weyl group W(Sigma_0) as sets of
-matrices, the coset labels and the table of twisted conjugates of h_empty.
+The reference below is the earlier code, kept as an oracle: W as the closure
+of products of the simple reflections' matrices (conftest.reflection_on_a),
+root images through inverse matrices, and per analysis the normalizer test,
+the cosets of the Levi Weyl group W(Sigma_0) as sets of matrices, the coset
+labels and the table of twisted conjugates of h_empty, over the sign
+scalings of every sum of lattice generators (conftest.sign_scalings).
 The little Weyl group is the closure of the wall reflections' matrices on
 a/a_h, with Coxeter orders from matrix powers, and its action on the lattice
 of spherical weights goes through the inverse matrices on a/a_h.
@@ -13,7 +15,7 @@ import dataclasses
 from math import lcm
 
 import pytest
-from conftest import mat_inverse
+from conftest import mat_inverse, reflection_on_a, sign_scalings
 
 from littleweyl import lie as lie_mod
 from littleweyl import weyl
@@ -72,7 +74,7 @@ def _simple(lie, i):
 
 
 def ref_weyl_group(lie):
-    gens = [lie.reflection_on_a(_simple(lie, i)) for i in range(lie.rank)]
+    gens = [reflection_on_a(lie, _simple(lie, i)) for i in range(lie.rank)]
     return _closure(gens, identity(lie.dim_a))
 
 
@@ -100,7 +102,7 @@ class RefAmbient:
         self.analysis = analysis
         self.elements = ref_weyl_group(lie)
         self.images = ref_root_images(lie, self.elements)
-        levi_gens = [lie.reflection_on_a(lie.positive_roots[p]) for p in analysis.sigma0]
+        levi_gens = [reflection_on_a(lie, lie.positive_roots[p]) for p in analysis.sigma0]
         self.levi = frozenset(m for _, m in _closure(levi_gens, identity(lie.dim_a)))
         self.words = {m: w for w, m in self.elements}
 
@@ -131,7 +133,7 @@ class RefAmbient:
 
     def twisted_conjugates(self, m_lattice):
         lie, an = self.analysis.lie, self.analysis
-        scalings = [lie.sign_scaling(c) for c in lie.m_sign_characters(m_lattice).elements]
+        scalings = sign_scalings(lie, m_lattice)
         targets = {}
         for word, m in self.normalizer():
             conj = an.h_empty.image(lie.weyl_lift(word).apply)
@@ -217,6 +219,7 @@ def ref_spherical_roots(an, elements):
 ALGEBRAS = [
     ("A1", 0), ("A2", 0), ("A3", 0), ("A4", 0), ("B2", 0), ("B3", 0),
     ("C3", 0), ("D4", 0), ("G2", 0), ("A1xA1", 0), ("A2", 1),
+    ("B4", 0), ("C4", 0), ("F4", 0), ("A1", 2),
 ]
 
 
@@ -248,9 +251,9 @@ def _check_analysis_data(an):
     quot = QuotientSpace.of(an.a_h)
     table = an.lie.weyl_group
     normalizer = weyl._normalizer(an)
-    assert [(c.representative_word, c.matrix_on_a) for _, c in normalizer] == ref.normalizer()
+    assert [(c.element.word, c.element.matrix) for _, c in normalizer] == ref.normalizer()
     for key, coset in normalizer:
-        m = coset.matrix_on_a
+        m = coset.element.matrix
         assert frozenset(table[p].matrix for p in key) == ref.coset_key(m)
         assert coset.label == ref.coset_label(m)
         assert coset.matrix_on_quotient == quot.matrix_of(m)
@@ -271,7 +274,7 @@ def _check_analysis_data(an):
             for m in producers:
                 firsts.setdefault(ref.coset_key(m), m)
             assert [
-                (frozenset(table[p].matrix for p in key), c.matrix_on_a)
+                (frozenset(table[p].matrix for p in key), c.element.matrix)
                 for key, c in got[target].items()
             ] == list(firsts.items())
     return ref
