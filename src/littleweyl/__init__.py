@@ -9,6 +9,7 @@ degenerations, and the little Weyl group with its spherical root system.
 from .catalog import CatalogEntry, expected_results, get_entry, list_entries
 from .cones import ChamberSet, Cone
 from .lie import (
+    ContractViolation,
     LieAlgebraData,
     LieAlgebraError,
     WeylElement,
@@ -29,7 +30,6 @@ from .linalg import Subspace
 from .spherical import (
     AdmissibleSearchError,
     BasePoint,
-    ContractViolation,
     DegenerationData,
     NotAdaptedError,
     SphericalAnalysis,

@@ -45,6 +45,11 @@ class LieAlgebraError(ValueError):
     pass
 
 
+class ContractViolation(RuntimeError):
+    """An internal consistency identity failed; indicates a bug or an input
+    outside the supported theory."""
+
+
 # ---------------------------------------------------------------------------
 # Cartan matrices and root systems
 # ---------------------------------------------------------------------------
@@ -226,7 +231,10 @@ class _ChevalleyConstants:
                         self.norm2(diff2),
                     )
                 val = Fraction(g2 * (t1 + t2), self._special[(a1, b1)])
-                assert val.denominator == 1 and val != 0
+                if val.denominator != 1 or val == 0:
+                    raise ContractViolation(
+                        f"structure constant N({al}, {be}) = {val} is not a nonzero integer"
+                    )
                 self._special[(al, be)] = val.numerator
 
     def N(self, mu, nu) -> int:
@@ -252,7 +260,8 @@ class _ChevalleyConstants:
                 q = Fraction(self.norm2(s) * self.N(nu, gamma), self.norm2(mu))
             else:
                 q = Fraction(self.norm2(s) * self.N(gamma, mu), self.norm2(nu))
-            assert q.denominator == 1
+            if q.denominator != 1:
+                raise ContractViolation(f"structure constant N({mu}, {nu}) = {q} is not an integer")
             val = q.numerator
         else:
             val = -self.N(nu, mu)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .lie import LieAlgebraData
+from .lie import ContractViolation, LieAlgebraData
 from .linalg import (
     IntVec,
     Subspace,
@@ -106,7 +106,8 @@ def _pivot_parts(lie: LieAlgebraData, e: Subspace, gd: GradedDirection) -> Pivot
 
 def _limit_of_parts(lie: LieAlgebraData, e: Subspace, parts: PivotParts) -> Subspace:
     out = Subspace.from_spanning(lie.dim, [part for _, part in parts])
-    assert out.dim == e.dim, "limit changed the dimension"
+    if out.dim != e.dim:
+        raise ContractViolation(f"limit changed the dimension: dim E = {e.dim}, limit dim {out.dim}")
     return out
 
 

@@ -31,7 +31,7 @@ from .cones import (
     pair_sign_action,
     traverse_chambers,
 )
-from .lie import LieAlgebraData, LieAlgebraError, inverse_perm
+from .lie import ContractViolation, LieAlgebraData, LieAlgebraError, inverse_perm
 from .limits import limit_subspace
 from .linalg import (
     Subspace,
@@ -60,11 +60,6 @@ class NotAdaptedError(ValueError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-class ContractViolation(RuntimeError):
-    """An internal consistency identity failed; indicates a bug or an input
-    outside the supported theory."""
 
 
 # ---------------------------------------------------------------------------

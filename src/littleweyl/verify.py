@@ -1,8 +1,12 @@
 """Invariant suites: structural identities, oracle comparisons, regressions.
 
-Each check returns a CheckResult; suites aggregate them and never raise on a
-failing identity, so a verification run always produces a complete report
-with counterexample details for whatever failed.
+Every check gives a CheckResult row, and a failing identity fails its row
+without raising, so a verification run always produces a complete report
+with counterexample details for whatever failed.  A structural, Weyl or
+admissible-search check is a function returning (ok, detail): run_checks
+names its row after the function, and an exception inside it fails that
+row alone with the detail "Type: message".  The Lie algebra identities, the
+limit oracle and the catalog claims build their rows directly.
 """
 
 from __future__ import annotations
@@ -39,12 +43,8 @@ from .spherical import (
     stage,
     translate,
 )
-from .weyl import (
-    limits_agree_with_walls,
-    little_weyl_group,
-    spherical_roots,
-    weyl_from_limits,
-)
+from . import weyl
+from .weyl import little_weyl_group, spherical_roots, weyl_from_limits
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,17 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(ok), detail)
-
-
-def _guarded(name: str, fn: Callable[[], CheckResult]) -> CheckResult:
-    try:
-        return fn()
-    except Exception as err:  # noqa: BLE001 - report the violation, never crash
-        return CheckResult(name, False, f"{type(err).__name__}: {err}")
+def run_checks(*checks: Callable[[], tuple[bool, str]]) -> list[CheckResult]:
+    """One row per check, named by the check function: its (ok, detail), or
+    a failed row with the exception's type and message if the check raises."""
+    out = []
+    for check in checks:
+        try:
+            ok, detail = check()
+        except Exception as err:  # noqa: BLE001 - report the violation, never crash
+            ok, detail = False, f"{type(err).__name__}: {err}"
+        out.append(CheckResult(check.__name__, bool(ok), detail))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,7 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
                 break
         if bad is not None:
             break
-    out.append(_check("form_invariance", bad is None, f"triple {bad}"))
+    out.append(CheckResult("form_invariance", bad is None, f"triple {bad}"))
 
     bad = None
     th = [_sparse(lie.theta(b)) for b in identity(dim)]
@@ -111,16 +113,14 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
             )
             if lhs != sparse_combination((c, th[l]) for l, c in br[i][j].items()):
                 bad = (i, j)
-    out.append(_check("theta_automorphism", bad is None, f"pair {bad}"))
+    out.append(CheckResult("theta_automorphism", bad is None, f"pair {bad}"))
 
     bad = None
     for p, root in enumerate(lie.positive_roots):
         e, f = lie.e_index(p), lie.f_index(p)
         if not sparse_combination((c, br[e][l]) for l, c in br[e][f].items()):
             bad = root
-    out.append(
-        _check("sl2_nonvanishing", bad is None, f"ad^2(e)f = 0 at root {bad}")
-    )
+    out.append(CheckResult("sl2_nonvanishing", bad is None, f"ad^2(e)f = 0 at root {bad}"))
 
     # root spaces are exact ad(a)-eigenspaces
     bad = None
@@ -129,7 +129,7 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
             w = lie.weights[idx][k]
             if sparse_combination([(1, br[k][idx])]) != ({idx: w} if w != 0 else {}):
                 bad = (k, idx)
-    out.append(_check("root_space_grading", bad is None, f"pair {bad}"))
+    out.append(CheckResult("root_space_grading", bad is None, f"pair {bad}"))
 
     # orthocomplement is an involution on a few coordinate subspaces
     bad = None
@@ -137,7 +137,7 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
         s = Subspace.from_coordinates(lie.dim, idxs)
         if lie.orthocomplement(lie.orthocomplement(s)) != s:
             bad = idxs
-    out.append(_check("orthocomplement_involution", bad is None, f"indices {bad}"))
+    out.append(CheckResult("orthocomplement_involution", bad is None, f"indices {bad}"))
     return out
 
 
@@ -148,11 +148,10 @@ def lie_invariants(lie: LieAlgebraData) -> list[CheckResult]:
 
 def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     lie = analysis.lie
-    out = []
     cone = compression_cone(analysis)
     faces = cone_faces(analysis)
 
-    def brion() -> CheckResult:
+    def brion_symmetry():
         basis = identity(lie.dim)
         f_basis = [basis[lie.f_index(p)] for p in analysis.sigma_q]
         t_of = {p: img for p, img in analysis.t_map}
@@ -164,55 +163,32 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
                     lhs = lie.invariant_form(lie.bracket(x, y1), t_of[p2])
                     rhs = lie.invariant_form(lie.bracket(x, y2), t_of[p1])
                     if lhs != rhs:
-                        return _check(
-                            "brion_symmetry", False, f"roots {p1},{p2} at X={row}"
-                        )
-        return _check("brion_symmetry", True)
+                        return False, f"roots {p1},{p2} at X={row}"
+        return True, ""
 
-    out.append(_guarded("brion_symmetry", brion))
-
-    def tperp_prop() -> CheckResult:
+    def tperp_defining_property():
         hperp = lie.orthocomplement(analysis.h_z)
         for row, img in zip(analysis.a_circ.rows, analysis.tperp_map):
             if not hperp.contains_vector(vec_add(lie.a_vector_to_g(row), img)):
-                return _check("tperp_defining_property", False, f"X={row}")
-        return _check("tperp_defining_property", True)
+                return False, f"X={row}"
+        return True, ""
 
-    out.append(_guarded("tperp_defining_property", tperp_prop))
+    def negative_chamber_in_cone():
+        neg = Cone.from_inequalities(lie.dim_a, map(lie.root_functional, identity(lie.rank)))
+        return cone.contains_cone(neg), "a^- is not contained in the compression cone"
 
-    neg = Cone.from_inequalities(
-        lie.dim_a,
-        [
-            lie.root_functional(tuple(1 if j == i else 0 for j in range(lie.rank)))
-            for i in range(lie.rank)
-        ],
-    )
-    out.append(
-        _check(
-            "negative_chamber_in_cone",
-            cone.contains_cone(neg),
-            "a^- is not contained in the compression cone",
-        )
-    )
-    out.append(
-        _check(
-            "cone_stable_under_a_h",
-            all(cone.lineality.contains_vector(r) for r in analysis.a_h.rows),
-            "a_h is not in the cone lineality",
-        )
-    )
+    def cone_stable_under_a_h():
+        ok = all(cone.lineality.contains_vector(r) for r in analysis.a_h.rows)
+        return ok, "a_h is not in the cone lineality"
 
-    def edge_norm() -> CheckResult:
+    def edge_equals_normalizer():
         n_a = normalizer_in_a(lie, analysis.h_z)
-        return _check(
-            "edge_equals_normalizer",
+        return (
             cone.edge() == n_a,
             f"edge {cone.edge().basis_matrix} vs N_a(h_z) {n_a.basis_matrix}",
         )
 
-    out.append(_guarded("edge_equals_normalizer", edge_norm))
-
-    def faces_suite() -> CheckResult:
+    def face_suite():
         for face in faces:
             deg = boundary_degeneration(analysis, face)
             a_cap = lie.a_subspace().intersect(deg.h_zf)
@@ -220,31 +196,19 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
                 lie.dim_a, [lie.g_vector_to_a(r) for r in a_cap.rows]
             )
             if a_cap_a != analysis.a_h:
-                return _check("face_suite", False, f"a cap h_F wrong on face dim {face.dim}")
+                return False, f"a cap h_F wrong on face dim {face.dim}"
             if normalizer_in_a(lie, deg.h_zf) != face.span():
-                return _check(
-                    "face_suite", False, f"N_a(h_F) != span(F) on face dim {face.dim}"
-                )
+                return False, f"N_a(h_F) != span(F) on face dim {face.dim}"
             x = face.relative_interior_point()
             if limit_subspace(lie, analysis.h_z, x) != deg.h_zf:
-                return _check(
-                    "face_suite", False, f"degeneration formula != limit on face dim {face.dim}"
-                )
-        return _check("face_suite", True)
+                return False, f"degeneration formula != limit on face dim {face.dim}"
+        return True, ""
 
-    out.append(_guarded("face_suite", faces_suite))
-
-    def q_cap() -> CheckResult:
+    def q_cap_h_equals_levi_cap_h():
         q_alg = analysis.l_q.add(analysis.n_q)
-        return _check(
-            "q_cap_h_equals_levi_cap_h",
-            q_alg.intersect(analysis.h_z) == analysis.l_cap_h,
-            "",
-        )
+        return q_alg.intersect(analysis.h_z) == analysis.l_cap_h, ""
 
-    out.append(_guarded("q_cap_h_equals_levi_cap_h", q_cap))
-
-    def phi_suite() -> CheckResult:
+    def phi_image_bound():
         rng = random.Random(7)
         tested = 0
         for _ in range(40):
@@ -262,41 +226,27 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
                 # components occur only at roots with an a-tagged support,
                 # and those are nonpositive on the closed compression cone
                 if ("a",) not in analysis.support_of(p):
-                    return _check(
-                        "phi_image_bound", False, f"no a-support at root index {p}"
-                    )
+                    return False, f"no a-support at root index {p}"
                 f = lie.weights[lie.e_index(p)]
                 if any(dot(f, r) > 0 for r in cone.rays) or any(
                     dot(f, l) != 0 for l in cone.lineality.basis_matrix
                 ):
-                    return _check(
-                        "phi_image_bound", False, f"component at root index {p}"
-                    )
-        return _check("phi_image_bound", True)
+                    return False, f"component at root index {p}"
+        return True, ""
 
-    out.append(_guarded("phi_image_bound", phi_suite))
-
-    def degeneration_cones() -> CheckResult:
+    def degeneration_cone_is_sum():
         # the compression cone of a boundary degeneration is C + span(F)
         for face in faces:
             got = compression_cone(degeneration_analysis(analysis, face))
-            want = Cone.from_rays(
-                lie.dim_a,
-                cone.rays,
-                cone.lineality.add(face.span()),
-            )
+            want = Cone.from_rays(lie.dim_a, cone.rays, cone.lineality.add(face.span()))
             if got != want:
-                return _check(
-                    "degeneration_cone_is_sum",
-                    False,
+                return False, (
                     f"face dim {face.dim}: got {fraction_view(got.rays)} "
-                    f"want {fraction_view(want.rays)}",
+                    f"want {fraction_view(want.rays)}"
                 )
-        return _check("degeneration_cone_is_sum", True)
+        return True, ""
 
-    out.append(_guarded("degeneration_cone_is_sum", degeneration_cones))
-
-    def translate_suite() -> CheckResult:
+    def translate_suite():
         # torus translates of an adapted point stay adapted with the same
         # a cap h_z and the same cone; unipotent translates by the
         # centralizer of l_Q cap h_z still preserve a cap h_z
@@ -305,34 +255,27 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
         try:
             other = analyze(lie, bp.h_z)
         except NotAdaptedError:
-            return _check("translate_suite", False, "torus translate not adapted")
+            return False, "torus translate not adapted"
         if other.a_h != analysis.a_h:
-            return _check("translate_suite", False, "a cap h_z changed under torus")
+            return False, "a cap h_z changed under torus"
         if compression_cone(other) != cone:
-            return _check("translate_suite", False, "cone changed under torus")
+            return False, "cone changed under torus"
         zn = centralizer_in_n_q(analysis)
         if zn.dim:
             bp2 = translate(lie, analysis.h_z, [WordEntry.exp(zn.basis_matrix[0])])
             cap = g_subspace_to_a(lie, lie.a_subspace().intersect(bp2.h_z))
             if cap != analysis.a_h:
-                return _check(
-                    "translate_suite", False, "a cap h_z changed under unipotent"
-                )
-        return _check("translate_suite", True)
+                return False, "a cap h_z changed under unipotent"
+        return True, ""
 
-    out.append(_guarded("translate_suite", translate_suite))
-
-    def sweep() -> CheckResult:
+    def cone_matches_chamber_sweep():
         swept = compression_cone_of_point(analysis, analysis.h_z)
-        return _check(
-            "cone_matches_chamber_sweep",
+        return (
             swept == cone,
             f"sweep {fraction_view(swept.rays)} vs cone {fraction_view(cone.rays)}",
         )
 
-    out.append(_guarded("cone_matches_chamber_sweep", sweep))
-
-    def phi_degeneration() -> CheckResult:
+    def phi_degeneration():
         rng = random.Random(11)
         for face in faces:
             # outside the try: a failed degeneration is not a non-adapted one
@@ -340,7 +283,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
             try:
                 deg_an = degeneration_analysis(analysis, face)
             except Exception as err:  # noqa: BLE001
-                return _check("phi_degeneration", False, f"degeneration not adapted: {err}")
+                return False, f"degeneration not adapted: {err}"
             x_f = face.relative_interior_point()
             zero_roots = {
                 p
@@ -361,68 +304,67 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
                     for k, c in enumerate(full)
                 )
                 if phi(deg_an, y) != truncated:
-                    return _check("phi_degeneration", False, f"face dim {face.dim}")
+                    return False, f"face dim {face.dim}"
                 break
-        return _check("phi_degeneration", True)
+        return True, ""
 
-    out.append(_guarded("phi_degeneration", phi_degeneration))
-    return out
+    return run_checks(
+        brion_symmetry,
+        tperp_defining_property,
+        negative_chamber_in_cone,
+        cone_stable_under_a_h,
+        edge_equals_normalizer,
+        face_suite,
+        q_cap_h_equals_levi_cap_h,
+        phi_image_bound,
+        degeneration_cone_is_sum,
+        translate_suite,
+        cone_matches_chamber_sweep,
+        phi_degeneration,
+    )
 
 
 def weyl_invariants(analysis: SphericalAnalysis, m_lattice: str = "coroot") -> list[CheckResult]:
-    def build() -> CheckResult:
+    def wall_group_closure_and_tiling():
         little_weyl_group(analysis)  # runs tiling + isometry verification
-        return _check("wall_group_closure_and_tiling", True)
+        return True, ""
 
-    out = [_guarded("wall_group_closure_and_tiling", build)]
-    if not out[0].ok:
-        return out
+    built = run_checks(wall_group_closure_and_tiling)
+    if not built[0].ok:
+        return built
     group = little_weyl_group(analysis)
 
-    orders_ok = all(
-        m in (1, 2, 3, 4, 6) for row in group.coxeter_orders for m in row
-    )
-    out.append(
-        _check(
-            "crystallographic_orders",
-            orders_ok,
-            f"orders {group.coxeter_orders}",
-        )
-    )
+    def crystallographic_orders():
+        ok = all(m in (1, 2, 3, 4, 6) for row in group.coxeter_orders for m in row)
+        return ok, f"orders {group.coxeter_orders}"
 
-    def degeneration_groups() -> CheckResult:
+    def degeneration_wall_groups():
         for gen in group.generators:
             wg = little_weyl_group(degeneration_analysis(analysis, gen.wall))
             if wg.order != 2:
-                return _check(
-                    "degeneration_wall_groups", False, f"order {wg.order} at a wall"
-                )
+                return False, f"order {wg.order} at a wall"
             nontrivial = [m for m in wg.elements if m != identity(wg.quotient.dim)]
             if nontrivial[0] != gen.matrix_on_quotient:
-                return _check(
-                    "degeneration_wall_groups", False, "wall generator mismatch"
-                )
-        return _check("degeneration_wall_groups", True)
+                return False, "wall generator mismatch"
+        return True, ""
 
-    out.append(_guarded("degeneration_wall_groups", degeneration_groups))
-
-    def agreement() -> CheckResult:
+    def limits_agree_with_walls():
         report = weyl_from_limits(analysis, m_lattice)
-        return _check(
-            "limits_agree_with_walls",
-            limits_agree_with_walls(analysis, m_lattice),
+        return (
+            weyl.limits_agree_with_walls(analysis, m_lattice),
             f"limit cosets {report.labels}",
         )
 
-    out.append(_guarded("limits_agree_with_walls", agreement))
-
-    def roots() -> CheckResult:
+    def spherical_root_symmetry():
         sr = spherical_roots(analysis)  # verifies lattice preservation
-        sym = all(tuple(-x for x in r) in sr.roots for r in sr.roots)
-        return _check("spherical_root_symmetry", sym, f"roots {sr.roots}")
+        return all(tuple(-x for x in r) in sr.roots for r in sr.roots), f"roots {sr.roots}"
 
-    out.append(_guarded("spherical_root_symmetry", roots))
-    return out
+    return built + run_checks(
+        crystallographic_orders,
+        degeneration_wall_groups,
+        limits_agree_with_walls,
+        spherical_root_symmetry,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +436,18 @@ def _oracle_suite(lie: LieAlgebraData, count: int, seed: int) -> list[CheckResul
         x = random_order_regular(lie, rng)
         lim = limit_subspace(lie, e, x)
         if lim.dim != e.dim:
-            out.append(_check("limit_dimension", False, f"instance {i}"))
+            out.append(CheckResult("limit_dimension", False, f"instance {i}"))
             return out
         # a-stability for order-regular directions
         for row in identity(lie.dim)[: lie.dim_a]:
             for b in lim.rows:
                 if not lim.contains_vector(lie.bracket(row, b)):
-                    out.append(_check("limit_a_stability", False, f"instance {i}"))
+                    out.append(CheckResult("limit_a_stability", False, f"instance {i}"))
                     return out
         # chamber constancy: the limit only depends on the chamber of X
         ch = chambers.chamber_of(x)
         if limit_subspace(lie, e, ch.representative) != lim:
-            out.append(_check("limit_chamber_constancy", False, f"instance {i}"))
+            out.append(CheckResult("limit_chamber_constancy", False, f"instance {i}"))
             return out
         report = float_flow_oracle(lie, e, x, t_max=_FLOW_T_MAX)
         if not report.converged:
@@ -515,24 +457,24 @@ def _oracle_suite(lie: LieAlgebraData, count: int, seed: int) -> list[CheckResul
         worst = max(worst, report.distance)
         if report.distance > _FLOW_TOLERANCE:
             out.append(
-                _check(
+                CheckResult(
                     "limit_float_flow_agreement",
                     False,
                     f"instance {i}: distance {report.distance}",
                 )
             )
             return out
-    out.append(_check("limit_dimension", True))
-    out.append(_check("limit_a_stability", True))
-    out.append(_check("limit_chamber_constancy", True))
+    out.append(CheckResult("limit_dimension", True))
+    out.append(CheckResult("limit_a_stability", True))
+    out.append(CheckResult("limit_chamber_constancy", True))
     out.append(
-        _check(
+        CheckResult(
             "limit_float_flow_agreement",
             converged >= count,
             f"only {converged} well-conditioned instances",
         )
         if converged < count
-        else _check(
+        else CheckResult(
             "limit_float_flow_agreement",
             True,
             f"{converged} instances, worst distance {worst:.2e}, "
@@ -552,7 +494,7 @@ def _oracle_suite(lie: LieAlgebraData, count: int, seed: int) -> list[CheckResul
         if not lie.is_subalgebra(lim):
             closure_ok = False
             break
-    out.append(_check("limit_subalgebra_closure", closure_ok))
+    out.append(CheckResult("limit_subalgebra_closure", closure_ok))
     return out
 
 
@@ -581,7 +523,7 @@ def check_claims(
     adapted = isinstance(an, SphericalAnalysis)
     if "adapted" in claims:
         out.append(
-            _check(
+            CheckResult(
                 f"{label}.adapted",
                 adapted == claims["adapted"],
                 f"got {adapted} want {claims['adapted']}",
@@ -598,7 +540,7 @@ def check_claims(
     report = weyl_from_limits(an, m_lattice) if admissible else None
 
     def cmp(field: str, got, want) -> CheckResult:
-        return _check(f"{label}.{field}", got == want, f"got {got} want {want}")
+        return CheckResult(f"{label}.{field}", got == want, f"got {got} want {want}")
 
     if "s_z" in claims:
         out.append(cmp("s_z", [list(s.coords) for s in an.s_z], claims["s_z"]))
@@ -644,7 +586,7 @@ def check_claims(
             list(g.witness[3]) == claims["pair_witness"] for g in pair_gens
         )
         out.append(
-            _check(
+            CheckResult(
                 f"{label}.pair_witness",
                 ok,
                 f"witnesses {[g.witness for g in group.generators]}",
@@ -655,7 +597,7 @@ def check_claims(
         word = [word_entry_from_json(w, "witness") for w in wit["word"]]
         bp2 = translate(lie, an.h_z, word)
         out.append(
-            _check(
+            CheckResult(
                 f"{label}.witness_not_adapted",
                 not is_adapted(lie, bp2.h_z),
                 "witness point is unexpectedly adapted",
@@ -666,7 +608,7 @@ def check_claims(
             lie.dim_a, [vec(g) for g in _expected_cone_ineqs(lie, wit["cone_ineqs"])]
         )
         out.append(
-            _check(
+            CheckResult(
                 f"{label}.witness_cone",
                 got_cone == want,
                 f"got rays {fraction_view(got_cone.rays)} "
@@ -674,7 +616,7 @@ def check_claims(
             )
         )
         out.append(
-            _check(
+            CheckResult(
                 f"{label}.witness_cone_strictly_smaller",
                 cone.contains_cone(got_cone) and cone != got_cone,
                 "translate cone is not strictly smaller",
@@ -713,16 +655,15 @@ def verify_space(
     out = []
     out.extend(lie_invariants(lie))
     if isinstance(an, NotAdaptedError):
-        out.append(_check("adapted", False, an.reason))
+        out.append(CheckResult("adapted", False, an.reason))
         return out
-    out.append(_check("adapted", True))
+    out.append(CheckResult("adapted", True))
     out.extend(structural_invariants(an))
     out.extend(weyl_invariants(an, m_lattice))
 
-    def admissible_search() -> CheckResult:
-        res = find_admissible(an, max_iters=10, seed=seed)
-        return _check("admissible_point_found", True, res.strategy)
+    def admissible_point_found():
+        return True, find_admissible(an, max_iters=10, seed=seed).strategy
 
-    out.append(_guarded("admissible_point_found", admissible_search))
+    out.extend(run_checks(admissible_point_found))
     out.extend(limit_oracle_suite(lie, _ORACLE_COUNT, seed=seed))
     return out

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from littleweyl import lie as lie_module
 from littleweyl.lie import (
+    ContractViolation,
     LieAlgebraData,
     LieAlgebraError,
+    _ChevalleyConstants,
     _first_nonpositive_minor,
     build_from_cartan,
     cartan_matrix_of_type,
@@ -588,6 +590,21 @@ def test_construction_never_calls_the_dense_bracket(monkeypatch):
     lie_module._build_cached.cache_clear()
     for name in ("B3", "D4", "F4"):
         build_from_cartan(cartan_matrix_of_type(name))
+
+
+def test_a_structure_constant_off_the_integers_is_a_contract_violation(monkeypatch):
+    """Both integrality identities of the Chevalley constants raise, with the
+    roots and the value, on a constructed instance: build_from_cartan caches
+    its algebras, so none is built through it."""
+    a = cartan_matrix_of_type("A2")
+    cc = _ChevalleyConstants(a, validate_cartan_matrix(a))
+    monkeypatch.setattr(cc, "norm2", lambda r: 2 + abs(sum(r)))
+    with pytest.raises(ContractViolation, match=re.escape("N((1, 0), (-1, -1)) = -3/4 is not")):
+        cc.N((1, 0), (-1, -1))
+    a = cartan_matrix_of_type("A3")
+    monkeypatch.setattr(_ChevalleyConstants, "norm2", lambda self, r: 1 if sum(r) == 3 else 2)
+    with pytest.raises(ContractViolation, match=re.escape("= -1/2 is not a nonzero integer")):
+        _ChevalleyConstants(a, validate_cartan_matrix(a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
@@ -12,7 +15,7 @@ from conftest import chamber_cone, order_regular_hyperplanes
 
 from littleweyl import limits
 from littleweyl.cones import Cone
-from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.lie import ContractViolation, build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import (
     FlowReport,
     filtration_degenerate,
@@ -106,6 +109,31 @@ def test_dimension_preserved_random(a2):
         e = random_subspace(a2, rng, rng.randint(1, 4))
         x = random_order_regular(a2, rng)
         assert limit_subspace(a2, e, x).dim == e.dim
+
+
+_DROPPED_PART = """
+from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.limits import _limit_of_parts, _pivot_parts, graded_direction
+from littleweyl.linalg import Subspace
+
+lie = build_from_cartan(cartan_matrix_of_type("A2"))
+e = Subspace.from_coordinates(lie.dim, [2, 5])
+parts = _pivot_parts(lie, e, graded_direction(lie, (1, 2)))
+_limit_of_parts(lie, e, parts[:-1])
+"""
+
+
+def test_a_limit_that_loses_a_dimension_is_a_contract_violation():
+    with pytest.raises(ContractViolation, match="dim E = 2, limit dim 1"):
+        exec(_DROPPED_PART, {})
+    # and under python -O, which strips assert statements
+    src = os.path.dirname(os.path.dirname(limits.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROPPED_PART], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 1
+    assert "littleweyl.lie.ContractViolation: limit changed the dimension" in out.stderr
 
 
 def test_subalgebra_closure(a2, so3_subalgebra):

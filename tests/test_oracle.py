@@ -16,7 +16,8 @@ alpha_2 = e_2 - e_3, so they span A2 x A2.  Its F4 ``all_roots`` are the 48
 roots of F4, so for F4 the simple roots are read off them instead.
 """
 
-from itertools import permutations
+import math
+from itertools import permutations, product
 
 import pytest
 import sympy
@@ -25,10 +26,10 @@ from sympy.liealgebras.root_system import RootSystem
 from sympy.liealgebras.weyl_group import WeylGroup
 
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
-from littleweyl.linalg import primitive_ints
+from littleweyl.linalg import Subspace, primitive_ints
 from littleweyl.serialize import space_from_json
-from littleweyl.spherical import analyze, compression_cone
-from littleweyl.weyl import limits_agree_with_walls, little_weyl_group
+from littleweyl.spherical import analyze, compression_cone, is_admissible
+from littleweyl.weyl import limits_agree_with_walls, little_weyl_group, spherical_roots
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 
@@ -123,4 +124,84 @@ def test_riemannian_pairs_match_their_closed_forms(cartan_type):
     group = little_weyl_group(an)
     assert group.order == int(WeylGroup(cartan_type).group_order())
     assert limits_agree_with_walls(an)
+    assert group.type_label == cartan_type.replace("C", "B")
+
+
+# Closed forms of every split symmetric pair g/h_chi, g split of rank <= 3 and
+# g = sl(5) at chi = 1 (Knop, Kroetz, Sayag, Schlichtkrull, Selecta Math.
+# 2015): h_chi = span(e_a - chi(a) f_a : a in Phi+), chi(a) = prod chi_i^a_i,
+# is the fixed algebra of the Chevalley involution twisted by a sign
+# character.  Then S_z = 2 Phi+, the indecomposables are 2 Delta, the cone
+# is the antidominant chamber {alpha_i <= 0}, a_h = 0, W_Z = W, the spherical
+# roots are Phi, and the point is admissible.  Phi+, |Phi| and |W| are read
+# from sympy: its simple roots are matched to ours by the Cartan matrix they
+# give, since sympy's B_n and C_n Cartan matrices are the transposes of
+# cartan_matrix_of_type's.
+SYMMETRIC_PAIRS = [
+    (t, chi)
+    for t in ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+    for chi in product((1, -1), repeat=int(t[1]))
+] + [("A4", (1, 1, 1, 1))]
+
+
+def _sympy_match(cartan) -> tuple[str, list, tuple[int, ...]]:
+    """The sympy type, its simple roots and the relabelling perm (our simple
+    root i is sympy's perm[i]) whose a_ij = <alpha_j, alpha_i^vee> is cartan."""
+    n = len(cartan)
+    names = [f"{s}{n}" for s, least in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) if n >= least]
+    for name in names + ["G2"] * (n == 2):
+        simple = _sympy_simple_roots(name)
+        theirs = [[2 * _ip(a, b) / _ip(a, a) for b in simple] for a in simple]
+        for perm in permutations(range(n)):
+            if all(cartan[i][j] == theirs[perm[i]][perm[j]] for i in range(n) for j in range(n)):
+                return name, simple, perm
+    raise AssertionError(f"no sympy type has the Cartan matrix {cartan}")
+
+
+def _sympy_positive_roots(simple, perm) -> list[tuple[int, ...]]:
+    """Phi+ in our simple-root coordinates, from the reflection closure of
+    sympy's simple roots."""
+    gram = sympy.Matrix([[_ip(a, b) for b in simple] for a in simple])
+    out = []
+    for root in _reflection_closure(simple):
+        c = gram.solve(sympy.Matrix([_ip(root, a) for a in simple]))
+        coords = tuple(int(c[perm[i]]) for i in range(len(simple)))
+        assert all(c[perm[i]] == coords[i] for i in range(len(simple)))
+        if min(coords) >= 0:
+            out.append(coords)
+    return out
+
+
+@pytest.mark.parametrize(
+    "cartan_type, chi",
+    SYMMETRIC_PAIRS,
+    ids=[f"{t}-{''.join('+' if c > 0 else '-' for c in chi)}" for t, chi in SYMMETRIC_PAIRS],
+)
+def test_split_symmetric_pairs_match_their_closed_forms(cartan_type, chi):
+    cartan = cartan_matrix_of_type(cartan_type)
+    name, simple, perm = _sympy_match(cartan)
+    positive = _sympy_positive_roots(simple, perm)
+    n_roots = len(RootSystem(name).all_roots())
+    assert 2 * len(positive) == n_roots
+    lie = build_from_cartan(cartan)
+    rows = []
+    for p, root in enumerate(lie.positive_roots):
+        row = [0] * lie.dim
+        row[lie.e_index(p)] = 1
+        row[lie.f_index(p)] = -math.prod(c**k for c, k in zip(chi, root))
+        rows.append(row)
+    an = analyze(lie, Subspace.from_spanning(lie.dim, rows))
+    assert sorted(s.coords for s in an.s_z) == sorted(tuple(2 * c for c in r) for r in positive)
+    assert sorted(s.coords for s in an.indecomposables) == sorted(
+        tuple(2 * int(i == j) for j in range(lie.rank)) for i in range(lie.rank)
+    )
+    # alpha_i(h_j) = <alpha_i, alpha_j^vee> = a_ji
+    functionals = [[cartan[j][i] for j in range(lie.rank)] for i in range(lie.rank)]
+    cone = compression_cone(an)
+    assert sorted(cone.facets) == sorted(primitive_ints(f) for f in functionals)
+    assert an.a_h.dim == 0
+    group = little_weyl_group(an)
+    assert group.order == int(WeylGroup(name).group_order())
+    assert is_admissible(an) and limits_agree_with_walls(an)
+    assert len(spherical_roots(an).roots) == n_roots
     assert group.type_label == cartan_type.replace("C", "B")
