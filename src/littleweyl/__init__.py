@@ -48,7 +48,6 @@ from .spherical import (
     translate,
 )
 from .weyl import (
-    LimitWeylReport,
     LittleWeylGroup,
     SphericalRootData,
     limit_coset,

@@ -109,7 +109,7 @@ def build_report(
         )
     cone = compression_cone(an)
     group = little_weyl_group(an)
-    limits_report = weyl_from_limits(an, m_lattice)
+    limit_cosets = weyl_from_limits(an, m_lattice)
     agreement = limits_agree_with_walls(an, m_lattice)
     sr = spherical_roots(an)
 
@@ -180,7 +180,7 @@ def build_report(
             ],
             "coset_labels": list(group.coset_labels),
             "coxeter_orders": [list(r) for r in group.coxeter_orders],
-            "limit_cosets": list(limits_report.labels),
+            "limit_cosets": sorted(c.label for c in limit_cosets),
             "agreement": agreement,
         },
         "spherical_roots": {

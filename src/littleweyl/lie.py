@@ -157,7 +157,8 @@ def positive_roots_of(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, with <beta, alpha_i^vee>
     = beta(h_i), keeping the positive images: s_i maps the positive roots
     other than alpha_i onto themselves, and a positive root of height above
-    one is s_i of a lower one for the first i with beta(h_i) > 0.
+    one is s_i of a lower one for the first i with beta(h_i) > 0.  The
+    simple roots come first, in order: simple root i is the root at index i.
     """
     n = len(a)
     roots = {tuple(int(j == i) for j in range(n)) for i in range(n)}
@@ -348,13 +349,6 @@ class LieAlgebraData:
     def f_index(self, p: int) -> int:
         return self.dim_a + self.num_pos + p
 
-    def root_index(self, root: Sequence[int]) -> int:
-        root = tuple(root)
-        for p, r in enumerate(self.positive_roots):
-            if r == root:
-                return p
-        raise KeyError(f"not a positive root: {root}")
-
     def roots(self) -> list[tuple[int, ...]]:
         return list(self.positive_roots) + [
             tuple(-x for x in r) for r in self.positive_roots
@@ -416,16 +410,6 @@ class LieAlgebraData:
             raise LieAlgebraError("dimension mismatch in theta")
         d, m = self.dim_a, self.num_pos
         return tuple(-c for c in x[:d] + x[d + m :] + x[d : d + m])
-
-    def exp_ad(self, x: Sequence) -> Mat:
-        """exp(ad x) as a dense matrix, column by column from exp_ad_apply.
-
-        The only dense operator on g.  It serves a nilpotent entry of
-        ``translate``: that vector comes from a space file, so x must be
-        checked ad-nilpotent on every basis vector, which builds every column
-        anyway.  Raises LieAlgebraError unless it is.
-        """
-        return tuple(zip(*(self.exp_ad_apply(x, e) for e in identity(self.dim))))
 
     def exp_ad_apply(self, x: Sequence, v: Sequence) -> Vec:
         """exp(ad x) v = sum_k ad(x)^k v / k! as a bracket series, without
@@ -549,18 +533,15 @@ class LieAlgebraData:
         group_closure.  Each element's matrix on a is read off its
         permutation: w preserves the form, so w(alpha_i^vee) = (w alpha_i)^vee
         (Humphreys, Introduction to Lie Algebras and Representation Theory,
-        section 9), and column i is the coroot of roots()[perm[k_i]], where
-        k_i is the index of alpha_i; w fixes the center, whose columns are
-        unit vectors.
+        section 9), and column i is the coroot of roots()[perm[i]], alpha_i
+        being roots()[i]; w fixes the center, whose columns are unit vectors.
         """
-        simple = [tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)]
-        gens = [self.reflection_perm(r) for r in simple]
+        gens = [self.reflection_perm(r) for r in self.positive_roots[: self.rank]]
         coroots = [self.coroot(r) for r in self.roots()]
-        simple_at = [self.root_index(r) for r in simple]
         center = list(identity(self.dim_a)[self.rank :])
         out: dict[tuple[int, ...], WeylGroupElement] = {}
         for perm, word in group_closure(gens, tuple(range(2 * self.num_pos))):
-            cols = [coroots[perm[k]] for k in simple_at] + center
+            cols = [coroots[k] for k in perm[: self.rank]] + center
             out[perm] = WeylGroupElement(word, tuple(zip(*cols)), perm)
         return out
 
@@ -574,10 +555,8 @@ class LieAlgebraData:
         d, basis = self.dim_a, identity(self.dim)
         out = []
         for i in range(self.rank):
-            simple = tuple(int(j == i) for j in range(self.rank))
-            p = self.root_index(simple)
-            e_vec = basis[self.e_index(p)]
-            minus_f = vec_scale(-1, basis[self.f_index(p)])
+            e_vec = basis[self.e_index(i)]
+            minus_f = vec_scale(-1, basis[self.f_index(i)])
             cols = [
                 self.exp_ad_apply(
                     e_vec, self.exp_ad_apply(minus_f, self.exp_ad_apply(e_vec, b))
@@ -595,7 +574,7 @@ class LieAlgebraData:
                     )
                 perm.append(nz[0][0] - d)
                 signs.append(int(nz[0][1]))
-            refl = self.weyl_group[self.reflection_perm(simple)]
+            refl = self.weyl_group[self.reflection_perm(self.positive_roots[i])]
             a_block = tuple(zip(*(col[:d] for col in cols[:d])))
             if a_block != refl.matrix or tuple(perm) != refl.perm:
                 raise LieAlgebraError(f"the lift of s{i + 1} does not act as the reflection")

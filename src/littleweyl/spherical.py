@@ -102,11 +102,17 @@ class BasePoint:
 
 def _word_entry_action(lie: LieAlgebraData, entry: WordEntry) -> Callable[[Vec], Vec]:
     """Ad(g) for one word entry, applied through its structure: a coordinate
-    scaling or a signed permutation.  A nilpotent entry applies exp(ad x),
-    which raises unless x is ad-nilpotent."""
+    scaling, a signed permutation or the bracket series of exp(ad x).
+
+    A nilpotent entry raises unless x is ad-nilpotent.  ad x is a derivation
+    that kills the center, and the e_i and f_i generate [g, g], so it is
+    nilpotent when its series ends on those 2 * rank vectors."""
     if entry.kind == "nilpotent":
-        m = lie.exp_ad(entry.nilpotent)
-        return lambda v: mat_vec(m, v)
+        x, basis = entry.nilpotent, identity(lie.dim)
+        for p in range(lie.rank):
+            lie.exp_ad_apply(x, basis[lie.e_index(p)])
+            lie.exp_ad_apply(x, basis[lie.f_index(p)])
+        return lambda v: lie.exp_ad_apply(x, v)
     if entry.kind in ("torus", "sign"):
         scale = entry.scale if entry.kind == "torus" else Fraction(-1)
         factors = lie.torus_scaling(entry.coweight, scale)

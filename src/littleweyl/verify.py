@@ -2,11 +2,12 @@
 
 Every check gives a CheckResult row, and a failing identity fails its row
 without raising, so a verification run always produces a complete report
-with counterexample details for whatever failed.  A structural, Weyl or
-admissible-search check is a function returning (ok, detail): run_checks
-names its row after the function, and an exception inside it fails that
-row alone with the detail "Type: message".  The Lie algebra identities, the
-limit oracle and the catalog claims build their rows directly.
+with counterexample details for whatever failed.  A structural, Weyl,
+admissible-search or limit oracle check is a function returning
+(ok, detail): run_checks names its row after the function, and an exception
+inside it fails that row alone with the detail "Type: message".  Only the
+Lie algebra identities, check_claims and the ``adapted`` rows build their
+rows directly.
 """
 
 from __future__ import annotations
@@ -349,11 +350,8 @@ def weyl_invariants(analysis: SphericalAnalysis, m_lattice: str = "coroot") -> l
         return True, ""
 
     def limits_agree_with_walls():
-        report = weyl_from_limits(analysis, m_lattice)
-        return (
-            weyl.limits_agree_with_walls(analysis, m_lattice),
-            f"limit cosets {report.labels}",
-        )
+        labels = tuple(sorted(c.label for c in weyl_from_limits(analysis, m_lattice)))
+        return weyl.limits_agree_with_walls(analysis, m_lattice), f"limit cosets {labels}"
 
     def spherical_root_symmetry():
         sr = spherical_roots(analysis)  # verifies lattice preservation
@@ -399,103 +397,93 @@ _FLOW_T_MAX = 40.0
 _FLOW_TOLERANCE = 1e-6
 
 
-def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> list[CheckResult]:
+@stage
+def limit_oracle_suite(lie: LieAlgebraData, count: int, seed: int = 0) -> tuple[CheckResult, ...]:
     """Seeded random (E, X) instances: float-flow agreement on well-conditioned
     instances (at least ``count`` of them, flowed to t = _FLOW_T_MAX and
-    compared within _FLOW_TOLERANCE) plus the exact dimension, closure,
-    a-stability and chamber-constancy identities on every instance drawn.
+    compared within _FLOW_TOLERANCE) plus the exact dimension, a-stability
+    and chamber-constancy identities on every instance drawn, and subalgebra
+    closure on max(4, count // 20) bracket-closed inputs.
 
     Filtration-degenerate instances are points of discontinuity of the limit
     map; the oracle flags them and they are exempt from the float comparison
     but still subject to all exact identities.
 
-    The suite depends on the algebra, count and seed alone, so its results
-    are a stage of the algebra object, and every call returns a new list.
+    All inputs are drawn before the checks run, so a failing check fails its
+    own row only.  The rows are a stage of the algebra.
     """
-    return list(_oracle_results(lie, count, seed))
-
-
-@stage
-def _oracle_results(lie: LieAlgebraData, count: int, seed: int) -> tuple[CheckResult, ...]:
-    return tuple(_oracle_suite(lie, count, seed))
-
-
-def _oracle_suite(lie: LieAlgebraData, count: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
-    chambers = order_regular_chambers(lie)
-    out = []
-    worst = 0.0
+    instances = []  # (E, X, exact limit, float flow report), in draw order
     converged = 0
-    degenerate = 0
-    attempts = 0
-    while converged < count and attempts < 3 * count:
-        i = attempts
-        attempts += 1
-        dim_e = rng.randint(1, 3)
-        e = random_subspace(lie, rng, dim_e)
+    while converged < count and len(instances) < 3 * count:
+        e = random_subspace(lie, rng, rng.randint(1, 3))
         x = random_order_regular(lie, rng)
         lim = limit_subspace(lie, e, x)
-        if lim.dim != e.dim:
-            out.append(CheckResult("limit_dimension", False, f"instance {i}"))
-            return out
-        # a-stability for order-regular directions
-        for row in identity(lie.dim)[: lie.dim_a]:
-            for b in lim.rows:
-                if not lim.contains_vector(lie.bracket(row, b)):
-                    out.append(CheckResult("limit_a_stability", False, f"instance {i}"))
-                    return out
-        # chamber constancy: the limit only depends on the chamber of X
-        ch = chambers.chamber_of(x)
-        if limit_subspace(lie, e, ch.representative) != lim:
-            out.append(CheckResult("limit_chamber_constancy", False, f"instance {i}"))
-            return out
-        report = float_flow_oracle(lie, e, x, t_max=_FLOW_T_MAX)
-        if not report.converged:
-            degenerate += 1
-            continue
-        converged += 1
-        worst = max(worst, report.distance)
-        if report.distance > _FLOW_TOLERANCE:
-            out.append(
-                CheckResult(
-                    "limit_float_flow_agreement",
-                    False,
-                    f"instance {i}: distance {report.distance}",
-                )
-            )
-            return out
-    out.append(CheckResult("limit_dimension", True))
-    out.append(CheckResult("limit_a_stability", True))
-    out.append(CheckResult("limit_chamber_constancy", True))
-    out.append(
-        CheckResult(
-            "limit_float_flow_agreement",
-            converged >= count,
-            f"only {converged} well-conditioned instances",
-        )
-        if converged < count
-        else CheckResult(
-            "limit_float_flow_agreement",
-            True,
-            f"{converged} instances, worst distance {worst:.2e}, "
-            f"{degenerate} flagged degenerate",
-        )
-    )
-    # subalgebra closure on bracket-closed inputs
-    closure_ok = True
-    for i in range(max(4, count // 20)):
+        flow = float_flow_oracle(lie, e, x, t_max=_FLOW_T_MAX)
+        instances.append((e, x, lim, flow))
+        converged += flow.converged
+    closure_inputs = []  # (X, n) with n in nbar
+    for _ in range(max(4, count // 20)):
         x = random_order_regular(lie, rng)
         n = tuple(
             Fraction(rng.randint(-2, 2)) if k >= lie.dim_a + lie.num_pos else Fraction(0)
             for k in range(lie.dim)
         )
-        e = lie.nbar_subspace().add(lie.a_subspace()).image(lambda v: lie.exp_ad_apply(n, v))
-        lim = limit_subspace(lie, e, x)
-        if not lie.is_subalgebra(lim):
-            closure_ok = False
-            break
-    out.append(CheckResult("limit_subalgebra_closure", closure_ok))
-    return out
+        closure_inputs.append((x, n))
+
+    def first_failure(fails: Callable[[Subspace, tuple, Subspace], bool]) -> tuple[bool, str]:
+        bad = next((i for i, (e, x, lim, _) in enumerate(instances) if fails(e, x, lim)), None)
+        return bad is None, "" if bad is None else f"instance {bad}"
+
+    def limit_dimension():
+        return first_failure(lambda e, x, lim: lim.dim != e.dim)
+
+    def limit_a_stability():
+        # ad(a) preserves the limit along an order-regular direction
+        a_basis = identity(lie.dim)[: lie.dim_a]
+        return first_failure(
+            lambda e, x, lim: any(
+                not lim.contains_vector(lie.bracket(h, b)) for h in a_basis for b in lim.rows
+            )
+        )
+
+    def limit_chamber_constancy():
+        # the limit only depends on the chamber of X
+        chambers = order_regular_chambers(lie)
+        return first_failure(
+            lambda e, x, lim: limit_subspace(lie, e, chambers.chamber_of(x).representative) != lim
+        )
+
+    def limit_float_flow_agreement():
+        flows = [flow for *_, flow in instances]
+        for i, flow in enumerate(flows):
+            if flow.converged and flow.distance > _FLOW_TOLERANCE:
+                return False, f"instance {i}: distance {flow.distance}"
+        distances = [flow.distance for flow in flows if flow.converged]
+        if len(distances) < count:
+            return False, f"only {len(distances)} well-conditioned instances"
+        return True, (
+            f"{len(distances)} instances, worst distance {max(distances, default=0.0):.2e}, "
+            f"{len(flows) - len(distances)} flagged degenerate"
+        )
+
+    def limit_subalgebra_closure():
+        # on the bracket-closed inputs Ad(exp n)(nbar + a)
+        nbar_a = lie.nbar_subspace().add(lie.a_subspace())
+        for x, n in closure_inputs:
+            e = nbar_a.image(lambda v: lie.exp_ad_apply(n, v))
+            if not lie.is_subalgebra(limit_subspace(lie, e, x)):
+                return False, ""
+        return True, ""
+
+    checks = (
+        limit_dimension,
+        limit_a_stability,
+        limit_chamber_constancy,
+        limit_float_flow_agreement,
+        limit_subalgebra_closure,
+    )
+    return tuple(run_checks(*checks))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +524,6 @@ def check_claims(
     group = little_weyl_group(an)
     sr = spherical_roots(an)
     admissible = is_admissible(an)
-    # the limit cosets are read from the chambers of an admissible point only
-    report = weyl_from_limits(an, m_lattice) if admissible else None
 
     def cmp(field: str, got, want) -> CheckResult:
         return CheckResult(f"{label}.{field}", got == want, f"got {got} want {want}")
@@ -576,7 +562,10 @@ def check_claims(
         out.append(
             cmp(
                 "limit_coset_labels",
-                sorted(report.labels) if report else "none: the point is not admissible",
+                # the limit cosets are read from the chambers of an admissible point only
+                sorted(c.label for c in weyl_from_limits(an, m_lattice))
+                if admissible
+                else "none: the point is not admissible",
                 sorted(claims["coset_labels"]),
             )
         )

@@ -181,11 +181,8 @@ def wall_reflection(analysis: SphericalAnalysis, wall: Cone) -> WallGenerator:
     else:
         perm = None
         witness = None
-        for i in range(lie.rank):
-            beta = tuple(1 if j == i else 0 for j in range(lie.rank))
-            if beta not in lie.positive_roots:
-                continue
-            if lie.positive_roots.index(beta) not in analysis.sigma_q:
+        for i, beta in enumerate(lie.positive_roots[: lie.rank]):
+            if i not in analysis.sigma_q:
                 continue
             gamma = tuple(a - b for a, b in zip(weight.coords, beta))
             if gamma not in lie.positive_roots:
@@ -421,18 +418,6 @@ def _normalizer(analysis: SphericalAnalysis) -> tuple[tuple[frozenset, LimitCose
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitWeylReport:
-    """The cosets realized by the order-regular limits, in the order of the
-    block cells that first realize them."""
-
-    cosets: tuple[LimitCoset, ...]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(c.label for c in self.cosets))
-
-
 @stage
 def _conjugate_table(
     analysis: SphericalAnalysis, m_lattice: str
@@ -476,8 +461,9 @@ def limit_coset(
 @stage
 def weyl_from_limits(
     analysis: SphericalAnalysis, m_lattice: str = "coroot"
-) -> LimitWeylReport:
-    """Coset set realized by the order-regular limits of h_z.
+) -> tuple[LimitCoset, ...]:
+    """The cosets realized by the order-regular limits of h_z, in the order of
+    the block cells that first realize them.
 
     The limit of each block cell of the chamber table (chamber_limits) is
     matched against sign-character twists of Weyl conjugates of the
@@ -495,15 +481,15 @@ def weyl_from_limits(
                 "horospherical algebra at an admissible point"
             )
         coset_of.setdefault(coset.label, coset)
-    return LimitWeylReport(tuple(coset_of.values()))
+    return tuple(coset_of.values())
 
 
 def limits_agree_with_walls(analysis: SphericalAnalysis, m_lattice: str = "coroot") -> bool:
     """Main agreement: the limit cosets (weyl_from_limits) coincide with the
     wall-generated group (little_weyl_group)."""
-    report = weyl_from_limits(analysis, m_lattice)
+    cosets = weyl_from_limits(analysis, m_lattice)
     group = little_weyl_group(analysis)
-    return {c.matrix_on_quotient for c in report.cosets} == set(group.elements)
+    return {c.matrix_on_quotient for c in cosets} == set(group.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +510,8 @@ def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
     Lambda is the intersection of the root lattice with the functionals
     vanishing on the edge a_E.  The center lies in a_E, so Lambda (x) Q is
     (a/a_E)*, and each element w acts on it by lambda -> w(lambda), read off
-    its root permutation: w(alpha_i) is lie.roots()[perm[k_i]], where k_i
-    is the index of alpha_i, over the elements of little_weyl_group.  Each
+    its root permutation: w(alpha_i) is lie.roots()[perm[i]], alpha_i being
+    lie.roots()[i], over the elements of little_weyl_group.  Each
     element that is a reflection of Lambda contributes the primitive pair of
     its -1 eigenspace.
     """
@@ -539,12 +525,11 @@ def spherical_roots(analysis: SphericalAnalysis) -> SphericalRootData:
     lam_basis = [tuple(b) for b in (integer_kernel(rows, lie.rank) if rows else units)]
     lam_rows = [tuple(b[i] for b in lam_basis) for i in range(lie.rank)]
     all_roots = lie.roots()
-    simple_at = [all_roots.index(u) for u in units]
     ident = identity(len(lam_basis))
 
     def act_on_lattice(w: LimitCoset) -> Mat:
         """Matrix of lambda -> w(lambda) in the Lambda basis; must be integral."""
-        images = [all_roots[w.element.perm[k]] for k in simple_at]
+        images = [all_roots[k] for k in w.element.perm[: lie.rank]]
         cols = []
         for b in lam_basis:
             in_lam = solve(lam_rows, combination(b, images, lie.rank), len(lam_basis))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from littleweyl.cones import Chamber, ChamberSet, Cone, ConeError, traverse_chambers
-from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.lie import LieAlgebraError, build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import (
     Mat,
     Subspace,
@@ -14,6 +14,7 @@ from littleweyl.linalg import (
     dot,
     identity,
     integer_echelon,
+    mat_mul,
     primitive_ints,
     primitive_signed,
     solve,
@@ -62,6 +63,38 @@ def mat_inverse(m) -> Mat:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def root_index(lie, root) -> int:
+    """The index of a positive root in lie.positive_roots."""
+    return lie.positive_roots.index(tuple(root))
+
+
+def dense_ad(lie, x) -> Mat:
+    """ad x as a dense matrix read off the structure constants: column j is
+    [x, x_j], summed over [x_i, x_j] = c x_k and [x_j, x_i] = -c x_k for the
+    entries c x_k of bracket_table[i][j], i < j."""
+    a = [[0] * lie.dim for _ in range(lie.dim)]
+    for i, row in enumerate(lie.bracket_table):
+        for j in range(i + 1, lie.dim):
+            for k, c in row[j].items():
+                a[k][j] += x[i] * c
+                a[k][i] -= x[j] * c
+    return tuple(map(tuple, a))
+
+
+def dense_exp_ad(lie, x) -> Mat:
+    """Oracle: exp(ad x) as the finite sum of the matrix powers of ad x
+    divided by k!; raises LieAlgebraError unless (ad x)^dim = 0, that is
+    unless x is ad-nilpotent."""
+    a = dense_ad(lie, x)
+    out = term = identity(lie.dim)
+    for k in range(1, lie.dim + 1):
+        term = tuple(tuple(Fraction(c, k) for c in row) for row in mat_mul(term, a))
+        if not any(any(row) for row in term):
+            return out
+        out = tuple(tuple(o + t for o, t in zip(r, s)) for r, s in zip(out, term))
+    raise LieAlgebraError("dense exp_ad requires an ad-nilpotent argument")
 
 
 def reflection_on_a(lie, root) -> Mat:

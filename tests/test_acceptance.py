@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import full_space
+from conftest import dense_exp_ad, full_space
 
 from littleweyl.catalog import get_entry, list_entries
 from littleweyl.cones import Cone
@@ -164,7 +164,7 @@ def test_criterion_4_limit_oracle_two_hundred():
             n = [Fraction(0)] * lie.dim
             for p in range(lie.num_pos):
                 n[lie.f_index(p)] = Fraction(rng.randint(-2, 2))
-            moved = nbar_a.transform(lie.exp_ad(tuple(n)))
+            moved = nbar_a.transform(dense_exp_ad(lie, tuple(n)))
             x = random_order_regular(lie, rng)
             assert lie.is_subalgebra(limit_subspace(lie, moved, x))
     _finish(

@@ -1,4 +1,4 @@
-"""Structured actions against dense references built here.
+"""Structured actions against dense references built here and in conftest.
 
 Weyl lifts are signed permutations of the root vectors, sign characters and
 torus elements are coordinate scalings, exp(ad x) v is a bracket series and
@@ -10,8 +10,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from conftest import reflection_on_a
-from hypothesis import given, settings
+from conftest import dense_ad, dense_exp_ad, reflection_on_a, root_index
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littleweyl.lie import (
@@ -21,39 +21,15 @@ from littleweyl.lie import (
     cartan_matrix_of_type,
 )
 from littleweyl.linalg import Subspace, dot, identity, mat_mul, mat_vec, vec
+from littleweyl.spherical import WordEntry, translate
 
 
-def _lie(name):
-    return build_from_cartan(cartan_matrix_of_type(name))
+def _lie(name, center=0):
+    return build_from_cartan(cartan_matrix_of_type(name), center)
 
 
 def _unit(dim, k):
     return tuple(Fraction(1 if i == k else 0) for i in range(dim))
-
-
-def _dense_ad(lie, x):
-    """ad x as a dense matrix read off the structure constants: column j is
-    [x, x_j], summed over [x_i, x_j] = c x_k and [x_j, x_i] = -c x_k for the
-    entries c x_k of bracket_table[i][j], i < j."""
-    a = [[0] * lie.dim for _ in range(lie.dim)]
-    for i, row in enumerate(lie.bracket_table):
-        for j in range(i + 1, lie.dim):
-            for k, c in row[j].items():
-                a[k][j] += x[i] * c
-                a[k][i] -= x[j] * c
-    return tuple(map(tuple, a))
-
-
-def _dense_exp_ad(lie, x):
-    """exp(ad x) as the finite sum of the matrix powers of ad x divided by k!."""
-    a = _dense_ad(lie, x)
-    out = term = identity(lie.dim)
-    for k in range(1, lie.dim + 1):
-        term = tuple(tuple(Fraction(c, k) for c in row) for row in mat_mul(term, a))
-        if not any(any(row) for row in term):
-            break
-        out = tuple(tuple(o + t for o, t in zip(r, s)) for r, s in zip(out, term))
-    return out
 
 
 def _columns(lift, dim):
@@ -66,9 +42,9 @@ def _dense_lifts(lie):
     exp(ad e_i) exp(-ad f_i) exp(ad e_i) and the simple reflections."""
     letters = []
     for i in range(lie.rank):
-        p = lie.root_index(tuple(1 if j == i else 0 for j in range(lie.rank)))
-        e = _dense_exp_ad(lie, _unit(lie.dim, lie.e_index(p)))
-        minus_f = _dense_exp_ad(lie, tuple(-c for c in _unit(lie.dim, lie.f_index(p))))
+        p = root_index(lie, tuple(1 if j == i else 0 for j in range(lie.rank)))
+        e = dense_exp_ad(lie, _unit(lie.dim, lie.e_index(p)))
+        minus_f = dense_exp_ad(lie, tuple(-c for c in _unit(lie.dim, lie.f_index(p))))
         n_i = mat_mul(mat_mul(e, minus_f), e)
         letters.append((n_i, reflection_on_a(lie, lie.positive_roots[p])))
 
@@ -168,9 +144,52 @@ def _algebra_and_vectors(draw, part: str):
 @given(st.sampled_from(["n", "nbar"]).flatmap(_algebra_and_vectors))
 def test_exp_ad_apply_matches_dense_exp_ad(case):
     lie, x, v = case
-    dense = _dense_exp_ad(lie, x)
+    dense = dense_exp_ad(lie, x)
     assert lie.exp_ad_apply(x, v) == mat_vec(dense, v)
-    assert lie.exp_ad(x) == dense
+
+
+_ENTRY_ALGEBRAS = [_lie(name, c) for name in ("A1", "A2", "B2", "A3") for c in (0, 1)]
+
+
+@st.composite
+def _word_entry_vectors(draw):
+    """An algebra of type A1, A2, B2 or A3 with center 0 or 1 and a vector x
+    whose nonzeros lie in the parts of g drawn: the semisimple part of a,
+    the center, n and nbar.  x in n, in nbar, or central plus either, is
+    ad-nilpotent; an a-part off the center or both of n and nbar usually
+    makes it not."""
+    lie = draw(st.sampled_from(_ENTRY_ALGEBRAS))
+    parts = {
+        "a": range(lie.rank),
+        "center": range(lie.rank, lie.dim_a),
+        "n": range(lie.e_index(0), lie.f_index(0)),
+        "nbar": range(lie.f_index(0), lie.dim),
+    }
+    chosen = draw(st.sets(st.sampled_from(sorted(parts)), min_size=1))
+    coords = {k for part in chosen for k in parts[part]}
+    x = [draw(_entries) if k in coords else 0 for k in range(lie.dim)]
+    return lie, tuple(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_word_entry_vectors())
+@example((_lie("A1"), (1, 0, 0)))
+@example((_lie("A1", 1), (0, 1, 1, 0)))
+@example((_lie("A2"), (0, 0, 1, 0, 0, 0, 0, 1)))
+def test_a_nilpotent_entry_is_refused_exactly_when_dense_exp_ad_refuses_it(case):
+    """The nilpotency check of a word entry reads the series on the e_i and
+    f_i alone; dense exp(ad x) over all of g refuses the same x, and where
+    both accept, the translates of a agree."""
+    lie, x = case
+    h = lie.a_subspace()
+    try:
+        dense = dense_exp_ad(lie, x)
+    except LieAlgebraError:
+        with pytest.raises(LieAlgebraError, match="ad-nilpotent"):
+            translate(lie, h, [WordEntry.exp(x)])
+        return
+    moved = translate(lie, h, [WordEntry.exp(x)]).h_z
+    assert moved == Subspace.from_spanning(lie.dim, [mat_vec(dense, r) for r in h.rows])
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,7 +202,7 @@ def test_bracket_matches_the_double_loop_over_bracket_basis(case):
             for k, c in lie.bracket_basis(i, j).items():
                 want[k] += x[i] * y[j] * c
     assert lie.bracket(x, y) == tuple(want)
-    assert lie.bracket(x, y) == mat_vec(_dense_ad(lie, x), y)
+    assert lie.bracket(x, y) == mat_vec(dense_ad(lie, x), y)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import sign_scalings
+from conftest import root_index, sign_scalings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +32,7 @@ from littleweyl.linalg import (
     vec_add,
     vec_scale,
 )
+from littleweyl.spherical import WordEntry, translate
 from littleweyl.verify import CheckResult, lie_invariants
 
 
@@ -110,11 +111,11 @@ def test_structure_constants_match_root_strings(b2):
             s = tuple(x + y for x, y in zip(a, b))
             if s not in roots:
                 continue
-            ia = b2.e_index(b2.root_index(a)) if a in b2.positive_roots else b2.f_index(
-                b2.root_index(tuple(-x for x in a))
+            ia = b2.e_index(root_index(b2, a)) if a in b2.positive_roots else b2.f_index(
+                root_index(b2, tuple(-x for x in a))
             )
-            ib = b2.e_index(b2.root_index(b)) if b in b2.positive_roots else b2.f_index(
-                b2.root_index(tuple(-x for x in b))
+            ib = b2.e_index(root_index(b2, b)) if b in b2.positive_roots else b2.f_index(
+                root_index(b2, tuple(-x for x in b))
             )
             out = b2.bracket_basis(ia, ib)
             assert len(out) == 1
@@ -366,8 +367,23 @@ def test_weyl_group_words_are_breadth_first_in_word_order(a2):
 
 
 def test_exp_ad_requires_nilpotent(a1):
-    with pytest.raises(LieAlgebraError):
-        a1.exp_ad(H)
+    """A nilpotent word entry of h is refused: ad(h) scales e by 2."""
+    with pytest.raises(LieAlgebraError, match="ad-nilpotent"):
+        translate(a1, a1.a_subspace(), [WordEntry.exp(H)])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+    + ["A1xA1", "A1xA2"],
+)
+@pytest.mark.parametrize("center", [0, 1])
+def test_the_simple_roots_come_first_in_order(name, center):
+    """Simple root i is positive_roots[i], which the Weyl group table, the
+    simple lifts, the wall reflections and the spherical roots read."""
+    lie = build_from_cartan(cartan_matrix_of_type(name), center)
+    units = [tuple(int(j == i) for j in range(lie.rank)) for i in range(lie.rank)]
+    assert list(lie.positive_roots[: lie.rank]) == units
 
 
 def test_exp_ad_apply_checks_both_lengths(a2):
@@ -408,7 +424,7 @@ def test_simple_lift_series_stay_ints(name):
     lie = build_from_cartan(cartan_matrix_of_type(name))
     unit = identity(lie.dim)
     for i in range(lie.rank):
-        p = lie.root_index(tuple(int(j == i) for j in range(lie.rank)))
+        p = root_index(lie, tuple(int(j == i) for j in range(lie.rank)))
         e, minus_f = unit[lie.e_index(p)], vec_scale(-1, unit[lie.f_index(p)])
         for b in unit:
             first = lie.exp_ad_apply(e, b)

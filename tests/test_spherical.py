@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import dual, full_space
+from conftest import dense_exp_ad, dual, full_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,7 +308,7 @@ def test_phi_defining_identity_nontrivial(a1xa1, twisted_diagonal):
     an = analyze(a1xa1, twisted_diagonal)
     y = (Fraction(1), Fraction(1))  # in a_circ and regular
     n = phi(an, y)
-    lhs = mat_vec(a1xa1.exp_ad(tuple(-c for c in n)), a1xa1.a_vector_to_g(y))
+    lhs = mat_vec(dense_exp_ad(a1xa1, tuple(-c for c in n)), a1xa1.a_vector_to_g(y))
     rhs = tuple(
         a + b for a, b in zip(a1xa1.a_vector_to_g(y), an.tperp(y))
     )

@@ -1,13 +1,16 @@
-"""The check runner of verify: each structural, Weyl and admissible-search
-check is one row, named once, whose exception fails that row alone."""
+"""The check runner of verify: each structural, Weyl, admissible-search and
+limit oracle check is one row, named once, whose exception or failure fails
+that row alone."""
 
 import pytest
+from conftest import fresh_stages
 
 from littleweyl import verify
 from littleweyl.catalog import get_entry
-from littleweyl.cones import Cone
+from littleweyl.cones import ChamberSet, Cone
+from littleweyl.limits import FlowReport
 from littleweyl.spherical import analyze, cone_faces
-from littleweyl.verify import structural_invariants, verify_space, weyl_invariants
+from littleweyl.verify import CheckResult, structural_invariants, verify_space, weyl_invariants
 
 STRUCTURAL_ROWS = [
     "brion_symmetry",
@@ -29,6 +32,14 @@ WEYL_ROWS = [
     "degeneration_wall_groups",
     "limits_agree_with_walls",
     "spherical_root_symmetry",
+]
+
+ORACLE_ROWS = [
+    "limit_dimension",
+    "limit_a_stability",
+    "limit_chamber_constancy",
+    "limit_float_flow_agreement",
+    "limit_subalgebra_closure",
 ]
 
 
@@ -86,3 +97,27 @@ def test_a_failed_admissible_search_fails_its_own_row(monkeypatch):
     [row] = [r for r in rows if r.name == "admissible_point_found"]
     assert not row.ok and row.detail == "RuntimeError: injected fault"
     assert rows[-1].name == "limit_subalgebra_closure"
+
+
+def test_a_flow_that_disagrees_fails_only_the_flow_row(monkeypatch):
+    """The suite is a stage of the algebra, so its stages are emptied first."""
+    lie = get_entry("A2_so3").lie()
+    fresh_stages(monkeypatch, lie)
+    far = FlowReport(distance=1.0, eigenvalue_gap=1.0, converged=True, reason="", frame=())
+    monkeypatch.setattr(verify, "float_flow_oracle", lambda *args, **kwargs: far)
+    rows = verify.limit_oracle_suite(lie, 25, 1)
+    assert [r.name for r in rows] == ORACLE_ROWS
+    assert [r for r in rows if not r.ok] == [
+        CheckResult("limit_float_flow_agreement", False, "instance 0: distance 1.0")
+    ]
+
+
+def test_a_chamber_lookup_that_raises_fails_only_the_constancy_row(monkeypatch):
+    an = _analysis()
+    fresh_stages(monkeypatch, an.lie)
+    monkeypatch.setattr(ChamberSet, "chamber_of", _raise)
+    rows = verify_space(an.lie, an, seed=1)
+    assert [r.name for r in rows[-5:]] == ORACLE_ROWS
+    assert [r for r in rows if not r.ok] == [
+        CheckResult("limit_chamber_constancy", False, "RuntimeError: injected fault")
+    ]

@@ -185,22 +185,20 @@ def _chamber_cosets(an):
 
 def test_limit_cosets_nbar(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["nbar"])
-    rep = weyl_from_limits(an)
-    assert rep.labels == ("e",)
+    assert [c.label for c in weyl_from_limits(an)] == ["e"]
     assert all(label == "e" for label in _chamber_cosets(an).values())
 
 
 def test_limit_cosets_so2(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["so2"])
-    rep = weyl_from_limits(an)
-    assert rep.labels == ("e", "s1")
+    assert sorted(c.label for c in weyl_from_limits(an)) == ["e", "s1"]
     per_chamber = _chamber_cosets(an)
     assert per_chamber[(-1,)] == "e" and per_chamber[(1,)] == "s1"
 
 
 def test_limit_cosets_twisted_diagonal(a1xa1, twisted_diagonal):
-    rep = weyl_from_limits(analyze(a1xa1, twisted_diagonal))
-    assert rep.labels == ("e", "s1*s2")
+    cosets = weyl_from_limits(analyze(a1xa1, twisted_diagonal))
+    assert sorted(c.label for c in cosets) == ["e", "s1*s2"]
 
 
 def test_agreement_everywhere(
