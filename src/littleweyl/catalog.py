@@ -12,17 +12,15 @@ roots sorted by height then lexicographically.  For A2 the positive roots are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from .linalg import Subspace
 from .spherical import BasePoint, WordEntry, translate
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     description: str
     cartan_type: str

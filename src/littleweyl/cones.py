@@ -14,14 +14,14 @@ that reports print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lie import inverse_perm
 from .linalg import (
+    Frozen,
     IntEchelon,
     Subspace,
     dot,
@@ -116,14 +116,26 @@ def _int_rows(dim: int, rows: Iterable[Sequence]) -> list[IntVec]:
     return out
 
 
-@dataclass(frozen=True, repr=False)
-class Cone:
+class Cone(Frozen):
     """Closed rational polyhedral cone with a double description."""
 
     ambient_dim: int
     inequalities: tuple[IntVec, ...]  # minimal, {x : g(x) <= 0}, primitive, sorted
     rays: tuple[IntVec, ...]  # primitive, reduced mod lineality, sorted
     lineality: Subspace
+    _fields = ("ambient_dim", "inequalities", "rays", "lineality")
+
+    def __init__(
+        self,
+        ambient_dim: int,
+        inequalities: tuple[IntVec, ...],
+        rays: tuple[IntVec, ...],
+        lineality: Subspace,
+    ):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "inequalities", inequalities)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "lineality", lineality)
 
     def __repr__(self) -> str:
         # the Fraction view, which reports print in their check details
@@ -306,8 +318,7 @@ def _minimal_inequalities(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A chamber of an arrangement: its signs on the hyperplanes and a
     deterministic integer interior point."""
 
@@ -315,8 +326,7 @@ class Chamber:
     representative: IntVec
 
 
-@dataclass(frozen=True)
-class ChamberSet:
+class ChamberSet(Frozen):
     """The chambers of a central arrangement, sorted by sign vector, and the
     one reader of those signs: other modules select, group and move
     chambers through the methods below.  The hyperplanes h_j are primitive,
@@ -329,8 +339,24 @@ class ChamberSet:
 
     hyperplanes: tuple[IntVec, ...]
     chambers: tuple[Chamber, ...]
-    ends: tuple[tuple[int, int], ...] = field(compare=False)
-    pairs: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
+    ends: tuple[tuple[int, int], ...]
+    pairs: dict[tuple[int, int], tuple[int, int]]
+    _fields = ("hyperplanes", "chambers", "ends", "pairs")
+
+    def __init__(
+        self,
+        hyperplanes: tuple[IntVec, ...],
+        chambers: tuple[Chamber, ...],
+        ends: tuple[tuple[int, int], ...],
+        pairs: dict[tuple[int, int], tuple[int, int]],
+    ):
+        object.__setattr__(self, "hyperplanes", hyperplanes)
+        object.__setattr__(self, "chambers", chambers)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "pairs", pairs)
+
+    def _key(self) -> tuple:
+        return self.hyperplanes, self.chambers
 
     @property
     def count(self) -> int:

@@ -19,14 +19,14 @@ triples at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import (
+    Frozen,
     Mat,
     Subspace,
     Vec,
@@ -275,8 +275,7 @@ class _ChevalleyConstants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylGroupElement:
+class WeylGroupElement(NamedTuple):
     """An element w of the Weyl group: its shortest word (the least in word
     order), its integer matrix on a, and its permutation of the roots,
     w(roots()[k]) = roots()[perm[k]]."""
@@ -286,8 +285,7 @@ class WeylGroupElement:
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Element n_w of N_G(a) given by a word in the simple reflections.
 
     Ad(n_w) maps a to itself by the matrix of ``element``, the word's element
@@ -311,8 +309,11 @@ class WeylElement:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class LieAlgebraData:
+class LieAlgebraData(Frozen):
+    """A reductive Lie algebra in the basis h_1..h_r, z_1..z_c, e_p, f_p.
+    Equality and the hash read every field but the bracket table, and the
+    repr shows the first five."""
+
     rank: int
     center_dim: int
     cartan_matrix: tuple[tuple[int, ...], ...]
@@ -320,14 +321,61 @@ class LieAlgebraData:
     positive_roots: tuple[tuple[int, ...], ...]
     # [x_i, x_j] = bracket_table[i][j], a sparse dict {k: c}, for every pair;
     # read only: pairs that bracket to zero share one empty dict
-    bracket_table: tuple[tuple[dict[int, int], ...], ...] = field(
-        hash=False, compare=False, repr=False
-    )
-    form_matrix: Mat = field(repr=False)
+    bracket_table: tuple[tuple[dict[int, int], ...], ...]
+    form_matrix: Mat
     # the a-functional of each basis vector, as integer values on h_1..h_r, z_1..z_c
-    weights: tuple[tuple[int, ...], ...] = field(repr=False)
+    weights: tuple[tuple[int, ...], ...]
     # derived stages (chamber table, limit oracle), filled on first use
-    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _stages: dict
+    _fields = (
+        "rank",
+        "center_dim",
+        "cartan_matrix",
+        "symmetrizer",
+        "positive_roots",
+        "bracket_table",
+        "form_matrix",
+        "weights",
+    )
+
+    def __init__(
+        self,
+        rank: int,
+        center_dim: int,
+        cartan_matrix: tuple[tuple[int, ...], ...],
+        symmetrizer: tuple[int, ...],
+        positive_roots: tuple[tuple[int, ...], ...],
+        bracket_table: tuple[tuple[dict[int, int], ...], ...],
+        form_matrix: Mat,
+        weights: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "center_dim", center_dim)
+        object.__setattr__(self, "cartan_matrix", cartan_matrix)
+        object.__setattr__(self, "symmetrizer", symmetrizer)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "bracket_table", bracket_table)
+        object.__setattr__(self, "form_matrix", form_matrix)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_stages", {})
+
+    def _key(self) -> tuple:
+        return (
+            self.rank,
+            self.center_dim,
+            self.cartan_matrix,
+            self.symmetrizer,
+            self.positive_roots,
+            self.form_matrix,
+            self.weights,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LieAlgebraData(rank={self.rank!r}, center_dim={self.center_dim!r}, "
+            f"cartan_matrix={self.cartan_matrix!r}, symmetrizer={self.symmetrizer!r}, "
+            f"positive_roots={self.positive_roots!r})"
+        )
 
     # -- shape helpers ------------------------------------------------------
 

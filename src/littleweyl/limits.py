@@ -22,10 +22,9 @@ stage of the algebra in spherical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lie import ContractViolation, LieAlgebraData
 from .linalg import (
@@ -38,8 +37,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class GradedDirection:
+class GradedDirection(NamedTuple):
     """Eigenvalue data of ad(X) for X in a: the eigenvalues in ascending order
     (the levels) and the basis indices of each eigenspace.  The eigenspaces
     are coordinate subspaces, so reversing the levels orders the coordinates
@@ -125,8 +123,7 @@ def is_order_regular(lie: LieAlgebraData, x: Sequence) -> bool:
     return len(set(values)) == len(values)
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(NamedTuple):
     distance: float
     eigenvalue_gap: float
     converged: bool

@@ -16,7 +16,6 @@ coordinates.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -295,8 +294,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True, repr=False)
-class Subspace:
+class Frozen:
+    """Base of the value classes that keep per-instance caches in their
+    ``__dict__`` (``cached_property`` values, stages).  ``__init__`` sets the
+    fields of ``_fields`` once, through ``object.__setattr__``; assigning or
+    deleting an attribute afterwards raises AttributeError.  Equality and
+    the hash read the tuple ``_key()`` of the compared fields, and the repr
+    lists ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]  # the constructor's parameters, in order
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Subspace(Frozen):
     """Subspace of Q^n, stored as its canonical integer echelon form.
 
     ``rows`` are primitive integer vectors sorted by pivot, the column of
@@ -311,6 +339,14 @@ class Subspace:
 
     ambient_dim: int
     rows: tuple[IntVec, ...]
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: tuple[IntVec, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.rows
 
     def __repr__(self) -> str:
         # the Fraction view, which reports print in their check details

@@ -324,8 +324,9 @@ def dumps_canonical(data) -> str:
     """The report as json.dumps(data, sort_keys=True, indent=2) + "\n" writes
     it, for data made of dicts with str keys, lists, tuples, str, int, bool
     and None.  json.dumps runs its pure-Python encoder whenever it indents;
-    this one writes a list of ints or of strs with one join.  A float or a
-    non-str key is a TypeError: no report holds either."""
+    this one writes a list of ints or of strs with one join.  A float, a
+    non-str key or a record (a tuple subclass such as CheckResult) is a
+    TypeError: no report holds any of them."""
     return _encode(data, "\n") + "\n"
 
 
@@ -350,7 +351,7 @@ def _encode(x, indent: str) -> str:
             raise TypeError("report keys must be str")
         body = (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(x.items()))
         return "{" + inner + ("," + inner).join(body) + indent + "}"
-    if isinstance(x, (list, tuple)):
+    if type(x) is list or type(x) is tuple:
         if not x:
             return "[]"
         if all(type(v) is int for v in x):

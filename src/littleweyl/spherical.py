@@ -6,22 +6,21 @@ through the map T, the weight set S_z cutting out the compression cone, the
 horospherical degeneration h_empty, the boundary degenerations along faces of
 the cone, and the admissibility test through limit subalgebras.
 
-analyze returns a SphericalAnalysis, which extends the parabolic datum QData;
-every result derived from it is a function decorated with stage, stored on
-the analysis on first use.  The order-regular chamber table is a stage of
-the algebra, and the block cells of a subspace read its root-pair table.
+analyze returns a SphericalAnalysis, which carries the fields of the
+parabolic datum QData and the data read off it; every result derived from it
+is a function decorated with stage, stored on the analysis on first use.
+The order-regular chamber table is a stage of the algebra, and the block
+cells of a subspace read its root-pair table.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .cones import (
     ChamberSet,
@@ -34,6 +33,7 @@ from .cones import (
 from .lie import ContractViolation, LieAlgebraData, LieAlgebraError, inverse_perm
 from .limits import limit_subspace
 from .linalg import (
+    Frozen,
     Subspace,
     Vec,
     combination,
@@ -67,8 +67,7 @@ class NotAdaptedError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WordEntry:
+class WordEntry(NamedTuple):
     """One group generator: kind is "nilpotent", "torus", "weyl" or "sign"."""
 
     kind: str
@@ -94,8 +93,7 @@ class WordEntry:
         return WordEntry("sign", coweight=vec(t))
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(NamedTuple):
     word: tuple[WordEntry, ...]
     h_z: Subspace
 
@@ -142,8 +140,7 @@ def translate(lie: LieAlgebraData, h: Subspace, word: Sequence[WordEntry]) -> Ba
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QData:
+class QData(NamedTuple):
     """Parabolic datum recovered from a base point."""
 
     sigma0: tuple[int, ...]  # positive-root indices of the Levi root system
@@ -248,8 +245,7 @@ def is_adapted(lie: LieAlgebraData, h_z: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SWeight:
+class SWeight(NamedTuple):
     """Element of S_z: a sum of at most two positive roots, with its
     functional on a."""
 
@@ -257,10 +253,10 @@ class SWeight:
     functional: Vec
 
 
-@dataclass(frozen=True)
-class SphericalAnalysis(QData):
-    """The parabolic datum of an adapted base point with the data analyze
-    reads off it; the derived stages are stored on it (stage)."""
+class SphericalAnalysis(Frozen):
+    """The parabolic datum of an adapted base point, the fields of QData
+    first, with the data analyze reads off it; the derived stages are stored
+    on it (stage).  Equality and the hash read every field."""
 
     lie: LieAlgebraData
     h_z: Subspace
@@ -273,7 +269,49 @@ class SphericalAnalysis(QData):
     indecomposables: tuple[SWeight, ...]
     h_empty: Subspace
     # derived stages (cone, faces, chamber limits, groups), filled on first use
-    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _stages: dict
+    _fields = QData._fields + (
+        "lie",
+        "h_z",
+        "a_h",
+        "a_circ",
+        "t_map",
+        "tperp_map",
+        "supports",
+        "s_z",
+        "indecomposables",
+        "h_empty",
+    )
+
+    def __init__(
+        self,
+        sigma0: tuple[int, ...],
+        sigma_q: tuple[int, ...],
+        l_q: Subspace,
+        l_q_nc: Subspace,
+        n_q: Subspace,
+        nbar_q: Subspace,
+        a_perp_h: Subspace,
+        l_cap_h: Subspace,
+        lie: LieAlgebraData,
+        h_z: Subspace,
+        a_h: Subspace,
+        a_circ: Subspace,
+        t_map: tuple[tuple[int, Vec], ...],
+        tperp_map: tuple[Vec, ...],
+        supports: tuple[tuple[int, tuple], ...],
+        s_z: tuple[SWeight, ...],
+        indecomposables: tuple[SWeight, ...],
+        h_empty: Subspace,
+    ):
+        q = (sigma0, sigma_q, l_q, l_q_nc, n_q, nbar_q, a_perp_h, l_cap_h)
+        own = (lie, h_z, a_h, a_circ, t_map, tperp_map, supports, s_z, indecomposables, h_empty)
+        for name, value in zip(self._fields, q + own):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_stages", {})
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def support_of(self, p: int) -> tuple:
         for q, tags in self.supports:
@@ -304,25 +342,27 @@ class SphericalAnalysis(QData):
 def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
     """A derived stage of an analysis or an algebra: ``compute(owner, *args)``,
     stored in ``owner._stages`` on first use and shared by every later call;
-    a dataclasses.replace copy starts with none.
+    an owner built again from the same fields starts with none.
 
-    The key is ``compute`` with its arguments bound and defaults applied, so
-    a call that spells out a default shares the entry of one that omits it.
-    Nothing is stored when ``compute`` raises.
+    The key is ``compute`` with its arguments in parameter order and its
+    defaults applied, so a call that names an argument or spells out a
+    default shares the entry of one that passes it by position or omits it.
+    The parameters are read off ``compute.__code__`` and ``__defaults__``, so
+    ``compute`` takes no ``*args``, ``**kwargs`` or keyword-only parameter.
+    An unknown or missing argument raises TypeError, as a call of
+    ``compute`` would.  Nothing is stored when ``compute`` raises.
     """
-    signature = inspect.signature(compute)
-    # each argument's default, Parameter.empty for the leading required ones
-    defaults = tuple(p.default for p in signature.parameters.values())[1:]
-    required = defaults.count(inspect.Parameter.empty)
+    code = compute.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    defaults = compute.__defaults__ or ()
+    required = len(names) - len(defaults)
 
     @functools.wraps(compute)
     def cached(owner: SphericalAnalysis | LieAlgebraData, *args, **kwargs) -> _T:
-        if not kwargs and required <= len(args) <= len(defaults):
-            args += defaults[len(args) :]
+        if not kwargs and required <= len(args) <= len(names):
+            args += defaults[len(args) - required :]
         else:
-            bound = signature.bind(owner, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+            args = _bind(names, defaults, args, kwargs)
         key = (compute, *args)
         stages = owner._stages
         if key not in stages:
@@ -330,6 +370,25 @@ def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
         return stages[key]
 
     return cached
+
+
+def _bind(names: tuple[str, ...], defaults: tuple, args: tuple, kwargs: dict) -> tuple:
+    """The arguments of a stage call in the order of ``names``, the trailing
+    ``defaults`` filling what the call leaves out."""
+    if len(args) > len(names):
+        raise TypeError("too many positional arguments")
+    given = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"multiple values for argument {name!r}")
+        given[name] = value
+    given = dict(zip(names[len(names) - len(defaults) :], defaults)) | given
+    for name in names:
+        if name not in given:
+            raise TypeError(f"missing a required argument: {name!r}")
+    return tuple(given[name] for name in names)
 
 
 def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
@@ -419,7 +478,7 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
         raise ContractViolation("horospherical degeneration is not a subalgebra")
 
     return SphericalAnalysis(
-        **vars(q),
+        *q,
         lie=lie,
         h_z=h_z,
         a_h=a_h,
@@ -663,8 +722,7 @@ def phi(analysis: SphericalAnalysis, x_a: Sequence) -> Vec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegenerationData:
+class DegenerationData(NamedTuple):
     face: Cone
     monoid_generators: tuple[SWeight, ...]
     h_zf: Subspace
@@ -783,8 +841,7 @@ def is_admissible(analysis: SphericalAnalysis) -> bool:
     return all(admissible_cells(analysis))
 
 
-@dataclass(frozen=True)
-class AdmissibleSearchResult:
+class AdmissibleSearchResult(NamedTuple):
     point: BasePoint
     analysis: SphericalAnalysis
     strategy: str

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cones import Cone, fraction_view
 from .lie import LieAlgebraData
@@ -48,8 +47,7 @@ from . import weyl
 from .weyl import little_weyl_group, spherical_roots, weyl_from_limits
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

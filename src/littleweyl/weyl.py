@@ -14,9 +14,8 @@ stages of the analysis (spherical.stage): each reads the stages it needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import ChamberSet, Cone
 from .lie import (
@@ -62,8 +61,7 @@ from .spherical import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(NamedTuple):
     """a / (subspace), with the non-pivot coordinates as quotient basis."""
 
     ambient_dim: int
@@ -132,8 +130,7 @@ def induced_form(lie: LieAlgebraData, quot: QuotientSpace) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WallGenerator:
+class WallGenerator(NamedTuple):
     wall: Cone
     weight: SWeight
     witness: tuple
@@ -225,8 +222,7 @@ def wall_reflection(analysis: SphericalAnalysis, wall: Cone) -> WallGenerator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LittleWeylGroup:
+class LittleWeylGroup(NamedTuple):
     quotient: QuotientSpace  # a / a_h
     generators: tuple[WallGenerator, ...]
     elements: tuple[Mat, ...]  # matrices on a/a_h, sorted
@@ -379,8 +375,7 @@ def _chambers_in_cone(chambers: ChamberSet, cone: Cone) -> list[tuple[int, ...]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitCoset:
+class LimitCoset(NamedTuple):
     label: str
     element: WeylGroupElement  # the coset's representative w, of lie.weyl_group
     matrix_on_quotient: Mat  # of w
@@ -497,8 +492,7 @@ def limits_agree_with_walls(analysis: SphericalAnalysis, m_lattice: str = "coroo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphericalRootData:
+class SphericalRootData(NamedTuple):
     lattice_basis: tuple[tuple[int, ...], ...]  # Z-basis of Lambda, simple-root coords
     roots: tuple[tuple[int, ...], ...]  # Sigma_Z in simple-root coordinates
 

@@ -205,6 +205,13 @@ def space_json(cartan_type):
     return module.space_json(cartan_type)
 
 
+def replace(record, **changes):
+    """A copy of a record: its class called again on every field of
+    ``_fields``, with ``changes`` applied.  A copy of an algebra or an
+    analysis starts with no stages."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 def fresh_stages(monkeypatch, *owners):
     """Empty stages on each algebra or analysis for the rest of the test, so
     that its chamber table and oracle suite are built again."""

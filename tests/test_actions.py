@@ -6,11 +6,10 @@ the invariant form is sparse.  Each is compared with the dense matrix it
 replaces.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
-from conftest import dense_ad, dense_exp_ad, reflection_on_a, root_index
+from conftest import dense_ad, dense_exp_ad, reflection_on_a, replace, root_index
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -111,7 +110,7 @@ def _coroot_negated_on_negative_roots(self, root):
     ],
 )
 def test_simple_lift_must_act_as_the_reflection(monkeypatch, method, wrong):
-    lie = dataclasses.replace(_lie("A2"))  # same algebra, no table or lifts yet
+    lie = replace(_lie("A2"))  # same algebra, no table or lifts yet
     monkeypatch.setattr(LieAlgebraData, method, wrong)
     with pytest.raises(LieAlgebraError, match="does not act as the reflection"):
         lie.weyl_lift([0])

@@ -1,7 +1,5 @@
-import dataclasses
-
 import pytest
-from conftest import check_entry
+from conftest import check_entry, replace
 
 from littleweyl.catalog import (
     expected_results,
@@ -65,7 +63,7 @@ def test_non_adapted_witness_present():
 
 def test_tampered_record_fails():
     entry = get_entry("A1_so2")
-    bad = dataclasses.replace(entry, expected={**entry.expected, "w_order": 3})
+    bad = replace(entry, expected={**entry.expected, "w_order": 3})
     results = check_entry(bad)
     failing = [r for r in results if not r.ok]
     assert any(r.name.endswith("w_order") for r in failing)

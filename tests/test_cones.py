@@ -1,11 +1,10 @@
-import dataclasses
 import functools
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import dual, enumerate_chambers, full_space, order_regular_hyperplanes
+from conftest import dual, enumerate_chambers, full_space, order_regular_hyperplanes, replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -212,7 +211,7 @@ def test_chamber_of_looks_up_the_sign_vector():
         assert cs.chamber_of([Fraction(c, 3) for c in ch.representative]) is ch
     with pytest.raises(ConeError, match="lies on a hyperplane"):
         cs.chamber_of((1, 1))
-    part = dataclasses.replace(cs, chambers=cs.chambers[:1])
+    part = replace(cs, chambers=cs.chambers[:1])
     with pytest.raises(ConeError, match="outside the enumerated chambers"):
         part.chamber_of(cs.chambers[1].representative)
 

@@ -1,10 +1,9 @@
-import dataclasses
 import re
 from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import root_index, sign_scalings
+from conftest import replace, root_index, sign_scalings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -406,7 +405,7 @@ def test_exp_ad_apply_refuses_a_non_nilpotent_x_after_dim_plus_one_terms(a2, mon
             return super().items()
 
     table = tuple(tuple(Counting(comp) for comp in row) for row in a2.bracket_table)
-    a2 = dataclasses.replace(a2, bracket_table=table)
+    a2 = replace(a2, bracket_table=table)
     unit = identity(a2.dim)
     e, f = unit[a2.e_index(0)], unit[a2.f_index(0)]
     with pytest.raises(LieAlgebraError, match="ad-nilpotent"):
@@ -511,14 +510,14 @@ def _with_constant(lie, key, k, factor):
     for a, b in ((i, j), (j, i)):
         table[a][b] = dict(table[a][b])
         table[a][b][k] *= factor
-    return dataclasses.replace(lie, bracket_table=tuple(map(tuple, table)))
+    return replace(lie, bracket_table=tuple(map(tuple, table)))
 
 
 def _with_form_entries(lie, entries):
     form = [list(row) for row in lie.form_matrix]
     for (i, j), value in entries.items():
         form[i][j] = value
-    return dataclasses.replace(lie, form_matrix=tuple(map(tuple, form)))
+    return replace(lie, form_matrix=tuple(map(tuple, form)))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])

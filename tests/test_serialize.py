@@ -19,6 +19,7 @@ from littleweyl.serialize import (
     word_entry_to_json,
 )
 from littleweyl.spherical import WordEntry, _word_entry_action, translate
+from littleweyl.verify import CheckResult
 
 
 def test_frac_round_trip():
@@ -152,4 +153,19 @@ def test_dumps_canonical_writes_what_json_dumps_writes(value):
 @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"a": {"b": float("nan")}}, {1: "x"}, {None: 0}])
 def test_dumps_canonical_refuses_floats_and_non_str_keys(value):
     with pytest.raises(TypeError):
+        dumps_canonical(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        CheckResult("lie_jacobi", True),
+        [CheckResult("lie_jacobi", True, "")],
+        {"checks": (CheckResult("lie_jacobi", False, "detail"),)},
+    ],
+)
+def test_dumps_canonical_refuses_a_record(value):
+    """A record is a tuple subclass; written as a list it would leak into a
+    report without an error."""
+    with pytest.raises(TypeError, match="CheckResult is not JSON serializable"):
         dumps_canonical(value)

@@ -1,6 +1,5 @@
 """Each derived stage is computed once per analysis and shared by its consumers."""
 
-import dataclasses
 import json
 import random
 import sys
@@ -8,7 +7,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import chamber_cone, enumerate_chambers, fresh_stages, order_regular_hyperplanes
+from conftest import (
+    chamber_cone,
+    enumerate_chambers,
+    fresh_stages,
+    order_regular_hyperplanes,
+    replace,
+)
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl import lie as lie_module
@@ -175,7 +180,7 @@ def test_face_degenerations_are_analyzed_once(monkeypatch):
 
 
 def test_simple_lifts_are_read_once_without_dense_exp_ad(monkeypatch, b2):
-    lie = dataclasses.replace(b2)  # same algebra, no lifts computed yet
+    lie = replace(b2)  # same algebra, no lifts computed yet
     series = []
     original = LieAlgebraData.exp_ad_apply
 
@@ -207,7 +212,7 @@ def test_one_bracket_table_serves_construction_analysis_and_invariants():
 
     key = (tuple(map(tuple, cartan_matrix_of_type("A2"))), 0)
     built = lie_module._build_cached.__wrapped__(key)
-    fields = {f.name for f in dataclasses.fields(LieAlgebraData)}
+    fields = {*LieAlgebraData._fields, "_stages"}  # the constructor's fields and the stages
     assert fields == {
         "rank",
         "center_dim",
@@ -220,7 +225,7 @@ def test_one_bracket_table_serves_construction_analysis_and_invariants():
         "_stages",
     }
     table = tuple(tuple(Recording(comp) for comp in row) for row in built.bracket_table)
-    a2 = dataclasses.replace(built, bracket_table=table)
+    a2 = replace(built, bracket_table=table)
     a2.validate()
     assert reads["<genexpr>"] > 0
     reads.clear()
@@ -261,6 +266,41 @@ def test_stages_are_keyed_by_their_bound_arguments(a2, so3_subalgebra):
     assert weyl_from_limits(an) is weyl_from_limits(an, "coroot")
     assert weyl_from_limits(an, m_lattice="coroot") is weyl_from_limits(an)
     assert weyl.spherical_roots(an) is weyl.spherical_roots(an)
+
+
+def test_positional_and_keyword_calls_share_one_stage_entry(monkeypatch, a1, a2, so3_subalgebra):
+    """A stage maps keyword arguments to their positions, so each spelling
+    of one call reads one entry; an unknown keyword, a missing argument, a
+    repeated one or one too many raises TypeError and stores nothing."""
+
+    def keys(owner, stage):
+        return [key for key in owner._stages if key[0] is stage.__wrapped__]
+
+    fresh_stages(monkeypatch, a1)
+    suite = verify.limit_oracle_suite(a1, 25, 1)
+    assert verify.limit_oracle_suite(a1, 25, seed=1) is suite
+    assert verify.limit_oracle_suite(a1, count=25, seed=1) is suite
+    assert verify.limit_oracle_suite(a1, seed=1, count=25) is suite
+    assert keys(a1, verify.limit_oracle_suite) == [(verify.limit_oracle_suite.__wrapped__, 25, 1)]
+    an = analyze(a2, so3_subalgebra)
+    fresh_stages(monkeypatch, an)
+    cosets = weyl_from_limits(an)
+    assert weyl_from_limits(an, "coroot") is cosets
+    assert weyl_from_limits(an, m_lattice="coroot") is cosets
+    assert keys(an, weyl_from_limits) == [(weyl_from_limits.__wrapped__, "coroot")]
+    stored = (dict(a1._stages), dict(an._stages))
+    for args, kwargs, message in [
+        ((), {}, "missing a required argument: 'count'"),
+        ((), {"seed": 1}, "missing a required argument: 'count'"),
+        ((25,), {"sed": 1}, "unexpected keyword argument 'sed'"),
+        ((25,), {"count": 25}, "multiple values for argument 'count'"),
+        ((25, 1, 2), {}, "too many positional arguments"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            verify.limit_oracle_suite(a1, *args, **kwargs)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'lattice'"):
+        weyl_from_limits(an, lattice="coroot")
+    assert (a1._stages, an._stages) == stored
 
 
 def test_a_stage_that_raises_stores_nothing(a2, so3_subalgebra):
@@ -343,7 +383,7 @@ def test_the_limit_oracle_is_keyed_by_the_algebra_object(monkeypatch, a1):
     assert isinstance(first, tuple) and per_run >= 25
     assert verify.limit_oracle_suite(a1, 25, 1) is first
     assert len(flows) == per_run
-    copy = dataclasses.replace(a1)
+    copy = replace(a1)
     assert copy == a1 and copy is not a1
     assert verify.limit_oracle_suite(copy, 25, 1) == first
     assert [id(lie) for lie in flows] == [id(a1)] * per_run + [id(copy)] * per_run
@@ -354,12 +394,12 @@ def test_the_limit_oracle_is_keyed_by_the_algebra_object(monkeypatch, a1):
 
 
 def test_the_chamber_table_is_a_stage_of_the_algebra(a2):
-    """The same algebra returns the same table object; a dataclasses.replace
-    copy has stages of its own and builds an equal table again.  No module
-    keeps a cache of tables or oracle suites beside the stages."""
+    """The same algebra returns the same table object; a copy built from
+    the same fields has stages of its own and builds an equal table again.
+    No module keeps a cache of tables or oracle suites beside the stages."""
     table = spherical.order_regular_chambers(a2)
     assert spherical.order_regular_chambers(a2) is table
-    copy = dataclasses.replace(a2)
+    copy = replace(a2)
     again = spherical.order_regular_chambers(copy)
     assert again is not table and again == table
     assert (again.ends, again.pairs) == (table.ends, table.pairs)

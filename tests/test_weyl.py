@@ -1,9 +1,8 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import LEVI_PAIRS, chamber_cone, enumerate_chambers
+from conftest import LEVI_PAIRS, chamber_cone, enumerate_chambers, replace
 
 from littleweyl import spherical, weyl
 from littleweyl.catalog import get_entry, list_entries
@@ -573,7 +572,7 @@ def test_closure_is_bounded_by_the_order_of_w():
     # elements, the closure of the wall reflections of A2/so3 (order 6)
     # exceeds the bound
     entry = get_entry("A2_so3")
-    lie = dataclasses.replace(entry.lie())
+    lie = replace(entry.lie())
     object.__setattr__(lie, "weyl_group", dict(list(entry.lie().weyl_group.items())[:5]))
     an = analyze(lie, entry.base_point().h_z)
     with pytest.raises(ContractViolation, match="closure exceeds the bound"):

@@ -11,11 +11,10 @@ a/a_h, with Coxeter orders from matrix powers, and its action on the lattice
 of spherical weights goes through the inverse matrices on a/a_h.
 """
 
-import dataclasses
 from math import lcm
 
 import pytest
-from conftest import mat_inverse, reflection_on_a, sign_scalings
+from conftest import mat_inverse, reflection_on_a, replace, sign_scalings
 
 from littleweyl import lie as lie_mod
 from littleweyl import weyl
@@ -324,7 +323,7 @@ def test_weyl_group_is_enumerated_once_per_algebra(monkeypatch):
     """One closure over W for an analysis, its groups, its limit cosets on
     both lattices and the analyses of its boundary degenerations."""
     entry = get_entry("A2_so3")
-    lie = dataclasses.replace(entry.lie())  # the same algebra, no table yet
+    lie = replace(entry.lie())  # the same algebra, no table yet
     calls = []
     original = lie_mod.group_closure
 
