@@ -461,6 +461,8 @@ def test_first_nonpositive_minor_matches_sympy_determinants(m):
     n = len(m)
     dets = [sympy.Matrix(m).extract(list(range(k)), list(range(k))).det() for k in range(1, n + 1)]
     expected = next((k + 1 for k, d in enumerate(dets) if d <= 0), None)
+    # validate passes int Gram rows; int rows and their Fraction copies agree
+    assert _first_nonpositive_minor(m) == expected
     assert _first_nonpositive_minor([[Fraction(x) for x in row] for row in m]) == expected
 
 
@@ -468,7 +470,14 @@ def test_first_nonpositive_minor_matches_sympy_determinants(m):
 # validate: mutations, and the dense Jacobi loop as its reference
 # ---------------------------------------------------------------------------
 
-MUTATED = ["A2", "B2", "G2", "B3"]
+MUTATED = ["A2", "B2", "G2", "B3", "A1xA2"]
+# the center dimension of a MUTATED type, when it has one: the weight key of
+# validate then reads a product and a center
+MUTATED_CENTER = {"A1xA2": 1}
+
+
+def _mutated(name):
+    return build_from_cartan(cartan_matrix_of_type(name), abelian_center_dim=MUTATED_CENTER.get(name, 0))
 
 
 def _dense_jacobi_failure(lie):
@@ -502,15 +511,21 @@ def _constants(lie):
     return sorted(((i, j), k) for i in range(lie.dim) for j in range(i + 1, lie.dim) for k in br[i][j])
 
 
+def _with_table_entries(lie, entries):
+    """A copy of lie with table[i][j] = comp for each (i, j), comp in entries."""
+    table = [list(row) for row in lie.bracket_table]
+    for (i, j), comp in entries.items():
+        table[i][j] = comp
+    return replace(lie, bracket_table=tuple(map(tuple, table)))
+
+
 def _with_constant(lie, key, k, factor):
     """A copy of lie with the structure constant c^k of [x_i, x_j], (i, j) =
     key, and its mirror c^k of [x_j, x_i] multiplied by factor."""
     i, j = key
-    table = [list(row) for row in lie.bracket_table]
-    for a, b in ((i, j), (j, i)):
-        table[a][b] = dict(table[a][b])
-        table[a][b][k] *= factor
-    return replace(lie, bracket_table=tuple(map(tuple, table)))
+    comp = dict(lie.bracket_table[i][j])
+    comp[k] *= factor
+    return _with_table_entries(lie, {(i, j): comp, (j, i): {x: -c for x, c in comp.items()}})
 
 
 def _with_form_entries(lie, entries):
@@ -534,7 +549,7 @@ def test_bracket_table_is_antisymmetric_and_read_by_bracket_basis(name, center):
 
 @pytest.mark.parametrize("name", MUTATED)
 def test_validate_and_the_dense_jacobi_loop_accept_the_built_tables(name):
-    lie = build_from_cartan(cartan_matrix_of_type(name))
+    lie = _mutated(name)
     assert _validate_error(lie) is None
     assert _dense_jacobi_failure(lie) is None
 
@@ -546,14 +561,49 @@ def test_validate_and_the_dense_jacobi_loop_accept_the_built_tables(name):
     st.sampled_from([Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(0)]),
 )
 def test_validate_rejects_one_corrupted_structure_constant(name, data, factor):
-    lie = build_from_cartan(cartan_matrix_of_type(name))
+    lie = _mutated(name)
     entries = _constants(lie)
     key, k = data.draw(st.sampled_from(entries))
     bad = _with_constant(lie, key, k, factor)
     # the dense loop rejects the same table, first on the same triple
     triple = _dense_jacobi_failure(bad)
-    assert triple is not None
-    assert _validate_error(bad) == f"Jacobi identity fails on triple {triple}"
+    if triple is None:
+        # [e, f] = c h satisfies Jacobi for every c, so a multiple of the one
+        # constant of [e, f] of the A1 factor is still a Lie algebra
+        assert name == "A1xA2" and (key, k) == ((lie.e_index(0), lie.f_index(0)), 0)
+        assert _validate_error(bad) is None
+    else:
+        assert _validate_error(bad) == f"Jacobi identity fails on triple {triple}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MUTATED), st.data())
+def test_validate_rejects_a_constant_moved_to_another_weight(name, data):
+    lie = _mutated(name)
+    (i, j), k = data.draw(st.sampled_from(_constants(lie)))
+    comp = lie.bracket_table[i][j]
+    w = lie.weights
+    m = data.draw(st.sampled_from([m for m in range(lie.dim) if m not in comp and w[m] != w[k]]))
+    moved = {m if x == k else x: c for x, c in comp.items()}
+    bad = _with_table_entries(lie, {(i, j): moved, (j, i): {x: -c for x, c in moved.items()}})
+    assert _validate_error(bad) == (
+        f"bracket table is not graded on pair {(i, j)}: "
+        f"term {m} has weight {w[m]}, not {w[i]} + {w[j]}"
+    )
+    # the table is not a Lie algebra either
+    assert _dense_jacobi_failure(bad) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MUTATED), st.data(), st.booleans())
+def test_validate_rejects_a_constant_changed_without_its_mirror(name, data, lower):
+    lie = _mutated(name)
+    (i, j), k = data.draw(st.sampled_from(_constants(lie)))
+    a, b = (j, i) if lower else (i, j)
+    changed = dict(lie.bracket_table[a][b])
+    changed[k] += 1
+    bad = _with_table_entries(lie, {(a, b): changed})
+    assert _validate_error(bad) == f"bracket table is not antisymmetric on pair {(i, j)}"
 
 
 @pytest.mark.parametrize("coord", range(10))

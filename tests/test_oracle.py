@@ -25,6 +25,7 @@ from conftest import space_json
 from sympy.liealgebras.root_system import RootSystem
 from sympy.liealgebras.weyl_group import WeylGroup
 
+from littleweyl import lie as lie_module
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace, primitive_ints
 from littleweyl.serialize import space_from_json
@@ -95,6 +96,17 @@ def test_root_system_and_weyl_order_match_sympy(cartan_type):
     assert len(lie.roots()) == 2 * lie.num_pos == len(RootSystem(cartan_type).all_roots())
     assert embedded == _reflection_closure(simple)
     assert len(lie.weyl_group) == int(WeylGroup(cartan_type).group_order())
+
+
+@pytest.mark.parametrize("cartan_type, center", [("F4", 0), ("F4", 1), ("E6", 0), ("E7", 0)])
+def test_exceptional_algebras_pass_the_certificate(cartan_type, center):
+    # built uncached, so that validate runs here; E8 (1.3 s) is left out
+    key = (tuple(map(tuple, cartan_matrix_of_type(cartan_type))), center)
+    lie = lie_module._build_cached.__wrapped__(key)
+    num_roots = len(RootSystem(cartan_type).all_roots())  # 48, 72, 126
+    rank = int(cartan_type[1:])
+    assert lie.num_pos == num_roots // 2
+    assert lie.dim == rank + center + num_roots
 
 
 # Closed forms of the Riemannian pairs g/so(g), g split of rank <= 3: the

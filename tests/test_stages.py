@@ -227,7 +227,7 @@ def test_one_bracket_table_serves_construction_analysis_and_invariants():
     table = tuple(tuple(Recording(comp) for comp in row) for row in built.bracket_table)
     a2 = replace(built, bracket_table=table)
     a2.validate()
-    assert reads["<genexpr>"] > 0
+    assert reads["validate"] > 0
     reads.clear()
     an = _riemannian_analysis(a2)
     assert reads["bracket"] > 0
