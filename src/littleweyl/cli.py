@@ -458,11 +458,14 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     entries = catalog_mod.list_entries()
     if args.export:
-        os.makedirs(args.export, exist_ok=True)
-        for e in entries:
-            path = os.path.join(args.export, f"{e.name}.json")
-            with open(path, "w") as fh:
-                fh.write(dumps_canonical(catalog_entry_to_space_json(e)))
+        try:
+            os.makedirs(args.export, exist_ok=True)
+            for e in entries:
+                path = os.path.join(args.export, f"{e.name}.json")
+                with open(path, "w") as fh:
+                    fh.write(dumps_canonical(catalog_entry_to_space_json(e)))
+        except OSError as err:
+            raise SpaceFileError(f"cannot export to {args.export}: {err.strerror or err}") from err
         print(f"wrote {len(entries)} space files to {args.export}")
         return 0
     if args.json:

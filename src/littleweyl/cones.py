@@ -123,19 +123,10 @@ class Cone(Frozen):
     inequalities: tuple[IntVec, ...]  # minimal, {x : g(x) <= 0}, primitive, sorted
     rays: tuple[IntVec, ...]  # primitive, reduced mod lineality, sorted
     lineality: Subspace
-    _fields = ("ambient_dim", "inequalities", "rays", "lineality")
 
-    def __init__(
-        self,
-        ambient_dim: int,
-        inequalities: tuple[IntVec, ...],
-        rays: tuple[IntVec, ...],
-        lineality: Subspace,
-    ):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "inequalities", inequalities)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "lineality", lineality)
+    def _key(self) -> tuple:
+        # the rays and the lineality determine the inequalities
+        return self.ambient_dim, self.rays, self.lineality
 
     def __repr__(self) -> str:
         # the Fraction view, which reports print in their check details
@@ -186,17 +177,6 @@ class Cone(Frozen):
         return all(self.contains(r) for r in other.rays) and all(
             dot(g, l) == 0 for g in self.inequalities for l in other.lineality.rows
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cone)
-            and self.ambient_dim == other.ambient_dim
-            and self.rays == other.rays
-            and self.lineality == other.lineality
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.rays, self.lineality))
 
     # -- operations -------------------------------------------------------------
 
@@ -341,19 +321,6 @@ class ChamberSet(Frozen):
     chambers: tuple[Chamber, ...]
     ends: tuple[tuple[int, int], ...]
     pairs: dict[tuple[int, int], tuple[int, int]]
-    _fields = ("hyperplanes", "chambers", "ends", "pairs")
-
-    def __init__(
-        self,
-        hyperplanes: tuple[IntVec, ...],
-        chambers: tuple[Chamber, ...],
-        ends: tuple[tuple[int, int], ...],
-        pairs: dict[tuple[int, int], tuple[int, int]],
-    ):
-        object.__setattr__(self, "hyperplanes", hyperplanes)
-        object.__setattr__(self, "chambers", chambers)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "pairs", pairs)
 
     def _key(self) -> tuple:
         return self.hyperplanes, self.chambers

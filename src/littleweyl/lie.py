@@ -326,39 +326,6 @@ class LieAlgebraData(Frozen):
     form_matrix: Mat
     # the a-functional of each basis vector, as integer values on h_1..h_r, z_1..z_c
     weights: tuple[tuple[int, ...], ...]
-    # derived stages (chamber table, limit oracle), filled on first use
-    _stages: dict
-    _fields = (
-        "rank",
-        "center_dim",
-        "cartan_matrix",
-        "symmetrizer",
-        "positive_roots",
-        "bracket_table",
-        "form_matrix",
-        "weights",
-    )
-
-    def __init__(
-        self,
-        rank: int,
-        center_dim: int,
-        cartan_matrix: tuple[tuple[int, ...], ...],
-        symmetrizer: tuple[int, ...],
-        positive_roots: tuple[tuple[int, ...], ...],
-        bracket_table: tuple[tuple[dict[int, int], ...], ...],
-        form_matrix: Mat,
-        weights: tuple[tuple[int, ...], ...],
-    ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "center_dim", center_dim)
-        object.__setattr__(self, "cartan_matrix", cartan_matrix)
-        object.__setattr__(self, "symmetrizer", symmetrizer)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "bracket_table", bracket_table)
-        object.__setattr__(self, "form_matrix", form_matrix)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_stages", {})
 
     def _key(self) -> tuple:
         return (

@@ -296,20 +296,40 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 class Frozen:
     """Base of the value classes that keep per-instance caches in their
-    ``__dict__`` (``cached_property`` values, stages).  ``__init__`` sets the
-    fields of ``_fields`` once, through ``object.__setattr__``; assigning or
-    deleting an attribute afterwards raises AttributeError.  Equality and
-    the hash read the tuple ``_key()`` of the compared fields, and the repr
-    lists ``_fields``."""
+    ``__dict__`` (``cached_property`` values, stages).  A subclass's fields
+    are its own annotated names without a leading underscore, in order, and
+    ``_fields`` lists them.  The one constructor takes them as a call of
+    that signature would; assigning or deleting an attribute afterwards
+    raises AttributeError.  Equality and the hash read the tuple ``_key()``,
+    every field unless the class names fewer, and the repr lists
+    ``_fields``.  ``_stages``, the store of ``spherical.stage``, is created
+    on the first stage, so an instance built again starts with none."""
 
     __slots__ = ()
     _fields: tuple[str, ...]  # the constructor's parameters, in order
+
+    def __init_subclass__(cls) -> None:
+        names = vars(cls).get("__annotations__", {})
+        setattr(cls, "_fields", tuple(name for name in names if not name.startswith("_")))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _bind(fields, (), args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    @cached_property
+    def _stages(self) -> dict:
+        return {}
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -322,6 +342,26 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+def _bind(names: tuple[str, ...], defaults: tuple, args: tuple, kwargs: dict) -> tuple:
+    """The arguments of a call in the order of ``names``, the trailing
+    ``defaults`` filling what the call leaves out: the binder of the
+    ``Frozen`` constructor and of ``spherical.stage``."""
+    if len(args) > len(names):
+        raise TypeError("too many positional arguments")
+    given = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"multiple values for argument {name!r}")
+        given[name] = value
+    given = dict(zip(names[len(names) - len(defaults) :], defaults)) | given
+    for name in names:
+        if name not in given:
+            raise TypeError(f"missing a required argument: {name!r}")
+    return tuple(given[name] for name in names)
 
 
 class Subspace(Frozen):
@@ -339,11 +379,6 @@ class Subspace(Frozen):
 
     ambient_dim: int
     rows: tuple[IntVec, ...]
-    _fields = ("ambient_dim", "rows")
-
-    def __init__(self, ambient_dim: int, rows: tuple[IntVec, ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
 
     def _key(self) -> tuple:
         return self.ambient_dim, self.rows

@@ -36,6 +36,7 @@ from .linalg import (
     Frozen,
     Subspace,
     Vec,
+    _bind,
     combination,
     dot,
     identity,
@@ -258,6 +259,15 @@ class SphericalAnalysis(Frozen):
     first, with the data analyze reads off it; the derived stages are stored
     on it (stage).  Equality and the hash read every field."""
 
+    # the fields of QData, which analyze passes first
+    sigma0: tuple[int, ...]
+    sigma_q: tuple[int, ...]
+    l_q: Subspace
+    l_q_nc: Subspace
+    n_q: Subspace
+    nbar_q: Subspace
+    a_perp_h: Subspace
+    l_cap_h: Subspace
     lie: LieAlgebraData
     h_z: Subspace
     a_h: Subspace  # a cap h_z (a-coordinates)
@@ -268,50 +278,6 @@ class SphericalAnalysis(Frozen):
     s_z: tuple[SWeight, ...]
     indecomposables: tuple[SWeight, ...]
     h_empty: Subspace
-    # derived stages (cone, faces, chamber limits, groups), filled on first use
-    _stages: dict
-    _fields = QData._fields + (
-        "lie",
-        "h_z",
-        "a_h",
-        "a_circ",
-        "t_map",
-        "tperp_map",
-        "supports",
-        "s_z",
-        "indecomposables",
-        "h_empty",
-    )
-
-    def __init__(
-        self,
-        sigma0: tuple[int, ...],
-        sigma_q: tuple[int, ...],
-        l_q: Subspace,
-        l_q_nc: Subspace,
-        n_q: Subspace,
-        nbar_q: Subspace,
-        a_perp_h: Subspace,
-        l_cap_h: Subspace,
-        lie: LieAlgebraData,
-        h_z: Subspace,
-        a_h: Subspace,
-        a_circ: Subspace,
-        t_map: tuple[tuple[int, Vec], ...],
-        tperp_map: tuple[Vec, ...],
-        supports: tuple[tuple[int, tuple], ...],
-        s_z: tuple[SWeight, ...],
-        indecomposables: tuple[SWeight, ...],
-        h_empty: Subspace,
-    ):
-        q = (sigma0, sigma_q, l_q, l_q_nc, n_q, nbar_q, a_perp_h, l_cap_h)
-        own = (lie, h_z, a_h, a_circ, t_map, tperp_map, supports, s_z, indecomposables, h_empty)
-        for name, value in zip(self._fields, q + own):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_stages", {})
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
 
     def support_of(self, p: int) -> tuple:
         for q, tags in self.supports:
@@ -341,16 +307,19 @@ class SphericalAnalysis(Frozen):
 
 def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
     """A derived stage of an analysis or an algebra: ``compute(owner, *args)``,
-    stored in ``owner._stages`` on first use and shared by every later call;
-    an owner built again from the same fields starts with none.
+    stored in ``owner._stages`` on first use and shared by every later call.
+    ``Frozen`` creates that dict on the owner's first stage, so an owner
+    built again from the same fields starts with none.
 
     The key is ``compute`` with its arguments in parameter order and its
     defaults applied, so a call that names an argument or spells out a
     default shares the entry of one that passes it by position or omits it.
     The parameters are read off ``compute.__code__`` and ``__defaults__``, so
     ``compute`` takes no ``*args``, ``**kwargs`` or keyword-only parameter.
-    An unknown or missing argument raises TypeError, as a call of
-    ``compute`` would.  Nothing is stored when ``compute`` raises.
+    Any other call goes through ``linalg._bind``, the binder of the
+    ``Frozen`` constructor: an unknown or missing argument raises TypeError,
+    as a call of ``compute`` would.  Nothing is stored when ``compute``
+    raises.
     """
     code = compute.__code__
     names = code.co_varnames[1 : code.co_argcount]
@@ -370,25 +339,6 @@ def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
         return stages[key]
 
     return cached
-
-
-def _bind(names: tuple[str, ...], defaults: tuple, args: tuple, kwargs: dict) -> tuple:
-    """The arguments of a stage call in the order of ``names``, the trailing
-    ``defaults`` filling what the call leaves out."""
-    if len(args) > len(names):
-        raise TypeError("too many positional arguments")
-    given = dict(zip(names, args))
-    for name, value in kwargs.items():
-        if name not in names:
-            raise TypeError(f"got an unexpected keyword argument {name!r}")
-        if name in given:
-            raise TypeError(f"multiple values for argument {name!r}")
-        given[name] = value
-    given = dict(zip(names[len(names) - len(defaults) :], defaults)) | given
-    for name in names:
-        if name not in given:
-            raise TypeError(f"missing a required argument: {name!r}")
-    return tuple(given[name] for name in names)
 
 
 def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:

@@ -373,6 +373,22 @@ def test_catalog_export_round_trip(tmp_path, capsys):
     assert json.loads(out)["weyl"]["order"] == 2
 
 
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_catalog_export_to_a_file_path_exits_1(tmp_path, target):
+    # makedirs once ended in a FileExistsError or NotADirectoryError traceback
+    (tmp_path / "file").write_text("")
+    path = tmp_path / target
+    src = str(Path(littleweyl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "littleweyl", "catalog", "--export", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.startswith(f"error: cannot export to {path}: ")
+    assert len(out.stderr.splitlines()) == 1
+
+
 def test_json_reports_are_deterministic(capsys):
     _, out1, _ = run(capsys, "admissible", "A2_so3", "--json", "--seed", "3")
     _, out2, _ = run(capsys, "admissible", "A2_so3", "--json", "--seed", "3")

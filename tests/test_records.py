@@ -11,11 +11,13 @@ from conftest import replace
 
 from littleweyl import catalog, cones, lie, limits, linalg, spherical, verify, weyl
 from littleweyl.catalog import get_entry
-from littleweyl.cones import Cone
-from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
+from littleweyl.cones import ChamberSet, Cone
+from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import float_flow_oracle, graded_direction
 from littleweyl.linalg import Frozen, Subspace
 from littleweyl.spherical import (
+    QData,
+    SphericalAnalysis,
     WordEntry,
     analyze,
     boundary_degeneration,
@@ -112,6 +114,101 @@ def test_a_record_equals_and_hashes_as_its_copy(records, name):
     assert copy is not record and copy == record and not copy != record
     if name != "CatalogEntry":  # its expected results are a dict
         assert hash(copy) == hash(record)
+
+
+QDATA_FIELDS = (
+    "sigma0",
+    "sigma_q",
+    "l_q",
+    "l_q_nc",
+    "n_q",
+    "nbar_q",
+    "a_perp_h",
+    "l_cap_h",
+)
+
+# the constructor's parameters of each Frozen class, in order
+FROZEN_FIELDS = {
+    Subspace: ("ambient_dim", "rows"),
+    Cone: ("ambient_dim", "inequalities", "rays", "lineality"),
+    ChamberSet: ("hyperplanes", "chambers", "ends", "pairs"),
+    LieAlgebraData: (
+        "rank",
+        "center_dim",
+        "cartan_matrix",
+        "symmetrizer",
+        "positive_roots",
+        "bracket_table",
+        "form_matrix",
+        "weights",
+    ),
+    SphericalAnalysis: QDATA_FIELDS
+    + (
+        "lie",
+        "h_z",
+        "a_h",
+        "a_circ",
+        "t_map",
+        "tperp_map",
+        "supports",
+        "s_z",
+        "indecomposables",
+        "h_empty",
+    ),
+}
+
+
+def test_frozen_fields_are_the_annotated_names_in_order(records):
+    frozen = {name for name, record in records.items() if isinstance(record, Frozen)}
+    assert frozen == {cls.__name__ for cls in FROZEN_FIELDS}
+    for cls, fields in FROZEN_FIELDS.items():
+        assert cls._fields == fields
+        assert "__init__" not in vars(cls)
+    assert QData._fields == QDATA_FIELDS
+    assert SphericalAnalysis._fields[:8] == QData._fields
+
+
+@pytest.mark.parametrize("cls", FROZEN_FIELDS, ids=lambda cls: cls.__name__)
+def test_frozen_positional_keyword_and_mixed_calls_build_equal_instances(records, cls):
+    record = records[cls.__name__]
+    values = [getattr(record, name) for name in cls._fields]
+    named = dict(zip(cls._fields, values))
+    mixed = cls(*values[:1], **dict(zip(cls._fields[1:], values[1:])))
+    builds = [cls(*values), cls(**named), mixed]
+    for built in builds:
+        assert built == record and hash(built) == hash(record)
+        assert all(getattr(built, name) is value for name, value in named.items())
+
+
+@pytest.mark.parametrize("cls", FROZEN_FIELDS, ids=lambda cls: cls.__name__)
+def test_frozen_refuses_a_bad_call_with_the_binder_message(records, cls):
+    record = records[cls.__name__]
+    first, last = cls._fields[0], cls._fields[-1]
+    values = [getattr(record, name) for name in cls._fields]
+    calls = [
+        ((values[:-1], {}), f"missing a required argument: {last!r}"),
+        ((values, {"extra": 1}), "got an unexpected keyword argument 'extra'"),
+        ((values, {first: values[0]}), f"multiple values for argument {first!r}"),
+        ((values + [1], {}), "too many positional arguments"),
+    ]
+    for (args, kwargs), message in calls:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value) == message
+
+
+def test_cones_are_unequal_to_other_objects():
+    cone = Cone.from_rays(2, [(1, 0), (0, 1)])
+    assert (cone == object()) is False and (cone != object()) is True
+
+
+def test_stages_are_created_on_first_use(a2):
+    space = Subspace.from_spanning(3, [(2, 1, 0)])
+    cone = Cone.from_rays(2, [(1, 0), (0, 1)])
+    algebra = replace(a2)
+    assert all("_stages" not in vars(x) for x in (space, cone, algebra))
+    order_regular_chambers(algebra)
+    assert vars(algebra)["_stages"]
 
 
 def test_algebras_ignore_the_bracket_table_objects(a2):
