@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 
@@ -505,6 +506,15 @@ def _validate_error(lie):
     return None
 
 
+def _diagonal_error(lie, i, m):
+    """validate's message for [x_i, x_m] other than weights[m][i] x_m, i an
+    a-index."""
+    return (
+        f"ad(a) is not diagonal with the weights on pair {(i, m)}: "
+        f"[x_{i}, x_{m}] is {lie.bracket_table[i][m]}, not {lie.weights[m][i]} x_{m}"
+    )
+
+
 def _constants(lie):
     """The (i, j), k of every structure constant c^k of [x_i, x_j], i < j."""
     br = lie.bracket_table
@@ -565,14 +575,19 @@ def test_validate_rejects_one_corrupted_structure_constant(name, data, factor):
     entries = _constants(lie)
     key, k = data.draw(st.sampled_from(entries))
     bad = _with_constant(lie, key, k, factor)
-    # the dense loop rejects the same table, first on the same triple
+    # the dense loop rejects the same tables as validate
     triple = _dense_jacobi_failure(bad)
     if triple is None:
         # [e, f] = c h satisfies Jacobi for every c, so a multiple of the one
         # constant of [e, f] of the A1 factor is still a Lie algebra
         assert name == "A1xA2" and (key, k) == ((lie.e_index(0), lie.f_index(0)), 0)
         assert _validate_error(bad) is None
+    elif key[0] < lie.dim_a:
+        # the diagonal check of ad(a) runs before Jacobi and names the pair
+        assert _validate_error(bad) == _diagonal_error(bad, *key)
     else:
+        # first on the same triple: once ad(a) is diagonal, no triple with an
+        # a-index fails
         assert _validate_error(bad) == f"Jacobi identity fails on triple {triple}"
 
 
@@ -586,10 +601,14 @@ def test_validate_rejects_a_constant_moved_to_another_weight(name, data):
     m = data.draw(st.sampled_from([m for m in range(lie.dim) if m not in comp and w[m] != w[k]]))
     moved = {m if x == k else x: c for x, c in comp.items()}
     bad = _with_table_entries(lie, {(i, j): moved, (j, i): {x: -c for x, c in moved.items()}})
-    assert _validate_error(bad) == (
-        f"bracket table is not graded on pair {(i, j)}: "
-        f"term {m} has weight {w[m]}, not {w[i]} + {w[j]}"
-    )
+    if i < lie.dim_a:
+        # the grading of [x_i, x_j] for an a-index i is the diagonal check
+        assert _validate_error(bad) == _diagonal_error(bad, i, j)
+    else:
+        assert _validate_error(bad) == (
+            f"bracket table is not graded on pair {(i, j)}: "
+            f"term {m} has weight {w[m]}, not {w[i]} + {w[j]}"
+        )
     # the table is not a Lie algebra either
     assert _dense_jacobi_failure(bad) is not None
 
@@ -620,6 +639,66 @@ def test_validate_rejects_theta_with_one_sign_flipped(b2, monkeypatch, coord):
     # the Gram; flipping a root coordinate breaks the involution
     want = "-B(., theta .) is not positive definite" if coord < b2.dim_a else "theta is not an involution"
     assert _validate_error(b2) == want
+
+
+@pytest.mark.parametrize("name", MUTATED)
+def test_validate_rejects_ad_a_off_the_weights_in_a_lie_algebra(name):
+    """The basis change h_i -> 2 h_i gives an isomorphic Lie algebra, with
+    [h_i, x_m] = 2 w_m(h_i) x_m and the coroot of [e_b, f_b] halved, so the
+    dense Jacobi loop accepts it; the stored weights are no longer the
+    eigenvalues of ad(a), which the diagonal check of validate refuses.  It
+    certifies the weights that verify's root_space_grading also reads."""
+    lie = _mutated(name)
+    br, r = lie.bracket_table, lie.rank
+    entries = {}
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            if i < r or j < r:
+                comp = {m: 2 * c for m, c in br[i][j].items()}
+            else:
+                comp = {m: c if m >= r else Fraction(c, 2) for m, c in br[i][j].items()}
+            entries[(i, j)] = comp
+    bad = _with_table_entries(lie, entries)
+    assert _dense_jacobi_failure(bad) is None
+    m = min(m for m in range(lie.dim) if lie.weights[m][0])
+    assert _validate_error(bad) == _diagonal_error(bad, 0, m)
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda x: x[:1] + (x[0] + x[1],) + x[2:],  # a shear
+        lambda x: tuple(2 * c for c in x),
+        lambda x: tuple(Fraction(c, 2) for c in x),
+        lambda x: (0,) * len(x),
+        lambda x: x[:-1],
+        lambda x: x + (len(x) + 1,),
+    ],
+)
+def test_validate_refuses_a_theta_that_is_no_signed_permutation(b2, monkeypatch, image):
+    theta = LieAlgebraData.theta
+    monkeypatch.setattr(LieAlgebraData, "theta", lambda self, x: image(theta(self, x)))
+    # a LieAlgebraError, not an IndexError or KeyError from reading the probe
+    assert _validate_error(b2) == "theta is not a signed permutation of the basis"
+
+
+# sha256 of (bracket_table with each dict as its sorted items, form_matrix,
+# weights) of an algebra built without the cache
+TABLE_DIGESTS = {
+    "B3": "cbf5c250fc655c458601a1021cf2b3dd654b0b06570c45d5a0e0864171a91903",
+    "D4": "a333e474f0468c29c4f78cfa5d1d40693129c4cbae608d92219158a8fe30211d",
+    "F4": "f619af82103030946addac4b4a525a9e6883f8adc7cdb4765dc49b72d363c54b",
+    "E6": "780e9b6aad58a9610c920233d84797d3b53333d1c8dd271cb5f00b3e930952c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_built_tables_match_their_pinned_digests(name):
+    m = cartan_matrix_of_type(name)
+    lie = lie_module._build_cached.__wrapped__((tuple(map(tuple, m)), 0))
+    table = tuple(tuple(tuple(sorted(d.items())) for d in row) for row in lie.bracket_table)
+    got = hashlib.sha256(repr((table, lie.form_matrix, lie.weights)).encode()).hexdigest()
+    assert got == TABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
