@@ -18,12 +18,12 @@ from .linalg import Subspace
 from .serialize import (
     SCHEMA_VERSION,
     SpaceFileError,
-    catalog_entry_to_space_json,
     cone_to_json,
     dumps_canonical,
     frac_str,
     load_space_file,
     parse_frac,
+    space_from_json,
     subspace_to_json,
     vec_to_json,
     word_entry_to_json,
@@ -59,11 +59,12 @@ from .weyl import (
 
 
 def _load_space(source: str) -> tuple[LieAlgebraData, BasePoint, dict]:
+    """A catalog entry by name, else a space file; both through one parser."""
     try:
-        entry = catalog_mod.get_entry(source)
+        space = catalog_mod.get_entry(source).space
     except KeyError:
         return load_space_file(source)
-    return entry.lie(), entry.base_point(), entry.expected
+    return space_from_json(space)
 
 
 def _fmt_vec(v) -> str:
@@ -463,11 +464,12 @@ def cmd_catalog(args) -> int:
             for e in entries:
                 path = os.path.join(args.export, f"{e.name}.json")
                 with open(path, "w") as fh:
-                    fh.write(dumps_canonical(catalog_entry_to_space_json(e)))
+                    fh.write(dumps_canonical(e.space))
         except OSError as err:
             raise SpaceFileError(f"cannot export to {args.export}: {err.strerror or err}") from err
         print(f"wrote {len(entries)} space files to {args.export}")
         return 0
+    rows = [(e, e.space["lie_algebra"]["cartan_type"], e.space["claims"]) for e in entries]
     if args.json:
         sys.stdout.write(
             dumps_canonical(
@@ -477,20 +479,20 @@ def cmd_catalog(args) -> int:
                         {
                             "name": e.name,
                             "description": e.description,
-                            "cartan_type": e.cartan_type,
-                            "expected_w_order": e.expected["w_order"],
-                            "expected_type": e.expected["coxeter_type"],
+                            "cartan_type": cartan_type,
+                            "expected_w_order": claims["w_order"],
+                            "expected_type": claims["coxeter_type"],
                         }
-                        for e in entries
+                        for e, cartan_type, claims in rows
                     ],
                 }
             )
         )
     else:
-        for e in entries:
+        for e, cartan_type, claims in rows:
             print(
-                f"{e.name:18s} {e.cartan_type:6s} |W| = {e.expected['w_order']}"
-                f" ({e.expected['coxeter_type']:7s}) {e.description}"
+                f"{e.name:18s} {cartan_type:6s} |W| = {claims['w_order']}"
+                f" ({claims['coxeter_type']:7s}) {e.description}"
             )
     return 0
 

@@ -202,23 +202,6 @@ class Cone(Frozen):
             out[face] = None
         return sorted(out, key=lambda c: (c.dim, c.rays))
 
-    def walls(self) -> list["Cone"]:
-        """Faces whose span has codimension one in the ambient space.
-
-        A full-dimensional cone has one per facet inequality, a cone spanning
-        a hyperplane has itself, and a smaller cone has none.
-        """
-        cone_dim = self.dim
-        if cone_dim == self.ambient_dim - 1:
-            return [self]
-        if cone_dim < self.ambient_dim:
-            return []
-        walls = [
-            Cone.from_inequalities(self.ambient_dim, [*self.inequalities, g, _neg(g)])
-            for g in self.facets
-        ]
-        return sorted(walls, key=lambda c: c.rays)
-
     def span(self) -> Subspace:
         return Subspace.from_echelon(
             self.ambient_dim, integer_echelon(self.rays + self.lineality.rows)

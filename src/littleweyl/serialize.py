@@ -306,18 +306,13 @@ def load_space_file(path: str) -> tuple[LieAlgebraData, BasePoint, dict]:
             data = json.load(fh)
     except json.JSONDecodeError as err:
         raise SpaceFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except RecursionError:
+        raise SpaceFileError(f"{path}: nested too deeply to parse") from None
     except ValueError as err:  # e.g. an integer literal too long to convert
         raise SpaceFileError(f"{path}: {err}") from err
     except OSError as err:
         raise SpaceFileError(str(err)) from err
     return space_from_json(data)
-
-
-def catalog_entry_to_space_json(entry) -> dict:
-    lie_desc = {"cartan_type": entry.cartan_type, "center_dim": entry.center_dim}
-    lie = entry.lie()
-    h = Subspace.from_spanning(lie.dim, entry.subalgebra)
-    return space_to_json(lie_desc, h, entry.base_point_word, claims=dict(entry.expected))
 
 
 def dumps_canonical(data) -> str:

@@ -341,6 +341,15 @@ def stage(compute: Callable[..., _T]) -> Callable[..., _T]:
     return cached
 
 
+def _support_weight(lie: LieAlgebraData, p: int, tag: tuple) -> tuple[int, ...]:
+    """The weight in S_z of a support tag of T(f_p): alpha_p for the "a"
+    part, alpha_p + alpha_q for the root tag ("root", q)."""
+    root_p = lie.positive_roots[p]
+    if tag == ("a",):
+        return root_p
+    return tuple(a + b for a, b in zip(root_p, lie.positive_roots[tag[1]]))
+
+
 def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
     """Full analysis bundle at an adapted base point; raises NotAdaptedError."""
     if not lie.is_subalgebra(h_z):
@@ -386,14 +395,8 @@ def analyze(lie: LieAlgebraData, h_z: Subspace) -> SphericalAnalysis:
             if img[lie.e_index(pq)] != 0:
                 tags.append(("root", pq))
         supports.append((p, tuple(tags)))
-        root_p = lie.positive_roots[p]
         for tag in tags:
-            if tag[0] == "a":
-                coords = root_p
-            else:
-                coords = tuple(
-                    a + b for a, b in zip(root_p, lie.positive_roots[tag[1]])
-                )
+            coords = _support_weight(lie, p, tag)
             if coords not in s_elems:
                 s_elems[coords] = SWeight(coords, lie.root_functional(coords))
     s_z = tuple(sorted(s_elems.values(), key=lambda s: s.coords))
@@ -693,19 +696,12 @@ def boundary_degeneration(analysis: SphericalAnalysis, face: Cone) -> Degenerati
     gen_coords = [s.coords for s in gens]
     rows = list(analysis.l_cap_h.rows)
     basis = identity(lie.dim)
-    for p, img in analysis.t_map:
-        root_p = lie.positive_roots[p]
+    # f_p + T(f_p), keeping the supports whose weights the face's monoid holds
+    for (p, img), (_, tags) in zip(analysis.t_map, analysis.supports):
         v = list(basis[lie.f_index(p)])
-        if any(img[k] != 0 for k in lie.a_indices()) and monoid_contains(
-            gen_coords, root_p
-        ):
-            for k in lie.a_indices():
-                v[k] = img[k]
-        for pq in analysis.sigma_q:
-            k = lie.e_index(pq)
-            if img[k] != 0:
-                total = tuple(a + b for a, b in zip(root_p, lie.positive_roots[pq]))
-                if monoid_contains(gen_coords, total):
+        for tag in tags:
+            if monoid_contains(gen_coords, _support_weight(lie, p, tag)):
+                for k in lie.a_indices() if tag == ("a",) else (lie.e_index(tag[1]),):
                     v[k] = img[k]
         rows.append(tuple(v))
     h_zf = Subspace.from_spanning(lie.dim, rows)

@@ -190,11 +190,7 @@ def structural_invariants(analysis: SphericalAnalysis) -> list[CheckResult]:
     def face_suite():
         for face in faces:
             deg = boundary_degeneration(analysis, face)
-            a_cap = lie.a_subspace().intersect(deg.h_zf)
-            a_cap_a = Subspace.from_spanning(
-                lie.dim_a, [lie.g_vector_to_a(r) for r in a_cap.rows]
-            )
-            if a_cap_a != analysis.a_h:
+            if g_subspace_to_a(lie, lie.a_subspace().intersect(deg.h_zf)) != analysis.a_h:
                 return False, f"a cap h_F wrong on face dim {face.dim}"
             if normalizer_in_a(lie, deg.h_zf) != face.span():
                 return False, f"N_a(h_F) != span(F) on face dim {face.dim}"

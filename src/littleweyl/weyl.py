@@ -50,6 +50,7 @@ from .spherical import (
     SphericalAnalysis,
     chamber_limits,
     compression_cone,
+    cone_faces,
     is_admissible,
     order_regular_chambers,
     stage,
@@ -245,7 +246,8 @@ _ORDER_BOUND = 13
 
 @stage
 def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
-    """Closure of the wall reflections, with tiling verification.
+    """Closure of the reflections in the walls, the faces of codimension one
+    (cone_faces), with tiling verification.
 
     Each element is carried by its realizer: the first element of W, in the
     order of lie.weyl_group, that normalizes a_h and +-Sigma_0 and acts on
@@ -261,7 +263,8 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     lie = analysis.lie
     quot = quotient_by_a_h(analysis)
     cone = compression_cone(analysis)
-    gens = [wall_reflection(analysis, w) for w in cone.walls()]
+    walls = [f for f in cone_faces(analysis) if f.dim == cone.ambient_dim - 1]
+    gens = [wall_reflection(analysis, w) for w in walls]
 
     table = {w.element.perm: w for _, w in _normalizer(analysis)}
     realizer: dict[Mat, LimitCoset] = {}

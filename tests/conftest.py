@@ -1,9 +1,11 @@
+import copy
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from littleweyl.catalog import get_entry
 from littleweyl.cones import Chamber, ChamberSet, Cone, ConeError, traverse_chambers
 from littleweyl.lie import LieAlgebraError, build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import (
@@ -19,8 +21,9 @@ from littleweyl.linalg import (
     primitive_signed,
     solve,
 )
+from littleweyl.serialize import space_from_json
 from littleweyl.spherical import NotAdaptedError, analyze
-from littleweyl.verify import CheckResult, check_claims
+from littleweyl.verify import check_claims
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +144,20 @@ def dual(cone) -> Cone:
     return Cone.from_rays(cone.ambient_dim, [tuple(-c for c in g) for g in cone.inequalities])
 
 
+def walls_of(cone) -> list[Cone]:
+    """Oracle: the faces whose span has codimension one, one double
+    description per facet inequality.  A full-dimensional cone has one per
+    facet, a cone spanning a hyperplane has itself, and a smaller cone has
+    none."""
+    if cone.dim < cone.ambient_dim:
+        return [cone] if cone.dim == cone.ambient_dim - 1 else []
+    walls = [
+        Cone.from_inequalities(cone.ambient_dim, [*cone.inequalities, g, tuple(-c for c in g)])
+        for g in cone.facets
+    ]
+    return sorted(walls, key=lambda c: c.rays)
+
+
 def order_regular_hyperplanes(lie):
     """Functionals alpha - beta over distinct root pairs, deduplicated: the
     arrangement as the library derived it from lie.root_functional before
@@ -184,16 +201,19 @@ def enumerate_chambers(dim, functionals):
 
 def check_entry(entry):
     """The catalog entry's claims checked on its analysis, as ``verify`` runs
-    them: analyze, or keep the NotAdaptedError, then check_claims."""
+    them: load the space description, analyze, or keep the NotAdaptedError,
+    then check_claims."""
+    lie, bp, claims = space_from_json(entry.space)
     try:
-        bp = entry.base_point()
-    except Exception as err:  # noqa: BLE001
-        return [CheckResult(f"{entry.name}.base_point", False, str(err))]
-    try:
-        an = analyze(entry.lie(), bp.h_z)
+        an = analyze(lie, bp.h_z)
     except NotAdaptedError as err:
         an = err
-    return check_claims(an, entry.expected, entry.name)
+    return check_claims(an, claims, entry.name)
+
+
+def catalog_space(name):
+    """A copy of the catalog entry's space description, free to edit."""
+    return copy.deepcopy(get_entry(name).space)
 
 
 def space_json(cartan_type):

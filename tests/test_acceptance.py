@@ -21,7 +21,7 @@ from fractions import Fraction
 import pytest
 from conftest import dense_exp_ad, full_space
 
-from littleweyl.catalog import get_entry, list_entries
+from littleweyl.catalog import list_entries, load
 from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import float_flow_oracle, limit_subspace
@@ -69,9 +69,8 @@ def _finish(number: int, label: str, t0: float, budget: float):
 def test_criterion_1_horospherical_reproduction():
     t0 = time.monotonic()
     for name in ("A1_nbar", "A2_nbar"):
-        entry = get_entry(name)
-        lie = entry.lie()
-        an = analyze(lie, entry.base_point().h_z)
+        lie, bp, claims = load(name)
+        an = analyze(lie, bp.h_z)
         cone = compression_cone(an)
         assert cone == full_space(lie.dim_a)  # C = a, exactly
         group = little_weyl_group(an)
@@ -79,7 +78,7 @@ def test_criterion_1_horospherical_reproduction():
         sr = spherical_roots(an)
         assert sr.roots == ()
         # the unipotent translate is not adapted and its cone is a half-space
-        wit = entry.expected["non_adapted_witness"]
+        wit = claims["non_adapted_witness"]
         word = [word_entry_from_json(w, "w") for w in wit["word"]]
         moved = translate(lie, an.h_z, word)
         assert not is_adapted(lie, moved.h_z)
@@ -104,8 +103,8 @@ def test_criterion_1_horospherical_reproduction():
 )
 def test_criterion_2_little_weyl_groups(name, order, label, budget):
     t0 = time.monotonic()
-    entry = get_entry(name)
-    an = analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load(name)
+    an = analyze(lie, bp.h_z)
     group = little_weyl_group(an)
     assert group.order == order
     assert group.type_label == label
@@ -121,7 +120,8 @@ def test_criterion_2_little_weyl_groups(name, order, label, budget):
 def test_criterion_3_main_theorem_agreement():
     t0 = time.monotonic()
     for entry in list_entries():
-        an = analyze(entry.lie(), entry.base_point().h_z)
+        lie, bp, _ = load(entry.name)
+        an = analyze(lie, bp.h_z)
         res = find_admissible(an, max_iters=10, seed=0)
         little_weyl_group(res.analysis)  # verifies tiling + disjointness
         assert limits_agree_with_walls(res.analysis), entry.name
@@ -178,7 +178,8 @@ def test_criterion_4_limit_oracle_two_hundred():
 def test_criterion_5_structural_suite():
     t0 = time.monotonic()
     for entry in list_entries():
-        an = analyze(entry.lie(), entry.base_point().h_z)
+        lie, bp, _ = load(entry.name)
+        an = analyze(lie, bp.h_z)
         results = structural_invariants(an)
         failures = [r for r in results if not r.ok]
         assert not failures, (entry.name, failures)
@@ -188,7 +189,8 @@ def test_criterion_5_structural_suite():
 def test_criterion_6_crystallographic():
     t0 = time.monotonic()
     for entry in list_entries():
-        an = analyze(entry.lie(), entry.base_point().h_z)
+        lie, bp, _ = load(entry.name)
+        an = analyze(lie, bp.h_z)
         group = little_weyl_group(an)
         for row in group.coxeter_orders:
             for m in row:
@@ -204,14 +206,14 @@ def test_criterion_6_crystallographic():
 def test_criterion_7_admissibility_pipeline():
     t0 = time.monotonic()
     for entry in list_entries():
-        an = analyze(entry.lie(), entry.base_point().h_z)
+        lie, bp, _ = load(entry.name)
+        an = analyze(lie, bp.h_z)
         res = find_admissible(an, max_iters=10, seed=0)
         assert res.attempts <= 10, entry.name
         assert is_admissible(res.analysis), entry.name
     # the explicit unipotent family succeeds on the half-space entry
-    entry = get_entry("A1xA1_diag_w0")
-    lie = entry.lie()
-    an = analyze(lie, entry.base_point().h_z)
+    lie, bp, _ = load("A1xA1_diag_w0")
+    an = analyze(lie, bp.h_z)
     success_t = None
     for t in range(1, 9):
         n = half_space_candidate(an, t)

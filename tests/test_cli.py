@@ -10,16 +10,16 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import TRIPLE_SPACE
+from conftest import TRIPLE_SPACE, catalog_space
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import littleweyl
 from littleweyl import serialize, spherical, verify, weyl
-from littleweyl.catalog import get_entry, list_entries
+from littleweyl.catalog import list_entries
 from littleweyl.cli import main
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
-from littleweyl.serialize import catalog_entry_to_space_json, dumps_canonical
+from littleweyl.serialize import dumps_canonical
 
 
 def run(capsys, *argv):
@@ -186,7 +186,7 @@ def test_oversized_numbers_end_in_an_error_line(value, message, tmp_path, capsys
     has 6000 digits are space-file errors: each once ended in a ValueError
     traceback.  A well-formed number too long to print is named as such, and
     no error line echoes a long value whole."""
-    data = catalog_entry_to_space_json(get_entry("A1_so2"))
+    data = catalog_space("A1_so2")
     data["subalgebra"][0][1] = value
     path = tmp_path / "big.json"
     _write_space(path, data)
@@ -207,7 +207,7 @@ def _json_paths(node, prefix=()):
             yield from _json_paths(value, (*prefix, i))
 
 
-_CATALOG_SPACES = {e.name: catalog_entry_to_space_json(e) for e in list_entries()}
+_CATALOG_SPACES = {e.name: e.space for e in list_entries()}
 _MUTATIONS = [
     None, True, 0, 1, -1, 2, 17, 2000, 1.5, "", "x", "0", "1/2", "1/0", "1.5", "-3",
     "1e1000000", _BIG_INT, "A1", "A5", "G2", [], {}, [[]], [0, 1], [1, "e"],
@@ -260,7 +260,7 @@ def test_malformed_claims_end_in_an_error_line(field, value, tmp_path, capsys):
     space-file error naming the field, not a traceback.  The first two are
     the crashes a fuzzed A2_so3 file found: an int among the coset labels
     could not be sorted, and a null inequality had no length."""
-    data = catalog_entry_to_space_json(get_entry("A2_so3"))
+    data = catalog_space("A2_so3")
     data["claims"][field] = value
     path = tmp_path / "claims.json"
     path.write_text(json.dumps(data))
@@ -270,7 +270,7 @@ def test_malformed_claims_end_in_an_error_line(field, value, tmp_path, capsys):
 
 
 def test_unknown_claims_fields_are_ignored(tmp_path, capsys):
-    data = catalog_entry_to_space_json(get_entry("A2_so3"))
+    data = catalog_space("A2_so3")
     data["claims"]["remark"] = [None, 1, "e"]
     path = tmp_path / "claims.json"
     path.write_text(json.dumps(data))
@@ -387,6 +387,20 @@ def test_catalog_export_to_a_file_path_exits_1(tmp_path, target):
     assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
     assert out.stderr.startswith(f"error: cannot export to {path}: ")
     assert len(out.stderr.splitlines()) == 1
+
+
+def test_a_deeply_nested_space_file_exits_1(tmp_path):
+    # json's decoder once ended in a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    src = str(Path(littleweyl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "littleweyl", "analyze", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr == f"error: {path}: nested too deeply to parse\n"
 
 
 def test_json_reports_are_deterministic(capsys):

@@ -4,7 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import dual, enumerate_chambers, full_space, order_regular_hyperplanes, replace
+from conftest import (
+    dual,
+    enumerate_chambers,
+    full_space,
+    order_regular_hyperplanes,
+    replace,
+    walls_of,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +106,7 @@ def test_faces_walls_edge_half_line():
     c = Cone.from_inequalities(1, [[1]])
     faces = c.faces()
     assert sorted(f.dim for f in faces) == [0, 1]
-    assert len(c.walls()) == 1 and c.walls()[0].dim == 0
+    assert len(walls_of(c)) == 1 and walls_of(c)[0].dim == 0
     assert c.edge().dim == 0
 
 
@@ -116,19 +123,19 @@ def _cones(draw):
 @settings(max_examples=80, deadline=None)
 @given(_cones())
 def test_walls_are_the_codimension_one_faces(c):
-    assert c.walls() == [f for f in c.faces() if f.span().dim == c.ambient_dim - 1]
+    assert walls_of(c) == [f for f in c.faces() if f.span().dim == c.ambient_dim - 1]
 
 
 def test_faces_whole_space():
     c = full_space(2)
     assert len(c.faces()) == 1
-    assert c.walls() == []
+    assert walls_of(c) == []
     assert c.edge().dim == 2
 
 
 def test_half_plane_wall_is_boundary_line():
     c = Cone.from_inequalities(2, [[1, 1]])
-    walls = c.walls()
+    walls = walls_of(c)
     assert len(walls) == 1
     w = walls[0]
     assert w.lineality == Subspace.from_spanning(2, [(1, -1)])
@@ -139,7 +146,7 @@ def test_each_wall_in_exactly_one_facet_hyperplane():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1], [1, 1]])  # third is redundant
     facets = c.facets
     assert len(facets) == 2
-    for w in c.walls():
+    for w in walls_of(c):
         containing = [
             g
             for g in facets
@@ -160,7 +167,7 @@ def test_relative_interior_point():
     c = Cone.from_inequalities(2, [[1, 0], [0, 1]])
     p = c.relative_interior_point()
     assert _contains_strictly(c, p)
-    w = c.walls()[0]
+    w = walls_of(c)[0]
     q = w.relative_interior_point()
     assert w.contains(q) and not _contains_strictly(c, q)
 
@@ -630,7 +637,7 @@ def _same_cone(dim, got, want):
 
     assert _integer_view(got) == reference_view(want)
     assert got.facets == _reference_facets(want)
-    assert [_integer_view(w) for w in got.walls()] == [
+    assert [_integer_view(w) for w in walls_of(got)] == [
         reference_view(w) for w in _reference_walls(dim, want)
     ]
 

@@ -50,7 +50,7 @@ def _cli(*argv) -> tuple[str, str]:
 
 def entry_outputs(name: str) -> dict[str, str]:
     """'exit code:digest' of every pinned report of one catalog entry."""
-    dim_a = catalog.get_entry(name).lie().dim_a
+    dim_a = catalog.load(name)[0].dim_a
     direction = ",".join(str(-(k + 1)) for k in range(dim_a))
     out = {
         f"analyze/{lat}": _cli("analyze", name, "--json", "--m-lattice", lat)[0]

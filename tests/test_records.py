@@ -10,7 +10,7 @@ import pytest
 from conftest import replace
 
 from littleweyl import catalog, cones, lie, limits, linalg, spherical, verify, weyl
-from littleweyl.catalog import get_entry
+from littleweyl.catalog import get_entry, load
 from littleweyl.cones import ChamberSet, Cone
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import float_flow_oracle, graded_direction
@@ -37,8 +37,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def records():
     """One instance of every record class, all read off A2_so3."""
     entry = get_entry("A2_so3")
-    a2 = entry.lie()
-    point = entry.base_point()
+    a2, point, _ = load(entry.name)
     an = analyze(a2, point.h_z)
     table = order_regular_chambers(a2)
     group = little_weyl_group(an)
@@ -112,7 +111,7 @@ def test_a_record_equals_and_hashes_as_its_copy(records, name):
     record = records[name]
     copy = replace(record)
     assert copy is not record and copy == record and not copy != record
-    if name != "CatalogEntry":  # its expected results are a dict
+    if name != "CatalogEntry":  # its space description is a dict
         assert hash(copy) == hash(record)
 
 

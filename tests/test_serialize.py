@@ -9,7 +9,6 @@ from littleweyl.catalog import get_entry
 from littleweyl.linalg import Subspace, vec
 from littleweyl.serialize import (
     SpaceFileError,
-    catalog_entry_to_space_json,
     dumps_canonical,
     frac_str,
     parse_frac,
@@ -117,10 +116,11 @@ def test_space_from_json_errors():
 
 
 def test_catalog_export_schema():
-    data = catalog_entry_to_space_json(get_entry("A1xA1_diag_w0"))
+    data = get_entry("A1xA1_diag_w0").space
     assert data["schema_version"] == 1
     assert data["lie_algebra"] == {"cartan_type": "A1xA1", "center_dim": 0}
     assert data["claims"]["w_order"] == 2
+    assert json.loads(dumps_canonical(data)) == data
     lie, bp, claims = space_from_json(json.loads(json.dumps(data)))
     assert bp.h_z.dim == 3
 

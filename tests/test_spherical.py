@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from conftest import dense_exp_ad, dual, full_space
+from conftest import dense_exp_ad, dual, full_space, walls_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littleweyl.catalog import get_entry, list_entries
+from littleweyl.catalog import list_entries, load
 from littleweyl.cones import Cone
 from littleweyl.lie import LieAlgebraError, build_from_cartan, cartan_matrix_of_type
 from littleweyl.limits import limit_subspace
@@ -133,10 +133,9 @@ def test_is_adapted_examples(a1, sl2_subalgebras):
 
 @pytest.mark.parametrize("name", [e.name for e in list_entries()])
 def test_is_adapted_answers_with_a_bool_on_the_catalog(name):
-    entry = get_entry(name)
-    lie, bp = entry.lie(), entry.base_point()
+    lie, bp, claims = load(name)
     assert is_adapted(lie, bp.h_z) is True
-    witness = entry.expected.get("non_adapted_witness")
+    witness = claims.get("non_adapted_witness")
     if witness:
         word = [word_entry_from_json(w, "witness") for w in witness["word"]]
         assert is_adapted(lie, translate(lie, bp.h_z, word).h_z) is False
@@ -336,7 +335,7 @@ def test_degeneration_at_full_cone_is_horospherical(a1xa1, twisted_diagonal):
 def test_degeneration_at_wall_so2_is_h_itself(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["so2"])
     cone = compression_cone(an)
-    wall = cone.walls()[0]
+    wall = walls_of(cone)[0]
     deg = boundary_degeneration(an, wall)
     assert deg.h_zf == sl2_subalgebras["so2"]
     assert [s.coords for s in deg.monoid_generators] == [(2,)]

@@ -13,14 +13,15 @@ from conftest import (
     fresh_stages,
     order_regular_hyperplanes,
     replace,
+    walls_of,
 )
 
 from littleweyl import cli, cones, limits, linalg, spherical, verify
 from littleweyl import lie as lie_module
-from littleweyl.catalog import get_entry, list_entries
+from littleweyl.catalog import list_entries, load
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace
-from littleweyl.spherical import analyze, compression_cone, is_admissible
+from littleweyl.spherical import analyze, compression_cone, cone_faces, is_admissible
 from littleweyl.verify import (
     random_order_regular,
     random_subspace,
@@ -159,8 +160,8 @@ def test_a3_chamber_sweep_takes_one_double_description(monkeypatch):
 
 
 def test_face_degenerations_are_analyzed_once(monkeypatch):
-    entry = get_entry("A2_so3")
-    an = analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load("A2_so3")
+    an = analyze(lie, bp.h_z)
     faces = compression_cone(an).faces()
     degenerations = {spherical.boundary_degeneration(an, f).h_zf for f in faces}
     calls = []
@@ -343,7 +344,7 @@ def test_verify_all_runs_the_limit_oracle_once_per_algebra(monkeypatch, capsys):
     """The six catalog entries live in three algebras (A1 three times,
     A1xA1 once, A2 twice); the oracle suite runs once for each, and every
     entry still reports its own limit checks."""
-    fresh_stages(monkeypatch, *(entry.lie() for entry in list_entries()))
+    fresh_stages(monkeypatch, *(load(entry.name)[0] for entry in list_entries()))
     flows = []
     original_flow = verify.float_flow_oracle
 
@@ -488,7 +489,7 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     group table, so no matrix is inverted.  Inverting each translate's map
     made 24 calls; closing the matrices on a/a_h as well made 72."""
     an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
-    compression_cone(an).walls()
+    cone_faces(an)
     calls = _record_linalg_calls(monkeypatch, "mat_inverse")
     group = little_weyl_group(an)
     weyl.spherical_roots(an)
@@ -501,9 +502,10 @@ def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
     caller of little_weyl_group has built: the realizers move the table's
     chambers inside the compression cone by their signed permutations of
     the hyperplanes.  So once the table is cached the stage enumerates no
-    chambers, and its double descriptions are the walls', all in a: one on
-    A1xA1_diag_w0, where a_h is a line, and 3 on A3 g/so (27 when the check
-    chambered the arrangement of the translates' facets)."""
+    chambers, and once the faces are cached it runs no double description:
+    the walls are the faces of codimension one (27 double descriptions on
+    A3 g/so when the check chambered the arrangement of the translates'
+    facets, 3 when each wall was cut out again)."""
     dims, traversals = [], []
     original_dd = cones._dd
 
@@ -523,18 +525,17 @@ def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
             if getattr(module, "traverse_chambers", None) is original:
                 monkeypatch.setattr(module, "traverse_chambers", recording)
 
-    entry = get_entry("A1xA1_diag_w0")
-    diag = analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load("A1xA1_diag_w0")
+    diag = analyze(lie, bp.h_z)
     a3 = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
-    for an, order, walls in [(diag, 2, 1), (a3, 24, 3)]:
-        compression_cone(an)
+    for an, order in [(diag, 2), (a3, 24)]:
+        cone_faces(an)
         spherical.order_regular_chambers(an.lie)
         dims.clear()
         traversals.clear()
         assert little_weyl_group(an).order == order
         assert traversals == []
-        assert set(dims) == {an.lie.dim_a}
-        assert len(dims) <= walls
+        assert dims == []
 
 
 def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):
@@ -545,7 +546,7 @@ def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):
     vector; reading each action through the a/a_E quotient as well made the
     group and its roots take 144 solves."""
     an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
-    walls = compression_cone(an).walls()
+    walls = walls_of(compression_cone(an))
     dd_calls, solve_calls = [], []
     original_dd = cones.Cone.from_inequalities
     original_solve = weyl.solve
@@ -588,7 +589,7 @@ def test_a3_cones_and_chambers_store_ints(monkeypatch):
     assert len(spherical.chamber_limits(an, an.h_z)[1]) == table.count == 240
     assert little_weyl_group(an).order == 24
     cone = compression_cone(an)
-    cone_list = [cone, *cone.walls(), *(chamber_cone(table, ch) for ch in table.chambers)]
+    cone_list = [cone, *walls_of(cone), *(chamber_cone(table, ch) for ch in table.chambers)]
     assert built == []
     entries = [x for ch in table.chambers for x in ch.representative]
     entries += [x for h in table.hyperplanes for x in h]
@@ -598,8 +599,8 @@ def test_a3_cones_and_chambers_store_ints(monkeypatch):
 
 
 def test_structural_invariants_degenerate_each_face_once(monkeypatch):
-    entry = get_entry("A2_so3")
-    an = analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load("A2_so3")
+    an = analyze(lie, bp.h_z)
     calls = []
     original = spherical.DegenerationData
 
@@ -619,8 +620,8 @@ def test_integer_subspace_stages_make_no_rref_call(monkeypatch):
     """normalizer_in_a, analyze with its T-map and the conjugate table of
     weyl_from_limits run on integer echelon rows: none of them takes the
     Fraction reduced row echelon form."""
-    entry = get_entry("A2_so3")
-    lie, h_z = entry.lie(), entry.base_point().h_z
+    lie, bp, _ = load("A2_so3")
+    h_z = bp.h_z
     calls = _record_linalg_calls(monkeypatch, "rref")
     an = analyze(lie, h_z)
     assert an.sigma_q and an.t_map
@@ -661,8 +662,8 @@ def test_tperp_reads_coordinates_off_the_pivots(monkeypatch):
     for x, img in zip(xs, want):
         assert an.n_q.contains_vector(img)
         assert hperp.contains_vector([a + b for a, b in zip(an.lie.a_vector_to_g(x), img)])
-    entry = get_entry("A1xA1_diag_w0")
-    diag = analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load("A1xA1_diag_w0")
+    diag = analyze(lie, bp.h_z)
     assert diag.a_circ.dim == 1
     with pytest.raises(ValueError, match="not in a_circ"):
         diag.tperp(next(x for x in ((1, 0), (0, 1)) if not diag.a_circ.contains_vector(x)))

@@ -6,7 +6,7 @@ import pytest
 from conftest import fresh_stages
 
 from littleweyl import verify
-from littleweyl.catalog import get_entry
+from littleweyl.catalog import load
 from littleweyl.cones import ChamberSet, Cone
 from littleweyl.limits import FlowReport
 from littleweyl.spherical import analyze, cone_faces
@@ -44,8 +44,8 @@ ORACLE_ROWS = [
 
 
 def _analysis():
-    entry = get_entry("A2_so3")
-    an = analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load("A2_so3")
+    an = analyze(lie, bp.h_z)
     cone_faces(an)  # the cone and its faces are computed before any check runs
     return an
 
@@ -101,7 +101,7 @@ def test_a_failed_admissible_search_fails_its_own_row(monkeypatch):
 
 def test_a_flow_that_disagrees_fails_only_the_flow_row(monkeypatch):
     """The suite is a stage of the algebra, so its stages are emptied first."""
-    lie = get_entry("A2_so3").lie()
+    lie = load("A2_so3")[0]
     fresh_stages(monkeypatch, lie)
     far = FlowReport(distance=1.0, eigenvalue_gap=1.0, converged=True, reason="", frame=())
     monkeypatch.setattr(verify, "float_flow_oracle", lambda *args, **kwargs: far)

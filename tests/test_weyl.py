@@ -2,10 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import LEVI_PAIRS, chamber_cone, enumerate_chambers, replace
+from conftest import LEVI_PAIRS, chamber_cone, enumerate_chambers, replace, walls_of
 
 from littleweyl import spherical, weyl
-from littleweyl.catalog import get_entry, list_entries
+from littleweyl.catalog import list_entries, load
 from littleweyl.cones import Cone
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace, identity, mat_mul, mat_vec, primitive_signed, vec
@@ -38,8 +38,8 @@ def span(dim, *rows):
 
 
 def _analysis(name):
-    entry = get_entry(name)
-    return analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load(name)
+    return analyze(lie, bp.h_z)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def _analysis(name):
 
 def test_wall_reflection_so2(a1, sl2_subalgebras):
     an = analyze(a1, sl2_subalgebras["so2"])
-    wall = compression_cone(an).walls()[0]
+    wall = walls_of(compression_cone(an))[0]
     gen = wall_reflection(an, wall)
     assert gen.witness == ("root", (2,))  # the weight is twice the root
     assert gen.element.matrix == ((Fraction(-1),),)
@@ -57,7 +57,7 @@ def test_wall_reflection_so2(a1, sl2_subalgebras):
 
 def test_wall_reflection_orthogonal_pair(a1xa1, twisted_diagonal):
     an = analyze(a1xa1, twisted_diagonal)
-    wall = compression_cone(an).walls()[0]
+    wall = walls_of(compression_cone(an))[0]
     gen = wall_reflection(an, wall)
     kind, beta, gamma, witness = gen.witness
     assert kind == "pair"
@@ -79,7 +79,7 @@ def test_wall_reflection_orthogonal_pair(a1xa1, twisted_diagonal):
 def test_wall_reflections_so3(a2, so3_subalgebra):
     an = analyze(a2, so3_subalgebra)
     cone = compression_cone(an)
-    gens = [wall_reflection(an, w) for w in cone.walls()]
+    gens = [wall_reflection(an, w) for w in walls_of(cone)]
     weights = sorted(g.weight.coords for g in gens)
     assert weights == [(0, 2), (2, 0)]
     for g in gens:
@@ -97,7 +97,7 @@ def test_wall_reflections_so3(a2, so3_subalgebra):
 def test_wall_reflection_rejects_a_hyperplane_that_is_not_a_wall(a2, so3_subalgebra):
     an = analyze(a2, so3_subalgebra)
     hyperplane = Cone.from_inequalities(2, [(1, 1), (-1, -1)])  # x1 + x2 = 0
-    assert hyperplane not in compression_cone(an).walls()
+    assert hyperplane not in walls_of(compression_cone(an))
     with pytest.raises(ContractViolation, match="no indecomposable weight cuts out the wall"):
         wall_reflection(an, hyperplane)
 
@@ -220,7 +220,7 @@ def test_degeneration_wall_groups_have_order_two(a2, so3_subalgebra):
     an = analyze(a2, so3_subalgebra)
     group = little_weyl_group(an)
     cone = compression_cone(an)
-    for wall, gen in zip(cone.walls(), group.generators):
+    for wall, gen in zip(walls_of(cone), group.generators):
         deg = boundary_degeneration(an, wall)
         sub = little_weyl_group(analyze(a2, deg.h_zf))
         assert sub.order == 2
@@ -454,7 +454,7 @@ def _hull_of_passing_chambers(an, h_z):
     return Cone.from_rays(lie.dim_a, rays, Subspace.from_spanning(lie.dim_a, lin))
 
 
-_WITNESSES = [e.name for e in list_entries() if "non_adapted_witness" in e.expected]
+_WITNESSES = [e.name for e in list_entries() if "non_adapted_witness" in e.space["claims"]]
 
 
 @pytest.mark.parametrize("key", _TILING_SPACES + [f"witness/{name}" for name in _WITNESSES])
@@ -465,7 +465,7 @@ def test_chamber_sweep_equals_the_hull_of_the_passing_chambers(key, levi_pairs):
     kind, name = key.split("/")
     if kind == "witness":
         an = _analysis(name)
-        wit = get_entry(name).expected["non_adapted_witness"]
+        wit = load(name)[2]["non_adapted_witness"]
         h_z = translate(an.lie, an.h_z, [word_entry_from_json(w, "w") for w in wit["word"]]).h_z
     else:
         an = _tiling_space(key, levi_pairs)
@@ -571,9 +571,9 @@ def test_closure_is_bounded_by_the_order_of_w():
     # |W_Z| <= |W|: on a copy of A2 whose Weyl group lists 5 of its 6
     # elements, the closure of the wall reflections of A2/so3 (order 6)
     # exceeds the bound
-    entry = get_entry("A2_so3")
-    lie = replace(entry.lie())
-    object.__setattr__(lie, "weyl_group", dict(list(entry.lie().weyl_group.items())[:5]))
-    an = analyze(lie, entry.base_point().h_z)
+    a2, bp, _ = load("A2_so3")
+    lie = replace(a2)
+    object.__setattr__(lie, "weyl_group", dict(list(a2.weyl_group.items())[:5]))
+    an = analyze(lie, bp.h_z)
     with pytest.raises(ContractViolation, match="closure exceeds the bound"):
         little_weyl_group(an)

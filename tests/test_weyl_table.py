@@ -18,7 +18,7 @@ from conftest import mat_inverse, reflection_on_a, replace, sign_scalings
 
 from littleweyl import lie as lie_mod
 from littleweyl import weyl
-from littleweyl.catalog import get_entry, list_entries
+from littleweyl.catalog import list_entries, load
 from littleweyl.lie import build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import (
     Subspace,
@@ -241,8 +241,8 @@ def test_table_matches_the_matrix_closure(cartan_type, center):
 
 
 def _catalog_analysis(name):
-    entry = get_entry(name)
-    return analyze(entry.lie(), entry.base_point().h_z)
+    lie, bp, _ = load(name)
+    return analyze(lie, bp.h_z)
 
 
 def _check_analysis_data(an):
@@ -322,8 +322,8 @@ def test_riemannian_pairs_match_the_reference(cartan_type, center):
 def test_weyl_group_is_enumerated_once_per_algebra(monkeypatch):
     """One closure over W for an analysis, its groups, its limit cosets on
     both lattices and the analyses of its boundary degenerations."""
-    entry = get_entry("A2_so3")
-    lie = replace(entry.lie())  # the same algebra, no table yet
+    a2, bp, _ = load("A2_so3")
+    lie = replace(a2)  # the same algebra, no table yet
     calls = []
     original = lie_mod.group_closure
 
@@ -332,7 +332,7 @@ def test_weyl_group_is_enumerated_once_per_algebra(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lie_mod, "group_closure", recording)
-    an = analyze(lie, entry.base_point().h_z)
+    an = analyze(lie, bp.h_z)
     little_weyl_group(an)
     weyl_from_limits(an, "coroot")
     weyl_from_limits(an, "coweight")
