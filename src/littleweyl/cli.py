@@ -469,7 +469,6 @@ def cmd_catalog(args) -> int:
             raise SpaceFileError(f"cannot export to {args.export}: {err.strerror or err}") from err
         print(f"wrote {len(entries)} space files to {args.export}")
         return 0
-    rows = [(e, e.space["lie_algebra"]["cartan_type"], e.space["claims"]) for e in entries]
     if args.json:
         sys.stdout.write(
             dumps_canonical(
@@ -479,17 +478,18 @@ def cmd_catalog(args) -> int:
                         {
                             "name": e.name,
                             "description": e.description,
-                            "cartan_type": cartan_type,
-                            "expected_w_order": claims["w_order"],
-                            "expected_type": claims["coxeter_type"],
+                            "cartan_type": e.space["lie_algebra"]["cartan_type"],
+                            "expected_w_order": e.space["claims"]["w_order"],
+                            "expected_type": e.space["claims"]["coxeter_type"],
                         }
-                        for e, cartan_type, claims in rows
+                        for e in entries
                     ],
                 }
             )
         )
     else:
-        for e, cartan_type, claims in rows:
+        for e in entries:
+            cartan_type, claims = e.space["lie_algebra"]["cartan_type"], e.space["claims"]
             print(
                 f"{e.name:18s} {cartan_type:6s} |W| = {claims['w_order']}"
                 f" ({claims['coxeter_type']:7s}) {e.description}"

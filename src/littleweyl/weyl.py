@@ -50,7 +50,6 @@ from .spherical import (
     SphericalAnalysis,
     chamber_limits,
     compression_cone,
-    cone_faces,
     is_admissible,
     order_regular_chambers,
     stage,
@@ -246,8 +245,7 @@ _ORDER_BOUND = 13
 
 @stage
 def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
-    """Closure of the reflections in the walls, the faces of codimension one
-    (cone_faces), with tiling verification.
+    """Closure of the wall reflections, with tiling verification.
 
     Each element is carried by its realizer: the first element of W, in the
     order of lie.weyl_group, that normalizes a_h and +-Sigma_0 and acts on
@@ -263,7 +261,15 @@ def little_weyl_group(analysis: SphericalAnalysis) -> LittleWeylGroup:
     lie = analysis.lie
     quot = quotient_by_a_h(analysis)
     cone = compression_cone(analysis)
-    walls = [f for f in cone_faces(analysis) if f.dim == cone.ambient_dim - 1]
+    # the cone is full-dimensional (wall_reflection): one wall per facet g,
+    # cut out by g = 0, one double description each
+    walls = sorted(
+        (
+            Cone.from_inequalities(cone.ambient_dim, [*cone.inequalities, g, vec_scale(-1, g)])
+            for g in cone.facets
+        ),
+        key=lambda c: c.rays,
+    )
     gens = [wall_reflection(analysis, w) for w in walls]
 
     table = {w.element.perm: w for _, w in _normalizer(analysis)}

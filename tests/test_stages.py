@@ -21,7 +21,7 @@ from littleweyl import lie as lie_module
 from littleweyl.catalog import list_entries, load
 from littleweyl.lie import LieAlgebraData, build_from_cartan, cartan_matrix_of_type
 from littleweyl.linalg import Subspace
-from littleweyl.spherical import analyze, compression_cone, cone_faces, is_admissible
+from littleweyl.spherical import analyze, compression_cone, is_admissible
 from littleweyl.verify import (
     random_order_regular,
     random_subspace,
@@ -489,7 +489,7 @@ def test_a3_little_weyl_group_inverts_no_matrix(monkeypatch):
     group table, so no matrix is inverted.  Inverting each translate's map
     made 24 calls; closing the matrices on a/a_h as well made 72."""
     an = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
-    cone_faces(an)
+    walls_of(compression_cone(an))
     calls = _record_linalg_calls(monkeypatch, "mat_inverse")
     group = little_weyl_group(an)
     weyl.spherical_roots(an)
@@ -502,10 +502,9 @@ def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
     caller of little_weyl_group has built: the realizers move the table's
     chambers inside the compression cone by their signed permutations of
     the hyperplanes.  So once the table is cached the stage enumerates no
-    chambers, and once the faces are cached it runs no double description:
-    the walls are the faces of codimension one (27 double descriptions on
-    A3 g/so when the check chambered the arrangement of the translates'
-    facets, 3 when each wall was cut out again)."""
+    chambers, and its double descriptions are the walls', all in a: one on
+    A1xA1_diag_w0, where a_h is a line, and 3 on A3 g/so (27 when the check
+    chambered the arrangement of the translates' facets)."""
     dims, traversals = [], []
     original_dd = cones._dd
 
@@ -528,14 +527,15 @@ def test_tiling_translates_the_compression_cone_in_a(monkeypatch):
     lie, bp, _ = load("A1xA1_diag_w0")
     diag = analyze(lie, bp.h_z)
     a3 = _riemannian_analysis(build_from_cartan(cartan_matrix_of_type("A3")))
-    for an, order in [(diag, 2), (a3, 24)]:
-        cone_faces(an)
+    for an, order, walls in [(diag, 2, 1), (a3, 24, 3)]:
+        compression_cone(an)
         spherical.order_regular_chambers(an.lie)
         dims.clear()
         traversals.clear()
         assert little_weyl_group(an).order == order
         assert traversals == []
-        assert dims == []
+        assert set(dims) == {an.lie.dim_a}
+        assert len(dims) <= walls
 
 
 def test_a3_weyl_layer_reads_walls_and_lattice_without_extra_work(monkeypatch):
